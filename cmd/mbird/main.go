@@ -96,6 +96,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/project"
 	"repro/internal/resil"
+	"repro/internal/serve"
 	"repro/internal/value"
 )
 
@@ -502,15 +503,19 @@ func (tf *transportFlags) ctx() context.Context {
 	return context.Background()
 }
 
-// dial builds a broker client over the resilient pooled transport.
-func (tf *transportFlags) dial() *broker.Client {
-	return broker.NewTransportClient(resil.New(tf.addr, resil.Options{
+// pool builds the resilient pooled transport the remote subcommands
+// speak through.
+func (tf *transportFlags) pool() *resil.Client {
+	return resil.New(tf.addr, resil.Options{
 		CallTimeout: tf.timeout,
 		DialTimeout: tf.dialTimeout,
 		MaxAttempts: tf.retries,
 		Hedge:       tf.hedge,
-	}))
+	})
 }
+
+// dial builds a broker client over the resilient pooled transport.
+func (tf *transportFlags) dial() *broker.Client { return broker.NewTransportClient(tf.pool()) }
 
 // remotePair parses the shared remote flags, connects, and loads both
 // sides onto the daemon. ctx is the base context for the subcommand's
@@ -694,18 +699,12 @@ func streamConvert(ctx context.Context, c *broker.Client, a, b *side, ua, ub str
 
 // dialGateway builds a gateway admin client over the same resilient
 // pooled transport the broker client uses.
-func (tf *transportFlags) dialGateway() *gateway.Client {
-	return gateway.NewTransportClient(resil.New(tf.addr, resil.Options{
-		CallTimeout: tf.timeout,
-		DialTimeout: tf.dialTimeout,
-		MaxAttempts: tf.retries,
-		Hedge:       tf.hedge,
-	}))
-}
+func (tf *transportFlags) dialGateway() *gateway.Client { return gateway.NewTransportClient(tf.pool()) }
 
-// emitJSON writes v as indented JSON. The field names in the payload
-// structs below are the stable scrape contract; the text renderings are
-// for humans and may change.
+// emitJSON writes v as indented JSON. The json tags — on brokerStatsJSON
+// below, and on the gateway stats and the health structs in their own
+// packages — are the stable scrape contract; the text renderings are for
+// humans and may change.
 func emitJSON(out io.Writer, v any) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
@@ -753,66 +752,6 @@ type brokerStatsJSON struct {
 	Sheds            int64 `json:"sheds"`
 }
 
-// gatewayRouteJSON / gatewayStatsJSON are the stable -json shape of
-// `mbird remote stats -gateway`.
-type gatewayRouteJSON struct {
-	Name           string `json:"name"`
-	Requests       int64  `json:"requests"`
-	FastTier       int64  `json:"fast_tier"`
-	TreeTier       int64  `json:"tree_tier"`
-	Passthrough    int64  `json:"passthrough"`
-	TranscodeNs    int64  `json:"transcode_ns"`
-	UpstreamErrors int64  `json:"upstream_errors"`
-	Sheds          int64  `json:"sheds"`
-	BudgetRejects  int64  `json:"budget_rejects"`
-}
-
-type gatewayUpstreamJSON struct {
-	Addr            string `json:"addr"`
-	Conns           int    `json:"conns"`
-	Dials           int64  `json:"dials"`
-	Discards        int64  `json:"discards"`
-	Retries         int64  `json:"retries"`
-	Overloads       int64  `json:"overloads"`
-	Hedges          int64  `json:"hedges"`
-	HedgeWins       int64  `json:"hedge_wins"`
-	BudgetExhausted int64  `json:"budget_exhausted"`
-	BreakerTrips    int64  `json:"breaker_trips"`
-}
-
-type gatewayStatsJSON struct {
-	Routes          []gatewayRouteJSON    `json:"routes"`
-	Upstreams       []gatewayUpstreamJSON `json:"upstreams"`
-	LaneCompiles    int64                 `json:"lane_compiles"`
-	LaneUnsupported int64                 `json:"lane_unsupported"`
-	LaneReuses      int64                 `json:"lane_reuses"`
-	InFlight        int64                 `json:"in_flight"`
-	Sheds           int64                 `json:"sheds"`
-	Expired         int64                 `json:"expired"`
-	Canceled        int64                 `json:"canceled"`
-}
-
-// healthJSON is the stable -json shape of `mbird remote health` for
-// both daemons; the gateway-only fields are omitted for the broker and
-// vice versa.
-type healthJSON struct {
-	Ready             bool   `json:"ready"`
-	InFlight          int64  `json:"in_flight"`
-	MaxInFlight       int    `json:"max_in_flight"`
-	Sheds             int64  `json:"sheds"`
-	ConnSheds         int64  `json:"conn_sheds"`
-	Panics            int64  `json:"panics"`
-	Expired           int64  `json:"expired"`
-	Canceled          int64  `json:"canceled"`
-	TranscoderEntries *int64 `json:"transcoder_entries,omitempty"`
-	Peers             *int64 `json:"peers,omitempty"`
-	Routes            *int   `json:"routes,omitempty"`
-	Lanes             *int   `json:"lanes,omitempty"`
-	HeapBytes         int64  `json:"heap_bytes"`
-	GCPauseNs         int64  `json:"gc_pause_ns"`
-	NumGC             int64  `json:"num_gc"`
-}
-
 func cmdRemoteStats(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("remote stats", flag.ContinueOnError)
 	var tf transportFlags
@@ -830,37 +769,11 @@ func cmdRemoteStats(args []string, out io.Writer) error {
 			return err
 		}
 		if *asJSON {
-			js := gatewayStatsJSON{
-				Routes:          []gatewayRouteJSON{},
-				Upstreams:       []gatewayUpstreamJSON{},
-				LaneCompiles:    st.LaneCompiles,
-				LaneUnsupported: st.LaneUnsupported,
-				LaneReuses:      st.LaneReuses,
-				InFlight:        st.InFlight,
-				Sheds:           st.Sheds,
-				Expired:         st.Expired,
-				Canceled:        st.Canceled,
-			}
-			for _, r := range st.Routes {
-				js.Routes = append(js.Routes, gatewayRouteJSON{
-					Name: r.Name, Requests: r.Requests,
-					FastTier: r.FastTier, TreeTier: r.TreeTier, Passthrough: r.Passthrough,
-					TranscodeNs: r.TranscodeTotal.Nanoseconds(), UpstreamErrors: r.UpstreamErrors,
-					Sheds: r.Sheds, BudgetRejects: r.BudgetRejects,
-				})
-			}
-			for _, u := range st.Upstreams {
-				js.Upstreams = append(js.Upstreams, gatewayUpstreamJSON{
-					Addr: u.Addr, Conns: u.Conns, Dials: u.Dials, Discards: u.Discards,
-					Retries: u.Retries, Overloads: u.Overloads, Hedges: u.Hedges, HedgeWins: u.HedgeWins,
-					BudgetExhausted: u.BudgetExhausted, BreakerTrips: u.BreakerTrips,
-				})
-			}
-			return emitJSON(out, js)
+			return emitJSON(out, st)
 		}
 		for _, r := range st.Routes {
-			fmt.Fprintf(out, "route %-20s %d requests (%d wire-to-wire, %d via trees, %d passthrough), %v transcoding, %d upstream errors, %d shed, %d over budget\n",
-				r.Name+":", r.Requests, r.FastTier, r.TreeTier, r.Passthrough,
+			fmt.Fprintf(out, "route %-20s %d requests (%d wire-to-wire, %d via trees, %d passthrough, %d streamed), %v transcoding, %d upstream errors, %d shed, %d over budget\n",
+				r.Name+":", r.Requests, r.FastTier, r.TreeTier, r.Passthrough, r.Streamed,
 				r.TranscodeTotal, r.UpstreamErrors, r.Sheds, r.BudgetRejects)
 		}
 		for _, u := range st.Upstreams {
@@ -918,50 +831,32 @@ func cmdRemoteHealth(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// js is the daemon's whole health struct, for -json; the text
+	// rendering is the shared core plus the daemon's own lines.
+	var js any
+	var h serve.Health
+	var own string
 	if *gw {
 		c := tf.dialGateway()
 		defer c.Close()
-		h, err := c.HealthContext(tf.ctx())
+		gh, err := c.HealthContext(tf.ctx())
 		if err != nil {
 			return err
 		}
-		if *asJSON {
-			return emitJSON(out, healthJSON{
-				Ready: h.Ready, InFlight: h.InFlight, MaxInFlight: h.MaxInFlight,
-				Sheds: h.Sheds, ConnSheds: h.ConnSheds, Panics: h.Panics,
-				Expired: h.Expired, Canceled: h.Canceled,
-				Routes: &h.Routes, Lanes: &h.Lanes,
-				HeapBytes: h.HeapBytes, GCPauseNs: h.GCPauseNs, NumGC: h.NumGC,
-			})
+		js, h = gh, gh.Health
+		own = fmt.Sprintf("routes:    %d live, %d compiled lanes\n", gh.Routes, gh.Lanes)
+	} else {
+		c := tf.dial()
+		defer c.Close()
+		bh, err := c.HealthContext(tf.ctx())
+		if err != nil {
+			return err
 		}
-		ready := "ready"
-		if !h.Ready {
-			ready = "draining"
-		}
-		fmt.Fprintf(out, "status:    %s\n", ready)
-		fmt.Fprintf(out, "in-flight: %d of %s admitted\n", h.InFlight, inflightCap(h.MaxInFlight))
-		fmt.Fprintf(out, "shed:      %d overload, %d per-connection\n", h.Sheds, h.ConnSheds)
-		fmt.Fprintf(out, "panics:    %d recovered\n", h.Panics)
-		fmt.Fprintf(out, "deadlines: %d expired, %d canceled\n", h.Expired, h.Canceled)
-		fmt.Fprintf(out, "routes:    %d live, %d compiled lanes\n", h.Routes, h.Lanes)
-		fmt.Fprintf(out, "memory:    %d heap bytes in use, %d GCs (%v paused)\n",
-			h.HeapBytes, h.NumGC, time.Duration(h.GCPauseNs))
-		return nil
-	}
-	c := tf.dial()
-	defer c.Close()
-	h, err := c.HealthContext(tf.ctx())
-	if err != nil {
-		return err
+		js, h = bh, bh.Health
+		own = fmt.Sprintf("xcoders:   %d cached\npeers:     %d cluster peers\n", bh.TranscoderEntries, bh.Peers)
 	}
 	if *asJSON {
-		return emitJSON(out, healthJSON{
-			Ready: h.Ready, InFlight: h.InFlight, MaxInFlight: h.MaxInFlight,
-			Sheds: h.Sheds, ConnSheds: h.ConnSheds, Panics: h.Panics,
-			Expired: h.Expired, Canceled: h.Canceled,
-			TranscoderEntries: &h.TranscoderEntries, Peers: &h.Peers,
-			HeapBytes: h.HeapBytes, GCPauseNs: h.GCPauseNs, NumGC: h.NumGC,
-		})
+		return emitJSON(out, js)
 	}
 	ready := "ready"
 	if !h.Ready {
@@ -972,8 +867,7 @@ func cmdRemoteHealth(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "shed:      %d overload, %d per-connection\n", h.Sheds, h.ConnSheds)
 	fmt.Fprintf(out, "panics:    %d recovered\n", h.Panics)
 	fmt.Fprintf(out, "deadlines: %d expired, %d canceled\n", h.Expired, h.Canceled)
-	fmt.Fprintf(out, "xcoders:   %d cached\n", h.TranscoderEntries)
-	fmt.Fprintf(out, "peers:     %d cluster peers\n", h.Peers)
+	fmt.Fprint(out, own)
 	fmt.Fprintf(out, "memory:    %d heap bytes in use, %d GCs (%v paused)\n",
 		h.HeapBytes, h.NumGC, time.Duration(h.GCPauseNs))
 	return nil

@@ -478,6 +478,40 @@ func TestRemoteGatewayFlag(t *testing.T) {
 		}
 	}
 
+	// Exact key sets: the structs the gateway package declares are the
+	// scrape contract now, so a dropped or renamed tag must fail here.
+	// streamed is the one addition — it was on the wire all along.
+	for _, ks := range []struct {
+		what string
+		got  map[string]any
+		want []string
+	}{
+		{"stats", gs, []string{"routes", "upstreams", "lane_compiles", "lane_unsupported", "lane_reuses",
+			"in_flight", "sheds", "expired", "canceled"}},
+		{"route", routes[0].(map[string]any), []string{"name", "requests", "fast_tier", "tree_tier", "passthrough",
+			"streamed", "transcode_ns", "upstream_errors", "sheds", "budget_rejects"}},
+		{"upstream", up0, []string{"addr", "conns", "dials", "discards", "retries", "overloads",
+			"hedges", "hedge_wins", "budget_exhausted", "breaker_trips"}},
+		{"health", gh, []string{"ready", "in_flight", "max_in_flight", "sheds", "conn_sheds", "panics",
+			"expired", "canceled", "routes", "lanes", "heap_bytes", "gc_pause_ns", "num_gc"}},
+	} {
+		for _, key := range ks.want {
+			if _, ok := ks.got[key]; !ok {
+				t.Errorf("gateway %s JSON lacks %q", ks.what, key)
+			}
+		}
+		if len(ks.got) != len(ks.want) {
+			t.Errorf("gateway %s JSON has %d keys, want %d: %v", ks.what, len(ks.got), len(ks.want), ks.got)
+		}
+	}
+	out, err = runCLI(t, "remote", "stats", "-addr", addr, "-gateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "0 passthrough, 0 streamed)") {
+		t.Errorf("gateway stats text lacks the streamed counter: %q", out)
+	}
+
 	out, err = runCLI(t, "remote", "reload", "-addr", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -48,17 +48,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/broker"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/orb"
+	"repro/internal/serve"
 )
 
 type config struct {
@@ -99,7 +98,7 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a pprof heap profile to this file at shutdown")
 }
 
-// serve starts a broker daemon on cfg.addr and returns the running
+// start starts a broker daemon on cfg.addr and returns the running
 // server, broker, and (in cluster mode) the fleet node. It is the whole
 // daemon minus flag parsing, so tests can run it in-process.
 //
@@ -107,7 +106,7 @@ func (c *config) register(fs *flag.FlagSet) {
 // until the daemon has drained its peers' warm state it is
 // indistinguishable from a dead member, so fleet clients fail its keys
 // over cleanly instead of hitting a cold cache.
-func serve(cfg config) (*orb.Server, *broker.Broker, *cluster.Node, error) {
+func start(cfg config) (*orb.Server, *broker.Broker, *cluster.Node, error) {
 	b := broker.New(core.NewSession(), broker.Options{
 		VerdictCacheSize:    cfg.cache,
 		TranscoderCacheSize: cfg.xcache,
@@ -146,20 +145,7 @@ func serve(cfg config) (*orb.Server, *broker.Broker, *cluster.Node, error) {
 			}
 		}
 	}
-	var opts []orb.Option
-	// The broker's handlers never retain a request body past return
-	// (detached work takes a copy), so frame buffers recycle.
-	opts = append(opts, orb.WithBufPooling())
-	if cfg.maxBody > 0 {
-		opts = append(opts, orb.WithMaxBody(cfg.maxBody))
-	}
-	if cfg.maxKey > 0 {
-		opts = append(opts, orb.WithMaxKey(cfg.maxKey))
-	}
-	if cfg.maxPerConn != 0 {
-		opts = append(opts, orb.WithMaxPerConn(cfg.maxPerConn))
-	}
-	srv, err := orb.NewServer(cfg.addr, opts...)
+	srv, err := orb.NewServer(cfg.addr, serve.OrbOptions(cfg.maxBody, cfg.maxKey, cfg.maxPerConn)...)
 	if err != nil {
 		if node != nil {
 			_ = node.Close()
@@ -218,20 +204,14 @@ func main() {
 		}()
 	}
 
-	srv, _, node, err := serve(cfg)
+	srv, _, node, err := start(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mbirdd:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("mbirdd: serving on %s\n", srv.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	s := <-sig
-	fmt.Printf("mbirdd: %v, draining for up to %v\n", s, cfg.drain)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	drainErr := srv.Shutdown(ctx)
+	drainErr := serve.Run("mbirdd", srv, cfg.drain, nil)
 	if node != nil {
 		_ = node.Close()
 	}

@@ -38,7 +38,7 @@ func bigStruct(name, prefix string, n int) string {
 // socket, 32 concurrent clients comparing and converting, then the cache
 // accounting and cold/warm latency checks.
 func TestDaemonEndToEnd(t *testing.T) {
-	srv, b, _, err := serve(config{addr: "127.0.0.1:0"})
+	srv, b, _, err := start(config{addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 // black-holed one (fail fast on the client's deadline), then a healed one
 // (transparent re-dial, warm caches answer instantly).
 func TestChaosDaemonResilience(t *testing.T) {
-	srv, _, _, err := serve(config{addr: "127.0.0.1:0"})
+	srv, _, _, err := start(config{addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestChaosDaemonResilience(t *testing.T) {
 	}
 }
 
-// reservePort grabs an ephemeral port and frees it so serve() can bind
+// reservePort grabs an ephemeral port and frees it so start() can bind
 // it — including a second time, after a simulated restart.
 func reservePort(t *testing.T) string {
 	t.Helper()
@@ -307,7 +307,7 @@ func reservePort(t *testing.T) string {
 }
 
 // TestClusterServeWarmSync boots a 3-daemon fleet through the real
-// serve() path (-cluster flags), warms it with client traffic, restarts
+// start() path (-cluster flags), warms it with client traffic, restarts
 // one daemon, and checks the restart warm-synced from its peers before
 // taking traffic — the rolling-restart contract.
 func TestClusterServeWarmSync(t *testing.T) {
@@ -320,7 +320,7 @@ func TestClusterServeWarmSync(t *testing.T) {
 		n   *cluster.Node
 	}
 	start := func(i int) *daemon {
-		srv, b, n, err := serve(config{
+		srv, b, n, err := start(config{
 			addr: members[i], cluster: list, warm: true, warmTimeout: 10 * time.Second,
 		})
 		if err != nil {
@@ -404,10 +404,10 @@ func TestClusterServeWarmSync(t *testing.T) {
 	}
 }
 
-// Bad cluster flags must fail serve() with a clear error, not a
+// Bad cluster flags must fail start() with a clear error, not a
 // half-started daemon.
 func TestClusterServeConfigErrors(t *testing.T) {
-	_, _, _, err := serve(config{
+	_, _, _, err := start(config{
 		addr:        "127.0.0.1:0",
 		cluster:     "127.0.0.1:7001,127.0.0.1:7002",
 		clusterSelf: "127.0.0.1:9999", // not in the member list

@@ -50,17 +50,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/serve"
 )
 
 type config struct {
@@ -97,10 +95,10 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful shutdown drain window")
 }
 
-// serve builds the gateway from cfg, loads the route table, and starts
+// start builds the gateway from cfg, loads the route table, and starts
 // serving. It is the whole daemon minus flag parsing and signal
 // handling, so tests can run it in-process on an ephemeral port.
-func serve(cfg config) (*orb.Server, *gateway.Gateway, error) {
+func start(cfg config) (*orb.Server, *gateway.Gateway, error) {
 	routesPath := cfg.routes
 	rcfg, err := gateway.LoadConfig(routesPath)
 	if err != nil {
@@ -124,17 +122,7 @@ func serve(cfg config) (*orb.Server, *gateway.Gateway, error) {
 		_ = g.Close()
 		return nil, nil, err
 	}
-	var opts []orb.Option
-	// Relay handlers consume the request body before returning (hedged
-	// upstream attempts take a copy), so frame buffers recycle.
-	opts = append(opts, orb.WithBufPooling())
-	if cfg.maxBody > 0 {
-		opts = append(opts, orb.WithMaxBody(cfg.maxBody))
-	}
-	if cfg.maxPerConn != 0 {
-		opts = append(opts, orb.WithMaxPerConn(cfg.maxPerConn))
-	}
-	srv, err := orb.NewServer(cfg.addr, opts...)
+	srv, err := orb.NewServer(cfg.addr, serve.OrbOptions(cfg.maxBody, 0, cfg.maxPerConn)...)
 	if err != nil {
 		_ = g.Close()
 		return nil, nil, err
@@ -153,30 +141,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	srv, g, err := serve(cfg)
+	srv, g, err := start(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mbirdgw:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("mbirdgw: serving on %s (%d routes)\n", srv.Addr(), g.Health().Routes)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
-	for s := range sig {
-		if s == syscall.SIGHUP {
-			if n, err := g.Reload(); err != nil {
-				fmt.Fprintln(os.Stderr, "mbirdgw: reload failed, keeping current routes:", err)
-			} else {
-				fmt.Printf("mbirdgw: reloaded %d routes\n", n)
-			}
-			continue
+	drainErr := serve.Run("mbirdgw", srv, cfg.drain, func() {
+		if n, err := g.Reload(); err != nil {
+			fmt.Fprintln(os.Stderr, "mbirdgw: reload failed, keeping current routes:", err)
+		} else {
+			fmt.Printf("mbirdgw: reloaded %d routes\n", n)
 		}
-		fmt.Printf("mbirdgw: %v, draining for up to %v\n", s, cfg.drain)
-		break
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	drainErr := srv.Shutdown(ctx)
+	})
 	_ = g.Close()
 	if drainErr != nil {
 		fmt.Fprintln(os.Stderr, "mbirdgw: drain incomplete:", drainErr)

@@ -68,7 +68,7 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, g, err := serve(config{addr: "127.0.0.1:0", routes: routesPath})
+	srv, g, err := start(config{addr: "127.0.0.1:0", routes: routesPath})
 	if err != nil {
 		t.Fatal(err)
 	}

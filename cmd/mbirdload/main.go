@@ -47,6 +47,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/loadgen"
 	"repro/internal/orb"
+	"repro/internal/serve"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -98,20 +99,12 @@ func parseFlags(name string, args []string, errw io.Writer) (config, error) {
 	return cfg, nil
 }
 
-// healthSnap is the slice of server health the harness records deltas
-// of across a run.
-type healthSnap struct {
-	sheds, expired       int64
-	heapBytes, gcPauseNs int64
-	numGC                int64
-}
-
 // target is one ready-to-drive workload: the operation under load plus
 // server-side snapshot and teardown hooks.
 type target struct {
 	op           loadgen.Op
 	payloadBytes int
-	health       func() (healthSnap, error) // nil when the target exposes none
+	health       func() (serve.Health, error) // nil when the target exposes none
 	close        func()
 }
 
@@ -198,15 +191,9 @@ func setupBroker(cfg config) (*target, error) {
 			closers[i]()
 		}
 	}
-	t.health = func() (healthSnap, error) {
+	t.health = func() (serve.Health, error) {
 		h, err := admin.Health()
-		if err != nil {
-			return healthSnap{}, err
-		}
-		return healthSnap{
-			sheds: h.Sheds + h.ConnSheds, expired: h.Expired,
-			heapBytes: h.HeapBytes, gcPauseNs: h.GCPauseNs, numGC: h.NumGC,
-		}, nil
+		return h.Health, err
 	}
 
 	if _, _, err := admin.Load("a", "c", "ilp32", srcA, ""); err != nil {
@@ -436,15 +423,9 @@ func setupGateway(cfg config) (*target, error) {
 		return nil, err
 	}
 	closers = append(closers, func() { _ = admin.Close() })
-	t.health = func() (healthSnap, error) {
+	t.health = func() (serve.Health, error) {
 		h, err := admin.Health()
-		if err != nil {
-			return healthSnap{}, err
-		}
-		return healthSnap{
-			sheds: h.Sheds + h.ConnSheds, expired: h.Expired,
-			heapBytes: h.HeapBytes, gcPauseNs: h.GCPauseNs, numGC: h.NumGC,
-		}, nil
+		return h.Health, err
 	}
 
 	clients := make([]*orb.Client, cfg.conc)
@@ -581,7 +562,7 @@ func run(cfg config, out io.Writer) error {
 	}
 	defer t.close()
 
-	var before healthSnap
+	var before serve.Health
 	haveHealth := false
 	if t.health != nil {
 		if before, err = t.health(); err != nil {
@@ -629,11 +610,11 @@ func run(cfg config, out io.Writer) error {
 			return fmt.Errorf("health after run: %w", err)
 		}
 		rec.Server = &serverJSON{
-			Sheds:        after.sheds - before.sheds,
-			Expired:      after.expired - before.expired,
-			HeapBytes:    after.heapBytes,
-			GCPauseDelta: after.gcPauseNs - before.gcPauseNs,
-			GCs:          after.numGC - before.numGC,
+			Sheds:        after.Sheds + after.ConnSheds - before.Sheds - before.ConnSheds,
+			Expired:      after.Expired - before.Expired,
+			HeapBytes:    after.HeapBytes,
+			GCPauseDelta: after.GCPauseNs - before.GCPauseNs,
+			GCs:          after.NumGC - before.NumGC,
 		}
 	}
 

@@ -48,8 +48,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fingerprint"
 	"repro/internal/mtype"
-	"repro/internal/orb"
 	"repro/internal/plan"
+	"repro/internal/serve"
 	"repro/internal/value"
 )
 
@@ -134,15 +134,11 @@ type Broker struct {
 
 	fillSem chan struct{}
 
-	// admit is the protocol-level admission semaphore (nil when
-	// MaxInFlight < 0). Slots are held until the request's work actually
-	// finishes — including work that outlives its RequestTimeout in the
-	// background — so the cap bounds real load, not just visible load.
-	admit chan struct{}
-
-	// srv is the orb server the broker is registered on (set by Serve),
-	// giving the health op access to transport-level counters.
-	srv atomic.Pointer[orb.Server]
+	// chassis is the protocol-level admission gate plus the orb server
+	// the broker is registered on (attached by Serve). Slots are held
+	// until a request's work actually finishes, including work that
+	// outlives its RequestTimeout in the background.
+	chassis *serve.Chassis
 
 	inFlight  atomic.Int64
 	compiles  atomic.Int64
@@ -150,7 +146,6 @@ type Broker struct {
 	compareNs atomic.Int64
 	compileNs atomic.Int64
 	deadlines atomic.Int64
-	sheds     atomic.Int64
 
 	// Wire-transcoder data-plane counters: compilations, pairs the
 	// transcoder compiler refused (cached fallbacks), and per-request
@@ -208,11 +203,9 @@ func New(sess *core.Session, opts Options) *Broker {
 		xcoders:    newSFCache[*xcodeEntry](opts.TranscoderCacheSize),
 		printMemo:  make(map[*mtype.Type]fingerprint.Print),
 		fillSem:    make(chan struct{}, opts.Workers),
+		chassis:    serve.New(opts.MaxInFlight, opts.AdmitWait),
 		loadRecs:   make(map[string]LoadRecord),
 		recipes:    make(map[recipeKey]WarmEntry),
-	}
-	if opts.MaxInFlight > 0 {
-		b.admit = make(chan struct{}, opts.MaxInFlight)
 	}
 	return b
 }
@@ -561,78 +554,27 @@ func (b *Broker) Stats() Stats {
 		Evictions:        b.verdicts.evictions.Load() + b.converters.evictions.Load() + b.xcoders.evictions.Load(),
 		InFlight:         b.inFlight.Load(),
 		DeadlineExceeded: b.deadlines.Load(),
-		Sheds:            b.sheds.Load(),
+		Sheds:            b.chassis.Sheds(),
 	}
 }
 
-// Health is the daemon's readiness and load snapshot, served without
-// admission control so it answers even when the daemon is saturated.
+// Health is the daemon's readiness and load snapshot: the shared serving
+// core plus the broker's own two fields.
 type Health struct {
-	// Ready is false while the serving orb server is draining or closed.
-	Ready bool
-	// InFlight is the number of admitted protocol requests currently
-	// holding admission slots (0 when admission control is disabled).
-	InFlight int64
-	// MaxInFlight is the admission cap (0 when disabled).
-	MaxInFlight int
-	// Sheds counts requests refused by admission control.
-	Sheds int64
-	// ConnSheds counts requests refused by the orb per-connection
-	// concurrency cap.
-	ConnSheds int64
-	// Panics counts handler panics the orb server recovered.
-	Panics int64
-	// Expired counts requests shed by the orb server because their
-	// propagated deadline budget was already spent before dispatch, plus
-	// in-flight requests answered with a typed expiry.
-	Expired int64
-	// Canceled counts in-flight requests aborted by client cancel
-	// frames.
-	Canceled int64
+	serve.Health
 	// TranscoderEntries is the number of compiled wire transcoders (and
 	// cached fallback decisions) resident in the transcoder LRU.
-	TranscoderEntries int64
+	TranscoderEntries int64 `json:"transcoder_entries"`
 	// Peers is the number of other daemons in this daemon's cluster (0
 	// when running standalone).
-	Peers int64
-	// HeapBytes is the process's in-use heap (runtime HeapInuse);
-	// GCPauseNs the cumulative stop-the-world GC pause time; NumGC the
-	// completed GC cycle count. Load harnesses (cmd/mbirdload) record
-	// the deltas of these across a run to attribute GC pressure to the
-	// request path.
-	HeapBytes int64
-	GCPauseNs int64
-	NumGC     int64
-}
-
-// memSnapshot fills the runtime memory/GC telemetry fields shared by
-// the broker's and gateway's health snapshots.
-func memSnapshot(heap, pause, numGC *int64) {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	*heap = int64(m.HeapInuse)
-	*pause = int64(m.PauseTotalNs)
-	*numGC = int64(m.NumGC)
+	Peers int64 `json:"peers"`
 }
 
 // Health returns the daemon's readiness and load snapshot.
 func (b *Broker) Health() Health {
-	h := Health{Ready: true, Sheds: b.sheds.Load(), TranscoderEntries: int64(b.xcoders.len())}
-	memSnapshot(&h.HeapBytes, &h.GCPauseNs, &h.NumGC)
+	h := Health{Health: b.chassis.Health(), TranscoderEntries: int64(b.xcoders.len())}
 	if w := b.peerWarmer(); w != nil {
 		h.Peers = int64(w.Peers())
-	}
-	if b.admit != nil {
-		h.InFlight = int64(len(b.admit))
-		h.MaxInFlight = cap(b.admit)
-	}
-	if srv := b.srv.Load(); srv != nil {
-		st := srv.Stats()
-		h.ConnSheds = st.Shed
-		h.Panics = st.Panics
-		h.Expired = st.Expired
-		h.Canceled = st.Canceled
-		h.Ready = !srv.Draining()
 	}
 	return h
 }

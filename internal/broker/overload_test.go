@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -11,21 +12,19 @@ import (
 
 const overloadSrc = "typedef struct { int count; float ratio; } pair;"
 
-// fillAdmission occupies every admission slot directly (tests live in
-// the broker package), returning a release for them all.
+// fillAdmission occupies every admission slot through the gate,
+// returning a release for them all.
 func fillAdmission(t *testing.T, b *Broker) (release func()) {
 	t.Helper()
-	n := cap(b.admit)
+	n := b.chassis.Cap()
 	for i := 0; i < n; i++ {
-		select {
-		case b.admit <- struct{}{}:
-		default:
-			t.Fatal("admission semaphore already full")
+		if err := b.chassis.Admit(); err != nil {
+			t.Fatalf("admission gate already full: %v", err)
 		}
 	}
 	return func() {
 		for i := 0; i < n; i++ {
-			<-b.admit
+			b.chassis.Release()
 		}
 	}
 }
@@ -112,17 +111,48 @@ func TestOverloadRetriedByResil(t *testing.T) {
 }
 
 // TestAdmitUnbounded asserts negative MaxInFlight disables admission
-// control entirely.
+// control entirely — and that health still counts what is in flight.
 func TestAdmitUnbounded(t *testing.T) {
 	b, c := startDaemonOpts(t, Options{MaxInFlight: -1})
-	if b.admit != nil {
-		t.Fatal("admission semaphore allocated despite MaxInFlight < 0")
+	if b.chassis.Cap() != 0 {
+		t.Fatal("admission slots allocated despite MaxInFlight < 0")
 	}
 	if _, _, err := c.Load("u", "c", "ilp32", overloadSrc, ""); err != nil {
 		t.Fatal(err)
 	}
 	h, err := c.Health()
-	if err != nil || !h.Ready || h.MaxInFlight != 0 {
+	if err != nil || !h.Ready || h.MaxInFlight != 0 || h.InFlight != 0 {
 		t.Fatalf("health = %+v, %v", h, err)
 	}
+
+	// Park a streamed convert mid-request: it holds its admission for as
+	// long as its request body stays open, and health must count it.
+	pr, pw := io.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = c.ConvertStream("u", "pair", "u", "pair", pr, io.Discard)
+	}()
+	awaitInFlight(t, c, 1)
+	pw.Close()
+	<-done
+	awaitInFlight(t, c, 0)
+}
+
+// awaitInFlight polls the health op until it reports want admitted
+// requests (admission happens on the server's goroutine, after the
+// client's stream open returns).
+func awaitInFlight(t *testing.T, c *Client, want int64) {
+	t.Helper()
+	var h Health
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		var err error
+		if h, err = c.Health(); err != nil {
+			t.Fatal(err)
+		}
+		if h.InFlight == want {
+			return
+		}
+	}
+	t.Fatalf("health never reported %d in flight: %+v", want, h)
 }

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/annotate"
 	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/proto"
@@ -40,11 +40,10 @@ const (
 	// OpConvert: Record(uA, declA, uB, declB) ++ CDR value of A's Mtype →
 	// CDR value of B's Mtype.
 	OpConvert
-	// OpStats: empty → Record of counters (see statsT).
+	// OpStats: empty → the Stats record (see statsRec).
 	OpStats
-	// OpHealth: empty → Record(ready, inFlight, maxInFlight, sheds,
-	// connSheds, panics, transcoderEntries). Served without admission
-	// control so it answers even when the daemon is saturated.
+	// OpHealth: empty → the Health record (see healthRec). Served without
+	// admission control so it answers even when the daemon is saturated.
 	OpHealth
 	// OpConvertBatch: Record(uA, declA, uB, declB) ++ u32 count ++
 	// count × (u32 len ++ CDR value of A's Mtype) → the same framing with
@@ -60,26 +59,45 @@ const (
 // 64-bit signed Integer.
 var (
 	loadReqT     = proto.Record(proto.StrT, proto.StrT, proto.StrT, proto.StrT, proto.StrT)
-	loadRepT     = proto.Record(proto.IntT, mtype.NewList(proto.StrT))
 	annotateReqT = proto.Record(proto.StrT, proto.StrT)
-	annotateRepT = proto.Record(proto.IntT, proto.IntT)
 	pairReqT     = proto.Record(proto.StrT, proto.StrT, proto.StrT, proto.StrT)
-	compareRepT  = proto.Record(proto.IntT, proto.IntT, proto.IntT, proto.StrT)
 	planRepT     = proto.Record(proto.StrT)
-	statsT       = proto.Record(
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, proto.IntT, proto.IntT, // compare: hits, misses, coalesced, runs, totalNs, entries
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, proto.IntT, proto.IntT, // convert: hits, misses, coalesced, compiles, totalNs, entries
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // evictions, inFlight, deadlineExceeded, sheds
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // xcode: hits, misses, coalesced, compiles
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // xcode: unsupported, entries, fastConverts, treeConverts
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // warm: fills, hits, peerPulls, peerPushes
-	)
-	healthT = proto.Record(
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, proto.IntT, proto.IntT, // ready, inFlight, maxInFlight, sheds, connSheds, panics
-		proto.IntT, proto.IntT, // expired, canceled
-		proto.IntT, proto.IntT, // transcoderEntries, peers
-		proto.IntT, proto.IntT, proto.IntT, // heapBytes, gcPauseNs, numGC
-	)
+)
+
+// loadReply is OpLoad's reply: whether the universe was already loaded,
+// and its declaration names.
+type loadReply struct {
+	Existed bool
+	Names   []string
+}
+
+// The structured replies, each declared once: the Mtype, the server's
+// encode and the client's decode all derive from these field lists.
+var (
+	loadRec = proto.Declare(func(r *loadReply) []proto.Field {
+		return []proto.Field{proto.Bool(&r.Existed), proto.List(&r.Names, proto.String)}
+	})
+	annotateRec = proto.Declare(func(r *annotate.ScriptResult) []proto.Field {
+		return []proto.Field{proto.Num(&r.Lines), proto.Num(&r.Applied)}
+	})
+	compareRec = proto.Declare(func(v *Verdict) []proto.Field {
+		return []proto.Field{proto.Num(&v.Relation), proto.Num(&v.Steps), proto.Bool(&v.Cached), proto.String(&v.Explain)}
+	})
+	statsRec = proto.Declare(func(st *Stats) []proto.Field {
+		return []proto.Field{
+			proto.Num(&st.CompareHits), proto.Num(&st.CompareMisses), proto.Num(&st.CompareCoalesced),
+			proto.Num(&st.CompareRuns), proto.Num(&st.CompareTotal), proto.Num(&st.VerdictEntries),
+			proto.Num(&st.ConvertHits), proto.Num(&st.ConvertMisses), proto.Num(&st.ConvertCoalesced),
+			proto.Num(&st.Compiles), proto.Num(&st.CompileTotal), proto.Num(&st.ConverterEntries),
+			proto.Num(&st.Evictions), proto.Num(&st.InFlight), proto.Num(&st.DeadlineExceeded), proto.Num(&st.Sheds),
+			proto.Num(&st.XcodeHits), proto.Num(&st.XcodeMisses), proto.Num(&st.XcodeCoalesced), proto.Num(&st.XcodeCompiles),
+			proto.Num(&st.XcodeUnsupported), proto.Num(&st.XcodeEntries), proto.Num(&st.FastConverts), proto.Num(&st.TreeConverts),
+			proto.Num(&st.WarmFills), proto.Num(&st.WarmHits), proto.Num(&st.PeerPulls), proto.Num(&st.PeerPushes),
+		}
+	})
+	healthRec = proto.Declare(func(h *Health) []proto.Field {
+		return h.Fields(proto.Num(&h.TranscoderEntries), proto.Num(&h.Peers))
+	})
 )
 
 // appendBatch serializes a batch item list: u32 count, then per item a
@@ -128,34 +146,9 @@ func parseBatch(data []byte) ([][]byte, error) {
 // and attaches the server to the broker so the health op can expose its
 // transport-level counters (recovered panics, per-connection sheds).
 func Serve(srv *orb.Server, b *Broker) {
-	b.srv.Store(srv)
+	b.chassis.Attach(srv)
 	srv.Register(ObjectKey, Handler(b))
 	srv.RegisterStream(ObjectKey, streamHandler(b))
-}
-
-// admitRequest acquires an admission slot, waiting up to AdmitWait for
-// one before shedding the request with a typed orb.ErrOverloaded. The
-// returned release must be called when the request's work — including
-// work that outlives its RequestTimeout — finishes.
-func (b *Broker) admitRequest() (release func(), err error) {
-	if b.admit == nil {
-		return func() {}, nil
-	}
-	release = func() { <-b.admit }
-	select {
-	case b.admit <- struct{}{}:
-		return release, nil
-	default:
-	}
-	t := time.NewTimer(b.opts.AdmitWait)
-	defer t.Stop()
-	select {
-	case b.admit <- struct{}{}:
-		return release, nil
-	case <-t.C:
-		b.sheds.Add(1)
-		return nil, fmt.Errorf("%w: %d requests already in flight", orb.ErrOverloaded, cap(b.admit))
-	}
 }
 
 // Handler returns the orb handler implementing the broker protocol, with
@@ -172,12 +165,11 @@ func Handler(b *Broker) orb.Handler {
 		if op == OpHealth || op == OpStats {
 			return h(ctx, op, body)
 		}
-		release, err := b.admitRequest()
-		if err != nil {
+		if err := b.chassis.Admit(); err != nil {
 			return nil, err
 		}
 		if d <= 0 {
-			defer release()
+			defer b.chassis.Release()
 			return h(ctx, op, body)
 		}
 		type res struct {
@@ -197,7 +189,7 @@ func Handler(b *Broker) orb.Handler {
 			body = append([]byte(nil), body...)
 		}
 		go func() {
-			defer release()
+			defer b.chassis.Release()
 			// orb.Call, not a bare call: this goroutine is outside the orb
 			// server's own recover, so an unguarded panic here would kill
 			// the daemon.
@@ -234,19 +226,11 @@ func handler(b *Broker) orb.Handler {
 			if err != nil {
 				return nil, err
 			}
-			names, existed, err := b.Load(args[0], args[1], args[2], args[3], args[4])
-			if err != nil {
+			var rep loadReply
+			if rep.Names, rep.Existed, err = b.Load(args[0], args[1], args[2], args[3], args[4]); err != nil {
 				return nil, err
 			}
-			nameVals := make([]value.Value, len(names))
-			for i, n := range names {
-				nameVals[i] = proto.Str(n)
-			}
-			ex := int64(0)
-			if existed {
-				ex = 1
-			}
-			return wire.Marshal(loadRepT, value.NewRecord(proto.Int(ex), value.FromSlice(nameVals)))
+			return loadRec.Marshal(&rep)
 
 		case OpAnnotate:
 			args, err := proto.UnmarshalStrings(annotateReqT, body, 2)
@@ -257,8 +241,7 @@ func handler(b *Broker) orb.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return wire.Marshal(annotateRepT,
-				value.NewRecord(proto.Int(int64(res.Lines)), proto.Int(int64(res.Applied))))
+			return annotateRec.Marshal(&res)
 
 		case OpCompare:
 			args, err := proto.UnmarshalStrings(pairReqT, body, 4)
@@ -269,12 +252,7 @@ func handler(b *Broker) orb.Handler {
 			if err != nil {
 				return nil, err
 			}
-			cached := int64(0)
-			if v.Cached {
-				cached = 1
-			}
-			return wire.Marshal(compareRepT, value.NewRecord(
-				proto.Int(int64(v.Relation)), proto.Int(int64(v.Steps)), proto.Int(cached), proto.Str(v.Explain)))
+			return compareRec.Marshal(&v)
 
 		case OpPlan:
 			args, err := proto.UnmarshalStrings(pairReqT, body, 4)
@@ -285,7 +263,7 @@ func handler(b *Broker) orb.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return wire.Marshal(planRepT, value.NewRecord(proto.Str(text)))
+			return proto.MarshalStrings(planRepT, text)
 
 		case OpConvert:
 			hdr, n, err := wire.UnmarshalPrefix(pairReqT, body)
@@ -319,28 +297,11 @@ func handler(b *Broker) orb.Handler {
 
 		case OpStats:
 			st := b.Stats()
-			return wire.Marshal(statsT, value.NewRecord(
-				proto.Int(st.CompareHits), proto.Int(st.CompareMisses), proto.Int(st.CompareCoalesced),
-				proto.Int(st.CompareRuns), proto.Int(st.CompareTotal.Nanoseconds()), proto.Int(int64(st.VerdictEntries)),
-				proto.Int(st.ConvertHits), proto.Int(st.ConvertMisses), proto.Int(st.ConvertCoalesced),
-				proto.Int(st.Compiles), proto.Int(st.CompileTotal.Nanoseconds()), proto.Int(int64(st.ConverterEntries)),
-				proto.Int(st.Evictions), proto.Int(st.InFlight), proto.Int(st.DeadlineExceeded), proto.Int(st.Sheds),
-				proto.Int(st.XcodeHits), proto.Int(st.XcodeMisses), proto.Int(st.XcodeCoalesced), proto.Int(st.XcodeCompiles),
-				proto.Int(st.XcodeUnsupported), proto.Int(int64(st.XcodeEntries)), proto.Int(st.FastConverts), proto.Int(st.TreeConverts),
-				proto.Int(st.WarmFills), proto.Int(st.WarmHits), proto.Int(st.PeerPulls), proto.Int(st.PeerPushes)))
+			return statsRec.Marshal(&st)
 
 		case OpHealth:
 			h := b.Health()
-			ready := int64(0)
-			if h.Ready {
-				ready = 1
-			}
-			return wire.Marshal(healthT, value.NewRecord(
-				proto.Int(ready), proto.Int(h.InFlight), proto.Int(int64(h.MaxInFlight)),
-				proto.Int(h.Sheds), proto.Int(h.ConnSheds), proto.Int(h.Panics),
-				proto.Int(h.Expired), proto.Int(h.Canceled),
-				proto.Int(h.TranscoderEntries), proto.Int(h.Peers),
-				proto.Int(h.HeapBytes), proto.Int(h.GCPauseNs), proto.Int(h.NumGC)))
+			return healthRec.Marshal(&h)
 
 		default:
 			return nil, fmt.Errorf("broker: unknown op %d", op)
@@ -348,28 +309,18 @@ func handler(b *Broker) orb.Handler {
 	}
 }
 
-// Transport is the connection a broker Client speaks through: a plain
-// orb.Client, or a resilience layer such as resil.Client (pooled,
-// deadline-bounded, retrying — safe here because every broker op is
-// idempotent: verdicts and converters are content-addressed by
-// fingerprint and loads are keyed by universe name).
-type Transport interface {
-	InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error)
-	Close() error
-}
-
 // Client is a typed client for the broker protocol, safe for concurrent
 // use (orb clients pipeline requests).
 type Client struct {
-	t Transport
+	t proto.Transport
 }
 
 // NewClient wraps an established orb connection.
 func NewClient(c *orb.Client) *Client { return &Client{t: c} }
 
-// NewTransportClient wraps any Transport — typically a resil.Client for
-// pooling, deadlines, retries, and hedging.
-func NewTransportClient(t Transport) *Client { return &Client{t: t} }
+// NewTransportClient wraps any proto.Transport — typically a
+// resil.Client for pooling, deadlines, retries, and hedging.
+func NewTransportClient(t proto.Transport) *Client { return &Client{t: t} }
 
 // DialTimeout bounds DialClient's connection attempt.
 const DialTimeout = 10 * time.Second
@@ -406,26 +357,9 @@ func (c *Client) LoadContext(ctx context.Context, universe, lang, model, src, sc
 	if err != nil {
 		return nil, false, err
 	}
-	v, err := wire.Unmarshal(loadRepT, reply)
-	if err != nil {
-		return nil, false, err
-	}
-	rec := v.(value.Record)
-	ex, err := proto.GoInt(rec.Fields[0])
-	if err != nil {
-		return nil, false, err
-	}
-	elems, err := value.ToSlice(rec.Fields[1])
-	if err != nil {
-		return nil, false, err
-	}
-	names = make([]string, len(elems))
-	for i, e := range elems {
-		if names[i], err = proto.GoStr(e); err != nil {
-			return nil, false, err
-		}
-	}
-	return names, ex != 0, nil
+	var rep loadReply
+	err = loadRec.Unmarshal(reply, &rep)
+	return rep.Names, rep.Existed, err
 }
 
 // Annotate applies a script to a loaded universe on the daemon.
@@ -443,20 +377,9 @@ func (c *Client) AnnotateContext(ctx context.Context, universe, script string) (
 	if err != nil {
 		return 0, 0, err
 	}
-	v, err := wire.Unmarshal(annotateRepT, reply)
-	if err != nil {
-		return 0, 0, err
-	}
-	rec := v.(value.Record)
-	l, err := proto.GoInt(rec.Fields[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	a, err := proto.GoInt(rec.Fields[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(l), int(a), nil
+	var res annotate.ScriptResult
+	err = annotateRec.Unmarshal(reply, &res)
+	return res.Lines, res.Applied, err
 }
 
 // Compare asks the daemon for the relation between two declarations.
@@ -474,33 +397,9 @@ func (c *Client) CompareContext(ctx context.Context, ua, da, ub, db string) (Ver
 	if err != nil {
 		return Verdict{}, err
 	}
-	v, err := wire.Unmarshal(compareRepT, reply)
-	if err != nil {
-		return Verdict{}, err
-	}
-	rec := v.(value.Record)
-	rel, err := proto.GoInt(rec.Fields[0])
-	if err != nil {
-		return Verdict{}, err
-	}
-	steps, err := proto.GoInt(rec.Fields[1])
-	if err != nil {
-		return Verdict{}, err
-	}
-	cached, err := proto.GoInt(rec.Fields[2])
-	if err != nil {
-		return Verdict{}, err
-	}
-	explain, err := proto.GoStr(rec.Fields[3])
-	if err != nil {
-		return Verdict{}, err
-	}
-	return Verdict{
-		Relation: core.Relation(rel),
-		Steps:    int(steps),
-		Explain:  explain,
-		Cached:   cached != 0,
-	}, nil
+	var v Verdict
+	err = compareRec.Unmarshal(reply, &v)
+	return v, err
 }
 
 // Plan fetches the rendered coercion plan for a pair.
@@ -518,11 +417,11 @@ func (c *Client) PlanContext(ctx context.Context, ua, da, ub, db string) (string
 	if err != nil {
 		return "", err
 	}
-	v, err := wire.Unmarshal(planRepT, reply)
+	text, err := proto.UnmarshalStrings(planRepT, reply, 1)
 	if err != nil {
 		return "", err
 	}
-	return proto.GoStr(v.(value.Record).Fields[0])
+	return text[0], nil
 }
 
 // ConvertRaw converts a CDR-encoded value of declaration A into a
@@ -632,23 +531,9 @@ func (c *Client) StatsContext(ctx context.Context) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	v, err := wire.Unmarshal(statsT, reply)
-	if err != nil {
-		return Stats{}, err
-	}
-	r := proto.NewInts(v)
-	get := r.Get
-	st := Stats{
-		CompareHits: get(0), CompareMisses: get(1), CompareCoalesced: get(2),
-		CompareRuns: get(3), CompareTotal: time.Duration(get(4)), VerdictEntries: int(get(5)),
-		ConvertHits: get(6), ConvertMisses: get(7), ConvertCoalesced: get(8),
-		Compiles: get(9), CompileTotal: time.Duration(get(10)), ConverterEntries: int(get(11)),
-		Evictions: get(12), InFlight: get(13), DeadlineExceeded: get(14), Sheds: get(15),
-		XcodeHits: get(16), XcodeMisses: get(17), XcodeCoalesced: get(18), XcodeCompiles: get(19),
-		XcodeUnsupported: get(20), XcodeEntries: int(get(21)), FastConverts: get(22), TreeConverts: get(23),
-		WarmFills: get(24), WarmHits: get(25), PeerPulls: get(26), PeerPushes: get(27),
-	}
-	return st, r.Err()
+	var st Stats
+	err = statsRec.Unmarshal(reply, &st)
+	return st, err
 }
 
 // Health fetches the daemon's readiness and load snapshot. It is served
@@ -664,26 +549,7 @@ func (c *Client) HealthContext(ctx context.Context) (Health, error) {
 	if err != nil {
 		return Health{}, err
 	}
-	v, err := wire.Unmarshal(healthT, reply)
-	if err != nil {
-		return Health{}, err
-	}
-	r := proto.NewInts(v)
-	get := r.Get
-	h := Health{
-		Ready:             get(0) != 0,
-		InFlight:          get(1),
-		MaxInFlight:       int(get(2)),
-		Sheds:             get(3),
-		ConnSheds:         get(4),
-		Panics:            get(5),
-		Expired:           get(6),
-		Canceled:          get(7),
-		TranscoderEntries: get(8),
-		Peers:             get(9),
-		HeapBytes:         get(10),
-		GCPauseNs:         get(11),
-		NumGC:             get(12),
-	}
-	return h, r.Err()
+	var h Health
+	err = healthRec.Unmarshal(reply, &h)
+	return h, err
 }

@@ -41,11 +41,10 @@ func streamHandler(b *Broker) orb.StreamHandler {
 		if op != OpConvertStream {
 			return fmt.Errorf("broker: unknown stream op %d", op)
 		}
-		release, err := b.admitRequest()
-		if err != nil {
+		if err := b.chassis.Admit(); err != nil {
 			return err
 		}
-		defer release()
+		defer b.chassis.Release()
 		b.inFlight.Add(1)
 		defer b.inFlight.Add(-1)
 

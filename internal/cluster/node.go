@@ -13,8 +13,7 @@ import (
 	"repro/internal/orb"
 	"repro/internal/proto"
 	"repro/internal/resil"
-	"repro/internal/value"
-	"repro/internal/wire"
+	"repro/internal/serve"
 )
 
 // NodeOptions configures a cluster Node. Zero values select the
@@ -100,7 +99,10 @@ type Node struct {
 	stop  chan struct{}
 	done  chan struct{}
 
-	admit chan struct{}
+	// chassis is the peer service's own small admission gate — peer
+	// traffic cannot crowd out the client-facing data plane — plus the
+	// orb server the node is registered on (attached by Serve).
+	chassis *serve.Chassis
 
 	pullsSent   atomic.Int64
 	pushesSent  atomic.Int64
@@ -126,7 +128,8 @@ func NewNode(self string, members []string, b *broker.Broker, opts NodeOptions) 
 		queue: make(chan pushJob, opts.PushQueue),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
-		admit: make(chan struct{}, opts.MaxPeerInFlight),
+		// Peers retry with backoff themselves, so the gate never waits.
+		chassis: serve.New(opts.MaxPeerInFlight, 0),
 	}
 	n.ring.Store(NewRing(members))
 	b.SetWarmer(n)
@@ -137,6 +140,7 @@ func NewNode(self string, members []string, b *broker.Broker, opts NodeOptions) 
 // Serve registers the node's peer warm service on an orb server (the
 // same server that serves broker.ObjectKey).
 func Serve(srv *orb.Server, n *Node) {
+	n.chassis.Attach(srv)
 	srv.Register(ObjectKey, n.Handler())
 }
 
@@ -261,21 +265,11 @@ func (n *Node) PullVerdict(ua, da, ub, db string) (core.Relation, int, string, b
 	if err != nil {
 		return 0, 0, "", false
 	}
-	v, err := wire.Unmarshal(pullRepT, reply)
-	if err != nil {
+	var rep pullReply
+	if err := pullRec.Unmarshal(reply, &rep); err != nil || !rep.Found {
 		return 0, 0, "", false
 	}
-	r := proto.NewInts(v)
-	found, rel, steps := r.Get(0), r.Get(1), r.Get(2)
-	if r.Err() != nil || found == 0 {
-		return 0, 0, "", false
-	}
-	rec := v.(value.Record)
-	explain, err := proto.GoStr(rec.Fields[3])
-	if err != nil {
-		return 0, 0, "", false
-	}
-	return core.Relation(rel), int(steps), explain, true
+	return rep.Relation, rep.Steps, rep.Explain, true
 }
 
 // PushCompiled enqueues a warm push of a freshly filled entry
@@ -346,7 +340,7 @@ func (n *Node) pushBody(j pushJob) ([]byte, error) {
 		}
 		e.Relation, e.Steps, e.Explain = v.Relation, v.Steps, v.Explain
 	}
-	var recs []broker.LoadRecord
+	req := pushRequest{Entry: e}
 	seen := map[string]bool{}
 	for _, u := range []string{j.ua, j.ub} {
 		if seen[u] {
@@ -354,10 +348,10 @@ func (n *Node) pushBody(j pushJob) ([]byte, error) {
 		}
 		seen[u] = true
 		if r, ok := n.b.LoadRecord(u); ok {
-			recs = append(recs, r)
+			req.Loads = append(req.Loads, r)
 		}
 	}
-	return wire.Marshal(pushReqT, value.NewRecord(entryValue(e), loadRecList(recs)))
+	return pushRec.Marshal(&req)
 }
 
 // --- warm application (shared by push handling and sync) ---
@@ -439,7 +433,7 @@ func (n *Node) listFrom(ctx context.Context, addr string) ([]broker.LoadRecord, 
 	if p == nil {
 		return nil, nil, errors.New("cluster: node closed")
 	}
-	body, err := wire.Marshal(listReqT, value.NewRecord(proto.Int(int64(n.opts.SyncMax))))
+	body, err := proto.Count.Marshal(&n.opts.SyncMax)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -447,30 +441,17 @@ func (n *Node) listFrom(ctx context.Context, addr string) ([]broker.LoadRecord, 
 	if err != nil {
 		return nil, nil, err
 	}
-	v, err := wire.Unmarshal(listRepT, reply)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec, ok := v.(value.Record)
-	if !ok || len(rec.Fields) != 2 {
-		return nil, nil, fmt.Errorf("cluster: malformed list reply: %v", v)
-	}
-	recs, err := parseLoadRecList(rec.Fields[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	entries, err := parseEntryList(rec.Fields[1])
-	if err != nil {
-		return nil, nil, err
-	}
-	return recs, entries, nil
+	var l listReply
+	err = listRec.Unmarshal(reply, &l)
+	return l.Loads, l.Entries, err
 }
 
 // Status snapshots the node's warm-protocol counters, plus the serving
-// broker's deadline counters so `mbird cluster status` shows where
-// budget expiries land across the fleet.
+// orb server's deadline counters so `mbird cluster status` shows where
+// budget expiries land across the fleet. It is a pure counter read: a
+// status poll never stops the world on a fleet member.
 func (n *Node) Status() NodeStatus {
-	h := n.b.Health()
+	srv := n.chassis.ServerStats()
 	return NodeStatus{
 		Self:        n.self,
 		Members:     n.Members(),
@@ -482,8 +463,8 @@ func (n *Node) Status() NodeStatus {
 		PullsServed: n.pullsServed.Load(),
 		ListsServed: n.listsServed.Load(),
 		Synced:      n.synced.Load(),
-		Expired:     h.Expired,
-		Canceled:    h.Canceled,
+		Expired:     srv.Expired,
+		Canceled:    srv.Canceled,
 	}
 }
 
@@ -494,12 +475,10 @@ func (n *Node) Status() NodeStatus {
 // client-facing data plane.
 func (n *Node) Handler() orb.Handler {
 	return func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
-		select {
-		case n.admit <- struct{}{}:
-			defer func() { <-n.admit }()
-		default:
-			return nil, fmt.Errorf("%w: %d peer requests already in flight", orb.ErrOverloaded, cap(n.admit))
+		if err := n.chassis.Admit(); err != nil {
+			return nil, err
 		}
+		defer n.chassis.Release()
 		switch op {
 		case OpPull:
 			args, err := proto.UnmarshalStrings(pairHeaderT, body, 4)
@@ -507,67 +486,42 @@ func (n *Node) Handler() orb.Handler {
 				return nil, err
 			}
 			n.pullsServed.Add(1)
-			found, rel, steps, explain := int64(0), int64(0), int64(0), ""
+			var rep pullReply
 			if v, ok := n.b.PeekVerdict(args[0], args[1], args[2], args[3]); ok {
-				found, rel, steps, explain = 1, int64(v.Relation), int64(v.Steps), v.Explain
+				rep = pullReply{Found: true, Relation: v.Relation, Steps: v.Steps, Explain: v.Explain}
 			}
-			return wire.Marshal(pullRepT, value.NewRecord(
-				proto.Int(found), proto.Int(rel), proto.Int(steps), proto.Str(explain)))
+			return pullRec.Marshal(&rep)
 
 		case OpPush:
-			v, err := wire.Unmarshal(pushReqT, body)
-			if err != nil {
+			var req pushRequest
+			if err := pushRec.Unmarshal(body, &req); err != nil {
 				return nil, err
 			}
-			rec, ok := v.(value.Record)
-			if !ok || len(rec.Fields) != 2 {
-				return nil, fmt.Errorf("cluster: malformed push: %v", v)
-			}
-			e, err := parseEntry(rec.Fields[0])
-			if err != nil {
-				return nil, err
-			}
-			recs, err := parseLoadRecList(rec.Fields[1])
-			if err != nil {
-				return nil, err
-			}
-			accepted := int64(0)
-			if err := n.ensureUniverses(recs); err == nil {
-				if ok, err := n.applyEntry(e); err == nil && ok {
+			accepted := 0
+			if err := n.ensureUniverses(req.Loads); err == nil {
+				if ok, err := n.applyEntry(req.Entry); err == nil && ok {
 					accepted = 1
 					n.pushesRecv.Add(1)
 				}
 			}
-			return wire.Marshal(pushRepT, value.NewRecord(proto.Int(accepted)))
+			return proto.Count.Marshal(&accepted)
 
 		case OpList:
-			v, err := wire.Unmarshal(listReqT, body)
-			if err != nil {
-				return nil, err
-			}
-			r := proto.NewInts(v)
-			max := int(r.Get(0))
-			if err := r.Err(); err != nil {
+			var max int
+			if err := proto.Count.Unmarshal(body, &max); err != nil {
 				return nil, err
 			}
 			if max <= 0 || max > 1<<16 {
 				max = 1 << 16
 			}
 			n.listsServed.Add(1)
-			recs, entries := n.b.WarmEntries(max)
-			return wire.Marshal(listRepT, value.NewRecord(loadRecList(recs), entryList(entries)))
+			var l listReply
+			l.Loads, l.Entries = n.b.WarmEntries(max)
+			return listRec.Marshal(&l)
 
 		case OpStatus:
 			st := n.Status()
-			members := make([]value.Value, len(st.Members))
-			for i, m := range st.Members {
-				members[i] = proto.Str(m)
-			}
-			return wire.Marshal(statusT, value.NewRecord(
-				proto.Str(st.Self), value.FromSlice(members),
-				proto.Int(st.PullsSent), proto.Int(st.PushesSent), proto.Int(st.PushErrs), proto.Int(st.PushDrops),
-				proto.Int(st.PushesRecv), proto.Int(st.PullsServed), proto.Int(st.ListsServed), proto.Int(st.Synced),
-				proto.Int(st.Expired), proto.Int(st.Canceled)))
+			return statusRec.Marshal(&st)
 
 		default:
 			return nil, fmt.Errorf("cluster: unknown peer op %d", op)
@@ -575,43 +529,15 @@ func (n *Node) Handler() orb.Handler {
 	}
 }
 
-// FetchStatus reads a daemon's NodeStatus over any transport (a plain
-// orb client or a resil pool) — the read `mbird cluster status` makes.
-type statusTransport interface {
-	InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error)
-}
-
-// FetchStatus fetches the peer-protocol status of the daemon behind t.
-func FetchStatus(ctx context.Context, t statusTransport) (NodeStatus, error) {
+// FetchStatus reads the peer-protocol status of the daemon behind t (a
+// plain orb client or a resil pool) — the read `mbird cluster status`
+// makes.
+func FetchStatus(ctx context.Context, t proto.Transport) (NodeStatus, error) {
 	reply, err := t.InvokeContext(ctx, ObjectKey, OpStatus, nil)
 	if err != nil {
 		return NodeStatus{}, err
 	}
-	v, err := wire.Unmarshal(statusT, reply)
-	if err != nil {
-		return NodeStatus{}, err
-	}
-	rec, ok := v.(value.Record)
-	if !ok || len(rec.Fields) != 12 {
-		return NodeStatus{}, fmt.Errorf("cluster: malformed status reply: %v", v)
-	}
 	var st NodeStatus
-	if st.Self, err = proto.GoStr(rec.Fields[0]); err != nil {
-		return NodeStatus{}, err
-	}
-	elems, err := value.ToSlice(rec.Fields[1])
-	if err != nil {
-		return NodeStatus{}, err
-	}
-	st.Members = make([]string, len(elems))
-	for i, e := range elems {
-		if st.Members[i], err = proto.GoStr(e); err != nil {
-			return NodeStatus{}, err
-		}
-	}
-	r := proto.NewInts(v)
-	st.PullsSent, st.PushesSent, st.PushErrs, st.PushDrops = r.Get(2), r.Get(3), r.Get(4), r.Get(5)
-	st.PushesRecv, st.PullsServed, st.ListsServed, st.Synced = r.Get(6), r.Get(7), r.Get(8), r.Get(9)
-	st.Expired, st.Canceled = r.Get(10), r.Get(11)
-	return st, r.Err()
+	err = statusRec.Unmarshal(reply, &st)
+	return st, err
 }

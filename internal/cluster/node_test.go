@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -261,23 +262,17 @@ func TestClusterPeerAdmission(t *testing.T) {
 	fleet := newFleet(t, 2, NodeOptions{MaxPeerInFlight: 1})
 	target := fleet[0]
 
-	// Saturate the single admission slot with a slow pull by hand.
-	release := make(chan struct{})
-	block := make(chan struct{})
-	go func() {
-		target.n.admit <- struct{}{}
-		close(block)
-		<-release
-		<-target.n.admit
-	}()
-	<-block
+	// Saturate the single admission slot, as a slow pull would.
+	if err := target.n.chassis.Admit(); err != nil {
+		t.Fatal(err)
+	}
 	rc := resil.New(target.addr, resil.Options{MaxAttempts: 1, CallTimeout: 2 * time.Second})
 	defer rc.Close()
 	_, err := FetchStatus(context.Background(), rc)
-	if err == nil {
-		t.Fatal("saturated peer service accepted a request")
+	if !errors.Is(err, orb.ErrOverloaded) {
+		t.Fatalf("saturated peer service answered %v, want orb.ErrOverloaded", err)
 	}
-	close(release)
+	target.n.chassis.Release()
 	eventually(t, "admission slot release", func() bool {
 		_, err := FetchStatus(context.Background(), rc)
 		return err == nil

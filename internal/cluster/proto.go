@@ -5,13 +5,9 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/broker"
 	"repro/internal/core"
-	"repro/internal/mtype"
 	"repro/internal/proto"
-	"repro/internal/value"
 )
 
 // ObjectKey is the orb object key the peer warm service is registered
@@ -33,121 +29,65 @@ const (
 	// warm-sync read a (re)starting daemon drains from each peer before
 	// accepting traffic.
 	OpList
-	// OpStatus: empty → Record(self, List(member), pullsSent,
-	// pushesSent, pushErrs, pushDrops, pushesRecv, pullsServed,
-	// listsServed, synced). Feeds `mbird cluster status`.
+	// OpStatus: empty → the NodeStatus record (see statusRec). Feeds
+	// `mbird cluster status`.
 	OpStatus
 )
 
-// Protocol Mtypes.
+// The peer protocol's records, each declared once: Mtype, encode and
+// decode all derive from these field lists.
 var (
-	pullRepT = proto.Record(proto.IntT, proto.IntT, proto.IntT, proto.StrT)
-	// loadRecT: universe, lang, model, source, script.
-	loadRecT = proto.Record(proto.StrT, proto.StrT, proto.StrT, proto.StrT, proto.StrT)
-	// entryT: kind, uA, declA, uB, declB, relation, steps, explain.
-	entryT   = proto.Record(proto.StrT, proto.StrT, proto.StrT, proto.StrT, proto.StrT, proto.IntT, proto.IntT, proto.StrT)
-	pushReqT = proto.Record(entryT, mtype.NewList(loadRecT))
-	pushRepT = proto.Record(proto.IntT)
-	listReqT = proto.Record(proto.IntT)
-	listRepT = proto.Record(mtype.NewList(loadRecT), mtype.NewList(entryT))
-	statusT  = proto.Record(
-		proto.StrT, mtype.NewList(proto.StrT), // self, members
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // pullsSent, pushesSent, pushErrs, pushDrops
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // pushesRecv, pullsServed, listsServed, synced
-		proto.IntT, proto.IntT, // expired, canceled
-	)
+	pullRec = proto.Declare(func(p *pullReply) []proto.Field {
+		return []proto.Field{proto.Bool(&p.Found), proto.Num(&p.Relation), proto.Num(&p.Steps), proto.String(&p.Explain)}
+	})
+	loadRec = proto.Declare(func(r *broker.LoadRecord) []proto.Field {
+		return []proto.Field{
+			proto.String(&r.Universe), proto.String(&r.Lang), proto.String(&r.Model),
+			proto.String(&r.Source), proto.String(&r.Script),
+		}
+	})
+	entryRec = proto.Declare(func(e *broker.WarmEntry) []proto.Field {
+		return []proto.Field{
+			proto.String(&e.Kind), proto.String(&e.UA), proto.String(&e.DA), proto.String(&e.UB), proto.String(&e.DB),
+			proto.Num(&e.Relation), proto.Num(&e.Steps), proto.String(&e.Explain),
+		}
+	})
+	pushRec = proto.Declare(func(p *pushRequest) []proto.Field {
+		return []proto.Field{entryRec.Field(&p.Entry), proto.List(&p.Loads, loadRec.Field)}
+	})
+	listRec = proto.Declare(func(l *listReply) []proto.Field {
+		return []proto.Field{proto.List(&l.Loads, loadRec.Field), proto.List(&l.Entries, entryRec.Field)}
+	})
+	statusRec = proto.Declare(func(st *NodeStatus) []proto.Field {
+		return []proto.Field{
+			proto.String(&st.Self), proto.List(&st.Members, proto.String),
+			proto.Num(&st.PullsSent), proto.Num(&st.PushesSent), proto.Num(&st.PushErrs), proto.Num(&st.PushDrops),
+			proto.Num(&st.PushesRecv), proto.Num(&st.PullsServed), proto.Num(&st.ListsServed), proto.Num(&st.Synced),
+			proto.Num(&st.Expired), proto.Num(&st.Canceled),
+		}
+	})
 )
 
-func entryValue(e broker.WarmEntry) value.Value {
-	return value.NewRecord(
-		proto.Str(e.Kind), proto.Str(e.UA), proto.Str(e.DA), proto.Str(e.UB), proto.Str(e.DB),
-		proto.Int(int64(e.Relation)), proto.Int(int64(e.Steps)), proto.Str(e.Explain))
+// pullReply is OpPull's reply: the serving peer's cached verdict, when
+// it has one.
+type pullReply struct {
+	Found    bool
+	Relation core.Relation
+	Steps    int
+	Explain  string
 }
 
-func parseEntry(v value.Value) (broker.WarmEntry, error) {
-	rec, ok := v.(value.Record)
-	if !ok || len(rec.Fields) != 8 {
-		return broker.WarmEntry{}, fmt.Errorf("cluster: malformed warm entry: %v", v)
-	}
-	var e broker.WarmEntry
-	var err error
-	if e.Kind, err = proto.GoStr(rec.Fields[0]); err != nil {
-		return e, err
-	}
-	for i, dst := range []*string{&e.UA, &e.DA, &e.UB, &e.DB} {
-		if *dst, err = proto.GoStr(rec.Fields[1+i]); err != nil {
-			return e, err
-		}
-	}
-	rel, err := proto.GoInt(rec.Fields[5])
-	if err != nil {
-		return e, err
-	}
-	steps, err := proto.GoInt(rec.Fields[6])
-	if err != nil {
-		return e, err
-	}
-	e.Relation = core.Relation(rel)
-	e.Steps = int(steps)
-	e.Explain, err = proto.GoStr(rec.Fields[7])
-	return e, err
+// pushRequest is OpPush's request: one warm entry and the universe
+// sources the receiver needs to replay it.
+type pushRequest struct {
+	Entry broker.WarmEntry
+	Loads []broker.LoadRecord
 }
 
-func loadRecValue(r broker.LoadRecord) value.Value {
-	return value.NewRecord(
-		proto.Str(r.Universe), proto.Str(r.Lang), proto.Str(r.Model), proto.Str(r.Source), proto.Str(r.Script))
-}
-
-func parseLoadRec(v value.Value) (broker.LoadRecord, error) {
-	ss, err := proto.RecordStrings(v, 5)
-	if err != nil {
-		return broker.LoadRecord{}, fmt.Errorf("cluster: malformed load record: %w", err)
-	}
-	return broker.LoadRecord{Universe: ss[0], Lang: ss[1], Model: ss[2], Source: ss[3], Script: ss[4]}, nil
-}
-
-func loadRecList(rs []broker.LoadRecord) value.Value {
-	vs := make([]value.Value, len(rs))
-	for i, r := range rs {
-		vs[i] = loadRecValue(r)
-	}
-	return value.FromSlice(vs)
-}
-
-func parseLoadRecList(v value.Value) ([]broker.LoadRecord, error) {
-	elems, err := value.ToSlice(v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]broker.LoadRecord, len(elems))
-	for i, e := range elems {
-		if out[i], err = parseLoadRec(e); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func entryList(es []broker.WarmEntry) value.Value {
-	vs := make([]value.Value, len(es))
-	for i, e := range es {
-		vs[i] = entryValue(e)
-	}
-	return value.FromSlice(vs)
-}
-
-func parseEntryList(v value.Value) ([]broker.WarmEntry, error) {
-	elems, err := value.ToSlice(v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]broker.WarmEntry, len(elems))
-	for i, e := range elems {
-		if out[i], err = parseEntry(e); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+// listReply is OpList's reply: a peer's warm-state snapshot.
+type listReply struct {
+	Loads   []broker.LoadRecord
+	Entries []broker.WarmEntry
 }
 
 // NodeStatus is one daemon's view of the warm protocol, served by
@@ -170,6 +110,6 @@ type NodeStatus struct {
 	// Expired counts requests the daemon's orb server shed or abandoned
 	// because the caller's propagated deadline budget was spent; Canceled
 	// counts in-flight requests aborted by client cancel frames. Both
-	// come from the serving broker's health snapshot.
+	// come from the serving orb server's counters.
 	Expired, Canceled int64
 }

@@ -26,7 +26,8 @@
 // (internal/fingerprint), so routes sharing a declaration pair — and
 // reloads that keep a pair — reuse one compilation. Upstream
 // connections go through internal/resil pools (deadlines, retries,
-// hedging); admission control and payload budgets mirror the broker's
+// hedging); admission control is the serving chassis the broker also
+// sits behind (internal/serve), payload budgets mirror the broker's
 // (internal/limits); per-route counters are served on an admin
 // stats/health protocol shaped like the broker's.
 package gateway
@@ -35,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -51,6 +51,7 @@ import (
 	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/serve"
 	"repro/internal/transcode"
 	"repro/internal/wire"
 )
@@ -205,7 +206,10 @@ type Gateway struct {
 	sess   *core.Session
 
 	tab atomic.Pointer[table]
-	srv atomic.Pointer[orb.Server]
+
+	// chassis is the data plane's admission gate plus the orb server the
+	// gateway is registered on (attached by Serve).
+	chassis *serve.Chassis
 
 	// mu serializes control-plane mutation: reloads, pool creation,
 	// lane-cache fills, and Close.
@@ -217,10 +221,6 @@ type Gateway struct {
 	reloader func() (*Config, error)
 	closed   bool
 
-	admit chan struct{}
-
-	inFlight        atomic.Int64
-	sheds           atomic.Int64
 	expired         atomic.Int64
 	canceled        atomic.Int64
 	laneCompiles    atomic.Int64
@@ -240,9 +240,7 @@ func New(opts Options) *Gateway {
 		fleets:   make(map[string]*cluster.Client),
 		lanes:    make(map[fingerprint.PairKey]*lane),
 		counters: make(map[string]*routeCounters),
-	}
-	if opts.MaxInFlight > 0 {
-		g.admit = make(chan struct{}, opts.MaxInFlight)
+		chassis:  serve.New(opts.MaxInFlight, opts.AdmitWait),
 	}
 	g.tab.Store(&table{routes: map[string]map[uint32]*route{}})
 	return g
@@ -252,7 +250,7 @@ func New(opts Options) *Gateway {
 // AdminKey plus, for every routed object key, a frame-relay handler for
 // buffered requests and a streaming relay handler for stream opens.
 func (g *Gateway) Serve(srv *orb.Server) {
-	g.srv.Store(srv)
+	g.chassis.Attach(srv)
 	srv.Register(AdminKey, g.adminHandler())
 	for key := range g.tab.Load().keys() {
 		srv.Register(key, g.frontHandler(key))
@@ -339,7 +337,7 @@ func (g *Gateway) SetConfig(cfg *Config) error {
 	}
 	old := g.tab.Swap(&table{routes: routes})
 	g.retireUpstreams(routes)
-	if srv := g.srv.Load(); srv != nil {
+	if srv := g.chassis.Server(); srv != nil {
 		oldKeys := old.keys()
 		for key := range routes {
 			if !oldKeys[key] {
@@ -510,29 +508,15 @@ func (g *Gateway) Lower(d *DeclConfig) (*mtype.Type, error) {
 	return g.sess.Mtype(uni, d.Decl)
 }
 
-// admitRequest acquires an admission slot, waiting up to AdmitWait
-// before shedding with a typed orb.ErrOverloaded (counted globally and
-// against the route).
-func (g *Gateway) admitRequest(c *routeCounters) (release func(), err error) {
-	if g.admit == nil {
-		return func() {}, nil
+// admit counts one call against its route and takes an admission slot
+// for it; a shed is counted against the route as well as the gate.
+func (g *Gateway) admit(r *route) error {
+	r.c.requests.Add(1)
+	err := g.chassis.Admit()
+	if err != nil {
+		r.c.sheds.Add(1)
 	}
-	release = func() { <-g.admit }
-	select {
-	case g.admit <- struct{}{}:
-		return release, nil
-	default:
-	}
-	t := time.NewTimer(g.opts.AdmitWait)
-	defer t.Stop()
-	select {
-	case g.admit <- struct{}{}:
-		return release, nil
-	case <-t.C:
-		g.sheds.Add(1)
-		c.sheds.Add(1)
-		return nil, fmt.Errorf("%w: %d requests already in flight", orb.ErrOverloaded, cap(g.admit))
-	}
+	return err
 }
 
 // checkBudget bounds one payload, typed with limits.ErrBudget.
@@ -568,20 +552,17 @@ func (g *Gateway) frontHandler(key string) orb.Handler {
 // or sends a cancel frame, which the orb client layer forwards upstream
 // as a cancel frame of its own.
 func (g *Gateway) relay(ctx context.Context, r *route, body []byte) ([]byte, error) {
-	r.c.requests.Add(1)
-	release, err := g.admitRequest(r.c)
-	if err != nil {
+	if err := g.admit(r); err != nil {
 		return nil, err
 	}
-	defer release()
-	g.inFlight.Add(1)
-	defer g.inFlight.Add(-1)
+	defer g.chassis.Release()
 
 	if err := g.checkBudget("request", len(body)); err != nil {
 		r.c.budgetRejects.Add(1)
 		return nil, err
 	}
 	out := body
+	var err error
 	if r.req != nil {
 		if r.req.xc != nil {
 			// The fast-tier request output only lives until the upstream
@@ -688,55 +669,70 @@ func (g *Gateway) runLane(r *route, l *lane, payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// RouteStats is one route's counter snapshot.
+// RouteStats is one route's counter snapshot. The JSON tags here and on
+// UpstreamStats and Stats are the `mbird remote stats -gateway -json`
+// scrape contract.
 type RouteStats struct {
-	Name string
+	Name string `json:"name"`
 	// Requests counts calls matched to the route (admitted or shed).
-	Requests int64
+	Requests int64 `json:"requests"`
 	// FastTier / TreeTier count lane executions served wire-to-wire vs
 	// decode→convert→encode; Passthrough counts calls forwarded with no
 	// transcoding at all; Streamed counts requests relayed chunk-by-chunk
 	// over the streaming lane instead of buffering.
-	FastTier, TreeTier, Passthrough, Streamed int64
+	FastTier    int64 `json:"fast_tier"`
+	TreeTier    int64 `json:"tree_tier"`
+	Passthrough int64 `json:"passthrough"`
+	Streamed    int64 `json:"streamed"`
 	// TranscodeTotal is the cumulative in-gateway transcode time.
-	TranscodeTotal time.Duration
+	TranscodeTotal time.Duration `json:"transcode_ns"`
 	// UpstreamErrors counts upstream legs that failed after resil's
 	// retries; Sheds counts admission sheds; BudgetRejects counts
 	// payloads over the byte budget.
-	UpstreamErrors, Sheds, BudgetRejects int64
+	UpstreamErrors int64 `json:"upstream_errors"`
+	Sheds          int64 `json:"sheds"`
+	BudgetRejects  int64 `json:"budget_rejects"`
 }
 
 // UpstreamStats is one upstream pool's counter snapshot.
 type UpstreamStats struct {
-	Addr  string
-	Conns int
-	Dials, Discards, Retries,
-	Overloads, Hedges, HedgeWins int64
+	Addr      string `json:"addr"`
+	Conns     int    `json:"conns"`
+	Dials     int64  `json:"dials"`
+	Discards  int64  `json:"discards"`
+	Retries   int64  `json:"retries"`
+	Overloads int64  `json:"overloads"`
+	Hedges    int64  `json:"hedges"`
+	HedgeWins int64  `json:"hedge_wins"`
 	// BudgetExhausted counts retries and hedges the pool wanted but the
 	// shared retry budget refused; BreakerTrips counts circuit-breaker
 	// openings (fleet members only — single pools have no breaker).
-	BudgetExhausted, BreakerTrips int64
+	BudgetExhausted int64 `json:"budget_exhausted"`
+	BreakerTrips    int64 `json:"breaker_trips"`
 }
 
 // Stats is a point-in-time snapshot of the gateway's counters.
 type Stats struct {
 	// Routes holds the live table's per-route counters, sorted by name.
-	Routes []RouteStats
+	Routes []RouteStats `json:"routes"`
 	// Upstreams holds one entry per upstream pool, sorted by address.
-	Upstreams []UpstreamStats
+	Upstreams []UpstreamStats `json:"upstreams"`
 	// LaneCompiles counts declaration pairs compiled; LaneUnsupported
 	// how many of those the wire-transcoder fuser refused (tree tier);
 	// LaneReuses how many lane requests were served by the fingerprint
 	// cache.
-	LaneCompiles, LaneUnsupported, LaneReuses int64
+	LaneCompiles    int64 `json:"lane_compiles"`
+	LaneUnsupported int64 `json:"lane_unsupported"`
+	LaneReuses      int64 `json:"lane_reuses"`
 	// InFlight is the number of admitted data-plane requests.
-	InFlight int64
+	InFlight int64 `json:"in_flight"`
 	// Sheds counts admission sheds across all routes.
-	Sheds int64
+	Sheds int64 `json:"sheds"`
 	// Expired counts relays abandoned because the client's propagated
 	// time budget was spent (shed upstream or mid-relay); Canceled counts
 	// relays aborted because the client canceled or disconnected.
-	Expired, Canceled int64
+	Expired  int64 `json:"expired"`
+	Canceled int64 `json:"canceled"`
 }
 
 // Stats returns a snapshot of the gateway's counters.
@@ -745,8 +741,8 @@ func (g *Gateway) Stats() Stats {
 		LaneCompiles:    g.laneCompiles.Load(),
 		LaneUnsupported: g.laneUnsupported.Load(),
 		LaneReuses:      g.laneHits.Load(),
-		InFlight:        g.inFlight.Load(),
-		Sheds:           g.sheds.Load(),
+		InFlight:        g.chassis.InFlight(),
+		Sheds:           g.chassis.Sheds(),
 		Expired:         g.expired.Load(),
 		Canceled:        g.canceled.Load(),
 	}
@@ -768,27 +764,23 @@ func (g *Gateway) Stats() Stats {
 		}
 	}
 	sortRouteStats(st.Routes)
-	g.mu.Lock()
-	for addr, p := range g.pools {
-		ps := p.Stats()
+	upstream := func(addr string, ps resil.Stats, breakerTrips int64) {
 		st.Upstreams = append(st.Upstreams, UpstreamStats{
 			Addr: addr, Conns: ps.Conns, Dials: ps.Dials, Discards: ps.Discards,
 			Retries: ps.Retries, Overloads: ps.Overloads,
 			Hedges: ps.Hedges, HedgeWins: ps.HedgeWins,
-			BudgetExhausted: ps.BudgetExhausted,
+			BudgetExhausted: ps.BudgetExhausted, BreakerTrips: breakerTrips,
 		})
+	}
+	g.mu.Lock()
+	for addr, p := range g.pools {
+		upstream(addr, p.Stats(), 0)
 	}
 	// Fleet members report individually, so the existing stats schema
 	// (a flat upstream list) spans the fleet unchanged.
 	for _, f := range g.fleets {
 		for _, m := range f.Stats().Members {
-			ps := m.Pool
-			st.Upstreams = append(st.Upstreams, UpstreamStats{
-				Addr: m.Addr, Conns: ps.Conns, Dials: ps.Dials, Discards: ps.Discards,
-				Retries: ps.Retries, Overloads: ps.Overloads,
-				Hedges: ps.Hedges, HedgeWins: ps.HedgeWins,
-				BudgetExhausted: ps.BudgetExhausted, BreakerTrips: m.BreakerTrips,
-			})
+			upstream(m.Addr, m.Pool, m.BreakerTrips)
 		}
 	}
 	g.mu.Unlock()
@@ -804,62 +796,27 @@ func sortUpstreamStats(us []UpstreamStats) {
 	sort.Slice(us, func(i, j int) bool { return us[i].Addr < us[j].Addr })
 }
 
-// Health is the gateway's readiness and load snapshot, shaped like the
-// broker's and served without admission control.
+// Health is the gateway's readiness and load snapshot: the shared
+// serving core plus the gateway's own two fields. Expired and Canceled
+// add the relays that died mid-flight to what the listener itself shed.
 type Health struct {
-	// Ready is false while the serving orb server drains or is closed.
-	Ready bool
-	// InFlight / MaxInFlight mirror the admission semaphore (0 cap when
-	// admission is disabled).
-	InFlight    int64
-	MaxInFlight int
-	// Sheds counts admission sheds; ConnSheds and Panics come from the
-	// serving orb server.
-	Sheds, ConnSheds, Panics int64
-	// Expired counts budget-expired requests: sheds before dispatch at
-	// this hop's own listener plus relays whose budget ran out in flight.
-	// Canceled counts requests aborted by client cancel frames or
-	// disconnects, at the listener or mid-relay.
-	Expired, Canceled int64
+	serve.Health
 	// Routes is the number of live table entries; Lanes the number of
 	// cached compiled lanes.
-	Routes, Lanes int
-	// HeapBytes is the process's in-use heap (runtime HeapInuse);
-	// GCPauseNs the cumulative stop-the-world GC pause time; NumGC the
-	// completed GC cycle count. Load harnesses record deltas of these
-	// across a run to attribute GC pressure to the relay path.
-	HeapBytes int64
-	GCPauseNs int64
-	NumGC     int64
+	Routes int `json:"routes"`
+	Lanes  int `json:"lanes"`
 }
 
 // Health returns the gateway's readiness and load snapshot.
 func (g *Gateway) Health() Health {
-	h := Health{Ready: true, Sheds: g.sheds.Load()}
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	h.HeapBytes = int64(m.HeapInuse)
-	h.GCPauseNs = int64(m.PauseTotalNs)
-	h.NumGC = int64(m.NumGC)
-	if g.admit != nil {
-		h.InFlight = int64(len(g.admit))
-		h.MaxInFlight = cap(g.admit)
-	}
+	h := Health{Health: g.chassis.Health()}
+	h.Expired += g.expired.Load()
+	h.Canceled += g.canceled.Load()
 	for _, ops := range g.tab.Load().routes {
 		h.Routes += len(ops)
 	}
 	g.mu.Lock()
 	h.Lanes = len(g.lanes)
 	g.mu.Unlock()
-	h.Expired = g.expired.Load()
-	h.Canceled = g.canceled.Load()
-	if srv := g.srv.Load(); srv != nil {
-		st := srv.Stats()
-		h.ConnSheds = st.Shed
-		h.Panics = st.Panics
-		h.Expired += st.Expired
-		h.Canceled += st.Canceled
-		h.Ready = !srv.Draining()
-	}
 	return h
 }

@@ -509,6 +509,49 @@ func TestBudgetAndAdmission(t *testing.T) {
 	}
 }
 
+// TestAdmitUnbounded: negative MaxInFlight disables admission control,
+// and health still counts what is in flight.
+func TestAdmitUnbounded(t *testing.T) {
+	release := make(chan struct{})
+	up, err := orb.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = up.Close() })
+	up.Register("slow", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
+		<-release
+		return body, nil
+	})
+	cfg := &Config{Upstream: up.Addr(), Routes: []RouteConfig{{Key: "slow", Op: 0}}}
+	g, srv := startGateway(t, cfg, Options{MaxInFlight: -1})
+	if h := g.Health(); !h.Ready || h.MaxInFlight != 0 || h.InFlight != 0 {
+		t.Fatalf("idle health = %+v", h)
+	}
+
+	const calls = 3
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		c := dialOrb(t, srv.Addr())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = c.Invoke("slow", 0, nil) // parks in the upstream handler
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Health().InFlight < calls && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if h := g.Health(); h.InFlight != calls || h.Sheds != 0 {
+		t.Errorf("health with %d relays parked = %+v", calls, h)
+	}
+	close(release)
+	wg.Wait()
+	if h := g.Health(); h.InFlight != 0 {
+		t.Errorf("drained health = %+v", h)
+	}
+}
+
 // TestEndToEndThroughChaos repeats the fast-tier round trip with the
 // upstream leg behind a chaos proxy injecting latency and periodic
 // connection resets. The gateway's resil pool must absorb the faults:

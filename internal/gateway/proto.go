@@ -11,11 +11,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/proto"
-	"repro/internal/value"
-	"repro/internal/wire"
 )
 
 // AdminKey is the orb object key the gateway's admin service is served
@@ -24,50 +21,48 @@ const AdminKey = "mbird.gateway"
 
 // Admin ops.
 const (
-	// OpHealth: empty → Record(ready, inFlight, maxInFlight, sheds,
-	// connSheds, panics, expired, canceled, routes, lanes). Served
-	// without admission control so it answers while the data plane is
-	// saturated.
+	// OpHealth: empty → the Health record (see healthRec). Served without
+	// admission control so it answers while the data plane is saturated.
 	OpHealth uint32 = iota + 1
-	// OpStats: empty → Record(List(route record), List(upstream record),
-	// laneCompiles, laneUnsupported, laneReuses, inFlight, sheds,
-	// expired, canceled). A route record is Record(name ++ 9 counters);
-	// an upstream record is Record(addr ++ 9 counters). See routeStatT /
-	// upstreamStatT.
+	// OpStats: empty → the Stats record (see statsRec), which nests a
+	// list of route records and a list of upstream records.
 	OpStats
-	// OpReload: empty → Record(routes). Re-reads the route table through
+	// OpReload: empty → proto.Count of routes. Re-reads the route table through
 	// the configured reloader and swaps it in; the reply carries the new
 	// route count.
 	OpReload
 )
 
-// Protocol Mtypes.
+// The admin records, each declared once: Mtype, server encode and client
+// decode all derive from these field lists.
 var (
-	healthT = proto.Record(
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // ready, inFlight, maxInFlight, sheds
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // connSheds, panics, expired, canceled
-		proto.IntT, proto.IntT, // routes, lanes
-		proto.IntT, proto.IntT, proto.IntT, // heapBytes, gcPauseNs, numGC
-	)
-	routeStatT = proto.Record(
-		proto.StrT,                                     // name
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // requests, fast, tree, passthrough
-		proto.IntT,                                     // streamed
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // transcodeNs, upstreamErrs, sheds, budgetRejects
-	)
-	upstreamStatT = proto.Record(
-		proto.StrT,                                     // addr
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, // conns, dials, discards, retries
-		proto.IntT, proto.IntT, proto.IntT, // overloads, hedges, hedgeWins
-		proto.IntT, proto.IntT, // budgetExhausted, breakerTrips
-	)
-	statsT = proto.Record(
-		mtype.NewList(routeStatT),
-		mtype.NewList(upstreamStatT),
-		proto.IntT, proto.IntT, proto.IntT, proto.IntT, proto.IntT, // laneCompiles, laneUnsupported, laneReuses, inFlight, sheds
-		proto.IntT, proto.IntT, // expired, canceled
-	)
-	reloadT = proto.Record(proto.IntT)
+	healthRec = proto.Declare(func(h *Health) []proto.Field {
+		return h.Fields(proto.Num(&h.Routes), proto.Num(&h.Lanes))
+	})
+	routeRec = proto.Declare(func(r *RouteStats) []proto.Field {
+		return []proto.Field{
+			proto.String(&r.Name),
+			proto.Num(&r.Requests), proto.Num(&r.FastTier), proto.Num(&r.TreeTier), proto.Num(&r.Passthrough),
+			proto.Num(&r.Streamed),
+			proto.Num(&r.TranscodeTotal), proto.Num(&r.UpstreamErrors), proto.Num(&r.Sheds), proto.Num(&r.BudgetRejects),
+		}
+	})
+	upstreamRec = proto.Declare(func(u *UpstreamStats) []proto.Field {
+		return []proto.Field{
+			proto.String(&u.Addr),
+			proto.Num(&u.Conns), proto.Num(&u.Dials), proto.Num(&u.Discards), proto.Num(&u.Retries),
+			proto.Num(&u.Overloads), proto.Num(&u.Hedges), proto.Num(&u.HedgeWins),
+			proto.Num(&u.BudgetExhausted), proto.Num(&u.BreakerTrips),
+		}
+	})
+	statsRec = proto.Declare(func(st *Stats) []proto.Field {
+		return []proto.Field{
+			proto.List(&st.Routes, routeRec.Field), proto.List(&st.Upstreams, upstreamRec.Field),
+			proto.Num(&st.LaneCompiles), proto.Num(&st.LaneUnsupported), proto.Num(&st.LaneReuses),
+			proto.Num(&st.InFlight), proto.Num(&st.Sheds),
+			proto.Num(&st.Expired), proto.Num(&st.Canceled),
+		}
+	})
 )
 
 // adminHandler serves the admin ops. Health and stats are pure counter
@@ -78,48 +73,18 @@ func (g *Gateway) adminHandler() orb.Handler {
 		switch op {
 		case OpHealth:
 			h := g.Health()
-			ready := int64(0)
-			if h.Ready {
-				ready = 1
-			}
-			return wire.Marshal(healthT, value.NewRecord(
-				proto.Int(ready), proto.Int(h.InFlight), proto.Int(int64(h.MaxInFlight)),
-				proto.Int(h.Sheds), proto.Int(h.ConnSheds), proto.Int(h.Panics),
-				proto.Int(h.Expired), proto.Int(h.Canceled),
-				proto.Int(int64(h.Routes)), proto.Int(int64(h.Lanes)),
-				proto.Int(h.HeapBytes), proto.Int(h.GCPauseNs), proto.Int(h.NumGC)))
+			return healthRec.Marshal(&h)
 
 		case OpStats:
 			st := g.Stats()
-			routes := make([]value.Value, len(st.Routes))
-			for i, r := range st.Routes {
-				routes[i] = value.NewRecord(
-					proto.Str(r.Name),
-					proto.Int(r.Requests), proto.Int(r.FastTier), proto.Int(r.TreeTier), proto.Int(r.Passthrough),
-					proto.Int(r.Streamed),
-					proto.Int(r.TranscodeTotal.Nanoseconds()), proto.Int(r.UpstreamErrors),
-					proto.Int(r.Sheds), proto.Int(r.BudgetRejects))
-			}
-			ups := make([]value.Value, len(st.Upstreams))
-			for i, u := range st.Upstreams {
-				ups[i] = value.NewRecord(
-					proto.Str(u.Addr),
-					proto.Int(int64(u.Conns)), proto.Int(u.Dials), proto.Int(u.Discards), proto.Int(u.Retries),
-					proto.Int(u.Overloads), proto.Int(u.Hedges), proto.Int(u.HedgeWins),
-					proto.Int(u.BudgetExhausted), proto.Int(u.BreakerTrips))
-			}
-			return wire.Marshal(statsT, value.NewRecord(
-				value.FromSlice(routes), value.FromSlice(ups),
-				proto.Int(st.LaneCompiles), proto.Int(st.LaneUnsupported), proto.Int(st.LaneReuses),
-				proto.Int(st.InFlight), proto.Int(st.Sheds),
-				proto.Int(st.Expired), proto.Int(st.Canceled)))
+			return statsRec.Marshal(&st)
 
 		case OpReload:
 			n, err := g.Reload()
 			if err != nil {
 				return nil, err
 			}
-			return wire.Marshal(reloadT, value.NewRecord(proto.Int(int64(n))))
+			return proto.Count.Marshal(&n)
 
 		default:
 			return nil, fmt.Errorf("gateway: unknown admin op %d", op)
@@ -127,25 +92,18 @@ func (g *Gateway) adminHandler() orb.Handler {
 	}
 }
 
-// Transport is the connection an admin Client speaks through: a plain
-// orb.Client, or a resil.Client for pooling and retries (safe — every
-// admin op except reload is a pure read, and reload is idempotent
-// against an unchanged route file).
-type Transport interface {
-	InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error)
-	Close() error
-}
-
 // Client is a typed client for the gateway admin protocol.
 type Client struct {
-	t Transport
+	t proto.Transport
 }
 
 // NewClient wraps an established orb connection.
 func NewClient(c *orb.Client) *Client { return &Client{t: c} }
 
-// NewTransportClient wraps any Transport — typically a resil.Client.
-func NewTransportClient(t Transport) *Client { return &Client{t: t} }
+// NewTransportClient wraps any proto.Transport — typically a
+// resil.Client (safe: every admin op except reload is a pure read, and
+// reload is idempotent against an unchanged route file).
+func NewTransportClient(t proto.Transport) *Client { return &Client{t: t} }
 
 // DialTimeout bounds DialClient's connection attempt.
 const DialTimeout = 10 * time.Second
@@ -176,27 +134,9 @@ func (c *Client) HealthContext(ctx context.Context) (Health, error) {
 	if err != nil {
 		return Health{}, err
 	}
-	v, err := wire.Unmarshal(healthT, reply)
-	if err != nil {
-		return Health{}, err
-	}
-	r := proto.NewInts(v)
-	h := Health{
-		Ready:       r.Get(0) != 0,
-		InFlight:    r.Get(1),
-		MaxInFlight: int(r.Get(2)),
-		Sheds:       r.Get(3),
-		ConnSheds:   r.Get(4),
-		Panics:      r.Get(5),
-		Expired:     r.Get(6),
-		Canceled:    r.Get(7),
-		Routes:      int(r.Get(8)),
-		Lanes:       int(r.Get(9)),
-		HeapBytes:   r.Get(10),
-		GCPauseNs:   r.Get(11),
-		NumGC:       r.Get(12),
-	}
-	return h, r.Err()
+	var h Health
+	err = healthRec.Unmarshal(reply, &h)
+	return h, err
 }
 
 // Stats fetches the gateway's stats snapshot.
@@ -210,84 +150,9 @@ func (c *Client) StatsContext(ctx context.Context) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	v, err := wire.Unmarshal(statsT, reply)
-	if err != nil {
-		return Stats{}, err
-	}
-	rec, ok := v.(value.Record)
-	if !ok || len(rec.Fields) != 9 {
-		return Stats{}, fmt.Errorf("gateway: malformed stats reply: %v", v)
-	}
 	var st Stats
-	routes, err := value.ToSlice(rec.Fields[0])
-	if err != nil {
-		return Stats{}, err
-	}
-	for _, rv := range routes {
-		rr, ok := rv.(value.Record)
-		if !ok || len(rr.Fields) != 10 {
-			return Stats{}, fmt.Errorf("gateway: malformed route record: %v", rv)
-		}
-		name, err := proto.GoStr(rr.Fields[0])
-		if err != nil {
-			return Stats{}, err
-		}
-		c := proto.NewInts(rv)
-		st.Routes = append(st.Routes, RouteStats{
-			Name:           name,
-			Requests:       c.Get(1),
-			FastTier:       c.Get(2),
-			TreeTier:       c.Get(3),
-			Passthrough:    c.Get(4),
-			Streamed:       c.Get(5),
-			TranscodeTotal: time.Duration(c.Get(6)),
-			UpstreamErrors: c.Get(7),
-			Sheds:          c.Get(8),
-			BudgetRejects:  c.Get(9),
-		})
-		if err := c.Err(); err != nil {
-			return Stats{}, err
-		}
-	}
-	ups, err := value.ToSlice(rec.Fields[1])
-	if err != nil {
-		return Stats{}, err
-	}
-	for _, uv := range ups {
-		ur, ok := uv.(value.Record)
-		if !ok || len(ur.Fields) != 10 {
-			return Stats{}, fmt.Errorf("gateway: malformed upstream record: %v", uv)
-		}
-		addr, err := proto.GoStr(ur.Fields[0])
-		if err != nil {
-			return Stats{}, err
-		}
-		c := proto.NewInts(uv)
-		st.Upstreams = append(st.Upstreams, UpstreamStats{
-			Addr:            addr,
-			Conns:           int(c.Get(1)),
-			Dials:           c.Get(2),
-			Discards:        c.Get(3),
-			Retries:         c.Get(4),
-			Overloads:       c.Get(5),
-			Hedges:          c.Get(6),
-			HedgeWins:       c.Get(7),
-			BudgetExhausted: c.Get(8),
-			BreakerTrips:    c.Get(9),
-		})
-		if err := c.Err(); err != nil {
-			return Stats{}, err
-		}
-	}
-	g := proto.NewInts(v)
-	st.LaneCompiles = g.Get(2)
-	st.LaneUnsupported = g.Get(3)
-	st.LaneReuses = g.Get(4)
-	st.InFlight = g.Get(5)
-	st.Sheds = g.Get(6)
-	st.Expired = g.Get(7)
-	st.Canceled = g.Get(8)
-	return st, g.Err()
+	err = statsRec.Unmarshal(reply, &st)
+	return st, err
 }
 
 // Reload asks the gateway to re-read its route table; it returns the
@@ -302,11 +167,7 @@ func (c *Client) ReloadContext(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, err := wire.Unmarshal(reloadT, reply)
-	if err != nil {
-		return 0, err
-	}
-	r := proto.NewInts(v)
-	n := int(r.Get(0))
-	return n, r.Err()
+	var n int
+	err = proto.Count.Unmarshal(reply, &n)
+	return n, err
 }

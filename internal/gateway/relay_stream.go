@@ -122,14 +122,10 @@ func writeReply(out *orb.StreamWriter, reply []byte) error {
 // buffered prefix plus every further chunk through the request lane,
 // then buffer and transcode the reply leg under the payload budget.
 func (g *Gateway) relayStream(ctx context.Context, r *route, prefix []byte, in *orb.StreamReader, out *orb.StreamWriter) error {
-	r.c.requests.Add(1)
-	release, err := g.admitRequest(r.c)
-	if err != nil {
+	if err := g.admit(r); err != nil {
 		return err
 	}
-	defer release()
-	g.inFlight.Add(1)
-	defer g.inFlight.Add(-1)
+	defer g.chassis.Release()
 	r.c.streamed.Add(1)
 
 	sc, done, err := r.up.openStream(ctx, r.rk, r.upKey, r.upOp)

@@ -1,20 +1,35 @@
 // Package proto holds the CDR building blocks shared by the admin-plane
 // protocols of the mbird daemons (the broker in internal/broker, the
-// interop gateway in internal/gateway). Every protocol payload is CDR,
-// marshaled by package wire against small protocol Mtypes — the daemons
-// speak the same wire format as the stubs they compile — and this
-// package fixes the two primitive encodings both sides agree on: a
-// string is the §3.2 recursive list encoding over Unicode characters,
-// and a counter is a 64-bit signed integer.
+// interop gateway in internal/gateway, the peer plane in
+// internal/cluster). Every protocol payload is CDR, marshaled by package
+// wire against small protocol Mtypes — the daemons speak the same wire
+// format as the stubs they compile — and this package fixes the two
+// primitive encodings both sides agree on: a string is the §3.2
+// recursive list encoding over Unicode characters, and a counter is a
+// 64-bit signed integer. Records are declared once (see Declare): the
+// protocol Mtype, the server encode and the client decode all derive
+// from one ordered field list.
 package proto
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/mtype"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
+
+// Transport is the connection a protocol client speaks through: a plain
+// orb.Client, or a resilience layer such as resil.Client (pooled,
+// deadline-bounded, retrying — safe because every admin-plane op is
+// idempotent: broker verdicts and converters are content-addressed by
+// fingerprint, loads are keyed by universe name, and a gateway reload
+// against an unchanged route file changes nothing).
+type Transport interface {
+	InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error)
+	Close() error
+}
 
 // Protocol Mtypes. A string is List(Character(unicode)); an int is a
 // 64-bit signed Integer.
@@ -28,8 +43,8 @@ var (
 // Record builds a protocol record Mtype from field Mtypes.
 func Record(types ...*mtype.Type) *mtype.Type { return mtype.RecordOf(types...) }
 
-// Str encodes a Go string as a protocol string value.
-func Str(s string) value.Value {
+// str encodes a Go string as a protocol string value.
+func str(s string) value.Value {
 	runes := []rune(s)
 	elems := make([]value.Value, len(runes))
 	for i, r := range runes {
@@ -38,8 +53,8 @@ func Str(s string) value.Value {
 	return value.FromSlice(elems)
 }
 
-// GoStr decodes a protocol string value.
-func GoStr(v value.Value) (string, error) {
+// goStr decodes a protocol string value.
+func goStr(v value.Value) (string, error) {
 	elems, err := value.ToSlice(v)
 	if err != nil {
 		return "", err
@@ -55,11 +70,8 @@ func GoStr(v value.Value) (string, error) {
 	return string(runes), nil
 }
 
-// Int encodes a counter as a protocol integer value.
-func Int(n int64) value.Value { return value.NewInt(n) }
-
-// GoInt decodes a protocol integer value.
-func GoInt(v value.Value) (int64, error) {
+// goInt decodes a protocol integer value.
+func goInt(v value.Value) (int64, error) {
 	iv, ok := v.(value.Int)
 	if !ok {
 		return 0, fmt.Errorf("proto: integer field is %T", v)
@@ -71,7 +83,7 @@ func GoInt(v value.Value) (int64, error) {
 func MarshalStrings(ty *mtype.Type, ss ...string) ([]byte, error) {
 	fields := make([]value.Value, len(ss))
 	for i, s := range ss {
-		fields[i] = Str(s)
+		fields[i] = str(s)
 	}
 	return wire.Marshal(ty, value.NewRecord(fields...))
 }
@@ -93,7 +105,7 @@ func RecordStrings(v value.Value, n int) ([]string, error) {
 	}
 	out := make([]string, n)
 	for i, f := range rec.Fields {
-		s, err := GoStr(f)
+		s, err := goStr(f)
 		if err != nil {
 			return nil, err
 		}
@@ -101,43 +113,3 @@ func RecordStrings(v value.Value, n int) ([]string, error) {
 	}
 	return out, nil
 }
-
-// Ints is a convenience reader over a decoded counter record: it
-// extracts int64 fields by index, accumulating the first error, so
-// protocol clients can decode twenty-field stats records without
-// twenty error branches.
-type Ints struct {
-	rec value.Record
-	err error
-}
-
-// NewInts wraps a decoded record for indexed counter access. A non-record
-// value yields a reader whose every Get reports the shape error.
-func NewInts(v value.Value) *Ints {
-	rec, ok := v.(value.Record)
-	if !ok {
-		return &Ints{err: fmt.Errorf("proto: want record, got %T", v)}
-	}
-	return &Ints{rec: rec}
-}
-
-// Get returns field i as an int64, recording (and then repeating) the
-// first decode error.
-func (r *Ints) Get(i int) int64 {
-	if r.err != nil {
-		return 0
-	}
-	if i < 0 || i >= len(r.rec.Fields) {
-		r.err = fmt.Errorf("proto: record has %d fields, want index %d", len(r.rec.Fields), i)
-		return 0
-	}
-	n, err := GoInt(r.rec.Fields[i])
-	if err != nil {
-		r.err = err
-		return 0
-	}
-	return n
-}
-
-// Err returns the first error any Get hit.
-func (r *Ints) Err() error { return r.err }
