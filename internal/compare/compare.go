@@ -135,14 +135,73 @@ type pairKey struct {
 	mode Mode
 }
 
+// pairState is everything the comparer knows about one pair. compare
+// looks it up once per step and hands it down, so a step costs one hash.
+type pairState struct {
+	proven, failed bool
+	// onPath is the coinductive hypothesis: the pair is being proved
+	// further up the current proof path.
+	onPath bool
+	// why, x and y are the first failure recorded for the pair, rendered
+	// only when FailureReason or Explain asks.
+	why  uint8
+	x, y int
+	dec  *Decision
+}
+
+// Failure reasons; whyText renders them from x and y or from the pair's nodes.
+const (
+	whyNone uint8 = iota
+	whyKinds
+	whyInteger
+	whyCharacter
+	whyReal
+	whyPort
+	whyTooWide
+	whyLeafCount
+	whyLeaf
+	whyNoPermutation
+	whyAltCount
+	whyMoreAlts
+	whyAlt
+	whyNoAltMapping
+)
+
+var whyText = [...]string{
+	whyKinds:         "kinds differ: %s vs %s",
+	whyInteger:       "integer ranges: [%s..%s] vs [%s..%s]",
+	whyCharacter:     "character repertoires: %s vs %s",
+	whyReal:          "real precision: (%d,%d) vs (%d,%d)",
+	whyPort:          "port elements differ",
+	whyTooWide:       "record too wide to flatten (budget exceeded); restructure or pass large aggregates by reference",
+	whyLeafCount:     "record leaf counts differ: %d vs %d",
+	whyLeaf:          "record leaf %d does not match leaf %d",
+	whyNoPermutation: "no permutation of record leaves matches",
+	whyAltCount:      "choice alternative counts differ: %d vs %d",
+	whyMoreAlts:      "choice has more alternatives: %d vs %d",
+	whyAlt:           "choice alternative %d does not match",
+	whyNoAltMapping:  "no mapping of choice alternatives matches",
+}
+
+// flattening is the memoized result of flattening one node: its leaves,
+// and the indices and nodes of the live ones (not eliminated as units).
+type flattening struct {
+	leaves []FlatLeaf
+	live   []int
+	nodes  []*mtype.Type
+	err    error
+}
+
 // Comparer decides Mtype relations and accumulates correspondence
 // decisions. It is not safe for concurrent use.
 type Comparer struct {
-	rules     Rules
-	proven    map[pairKey]bool
-	failed    map[pairKey]bool
-	reasons   map[pairKey]string
-	decisions map[pairKey]*Decision
+	rules Rules
+	// pairs is the one table of pair states; entries are carved from slab.
+	pairs map[pairKey]*pairState
+	slab  []pairState
+	// flat memoizes flatten; leaf paths are cut from the arena paths.
+	flat  map[*mtype.Type]*flattening
+	paths []int
 	// semantic maps tag pairs to hook names: pairs of nodes carrying
 	// these tags match by fiat, converted by the named programmer hook.
 	semantic map[[2]string]string
@@ -151,10 +210,6 @@ type Comparer struct {
 	// be compared as a unit.
 	semanticTags map[string]bool
 
-	// Per-call state.
-	assume map[pairKey]bool
-	// pending maps an assumption key to the set of keys whose proofs used
-	// it; discharged on successful pop.
 	steps int
 }
 
@@ -162,10 +217,8 @@ type Comparer struct {
 func NewComparer(rules Rules) *Comparer {
 	return &Comparer{
 		rules:        rules,
-		proven:       make(map[pairKey]bool),
-		failed:       make(map[pairKey]bool),
-		reasons:      make(map[pairKey]string),
-		decisions:    make(map[pairKey]*Decision),
+		pairs:        make(map[pairKey]*pairState),
+		flat:         make(map[*mtype.Type]*flattening),
 		semantic:     make(map[[2]string]string),
 		semanticTags: make(map[string]bool),
 	}
@@ -179,6 +232,27 @@ func (c *Comparer) RegisterSemantic(tagA, tagB, hook string) {
 	c.semantic[[2]string{tagA, tagB}] = hook
 	c.semanticTags[tagA] = true
 	c.semanticTags[tagB] = true
+	clear(c.flat) // a newly registered tag changes what flattening dissolves
+}
+
+// state returns the table entry for key, creating it on first sight.
+func (c *Comparer) state(key pairKey) *pairState {
+	st := c.pairs[key]
+	if st == nil {
+		if len(c.slab) == 0 {
+			c.slab = make([]pairState, 128)
+		}
+		st, c.slab = &c.slab[0], c.slab[1:]
+		c.pairs[key] = st
+	}
+	return st
+}
+
+// fail records why the pair does not match; the first reason stands.
+func (st *pairState) fail(why uint8, x, y int) {
+	if st.why == whyNone {
+		st.why, st.x, st.y = why, x, y
+	}
 }
 
 // Steps returns the number of pair comparisons performed so far; the
@@ -198,15 +272,15 @@ type Match struct {
 // descendant of the matched roots).
 func (m *Match) Decision(a, b *mtype.Type) (*Decision, error) {
 	ua, ub := unfold(a), unfold(b)
-	if d, ok := m.c.decisions[pairKey{ua, ub, m.Mode}]; ok {
-		return d, nil
+	if st := m.c.pairs[pairKey{ua, ub, m.Mode}]; st != nil && st.dec != nil {
+		return st.dec, nil
 	}
 	// Subtype conversions recurse through port elements contravariantly,
 	// flipping back to the covariant pair; equal-mode decisions also
 	// satisfy subtype queries.
 	if m.Mode == ModeSubtype {
-		if d, ok := m.c.decisions[pairKey{ua, ub, ModeEqual}]; ok {
-			return d, nil
+		if st := m.c.pairs[pairKey{ua, ub, ModeEqual}]; st != nil && st.dec != nil {
+			return st.dec, nil
 		}
 	}
 	return nil, fmt.Errorf("compare: no decision recorded for %s ~ %s", ua.Kind(), ub.Kind())
@@ -223,10 +297,7 @@ func (c *Comparer) Subtype(a, b *mtype.Type) (*Match, bool) {
 }
 
 func (c *Comparer) run(a, b *mtype.Type, mode Mode) (*Match, bool) {
-	c.assume = make(map[pairKey]bool)
-	ok, _ := c.compare(a, b, mode)
-	c.assume = nil
-	if !ok {
+	if ok, _ := c.compare(a, b, mode); !ok {
 		return nil, false
 	}
 	return &Match{A: a, B: b, Mode: mode, c: c}, true
@@ -236,7 +307,40 @@ func (c *Comparer) run(a, b *mtype.Type, mode Mode) (*Match, bool) {
 // not match, for the diagnostics the paper calls for in §6. It returns ""
 // if no failure involving the pair was recorded.
 func (c *Comparer) FailureReason(a, b *mtype.Type, mode Mode) string {
-	return c.reasons[pairKey{unfold(a), unfold(b), mode}]
+	key := pairKey{unfold(a), unfold(b), mode}
+	if st := c.diagnosed(key); st != nil {
+		return key.describeFailure(st)
+	}
+	return ""
+}
+
+// diagnosed returns the pair's state if a failure reason is recorded.
+func (c *Comparer) diagnosed(key pairKey) *pairState {
+	if st := c.pairs[key]; st != nil && st.why != whyNone {
+		return st
+	}
+	return nil
+}
+
+// describeFailure renders the reason recorded in st for the pair.
+func (k pairKey) describeFailure(st *pairState) string {
+	args := []any{st.x, st.y}
+	switch st.why {
+	case whyKinds:
+		args = []any{k.a.Kind(), k.b.Kind()}
+	case whyInteger:
+		alo, ahi := k.a.IntegerRange()
+		blo, bhi := k.b.IntegerRange()
+		args = []any{alo, ahi, blo, bhi}
+	case whyCharacter:
+		args = []any{k.a.Repertoire(), k.b.Repertoire()}
+	case whyReal:
+		pa, ea := k.a.RealParams()
+		pb, eb := k.b.RealParams()
+		args = []any{pa, ea, pb, eb}
+	}
+	format := whyText[st.why] // takes as many operands as it has verbs
+	return fmt.Sprintf(format, args[:strings.Count(format, "%")]...)
 }
 
 // unfold resolves chains of μ nodes to the underlying structural node.
@@ -256,37 +360,31 @@ func (c *Comparer) compare(a, b *mtype.Type, mode Mode) (ok, selfContained bool)
 	if ua == nil || ub == nil {
 		return false, true
 	}
-	key := pairKey{ua, ub, mode}
+	st := c.state(pairKey{ua, ub, mode})
 	if ua == ub {
-		c.decisions[key] = &Decision{Kind: DecSame, A: ua, B: ub}
+		if st.dec == nil { // a same-node pair never earns another decision
+			st.dec = &Decision{Kind: DecSame, A: ua, B: ub}
+		}
 		return true, true
 	}
-	if c.rules.Cache {
-		if c.proven[key] {
-			return true, true
-		}
-		if c.failed[key] {
-			return false, true
-		}
+	if c.rules.Cache && (st.proven || st.failed) {
+		return st.proven, true
 	}
 	// Programmer-registered semantic conversions match by fiat (§6). The
 	// hook is directional: a two-way stub needs both directions
 	// registered.
 	if ua.Tag() != "" && ub.Tag() != "" {
 		if hook, ok := c.semantic[[2]string{ua.Tag(), ub.Tag()}]; ok {
-			c.decisions[key] = &Decision{Kind: DecSemantic, A: ua, B: ub, Hook: hook}
-			if c.rules.Cache {
-				c.proven[key] = true
-			}
+			st.dec = &Decision{Kind: DecSemantic, A: ua, B: ub, Hook: hook}
+			st.proven = true
 			return true, true
 		}
 	}
-	if c.assume[key] {
-		// Coinductive hypothesis: the pair is on the current proof path.
+	if st.onPath {
 		return true, false
 	}
-	c.assume[key] = true
-	ok, self := c.structural(ua, ub, mode, key)
+	st.onPath = true
+	ok, self := c.structural(ua, ub, mode, st)
 	if !ok && mode == ModeSubtype && ub.Kind() == mtype.KindChoice && ua.Kind() != mtype.KindChoice {
 		// Injection: a non-choice is a subtype of a choice when it is a
 		// subtype of one of its alternatives (a definite value can be
@@ -294,17 +392,15 @@ func (c *Comparer) compare(a, b *mtype.Type, mode Mode) (ok, selfContained bool)
 		for j, alt := range ub.Alts() {
 			okJ, selfJ := c.compare(ua, alt.Type, ModeSubtype)
 			if okJ {
-				c.decisions[key] = &Decision{Kind: DecInject, A: ua, B: ub, AltMap: []int{j}}
+				st.dec = &Decision{Kind: DecInject, A: ua, B: ub, AltMap: []int{j}}
 				ok, self = true, selfJ
 				break
 			}
 		}
 	}
-	delete(c.assume, key)
+	st.onPath = false
 	if !ok {
-		if c.rules.Cache {
-			c.failed[key] = true
-		}
+		st.failed = true
 		return false, true
 	}
 	// A proof that used only this pair's own assumption is discharged by
@@ -312,35 +408,30 @@ func (c *Comparer) compare(a, b *mtype.Type, mode Mode) (ok, selfContained bool)
 	// used *other* path assumptions remain conditional; they are not
 	// cached but their decisions stand (they are re-derived consistently
 	// because the graph is deterministic).
-	if self && c.rules.Cache {
-		c.proven[key] = true
-	}
+	st.proven = st.proven || self
 	return true, self
 }
 
 // structural dispatches on the unfolded node kinds.
-func (c *Comparer) structural(a, b *mtype.Type, mode Mode, key pairKey) (ok, selfContained bool) {
+func (c *Comparer) structural(a, b *mtype.Type, mode Mode, st *pairState) (ok, selfContained bool) {
 	ak, bk := a.Kind(), b.Kind()
 
-	// Primitive pairs.
-	switch {
-	case ak == mtype.KindInteger && bk == mtype.KindInteger:
-		return c.integer(a, b, mode, key), true
-	case ak == mtype.KindCharacter && bk == mtype.KindCharacter:
-		return c.character(a, b, mode, key), true
-	case ak == mtype.KindReal && bk == mtype.KindReal:
-		return c.real(a, b, mode, key), true
+	switch ak {
+	case mtype.KindInteger, mtype.KindCharacter, mtype.KindReal:
+		if ak == bk {
+			return st.primitive(a, b, mode), true
+		}
 	}
 
 	// Record-like matching (also covers Unit-vs-empty-record).
 	if ak == mtype.KindRecord || bk == mtype.KindRecord ||
 		(ak == mtype.KindUnit && bk == mtype.KindUnit) {
-		return c.recordMatch(a, b, mode, key)
+		return c.recordMatch(a, b, mode, st)
 	}
 
 	switch {
 	case ak == mtype.KindChoice && bk == mtype.KindChoice:
-		return c.choiceMatch(a, b, mode, key)
+		return c.choiceMatch(a, b, mode, st)
 	case ak == mtype.KindPort && bk == mtype.KindPort:
 		var okE, selfE bool
 		if mode == ModeSubtype {
@@ -351,59 +442,44 @@ func (c *Comparer) structural(a, b *mtype.Type, mode Mode, key pairKey) (ok, sel
 			okE, selfE = c.compare(a.Elem(), b.Elem(), ModeEqual)
 		}
 		if !okE {
-			c.fail(key, "port elements differ")
+			st.fail(whyPort, 0, 0)
 			return false, selfE
 		}
-		c.decisions[key] = &Decision{Kind: DecPort, A: a, B: b}
+		st.dec = &Decision{Kind: DecPort, A: a, B: b}
 		return true, selfE
 	default:
-		c.fail(key, fmt.Sprintf("kinds differ: %s vs %s", ak, bk))
+		st.fail(whyKinds, 0, 0)
 		return false, true
 	}
 }
 
-func (c *Comparer) integer(a, b *mtype.Type, mode Mode, key pairKey) bool {
-	alo, ahi := a.IntegerRange()
-	blo, bhi := b.IntegerRange()
-	okRange := alo.Cmp(blo) == 0 && ahi.Cmp(bhi) == 0
+// primitive compares two primitive nodes of one kind. It neither allocates
+// nor formats: a failed probe stores a reason code, and the operands stay
+// on the nodes.
+func (st *pairState) primitive(a, b *mtype.Type, mode Mode) bool {
+	var eq, sub bool
+	why := whyInteger
+	switch a.Kind() {
+	case mtype.KindInteger:
+		lo, hi := a.CompareIntegerRange(b)
+		eq, sub = lo == 0 && hi == 0, lo >= 0 && hi <= 0
+	case mtype.KindCharacter:
+		ra, rb := a.Repertoire(), b.Repertoire()
+		eq, sub, why = ra == rb, rb.Includes(ra), whyCharacter
+	default:
+		pa, ea := a.RealParams()
+		pb, eb := b.RealParams()
+		eq, sub, why = pa == pb && ea == eb, pa <= pb && ea <= eb, whyReal
+	}
 	if mode == ModeSubtype {
-		okRange = alo.Cmp(blo) >= 0 && ahi.Cmp(bhi) <= 0
+		eq = sub
 	}
-	if !okRange {
-		c.fail(key, fmt.Sprintf("integer ranges: [%s..%s] vs [%s..%s]", alo, ahi, blo, bhi))
-		return false
+	if !eq {
+		st.fail(why, 0, 0)
+	} else if st.dec == nil {
+		st.dec = &Decision{Kind: DecPrim, A: a, B: b}
 	}
-	c.decisions[key] = &Decision{Kind: DecPrim, A: a, B: b}
-	return true
-}
-
-func (c *Comparer) character(a, b *mtype.Type, mode Mode, key pairKey) bool {
-	ra, rb := a.Repertoire(), b.Repertoire()
-	ok := ra == rb
-	if mode == ModeSubtype {
-		ok = rb.Includes(ra)
-	}
-	if !ok {
-		c.fail(key, fmt.Sprintf("character repertoires: %s vs %s", ra, rb))
-		return false
-	}
-	c.decisions[key] = &Decision{Kind: DecPrim, A: a, B: b}
-	return true
-}
-
-func (c *Comparer) real(a, b *mtype.Type, mode Mode, key pairKey) bool {
-	pa, ea := a.RealParams()
-	pb, eb := b.RealParams()
-	ok := pa == pb && ea == eb
-	if mode == ModeSubtype {
-		ok = pa <= pb && ea <= eb
-	}
-	if !ok {
-		c.fail(key, fmt.Sprintf("real precision: (%d,%d) vs (%d,%d)", pa, ea, pb, eb))
-		return false
-	}
-	c.decisions[key] = &Decision{Kind: DecPrim, A: a, B: b}
-	return true
+	return eq
 }
 
 // flattenBudget bounds the number of leaves associative flattening may
@@ -421,65 +497,68 @@ var errFlattenBudget = errors.New("flattening budget exceeded")
 // flatten returns the record leaves of t. With associativity, records
 // nested directly inside records are expanded (never through a μ node);
 // with unit elimination, leaves that unfold to Unit are kept but marked.
-// A non-record node is a single leaf of itself.
-func (c *Comparer) flatten(t *mtype.Type) ([]FlatLeaf, error) {
-	var out []FlatLeaf
-	var walk func(n *mtype.Type, path []int, depth int) error
-	walk = func(n *mtype.Type, path []int, depth int) error {
-		if len(out) >= flattenBudget {
+// A non-record node is a single leaf of itself. A node is flattened once
+// per comparer: the walk keeps one path stack and copies a path out only
+// at a leaf, so its cost is the size of its result.
+func (c *Comparer) flatten(t *mtype.Type) *flattening {
+	if f := c.flat[t]; f != nil {
+		return f
+	}
+	f := &flattening{}
+	c.flat[t] = f
+	var path []int
+	var walk func(n *mtype.Type) error
+	walk = func(n *mtype.Type) error {
+		if len(f.leaves) >= flattenBudget {
 			return errFlattenBudget
 		}
-		un := unfold(n)
+		un, depth := unfold(n), len(path)
 		semanticLeaf := un != nil && un.Tag() != "" && c.semanticTags[un.Tag()] && depth > 0
 		if un != nil && un.Kind() == mtype.KindRecord && (depth == 0 || c.rules.Associativity) && !semanticLeaf {
-			for i, f := range un.Fields() {
-				if err := walk(f.Type, append(append([]int(nil), path...), i), depth+1); err != nil {
+			for i, fld := range un.Fields() {
+				path = append(path, i)
+				err := walk(fld.Type)
+				path = path[:depth]
+				if err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		leaf := FlatLeaf{Path: append([]int(nil), path...), Node: n}
-		if c.rules.UnitElimination && un != nil && un.Kind() == mtype.KindUnit {
-			leaf.Unit = true
+		leaf := FlatLeaf{Node: n, Unit: c.rules.UnitElimination && un != nil && un.Kind() == mtype.KindUnit}
+		if depth > 0 {
+			if cap(c.paths)-len(c.paths) < depth {
+				c.paths = make([]int, 0, max(256, depth))
+			}
+			c.paths = append(c.paths, path...)
+			leaf.Path = c.paths[len(c.paths)-depth : len(c.paths) : len(c.paths)]
 		}
-		out = append(out, leaf)
+		if !leaf.Unit {
+			f.live, f.nodes = append(f.live, len(f.leaves)), append(f.nodes, n)
+		}
+		f.leaves = append(f.leaves, leaf)
 		return nil
 	}
-	if err := walk(t, nil, 0); err != nil {
-		return nil, err
+	if err := walk(t); err != nil {
+		*f = flattening{err: err}
 	}
-	return out, nil
+	return f
 }
 
 // recordMatch matches two record-like nodes by flattening both sides and
 // finding a permutation of non-unit leaves.
-func (c *Comparer) recordMatch(a, b *mtype.Type, mode Mode, key pairKey) (bool, bool) {
-	flatA, errA := c.flatten(a)
-	flatB, errB := c.flatten(b)
-	if errA != nil || errB != nil {
-		c.fail(key, "record too wide to flatten (budget exceeded); restructure or pass large aggregates by reference")
+func (c *Comparer) recordMatch(a, b *mtype.Type, mode Mode, st *pairState) (bool, bool) {
+	fa, fb := c.flatten(a), c.flatten(b)
+	if fa.err != nil || fb.err != nil {
+		st.fail(whyTooWide, 0, 0)
+		return false, true
+	}
+	if len(fa.live) != len(fb.live) {
+		st.fail(whyLeafCount, len(fa.live), len(fb.live))
 		return false, true
 	}
 
-	// Indices of leaves that participate in matching.
-	var liveA, liveB []int
-	for i, l := range flatA {
-		if !l.Unit {
-			liveA = append(liveA, i)
-		}
-	}
-	for i, l := range flatB {
-		if !l.Unit {
-			liveB = append(liveB, i)
-		}
-	}
-	if len(liveA) != len(liveB) {
-		c.fail(key, fmt.Sprintf("record leaf counts differ: %d vs %d", len(liveA), len(liveB)))
-		return false, true
-	}
-
-	perm := make([]int, len(flatA))
+	perm := make([]int, len(fa.leaves))
 	for i := range perm {
 		perm[i] = -1
 	}
@@ -487,54 +566,42 @@ func (c *Comparer) recordMatch(a, b *mtype.Type, mode Mode, key pairKey) (bool, 
 
 	if !c.rules.Commutativity {
 		// Order-preserving matching.
-		for k, ia := range liveA {
-			ib := liveB[k]
-			ok, s := c.compare(flatA[ia].Node, flatB[ib].Node, mode)
+		for k, ia := range fa.live {
+			ok, s := c.compare(fa.nodes[k], fb.nodes[k], mode)
 			self = self && s
 			if !ok {
-				c.fail(key, fmt.Sprintf("record leaf %d does not match leaf %d", ia, ib))
+				st.fail(whyLeaf, ia, fb.live[k])
 				return false, self
 			}
-			perm[ia] = ib
+			perm[ia] = fb.live[k]
 		}
 	} else {
-		aNodes := make([]*mtype.Type, len(liveA))
-		for k, ia := range liveA {
-			aNodes[k] = flatA[ia].Node
-		}
-		bNodes := make([]*mtype.Type, len(liveB))
-		for k, ib := range liveB {
-			bNodes[k] = flatB[ib].Node
-		}
-		assignment, ok, s := c.matchMultiset(aNodes, bNodes, mode)
+		assignment, ok, s := c.matchMultiset(fa.nodes, fb.nodes, mode)
 		self = self && s
 		if !ok {
-			c.fail(key, "no permutation of record leaves matches")
+			st.fail(whyNoPermutation, 0, 0)
 			return false, self
 		}
-		for k, ia := range liveA {
-			perm[ia] = liveB[assignment[k]]
+		for k, ia := range fa.live {
+			perm[ia] = fb.live[assignment[k]]
 		}
 	}
 
-	c.decisions[key] = &Decision{
-		Kind: DecRecord, A: a, B: b,
-		FlatA: flatA, FlatB: flatB, Perm: perm,
-	}
+	st.dec = &Decision{Kind: DecRecord, A: a, B: b, FlatA: fa.leaves, FlatB: fb.leaves, Perm: perm}
 	return true, self
 }
 
 // choiceMatch matches two choices alternative-by-alternative: a bijection
 // for equality, an injection into b for subtyping (a choice with fewer
 // alternatives can be used where one with more is expected).
-func (c *Comparer) choiceMatch(a, b *mtype.Type, mode Mode, key pairKey) (bool, bool) {
+func (c *Comparer) choiceMatch(a, b *mtype.Type, mode Mode, st *pairState) (bool, bool) {
 	altsA, altsB := a.Alts(), b.Alts()
 	if mode == ModeEqual && len(altsA) != len(altsB) {
-		c.fail(key, fmt.Sprintf("choice alternative counts differ: %d vs %d", len(altsA), len(altsB)))
+		st.fail(whyAltCount, len(altsA), len(altsB))
 		return false, true
 	}
 	if mode == ModeSubtype && len(altsA) > len(altsB) {
-		c.fail(key, fmt.Sprintf("choice has more alternatives: %d vs %d", len(altsA), len(altsB)))
+		st.fail(whyMoreAlts, len(altsA), len(altsB))
 		return false, true
 	}
 
@@ -549,30 +616,22 @@ func (c *Comparer) choiceMatch(a, b *mtype.Type, mode Mode, key pairKey) (bool, 
 			ok, s := c.compare(altsA[i].Type, altsB[i].Type, mode)
 			self = self && s
 			if !ok {
-				c.fail(key, fmt.Sprintf("choice alternative %d does not match", i))
+				st.fail(whyAlt, i, 0)
 				return false, self
 			}
 			altMap[i] = i
 		}
 	} else {
-		aNodes := make([]*mtype.Type, len(altsA))
-		for i := range altsA {
-			aNodes[i] = altsA[i].Type
-		}
-		bNodes := make([]*mtype.Type, len(altsB))
-		for j := range altsB {
-			bNodes[j] = altsB[j].Type
-		}
-		assignment, ok, s := c.matchMultiset(aNodes, bNodes, mode)
+		assignment, ok, s := c.matchMultiset(a.Children(), b.Children(), mode)
 		self = self && s
 		if !ok {
-			c.fail(key, "no mapping of choice alternatives matches")
+			st.fail(whyNoAltMapping, 0, 0)
 			return false, self
 		}
 		copy(altMap, assignment)
 	}
 
-	c.decisions[key] = &Decision{Kind: DecChoice, A: a, B: b, AltMap: altMap}
+	st.dec = &Decision{Kind: DecChoice, A: a, B: b, AltMap: altMap}
 	return true, self
 }
 
@@ -693,12 +752,6 @@ func (c *Comparer) matchMultiset(a, b []*mtype.Type, mode Mode) (assignment []in
 	return out, true, self
 }
 
-func (c *Comparer) fail(key pairKey, reason string) {
-	if _, dup := c.reasons[key]; !dup {
-		c.reasons[key] = reason
-	}
-}
-
 // Explain renders a failure diagnosis for a root pair: the recorded
 // reasons reachable from the pair, indented by depth. It supports the
 // mismatch-isolation workflow of §6.
@@ -713,12 +766,15 @@ func (c *Comparer) Explain(a, b *mtype.Type, mode Mode) string {
 			return
 		}
 		seen[key] = true
-		if r, ok := c.reasons[key]; ok {
-			fmt.Fprintf(&sb, "%s%s ~ %s: %s\n", strings.Repeat("  ", depth), describe(ux), describe(uy), r)
+		if st := c.diagnosed(key); st != nil {
+			fmt.Fprintf(&sb, "%s%s ~ %s: %s\n", strings.Repeat("  ", depth), describe(ux), describe(uy), key.describeFailure(st))
+		}
+		if ux == nil || uy == nil {
+			return // an unbound μ: nothing below it was compared
 		}
 		for _, cx := range ux.Children() {
 			for _, cy := range uy.Children() {
-				if c.reasons[pairKey{unfold(cx), unfold(cy), mode}] != "" {
+				if c.diagnosed(pairKey{unfold(cx), unfold(cy), mode}) != nil {
 					walk(cx, cy, depth+1)
 				}
 			}

@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -307,15 +308,7 @@ func TestDecisionsForNestedPairs(t *testing.T) {
 
 func TestPermutationIsBijection(t *testing.T) {
 	f := func(seed int64) bool {
-		state := seed
-		rnd := func(n int) int {
-			state = state*6364136223846793005 + 1442695040888963407
-			v := int((state >> 33) % int64(n))
-			if v < 0 {
-				v += n
-			}
-			return v
-		}
+		rnd := lcg(seed)
 		prims := []func() *mtype.Type{i8, i16, f32, f64, ch}
 		n := 2 + rnd(4)
 		leaves := make([]*mtype.Type, n)
@@ -363,15 +356,7 @@ func TestPermutationIsBijection(t *testing.T) {
 
 func TestPropertyEquivalenceReflexiveSymmetric(t *testing.T) {
 	f := func(seed int64) bool {
-		state := seed
-		rnd := func(n int) int {
-			state = state*6364136223846793005 + 1442695040888963407
-			v := int((state >> 33) % int64(n))
-			if v < 0 {
-				v += n
-			}
-			return v
-		}
+		rnd := lcg(seed)
 		ty := genType(rnd, 3)
 		c := NewComparer(DefaultRules())
 		if _, ok := c.Equivalent(ty, ty); !ok {
@@ -389,15 +374,7 @@ func TestPropertyEquivalenceReflexiveSymmetric(t *testing.T) {
 
 func TestPropertySubtypeReflexiveFromEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
-		state := seed
-		rnd := func(n int) int {
-			state = state*6364136223846793005 + 1442695040888963407
-			v := int((state >> 33) % int64(n))
-			if v < 0 {
-				v += n
-			}
-			return v
-		}
+		rnd := lcg(seed)
 		a := genType(rnd, 3)
 		b := genType(rnd, 3)
 		c := NewComparer(DefaultRules())
@@ -454,5 +431,187 @@ func genType(rnd func(int) int, depth int) *mtype.Type {
 		return mtype.NewPort(genType(rnd, depth-1))
 	default:
 		return mtype.NewList(genType(rnd, depth-1))
+	}
+}
+
+// TestExplainUnboundRecursive: a side that unfolds to nothing (an unbound
+// μ) compares false without a recorded reason; Explain used to walk its
+// children and panic on the nil node.
+func TestExplainUnboundRecursive(t *testing.T) {
+	c := NewComparer(DefaultRules())
+	mu := mtype.NewRecursive()
+	for _, pair := range [][2]*mtype.Type{{mu, mtype.Unit()}, {mtype.Unit(), mu}, {mu, mu}, {nil, i8()}} {
+		if _, ok := c.Equivalent(pair[0], pair[1]); ok {
+			t.Fatalf("%v ≡ %v", pair[0], pair[1])
+		}
+		if got := c.Explain(pair[0], pair[1], ModeEqual); got != "no mismatch recorded" {
+			t.Errorf("Explain = %q", got)
+		}
+		if got := c.FailureReason(pair[0], pair[1], ModeEqual); got != "" {
+			t.Errorf("FailureReason = %q", got)
+		}
+	}
+	// One level down the mismatch is diagnosed at the enclosing record.
+	a, b := mtype.RecordOf(i8(), mu), mtype.RecordOf(i8(), f32())
+	if _, ok := c.Equivalent(a, b); ok {
+		t.Fatal("a record holding an unbound μ matched")
+	}
+	if got, want := c.Explain(a, b, ModeEqual), "record ~ record: no permutation of record leaves matches\n"; got != want {
+		t.Errorf("Explain = %q, want %q", got, want)
+	}
+}
+
+// TestRegisterSemanticInvalidatesFlattenMemo: flattening is memoized per
+// comparer, and a registration changes what dissolves — a tagged record
+// nested in a record stops being expanded once its tag names a hook.
+func TestRegisterSemanticInvalidatesFlattenMemo(t *testing.T) {
+	slope := mtype.RecordOf(f32(), f32()).SetTag("SlopeLine")
+	points := mtype.RecordOf(f32(), f32(), f32(), f32()).SetTag("PointsLine")
+	a, b := mtype.RecordOf(i8(), slope), mtype.RecordOf(i8(), points)
+	c := NewComparer(DefaultRules())
+	if _, ok := c.Equivalent(a, b); ok {
+		t.Fatal("three leaves matched five")
+	}
+	c.RegisterSemantic("SlopeLine", "PointsLine", "slopeToPoints")
+	m, ok := c.Subtype(a, b)
+	if !ok {
+		t.Fatalf("registered pair does not match:\n%s", c.Explain(a, b, ModeSubtype))
+	}
+	d, err := m.Decision(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.FlatA) != 2 || len(d.FlatB) != 2 {
+		t.Fatalf("tagged records were dissolved: %d and %d leaves", len(d.FlatA), len(d.FlatB))
+	}
+	if inner, err := m.Decision(slope, points); err != nil || inner.Kind != DecSemantic || inner.Hook != "slopeToPoints" {
+		t.Fatalf("inner decision = %+v, %v", inner, err)
+	}
+}
+
+// lcg is the seeded generator the property tests draw from.
+func lcg(seed int64) func(int) int {
+	state := seed
+	return func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		v := int((state >> 33) % int64(n))
+		if v < 0 {
+			v += n
+		}
+		return v
+	}
+}
+
+// widen returns a supertype of t built only from moves the subtype rules
+// allow: wider integers, reals and repertoires, permuted record fields, an
+// extra choice alternative, and a single-leaf value made optional. Nothing
+// under a port is touched (widening there would narrow the port).
+func widen(rnd func(int) int, t *mtype.Type) *mtype.Type {
+	switch t.Kind() {
+	case mtype.KindInteger:
+		if lo, hi := t.IntegerRange(); rnd(2) == 0 && lo.IsInt64() && hi.IsInt64() && hi.Int64() < 1<<40 {
+			return mtype.NewInteger(lo.Lsh(lo.Sub(lo, big.NewInt(1)), 1), hi.Lsh(hi.Add(hi, big.NewInt(1)), 1))
+		}
+	case mtype.KindReal:
+		if rnd(2) == 0 {
+			return f64()
+		}
+	case mtype.KindCharacter:
+		if rnd(2) == 0 {
+			return mtype.NewCharacter(mtype.RepUnicode)
+		}
+	case mtype.KindRecord:
+		kids := t.Children()
+		for i := range kids {
+			kids[i] = widen(rnd, kids[i])
+		}
+		for i := len(kids) - 1; i > 0; i-- {
+			j := rnd(i + 1)
+			kids[i], kids[j] = kids[j], kids[i]
+		}
+		return mtype.RecordOf(kids...)
+	case mtype.KindChoice:
+		kids := t.Children()
+		for i := range kids {
+			kids[i] = widen(rnd, kids[i])
+		}
+		if rnd(2) == 0 {
+			kids = append(kids, mtype.NewPort(ch()))
+		}
+		return mtype.ChoiceOf(kids...)
+	case mtype.KindRecursive:
+		if elem, ok := mtype.ListElem(t); ok {
+			return mtype.NewList(widen(rnd, elem))
+		}
+	}
+	// A unit or a record is not made optional: inside a record it dissolves
+	// into zero or several leaves, the optional would be one.
+	switch t.Kind() {
+	case mtype.KindUnit, mtype.KindRecord, mtype.KindChoice:
+		return t
+	}
+	if rnd(4) == 0 {
+		return mtype.NewOptional(t)
+	}
+	return t
+}
+
+// TestPropertySubtypeTransitive: a <: b and b <: c imply a <: c, on chains
+// built by widening (where both premises hold by construction) and on
+// unrelated generated triples (where they rarely do).
+func TestPropertySubtypeTransitive(t *testing.T) {
+	isSub := func(a, b *mtype.Type) bool {
+		_, ok := NewComparer(DefaultRules()).Subtype(a, b)
+		return ok
+	}
+	chains := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rnd := lcg(seed)
+		a := genType(rnd, 3)
+		b, c := widen(rnd, a), genType(rnd, 3)
+		if seed%2 == 0 {
+			c = widen(rnd, b)
+			if !isSub(a, b) || !isSub(b, c) {
+				t.Fatalf("seed %d: widening left the subtype relation:\n a=%s\n b=%s\n c=%s", seed, a, b, c)
+			}
+		}
+		if isSub(a, b) && isSub(b, c) {
+			chains++
+			if !isSub(a, c) {
+				t.Errorf("seed %d: a <: b <: c but not a <: c\n a=%s\n b=%s\n c=%s", seed, a, b, c)
+			}
+		}
+	}
+	if chains < 150 {
+		t.Errorf("only %d of 300 triples exercised the law", chains)
+	}
+}
+
+// TestPropertyEquivalentIffMutualSubtype: Equivalent(a, b) holds exactly
+// when Subtype(a, b) and Subtype(b, a) both do. Half the pairs are a type
+// against a shuffled copy or a widening of itself, so both outcomes occur.
+func TestPropertyEquivalentIffMutualSubtype(t *testing.T) {
+	equal, unequal := 0, 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rnd := lcg(seed)
+		a := genType(rnd, 3)
+		b := genType(rnd, 3)
+		if seed%2 == 0 {
+			b = widen(rnd, a)
+		}
+		_, eq := NewComparer(DefaultRules()).Equivalent(a, b)
+		_, ab := NewComparer(DefaultRules()).Subtype(a, b)
+		_, ba := NewComparer(DefaultRules()).Subtype(b, a)
+		if eq != (ab && ba) {
+			t.Errorf("seed %d: equivalent=%v but a<:b=%v, b<:a=%v\n a=%s\n b=%s", seed, eq, ab, ba, a, b)
+		}
+		if eq {
+			equal++
+		} else {
+			unequal++
+		}
+	}
+	if equal < 30 || unequal < 30 {
+		t.Errorf("lopsided sample: %d equivalent, %d not", equal, unequal)
 	}
 }

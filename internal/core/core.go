@@ -217,21 +217,25 @@ func (s *Session) Compare(universeA, declA, universeB, declB string) (*Verdict, 
 	if err != nil {
 		return nil, err
 	}
+	return s.compareMtypes(mtA, mtB), nil
+}
+
+func (s *Session) compareMtypes(mtA, mtB *mtype.Type) *Verdict {
 	c := s.newComparer()
 	if m, ok := c.Equivalent(mtA, mtB); ok {
-		return &Verdict{Relation: RelEquivalent, Match: m, Steps: c.Steps()}, nil
+		return &Verdict{Relation: RelEquivalent, Match: m, Steps: c.Steps()}
 	}
 	if m, ok := c.Subtype(mtA, mtB); ok {
-		return &Verdict{Relation: RelSubtypeAB, Match: m, Steps: c.Steps()}, nil
+		return &Verdict{Relation: RelSubtypeAB, Match: m, Steps: c.Steps()}
 	}
 	if m, ok := c.Subtype(mtB, mtA); ok {
-		return &Verdict{Relation: RelSubtypeBA, Match: m, Steps: c.Steps()}, nil
+		return &Verdict{Relation: RelSubtypeBA, Match: m, Steps: c.Steps()}
 	}
 	return &Verdict{
 		Relation: RelNone,
 		Explain:  c.Explain(mtA, mtB, compare.ModeEqual),
 		Steps:    c.Steps(),
-	}, nil
+	}
 }
 
 // BuildConverter builds and closure-compiles the coercion plan witnessed

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bind"
 	"repro/internal/cmem"
 	"repro/internal/compare"
+	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/value"
 )
@@ -293,6 +294,16 @@ func TestCompareMismatchExplains(t *testing.T) {
 	}
 	if v.Explain == "" || v.Explain == "no mismatch recorded" {
 		t.Errorf("Explain = %q", v.Explain)
+	}
+}
+
+// TestCompareUnboundRecursive: the RelNone path asks the comparer to
+// explain itself, which used to dereference the nil an unbound μ unfolds
+// to. Lowering never hands one out, so the test enters below it.
+func TestCompareUnboundRecursive(t *testing.T) {
+	v := NewSession().compareMtypes(mtype.NewRecursive(), mtype.Unit())
+	if v.Relation != RelNone || v.Match != nil || v.Explain != "no mismatch recorded" {
+		t.Fatalf("verdict = %+v", v)
 	}
 }
 

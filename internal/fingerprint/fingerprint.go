@@ -37,7 +37,7 @@ package fingerprint
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 
 	"repro/internal/mtype"
 )
@@ -211,7 +211,7 @@ func (g *graph) refine(canonical bool) Digest {
 					for _, c := range kids {
 						scratch = append(scratch, childColor(colors, c))
 					}
-					sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
+					slices.Sort(scratch)
 					for _, cc := range scratch {
 						h.mix(cc)
 					}

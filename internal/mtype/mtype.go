@@ -195,6 +195,16 @@ func (t *Type) IntegerRange() (lo, hi *big.Int) {
 	return new(big.Int).Set(t.lo), new(big.Int).Set(t.hi)
 }
 
+// CompareIntegerRange compares the bounds of two Integer Mtypes in place,
+// without the copies IntegerRange makes: lo is the sign of t's lower bound
+// minus u's, hi the sign of t's upper bound minus u's. Equal ranges give
+// (0, 0); t's range lies inside u's when lo >= 0 and hi <= 0.
+func (t *Type) CompareIntegerRange(u *Type) (lo, hi int) {
+	t.mustKind(KindInteger)
+	u.mustKind(KindInteger)
+	return t.lo.Cmp(u.lo), t.hi.Cmp(u.hi)
+}
+
 // NewCharacter returns a Character Mtype with the given repertoire.
 func NewCharacter(rep Repertoire) *Type {
 	if rep < RepASCII || rep > RepUnicode {
