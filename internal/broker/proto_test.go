@@ -142,11 +142,15 @@ func TestProtocolErrors(t *testing.T) {
 }
 
 func TestRequestTimeout(t *testing.T) {
-	// A deadline no real request can beat: every wire call fails promptly
-	// with a remote deadline error, while the session work completes in
-	// the background and warms the broker's state.
+	// The wire call fails promptly with a remote deadline error, while
+	// the session work completes in the background and warms the broker's
+	// state. The session lock is held across the call so the work cannot
+	// finish first: a 1 ns timer alone loses the select to a fast load
+	// about once in fifteen runs under the race detector.
 	b, c := startDaemonOpts(t, Options{RequestTimeout: time.Nanosecond})
+	b.sessMu.Lock()
 	_, _, err := c.Load("x", "c", "ilp32", "typedef struct { int n; } one;", "")
+	b.sessMu.Unlock()
 	if err == nil {
 		t.Fatal("load beat a 1ns server deadline")
 	}

@@ -195,11 +195,16 @@ func (p *Proxy) acceptLoop() {
 		p.mu.Unlock()
 
 		// One shared byte budget and one shared teardown per proxied
-		// connection pair.
+		// connection pair. The teardown counts its cause — once, and
+		// before either peer can observe it — so two legs crossing the
+		// same budget are one reset, not two.
 		var used atomic.Int64
 		var once sync.Once
-		closeBoth := func(rst bool) {
+		closeBoth := func(rst bool, cause *atomic.Int64) {
 			once.Do(func() {
+				if cause != nil {
+					cause.Add(1)
+				}
 				if rst {
 					reset(down)
 					reset(up)
@@ -230,7 +235,7 @@ func reset(c net.Conn) {
 // pipe forwards src→dst applying the current faults per chunk. Once the
 // pair is black-holed it keeps draining src (so both endpoints see a
 // live connection) without forwarding anything.
-func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst bool)) {
+func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst bool, cause *atomic.Int64)) {
 	defer p.wg.Done()
 	buf := make([]byte, 32<<10)
 	blackholed := false
@@ -252,13 +257,11 @@ func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst b
 					break
 				}
 				if f.TruncateAfter > 0 && prev >= f.TruncateAfter {
-					p.truncations.Add(1)
-					closeBoth(false)
+					closeBoth(false, &p.truncations)
 					return
 				}
 				if f.ResetAfter > 0 && prev >= f.ResetAfter {
-					p.resets.Add(1)
-					closeBoth(true)
+					closeBoth(true, &p.resets)
 					return
 				}
 				if f.StallAfter > 0 && prev >= f.StallAfter {
@@ -271,7 +274,7 @@ func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst b
 					}
 					chunk = chunk[:1]
 					if !p.sleepFor(f.stallInterval()) {
-						closeBoth(false)
+						closeBoth(false, nil)
 						return
 					}
 				} else {
@@ -284,11 +287,11 @@ func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst b
 					}
 				}
 				if !p.sleep(f) {
-					closeBoth(false)
+					closeBoth(false, nil)
 					return
 				}
 				if _, err := dst.Write(chunk); err != nil {
-					closeBoth(false)
+					closeBoth(false, nil)
 					return
 				}
 				used.Add(int64(len(chunk)))
@@ -298,7 +301,7 @@ func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst b
 		}
 		if err != nil {
 			if !blackholed {
-				closeBoth(false)
+				closeBoth(false, nil)
 			}
 			return
 		}

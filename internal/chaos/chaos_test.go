@@ -113,6 +113,27 @@ func TestChaosProxyReset(t *testing.T) {
 	}
 }
 
+// TestChaosProxyResetCountsPairOnce drives both legs of each pair past
+// the shared budget — the request leg still holds 56 bytes when the echo
+// leg reads the first 8 back — and requires one reset per connection.
+func TestChaosProxyResetCountsPairOnce(t *testing.T) {
+	ln := echoServer(t)
+	p := startProxy(t, ln.Addr().String(), Faults{ResetAfter: 8})
+	const conns = 40
+	for i := 0; i < conns; i++ {
+		c := dialProxy(t, p)
+		if _, err := c.Write(make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, _ = io.ReadAll(c)
+		_ = c.Close()
+	}
+	if got := p.Stats().Resets; got != conns {
+		t.Errorf("resets = %d over %d connections, want one each", got, conns)
+	}
+}
+
 func TestChaosProxyTruncate(t *testing.T) {
 	ln := echoServer(t)
 	p := startProxy(t, ln.Addr().String(), Faults{TruncateAfter: 10})

@@ -2,7 +2,11 @@ package gateway
 
 import (
 	"context"
+	"encoding/binary"
+	"io"
 	"repro/internal/testutil"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/orb"
@@ -78,5 +82,79 @@ func TestFusedRelayAllocs(t *testing.T) {
 	}
 	if r := g.Stats().Routes[0]; r.FastTier == 0 || r.TreeTier != 0 {
 		t.Fatalf("fast=%d tree=%d, relay left the fast tier", r.FastTier, r.TreeTier)
+	}
+}
+
+// TestStreamRelayWarmAllocs pins what a 4 MiB fused stream may allocate
+// once its route is warm. Client, gateway and sink share this process,
+// so the figure includes the chunk frames both servers read (the
+// payload's size, twice); what the gateway adds is the buffered prefix,
+// sized once. The prefix goes to the pooled stream engine in
+// shuttle-sized pieces, so the engine's windows stay under the size its
+// pool keeps and the second stream finds them grown; pushed whole, they
+// were regrown by doubling on every call, and with the prefix doubling
+// its way up too the figure was 19.7 MiB.
+func TestStreamRelayWarmAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation counts")
+	}
+	up, err := orb.NewServer("127.0.0.1:0", orb.WithBufPooling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = up.Close() })
+	up.RegisterStream("svc", func(ctx context.Context, op uint32, in *orb.StreamReader, out *orb.StreamWriter) error {
+		n, err := io.Copy(io.Discard, in)
+		if err != nil {
+			return err
+		}
+		_, err = out.Write(binary.LittleEndian.AppendUint64(nil, uint64(n)))
+		return err
+	})
+	cfg := &Config{Upstream: up.Addr(), Routes: []RouteConfig{{
+		Key: "svc", Op: 1, Request: &LaneConfig{From: batchADecl(), To: batchBDecl()},
+	}}}
+	g, srv := startGateway(t, cfg, Options{})
+	const records = (4 << 20) / 16
+	payload := batchPayload(t, lowerDecl(t, batchADecl()), records)
+	c := dialOrb(t, srv.Addr())
+
+	// No collection while measuring: sync.Pool may drop the engine at one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	stream := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sc, err := c.OpenStream(context.Background(), "svc", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		for off := 0; off < len(payload); off += 32 << 10 {
+			if _, err := sc.Write(payload[off:min(off+32<<10, len(payload))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sc.CloseSend(); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(sc)
+		// The B image: the count, then 16 bytes a record from residue 4.
+		if err != nil || len(reply) != 8 || binary.LittleEndian.Uint64(reply) != 4+16*records {
+			t.Fatalf("sink replied % x, %v; want the size of %d transcoded records", reply, err, records)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := stream(), stream()
+	t.Logf("first stream allocated %d KiB, second %d KiB", first>>10, second>>10)
+	if second > first+first/20 {
+		t.Errorf("warm stream allocated %d bytes, more than the cold one's %d", second, first)
+	}
+	const ceiling = 12 << 20 // measured 9.5 MiB: 8 of frames, 1.06 of prefix
+	if second > ceiling {
+		t.Errorf("warm 4 MiB stream allocated %d bytes, ceiling %d: the engine's windows were regrown", second, ceiling)
+	}
+	if r := g.Stats().Routes[0]; r.Streamed != 2 {
+		t.Fatalf("streamed = %d of 2 calls", r.Streamed)
 	}
 }

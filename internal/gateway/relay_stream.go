@@ -90,13 +90,18 @@ func (g *Gateway) frontStreamHandler(key string) orb.StreamHandler {
 }
 
 // readUpTo buffers stream input until EOF or more than limit bytes are
-// pending, reporting whether the stream ended within the limit.
+// pending, reporting whether the stream ended within the limit. A body
+// that outgrows one shuttle buffer gets its buffer sized once, for the
+// threshold plus the read that crosses it, rather than doubled up to it.
 func readUpTo(in *orb.StreamReader, limit int) ([]byte, bool, error) {
 	bp := relayBufPool.Get().(*[]byte)
 	defer relayBufPool.Put(bp)
 	var buf []byte
 	for len(buf) <= limit {
 		n, err := in.Read(*bp)
+		if need := len(buf) + n; need > cap(buf) && need > len(*bp) {
+			buf = append(make([]byte, 0, max(need, min(limit, DefaultStreamThreshold)+len(*bp))), buf...)
+		}
 		buf = append(buf, (*bp)[:n]...)
 		if err == io.EOF {
 			return buf, true, nil
@@ -210,11 +215,16 @@ func (g *Gateway) forwardRequest(ctx context.Context, r *route, sc *orb.StreamCa
 		}
 		return nil
 	}
-	if err := push(prefix); err != nil {
-		return err
-	}
 	bp := relayBufPool.Get().(*[]byte)
 	defer relayBufPool.Put(bp)
+	// The prefix goes in shuttle-sized pieces like the chunks after it: as
+	// one push it would grow the pooled engine's windows past what Release
+	// keeps, and hold the first upstream write back a megabyte.
+	for ; len(prefix) > 0; prefix = prefix[min(len(prefix), len(*bp)):] {
+		if err := push(prefix[:min(len(prefix), len(*bp))]); err != nil {
+			return err
+		}
+	}
 	for {
 		n, err := in.Read(*bp)
 		if n > 0 {

@@ -24,6 +24,17 @@ func FuzzStreamOracle(f *testing.F) {
 		{"permuted-records", mtype.NewList(mtype.RecordOf(i32(), f64t())), mtype.NewList(mtype.RecordOf(f64t(), i32()))},
 		{"scalar-bulk", mtype.NewList(i32()), mtype.NewList(i32())},
 		{"variable-strings", mtype.NewList(mtype.RecordOf(strT(), i16())), mtype.NewList(mtype.RecordOf(i16(), strT()))},
+		// Fixed-layout elements, the stride kernel's cases: relay_bulk's
+		// eight-field permutation, a range-checked pair, a binary32 pair.
+		{"stride-relay-bulk",
+			mtype.NewList(mtype.RecordOf(i32(), f64t(), i32(), f64t(), i32(), f64t(), i32(), f64t())),
+			mtype.NewList(mtype.RecordOf(f64t(), i32(), f64t(), i32(), f64t(), i32(), f64t(), i32()))},
+		{"stride-ranged",
+			mtype.NewList(mtype.RecordOf(i32(), ranged(0, 5), f64t(), ranged(-100, 100))),
+			mtype.NewList(mtype.RecordOf(f64t(), ranged(-1000, 1000), ranged(0, 250), i32()))},
+		{"stride-binary32",
+			mtype.NewList(mtype.RecordOf(f32(), i16(), f32())),
+			mtype.NewList(mtype.RecordOf(f64t(), f32(), i16()))},
 	}
 	xcs := make([]*transcode.Transcoder, len(fixtures))
 	for i, fx := range fixtures {
@@ -50,6 +61,15 @@ func FuzzStreamOracle(f *testing.F) {
 	f.Add(uint8(0), uint64(7), append(append([]byte(nil), valid...), 0xcc))
 	f.Add(uint8(1), uint64(3), []byte{2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0})
 	f.Add(uint8(2), uint64(13), strs)
+	bulk := make([]byte, 4+60+64) // two relay_bulk records behind their count
+	bulk[0] = 2
+	for i := 4; i < len(bulk); i++ {
+		bulk[i] = byte(i * 7)
+	}
+	f.Add(uint8(3), uint64(5), bulk)
+	f.Add(uint8(4), uint64(11), []byte{2, 0, 0, 0, 9, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0xf6, 0, 0, 0,
+		1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0x10})
+	f.Add(uint8(5), uint64(17), []byte{1, 0, 0, 0, 1, 0, 0xa0, 0x7f, 9, 0, 0, 0, 0, 0, 0xc0, 0x3f})
 
 	f.Fuzz(func(t *testing.T, which uint8, seed uint64, src []byte) {
 		xc := xcs[int(which)%len(xcs)]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/big"
 	"testing"
 	"time"
 
@@ -18,9 +19,13 @@ import (
 
 func i32() *mtype.Type    { return mtype.NewIntegerBits(32, true) }
 func i16() *mtype.Type    { return mtype.NewIntegerBits(16, true) }
+func f32() *mtype.Type    { return mtype.NewFloat32() }
 func f64t() *mtype.Type   { return mtype.NewFloat64() }
 func latin1() *mtype.Type { return mtype.NewCharacter(mtype.RepLatin1) }
 func strT() *mtype.Type   { return mtype.NewList(latin1()) }
+func ranged(lo, hi int64) *mtype.Type {
+	return mtype.NewInteger(big.NewInt(lo), big.NewInt(hi))
+}
 
 func str(s string) value.Value {
 	var vs []value.Value
@@ -30,11 +35,15 @@ func str(s string) value.Value {
 	return value.FromSlice(vs)
 }
 
-// buildXC compiles the fused transcoder for an equivalent pair.
+// buildXC compiles the fused transcoder for an equivalent pair, or for
+// a subtype pair when a only widens into b.
 func buildXC(t testing.TB, a, b *mtype.Type) *transcode.Transcoder {
 	t.Helper()
 	c := compare.NewComparer(compare.DefaultRules())
 	m, ok := c.Equivalent(a, b)
+	if !ok {
+		m, ok = c.Subtype(a, b)
+	}
 	if !ok {
 		t.Fatalf("no match:\n%s", c.Explain(a, b, compare.ModeEqual))
 	}
@@ -426,6 +435,36 @@ func TestPipeValidationErrorReachesReader(t *testing.T) {
 		t.Fatalf("read: got %v, want wrapped wire.ErrShort", err)
 	}
 	_ = pr.Close()
+}
+
+// TestWindowsStayPoolable is the reason relays push in shuttle-sized
+// pieces: fed 64 KiB at a time, a 4 MiB sequence leaves both windows
+// under maxPooledWindow, so Release keeps them; fed a megabyte at once
+// they outgrow it and the next stream starts from nothing.
+func TestWindowsStayPoolable(t *testing.T) {
+	a, _, xc := recListPair(t)
+	src := recListPayload(t, a, (4<<20)/16)
+	for _, tc := range []struct {
+		piece    int
+		poolable bool
+	}{{64 << 10, true}, {1<<20 + 64<<10, false}} {
+		eng := New(xc, Options{})
+		for off := 0; off < len(src); off += tc.piece {
+			if err := eng.Push(src[off:min(off+tc.piece, len(src))]); err != nil {
+				t.Fatal(err)
+			}
+			eng.Take()
+		}
+		if _, err := eng.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if got := cap(eng.in) <= maxPooledWindow && cap(eng.out) <= maxPooledWindow; got != tc.poolable {
+			t.Errorf("%d-byte pieces: windows of %d and %d bytes, poolable = %v, want %v",
+				tc.piece, cap(eng.in), cap(eng.out), got, tc.poolable)
+		}
+		eng.in, eng.out = nil, nil // keep the oversized windows out of other tests' pool
+		eng.Release()
+	}
 }
 
 // TestSteadyStateAllocs pins the pooled hot path: pushing chunks through

@@ -107,3 +107,49 @@ func BenchmarkTranscodeList(b *testing.B) {
 		}
 	})
 }
+
+// strideWindow compiles the relay_bulk element pair as a sequence and
+// lays n records out as SeqStep sees them after the count prefix: the
+// window's first record at residue 4.
+func strideWindow(tb testing.TB, n int) (*Transcoder, []byte) {
+	tb.Helper()
+	ea, eb := bulkRecPair()
+	la, lb := mtype.NewList(ea), mtype.NewList(eb)
+	pl, err := matchPair(la, lb, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	xc, err := Compile(pl, la, lb)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	vs := make([]value.Value, n)
+	r := lcg(1)
+	for i := range vs {
+		vs[i] = strideValue(ea, &r)
+	}
+	src, err := wire.Marshal(la, value.FromSlice(vs))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return xc, src
+}
+
+// BenchmarkSeqStepStride is the streaming step on fixed-layout records:
+// one 32 KiB window of the relay_bulk element pair per iteration, into
+// an output buffer that is already large enough.
+func BenchmarkSeqStepStride(b *testing.B) {
+	const records = 512
+	xc, src := strideWindow(b, records)
+	dst := make([]byte, 0, 2*len(src))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, done, err := xc.SeqStep(dst[:4], src, 4, records)
+		if err != nil || done != records {
+			b.Fatalf("SeqStep = %d records, %v", done, err)
+		}
+		dst = out[:0]
+	}
+}

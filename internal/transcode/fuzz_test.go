@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/compare"
 	"repro/internal/convert"
 	"repro/internal/mtype"
-	"repro/internal/plan"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -21,7 +19,32 @@ type fuzzPair struct {
 }
 
 func fuzzPairs() []fuzzPair {
+	bulkA, bulkB := bulkRecPair()
+	rngA, rngB := rangedRecPair()
+	f32A, f32B := float32RecPair()
+	seed := lcg(3)
 	return []fuzzPair{
+		// Fixed-layout element pairs: the stride kernel's sequences.
+		{
+			name: "stride-relay-bulk",
+			a:    mtype.NewList(bulkA),
+			b:    mtype.NewList(bulkB),
+			seed: list(strideValue(bulkA, &seed), strideValue(bulkA, &seed)),
+		},
+		{
+			name: "stride-ranged",
+			a:    mtype.NewList(rngA),
+			b:    mtype.NewList(rngB),
+			sub:  true,
+			seed: list(strideValue(rngA, &seed), strideValue(rngA, &seed), strideValue(rngA, &seed)),
+		},
+		{
+			name: "stride-binary32",
+			a:    mtype.NewList(f32A),
+			b:    mtype.NewList(f32B),
+			sub:  true,
+			seed: list(strideValue(f32A, &seed), strideValue(f32A, &seed)),
+		},
 		{
 			name: "permuted-record",
 			a:    mtype.RecordOf(i32(), i64t(), f64t(), strT(), i16()),
@@ -130,20 +153,9 @@ type fuzzFixture struct {
 func buildFuzzFixtures() ([]fuzzFixture, error) {
 	var out []fuzzFixture
 	for _, p := range fuzzPairs() {
-		c := compare.NewComparer(compare.DefaultRules())
-		var m *compare.Match
-		var ok bool
-		if p.sub {
-			m, ok = c.Subtype(p.a, p.b)
-		} else {
-			m, ok = c.Equivalent(p.a, p.b)
-		}
-		if !ok {
-			return nil, fmt.Errorf("%s: no match", p.name)
-		}
-		pl, err := plan.Build(m)
+		pl, err := matchPair(p.a, p.b, p.sub)
 		if err != nil {
-			return nil, fmt.Errorf("%s: plan: %w", p.name, err)
+			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
 		xc, err := Compile(pl, p.a, p.b)
 		if err != nil {

@@ -9,8 +9,8 @@ import (
 // unfold to the same Mtype node (a DecSame plan leaf). Identity is not
 // simply memcpy: padding must be re-zeroed, range checks re-applied, and
 // binary32 NaNs re-canonicalized to stay byte-identical with
-// decode→encode — copy-safe subtrees take the bulk path, everything else
-// is structurally re-emitted.
+// decode→encode — fixed-layout subtrees move by the stride kernel's
+// table, everything else is structurally re-emitted.
 //
 // The declared pair matters once, at the top: two distinct μ nodes can
 // share an unfolding while only one of them is list-shaped (sequence
@@ -45,11 +45,7 @@ func (c *compiler) identNew(tA, tB *mtype.Type) (emitFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		var bulk *layout
-		if lay := c.analyze(elemA); lay.copySafe() {
-			bulk = lay
-		}
-		return listEmit(elem, bulk), nil
+		return listEmit(elem, c.identKernel(elemA)), nil
 	}
 	ut := wire.Unfold(tA)
 	if ut == nil || wire.Unfold(tB) != ut {
@@ -91,11 +87,7 @@ func (c *compiler) identNew(tA, tB *mtype.Type) (emitFn, error) {
 			x.depth--
 			return nil
 		}
-		lay := c.analyze(tA)
-		if !lay.copySafe() {
-			return structural, nil
-		}
-		return bulkOrElse(lay, structural), nil
+		return kernelOr(c.identKernel(tA), structural), nil
 	case mtype.KindChoice:
 		alts := ut.Alts()
 		subs := make([]emitFn, len(alts))
@@ -126,39 +118,5 @@ func (c *compiler) identNew(tA, tB *mtype.Type) (emitFn, error) {
 		}, nil
 	default:
 		return nil, unsupported("identity on %s", ut.Kind())
-	}
-}
-
-// bulkOrElse wraps a copy-safe fixed layout: when the source and
-// destination cursors agree modulo the subtree's alignment, the whole
-// subtree is one bounds-checked copy plus hole zeroing; otherwise the
-// interior padding would land differently and the structural program
-// runs instead.
-func bulkOrElse(lay *layout, structural emitFn) emitFn {
-	size := lay.size
-	holes := lay.holes
-	align := lay.align
-	levels := lay.levels
-	return func(x *xctx) error {
-		rs := x.off % 8
-		if rs%align != x.dstRel()%align {
-			return structural(x)
-		}
-		if x.depth+levels > wire.MaxDecodeDepth {
-			return depthErr()
-		}
-		sz := size[rs]
-		if x.off+sz > len(x.src) {
-			return truncErr(x.off + sz)
-		}
-		start := len(x.dst)
-		x.dst = append(x.dst, x.src[x.off:x.off+sz]...)
-		for _, h := range holes[rs] {
-			for i := start + h[0]; i < start+h[1]; i++ {
-				x.dst[i] = 0
-			}
-		}
-		x.off += sz
-		return nil
 	}
 }

@@ -13,9 +13,9 @@ import (
 // value, so a subtree's byte image is a function of its start-offset
 // residue: all interior alignments divide the subtree's maximum alignment
 // a, hence the image depends only on (start mod a). For fixed-size types
-// we tabulate size and padding holes for every residue 0..7, which is
-// what lets the emitter replace structural walks with bounds-checked bulk
-// copies.
+// we tabulate the size for every residue 0..7, which is what lets a
+// skip step over a subtree arithmetically and the stride kernel
+// (stride.go) lay both sides of a pair out ahead of time.
 type layout struct {
 	// fixed reports a size independent of the bytes (no lists, choices,
 	// or ports anywhere in the subtree).
@@ -26,40 +26,25 @@ type layout struct {
 	// size[r] is the encoded size, including leading padding, when the
 	// subtree starts at offset ≡ r (mod 8); meaningful only when fixed.
 	size [8]int
-	// holes[r] lists padding byte ranges [start,end) relative to the
-	// subtree start at residue r. The tree engine re-encodes padding as
-	// zeros, so bulk copies must zero these to stay byte-identical.
-	holes [8][][2]int
+	// signed reports a signed integer primitive.
+	signed bool
 	// checked reports that decoding performs value validation somewhere
 	// in the subtree (range-restricted integers). Such subtrees cannot
 	// be skipped or copied without replicating the checks.
 	checked bool
-	// canonical reports decode→encode reproduces the input bytes
-	// exactly. False for binary32 reals: widening a signaling NaN quiets
-	// it, so the tree engine canonicalizes bit patterns a raw copy would
-	// preserve.
-	canonical bool
 	// levels is the maximum decode recursion depth below this node (0
 	// for primitives), mirroring wire.decode's per-level budget checks.
 	levels int
 }
 
-// copySafe reports that a raw byte copy of the subtree (plus hole
-// zeroing) is indistinguishable from decode→encode.
-func (l *layout) copySafe() bool { return l.fixed && !l.checked && l.canonical }
-
 // skipSafe reports that the subtree can be skipped arithmetically: no
 // value validation happens during decode.
 func (l *layout) skipSafe() bool { return l.fixed && !l.checked }
 
-func primLayout(width int, checked, canonical bool) *layout {
-	l := &layout{fixed: true, align: width, checked: checked, canonical: canonical}
+func primLayout(width int, checked bool) *layout {
+	l := &layout{fixed: true, align: width, checked: checked}
 	for r := 0; r < 8; r++ {
-		pad := (width - r%width) % width
-		l.size[r] = pad + width
-		if pad > 0 {
-			l.holes[r] = [][2]int{{0, pad}}
-		}
+		l.size[r] = (width-r%width)%width + width
 	}
 	return l
 }
@@ -82,33 +67,33 @@ func (c *compiler) analyze(t *mtype.Type) *layout {
 	}
 	switch ut.Kind() {
 	case mtype.KindInteger:
-		size, _, err := wire.IntWidth(ut)
+		size, signed, err := wire.IntWidth(ut)
 		if err != nil {
 			l.checked = true
 			return l
 		}
-		*l = *primLayout(size, intChecked(ut), true)
+		*l = *primLayout(size, intChecked(ut))
+		l.signed = signed
 	case mtype.KindCharacter:
-		*l = *primLayout(wire.CharWidth(ut), false, true)
+		*l = *primLayout(wire.CharWidth(ut), false)
 	case mtype.KindReal:
 		size, err := wire.RealWidth(ut)
 		if err != nil {
 			l.checked = true
 			return l
 		}
-		*l = *primLayout(size, false, size == 8)
+		*l = *primLayout(size, false)
 	case mtype.KindUnit:
-		*l = layout{fixed: true, align: 1, canonical: true}
+		*l = layout{fixed: true, align: 1}
 	case mtype.KindRecord:
 		fields := ut.Fields()
 		subs := make([]*layout, len(fields))
-		fixed, checked, canonical, align, levels := true, false, true, 1, 0
+		fixed, checked, align, levels := true, false, 1, 0
 		for i, f := range fields {
 			fl := c.analyze(f.Type)
 			subs[i] = fl
 			fixed = fixed && fl.fixed
 			checked = checked || fl.checked
-			canonical = canonical && fl.canonical
 			if fl.align > align {
 				align = fl.align
 			}
@@ -117,7 +102,6 @@ func (c *compiler) analyze(t *mtype.Type) *layout {
 			}
 		}
 		l.checked = checked
-		l.canonical = canonical
 		l.levels = levels
 		if !fixed {
 			return l
@@ -127,9 +111,6 @@ func (c *compiler) analyze(t *mtype.Type) *layout {
 		for r := 0; r < 8; r++ {
 			off := r
 			for _, fl := range subs {
-				for _, h := range fl.holes[off%8] {
-					l.holes[r] = append(l.holes[r], [2]int{off - r + h[0], off - r + h[1]})
-				}
 				off += fl.size[off%8]
 			}
 			l.size[r] = off - r
@@ -229,7 +210,7 @@ func (c *compiler) skipForNew(t *mtype.Type) (skipFn, error) {
 					}
 				}
 				if off > len(src) {
-					return 0, truncErr(off)
+					return 0, errTruncated
 				}
 				return off, nil
 			}
@@ -256,18 +237,18 @@ func (c *compiler) skipForNew(t *mtype.Type) (skipFn, error) {
 			}
 			off += size[off%8]
 			if off > len(src) {
-				return 0, truncErr(off)
+				return 0, errTruncated
 			}
 			return off, nil
 		}, nil
 	}
 	switch ut.Kind() {
 	case mtype.KindInteger:
-		size, signed, err := wire.IntWidth(ut)
-		if err != nil {
+		if !lay.fixed {
 			return nil, unsupported("integer exceeds 64 bits")
 		}
-		check, err := intRangeCheck(ut)
+		size := lay.align
+		check, err := intRange(ut)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +260,7 @@ func (c *compiler) skipForNew(t *mtype.Type) (skipFn, error) {
 			if err != nil {
 				return 0, err
 			}
-			if err := check(u, size, signed); err != nil {
+			if err := check.check(u, size); err != nil {
 				return 0, err
 			}
 			return off, nil
@@ -356,38 +337,42 @@ func (c *compiler) skipForNew(t *mtype.Type) (skipFn, error) {
 	}
 }
 
-// intRangeCheck builds the validation applied by wire.decode to integers
-// of the given type: sign-extend to 64 bits and compare against the
-// declared range.
-func intRangeCheck(ut *mtype.Type) (func(u uint64, size int, signed bool) error, error) {
-	if !intChecked(ut) {
-		return func(uint64, int, bool) error { return nil }, nil
-	}
+// rangeCheck is the validation wire.decode applies to integers of one
+// type; the zero value is the vacuous check of a range filling its width.
+type rangeCheck struct {
+	kind   uint8
+	lo, hi uint64 // int64 bits when kind is rangeSigned
+}
+
+const (
+	rangeNone = iota
+	rangeSigned
+	rangeUnsigned
+)
+
+func intRange(ut *mtype.Type) (rangeCheck, error) {
 	lo, hi := ut.IntegerRange()
-	if lo.Sign() < 0 {
-		if !lo.IsInt64() || !hi.IsInt64() {
-			return nil, unsupported("integer range exceeds 64 bits")
-		}
-		min, max := lo.Int64(), hi.Int64()
-		return func(u uint64, size int, signed bool) error {
-			shift := uint(64 - 8*size)
-			v := int64(u<<shift) >> shift
-			if v < min || v > max {
-				return fmt.Errorf("transcode: decoded %d outside range [%d..%d]", v, min, max)
-			}
-			return nil
-		}, nil
+	switch {
+	case !intChecked(ut):
+		return rangeCheck{}, nil
+	case lo.Sign() < 0 && lo.IsInt64() && hi.IsInt64():
+		return rangeCheck{rangeSigned, uint64(lo.Int64()), uint64(hi.Int64())}, nil
+	case lo.Sign() >= 0 && hi.IsUint64():
+		return rangeCheck{rangeUnsigned, lo.Uint64(), hi.Uint64()}, nil
 	}
-	if !hi.IsUint64() {
-		return nil, unsupported("integer range exceeds 64 bits")
+	return rangeCheck{}, unsupported("integer range exceeds 64 bits")
+}
+
+// check validates u, read from size bytes.
+func (r rangeCheck) check(u uint64, size int) error {
+	shift := uint(64 - 8*size)
+	switch v := int64(u<<shift) >> shift; {
+	case r.kind == rangeSigned && (v < int64(r.lo) || v > int64(r.hi)):
+		return fmt.Errorf("transcode: decoded %d outside range [%d..%d]", v, int64(r.lo), int64(r.hi))
+	case r.kind == rangeUnsigned && (u < r.lo || u > r.hi):
+		return fmt.Errorf("transcode: decoded %d outside range [%d..%d]", u, r.lo, r.hi)
 	}
-	min, max := lo.Uint64(), hi.Uint64()
-	return func(u uint64, size int, signed bool) error {
-		if u < min || u > max {
-			return fmt.Errorf("transcode: decoded %d outside range [%d..%d]", u, min, max)
-		}
-		return nil
-	}, nil
+	return nil
 }
 
 func depthErr() error {
@@ -399,10 +384,6 @@ func depthErr() error {
 // formatting an offset into each would put fmt.Errorf on the per-chunk
 // resume path.
 var errTruncated = fmt.Errorf("transcode: %w inside value", wire.ErrShort)
-
-func truncErr(off int) error {
-	return errTruncated
-}
 
 func discErr(disc uint64, alts int) error {
 	return fmt.Errorf("transcode: discriminant %d out of range (%d alternatives)", disc, alts)

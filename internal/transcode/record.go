@@ -21,18 +21,20 @@ type outStep struct {
 // reduce to reordering one flat leaf sequence into another. The emitted
 // program runs in two phases — a validating scan over the A leaves that
 // builds an offset table in pooled scratch, then an emission pass in
-// B-leaf order reading each leaf at its recorded span. A leading run of
-// copy-safe identity leaves (the common partially-permuted case) is
-// tabulated per start residue so it collapses to one bulk copy when the
-// source and destination cursors agree modulo its alignment.
+// B-leaf order reading each leaf at its recorded span. A pair that is
+// fixed-layout throughout also gets a stride kernel (stride.go), returned
+// beside the program: callers hand this program only the record the
+// kernel stopped at. Short of that, a leading run of fixed-layout leaves
+// that stay in place (the common partially-permuted case) gets a kernel
+// of its own and moves by table once the scan has passed.
 //
 // dropLead strips that many leading path components from leaf depth
-// accounting; listPair passes 1 because its leaves are rooted at the
+// accounting; consElem passes 1 because its leaves are rooted at the
 // cons cell's head field while wire.decode recurses on the element type
 // directly.
-func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans []*plan.Node, dropLead int) (emitFn, error) {
+func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans []*plan.Node, dropLead int) (emitFn, *kernel, error) {
 	if len(perm) != len(flatA) || len(leafPlans) != len(flatA) {
-		return nil, unsupported("malformed record plan")
+		return nil, nil, unsupported("malformed record plan")
 	}
 	if len(flatA) > c.maxLeaves {
 		c.maxLeaves = len(flatA)
@@ -42,13 +44,9 @@ func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans
 	for i, leaf := range flatA {
 		skip, err := c.skipFor(leaf.Node)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		add := len(leaf.Path) - dropLead
-		if add < 0 {
-			add = 0
-		}
-		steps[i] = leafStep{skip: skip, depthAdd: add}
+		steps[i] = leafStep{skip: skip, depthAdd: max(len(leaf.Path)-dropLead, 0)}
 	}
 
 	invPerm := make([]int, len(flatB))
@@ -58,7 +56,7 @@ func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans
 	for i, j := range perm {
 		if j >= 0 {
 			if j >= len(flatB) || invPerm[j] >= 0 {
-				return nil, unsupported("malformed record permutation")
+				return nil, nil, unsupported("malformed record permutation")
 			}
 			invPerm[j] = i
 		}
@@ -72,85 +70,30 @@ func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans
 		}
 		i := invPerm[j]
 		if i < 0 || leafPlans[i] == nil {
-			return nil, unsupported("destination leaf %d has no source", j)
+			return nil, nil, unsupported("destination leaf %d has no source", j)
 		}
 		emit, err := c.pair(leafPlans[i], flatA[i].Node, flatB[j].Node)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		outs[j] = outStep{src: i, emit: emit}
 	}
 
-	// Identity prefix: leading leaves where A and B agree in place and a
-	// raw copy is byte-faithful.
+	k := c.kernel(flatA, flatB, invPerm, leafPlans, dropLead)
+	var pk *kernel // of the in-place prefix, when not of the whole record
 	prefix := 0
-	prefAlign := 1
-	maxLv := 0
-	for prefix < len(flatA) && prefix < len(flatB) {
-		k := prefix
-		if flatA[k].Unit && flatB[k].Unit {
-			prefix++
-			continue
-		}
-		if flatA[k].Unit || flatB[k].Unit || perm[k] != k ||
-			leafPlans[k] == nil || leafPlans[k].Kind != compare.DecSame {
-			break
-		}
-		la := c.analyze(flatA[k].Node)
-		lb := c.analyze(flatB[k].Node)
-		if !la.copySafe() || !lb.copySafe() {
-			break
-		}
-		if la.align > prefAlign {
-			prefAlign = la.align
-		}
-		if lv := steps[k].depthAdd + la.levels; lv > maxLv {
-			maxLv = lv
-		}
+	for k == nil && prefix < len(flatA) && prefix < len(flatB) && c.analyze(flatA[prefix].Node).fixed &&
+		(perm[prefix] == prefix || flatA[prefix].Unit && flatB[prefix].Unit) {
 		prefix++
 	}
-	var prefSize [8]int
-	var prefHoles [8][][2]int
-	for r := 0; r < 8; r++ {
-		off := r
-		for k := 0; k < prefix; k++ {
-			if flatA[k].Unit {
-				continue
-			}
-			lay := c.analyze(flatA[k].Node)
-			for _, h := range lay.holes[off%8] {
-				prefHoles[r] = append(prefHoles[r], [2]int{off - r + h[0], off - r + h[1]})
-			}
-			off += lay.size[off%8]
-		}
-		prefSize[r] = off - r
+	if prefix > 0 {
+		pk = c.kernel(flatA[:prefix], flatB[:prefix], invPerm, leafPlans, dropLead)
 	}
-	wholeBulk := prefix == len(flatA) && prefix == len(flatB)
 
 	return func(x *xctx) error {
 		if x.depth > wire.MaxDecodeDepth {
 			return depthErr()
 		}
-		if wholeBulk {
-			rs := x.off % 8
-			if rs%prefAlign == x.dstRel()%prefAlign {
-				if x.depth+maxLv > wire.MaxDecodeDepth {
-					return depthErr()
-				}
-				sz := prefSize[rs]
-				if x.off+sz > len(x.src) {
-					return truncErr(x.off + sz)
-				}
-				start := len(x.dst)
-				x.dst = append(x.dst, x.src[x.off:x.off+sz]...)
-				for _, h := range prefHoles[rs] {
-					zero(x.dst, start+h[0], start+h[1])
-				}
-				x.off += sz
-				return nil
-			}
-		}
-
 		spans, mark := x.grabSpans(len(steps))
 		entryOff := x.off
 		for i := range steps {
@@ -167,18 +110,9 @@ func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans
 		baseDepth := x.depth
 
 		j0 := 0
-		if prefix > 0 {
-			rs := entryOff % 8
-			if rs%prefAlign == x.dstRel()%prefAlign {
-				end := endOff
-				if prefix < len(steps) {
-					end = spans[prefix]
-				}
-				start := len(x.dst)
-				x.dst = append(x.dst, x.src[entryOff:end]...)
-				for _, h := range prefHoles[rs] {
-					zero(x.dst, start+h[0], start+h[1])
-				}
+		if pk != nil {
+			x.off = entryOff
+			if n, _ := pk.step(x, 1); n == 1 {
 				j0 = prefix
 			}
 		}
@@ -199,11 +133,5 @@ func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans
 		x.off = endOff
 		x.arena = x.arena[:mark]
 		return nil
-	}, nil
-}
-
-func zero(b []byte, from, to int) {
-	for i := from; i < to; i++ {
-		b[i] = 0
-	}
+	}, k, nil
 }

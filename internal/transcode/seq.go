@@ -48,33 +48,14 @@ func (t *Transcoder) SeqStep(dst, src []byte, off, remaining int) ([]byte, int, 
 	if t.seqElem == nil {
 		return dst, off, 0, unsupported("pair is not a streamable sequence")
 	}
-	done := 0
-	if b := t.seqBulk; b != nil && remaining > 0 {
-		rs := off % 8
-		sz := b.size[rs]
-		if rs%b.align == len(dst)%b.align && sz%b.align == 0 && len(b.holes[rs]) == 0 {
-			if 1+b.levels > wire.MaxDecodeDepth {
-				return dst, off, 0, depthErr()
-			}
-			if sz == 0 {
-				// Zero-size elements (units) complete vacuously.
-				return dst, off, remaining, nil
-			}
-			n := (len(src) - off) / sz
-			if n > remaining {
-				n = remaining
-			}
-			if n > 0 {
-				total := n * sz
-				dst = append(dst, src[off:off+total]...)
-				off += total
-				done = n
-			}
-			return dst, off, done, nil
-		}
-	}
 	x := t.pool.Get().(*xctx)
 	x.src, x.dst, x.base, x.off, x.depth = src, dst, 0, off, 1
+	// Fixed-layout elements move by table; the element program sees only
+	// the one the kernel stopped at, and says why.
+	done := 0
+	if t.seqKern != nil {
+		done, _ = t.seqKern.step(x, remaining)
+	}
 	var err error
 	for done < remaining {
 		markDst := len(x.dst)

@@ -110,10 +110,10 @@ type Transcoder struct {
 
 	// Sequence streaming support (see seq.go): when both declared types
 	// are list-shaped and the per-element conversion compiles, seqElem is
-	// the element program and seqBulk its copy-safe layout (nil when the
-	// element needs structural re-emission). Populated by Compile.
+	// the element program and seqKern the stride kernel of a fixed-layout
+	// element (nil otherwise). Populated by Compile.
 	seqElem emitFn
-	seqBulk *layout
+	seqKern *kernel
 }
 
 // Compile fuses a coercion plan with the declared source and destination
@@ -147,26 +147,7 @@ func Compile(p *plan.Plan, a, b *mtype.Type) (*Transcoder, error) {
 	// pair just is not streamable.
 	if elemA, listA := mtype.ListElem(a); listA {
 		if elemB, listB := mtype.ListElem(b); listB {
-			var elem emitFn
-			var bulk *layout
-			var serr error
-			switch p.Root.Kind {
-			case compare.DecSame:
-				elem, serr = c.ident(elemA, elemB)
-				if serr == nil {
-					if lay := c.analyze(elemA); lay.copySafe() {
-						bulk = lay
-					}
-				}
-			case compare.DecChoice:
-				elem, bulk, serr = c.listParts(p.Root, elemA, elemB)
-			default:
-				serr = unsupported("non-list plan on list-shaped pair")
-			}
-			if serr == nil {
-				t.seqElem = elem
-				t.seqBulk = bulk
-			}
+			t.seqElem, t.seqKern, _ = c.listParts(p.Root, elemA, elemB)
 		}
 	}
 	t.arenaHint = c.maxLeaves * 4
@@ -255,13 +236,18 @@ func (c *compiler) pairNew(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) {
 		if listA || listB {
 			return nil, unsupported("record plan on list-shaped type")
 		}
-		return c.record(n.FlatA, n.FlatB, n.Perm, n.LeafPlans, 0)
+		slow, k, err := c.record(n.FlatA, n.FlatB, n.Perm, n.LeafPlans, 0)
+		return kernelOr(k, slow), err
 	case compare.DecChoice:
 		if listA != listB {
 			return nil, unsupported("sequence vs cons-chain encoding mix")
 		}
 		if listA {
-			return c.listPair(n, elemA, elemB)
+			elem, k, err := c.listParts(n, elemA, elemB)
+			if err != nil {
+				return nil, err
+			}
+			return listEmit(elem, k), nil
 		}
 		return c.choicePair(n, tA, tB)
 	case compare.DecInject:
@@ -326,53 +312,33 @@ func (c *compiler) choicePair(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) 
 	}, nil
 }
 
-// listPair compiles a sequence conversion from the cons-cell record plan
-// of two list-shaped types: the wire encodes μL.Choice(Unit, Record(τ,L))
-// as a count plus elements, so the per-element program is the cons record
-// conversion restricted to its head leaves, with the tail recursion
-// replaced by the element loop.
-func (c *compiler) listPair(n *plan.Node, elemA, elemB *mtype.Type) (emitFn, error) {
-	elemEmit, bulk, err := c.listParts(n, elemA, elemB)
-	if err != nil {
-		return nil, err
+// listParts compiles the per-element program of a list-shaped DecSame or
+// DecChoice plan, returning the element emitter and, when the element
+// pair is fixed-layout, its stride kernel. The wire encodes
+// μL.Choice(Unit, Record(τ,L)) as a count plus elements, so the element
+// program is the cons record conversion restricted to its head leaves.
+// Shared by pairNew (which wraps it in listEmit's count-prefixed loop)
+// and Compile's streaming probe (which exposes it to SeqStep).
+func (c *compiler) listParts(n *plan.Node, elemA, elemB *mtype.Type) (emitFn, *kernel, error) {
+	cons := n
+	if n.Kind == compare.DecChoice {
+		if len(n.AltMap) != 2 || n.AltMap[0] != 0 || n.AltMap[1] != 1 {
+			return nil, nil, unsupported("list choice with permuted alternatives")
+		}
+		if len(n.AltPlans) != 2 || n.AltPlans[1] == nil {
+			return nil, nil, unsupported("malformed list plan")
+		}
+		cons = n.AltPlans[1]
 	}
-	return listEmit(elemEmit, bulk), nil
-}
-
-// listParts compiles the per-element program of a list-shaped DecChoice
-// plan, returning the element emitter and, when the pair is a copy-safe
-// identity, its bulk layout. Shared by listPair (which wraps it in the
-// count-prefixed loop) and Compile's streaming probe (which exposes the
-// element program for chunk-at-a-time execution).
-func (c *compiler) listParts(n *plan.Node, elemA, elemB *mtype.Type) (emitFn, *layout, error) {
-	if len(n.AltMap) != 2 || n.AltMap[0] != 0 || n.AltMap[1] != 1 {
-		return nil, nil, unsupported("list choice with permuted alternatives")
-	}
-	if len(n.AltPlans) != 2 || n.AltPlans[1] == nil {
-		return nil, nil, unsupported("malformed list plan")
-	}
-	cons := n.AltPlans[1]
-	var elemEmit emitFn
-	var bulk *layout
-	var err error
 	switch cons.Kind {
 	case compare.DecSame:
-		elemEmit, err = c.ident(elemA, elemB)
-		if err != nil {
-			return nil, nil, err
-		}
-		if lay := c.analyze(elemA); lay.copySafe() {
-			bulk = lay
-		}
+		elem, err := c.ident(elemA, elemB)
+		return elem, c.identKernel(elemA), err
 	case compare.DecRecord:
-		elemEmit, err = c.consElem(cons)
-		if err != nil {
-			return nil, nil, err
-		}
+		return c.consElem(cons)
 	default:
 		return nil, nil, unsupported("list cons cell with plan kind %d", cons.Kind)
 	}
-	return elemEmit, bulk, nil
 }
 
 // consElem derives the per-element conversion from a cons-cell record
@@ -380,34 +346,35 @@ func (c *compiler) listParts(n *plan.Node, elemA, elemB *mtype.Type) (emitFn, *l
 // map to its counterpart; the remaining head leaves form an ordinary
 // record shuffle. Leaf paths lose their leading head index so depth
 // accounting matches wire.decode of the element type itself.
-func (c *compiler) consElem(cons *plan.Node) (emitFn, error) {
+func (c *compiler) consElem(cons *plan.Node) (emitFn, *kernel, error) {
 	tailA := len(cons.FlatA) - 1
 	tailB := len(cons.FlatB) - 1
 	if tailA < 0 || tailB < 0 ||
 		len(cons.FlatA[tailA].Path) != 1 || cons.FlatA[tailA].Path[0] != 1 ||
 		len(cons.FlatB[tailB].Path) != 1 || cons.FlatB[tailB].Path[0] != 1 {
-		return nil, unsupported("cons cell without trailing tail leaf")
+		return nil, nil, unsupported("cons cell without trailing tail leaf")
 	}
 	for i := 0; i < tailA; i++ {
 		if len(cons.FlatA[i].Path) == 0 || cons.FlatA[i].Path[0] != 0 {
-			return nil, unsupported("cons cell with non-head leaf")
+			return nil, nil, unsupported("cons cell with non-head leaf")
 		}
 	}
 	if cons.Perm[tailA] != tailB {
-		return nil, unsupported("cons tail does not map to tail")
+		return nil, nil, unsupported("cons tail does not map to tail")
 	}
 	for i := 0; i < tailA; i++ {
 		if cons.Perm[i] >= tailB {
-			return nil, unsupported("cons head leaf maps to tail")
+			return nil, nil, unsupported("cons head leaf maps to tail")
 		}
 	}
 	return c.record(cons.FlatA[:tailA], cons.FlatB[:tailB], cons.Perm[:tailA], cons.LeafPlans[:tailA], 1)
 }
 
-// listEmit builds the sequence loop. When the element pair is an
-// identity with a copy-safe layout, runs of elements collapse to one
-// bounds-checked bulk copy (the hot path for strings and scalar arrays).
-func listEmit(elem emitFn, bulk *layout) emitFn {
+// listEmit builds the sequence loop. A fixed-layout element pair brings
+// its stride kernel, and the element program runs only on the element
+// the kernel stopped at (for strings and scalar arrays the table is a
+// single run: one bounds-checked copy).
+func listEmit(elem emitFn, k *kernel) emitFn {
 	return func(x *xctx) error {
 		if x.depth > wire.MaxDecodeDepth {
 			return depthErr()
@@ -425,31 +392,21 @@ func listEmit(elem emitFn, bulk *layout) emitFn {
 		if n == 0 {
 			return nil
 		}
-		if bulk != nil {
-			rs := x.off % 8
-			sz := bulk.size[rs]
-			if rs%bulk.align == x.dstRel()%bulk.align && sz%bulk.align == 0 && len(bulk.holes[rs]) == 0 {
-				if x.depth+1+bulk.levels > wire.MaxDecodeDepth {
-					return depthErr()
-				}
-				total := n * sz
-				if x.off+total > len(x.src) {
-					return truncErr(x.off + total)
-				}
-				x.dst = append(x.dst, x.src[x.off:x.off+total]...)
-				x.off += total
-				return nil
+		x.depth++
+		done := 0
+		if k != nil {
+			// A sequence that enters on a whole-record copy has always
+			// reported its own end; any other leaves it to the element.
+			entry := k.at(x)
+			if done, err = k.step(x, n); !entry.whole {
+				err = nil
 			}
 		}
-		x.depth++
-		for i := 0; i < n; i++ {
-			if err := elem(x); err != nil {
-				x.depth--
-				return err
-			}
+		for ; done < n && err == nil; done++ {
+			err = elem(x)
 		}
 		x.depth--
-		return nil
+		return err
 	}
 }
 
@@ -472,98 +429,89 @@ func portEmit() emitFn {
 	}
 }
 
-// primEmit compiles a primitive-to-primitive conversion (identity or
-// widening), replicating the tree path's exact read-validate-write chain
-// so output bytes — including NaN canonicalization and sign extension —
-// are indistinguishable.
-func (c *compiler) primEmit(tA, tB *mtype.Type) (emitFn, error) {
-	ua, ub := wire.Unfold(tA), wire.Unfold(tB)
+// primOp resolves a primitive pair to the move that converts it — widths,
+// conversion, range check — for primEmit and the stride kernel's tables
+// alike, replicating the tree path's read-validate-write chain so output
+// bytes, NaN canonicalization and sign extension included, match.
+func (c *compiler) primOp(ua, ub *mtype.Type) (m move, err error) {
 	if ua == nil || ub == nil {
-		return nil, unsupported("unbound recursive type")
+		return m, unsupported("unbound recursive type")
 	}
 	if ua.Kind() != ub.Kind() {
-		return nil, unsupported("cross-kind primitive pair %s/%s", ua.Kind(), ub.Kind())
+		return m, unsupported("cross-kind primitive pair %s/%s", ua.Kind(), ub.Kind())
 	}
+	la, lb := c.analyze(ua), c.analyze(ub)
+	m = move{srcW: uint8(la.align), dstW: uint8(lb.align), op: opZext}
 	switch ua.Kind() {
 	case mtype.KindInteger:
-		sa, signed, err := wire.IntWidth(ua)
-		if err != nil {
-			return nil, unsupported("integer exceeds 64 bits")
+		if !la.fixed || !lb.fixed {
+			return m, unsupported("integer exceeds 64 bits")
 		}
-		sb, _, err := wire.IntWidth(ub)
-		if err != nil {
-			return nil, unsupported("integer exceeds 64 bits")
+		if la.signed {
+			m.op = opSext
 		}
-		check, err := intRangeCheck(ua)
-		if err != nil {
-			return nil, err
+		if la.checked {
+			m.chk, err = intRange(ua)
 		}
-		return func(x *xctx) error {
-			if x.depth > wire.MaxDecodeDepth {
-				return depthErr()
-			}
-			u, off, err := wire.ReadUint(x.src, x.off, sa)
-			if err != nil {
-				return err
-			}
-			if err := check(u, sa, signed); err != nil {
-				return err
-			}
-			if signed {
-				shift := uint(64 - 8*sa)
-				u = uint64(int64(u<<shift) >> shift)
-			}
-			x.off = off
-			x.dst = wire.AppendUint(x.dst, x.base, sb, u)
-			return nil
-		}, nil
 	case mtype.KindCharacter:
-		sa, sb := wire.CharWidth(ua), wire.CharWidth(ub)
-		return func(x *xctx) error {
-			if x.depth > wire.MaxDecodeDepth {
-				return depthErr()
-			}
-			u, off, err := wire.ReadUint(x.src, x.off, sa)
-			if err != nil {
-				return err
-			}
-			x.off = off
-			x.dst = wire.AppendUint(x.dst, x.base, sb, uint64(uint32(rune(u))))
-			return nil
-		}, nil
 	case mtype.KindReal:
-		sa, err := wire.RealWidth(ua)
-		if err != nil {
-			return nil, unsupported("real exceeds binary64")
+		if !la.fixed || !lb.fixed {
+			return m, unsupported("real exceeds binary64")
 		}
-		sb, err := wire.RealWidth(ub)
-		if err != nil {
-			return nil, unsupported("real exceeds binary64")
+		if m.srcW != 8 || m.dstW != 8 {
+			m.op = opReal
 		}
-		return func(x *xctx) error {
-			if x.depth > wire.MaxDecodeDepth {
-				return depthErr()
-			}
-			u, off, err := wire.ReadUint(x.src, x.off, sa)
-			if err != nil {
-				return err
-			}
-			var f float64
-			if sa == 4 {
-				f = float64(math.Float32frombits(uint32(u)))
-			} else {
-				f = math.Float64frombits(u)
-			}
-			if sb == 4 {
-				u = uint64(math.Float32bits(float32(f)))
-			} else {
-				u = math.Float64bits(f)
-			}
-			x.off = off
-			x.dst = wire.AppendUint(x.dst, x.base, sb, u)
-			return nil
-		}, nil
 	default:
-		return nil, unsupported("primitive pair of kind %s", ua.Kind())
+		return m, unsupported("primitive pair of kind %s", ua.Kind())
 	}
+	return m, err
+}
+
+// primEmit compiles a primitive-to-primitive conversion.
+func (c *compiler) primEmit(tA, tB *mtype.Type) (emitFn, error) {
+	m, err := c.primOp(wire.Unfold(tA), wire.Unfold(tB))
+	if err != nil {
+		return nil, err
+	}
+	sa, sb := int(m.srcW), int(m.dstW)
+	return func(x *xctx) error {
+		if x.depth > wire.MaxDecodeDepth {
+			return depthErr()
+		}
+		u, off, err := wire.ReadUint(x.src, x.off, sa)
+		if err != nil {
+			return err
+		}
+		if err := m.chk.check(u, sa); err != nil {
+			return err
+		}
+		x.off = off
+		x.dst = wire.AppendUint(x.dst, x.base, sb, m.conv(u))
+		return nil
+	}, nil
+}
+
+// conv applies the move's conversion to a value read from srcW bytes.
+func (m *move) conv(u uint64) uint64 {
+	switch m.op {
+	case opSext:
+		shift := uint(64 - 8*m.srcW)
+		return uint64(int64(u<<shift) >> shift)
+	case opReal:
+		return realBits(u, int(m.srcW), int(m.dstW))
+	}
+	return u
+}
+
+// realBits converts a real sa bytes wide to one sb bytes wide through
+// float64, as the tree engine does: a binary32 sNaN comes out quieted.
+func realBits(u uint64, sa, sb int) uint64 {
+	f := math.Float64frombits(u)
+	if sa == 4 {
+		f = float64(math.Float32frombits(uint32(u)))
+	}
+	if sb == 4 {
+		return uint64(math.Float32bits(float32(f)))
+	}
+	return math.Float64bits(f)
 }

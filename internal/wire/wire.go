@@ -195,10 +195,8 @@ func RealWidth(t *mtype.Type) (int, error) {
 // align pads buf to a multiple of n bytes past base (CDR primitive
 // alignment, relative to the start of the enclosing value).
 func align(buf []byte, base, n int) []byte {
-	for (len(buf)-base)%n != 0 {
-		buf = append(buf, 0)
-	}
-	return buf
+	var zeros [8]byte
+	return append(buf, zeros[:(base-len(buf))&(n-1)]...) // n is 1, 2, 4 or 8
 }
 
 // AppendUint aligns buf to size bytes past base, then appends u as a
