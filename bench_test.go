@@ -671,7 +671,7 @@ func BenchmarkPooledVsFreshDial(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Invoke("echo", 0, body); err != nil {
+			if _, err := c.InvokeContext(context.Background(), "echo", 0, body); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -187,7 +188,8 @@ func TestResilTransportRoundTrip(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	Serve(srv, b)
-	c := NewTransportClient(resil.New(srv.Addr(), resil.Options{}))
+	pool := resil.New(srv.Addr(), resil.Options{})
+	c := NewTransportClient(pool)
 	t.Cleanup(func() { c.Close() })
 
 	if _, _, err := c.Load("x", "c", "ilp32", "typedef struct { float r; int n; } mix;", ""); err != nil {
@@ -209,5 +211,27 @@ func TestResilTransportRoundTrip(t *testing.T) {
 	}
 	if st.CompareRuns != 1 {
 		t.Errorf("CompareRuns = %d, want 1", st.CompareRuns)
+	}
+
+	// The same pool carries a streamed convert: one more call, of the
+	// stream kind, with the connection handed back when it ends.
+	mt, err := b.Mtype("x", "mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.Marshal(mt, value.NewRecord(value.Real{V: 4.5}, value.NewInt(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := b.ConvertRaw("x", "mix", "y", "pair", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := c.ConvertStream("x", "mix", "y", "pair", bytes.NewReader(payload), &out); err != nil || !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("streamed convert over the pool = %x, %v, want %x", out.Bytes(), err, want)
+	}
+	if st := pool.Stats(); st.Dials != 1 || st.Conns != 1 {
+		t.Errorf("pool stats = %+v, want the one connection back in the pool", st)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/orb"
 	"repro/internal/proto"
+	"repro/internal/resil"
 	"repro/internal/stream"
 )
 
@@ -159,17 +160,6 @@ func readAllStream(in *orb.StreamReader, max int) ([]byte, error) {
 // transport cannot open orb streams.
 var ErrNoStreamTransport = errors.New("broker: transport does not support streaming")
 
-// streamOpener is satisfied by *orb.Client.
-type streamOpener interface {
-	OpenStream(ctx context.Context, key string, op uint32) (*orb.StreamCall, error)
-}
-
-// pooledStreamOpener is satisfied by *resil.Client (and the cluster
-// client's per-member pools).
-type pooledStreamOpener interface {
-	OpenStream(ctx context.Context, key string, op uint32) (*orb.StreamCall, func(error), error)
-}
-
 // ConvertStream converts a CDR payload of declaration A read from in
 // into a CDR payload of declaration B written to out, streaming both
 // legs so neither endpoint holds the whole value. It returns the bytes
@@ -183,10 +173,12 @@ func (c *Client) ConvertStreamContext(ctx context.Context, ua, da, ub, db string
 	var sc *orb.StreamCall
 	done := func(error) {}
 	switch t := c.t.(type) {
-	case streamOpener:
+	case *orb.Client: // a bare connection: no pool to return it to
 		sc, err = t.OpenStream(ctx, ObjectKey, OpConvertStream)
-	case pooledStreamOpener:
-		sc, done, err = t.OpenStream(ctx, ObjectKey, OpConvertStream)
+	case *resil.Client: // the same call as any other, of the stream kind
+		var res resil.Result
+		res, err = t.Do(ctx, resil.Call{Key: ObjectKey, Op: OpConvertStream, Kind: resil.Stream})
+		sc, done = res.Stream, res.Done
 	default:
 		return 0, ErrNoStreamTransport
 	}

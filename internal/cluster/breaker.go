@@ -1,7 +1,7 @@
 // Per-member circuit breakers with outlier ejection. A breaker trips on
 // health signals — consecutive transport-level failures, or a p99
 // latency that is a multiplicative outlier against the rest of the
-// fleet — and while open the ranked routing in InvokeKeyed skips the
+// fleet — and while open the ranked routing in Do skips the
 // member, so its traffic spills down the rendezvous order to healthy
 // replicas instead of queueing behind a stall. After a cooldown the
 // breaker half-opens and admits a single probe: success closes it,

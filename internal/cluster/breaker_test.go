@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -166,7 +165,7 @@ func TestBreakerSkipsDeadMember(t *testing.T) {
 		t.Fatal("no key routed to the dead member")
 	}
 	for i := 0; i < 12; i++ {
-		if _, err := c.InvokeKeyed(context.Background(), rk, "echo", 0, nil); err != nil {
+		if _, err := echo(c, resil.Buffered, rk); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}

@@ -313,7 +313,7 @@ func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 				if i%3 == 0 {
 					rk = stalledKeys[i%len(stalledKeys)]
 				}
-				if _, err := c.InvokeKeyed(context.Background(), rk, "echo", 0, []byte{byte(w), byte(i)}); err != nil {
+				if _, err := c.Do(context.Background(), rk, resil.Call{Key: "echo", Body: []byte{byte(w), byte(i)}}); err != nil {
 					t.Logf("worker %d call %d: %v", w, i, err)
 					clientErrs.Add(1)
 					continue

@@ -266,21 +266,26 @@ func failover(err error) bool {
 	return true // dial failures, conn resets, pool closed mid-drain, ...
 }
 
-// InvokeKeyed performs one fleet call routed by rk. The owner serves it
-// unless its in-flight load exceeds the least loaded replica's by more
-// than SpillInflight, in which case the request spills to that replica
-// (still inside the warm replica set). Members whose circuit breaker is
-// open are skipped outright, so their traffic spills down the rank
-// without paying a timeout first. Unreachable or unable members fail
-// the request over to the next ranked member — beyond the replica set
-// if necessary — so a single dead daemon costs latency, not errors.
+// Do performs one fleet call of either kind routed by rk. The owner
+// serves it unless its in-flight load exceeds the least loaded replica's
+// by more than SpillInflight, in which case the request spills to that
+// replica (still inside the warm replica set). Members whose circuit
+// breaker is open are skipped outright, so their traffic spills down the
+// rank without paying a timeout first. Unreachable or unable members
+// fail the request over to the next ranked member — beyond the replica
+// set if necessary — so a single dead daemon costs latency, not errors.
 // Failovers that may duplicate load on a struggling member (overload
 // sheds, timeouts) each buy a token from the shared retry budget. A nil
 // rk routes to the least loaded member (for keyless ops).
-func (c *Client) InvokeKeyed(ctx context.Context, rk []byte, key string, op uint32, body []byte) ([]byte, error) {
+//
+// For a stream all of this applies to the open — the phase before any
+// chunk is committed to a member — and stops the moment the stream is
+// handed back: a mid-stream failure cannot replay chunks on a replica,
+// so it surfaces to the caller as a typed terminal error instead.
+func (c *Client) Do(ctx context.Context, rk []byte, call resil.Call) (resil.Result, error) {
 	ring := c.ring.Load()
 	if ring.Len() == 0 {
-		return nil, ErrNoMembers
+		return resil.Result{}, ErrNoMembers
 	}
 	var order []string
 	if rk == nil {
@@ -300,16 +305,16 @@ func (c *Client) InvokeKeyed(ctx context.Context, rk []byte, key string, op uint
 			c.breakerSkips.Add(1)
 			continue
 		}
-		reply, err := c.attemptMember(ctx, m, &attempts, key, op, body)
+		res, err := c.onMember(ctx, m, &attempts, call)
 		if err == nil {
-			return reply, nil
+			return res, nil
 		}
 		lastErr = err
 		if !c.shouldFailover(ctx, err) {
-			return nil, err
+			return resil.Result{}, err
 		}
 		if duplicative(err) && !c.opts.Resil.RetryBudget.Withdraw() {
-			return nil, fmt.Errorf("%w: abandoning cluster failover after: %w", resil.ErrRetryBudget, err)
+			return resil.Result{}, fmt.Errorf("%w: abandoning cluster failover after: %w", resil.ErrRetryBudget, err)
 		}
 	}
 	if attempts == 0 && lastErr == nil {
@@ -319,40 +324,54 @@ func (c *Client) InvokeKeyed(ctx context.Context, rk []byte, key string, op uint
 		// guaranteed outage; if that member has healed, this is the
 		// probe that proves it.
 		for _, addr := range order {
-			m := c.member(addr)
-			if m == nil {
-				continue
+			if m := c.member(addr); m != nil {
+				return c.onMember(ctx, m, &attempts, call)
 			}
-			reply, err := c.attemptMember(ctx, m, &attempts, key, op, body)
-			if err != nil {
-				return nil, err
-			}
-			return reply, nil
 		}
-		return nil, ErrNoMembers
+		return resil.Result{}, ErrNoMembers
 	}
-	return nil, fmt.Errorf("cluster: all %d members failed: %w", len(order), lastErr)
+	return resil.Result{}, fmt.Errorf("cluster: all %d members failed: %w", len(order), lastErr)
 }
 
-// attemptMember sends one attempt to m, maintaining the in-flight
-// gauge, the failover counter, and the member's breaker bookkeeping.
-func (c *Client) attemptMember(ctx context.Context, m *member, attempts *int, key string, op uint32, body []byte) ([]byte, error) {
+// onMember sends one attempt to m, maintaining the in-flight gauge, the
+// failover counter, and the member's breaker bookkeeping. An opened
+// stream holds the member's in-flight slot until its Done, so spill
+// decisions see long-lived streams as load, and books its outcome with
+// the breaker then.
+func (c *Client) onMember(ctx context.Context, m *member, attempts *int, call resil.Call) (resil.Result, error) {
 	*attempts++
 	if *attempts > 1 {
 		c.failovers.Add(1)
 	}
 	m.inflight.Add(1)
 	start := time.Now()
-	reply, err := m.pool.InvokeContext(ctx, key, op, body)
-	m.inflight.Add(-1)
-	if err == nil {
+	res, err := m.pool.Do(ctx, call)
+	switch {
+	case err != nil:
+		c.settle(m, err)
+	case res.Done != nil:
+		poolDone := res.Done
+		res.Done = func(callErr error) {
+			poolDone(callErr)
+			c.settle(m, callErr)
+		}
+	default:
+		m.inflight.Add(-1)
 		c.noteLatency(m, time.Since(start))
-		return reply, nil
 	}
-	if m.brk.failure(tripworthy(err)) {
+	return res, err
+}
+
+// settle ends m's part in a call that did not end in a latency sample:
+// it frees the in-flight slot and books err with the breaker. A nil err
+// (a stream that ran to its end) clears the strike count without
+// recording a sample — stream lifetime is not comparable to call
+// latency.
+func (c *Client) settle(m *member, err error) {
+	m.inflight.Add(-1)
+	if m.brk.failure(err != nil && tripworthy(err)) {
 		c.breakerTrips.Add(1)
 	}
-	return nil, err
 }
 
 // shouldFailover extends failover()'s pure classification with the

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/proto"
+	"repro/internal/resil"
 	"repro/internal/wire"
 )
 
@@ -61,25 +62,25 @@ func (t *BrokerTransport) Client() *Client { return t.c }
 
 // InvokeContext routes one broker-protocol request across the fleet.
 func (t *BrokerTransport) InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error) {
-	if key != broker.ObjectKey {
-		return t.c.InvokeKeyed(ctx, nil, key, op, body)
-	}
-	switch op {
-	case broker.OpLoad, broker.OpAnnotate:
-		return t.c.Broadcast(ctx, key, op, body)
-	case broker.OpCompare, broker.OpPlan, broker.OpConvert, broker.OpConvertBatch:
-		hdr, _, err := wire.UnmarshalPrefix(pairHeaderT, body)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: pair header: %w", err)
+	var rk []byte // nil: keyless, the least loaded member serves it
+	if key == broker.ObjectKey {
+		switch op {
+		case broker.OpLoad, broker.OpAnnotate:
+			return t.c.Broadcast(ctx, key, op, body)
+		case broker.OpCompare, broker.OpPlan, broker.OpConvert, broker.OpConvertBatch:
+			hdr, _, err := wire.UnmarshalPrefix(pairHeaderT, body)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: pair header: %w", err)
+			}
+			args, err := proto.RecordStrings(hdr, 4)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: pair header: %w", err)
+			}
+			rk = RouteKey(args...)
 		}
-		args, err := proto.RecordStrings(hdr, 4)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: pair header: %w", err)
-		}
-		return t.c.InvokeKeyed(ctx, RouteKey(args...), key, op, body)
-	default:
-		return t.c.InvokeKeyed(ctx, nil, key, op, body)
 	}
+	res, err := t.c.Do(ctx, rk, resil.Call{Key: key, Op: op, Body: body})
+	return res.Reply, err
 }
 
 // Close closes the underlying cluster client.

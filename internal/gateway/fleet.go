@@ -14,42 +14,16 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/orb"
 	"repro/internal/resil"
 )
 
-// upstreamLink is one route's forwarding leg: a single pooled endpoint
-// or a fleet. rk is the route's content-derived route key (ignored by
-// single endpoints). ctx is the relayed request's context: its remaining
-// budget re-encodes onto the upstream leg and its cancellation aborts
-// the leg (forwarded upstream as a cancel frame).
-type upstreamLink interface {
-	invoke(ctx context.Context, rk []byte, key string, op uint32, body []byte) ([]byte, error)
-	// openStream opens a streaming upstream leg. The returned done must
-	// be called exactly once with the stream's terminal error once the
-	// relay is finished with it.
-	openStream(ctx context.Context, rk []byte, key string, op uint32) (*orb.StreamCall, func(error), error)
-}
-
-type singleUpstream struct{ p *resil.Client }
-
-func (s singleUpstream) invoke(ctx context.Context, _ []byte, key string, op uint32, body []byte) ([]byte, error) {
-	return s.p.InvokeContext(ctx, key, op, body)
-}
-
-func (s singleUpstream) openStream(ctx context.Context, _ []byte, key string, op uint32) (*orb.StreamCall, func(error), error) {
-	return s.p.OpenStream(ctx, key, op)
-}
-
-type fleetUpstream struct{ c *cluster.Client }
-
-func (f fleetUpstream) invoke(ctx context.Context, rk []byte, key string, op uint32, body []byte) ([]byte, error) {
-	return f.c.InvokeKeyed(ctx, rk, key, op, body)
-}
-
-func (f fleetUpstream) openStream(ctx context.Context, rk []byte, key string, op uint32) (*orb.StreamCall, func(error), error) {
-	return f.c.OpenStreamKeyed(ctx, rk, key, op)
-}
+// upstream is one route's forwarding leg — a single pooled endpoint's
+// Do or a fleet's — taking a call of either kind. rk is the route's
+// content-derived route key (ignored by single endpoints). ctx is the
+// relayed request's context: its remaining budget re-encodes onto the
+// upstream leg and its cancellation aborts the leg (forwarded upstream
+// as a cancel frame).
+type upstream func(ctx context.Context, rk []byte, call resil.Call) (resil.Result, error)
 
 // splitUpstream parses an upstream address field: one address, or a
 // comma-separated fleet member list (whitespace around members is
@@ -93,20 +67,15 @@ func (g *Gateway) fleetFor(addrs []string) *cluster.Client {
 // route after a reload: in-flight calls finish, then the connections
 // close. Called with g.mu held; the drains run in the background.
 func (g *Gateway) retireUpstreams(routes map[string]map[uint32]*route) {
-	livePools := make(map[string]bool)
-	liveFleets := make(map[string]bool)
+	// A route's upAddr is the key its pool or fleet is filed under.
+	live := make(map[string]bool)
 	for _, ops := range routes {
 		for _, r := range ops {
-			switch up := r.up.(type) {
-			case singleUpstream:
-				livePools[r.upAddr] = true
-			case fleetUpstream:
-				liveFleets[fleetKey(up.c.Members())] = true
-			}
+			live[r.upAddr] = true
 		}
 	}
 	for addr, p := range g.pools {
-		if !livePools[addr] {
+		if !live[addr] {
 			delete(g.pools, addr)
 			go func(p *resil.Client) {
 				ctx, cancel := context.WithTimeout(context.Background(), g.opts.Fleet.DrainTimeout)
@@ -116,7 +85,7 @@ func (g *Gateway) retireUpstreams(routes map[string]map[uint32]*route) {
 		}
 	}
 	for key, c := range g.fleets {
-		if !liveFleets[key] {
+		if !live[key] {
 			delete(g.fleets, key)
 			go func(c *cluster.Client) {
 				c.SetMembers(nil) // drains every member pool

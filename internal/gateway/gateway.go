@@ -165,7 +165,7 @@ type route struct {
 	upAddr string
 	upKey  string
 	upOp   uint32
-	up     upstreamLink
+	up     upstream
 	rk     []byte // content-derived fleet route key
 	req    *lane  // nil = passthrough
 	rep    *lane  // nil = passthrough
@@ -390,10 +390,10 @@ func (g *Gateway) compileRoute(cfg *Config, rc *RouteConfig) (*route, error) {
 			p = resil.New(r.upAddr, g.opts.Upstream)
 			g.pools[r.upAddr] = p
 		}
-		r.up = singleUpstream{p: p}
+		r.up = func(ctx context.Context, _ []byte, call resil.Call) (resil.Result, error) { return p.Do(ctx, call) }
 	default:
 		r.upAddr = fleetKey(addrs)
-		r.up = fleetUpstream{c: g.fleetFor(addrs)}
+		r.up = g.fleetFor(addrs).Do
 	}
 	var err error
 	if rc.Request != nil {
@@ -578,10 +578,11 @@ func (g *Gateway) relay(ctx context.Context, r *route, body []byte) ([]byte, err
 			return nil, fmt.Errorf("gateway: request transcode: %w", err)
 		}
 	}
-	reply, err := r.up.invoke(ctx, r.rk, r.upKey, r.upOp, out)
+	res, err := r.up(ctx, r.rk, resil.Call{Key: r.upKey, Op: r.upOp, Body: out})
 	if err != nil {
 		return nil, g.mapUpstreamErr(ctx, r, err)
 	}
+	reply := res.Reply
 	if err := g.checkBudget("reply", len(reply)); err != nil {
 		r.c.budgetRejects.Add(1)
 		return nil, err

@@ -13,11 +13,12 @@ package gateway
 //
 // "Buffered relay" is the ordinary relay path with its full resilience
 // envelope — retries, hedging, admission, byte budgets. The streaming
-// paths trade that envelope for constant memory: the open is still
-// retried (resil.OpenStream), but once the first chunk is committed
-// upstream a failure is terminal and surfaces typed. Against upstreams
-// speaking protocol < 3, orb's client-side fallback re-buffers the
-// stream under the frame cap transparently and fails fast past it.
+// paths trade that envelope for constant memory: the upstream leg is the
+// same call with kind resil.Stream, so the open is still retried and
+// failed over, but once the first chunk is committed upstream a failure
+// is terminal and surfaces typed. Against upstreams speaking protocol
+// < 3, orb's client-side fallback re-buffers the stream under the frame
+// cap transparently and fails fast past it.
 //
 // Reply legs are buffered under the payload budget in this revision;
 // streaming replies ride the same frames and are a client-side change
@@ -33,6 +34,7 @@ import (
 
 	"repro/internal/limits"
 	"repro/internal/orb"
+	"repro/internal/resil"
 	"repro/internal/stream"
 )
 
@@ -133,12 +135,13 @@ func (g *Gateway) relayStream(ctx context.Context, r *route, prefix []byte, in *
 	defer g.chassis.Release()
 	r.c.streamed.Add(1)
 
-	sc, done, err := r.up.openStream(ctx, r.rk, r.upKey, r.upOp)
+	up, err := r.up(ctx, r.rk, resil.Call{Key: r.upKey, Op: r.upOp, Kind: resil.Stream})
 	if err != nil {
 		return g.mapUpstreamErr(ctx, r, err)
 	}
+	sc := up.Stream
 	var finalErr error
-	defer func() { done(finalErr) }()
+	defer func() { up.Done(finalErr) }()
 	defer func() { _ = sc.Close() }()
 
 	// Drain the reply leg concurrently with the request leg: an upstream

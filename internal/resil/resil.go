@@ -20,6 +20,12 @@
 //     first success wins — masking a single slow or silently dead
 //     connection without waiting for the full deadline.
 //
+// Every call is one Call — key, op, body and a kind — run through one
+// envelope, Do. A stream is a kind of call, not a second API: it shares
+// the deadline, the retry loop, the budget and the pool with a buffered
+// call, and differs in the one line that talks to orb and in never
+// being hedged.
+//
 // The dependability failure modes themselves (latency, resets,
 // black-holes, truncation) are asserted against this client by the
 // chaos test matrix (internal/chaos).
@@ -147,6 +153,7 @@ type Client struct {
 	mu       sync.Mutex
 	conns    []*pconn
 	dialing  int
+	dialed   chan struct{} // closed and replaced each time a dial ends
 	closed   bool
 	draining bool
 
@@ -168,10 +175,11 @@ type Client struct {
 // use; dial failures surface from the calls that need them.
 func New(addr string, opts Options) *Client {
 	c := &Client{
-		addr: addr,
-		opts: opts.withDefaults(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		addr:   addr,
+		opts:   opts.withDefaults(),
+		dialed: make(chan struct{}),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go c.reapLoop()
 	return c
@@ -296,56 +304,75 @@ func (c *Client) reapLoop() {
 // in-flight. exclude steers a hedge attempt off the primary's
 // connection when the pool allows.
 func (c *Client) acquire(ctx context.Context, exclude *pconn) (*pconn, error) {
-	c.mu.Lock()
-	if c.closed || c.draining {
+	for {
+		c.mu.Lock()
+		if c.closed || c.draining {
+			c.mu.Unlock()
+			return nil, ErrClosed
+		}
+		// Prune connections whose read loop has died.
+		var dead []*pconn
+		live := c.conns[:0]
+		for _, pc := range c.conns {
+			if pc.c.Err() != nil {
+				dead = append(dead, pc)
+				continue
+			}
+			live = append(live, pc)
+		}
+		c.conns = live
+		var best *pconn
+		for _, pc := range c.conns {
+			if pc == exclude {
+				continue
+			}
+			if best == nil || pc.inflight.Load() < best.inflight.Load() {
+				best = pc
+			}
+		}
+		canDial := len(c.conns)+c.dialing < c.opts.PoolSize
+		useBest := best != nil && (!canDial || best.inflight.Load() == 0)
+		if useBest {
+			best.inflight.Add(1)
+		} else if canDial {
+			c.dialing++
+		}
+		dialed := c.dialed
 		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	// Prune connections whose read loop has died.
-	var dead []*pconn
-	live := c.conns[:0]
-	for _, pc := range c.conns {
-		if pc.c.Err() != nil {
-			dead = append(dead, pc)
-			continue
+		for _, pc := range dead {
+			c.discards.Add(1)
+			_ = pc.c.Close()
 		}
-		live = append(live, pc)
-	}
-	c.conns = live
-	var best *pconn
-	for _, pc := range c.conns {
-		if pc == exclude {
-			continue
-		}
-		if best == nil || pc.inflight.Load() < best.inflight.Load() {
-			best = pc
-		}
-	}
-	canDial := len(c.conns)+c.dialing < c.opts.PoolSize
-	useBest := best != nil && (!canDial || best.inflight.Load() == 0)
-	if useBest {
-		best.inflight.Add(1)
-	} else if canDial {
-		c.dialing++
-	}
-	c.mu.Unlock()
-	for _, pc := range dead {
-		c.discards.Add(1)
-		_ = pc.c.Close()
-	}
-	if useBest {
-		return best, nil
-	}
-	if !canDial {
-		// Pool exhausted by exclusion (PoolSize 1 hedge): fall back to
-		// the excluded connection rather than failing.
-		if exclude != nil {
+		switch {
+		case useBest:
+			return best, nil
+		case canDial:
+			return c.dial(ctx)
+		case exclude != nil:
+			// Pool exhausted by exclusion (PoolSize 1 hedge): fall back to
+			// the excluded connection rather than failing.
 			exclude.inflight.Add(1)
 			return exclude, nil
 		}
-		return nil, fmt.Errorf("resil: no usable connection to %s", c.addr)
+		// Nothing is live and every slot is mid-dial (a burst of first
+		// calls on a cold pool): a connection is about to exist, so wait
+		// for one of those dials to end and look again — on its success
+		// there is a connection to share, on its failure a slot to dial in.
+		wctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
+		select {
+		case <-dialed:
+			cancel()
+		case <-wctx.Done():
+			cancel()
+			return nil, fmt.Errorf("resil: no usable connection to %s: %w", c.addr, wctx.Err())
+		}
 	}
+}
 
+// dial fills the pool slot acquire reserved (c.dialing) with a fresh
+// connection, in-flight for the caller, and wakes the callers waiting on
+// a dial however it ends.
+func (c *Client) dial(ctx context.Context) (*pconn, error) {
 	dctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
 	oc, err := orb.DialContext(dctx, c.addr, c.opts.OrbOptions...)
 	if err == nil {
@@ -361,6 +388,8 @@ func (c *Client) acquire(ctx context.Context, exclude *pconn) (*pconn, error) {
 	cancel()
 	c.mu.Lock()
 	c.dialing--
+	close(c.dialed)
+	c.dialed = make(chan struct{})
 	if err != nil {
 		c.mu.Unlock()
 		return nil, err
@@ -467,84 +496,152 @@ func (d *deadlineCtx) Err() error {
 	return nil
 }
 
-// Invoke is InvokeContext with the background context (so the default
-// CallTimeout still applies).
-func (c *Client) Invoke(key string, op uint32, body []byte) ([]byte, error) {
-	return c.InvokeContext(context.Background(), key, op, body)
+// Kind says how a Call's payload travels.
+type Kind uint8
+
+const (
+	// Buffered is a request/reply call: the body goes out whole and the
+	// reply comes back whole, so the call may be retried and hedged.
+	Buffered Kind = iota
+	// Stream opens an orb stream. A stream is stateful — chunks already
+	// forwarded cannot be replayed — so the envelope covers only the open
+	// (acquiring a connection and writing the open frame), the window
+	// before any payload is committed, and never hedges. Once the stream
+	// is handed to the caller, failures are final and surface as typed
+	// mid-stream errors.
+	Stream
+)
+
+// Call describes one call to an object on the Client's server.
+type Call struct {
+	Key  string
+	Op   uint32
+	Body []byte // Buffered only; a Stream's payload is written to Result.Stream
+	Kind Kind
 }
 
-// InvokeContext performs a resilient call: deadline-bounded, retried
-// with backoff on connection-level failure, hedged when enabled. The
-// error from the final attempt is returned, wrapped with the attempt
-// count when retries were exhausted.
+// Result is what a successful Call yields.
+type Result struct {
+	// Reply is a Buffered call's reply body.
+	Reply []byte
+	// Stream is a Stream call's open stream, holding a pooled connection
+	// until Done.
+	Stream *orb.StreamCall
+	// Done is nil for a Buffered call, which is finished when Do returns.
+	// For a Stream it must be called exactly once when the caller is
+	// finished with the stream (after Close), with the stream's terminal
+	// error (nil on success): it returns the connection to the pool, or
+	// discards it when the error condemns it.
+	Done func(error)
+}
+
+// InvokeContext is Do for a Buffered call.
 func (c *Client) InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error) {
+	res, err := c.Do(ctx, Call{Key: key, Op: op, Body: body})
+	return res.Reply, err
+}
+
+// Do performs a resilient call: deadline-bounded, retried with backoff
+// on connection-level failure, hedged when enabled and the kind allows.
+// The error from the final attempt is returned, wrapped with the attempt
+// count when retries were exhausted.
+func (c *Client) Do(ctx context.Context, call Call) (Result, error) {
 	if c.opts.CallTimeout > 0 {
 		if _, ok := ctx.Deadline(); !ok {
 			ctx = &deadlineCtx{Context: ctx, dl: time.Now().Add(c.opts.CallTimeout)}
 		}
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
+	attempt := 0
+	for ; attempt < c.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			// Every retry spends a shared budget token; when the budget is
 			// dry the backend is failing broadly and piling on attempts
 			// would amplify the outage, so fail fast instead.
 			if !c.opts.RetryBudget.Withdraw() {
 				c.budgetExhausted.Add(1)
-				return nil, fmt.Errorf("%w: after %d attempts to %s: %w", ErrRetryBudget, attempt, c.addr, lastErr)
+				return Result{}, fmt.Errorf("%w: after %d attempts to %s: %w", ErrRetryBudget, attempt, c.addr, lastErr)
 			}
 			c.retries.Add(1)
 			if err := c.backoff(ctx, attempt); err != nil {
-				break
+				break // lastErr, the failed attempt, stays the cause
 			}
 		}
-		var reply []byte
+		var res Result
 		var err error
-		if c.opts.Hedge {
-			reply, err = c.hedged(ctx, key, op, body)
+		if c.opts.Hedge && call.Kind == Buffered {
+			res.Reply, err = c.hedged(ctx, call)
 		} else {
-			reply, err = c.attempt(ctx, key, op, body, nil)
+			res, err = c.attempt(ctx, call)
 		}
 		if err == nil {
 			c.opts.RetryBudget.Deposit()
-			return reply, nil
+			return res, nil
 		}
 		if errors.Is(err, orb.ErrOverloaded) {
 			c.overloads.Add(1)
 		}
 		lastErr = err
 		if !retryable(err) {
-			return nil, err
+			return Result{}, err
 		}
 	}
-	return nil, fmt.Errorf("resil: %d attempts to %s failed: %w", c.opts.MaxAttempts, c.addr, lastErr)
+	return Result{}, fmt.Errorf("resil: %d attempts to %s failed: %w", attempt, c.addr, lastErr)
 }
 
-// attempt runs one call on one pooled connection.
-func (c *Client) attempt(ctx context.Context, key string, op uint32, body []byte, exclude *pconn) ([]byte, error) {
-	pc, err := c.acquire(ctx, exclude)
+// attempt runs the call once, on one pooled connection.
+func (c *Client) attempt(ctx context.Context, call Call) (Result, error) {
+	pc, err := c.acquire(ctx, nil)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
+	return c.on(ctx, pc, call, false)
+}
+
+// on issues call on the acquired connection pc — the one place the two
+// kinds differ — and settles pc's place in the pool: released, discarded
+// when the error condemns it, or for an open stream left in flight until
+// the caller's Done. raced marks an attempt inside a hedge race, whose
+// context the winner cancels: the loser's connection is not condemned
+// for that.
+func (c *Client) on(ctx context.Context, pc *pconn, call Call, raced bool) (res Result, err error) {
 	start := time.Now()
-	reply, err := pc.c.InvokeContext(ctx, key, op, body)
-	c.release(pc)
-	if err == nil {
+	if call.Kind == Stream {
+		res.Stream, err = pc.c.OpenStream(ctx, call.Key, call.Op)
+	} else {
+		res.Reply, err = pc.c.InvokeContext(ctx, call.Key, call.Op, call.Body)
+	}
+	switch {
+	case err != nil && raced && ctx.Err() != nil:
+		c.release(pc)
+	case err != nil:
+		c.settle(pc, err)
+	case res.Stream != nil:
+		res.Done = func(callErr error) { c.settle(pc, callErr) }
+	default:
+		c.release(pc)
 		c.lat.record(time.Since(start))
-	} else if discardable(err) {
+	}
+	return res, err
+}
+
+// settle returns pc to the pool after a call that ended with err, or
+// discards it when err condemns the connection.
+func (c *Client) settle(pc *pconn, err error) {
+	c.release(pc)
+	if err != nil && discardable(err) {
 		c.discard(pc)
 	}
-	return reply, err
 }
 
 // hedged races a duplicate attempt against the primary once the hedge
 // delay elapses; the first success wins and the loser is canceled.
-func (c *Client) hedged(ctx context.Context, key string, op uint32, body []byte) ([]byte, error) {
+func (c *Client) hedged(ctx context.Context, call Call) ([]byte, error) {
 	// The losing attempt's goroutine can outlive this call, and callers
 	// under orb body pooling may recycle body the moment we return —
 	// race the duplicates over a private copy.
-	if len(body) > 0 {
-		body = append([]byte(nil), body...)
+	if len(call.Body) > 0 {
+		call.Body = append([]byte(nil), call.Body...)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -561,17 +658,8 @@ func (c *Client) hedged(ctx context.Context, key string, op uint32, body []byte)
 			return nil
 		}
 		go func() {
-			start := time.Now()
-			reply, err := pc.c.InvokeContext(hctx, key, op, body)
-			c.release(pc)
-			if err == nil {
-				c.lat.record(time.Since(start))
-			} else if discardable(err) && hctx.Err() == nil {
-				// Don't condemn the loser's connection just because the
-				// winner canceled it.
-				c.discard(pc)
-			}
-			ch <- res{reply: reply, err: err, hedge: hedge}
+			r, err := c.on(hctx, pc, call, true)
+			ch <- res{reply: r.Reply, err: err, hedge: hedge}
 		}()
 		return pc
 	}
@@ -647,18 +735,6 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Ping round-trips a request for the empty object key: every orb server
-// answers it (with a "no object" remote error), so a RemoteError proves
-// the connection and server are live.
-func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.InvokeContext(ctx, "", 0, nil)
-	var re *orb.RemoteError
-	if errors.As(err, &re) {
-		return nil
-	}
-	return err
 }
 
 // latencyWindow tracks recent successful call latencies for the
