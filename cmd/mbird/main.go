@@ -88,7 +88,6 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/cluster"
-	"repro/internal/cmem"
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/gen"
@@ -233,23 +232,7 @@ func (s *side) load(sess *core.Session, universe string) error {
 	if err != nil {
 		return err
 	}
-	model := cmem.ILP32
-	if s.model == "lp64" {
-		model = cmem.LP64
-	}
-	switch s.lang {
-	case "c":
-		err = sess.LoadC(universe, string(src), model)
-	case "java":
-		err = sess.LoadJava(universe, string(src))
-	case "idl":
-		err = sess.LoadIDL(universe, string(src))
-	case "go":
-		err = sess.LoadGo(universe, string(src))
-	default:
-		return fmt.Errorf("unknown language %q", s.lang)
-	}
-	if err != nil {
+	if err := sess.LoadSource(universe, s.lang, s.model, string(src)); err != nil {
 		return err
 	}
 	if s.script != "" {
@@ -884,7 +867,7 @@ func cmdRemoteReload(args []string, out io.Writer) error {
 	}
 	c := tf.dialGateway()
 	defer c.Close()
-	n, err := c.Reload()
+	n, err := c.ReloadContext(context.Background())
 	if err != nil {
 		return err
 	}
@@ -992,7 +975,7 @@ func cmdClusterStatus(args []string, out io.Writer) error {
 		})
 		err := func() error {
 			bc := broker.NewTransportClient(rc)
-			st, err := bc.Stats()
+			st, err := bc.StatsContext(context.Background())
 			if err != nil {
 				return err
 			}

@@ -66,7 +66,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldStart := time.Now()
-	v, err := seed.Compare("a", "bigA", "b", "bigB")
+	v, err := seed.CompareContext(context.Background(), "a", "bigA", "b", "bigB")
 	cold := time.Since(coldStart)
 	if err != nil || v.Relation != core.RelEquivalent || v.Cached {
 		t.Fatalf("cold big compare = %+v err=%v", v, err)
@@ -115,20 +115,20 @@ func TestDaemonEndToEnd(t *testing.T) {
 				fail("load: %v", err)
 				return
 			}
-			if v, err := c.Compare("a", "bigA", "b", "bigB"); err != nil || v.Relation != core.RelEquivalent {
+			if v, err := c.CompareContext(context.Background(), "a", "bigA", "b", "bigB"); err != nil || v.Relation != core.RelEquivalent {
 				fail("big compare = %+v err=%v", v, err)
 				return
 			}
-			if v, err := c.Compare("a", "mix", "b", "pair"); err != nil || v.Relation != core.RelEquivalent {
+			if v, err := c.CompareContext(context.Background(), "a", "mix", "b", "pair"); err != nil || v.Relation != core.RelEquivalent {
 				fail("mix/pair = %+v err=%v", v, err)
 				return
 			}
-			if v, err := c.Compare("a", "outerA", "b", "outerB"); err != nil || v.Relation != core.RelEquivalent {
+			if v, err := c.CompareContext(context.Background(), "a", "outerA", "b", "outerB"); err != nil || v.Relation != core.RelEquivalent {
 				fail("outer = %+v err=%v", v, err)
 				return
 			}
 			in := value.NewRecord(value.Real{V: 0.5 + float64(i)}, value.NewInt(int64(i)))
-			out, err := c.Convert("a", "mix", "b", "pair", mtMix, mtPair, in)
+			out, err := c.ConvertContext(context.Background(), "a", "mix", "b", "pair", mtMix, mtPair, in)
 			if err != nil {
 				fail("convert: %v", err)
 				return
@@ -148,7 +148,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 			}
 			nested := value.NewRecord(value.NewInt(int64(i)),
 				value.NewRecord(value.Real{V: 1.25}, value.Char{R: 'q'}))
-			out, err = c.Convert("a", "outerA", "b", "outerB", mtOuterA, mtOuterB, nested)
+			out, err = c.ConvertContext(context.Background(), "a", "outerA", "b", "outerB", mtOuterA, mtOuterB, nested)
 			if err != nil {
 				fail("nested convert: %v", err)
 				return
@@ -177,7 +177,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// compile each, no matter how many clients raced (singleflight). Both
 	// pairs are fusible records, so every conversion rode the wire fast
 	// path and no tree converter was ever compiled.
-	st, err := seed.Stats()
+	st, err := seed.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	warms := make([]time.Duration, 0, 9)
 	for k := 0; k < 9; k++ {
 		start := time.Now()
-		v, err := seed.Compare("a", "bigA", "b", "bigB")
+		v, err := seed.CompareContext(context.Background(), "a", "bigA", "b", "bigB")
 		warms = append(warms, time.Since(start))
 		if err != nil || !v.Cached || v.Relation != core.RelEquivalent {
 			t.Fatalf("warm big compare = %+v err=%v", v, err)
@@ -259,7 +259,7 @@ func TestChaosDaemonResilience(t *testing.T) {
 	if _, _, err := c.Load("b", "c", "ilp32", "typedef struct { int count; float ratio; } pair;", ""); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Compare("a", "mix", "b", "pair")
+	v, err := c.CompareContext(context.Background(), "a", "mix", "b", "pair")
 	if err != nil || v.Relation != core.RelEquivalent {
 		t.Fatalf("compare through degraded network = %+v err=%v", v, err)
 	}
@@ -283,7 +283,7 @@ func TestChaosDaemonResilience(t *testing.T) {
 	// a fresh dial through the healed proxy and the cached verdict comes
 	// straight back.
 	p.SetFaults(chaos.Faults{})
-	v, err = c.Compare("a", "mix", "b", "pair")
+	v, err = c.CompareContext(context.Background(), "a", "mix", "b", "pair")
 	if err != nil || v.Relation != core.RelEquivalent || !v.Cached {
 		t.Fatalf("post-heal compare = %+v err=%v", v, err)
 	}
@@ -356,7 +356,7 @@ func TestClusterServeWarmSync(t *testing.T) {
 	if _, _, err := c.Load("uy", "c", "ilp32", "typedef struct { int count; float ratio; } pair;", ""); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := c.Compare("ux", "mix", "uy", "pair"); err != nil || v.Relation != core.RelEquivalent {
+	if v, err := c.CompareContext(context.Background(), "ux", "mix", "uy", "pair"); err != nil || v.Relation != core.RelEquivalent {
 		t.Fatalf("compare = %+v err=%v", v, err)
 	}
 	// Wait for the verdict to replicate so the restart victim's peers
@@ -392,7 +392,7 @@ func TestClusterServeWarmSync(t *testing.T) {
 	for _, d := range daemons {
 		runs += d.b.Stats().CompareRuns
 	}
-	if v, err := c.Compare("ux", "mix", "uy", "pair"); err != nil || v.Relation != core.RelEquivalent {
+	if v, err := c.CompareContext(context.Background(), "ux", "mix", "uy", "pair"); err != nil || v.Relation != core.RelEquivalent {
 		t.Fatalf("post-restart compare = %+v err=%v", v, err)
 	}
 	after := int64(0)

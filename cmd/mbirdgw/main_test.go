@@ -106,21 +106,21 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
     {"key": "extra", "op": 1}`)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ac.Reload()
+	n, err := ac.ReloadContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("reload reported %d routes, want 2", n)
 	}
-	h, err := ac.Health()
+	h, err := ac.HealthContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h.Ready || h.Routes != 2 {
 		t.Fatalf("health after reload = %+v", h)
 	}
-	st, err := ac.Stats()
+	st, err := ac.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
-// Command mbirdload is the saturation harness: it drives a mockingbird
+// Command mbirdload is the load smoke gate: it drives a mockingbird
 // broker daemon (mbirdd) or interop gateway (mbirdgw) with open- or
-// closed-loop load across the execution tiers and reports HDR-style
-// latency percentiles, achieved throughput, and server-side stat deltas.
+// closed-loop load across the execution tiers and exits non-zero if any
+// operation failed. The throughput and percentiles it prints describe
+// the run for whoever is watching it; no file records them — every
+// number the repository quotes comes from bench/ (bash bench/run.sh).
 //
 // Closed-loop runs (-mode closed) hold a fixed worker count issuing
 // back-to-back calls and answer "how fast can it go"; open-loop runs
@@ -26,15 +28,10 @@
 // loopback listener and drives that. With -addr it drives an external
 // daemon; gw-* tiers then expect the gateway's route at -key/-op to
 // accept the harness's fixture payloads (see README).
-//
-// -json emits the run record as one JSON object on stdout;
-// -bench-file FILE appends the record to FILE (BENCH_load.json shape),
-// creating it if missing, so perf trajectories accumulate across runs.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +44,6 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/loadgen"
 	"repro/internal/orb"
-	"repro/internal/serve"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -64,10 +60,6 @@ type config struct {
 	addr     string
 	key      string
 	op       uint
-	asJSON   bool
-	file     string
-	note     string
-	failErrs bool
 }
 
 func parseFlags(name string, args []string, errw io.Writer) (config, error) {
@@ -85,10 +77,6 @@ func parseFlags(name string, args []string, errw io.Writer) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", "", "external daemon address (empty = start an in-process target)")
 	fs.StringVar(&cfg.key, "key", "svc", "object key for gw-* tiers against an external gateway")
 	fs.UintVar(&cfg.op, "op", 1, "operation number for gw-* tiers against an external gateway")
-	fs.BoolVar(&cfg.asJSON, "json", false, "emit the run record as JSON on stdout")
-	fs.StringVar(&cfg.file, "bench-file", "", "append the run record to this BENCH_load.json file")
-	fs.StringVar(&cfg.note, "note", "", "free-form note recorded with the run")
-	fs.BoolVar(&cfg.failErrs, "fail-on-errors", false, "exit nonzero if any operation failed")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -99,13 +87,11 @@ func parseFlags(name string, args []string, errw io.Writer) (config, error) {
 	return cfg, nil
 }
 
-// target is one ready-to-drive workload: the operation under load plus
-// server-side snapshot and teardown hooks.
+// target is one ready-to-drive workload: the operation under load and
+// its teardown.
 type target struct {
-	op           loadgen.Op
-	payloadBytes int
-	health       func() (serve.Health, error) // nil when the target exposes none
-	close        func()
+	op    loadgen.Op
+	close func()
 }
 
 // synthSrc builds a permuted-field-name C struct pair wide enough to
@@ -191,10 +177,6 @@ func setupBroker(cfg config) (*target, error) {
 			closers[i]()
 		}
 	}
-	t.health = func() (serve.Health, error) {
-		h, err := admin.Health()
-		return h.Health, err
-	}
 
 	if _, _, err := admin.Load("a", "c", "ilp32", srcA, ""); err != nil {
 		t.close()
@@ -205,7 +187,7 @@ func setupBroker(cfg config) (*target, error) {
 		return nil, fmt.Errorf("load universe b: %w", err)
 	}
 	// Warm the verdict cache so the measured loop is the cached tier.
-	if _, err := admin.Compare("a", "big", "b", "big"); err != nil {
+	if _, err := admin.CompareContext(context.Background(), "a", "big", "b", "big"); err != nil {
 		t.close()
 		return nil, fmt.Errorf("warm compare: %w", err)
 	}
@@ -234,7 +216,6 @@ func setupBroker(cfg config) (*target, error) {
 			t.close()
 			return nil, fmt.Errorf("build payload: %w", err)
 		}
-		t.payloadBytes = len(payload)
 		if cfg.tier == "convert" {
 			t.op = func(ctx context.Context, w int) error {
 				_, err := clients[w].ConvertRawContext(ctx, "a", "big", "b", "big", payload)
@@ -249,7 +230,6 @@ func setupBroker(cfg config) (*target, error) {
 			for i := range payloads {
 				payloads[i] = payload
 			}
-			t.payloadBytes = len(payload) * n
 			t.op = func(ctx context.Context, w int) error {
 				_, err := clients[w].ConvertBatchRawContext(ctx, "a", "big", "b", "big", payloads)
 				return err
@@ -363,7 +343,7 @@ func setupGateway(cfg config) (*target, error) {
 	}
 
 	addr := cfg.addr
-	t := &target{payloadBytes: len(payload), close: func() {}}
+	t := &target{close: func() {}}
 	var closers []func()
 	if addr == "" {
 		up, err := orb.NewServer("127.0.0.1:0", orb.WithBufPooling())
@@ -415,17 +395,6 @@ func setupGateway(cfg config) (*target, error) {
 		for i := len(closers) - 1; i >= 0; i-- {
 			closers[i]()
 		}
-	}
-
-	admin, err := gateway.DialClient(addr)
-	if err != nil {
-		t.close()
-		return nil, err
-	}
-	closers = append(closers, func() { _ = admin.Close() })
-	t.health = func() (serve.Health, error) {
-		h, err := admin.Health()
-		return h.Health, err
 	}
 
 	clients := make([]*orb.Client, cfg.conc)
@@ -481,69 +450,6 @@ func setupGateway(cfg config) (*target, error) {
 	return t, nil
 }
 
-// serverJSON is the server-side delta slice of a run record.
-type serverJSON struct {
-	Sheds        int64 `json:"sheds"`
-	Expired      int64 `json:"expired"`
-	HeapBytes    int64 `json:"heap_bytes"`
-	GCPauseDelta int64 `json:"gc_pause_delta_ns"`
-	GCs          int64 `json:"gcs"`
-}
-
-// record is the stable BENCH_load.json row for one run.
-type record struct {
-	Date        string      `json:"date"`
-	Note        string      `json:"note,omitempty"`
-	Tier        string      `json:"tier"`
-	Target      string      `json:"target"`
-	Mode        string      `json:"mode"`
-	Concurrency int         `json:"concurrency"`
-	TargetRate  float64     `json:"target_rate,omitempty"`
-	DurationS   float64     `json:"duration_s"`
-	Ops         int64       `json:"ops"`
-	Errors      int64       `json:"errors"`
-	Throughput  float64     `json:"throughput"`
-	Fields      int         `json:"fields,omitempty"`
-	Batch       int         `json:"batch,omitempty"`
-	PayloadB    int         `json:"payload_bytes,omitempty"`
-	P50us       float64     `json:"p50_us"`
-	P90us       float64     `json:"p90_us"`
-	P99us       float64     `json:"p99_us"`
-	P999us      float64     `json:"p999_us"`
-	MaxUs       float64     `json:"max_us"`
-	Server      *serverJSON `json:"server,omitempty"`
-}
-
-// benchFile is the BENCH_load.json envelope.
-type benchFile struct {
-	Description string   `json:"description"`
-	Records     []record `json:"records"`
-}
-
-const benchDescription = "Saturation runs from cmd/mbirdload: open-/closed-loop load against mbirdd (compare/convert/batch tiers) and mbirdgw (passthrough/fused/tree relay tiers). Open-loop latencies are schedule-anchored (no coordinated omission). Regenerate with: go run ./cmd/mbirdload -tier TIER -mode open -rate N -json -bench-file BENCH_load.json"
-
-func appendRecord(path string, r record) error {
-	var bf benchFile
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &bf); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if bf.Description == "" {
-		bf.Description = benchDescription
-	}
-	bf.Records = append(bf.Records, r)
-	out, err := json.MarshalIndent(&bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
 func run(cfg config, out io.Writer) error {
 	var (
 		t   *target
@@ -561,15 +467,6 @@ func run(cfg config, out io.Writer) error {
 		return err
 	}
 	defer t.close()
-
-	var before serve.Health
-	haveHealth := false
-	if t.health != nil {
-		if before, err = t.health(); err != nil {
-			return fmt.Errorf("health before run: %w", err)
-		}
-		haveHealth = true
-	}
 
 	res, err := loadgen.Run(context.Background(), loadgen.Options{
 		Mode:        loadgen.Mode(cfg.mode),
@@ -589,64 +486,15 @@ func run(cfg config, out io.Writer) error {
 	if targetName == "" {
 		targetName = "self"
 	}
-	rec := record{
-		Date: time.Now().Format("2006-01-02"), Note: cfg.note,
-		Tier: cfg.tier, Target: targetName, Mode: string(res.Mode),
-		Concurrency: res.Concurrency, TargetRate: res.TargetRate,
-		DurationS: res.Elapsed.Seconds(), Ops: res.Ops, Errors: res.Errors,
-		Throughput: res.Throughput, Fields: cfg.fields, PayloadB: t.payloadBytes,
-		P50us:  usec(res.Hist.Percentile(0.50)),
-		P90us:  usec(res.Hist.Percentile(0.90)),
-		P99us:  usec(res.Hist.Percentile(0.99)),
-		P999us: usec(res.Hist.Percentile(0.999)),
-		MaxUs:  usec(res.Hist.Max()),
+	fmt.Fprintf(out, "tier %s against %s, %s loop, %d workers", cfg.tier, targetName, res.Mode, res.Concurrency)
+	if res.TargetRate > 0 {
+		fmt.Fprintf(out, ", %.0f/s offered", res.TargetRate)
 	}
-	if cfg.tier == "batch" {
-		rec.Batch = cfg.batch
-	}
-	if haveHealth {
-		after, err := t.health()
-		if err != nil {
-			return fmt.Errorf("health after run: %w", err)
-		}
-		rec.Server = &serverJSON{
-			Sheds:        after.Sheds + after.ConnSheds - before.Sheds - before.ConnSheds,
-			Expired:      after.Expired - before.Expired,
-			HeapBytes:    after.HeapBytes,
-			GCPauseDelta: after.GCPauseNs - before.GCPauseNs,
-			GCs:          after.NumGC - before.NumGC,
-		}
-	}
-
-	if cfg.asJSON {
-		enc := json.NewEncoder(out)
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintf(out, "tier %s against %s, %s loop, %d workers", cfg.tier, targetName, rec.Mode, rec.Concurrency)
-		if rec.TargetRate > 0 {
-			fmt.Fprintf(out, ", %.0f/s offered", rec.TargetRate)
-		}
-		fmt.Fprintf(out, ", %.1fs\n", rec.DurationS)
-		fmt.Fprintf(out, "throughput: %.0f/s (%d ops, %d errors)\n", rec.Throughput, rec.Ops, rec.Errors)
-		fmt.Fprintf(out, "latency:    %s\n", res.Hist.String())
-		if rec.Server != nil {
-			fmt.Fprintf(out, "server:     %d shed, %d expired, %d GCs (%v paused), %d heap bytes in use\n",
-				rec.Server.Sheds, rec.Server.Expired, rec.Server.GCs,
-				time.Duration(rec.Server.GCPauseDelta), rec.Server.HeapBytes)
-		}
-	}
-	if cfg.file != "" {
-		if err := appendRecord(cfg.file, rec); err != nil {
-			return err
-		}
-	}
+	fmt.Fprintf(out, ", %.1fs\n", res.Elapsed.Seconds())
+	fmt.Fprintf(out, "throughput: %.0f/s (%d ops, %d errors)\n", res.Throughput, res.Ops, res.Errors)
+	fmt.Fprintf(out, "latency:    %s\n", res.Hist.String())
 	if res.Errors > 0 {
-		if cfg.failErrs {
-			return fmt.Errorf("%d of %d operations failed (last: %v)", res.Errors, res.Ops, res.LastErr)
-		}
-		fmt.Fprintf(os.Stderr, "mbirdload: warning: %d of %d operations failed (last: %v)\n", res.Errors, res.Ops, res.LastErr)
+		return fmt.Errorf("%d of %d operations failed (last: %v)", res.Errors, res.Ops, res.LastErr)
 	}
 	return nil
 }

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -15,13 +13,12 @@ func shortCfg(tier string) config {
 	return config{
 		tier: tier, mode: "closed", conc: 2,
 		duration: 200 * time.Millisecond, warmup: 50 * time.Millisecond,
-		batch: 4, key: "svc", op: 1, asJSON: true, failErrs: true,
+		batch: 4, key: "svc", op: 1,
 	}
 }
 
-// TestAllTiersSelf drives every tier self-contained and checks the JSON
-// record: operations completed, none failed, percentiles populated, and
-// the server delta present.
+// TestAllTiersSelf drives every tier self-contained: run returns an error
+// when any operation fails, so a nil error is the gate passing.
 func TestAllTiersSelf(t *testing.T) {
 	for _, tier := range []string{"compare", "convert", "batch", "gw-pass", "gw-fused", "gw-tree"} {
 		t.Run(tier, func(t *testing.T) {
@@ -29,24 +26,8 @@ func TestAllTiersSelf(t *testing.T) {
 			if err := run(shortCfg(tier), &buf); err != nil {
 				t.Fatal(err)
 			}
-			var rec record
-			if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-				t.Fatalf("bad JSON %q: %v", buf.String(), err)
-			}
-			if rec.Ops == 0 || rec.Errors != 0 {
-				t.Fatalf("ops=%d errors=%d", rec.Ops, rec.Errors)
-			}
-			if rec.P50us <= 0 || rec.P999us < rec.P50us || rec.MaxUs < rec.P999us {
-				t.Fatalf("percentiles not monotone: p50=%v p999=%v max=%v", rec.P50us, rec.P999us, rec.MaxUs)
-			}
-			if rec.Server == nil {
-				t.Fatal("record lacks server delta")
-			}
-			if rec.Server.HeapBytes == 0 {
-				t.Fatal("server delta reports zero heap")
-			}
-			if rec.Tier != tier || rec.Target != "self" {
-				t.Fatalf("record tier=%q target=%q", rec.Tier, rec.Target)
+			if want := "tier " + tier + " against self, closed loop, 2 workers"; !strings.HasPrefix(buf.String(), want) {
+				t.Fatalf("summary %q does not start with %q", buf.String(), want)
 			}
 		})
 	}
@@ -63,46 +44,8 @@ func TestOpenLoopSelf(t *testing.T) {
 	if err := run(cfg, &buf); err != nil {
 		t.Fatal(err)
 	}
-	var rec record
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Mode != "open" || rec.TargetRate != 500 {
-		t.Fatalf("mode=%q target_rate=%v", rec.Mode, rec.TargetRate)
-	}
-	if rec.Ops == 0 || rec.Errors != 0 {
-		t.Fatalf("ops=%d errors=%d", rec.Ops, rec.Errors)
-	}
-}
-
-// TestBenchFileAppend checks the read-modify-write BENCH_load.json
-// cycle: a fresh file gains the envelope, a second run appends.
-func TestBenchFileAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	cfg := shortCfg("compare")
-	cfg.file = path
-	cfg.note = "first"
-	var buf bytes.Buffer
-	if err := run(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	cfg.note = "second"
-	if err := run(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		t.Fatal(err)
-	}
-	if bf.Description == "" {
-		t.Error("bench file lacks description")
-	}
-	if len(bf.Records) != 2 || bf.Records[0].Note != "first" || bf.Records[1].Note != "second" {
-		t.Fatalf("records = %+v", bf.Records)
+	if !strings.Contains(buf.String(), "open loop, 8 workers, 500/s offered") {
+		t.Fatalf("summary %q lacks the open-loop shape", buf.String())
 	}
 }
 

@@ -4,6 +4,6 @@
 //
 // The library lives under internal/ (see DESIGN.md for the package
 // inventory); cmd/mbird is the command-line tool; examples/ holds
-// runnable scenarios; bench_test.go regenerates the paper's experiments
-// (EXPERIMENTS.md records the outcomes).
+// runnable scenarios; bench/ is the benchmark every quoted number comes
+// from (EXPERIMENTS.md records the outcomes).
 package repro

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/annotate"
-	"repro/internal/cmem"
 	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/fingerprint"
@@ -212,7 +211,7 @@ func New(sess *core.Session, opts Options) *Broker {
 
 // --- declaration management (session passthrough, serialized) ---
 
-// Load parses src in the given language ("c", "java", or "idl") into a
+// Load parses src in the given language ("c", "java", "idl" or "go") into a
 // universe, then applies the optional annotation script. If the universe
 // already exists the call is a no-op and existed is true: universes are
 // immutable once loaded except through Annotate, and protocol clients
@@ -228,24 +227,8 @@ func (b *Broker) Load(universe, lang, model, src, script string) (names []string
 		names, err := b.sess.DeclNames(universe)
 		return names, true, err
 	}
-	switch lang {
-	case "c":
-		m := cmem.ILP32
-		if model == "lp64" {
-			m = cmem.LP64
-		}
-		err = b.sess.LoadC(universe, src, m)
-	case "java":
-		err = b.sess.LoadJava(universe, src)
-	case "idl":
-		err = b.sess.LoadIDL(universe, src)
-	case "go":
-		err = b.sess.LoadGo(universe, src)
-	default:
-		err = fmt.Errorf("broker: unknown language %q", lang)
-	}
-	if err != nil {
-		return nil, false, err
+	if err = b.sess.LoadSource(universe, lang, model, src); err != nil {
+		return nil, false, fmt.Errorf("broker: %w", err)
 	}
 	if script != "" {
 		if _, err := b.sess.Annotate(universe, script); err != nil {
@@ -355,6 +338,7 @@ func (b *Broker) Compare(ua, da, ub, db string) (Verdict, error) {
 		return Verdict{}, err
 	}
 	key := fingerprint.Pair(pa.Canonical, pb.Canonical)
+	filled := false // set by the fill closure, which only the filling call runs
 	ent, cached, err := b.verdicts.do(key, func() (*verdictEntry, error) {
 		// Before paying for a compare, ask the pair's ring owner: a
 		// verdict is plain data, so a peer's cached result transfers the
@@ -378,11 +362,14 @@ func (b *Broker) Compare(ua, da, ub, db string) (Verdict, error) {
 		}
 		e := &verdictEntry{relation: v.Relation, steps: v.Steps, explain: v.Explain}
 		b.noteRecipe(KindVerdict, key, ua, da, ub, db, e)
-		b.pushAfterFill(KindVerdict, ua, da, ub, db)
+		filled = true
 		return e, nil
 	})
 	if err != nil {
 		return Verdict{}, err
+	}
+	if filled {
+		b.pushAfterFill(KindVerdict, ua, da, ub, db)
 	}
 	if cached && ent.warmed {
 		b.warmHits.Add(1)
@@ -406,7 +393,8 @@ func (b *Broker) converter(ua, da, ub, db string, warm bool) (*convEntry, bool, 
 		return nil, false, err
 	}
 	key := fingerprint.Pair(pa.Exact, pb.Exact)
-	return b.converters.do(key, func() (*convEntry, error) {
+	filled := false
+	ent, cached, err := b.converters.do(key, func() (*convEntry, error) {
 		b.fillSem <- struct{}{}
 		defer func() { <-b.fillSem }()
 		start := time.Now()
@@ -433,11 +421,14 @@ func (b *Broker) converter(ua, da, ub, db string, warm bool) (*convEntry, bool, 
 		b.noteRecipe(KindConverter, key, ua, da, ub, db, nil)
 		if warm {
 			b.warmFills.Add(1)
-		} else {
-			b.pushAfterFill(KindConverter, ua, da, ub, db)
 		}
+		filled = !warm
 		return ent, nil
 	})
+	if filled {
+		b.pushAfterFill(KindConverter, ua, da, ub, db)
+	}
+	return ent, cached, err
 }
 
 func (b *Broker) buildConverter(v *core.Verdict) (*plan.Plan, convert.Converter, error) {

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -96,7 +97,7 @@ func benchOverload(b *testing.B, maxInFlight int) {
 				ua := fmt.Sprintf("a%d", i%pairs)
 				ub := fmt.Sprintf("b%d", i%pairs)
 				start := time.Now()
-				if _, err := c.Compare(ua, "s", ub, "s"); err != nil {
+				if _, err := c.CompareContext(context.Background(), ua, "s", ub, "s"); err != nil {
 					failed.Add(1)
 				} else {
 					ok.Add(1)

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -39,7 +40,7 @@ func TestOverloadShedTyped(t *testing.T) {
 	}
 
 	release := fillAdmission(t, b)
-	_, err := c.Compare("u", "pair", "u", "pair")
+	_, err := c.CompareContext(context.Background(), "u", "pair", "u", "pair")
 	if !errors.Is(err, orb.ErrOverloaded) {
 		t.Fatalf("err = %v, want orb.ErrOverloaded", err)
 	}
@@ -49,7 +50,7 @@ func TestOverloadShedTyped(t *testing.T) {
 
 	// Health answers even at full load (it bypasses admission) and
 	// reports the saturation.
-	h, err := c.Health()
+	h, err := c.HealthContext(context.Background())
 	if err != nil {
 		t.Fatalf("health under load: %v", err)
 	}
@@ -58,10 +59,10 @@ func TestOverloadShedTyped(t *testing.T) {
 	}
 
 	release()
-	if v, err := c.Compare("u", "pair", "u", "pair"); err != nil {
+	if v, err := c.CompareContext(context.Background(), "u", "pair", "u", "pair"); err != nil {
 		t.Fatalf("post-shed compare: %+v, %v", v, err)
 	}
-	if h, err := c.Health(); err != nil || h.InFlight != 0 {
+	if h, err := c.HealthContext(context.Background()); err != nil || h.InFlight != 0 {
 		t.Fatalf("drained health = %+v, %v", h, err)
 	}
 }
@@ -95,7 +96,7 @@ func TestOverloadRetriedByResil(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		release()
 	}()
-	if _, err := c.Compare("u", "pair", "u", "pair"); err != nil {
+	if _, err := c.CompareContext(context.Background(), "u", "pair", "u", "pair"); err != nil {
 		t.Fatalf("compare through overload: %v", err)
 	}
 	st := rc.Stats()
@@ -120,7 +121,7 @@ func TestAdmitUnbounded(t *testing.T) {
 	if _, _, err := c.Load("u", "c", "ilp32", overloadSrc, ""); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Health()
+	h, err := c.HealthContext(context.Background())
 	if err != nil || !h.Ready || h.MaxInFlight != 0 || h.InFlight != 0 {
 		t.Fatalf("health = %+v, %v", h, err)
 	}
@@ -131,7 +132,7 @@ func TestAdmitUnbounded(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = c.ConvertStream("u", "pair", "u", "pair", pr, io.Discard)
+		_, _ = c.ConvertStreamContext(context.Background(), "u", "pair", "u", "pair", pr, io.Discard)
 	}()
 	awaitInFlight(t, c, 1)
 	pw.Close()
@@ -147,7 +148,7 @@ func awaitInFlight(t *testing.T, c *Client, want int64) {
 	var h Health
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		var err error
-		if h, err = c.Health(); err != nil {
+		if h, err = c.HealthContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if h.InFlight == want {

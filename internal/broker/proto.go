@@ -342,7 +342,8 @@ func (c *Client) Close() error { return c.t.Close() }
 
 // Load ships a declaration source to the daemon. It is idempotent per
 // universe name: existed reports that the universe was already loaded and
-// the source was ignored.
+// the source was ignored. It is the one call kept in a form without a
+// context beside LoadContext: the benchmark (bench/w_broker.go) calls it.
 func (c *Client) Load(universe, lang, model, src, script string) (names []string, existed bool, err error) {
 	return c.LoadContext(context.Background(), universe, lang, model, src, script)
 }
@@ -362,12 +363,7 @@ func (c *Client) LoadContext(ctx context.Context, universe, lang, model, src, sc
 	return rep.Names, rep.Existed, err
 }
 
-// Annotate applies a script to a loaded universe on the daemon.
-func (c *Client) Annotate(universe, script string) (lines, applied int, err error) {
-	return c.AnnotateContext(context.Background(), universe, script)
-}
-
-// AnnotateContext is Annotate bounded by a context.
+// AnnotateContext applies a script to a loaded universe on the daemon.
 func (c *Client) AnnotateContext(ctx context.Context, universe, script string) (lines, applied int, err error) {
 	body, err := proto.MarshalStrings(annotateReqT, universe, script)
 	if err != nil {
@@ -382,12 +378,7 @@ func (c *Client) AnnotateContext(ctx context.Context, universe, script string) (
 	return res.Lines, res.Applied, err
 }
 
-// Compare asks the daemon for the relation between two declarations.
-func (c *Client) Compare(ua, da, ub, db string) (Verdict, error) {
-	return c.CompareContext(context.Background(), ua, da, ub, db)
-}
-
-// CompareContext is Compare bounded by a context.
+// CompareContext asks the daemon for the relation between two declarations.
 func (c *Client) CompareContext(ctx context.Context, ua, da, ub, db string) (Verdict, error) {
 	body, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
 	if err != nil {
@@ -402,12 +393,7 @@ func (c *Client) CompareContext(ctx context.Context, ua, da, ub, db string) (Ver
 	return v, err
 }
 
-// Plan fetches the rendered coercion plan for a pair.
-func (c *Client) Plan(ua, da, ub, db string) (string, error) {
-	return c.PlanContext(context.Background(), ua, da, ub, db)
-}
-
-// PlanContext is Plan bounded by a context.
+// PlanContext fetches the rendered coercion plan for a pair.
 func (c *Client) PlanContext(ctx context.Context, ua, da, ub, db string) (string, error) {
 	body, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
 	if err != nil {
@@ -424,15 +410,10 @@ func (c *Client) PlanContext(ctx context.Context, ua, da, ub, db string) (string
 	return text[0], nil
 }
 
-// ConvertRaw converts a CDR-encoded value of declaration A into a
+// ConvertRawContext converts a CDR-encoded value of declaration A into a
 // CDR-encoded value of declaration B. The caller encodes/decodes against
 // the declarations' Mtypes (which it can lower locally from the same
 // sources it loaded).
-func (c *Client) ConvertRaw(ua, da, ub, db string, payload []byte) ([]byte, error) {
-	return c.ConvertRawContext(context.Background(), ua, da, ub, db, payload)
-}
-
-// ConvertRawContext is ConvertRaw bounded by a context.
 func (c *Client) ConvertRawContext(ctx context.Context, ua, da, ub, db string, payload []byte) ([]byte, error) {
 	hdr, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
 	if err != nil {
@@ -441,15 +422,10 @@ func (c *Client) ConvertRawContext(ctx context.Context, ua, da, ub, db string, p
 	return c.t.InvokeContext(ctx, ObjectKey, OpConvert, append(hdr, payload...))
 }
 
-// ConvertBatchRaw converts a slice of CDR-encoded values of declaration
+// ConvertBatchRawContext converts a slice of CDR-encoded values of declaration
 // A into CDR-encoded values of declaration B in one request. The daemon
 // resolves the pair's execution tier once and converts every item
 // against it; item i of the result corresponds to payload i.
-func (c *Client) ConvertBatchRaw(ua, da, ub, db string, payloads [][]byte) ([][]byte, error) {
-	return c.ConvertBatchRawContext(context.Background(), ua, da, ub, db, payloads)
-}
-
-// ConvertBatchRawContext is ConvertBatchRaw bounded by a context.
 func (c *Client) ConvertBatchRawContext(ctx context.Context, ua, da, ub, db string, payloads [][]byte) ([][]byte, error) {
 	body, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
 	if err != nil {
@@ -470,13 +446,8 @@ func (c *Client) ConvertBatchRawContext(ctx context.Context, ua, da, ub, db stri
 	return outs, nil
 }
 
-// ConvertBatch is ConvertBatchRaw with client-side marshaling against
+// ConvertBatchContext is ConvertBatchRawContext with client-side marshaling against
 // the two Mtypes.
-func (c *Client) ConvertBatch(ua, da, ub, db string, mtA, mtB *mtype.Type, vs []value.Value) ([]value.Value, error) {
-	return c.ConvertBatchContext(context.Background(), ua, da, ub, db, mtA, mtB, vs)
-}
-
-// ConvertBatchContext is ConvertBatch bounded by a context.
 func (c *Client) ConvertBatchContext(ctx context.Context, ua, da, ub, db string, mtA, mtB *mtype.Type, vs []value.Value) ([]value.Value, error) {
 	payloads := make([][]byte, len(vs))
 	for i, v := range vs {
@@ -501,13 +472,8 @@ func (c *Client) ConvertBatchContext(ctx context.Context, ua, da, ub, db string,
 	return outs, nil
 }
 
-// Convert is ConvertRaw with client-side marshaling against the two
+// ConvertContext is ConvertRawContext with client-side marshaling against the two
 // Mtypes (typically lowered by a local session from the same sources).
-func (c *Client) Convert(ua, da, ub, db string, mtA, mtB *mtype.Type, v value.Value) (value.Value, error) {
-	return c.ConvertContext(context.Background(), ua, da, ub, db, mtA, mtB, v)
-}
-
-// ConvertContext is Convert bounded by a context.
 func (c *Client) ConvertContext(ctx context.Context, ua, da, ub, db string, mtA, mtB *mtype.Type, v value.Value) (value.Value, error) {
 	payload, err := wire.Marshal(mtA, v)
 	if err != nil {
@@ -520,12 +486,7 @@ func (c *Client) ConvertContext(ctx context.Context, ua, da, ub, db string, mtA,
 	return wire.Unmarshal(mtB, reply)
 }
 
-// Stats fetches the daemon's counter snapshot.
-func (c *Client) Stats() (Stats, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext is Stats bounded by a context.
+// StatsContext fetches the daemon's counter snapshot.
 func (c *Client) StatsContext(ctx context.Context) (Stats, error) {
 	reply, err := c.t.InvokeContext(ctx, ObjectKey, OpStats, nil)
 	if err != nil {
@@ -536,14 +497,9 @@ func (c *Client) StatsContext(ctx context.Context) (Stats, error) {
 	return st, err
 }
 
-// Health fetches the daemon's readiness and load snapshot. It is served
+// HealthContext fetches the daemon's readiness and load snapshot. It is served
 // without admission control, so it answers even when the daemon sheds
 // every other request.
-func (c *Client) Health() (Health, error) {
-	return c.HealthContext(context.Background())
-}
-
-// HealthContext is Health bounded by a context.
 func (c *Client) HealthContext(ctx context.Context) (Health, error) {
 	reply, err := c.t.InvokeContext(ctx, ObjectKey, OpHealth, nil)
 	if err != nil {

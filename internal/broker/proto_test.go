@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -58,23 +59,23 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 
 	// Annotate over the wire (lines/applied counts round-trip).
-	lines, applied, err := c.Annotate("x", "# comment only\n")
+	lines, applied, err := c.AnnotateContext(context.Background(), "x", "# comment only\n")
 	if err != nil || lines != 0 || applied != 0 {
 		t.Fatalf("annotate: %d %d %v", lines, applied, err)
 	}
 
-	v, err := c.Compare("x", "mix", "y", "pair")
+	v, err := c.CompareContext(context.Background(), "x", "mix", "y", "pair")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Relation != core.RelEquivalent || v.Cached {
 		t.Fatalf("verdict = %+v", v)
 	}
-	if v, err = c.Compare("x", "mix", "y", "pair"); err != nil || !v.Cached {
+	if v, err = c.CompareContext(context.Background(), "x", "mix", "y", "pair"); err != nil || !v.Cached {
 		t.Fatalf("warm verdict = %+v err=%v", v, err)
 	}
 
-	text, err := c.Plan("x", "mix", "y", "pair")
+	text, err := c.PlanContext(context.Background(), "x", "mix", "y", "pair")
 	if err != nil || !strings.Contains(text, "plan(") {
 		t.Fatalf("plan = %q err=%v", text, err)
 	}
@@ -89,7 +90,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := value.NewRecord(value.Real{V: 4.5}, value.NewInt(9))
-	out, err := c.Convert("x", "mix", "y", "pair", mtA, mtB, in)
+	out, err := c.ConvertContext(context.Background(), "x", "mix", "y", "pair", mtA, mtB, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Fatalf("converted = %v", out)
 	}
 
-	st, err := c.Stats()
+	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 
 func TestProtocolErrors(t *testing.T) {
 	b, c := startDaemon(t)
-	if _, err := c.Compare("nope", "a", "nope", "b"); err == nil {
+	if _, err := c.CompareContext(context.Background(), "nope", "a", "nope", "b"); err == nil {
 		t.Fatal("compare of unknown universe succeeded")
 	} else if _, ok := err.(*orb.RemoteError); !ok {
 		t.Fatalf("error %T, want RemoteError", err)
@@ -136,7 +137,7 @@ func TestProtocolErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ConvertRaw("u", "fa", "u", "cc", payload); err == nil ||
+	if _, err := c.ConvertRawContext(context.Background(), "u", "fa", "u", "cc", payload); err == nil ||
 		!strings.Contains(err.Error(), "do not match") {
 		t.Fatalf("convert error = %v", err)
 	}
@@ -198,14 +199,14 @@ func TestResilTransportRoundTrip(t *testing.T) {
 	if _, _, err := c.Load("y", "c", "ilp32", "typedef struct { int count; float ratio; } pair;", ""); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Compare("x", "mix", "y", "pair")
+	v, err := c.CompareContext(context.Background(), "x", "mix", "y", "pair")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Relation != core.RelEquivalent {
 		t.Fatalf("verdict = %+v", v)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestResilTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if _, err := c.ConvertStream("x", "mix", "y", "pair", bytes.NewReader(payload), &out); err != nil || !bytes.Equal(out.Bytes(), want) {
+	if _, err := c.ConvertStreamContext(context.Background(), "x", "mix", "y", "pair", bytes.NewReader(payload), &out); err != nil || !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("streamed convert over the pool = %x, %v, want %x", out.Bytes(), err, want)
 	}
 	if st := pool.Stats(); st.Dials != 1 || st.Conns != 1 {

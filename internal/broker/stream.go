@@ -160,15 +160,10 @@ func readAllStream(in *orb.StreamReader, max int) ([]byte, error) {
 // transport cannot open orb streams.
 var ErrNoStreamTransport = errors.New("broker: transport does not support streaming")
 
-// ConvertStream converts a CDR payload of declaration A read from in
+// ConvertStreamContext converts a CDR payload of declaration A read from in
 // into a CDR payload of declaration B written to out, streaming both
 // legs so neither endpoint holds the whole value. It returns the bytes
 // written to out.
-func (c *Client) ConvertStream(ua, da, ub, db string, in io.Reader, out io.Writer) (int64, error) {
-	return c.ConvertStreamContext(context.Background(), ua, da, ub, db, in, out)
-}
-
-// ConvertStreamContext is ConvertStream bounded by a context.
 func (c *Client) ConvertStreamContext(ctx context.Context, ua, da, ub, db string, in io.Reader, out io.Writer) (written int64, err error) {
 	var sc *orb.StreamCall
 	done := func(error) {}

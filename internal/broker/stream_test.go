@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func TestConvertStreamFastTier(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	n, err := c.ConvertStream("a", "Batch", "bb", "Batch", bytes.NewReader(payload), &out)
+	n, err := c.ConvertStreamContext(context.Background(), "a", "Batch", "bb", "Batch", bytes.NewReader(payload), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestConvertStreamTreeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if _, err := c.ConvertStream("analytic", "SlopeLine", "geometric", "SegLine", bytes.NewReader(payload), &out); err != nil {
+	if _, err := c.ConvertStreamContext(context.Background(), "analytic", "SlopeLine", "geometric", "SegLine", bytes.NewReader(payload), &out); err != nil {
 		t.Fatal(err)
 	}
 	want, err := b.ConvertRaw("analytic", "SlopeLine", "geometric", "SegLine", payload)
@@ -144,7 +145,7 @@ func TestConvertStreamOverCapTyped(t *testing.T) {
 	// whose fallback cap is 16 MiB.
 	junk := bytes.Repeat([]byte{0xee}, 17<<20)
 	var out bytes.Buffer
-	_, err := c.ConvertStream("x", "mix", "y", "pair", bytes.NewReader(junk), &out)
+	_, err := c.ConvertStreamContext(context.Background(), "x", "mix", "y", "pair", bytes.NewReader(junk), &out)
 	if err == nil {
 		t.Fatal("17 MiB through a non-streamable pair succeeded")
 	}
@@ -162,7 +163,7 @@ func TestConvertStreamWrongDirectionSwapHint(t *testing.T) {
 	loadC(t, b, "y", "typedef int wide;")
 
 	var out bytes.Buffer
-	_, err := c.ConvertStream("y", "wide", "x", "narrow", bytes.NewReader([]byte{1, 0, 0, 0}), &out)
+	_, err := c.ConvertStreamContext(context.Background(), "y", "wide", "x", "narrow", bytes.NewReader([]byte{1, 0, 0, 0}), &out)
 	if err == nil || !strings.Contains(err.Error(), "swap") {
 		t.Fatalf("wide→narrow stream error = %v, want swap hint", err)
 	}

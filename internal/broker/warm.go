@@ -44,8 +44,8 @@ const (
 // PeerWarmer is the hook a cluster layer installs to warm caches across
 // daemons. Implementations must be safe for concurrent use and must not
 // block: PullVerdict is called on the request path (bound it with a
-// short timeout and fail open), and PushCompiled is called inside cache
-// fills (hand the work to a background queue).
+// short timeout and fail open), and PushCompiled is called on the request
+// path after a cache fill (hand the work to a background queue).
 type PeerWarmer interface {
 	// PullVerdict asks the pair's ring owner for a cached verdict,
 	// reporting ok=false on any miss, timeout, or transport failure.
@@ -72,7 +72,9 @@ func (b *Broker) peerWarmer() PeerWarmer {
 
 // pushAfterFill hands a freshly filled entry to the warmer for push
 // replication (counted whether or not the sends later succeed — the
-// warmer tracks transport outcomes itself).
+// warmer tracks transport outcomes itself). Call it after sfCache.do has
+// returned, from the call that ran the fill: the warmer reads the entry
+// back out of the cache, and do publishes it only once the fill returns.
 func (b *Broker) pushAfterFill(kind, ua, da, ub, db string) {
 	if w := b.peerWarmer(); w != nil {
 		b.peerPushes.Add(1)

@@ -35,7 +35,8 @@ func (b *Broker) transcoder(ua, da, ub, db string, warm bool) (*xcodeEntry, bool
 		return nil, false, err
 	}
 	key := fingerprint.Pair(pa.Exact, pb.Exact)
-	return b.xcoders.do(key, func() (*xcodeEntry, error) {
+	filled := false
+	ent, cached, err := b.xcoders.do(key, func() (*xcodeEntry, error) {
 		b.fillSem <- struct{}{}
 		defer func() { <-b.fillSem }()
 		start := time.Now()
@@ -48,9 +49,8 @@ func (b *Broker) transcoder(ua, da, ub, db string, warm bool) (*xcodeEntry, bool
 			b.noteRecipe(KindTranscoder, key, ua, da, ub, db, nil)
 			if warm {
 				b.warmFills.Add(1)
-			} else {
-				b.pushAfterFill(KindTranscoder, ua, da, ub, db)
 			}
+			filled = !warm
 			return e
 		}
 		v, err := b.compareLocked(ua, da, ub, db)
@@ -79,6 +79,10 @@ func (b *Broker) transcoder(ua, da, ub, db string, warm bool) (*xcodeEntry, bool
 		}
 		return done(&xcodeEntry{relation: v.Relation, xc: xc}), nil
 	})
+	if filled {
+		b.pushAfterFill(KindTranscoder, ua, da, ub, db)
+	}
+	return ent, cached, err
 }
 
 // ConvertRaw converts a CDR-encoded value of declaration A directly into

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -176,7 +177,7 @@ func TestConvertBatchProtocol(t *testing.T) {
 	for i := range vs {
 		vs[i] = value.NewRecord(value.Real{V: float64(i) + 0.5}, value.NewInt(int64(i)))
 	}
-	outs, err := c.ConvertBatch("x", "mix", "y", "pair", mtA, mtB, vs)
+	outs, err := c.ConvertBatchContext(context.Background(), "x", "mix", "y", "pair", mtA, mtB, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestConvertBatchProtocol(t *testing.T) {
 	}
 
 	// Empty batch round-trips.
-	if outs, err := c.ConvertBatchRaw("x", "mix", "y", "pair", nil); err != nil || len(outs) != 0 {
+	if outs, err := c.ConvertBatchRawContext(context.Background(), "x", "mix", "y", "pair", nil); err != nil || len(outs) != 0 {
 		t.Fatalf("empty batch: %d items, err %v", len(outs), err)
 	}
 
@@ -207,13 +208,13 @@ func TestConvertBatchProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ConvertBatchRaw("x", "mix", "y", "pair", [][]byte{good, good[:2]}); err == nil ||
+	if _, err := c.ConvertBatchRawContext(context.Background(), "x", "mix", "y", "pair", [][]byte{good, good[:2]}); err == nil ||
 		!strings.Contains(err.Error(), "item 1") {
 		t.Fatalf("bad batch item error = %v", err)
 	}
 
 	// Health exposes the transcoder cache occupancy.
-	h, err := c.Health()
+	h, err := c.HealthContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestConvertBatchProtocol(t *testing.T) {
 	}
 	// And stats round-trip the new counters over the wire.
 	local := b.Stats()
-	wst, err := c.Stats()
+	wst, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,14 +294,14 @@ func BenchmarkConvertBatch(b *testing.B) {
 		payloads[i] = p
 	}
 	// Warm the caches.
-	if _, err := c.ConvertBatchRaw("x", "mix", "y", "pair", payloads); err != nil {
+	if _, err := c.ConvertBatchRawContext(context.Background(), "x", "mix", "y", "pair", payloads); err != nil {
 		b.Fatal(err)
 	}
 
 	b.Run("batch64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.ConvertBatchRaw("x", "mix", "y", "pair", payloads); err != nil {
+			if _, err := c.ConvertBatchRawContext(context.Background(), "x", "mix", "y", "pair", payloads); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -309,7 +310,7 @@ func BenchmarkConvertBatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, p := range payloads {
-				if _, err := c.ConvertRaw("x", "mix", "y", "pair", p); err != nil {
+				if _, err := c.ConvertRawContext(context.Background(), "x", "mix", "y", "pair", p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,8 +17,8 @@ import (
 // and counts the comparison runs the restart re-paid. With peer
 // warming the restart syncs the fleet's content-addressed entries
 // before serving and re-pays nothing; with warming off it must re-run
-// every comparison its traffic touches. Results are recorded in
-// BENCH_cluster.json; the warm/cold ratio is the acceptance number.
+// every comparison its traffic touches; the warm/cold ratio is the
+// acceptance number (TestChaosClusterWarmRestart asserts the zero).
 func BenchmarkClusterColdVsWarm(b *testing.B) {
 	const nPairs = 12
 

@@ -230,7 +230,7 @@ func TestClusterBrokerTransportSharding(t *testing.T) {
 		return true
 	})
 
-	v, err := c.Compare("ux", "mix", "uy", "pair")
+	v, err := c.CompareContext(context.Background(), "ux", "mix", "uy", "pair")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestClusterBrokerTransportSharding(t *testing.T) {
 	}
 
 	// Stats is keyless: any member may answer; the call must not error.
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.StatsContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

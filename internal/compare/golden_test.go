@@ -128,7 +128,7 @@ func (d *digester) decisions(m *compare.Match, a, b *mtype.Type) {
 	}
 }
 
-func mustMtype(t *testing.T, s *core.Session, universe, decl string) *mtype.Type {
+func mustMtype(t testing.TB, s *core.Session, universe, decl string) *mtype.Type {
 	t.Helper()
 	mt, err := s.Mtype(universe, decl)
 	if err != nil {
@@ -156,21 +156,27 @@ func suiteSession(t *testing.T, s *synth.Suite) *core.Session {
 	return sess
 }
 
-func fitterPair(t *testing.T) (a, b *mtype.Type) {
-	t.Helper()
+func fitterSession(tb testing.TB) *core.Session {
+	tb.Helper()
 	s := core.NewSession()
 	if err := s.LoadC("c", fitterC, cmem.ILP32); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.LoadJava("java", figure1Java); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := s.Annotate("c", fitterCScript); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := s.Annotate("java", figure1JavaScript); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s
+}
+
+func fitterPair(t *testing.T) (a, b *mtype.Type) {
+	t.Helper()
+	s := fitterSession(t)
 	return mustMtype(t, s, "java", "JavaIdeal"), mustMtype(t, s, "c", "fitter")
 }
 

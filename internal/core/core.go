@@ -83,7 +83,7 @@ func (s *Session) LoadC(name, src string, model cmem.Model) error {
 	if err != nil {
 		return err
 	}
-	return s.addUniverse(name, u)
+	return s.AddUniverse(name, u)
 }
 
 // LoadJava parses Java declarations into a universe named name.
@@ -92,7 +92,7 @@ func (s *Session) LoadJava(name, src string) error {
 	if err != nil {
 		return err
 	}
-	return s.addUniverse(name, u)
+	return s.AddUniverse(name, u)
 }
 
 // LoadIDL parses CORBA IDL declarations into a universe named name.
@@ -101,7 +101,7 @@ func (s *Session) LoadIDL(name, src string) error {
 	if err != nil {
 		return err
 	}
-	return s.addUniverse(name, u)
+	return s.AddUniverse(name, u)
 }
 
 // LoadGo parses Go declarations into a universe named name.
@@ -110,16 +110,31 @@ func (s *Session) LoadGo(name, src string) error {
 	if err != nil {
 		return err
 	}
-	return s.addUniverse(name, u)
+	return s.AddUniverse(name, u)
+}
+
+// LoadSource is LoadC, LoadJava, LoadIDL or LoadGo by language name ("c",
+// "java", "idl", "go"); model "lp64" picks that C data model, else ILP32.
+func (s *Session) LoadSource(universe, lang, model, src string) error {
+	switch lang {
+	case "c":
+		if model == "lp64" {
+			return s.LoadC(universe, src, cmem.LP64)
+		}
+		return s.LoadC(universe, src, cmem.ILP32)
+	case "java":
+		return s.LoadJava(universe, src)
+	case "idl":
+		return s.LoadIDL(universe, src)
+	case "go":
+		return s.LoadGo(universe, src)
+	}
+	return fmt.Errorf("unknown language %q", lang)
 }
 
 // AddUniverse installs an already-built universe (used by the project
 // loader and the workload synthesizer).
 func (s *Session) AddUniverse(name string, u *stype.Universe) error {
-	return s.addUniverse(name, u)
-}
-
-func (s *Session) addUniverse(name string, u *stype.Universe) error {
 	if name == "" {
 		return fmt.Errorf("core: empty universe name")
 	}

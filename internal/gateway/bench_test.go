@@ -16,7 +16,8 @@ import (
 // through the gateway with no transcoding (passthrough), with a fused
 // fast-tier lane pair, and with a semantic-hook lane forced onto the
 // tree tier. The direct case is the floor; the deltas are what the
-// interop hop costs. Results are recorded in BENCH_gateway.json.
+// interop hop costs (bench/ reads the same ladder as gateway.pass_call_ns
+// and gateway.second_hop_ns on relay_small).
 func BenchmarkGatewayVsDirect(b *testing.B) {
 	newUpstream := func(b *testing.B, key string) *orb.Server {
 		b.Helper()

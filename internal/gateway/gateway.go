@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cmem"
 	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/fingerprint"
@@ -479,24 +478,7 @@ func (g *Gateway) Lower(d *DeclConfig) (*mtype.Type, error) {
 	defer g.sessMu.Unlock()
 	uni := d.universe()
 	if g.sess.Universe(uni) == nil {
-		var err error
-		switch d.Lang {
-		case "c":
-			m := cmem.ILP32
-			if d.Model == "lp64" {
-				m = cmem.LP64
-			}
-			err = g.sess.LoadC(uni, d.Source, m)
-		case "java":
-			err = g.sess.LoadJava(uni, d.Source)
-		case "idl":
-			err = g.sess.LoadIDL(uni, d.Source)
-		case "go":
-			err = g.sess.LoadGo(uni, d.Source)
-		default:
-			err = fmt.Errorf("gateway: unknown lang %q", d.Lang)
-		}
-		if err != nil {
+		if err := g.sess.LoadSource(uni, d.Lang, d.Model, d.Source); err != nil {
 			return nil, err
 		}
 		if d.Script != "" {

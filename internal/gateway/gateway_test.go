@@ -177,7 +177,7 @@ func TestEndToEndFastTier(t *testing.T) {
 
 	// The same snapshot must round-trip the admin protocol.
 	ac := NewClient(dialOrb(t, srv.Addr()))
-	remote, err := ac.Stats()
+	remote, err := ac.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestEndToEndFastTier(t *testing.T) {
 	if len(remote.Upstreams) != 1 || remote.Upstreams[0].Dials < 1 {
 		t.Errorf("admin upstream stats = %+v, want ≥ 1 dial", remote.Upstreams)
 	}
-	h, err := ac.Health()
+	h, err := ac.HealthContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestHotReload(t *testing.T) {
 	compiles := g.Stats().LaneCompiles
 	g.SetReloader(func() (*Config, error) { return mkCfg("new"), nil })
 	ac := NewClient(dialOrb(t, srv.Addr()))
-	n, err := ac.Reload()
+	n, err := ac.ReloadContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

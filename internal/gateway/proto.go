@@ -123,11 +123,6 @@ func DialClient(addr string) (*Client, error) {
 // Close releases the underlying transport.
 func (c *Client) Close() error { return c.t.Close() }
 
-// Health fetches the gateway's health snapshot.
-func (c *Client) Health() (Health, error) {
-	return c.HealthContext(context.Background())
-}
-
 // HealthContext fetches the gateway's health snapshot.
 func (c *Client) HealthContext(ctx context.Context) (Health, error) {
 	reply, err := c.t.InvokeContext(ctx, AdminKey, OpHealth, nil)
@@ -137,11 +132,6 @@ func (c *Client) HealthContext(ctx context.Context) (Health, error) {
 	var h Health
 	err = healthRec.Unmarshal(reply, &h)
 	return h, err
-}
-
-// Stats fetches the gateway's stats snapshot.
-func (c *Client) Stats() (Stats, error) {
-	return c.StatsContext(context.Background())
 }
 
 // StatsContext fetches the gateway's stats snapshot.
@@ -155,13 +145,8 @@ func (c *Client) StatsContext(ctx context.Context) (Stats, error) {
 	return st, err
 }
 
-// Reload asks the gateway to re-read its route table; it returns the
+// ReloadContext asks the gateway to re-read its route table; it returns the
 // new route count.
-func (c *Client) Reload() (int, error) {
-	return c.ReloadContext(context.Background())
-}
-
-// ReloadContext asks the gateway to re-read its route table.
 func (c *Client) ReloadContext(ctx context.Context) (int, error) {
 	reply, err := c.t.InvokeContext(ctx, AdminKey, OpReload, nil)
 	if err != nil {

@@ -83,8 +83,7 @@ func vmPeakKiB(t testing.TB) int64 {
 // TestStreamRelayGiB pushes a ~1 GiB CDR sequence through the gateway's
 // streaming relay — client, gateway, and upstream all in this process,
 // so the RSS ceiling covers every hop. Gated behind MBIRD_STREAM_1GIB=1
-// because it moves 2 GiB over loopback; results are recorded in
-// BENCH_stream.json.
+// because it moves 2 GiB over loopback.
 //
 //	MBIRD_STREAM_1GIB=1 go test -run TestStreamRelayGiB -v ./internal/gateway/
 func TestStreamRelayGiB(t *testing.T) {
