@@ -160,14 +160,14 @@ func (c *C) readPrim(t *stype.Type, mem *cmem.Arena, at cmem.Addr) (value.Value,
 		return value.NewInt(int64(u)), nil
 	case stype.PI8, stype.PI16, stype.PI32, stype.PI64:
 		if asChar(false) {
-			size, _ := primByteSize(t.Prim)
+			size, _ := cmem.PrimSize(t.Prim)
 			u, err := mem.ReadU(at, size)
 			if err != nil {
 				return nil, err
 			}
 			return value.Char{R: rune(u)}, nil
 		}
-		size, _ := primByteSize(t.Prim)
+		size, _ := cmem.PrimSize(t.Prim)
 		n, err := mem.ReadI(at, size)
 		if err != nil {
 			return nil, err
@@ -175,14 +175,14 @@ func (c *C) readPrim(t *stype.Type, mem *cmem.Arena, at cmem.Addr) (value.Value,
 		return value.NewInt(n), nil
 	case stype.PU8, stype.PU16, stype.PU32, stype.PU64:
 		if asChar(false) {
-			size, _ := primByteSize(t.Prim)
+			size, _ := cmem.PrimSize(t.Prim)
 			u, err := mem.ReadU(at, size)
 			if err != nil {
 				return nil, err
 			}
 			return value.Char{R: rune(u)}, nil
 		}
-		size, _ := primByteSize(t.Prim)
+		size, _ := cmem.PrimSize(t.Prim)
 		u, err := mem.ReadU(at, size)
 		if err != nil {
 			return nil, err
@@ -190,21 +190,6 @@ func (c *C) readPrim(t *stype.Type, mem *cmem.Arena, at cmem.Addr) (value.Value,
 		return value.Int{V: new(big.Int).SetUint64(u)}, nil
 	default:
 		return nil, fmt.Errorf("bind: cannot read primitive %s", t.Prim)
-	}
-}
-
-func primByteSize(p stype.Prim) (int, error) {
-	switch p {
-	case stype.PBool, stype.PI8, stype.PU8, stype.PChar8:
-		return 1, nil
-	case stype.PI16, stype.PU16, stype.PChar16:
-		return 2, nil
-	case stype.PI32, stype.PU32, stype.PF32:
-		return 4, nil
-	case stype.PI64, stype.PU64, stype.PF64:
-		return 8, nil
-	default:
-		return 0, fmt.Errorf("bind: %s has no size", p)
 	}
 }
 
@@ -365,7 +350,7 @@ func (c *C) writePrim(t *stype.Type, mem *cmem.Arena, at cmem.Addr, v value.Valu
 		}
 		return mem.WriteF64(at, rv.V)
 	default:
-		size, err := primByteSize(t.Prim)
+		size, err := cmem.PrimSize(t.Prim)
 		if err != nil {
 			return err
 		}
@@ -697,7 +682,7 @@ func (c *C) retValue(t *stype.Type, mem *cmem.Arena, w uint64) (value.Value, err
 		case stype.PU8, stype.PU16, stype.PU32, stype.PU64:
 			return value.Int{V: new(big.Int).SetUint64(w)}, nil
 		default:
-			size, err := primByteSize(t.Prim)
+			size, err := cmem.PrimSize(t.Prim)
 			if err != nil {
 				return nil, err
 			}

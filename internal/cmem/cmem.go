@@ -226,7 +226,7 @@ func (l *Layouts) Of(t *stype.Type) (*Layout, error) {
 func (l *Layouts) compute(t *stype.Type) (*Layout, error) {
 	switch t.Kind {
 	case stype.KPrim:
-		s, err := primSize(t.Prim, l.model)
+		s, err := PrimSize(t.Prim)
 		if err != nil {
 			return nil, err
 		}
@@ -303,7 +303,9 @@ func (l *Layouts) compute(t *stype.Type) (*Layout, error) {
 	}
 }
 
-func primSize(p stype.Prim, m Model) (int, error) {
+// PrimSize is the one table of primitive byte widths; they do not depend
+// on the data model (C long is resolved to I32 or I64 by the parser).
+func PrimSize(p stype.Prim) (int, error) {
 	switch p {
 	case stype.PBool, stype.PI8, stype.PU8, stype.PChar8:
 		return 1, nil

@@ -122,37 +122,46 @@ func (s *Session) NewCallStub(universeA, declA, universeB, declB string, engine 
 	return s.newCallStubFromMtypes(mtA, mtB, engine, target)
 }
 
-func (s *Session) newCallStubFromMtypes(mtA, mtB *mtype.Type, engine Engine, target Target) (*CallStub, error) {
+// CallPlans is the one call-plan assembler: two Mtypes that lower to
+// function ports are compared under the session's rules and semantic
+// registrations, and the match yields the request plan (A's request record
+// to B's) and, taken again in reverse because the reply flows callee to
+// caller, the reply plan (B's reply record to A's). The value-tree stubs
+// here and the fused stubs of package fuse both start from this pair.
+func (s *Session) CallPlans(mtA, mtB *mtype.Type) (reqPlan, repPlan *plan.Plan, err error) {
 	reqA, repA, err := callShape(mtA)
 	if err != nil {
-		return nil, fmt.Errorf("core: caller: %w", err)
+		return nil, nil, fmt.Errorf("core: caller: %w", err)
 	}
 	reqB, repB, err := callShape(mtB)
 	if err != nil {
-		return nil, fmt.Errorf("core: callee: %w", err)
+		return nil, nil, fmt.Errorf("core: callee: %w", err)
 	}
-
 	c := s.newComparer()
 	m, ok := c.Equivalent(mtA, mtB)
 	if !ok {
-		return nil, fmt.Errorf("core: declarations are not equivalent:\n%s",
+		return nil, nil, fmt.Errorf("core: declarations are not equivalent:\n%s",
 			c.Explain(mtA, mtB, compare.ModeEqual))
 	}
-	reqPlan, err := plan.BuildFor(m, reqA, reqB)
-	if err != nil {
-		return nil, fmt.Errorf("core: request plan: %w", err)
+	if reqPlan, err = plan.BuildFor(m, reqA, reqB); err != nil {
+		return nil, nil, fmt.Errorf("core: request plan: %w", err)
 	}
-	// The reply flows callee→caller, so build the reverse match for it.
 	m2, ok := c.Equivalent(repB, repA)
 	if !ok {
-		return nil, fmt.Errorf("core: reply records not equivalent in reverse:\n%s",
+		return nil, nil, fmt.Errorf("core: reply records not equivalent in reverse:\n%s",
 			c.Explain(repB, repA, compare.ModeEqual))
 	}
-	repPlan, err := plan.BuildFor(m2, repB, repA)
-	if err != nil {
-		return nil, fmt.Errorf("core: reply plan: %w", err)
+	if repPlan, err = plan.BuildFor(m2, repB, repA); err != nil {
+		return nil, nil, fmt.Errorf("core: reply plan: %w", err)
 	}
+	return reqPlan, repPlan, nil
+}
 
+func (s *Session) newCallStubFromMtypes(mtA, mtB *mtype.Type, engine Engine, target Target) (*CallStub, error) {
+	reqPlan, repPlan, err := s.CallPlans(mtA, mtB)
+	if err != nil {
+		return nil, err
+	}
 	reqConv, err := s.newConverter(engine, reqPlan)
 	if err != nil {
 		return nil, err
@@ -165,7 +174,7 @@ func (s *Session) newCallStubFromMtypes(mtA, mtB *mtype.Type, engine Engine, tar
 		reqConv:  reqConv,
 		repConv:  repConv,
 		target:   target,
-		nbInputs: len(reqB.Fields()) - 1,
+		nbInputs: len(reqPlan.Root.B.Fields()) - 1,
 	}, nil
 }
 

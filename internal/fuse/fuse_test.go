@@ -1,18 +1,25 @@
 package fuse
 
 import (
-	"testing/quick"
-
 	"errors"
-	"repro/internal/bind"
-	"repro/internal/value"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/bind"
 	"repro/internal/cmem"
+	"repro/internal/compare"
 	"repro/internal/core"
 	"repro/internal/jheap"
+	"repro/internal/lower"
+	"repro/internal/stype"
+	"repro/internal/testutil"
+	"repro/internal/value"
 )
 
+// The fitter pair of Figures 1, 2 and 5 with the §3.4 annotations.
 const (
 	fitterC = `
 typedef float point[2];
@@ -37,24 +44,6 @@ annotate JavaIdeal.fitter.pts nonnull
 annotate JavaIdeal.fitter.return nonnull
 `
 )
-
-func fitterSession(t testing.TB) *core.Session {
-	t.Helper()
-	s := core.NewSession()
-	if err := s.LoadC("c", fitterC, cmem.ILP32); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadJava("java", figure1Java); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Annotate("c", cScript); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Annotate("java", jScript); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 func cFitterImpl(mem *cmem.Arena, args []uint64) (uint64, error) {
 	pts, count := cmem.Addr(args[0]), int(int32(args[1]))
@@ -112,100 +101,53 @@ func buildHeapPoints(t testing.TB, h *jheap.Heap, coords ...float64) jheap.Ref {
 	return v
 }
 
-// compileFitter synthesizes the method declaration and compiles the
-// fused stub.
-func compileFitter(t testing.TB) (*core.Session, *Call) {
+// invoke compiles the pair and calls it once, returning the outputs
+// rendered structurally.
+func invoke(t *testing.T, p pair, model cmem.Model, args func(testing.TB, *jheap.Heap) []jheap.Slot) string {
 	t.Helper()
-	sess := fitterSession(t)
-	jFn, err := sess.MethodDecl("java", "JavaIdeal", "fitter")
+	_, _, call := p.compile(t, model)
+	h := jheap.NewHeap()
+	outs, err := call.Invoke(h, args(t, h))
 	if err != nil {
 		t.Fatal(err)
 	}
-	call, err := CompileFromSession(sess, "java", jFn, "c", "fitter", cmem.ILP32, cFitterImpl)
-	if err != nil {
-		t.Fatal(err)
+	rendered := make([]string, len(outs))
+	for i, o := range outs {
+		rendered[i] = renderSlot(h, o)
 	}
-	return sess, call
+	return strings.Join(rendered, "; ")
+}
+
+func coords(cs ...float64) func(testing.TB, *jheap.Heap) []jheap.Slot {
+	return func(t testing.TB, h *jheap.Heap) []jheap.Slot {
+		return []jheap.Slot{jheap.RefSlot(buildHeapPoints(t, h, cs...))}
+	}
 }
 
 // TestFusedFitter runs the specialized stub: Java heap in, Java heap out,
 // no value trees.
 func TestFusedFitter(t *testing.T) {
-	_, call := compileFitter(t)
-	h := jheap.NewHeap()
-	vec := buildHeapPoints(t, h, 1, 5, 3, 2, 2, 7)
-	outs, err := call.Invoke(h, []jheap.Slot{jheap.RefSlot(vec)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 1 || outs[0].Kind != jheap.SlotRef {
-		t.Fatalf("outputs = %+v", outs)
-	}
-	line := outs[0].R
-	want := [4]float64{1, 2, 3, 7}
-	got := [4]float64{}
-	for i, fi := range []int{0, 1} {
-		ref, err := h.Field(line, fi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, fj := range []int{0, 1} {
-			s, err := h.Field(ref.R, fj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[2*i+j] = s.F
-		}
-	}
-	if got != want {
-		t.Errorf("line = %v, want %v", got, want)
-	}
-	if cls, _ := h.Class(line); cls != "Line" {
-		t.Errorf("result class = %q", cls)
+	got := invoke(t, fitterPair, cmem.ILP32, coords(1, 5, 3, 2, 2, 7))
+	if want := "Line{Point{float 1, float 2}, Point{float 3, float 7}}"; got != want {
+		t.Errorf("line = %s, want %s", got, want)
 	}
 }
 
 func TestFusedFitterEmpty(t *testing.T) {
-	_, call := compileFitter(t)
-	h := jheap.NewHeap()
-	vec := buildHeapPoints(t, h)
-	if _, err := call.Invoke(h, []jheap.Slot{jheap.RefSlot(vec)}); err != nil {
-		t.Fatal(err)
-	}
+	invoke(t, fitterPair, cmem.ILP32, coords())
 }
 
-func TestFusedMatchesGeneralStub(t *testing.T) {
-	// The fused stub and the value-tree stub must produce identical
-	// results on the same heap data.
-	sess, call := compileFitter(t)
-	h := jheap.NewHeap()
-	vec := buildHeapPoints(t, h, 4, 4, -1, 9, 6, 0, 2.5, -8)
-
-	fusedOuts, err := call.Invoke(h, []jheap.Slot{jheap.RefSlot(vec)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sess
-	line := fusedOuts[0].R
-	coords := func(r jheap.Ref) [4]float64 {
-		var out [4]float64
-		for i, fi := range []int{0, 1} {
-			ref, _ := h.Field(r, fi)
-			for j, fj := range []int{0, 1} {
-				s, _ := h.Field(ref.R, fj)
-				out[2*i+j] = s.F
-			}
-		}
-		return out
-	}
-	want := [4]float64{-1, -8, 6, 9}
-	if coords(line) != want {
-		t.Errorf("fused line = %v, want %v", coords(line), want)
+// TestFusedLP64 runs the fused fitter under the 64-bit data model (the
+// arrays use 8-byte pointers server-side; element strides are unchanged).
+func TestFusedLP64(t *testing.T) {
+	got := invoke(t, fitterPair, cmem.LP64, coords(0, 1, 4, -2))
+	if want := "Line{Point{float 0, float -2}, Point{float 4, float 1}}"; got != want {
+		t.Errorf("line = %s, want %s", got, want)
 	}
 }
 
 func TestFusedNullElementRejected(t *testing.T) {
-	_, call := compileFitter(t)
+	_, _, call := fitterPair.compile(t, cmem.ILP32)
 	h := jheap.NewHeap()
 	vec := h.NewVector("PointVector")
 	if err := h.VectorAppend(vec, jheap.NullRef); err != nil {
@@ -217,196 +159,227 @@ func TestFusedNullElementRejected(t *testing.T) {
 }
 
 func TestFusedScalarParams(t *testing.T) {
-	sess := core.NewSession()
-	if err := sess.LoadC("c", `float scale(float x, int k);`, cmem.ILP32); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.LoadJava("java", `interface I { float scale(float x, int k); }`); err != nil {
-		t.Fatal(err)
-	}
-	jFn, err := sess.MethodDecl("java", "I", "scale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	impl := func(mem *cmem.Arena, args []uint64) (uint64, error) {
-		x := f32frombits(uint32(args[0]))
-		return uint64(f32bits(x * float32(int32(args[1])))), nil
-	}
-	call, err := CompileFromSession(sess, "java", jFn, "c", "scale", cmem.ILP32, impl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := jheap.NewHeap()
-	outs, err := call.Invoke(h, []jheap.Slot{jheap.FloatSlot(2.5), jheap.IntSlot(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 1 || outs[0].F != 10 {
-		t.Errorf("outs = %+v", outs)
+	got := invoke(t, scalePair, cmem.ILP32, slots(jheap.FloatSlot(2.5), jheap.IntSlot(4)))
+	if got != "float 10" {
+		t.Errorf("scale = %s, want float 10", got)
 	}
 }
 
+// TestFusedAggregateInParam fuses a non-null pointer-to-struct input.
 func TestFusedAggregateInParam(t *testing.T) {
-	// A non-null pointer-to-struct input parameter.
-	sess := core.NewSession()
-	if err := sess.LoadC("c", `
-		struct Pt { float x; float y; };
-		float norm1(struct Pt *p);
-	`, cmem.ILP32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Annotate("c", "annotate norm1.p nonnull"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.LoadJava("java", `
-		class Point { float x; float y; }
-		interface I { float norm1(Point p); }
-	`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Annotate("java", "annotate I.norm1.p nonnull noalias"); err != nil {
-		t.Fatal(err)
-	}
-	jFn, err := sess.MethodDecl("java", "I", "norm1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	impl := func(mem *cmem.Arena, args []uint64) (uint64, error) {
-		at := cmem.Addr(args[0])
-		x, err := mem.ReadF32(at)
-		if err != nil {
-			return 0, err
-		}
-		y, err := mem.ReadF32(at + 4)
-		if err != nil {
-			return 0, err
-		}
-		if x < 0 {
-			x = -x
-		}
-		if y < 0 {
-			y = -y
-		}
-		return uint64(f32bits(x + y)), nil
-	}
-	call, err := CompileFromSession(sess, "java", jFn, "c", "norm1", cmem.ILP32, impl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := jheap.NewHeap()
-	p := h.New("Point", 2)
-	_ = h.SetField(p, 0, jheap.FloatSlot(-3))
-	_ = h.SetField(p, 1, jheap.FloatSlot(4))
-	outs, err := call.Invoke(h, []jheap.Slot{jheap.RefSlot(p)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outs[0].F != 7 {
-		t.Errorf("norm1 = %v, want 7", outs[0].F)
+	if got := invoke(t, norm1Pair, cmem.ILP32, point(-3, 4)); got != "float 7" {
+		t.Errorf("norm1 = %s, want float 7", got)
 	}
 }
 
-func TestFusedUnsupportedFallsOut(t *testing.T) {
-	// Nullable pointers inside fused aggregates are outside the fused
-	// subset; the error must match ErrUnsupported so callers can fall
-	// back to the general engines.
-	sess := core.NewSession()
-	if err := sess.LoadC("c", `
-		struct Box { int *maybe; };
-		void eat(struct Box *b);
-	`, cmem.ILP32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Annotate("c", "annotate eat.b nonnull"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.LoadJava("java", `
-		class IntBox { int v; }
-		class Box { IntBox maybe; }
-		interface I { void eat(Box b); }
-	`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Annotate("java", "annotate I.eat.b nonnull noalias"); err != nil {
-		t.Fatal(err)
-	}
-	jFn, err := sess.MethodDecl("java", "I", "eat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	impl := func(mem *cmem.Arena, args []uint64) (uint64, error) { return 0, nil }
-	_, err = CompileFromSession(sess, "java", jFn, "c", "eat", cmem.ILP32, impl)
-	if err == nil {
-		t.Fatal("nullable-pointer aggregate compiled")
-	}
-	if !errors.Is(err, ErrUnsupported) {
-		t.Errorf("error %v does not match ErrUnsupported", err)
+// TestFusedIntegerList fuses a vector of integer-carrying elements.
+func TestFusedIntegerList(t *testing.T) {
+	if got := invoke(t, totalPair, cmem.ILP32, cells); got != "float -3.875" { // 2*1.5 - 3*2.0 - 7*0.125
+		t.Errorf("total = %s, want float -3.875", got)
 	}
 }
 
-// TestPropertyFusedMatchesGeneral drives the fused stub and the
-// value-tree stub with random point sets and requires identical fitted
-// lines.
+// TestFusedCharReturn decodes a char-valued return word.
+func TestFusedCharReturn(t *testing.T) {
+	if got := invoke(t, gradePair, cmem.ILP32, ints(95)); got != "char 65" {
+		t.Errorf("grade = %s, want char 65 ('A')", got)
+	}
+}
+
+// tiers is one pair compiled for every execution tier: the fused stub and
+// the general value-tree stub under both of its engines.
+type tiers struct {
+	fused   *Call
+	general map[string]*core.CallStub
+	jb      *bind.J
+	jU      *stype.Universe
+	jFn     *stype.Type
+}
+
+func (p pair) tiers(t testing.TB, model cmem.Model) *tiers {
+	t.Helper()
+	sess, jFn, call := p.compile(t, model)
+	ts := &tiers{fused: call, general: make(map[string]*core.CallStub), jU: sess.Universe("java")}
+	ts.jb, ts.jFn = bind.NewJ(ts.jU), ts.jU.Lookup(jFn).Type
+	target := core.NewCTarget(bind.NewC(sess.Universe("c"), model), sess.Universe("c").Lookup(p.cfn), p.impl)
+	for name, engine := range map[string]core.Engine{"compiled": core.EngineCompiled, "interpreted": core.EngineInterpreted} {
+		stub, err := sess.NewCallStub("java", jFn, "c", p.cfn, engine, target)
+		if err != nil {
+			t.Fatalf("%s: general stub (%s): %v", p.name, name, err)
+		}
+		ts.general[name] = stub
+	}
+	return ts
+}
+
+// agree invokes every tier on the same heap arguments and reports how
+// they differ: all must fail, or all must return equal outputs.
+func (ts *tiers) agree(h *jheap.Heap, args []jheap.Slot) error {
+	ins := make([]value.Value, len(ts.jFn.Params))
+	var readErr error
+	for i, p := range ts.jFn.Params {
+		if i >= len(args) {
+			readErr = fmt.Errorf("argument %d missing", i)
+			break
+		}
+		if ins[i], readErr = ts.jb.Read(p.Type, h, args[i]); readErr != nil {
+			break
+		}
+	}
+	inputs := value.NewRecord(ins...)
+
+	outs, fusedErr := ts.fused.Invoke(h, args)
+	fused := value.Record{Fields: make([]value.Value, len(outs))}
+	for i, o := range outs {
+		var err error
+		if fused.Fields[i], err = ts.jb.Read(ts.jFn.Result, h, o); err != nil {
+			return fmt.Errorf("fused output unreadable: %v", err)
+		}
+	}
+	for name, stub := range ts.general {
+		out, err := value.Value(nil), readErr
+		if err == nil {
+			out, err = stub.Invoke(inputs)
+		}
+		switch {
+		case (err != nil) != (fusedErr != nil):
+			return fmt.Errorf("fused error %v, %s error %v", fusedErr, name, err)
+		case err == nil && !value.Equal(fused, out):
+			return fmt.Errorf("fused returned %s, %s returned %s", fused, name, out)
+		}
+	}
+	return nil
+}
+
+// TestFusedMatchesGeneralStub runs every golden case — the three
+// signedness rows among them, and the rows that must fail — through the
+// fused stub and the general stub and requires identical outcomes.
+func TestFusedMatchesGeneralStub(t *testing.T) {
+	for _, gc := range goldenCases() {
+		t.Run(gc.name, func(t *testing.T) {
+			h := jheap.NewHeap()
+			if err := gc.pair.tiers(t, gc.model).agree(h, gc.args(t, h)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// randSlot builds a random heap value of a Java type: what a caller could
+// legally pass for a parameter of that type under its annotations.
+func randSlot(r *rand.Rand, u *stype.Universe, t *stype.Type, h *jheap.Heap) jheap.Slot {
+	t, decl, err := resolveNamed(u, t)
+	if err != nil {
+		panic(err)
+	}
+	if t.Kind == stype.KPrim {
+		switch primKind(t) {
+		case leafF32:
+			return jheap.FloatSlot(float64(float32(r.NormFloat64() * 1e3)))
+		case leafF64:
+			return jheap.FloatSlot(r.NormFloat64() * 1e6)
+		case leafChar:
+			return jheap.CharSlot(rune(r.Intn(256)))
+		}
+		bits, _ := cmem.PrimSize(t.Prim)
+		lo, hi := -int64(1)<<(8*bits-1), int64(1)<<(8*bits-1)-1
+		if t.Prim == stype.PBool {
+			lo, hi = 0, 1
+		}
+		if t.Ann.Range != nil {
+			l, _ := new(big.Int).SetString(t.Ann.Range.Lo, 10)
+			g, _ := new(big.Int).SetString(t.Ann.Range.Hi, 10)
+			lo, hi = l.Int64(), g.Int64()
+		}
+		if span := uint64(hi-lo) + 1; span != 0 {
+			return jheap.IntSlot(lo + int64(r.Uint64()%span))
+		}
+		return jheap.IntSlot(int64(r.Uint64()))
+	}
+	if lower.IsCollection(u, decl) {
+		ann := decl.Type.Ann.Merge(t.Ann)
+		vec := h.NewVector(decl.Name)
+		for n := r.Intn(9); n > 0; n-- {
+			elem := randSlot(r, u, stype.NewNamed(lower.CollectionElement(u, decl, ann)), h)
+			if err := h.VectorAppend(vec, elem.R); err != nil {
+				panic(err)
+			}
+		}
+		return jheap.RefSlot(vec)
+	}
+	obj := h.New(decl.Name, len(decl.Type.Fields))
+	for i, f := range decl.Type.Fields {
+		if err := h.SetField(obj, i, randSlot(r, u, f.Type, h)); err != nil {
+			panic(err)
+		}
+	}
+	return jheap.RefSlot(obj)
+}
+
+// TestPropertyFusedMatchesGeneral drives every pair through the fused
+// stub, the closure-compiled stub and the interpreted stub with random
+// arguments and requires identical outputs: fused ≡ compiled ≡
+// interpreted.
 func TestPropertyFusedMatchesGeneral(t *testing.T) {
-	sess, call := compileFitter(t)
-	binder := bind.NewC(sess.Universe("c"), cmem.ILP32)
-	target := core.NewCTarget(binder, sess.Universe("c").Lookup("fitter"), cFitterImpl)
-	general, err := sess.NewCallStub("java", "JavaIdeal", "c", "fitter", core.EngineCompiled, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jbinder := bind.NewJ(sess.Universe("java"))
-	ptsDecl := sess.Universe("java").Lookup("JavaIdeal").Type.Methods[0].Params[0].Type
-
-	f := func(raw []float64) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		coords := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			// Keep within float32-exact range to avoid rounding asymmetry.
-			coords = append(coords, float64(float32(x)))
-		}
-		if len(coords)%2 == 1 {
-			coords = coords[:len(coords)-1]
-		}
-		h := jheap.NewHeap()
-		vec := buildHeapPoints(t, h, coords...)
-
-		fusedOuts, err := call.Invoke(h, []jheap.Slot{jheap.RefSlot(vec)})
-		if err != nil {
-			return false
-		}
-		in, err := jbinder.Read(ptsDecl, h, jheap.RefSlot(vec))
-		if err != nil {
-			return false
-		}
-		genOut, err := general.Invoke(value.NewRecord(in))
-		if err != nil {
-			return false
-		}
-		// Compare the two Lines field by field.
-		line := fusedOuts[0].R
-		gen := genOut.(value.Record).Fields[0].(value.Record)
-		for i, fi := range []int{0, 1} {
-			ref, err := h.Field(line, fi)
-			if err != nil {
-				return false
-			}
-			pt := gen.Fields[i].(value.Record)
-			for j, fj := range []int{0, 1} {
-				s, err := h.Field(ref.R, fj)
-				if err != nil {
-					return false
+	for _, p := range tierPairs {
+		t.Run(p.name, func(t *testing.T) {
+			ts := p.tiers(t, cmem.ILP32)
+			r := rand.New(rand.NewSource(int64(len(p.name)) + 17))
+			for i := 0; i < 60; i++ {
+				h := jheap.NewHeap()
+				args := make([]jheap.Slot, len(ts.jFn.Params))
+				for a, param := range ts.jFn.Params {
+					args[a] = randSlot(r, ts.jU, param.Type, h)
 				}
-				if s.F != pt.Fields[j].(value.Real).V {
-					return false
+				if err := ts.agree(h, args); err != nil {
+					t.Fatalf("round %d: %v", i, err)
 				}
 			}
-		}
-		return true
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+}
+
+// TestFusedInvokeAllocs pins what one fused fitter call on 64 points
+// allocates to what it allocated before the move-list rewrite (19 under
+// this measure: the arena and its growth, the two frames, the three
+// result objects), so a later change inherits the ceiling.
+func TestFusedInvokeAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	_, _, call := fitterPair.compile(t, cmem.ILP32)
+	h := jheap.NewHeap()
+	args := points(64)(t, h)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := call.Invoke(h, args); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 19 {
+		t.Errorf("a fused fitter call on 64 points allocates %v times, ceiling 19", allocs)
+	}
+}
+
+func TestFusedRejectsNonEquivalentPair(t *testing.T) {
+	p := pair{name: "f", c: `float f(float x);`, java: `interface I { double f(double x); }`,
+		iface: "I", method: "f", cfn: "f", impl: pokePair.impl}
+	s, jFn := p.session(t, cmem.ILP32)
+	if _, err := CompileFromSession(s, "java", jFn, "c", "f", cmem.ILP32, p.impl); err == nil {
+		t.Error("mismatched pair compiled")
+	}
+
+	// The plans come from the session: under rules without associativity
+	// a Line is not two points, and the fused tier must say so exactly as
+	// the general stub does instead of comparing under its own defaults.
+	s, jFn = fitterPair.session(t, cmem.ILP32)
+	s.SetRules(compare.Rules{Commutativity: true, UnitElimination: true, Cache: true})
+	_, fusedErr := CompileFromSession(s, "java", jFn, "c", "fitter", cmem.ILP32, cFitterImpl)
+	_, generalErr := s.NewCallStub("java", jFn, "c", "fitter", core.EngineCompiled, nil)
+	if fusedErr == nil || generalErr == nil || fusedErr.Error() != generalErr.Error() ||
+		errors.Is(fusedErr, ErrUnsupported) || !strings.Contains(fusedErr.Error(), "not equivalent") {
+		t.Errorf("without associativity: fused %v, general %v", fusedErr, generalErr)
+	}
+	if _, err := CompileFromSession(s, "java", "NoSuch", "c", "fitter", cmem.ILP32, cFitterImpl); err == nil {
+		t.Error("unknown declaration compiled")
 	}
 }

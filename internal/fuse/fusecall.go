@@ -8,7 +8,6 @@ import (
 	"repro/internal/compare"
 	"repro/internal/jheap"
 	"repro/internal/lower"
-	"repro/internal/mtype"
 	"repro/internal/plan"
 	"repro/internal/stype"
 )
@@ -20,27 +19,87 @@ type Call struct {
 	model cmem.Model
 	impl  func(mem *cmem.Arena, args []uint64) (uint64, error)
 
-	inMovers  []inMover
-	outMovers []outMover
-	nCArgs    int
-	buildOuts []outBuilder
+	// The C frame is one word per C parameter and then the return word;
+	// the Java frame is the argument slots going in and the output slots
+	// (none for void, else the result) coming back.
+	nCArgs, nOuts int
+	// request runs toward C: the out buffers, then per input parameter
+	// its backing region and the leaves that fill it or its word. reply
+	// runs toward Java: the result's objects, then its leaves.
+	request, reply []move
 }
 
-// inMover fills one C argument word (and any backing memory) from the
-// Java arguments.
-type inMover func(h *jheap.Heap, args []jheap.Slot, mem *cmem.Arena, cargs []uint64) error
-
-// outMover allocates one C output buffer before the call and remembers
-// its address.
-type outMover struct {
-	argIndex int
-	size     int
-	align    int
+// under lists the live leaves of a flattened record that lie in its first
+// n fields.
+func under(flat []compare.FlatLeaf, n int) []int {
+	var idx []int
+	for i, l := range flat {
+		if !l.Unit && len(l.Path) > 0 && l.Path[0] < n {
+			idx = append(idx, i)
+		}
+	}
+	return idx
 }
 
-// outBuilder constructs one Java output from the C output buffers and the
-// return word.
-type outBuilder func(h *jheap.Heap, mem *cmem.Arena, outAddrs []cmem.Addr, ret uint64) (jheap.Slot, error)
+// pair builds the moves for the leaves a plan record node matches up. The
+// A-side declaration's p-th leaf is FlatA[aIdx[p]], the B side's q-th is
+// FlatB[bIdx[q]], and the node's permutation says which q each p feeds;
+// the Java leaves are the A side when the moves run toward C. A list leaf
+// recurses into the cons record of its own pair.
+func (cp *compiler) pair(n *plan.Node, aIdx, bIdx []int, jls []jLeaf, cls []cLeaf, toC bool) ([]move, error) {
+	na, nb := len(jls), len(cls)
+	if !toC {
+		na, nb = nb, na
+	}
+	if len(aIdx) != na || len(bIdx) != nb {
+		return nil, unsupported("the plan pairs %d leaves with %d where the declarations hold %d and %d", len(aIdx), len(bIdx), na, nb)
+	}
+	bPos := make(map[int]int, len(bIdx))
+	for q, j := range bIdx {
+		bPos[j] = q
+	}
+	moves := make([]move, 0, len(aIdx))
+	for p, i := range aIdx {
+		q, ok := bPos[n.Perm[i]]
+		if !ok {
+			return nil, fmt.Errorf("fuse: internal: plan leaf %d feeds no leaf of the other declaration", i)
+		}
+		mv := move{j: jls[p], c: cls[q]}
+		if !toC {
+			mv = move{j: jls[q], c: cls[p]}
+		}
+		if !compatible(mv.j.kind, mv.c.kind) {
+			return nil, fmt.Errorf("fuse: internal: plan leaf %d pairs java kind %d with C kind %d", i, mv.j.kind, mv.c.kind)
+		}
+		if mv.c.kind == leafList {
+			cons := n.LeafPlans[i].AltPlans[1] // list = μ Choice(nil, cons(elem, list))
+			ejls, err := cp.jLeaves(mv.j.elem, []int{0}, nil)
+			if err != nil {
+				return nil, fmt.Errorf("element: %w", err)
+			}
+			ecls, err := cp.cLeaves(mv.c.elem, cLeaf{hops: []cHop{{}}})
+			if err != nil {
+				return nil, fmt.Errorf("element: %w", err)
+			}
+			if mv.elem, err = cp.pair(cons, under(cons.FlatA, 1), under(cons.FlatB, 1), ejls, ecls, toC); err != nil {
+				return nil, fmt.Errorf("element: %w", err)
+			}
+		}
+		moves = append(moves, mv)
+	}
+	return moves, nil
+}
+
+// region returns the move that allocates backing memory for a value of
+// type t behind frame word `word`, and the value's leaves.
+func (cp *compiler) region(t *stype.Type, word int) (move, []cLeaf, error) {
+	lay, err := cp.lay.Of(t)
+	if err != nil {
+		return move{}, nil, err
+	}
+	leaves, err := cp.cLeaves(t, cLeaf{word: word, hops: []cHop{{}}})
+	return move{c: cLeaf{word: word, kind: leafRegion, size: lay.Size, align: lay.Align}}, leaves, err
+}
 
 // CompileCall builds a fused stub between a Java function-shaped
 // declaration (a synthesized method declaration works, see
@@ -58,11 +117,9 @@ func CompileCall(
 	impl func(mem *cmem.Arena, args []uint64) (uint64, error),
 ) (*Call, error) {
 	if jFn.Kind != stype.KFunc || cFn.Kind != stype.KFunc {
-		return nil, fmt.Errorf("fuse: both declarations must be functions")
+		return nil, fmt.Errorf("fuse: both declarations must be functions (got %s, %s)", jFn.Kind, cFn.Kind)
 	}
-	jc := &jContext{u: jU}
-	cc := &cContext{u: cU, lay: cmem.NewLayouts(cU, model)}
-
+	cp := &compiler{jU: jU, cU: cU, lay: cmem.NewLayouts(cU, model)}
 	jSig, err := lower.SignatureOf(jFn.Params, jFn.Result)
 	if err != nil {
 		return nil, err
@@ -71,851 +128,131 @@ func CompileCall(
 	if err != nil {
 		return nil, err
 	}
-	for name, role := range jSig.Roles {
-		if role != lower.RoleIn {
-			return nil, unsupported("java parameter %s has role %s", name, role)
-		}
-	}
-
 	call := &Call{model: model, impl: impl, nCArgs: len(cFn.Params)}
 
-	// --- Request direction ---
-	if reqPlan.Root.Kind != compare.DecRecord {
-		return nil, unsupported("request plan root is not a record")
+	// Java side of the request: one frame slot per parameter.
+	var jls []jLeaf
+	for a, p := range jFn.Params {
+		if role := jSig.Roles[p.Name]; role != lower.RoleIn {
+			return nil, unsupported("java parameter %s has role %s", p.Name, role)
+		}
+		leaves, err := cp.jLeaves(p.Type, []int{a}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
+		}
+		jls = append(jls, leaves...)
 	}
-	rn := reqPlan.Root
 
-	// Java-side leaf metadata: group FlatA leaves by their input-record
-	// field (path[0]) and precompute accessors for prim groups.
-	type aParamInfo struct {
-		param   stype.Param
-		argIdx  int // position in the Java argument slots
-		leafIdx []int
-	}
-	var aParams []aParamInfo
-	{
-		idx := 0
-		for _, p := range jFn.Params {
-			aParams = append(aParams, aParamInfo{param: p, argIdx: idx})
-			idx++
+	// C side: one frame word per parameter. ins are the leaves of the
+	// input record in its field order, outs those of the reply record.
+	lenWord := make(map[string]int) // list parameter → the word of its length parameter
+	for k, p := range cFn.Params {
+		if arr, ok := cSig.LengthOf[p.Name]; ok {
+			lenWord[arr] = k
 		}
 	}
-	aFieldOf := func(i int) (int, error) {
-		leaf := rn.FlatA[i]
-		if len(leaf.Path) == 0 {
-			return -1, unsupported("request collapsed to a single leaf")
-		}
-		return leaf.Path[0], nil
-	}
-	for i, leaf := range rn.FlatA {
-		if leaf.Unit {
-			continue
-		}
-		fld, err := aFieldOf(i)
+	var ins, outs []cLeaf
+	var regions []move // of the input parameters
+	nIn := 0
+	for k, p := range cFn.Params {
+		t, _, err := resolveNamed(cU, p.Type)
 		if err != nil {
 			return nil, err
 		}
-		if fld >= len(aParams) {
-			continue // the reply-port field
-		}
-		aParams[fld].leafIdx = append(aParams[fld].leafIdx, i)
-	}
-
-	// C-side: group FlatB leaves by input-record field; map input-record
-	// fields back to parameter positions.
-	cInputIdx := make([]int, 0, len(cFn.Params)) // input-record field → param position
-	for k, p := range cFn.Params {
-		if cSig.Roles[p.Name] == lower.RoleIn || cSig.Roles[p.Name] == lower.RoleInOut {
-			cInputIdx = append(cInputIdx, k)
-		}
-	}
-	bLeavesByField := make(map[int][]int)
-	for j, leaf := range rn.FlatB {
-		if leaf.Unit {
-			continue
-		}
-		if len(leaf.Path) == 0 {
-			return nil, unsupported("request collapsed to a single leaf")
-		}
-		bLeavesByField[leaf.Path[0]] = append(bLeavesByField[leaf.Path[0]], j)
-	}
-	// Inverse of Perm: FlatB index → FlatA index.
-	invPerm := make(map[int]int, len(rn.Perm))
-	for i, j := range rn.Perm {
-		if j >= 0 {
-			invPerm[j] = i
-		}
-	}
-
-	// aLeafAccessor resolves the accessor + kind for one FlatA leaf index
-	// by locating the owning parameter and the leaf's position inside it.
-	jlsByParam := make(map[int][]jLeaf)
-	aLeafInfo := func(i int) (jAccessor, leafKind, error) {
-		fld, err := aFieldOf(i)
-		if err != nil {
-			return jAccessor{}, 0, err
-		}
-		ap := aParams[fld]
-		jls, ok := jlsByParam[fld]
-		if !ok {
-			jls, err = jc.jLeaves(ap.param.Type, nil)
-			if err != nil {
-				return jAccessor{}, 0, err
-			}
-			jlsByParam[fld] = jls
-		}
-		// Position of i within its parameter's leaves.
-		pos := -1
-		for k, li := range ap.leafIdx {
-			if li == i {
-				pos = k
-				break
-			}
-		}
-		if pos < 0 || pos >= len(jls) {
-			return jAccessor{}, 0, unsupported("leaf alignment mismatch in parameter %s", ap.param.Name)
-		}
-		// Prefix the argument position: readJArg's first index selects the
-		// argument slot, the rest navigate object fields.
-		fields := append([]int{ap.argIdx}, jls[pos].acc.fields...)
-		return jAccessor{fields: fields}, jls[pos].kind, nil
-	}
-
-	// Compile a mover per C parameter.
-	listLenSources := make(map[string]func(h *jheap.Heap, args []jheap.Slot) (int, error))
-	for k, p := range cFn.Params {
-		k := k
-		role := cSig.Roles[p.Name]
-		switch role {
-		case lower.RoleInOut:
+		var leaves []cLeaf
+		switch role := cSig.Roles[p.Name]; {
+		case role == lower.RoleInOut:
 			return nil, unsupported("inout parameter %s", p.Name)
-		case lower.RoleOut:
-			if p.Type.Kind != stype.KPointer {
-				return nil, unsupported("out parameter %s is not a pointer", p.Name)
+		case role == lower.RoleLength:
+			if arr := cSig.LengthOf[p.Name]; cSig.Roles[arr] != lower.RoleIn {
+				return nil, unsupported("length parameter %s counts %s, which is not an input list", p.Name, arr)
 			}
-			lay, err := cc.lay.Of(p.Type.ElemType)
-			if err != nil {
-				return nil, err
-			}
-			call.outMovers = append(call.outMovers, outMover{argIndex: k, size: lay.Size, align: lay.Align})
-		case lower.RoleLength:
-			arrName := cSig.LengthOf[p.Name]
-			name := p.Name
-			call.inMovers = append(call.inMovers, func(h *jheap.Heap, args []jheap.Slot, mem *cmem.Arena, cargs []uint64) error {
-				src, ok := listLenSources[arrName]
-				if !ok {
-					return fmt.Errorf("fuse: length source for %s (%s) not compiled", arrName, name)
-				}
-				n, err := src(h, args)
-				if err != nil {
-					return err
-				}
-				cargs[k] = uint64(int64(n))
-				return nil
-			})
-		case lower.RoleIn:
-			// Which input-record field is this parameter?
-			fieldIdx := -1
-			for fi, pk := range cInputIdx {
-				if pk == k {
-					fieldIdx = fi
-					break
-				}
-			}
-			if fieldIdx < 0 {
-				return nil, fmt.Errorf("fuse: parameter %s not in input record", p.Name)
-			}
-			mover, lenSrc, err := compileInParam(jc, cc, rn, aLeafInfo, invPerm,
-				bLeavesByField[fieldIdx], p, k, reqPlan)
-			if err != nil {
+			continue
+		case role == lower.RoleOut && t.Kind != stype.KPointer:
+			return nil, unsupported("out parameter %s is not a pointer", p.Name)
+		case role == lower.RoleOut:
+			var buf move
+			if buf, leaves, err = cp.region(t.ElemType, k); err != nil {
 				return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
 			}
-			call.inMovers = append(call.inMovers, mover)
-			if lenSrc != nil {
-				listLenSources[p.Name] = lenSrc
+			call.request, outs = append(call.request, buf), append(outs, leaves...)
+			continue
+		case (t.Kind == stype.KPointer || t.Kind == stype.KArray) && t.Ann.LengthFrom != "":
+			var lay *cmem.Layout
+			if lay, err = cp.lay.Of(t.ElemType); err == nil {
+				leaves = []cLeaf{{word: k, kind: leafList, size: lay.Size, align: lay.Align, elem: t.ElemType, lenWord: lenWord[p.Name]}}
+			}
+		case t.Kind == stype.KPointer && (t.Ann.NonNull || t.Ann.FixedLen > 0):
+			pointee := t.ElemType
+			if t.Ann.FixedLen > 0 {
+				pointee = stype.NewArray(t.ElemType, t.Ann.FixedLen)
+			}
+			var buf move
+			buf, leaves, err = cp.region(pointee, k)
+			regions = append(regions, buf)
+		default: // a scalar in the argument word; cLeaves refuses the rest
+			leaves, err = cp.cLeaves(t, cLeaf{word: k})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
+		}
+		ins = append(ins, leaves...)
+		nIn++
+	}
+	moves, err := cp.pair(reqPlan.Root, under(reqPlan.Root.FlatA, len(jFn.Params)), under(reqPlan.Root.FlatB, nIn), jls, ins, true)
+	if err != nil {
+		return nil, fmt.Errorf("request: %w", err)
+	}
+	// C parameter order: a parameter's region, then what fills it.
+	moves = append(regions, moves...)
+	for k := range cFn.Params {
+		for _, mv := range moves {
+			if mv.c.word == k {
+				call.request = append(call.request, mv)
 			}
 		}
 	}
 
-	// --- Reply direction ---
-	if err := compileReply(jc, cc, call, jFn, cFn, cSig, repPlan); err != nil {
-		return nil, err
+	// Reply: the C outputs are the out buffers in order and then the
+	// return word, the Java output is the result.
+	if cFn.Result != nil {
+		leaves, err := cp.cLeaves(cFn.Result, cLeaf{word: call.nCArgs})
+		if err != nil {
+			return nil, fmt.Errorf("return: %w", err)
+		}
+		outs = append(outs, leaves...)
 	}
+	jls = nil
+	if jFn.Result != nil {
+		call.nOuts = 1
+		if jls, err = cp.jLeaves(jFn.Result, []int{0}, &call.reply); err != nil {
+			return nil, fmt.Errorf("result: %w", err)
+		}
+	}
+	moves, err = cp.pair(repPlan.Root, under(repPlan.Root.FlatA, math.MaxInt), under(repPlan.Root.FlatB, math.MaxInt), jls, outs, false)
+	if err != nil {
+		return nil, fmt.Errorf("reply: %w", err)
+	}
+	call.reply = append(call.reply, moves...)
 	return call, nil
 }
 
-// compileInParam builds the mover for one C input parameter.
-func compileInParam(
-	jc *jContext, cc *cContext,
-	rn *plan.Node,
-	aLeafInfo func(int) (jAccessor, leafKind, error),
-	invPerm map[int]int,
-	bLeafIdx []int,
-	p stype.Param, argIdx int,
-	reqPlan *plan.Plan,
-) (inMover, func(h *jheap.Heap, args []jheap.Slot) (int, error), error) {
-	// Case 1: single B leaf: either a fused collection (a μ list node) or
-	// a scalar.
-	if len(bLeafIdx) == 1 {
-		j := bLeafIdx[0]
-		ai, ok := invPerm[j]
-		if !ok {
-			return nil, nil, unsupported("no source for parameter %s", p.Name)
-		}
-		if isListParam(p.Type) {
-			return compileListParam(jc, cc, rn, aLeafInfo, ai, p, argIdx, reqPlan)
-		}
-		// Scalar parameter.
-		if isScalarParam(cc, p.Type) {
-			acc, jk, err := aLeafInfo(ai)
-			if err != nil {
-				return nil, nil, err
-			}
-			ck, size, err := scalarKind(cc, p.Type)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !compatible(jk, ck) {
-				return nil, nil, unsupported("leaf kinds incompatible for %s", p.Name)
-			}
-			mover := func(h *jheap.Heap, args []jheap.Slot, mem *cmem.Arena, cargs []uint64) error {
-				s, err := readJArg(h, args, acc)
-				if err != nil {
-					return err
-				}
-				cargs[argIdx] = encodeWord(s, ck, size)
-				return nil
-			}
-			return mover, nil, nil
-		}
-	}
-	// Case 2: aggregate parameter (pointer to struct/array, by value
-	// region): every B leaf of this parameter is a primitive; write them
-	// into an allocated region.
-	return compileAggregateParam(jc, cc, rn, aLeafInfo, invPerm, bLeafIdx, p, argIdx)
-}
-
-func isListParam(t *stype.Type) bool {
-	return (t.Kind == stype.KPointer || t.Kind == stype.KArray) && t.Ann.LengthFrom != ""
-}
-
-func isScalarParam(cc *cContext, t *stype.Type) bool {
-	tt, _, err := resolveNamed(cc.u, t)
-	if err != nil {
-		return false
-	}
-	return tt.Kind == stype.KPrim || tt.Kind == stype.KEnum
-}
-
-func scalarKind(cc *cContext, t *stype.Type) (leafKind, int, error) {
-	tt, _, err := resolveNamed(cc.u, t)
-	if err != nil {
-		return 0, 0, err
-	}
-	if tt.Kind == stype.KEnum {
-		return leafInt, 4, nil
-	}
-	return func() (leafKind, int, error) { return cPrimKind(tt) }()
-}
-
-func encodeWord(s jheap.Slot, ck leafKind, size int) uint64 {
-	switch ck {
-	case leafF32:
-		return uint64(f32bits(float32(s.F)))
-	case leafF64:
-		return f64bits(s.F)
-	case leafChar:
-		if s.Kind == jheap.SlotChar {
-			return uint64(s.C)
-		}
-		return uint64(s.I)
-	default:
-		if s.Kind == jheap.SlotChar {
-			return uint64(s.C)
-		}
-		return uint64(s.I)
-	}
-}
-
-// readJArg navigates from the argument slots: the first accessor index
-// selects the argument, the rest are field loads.
-func readJArg(h *jheap.Heap, args []jheap.Slot, acc jAccessor) (jheap.Slot, error) {
-	if len(acc.fields) == 0 {
-		return jheap.Slot{}, fmt.Errorf("fuse: empty argument accessor")
-	}
-	idx := acc.fields[0]
-	if idx >= len(args) {
-		return jheap.Slot{}, fmt.Errorf("fuse: argument %d missing", idx)
-	}
-	return readJ(h, args[idx], jAccessor{fields: acc.fields[1:]})
-}
-
-// compileListParam fuses a Vector-like Java argument into a contiguous C
-// array with out-of-band length.
-func compileListParam(
-	jc *jContext, cc *cContext,
-	rn *plan.Node,
-	aLeafInfo func(int) (jAccessor, leafKind, error),
-	ai int,
-	p stype.Param, argIdx int,
-	reqPlan *plan.Plan,
-) (inMover, func(h *jheap.Heap, args []jheap.Slot) (int, error), error) {
-	// The A leaf accessor locates the collection reference.
-	acc, err := listLeafAccessor(rn, ai)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Element plans: the list pair's element correspondence is the cons
-	// record's first leaf plan. Locate the list plan node for this pair.
-	listNode := findChildPlan(reqPlan, rn, ai)
-	if listNode == nil || listNode.Kind != compare.DecChoice {
-		return nil, nil, unsupported("list parameter %s has no list plan", p.Name)
-	}
-	consPlan := listNode.AltPlans[1]
-	if consPlan == nil || consPlan.Kind != compare.DecRecord {
-		return nil, nil, unsupported("list parameter %s has no cons plan", p.Name)
-	}
-	// Element mover: Java element reference → C element region.
-	cElem := p.Type.ElemType
-	elemLay, err := cc.lay.Of(cElem)
-	if err != nil {
-		return nil, nil, err
-	}
-	elemMover, err := compileElementMover(cc, consPlan, cElem)
-	if err != nil {
-		return nil, nil, fmt.Errorf("element: %w", err)
-	}
-
-	lenSrc := func(h *jheap.Heap, args []jheap.Slot) (int, error) {
-		s, err := readJArg(h, args, acc)
-		if err != nil {
-			return 0, err
-		}
-		if s.Kind != jheap.SlotRef || s.R == jheap.NullRef {
-			return 0, fmt.Errorf("fuse: collection argument is null")
-		}
-		return h.VectorLen(s.R)
-	}
-	mover := func(h *jheap.Heap, args []jheap.Slot, mem *cmem.Arena, cargs []uint64) error {
-		s, err := readJArg(h, args, acc)
-		if err != nil {
-			return err
-		}
-		if s.Kind != jheap.SlotRef || s.R == jheap.NullRef {
-			return fmt.Errorf("fuse: collection argument is null")
-		}
-		n, err := h.VectorLen(s.R)
-		if err != nil {
-			return err
-		}
-		base := cmem.Null
-		if n > 0 {
-			base = mem.Alloc(n*elemLay.Size, elemLay.Align)
-		}
-		for i := 0; i < n; i++ {
-			er, err := h.VectorAt(s.R, i)
-			if err != nil {
-				return err
-			}
-			if er == jheap.NullRef {
-				return fmt.Errorf("fuse: null element %d", i)
-			}
-			if err := elemMover(h, jheap.RefSlot(er), mem, base+cmem.Addr(i*elemLay.Size)); err != nil {
-				return fmt.Errorf("element %d: %w", i, err)
-			}
-		}
-		cargs[argIdx] = uint64(base)
-		return nil
-	}
-	return mover, lenSrc, nil
-}
-
-// listLeafAccessor returns the accessor of the collection reference
-// itself (not its elements): the leaf is a μ node, so jLeaves does not
-// apply; the accessor is the parameter slot.
-func listLeafAccessor(rn *plan.Node, ai int) (jAccessor, error) {
-	leaf := rn.FlatA[ai]
-	if len(leaf.Path) != 1 {
-		return jAccessor{}, unsupported("collection nested inside an aggregate")
-	}
-	return jAccessor{fields: []int{leaf.Path[0]}}, nil
-}
-
-// compileElementMover builds the per-element fused mover from the cons
-// plan: FlatA leaves are the element's Java leaves (plus the tail μ),
-// FlatB the C element leaves (plus tail).
-func compileElementMover(cc *cContext, consPlan *plan.Node, cElem *stype.Type) (func(h *jheap.Heap, s jheap.Slot, mem *cmem.Arena, at cmem.Addr) error, error) {
-	// C element leaves in lowering order.
-	cls, err := cc.cLeaves(cElem, cAccessor{})
-	if err != nil {
-		return nil, err
-	}
-	// Java element leaves: FlatA of the cons record excludes the tail μ
-	// leaf; its accessors come from the element class via the plan's A
-	// mtype tags is unavailable — instead walk the Java element type.
-	// The cons record's A side is Record(elem, tail): leaves with path
-	// prefix [0] belong to the element.
-	var aElemLeaves, bElemLeaves []int
-	for i, l := range consPlan.FlatA {
-		if l.Unit {
-			continue
-		}
-		if len(l.Path) > 0 && l.Path[0] == 0 {
-			aElemLeaves = append(aElemLeaves, i)
-		}
-	}
-	for j, l := range consPlan.FlatB {
-		if l.Unit {
-			continue
-		}
-		if len(l.Path) > 0 && l.Path[0] == 0 {
-			bElemLeaves = append(bElemLeaves, j)
-		}
-	}
-	if len(bElemLeaves) != len(cls) {
-		return nil, unsupported("element leaf count mismatch (%d plan vs %d C)", len(bElemLeaves), len(cls))
-	}
-	// Map B element leaf order → position, then A leaf i → its C leaf.
-	bPos := make(map[int]int, len(bElemLeaves))
-	for pos, j := range bElemLeaves {
-		bPos[j] = pos
-	}
-	type pairMove struct {
-		jacc jAccessor
-		jk   leafKind
-		cl   cLeaf
-	}
-	var moves []pairMove
-	// The Java element's own leaf accessors must be derived from the
-	// class the element values come from. The accessor is simply the
-	// flatten path with the leading element index stripped: field chains
-	// of by-value classes align one-to-one with mtype record nesting.
-	for _, i := range aElemLeaves {
-		j := consPlan.Perm[i]
-		if j < 0 {
-			return nil, unsupported("element leaf unmatched")
-		}
-		pos, ok := bPos[j]
-		if !ok {
-			return nil, unsupported("element leaf maps outside the element")
-		}
-		jk := leafKindOfMtype(consPlan.FlatA[i].Node)
-		if jk == 0 {
-			return nil, unsupported("element leaf is not a primitive")
-		}
-		if !compatible(jk, cls[pos].kind) {
-			return nil, unsupported("element leaf kinds incompatible")
-		}
-		moves = append(moves, pairMove{
-			jacc: jAccessor{fields: consPlan.FlatA[i].Path[1:]},
-			jk:   jk,
-			cl:   cls[pos],
-		})
-	}
-	model := cc.lay.Model()
-	return func(h *jheap.Heap, s jheap.Slot, mem *cmem.Arena, at cmem.Addr) error {
-		for _, mv := range moves {
-			slot, err := readJ(h, s, mv.jacc)
-			if err != nil {
-				return err
-			}
-			dst, err := resolveC(mem, model, at, mv.cl.acc)
-			if err != nil {
-				return err
-			}
-			if err := moveJ2C(mem, dst, mv.cl, slot); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil
-}
-
-// leafKindOfMtype classifies a flattened Mtype leaf for compatibility
-// checks; 0 means non-primitive.
-func leafKindOfMtype(t *mtype.Type) leafKind {
-	for t != nil && t.Kind() == mtype.KindRecursive {
-		t = t.Body()
-	}
-	if t == nil {
-		return 0
-	}
-	switch t.Kind() {
-	case mtype.KindReal:
-		return leafF64
-	case mtype.KindInteger:
-		return leafInt
-	case mtype.KindCharacter:
-		return leafChar
-	default:
-		return 0
-	}
-}
-
-// compileAggregateParam fuses a pointer-to-aggregate or by-value region
-// input parameter.
-func compileAggregateParam(
-	jc *jContext, cc *cContext,
-	rn *plan.Node,
-	aLeafInfo func(int) (jAccessor, leafKind, error),
-	invPerm map[int]int,
-	bLeafIdx []int,
-	p stype.Param, argIdx int,
-) (inMover, func(h *jheap.Heap, args []jheap.Slot) (int, error), error) {
-	pt := p.Type
-	deref := false
-	if pt.Kind == stype.KPointer {
-		if pt.Ann.LengthFrom != "" || !pt.Ann.NonNull && pt.Ann.FixedLen == 0 {
-			return nil, nil, unsupported("nullable or indefinite pointer parameter %s", p.Name)
-		}
-		deref = true
-		if pt.Ann.FixedLen > 0 {
-			inner := stype.NewArray(pt.ElemType, pt.Ann.FixedLen)
-			pt = inner
-		} else {
-			pt = pt.ElemType
-		}
-	}
-	cls, err := cc.cLeaves(pt, cAccessor{})
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(cls) != len(bLeafIdx) {
-		return nil, nil, unsupported("aggregate leaf mismatch for %s", p.Name)
-	}
-	lay, err := cc.lay.Of(pt)
-	if err != nil {
-		return nil, nil, err
-	}
-	type pairMove struct {
-		jacc jAccessor
-		cl   cLeaf
-	}
-	moves := make([]pairMove, 0, len(cls))
-	for pos, j := range bLeafIdx {
-		ai, ok := invPerm[j]
-		if !ok {
-			return nil, nil, unsupported("no source for a leaf of %s", p.Name)
-		}
-		acc, jk, err := aLeafInfo(ai)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !compatible(jk, cls[pos].kind) {
-			return nil, nil, unsupported("leaf kinds incompatible in %s", p.Name)
-		}
-		moves = append(moves, pairMove{jacc: acc, cl: cls[pos]})
-	}
-	model := cc.lay.Model()
-	mover := func(h *jheap.Heap, args []jheap.Slot, mem *cmem.Arena, cargs []uint64) error {
-		base := mem.Alloc(lay.Size, lay.Align)
-		for _, mv := range moves {
-			slot, err := readJArg(h, args, mv.jacc)
-			if err != nil {
-				return err
-			}
-			dst, err := resolveC(mem, model, base, mv.cl.acc)
-			if err != nil {
-				return err
-			}
-			if err := moveJ2C(mem, dst, mv.cl, slot); err != nil {
-				return err
-			}
-		}
-		if !deref {
-			return unsupported("by-value aggregate argument passing for %s", p.Name)
-		}
-		cargs[argIdx] = uint64(base)
-		return nil
-	}
-	return mover, nil, nil
-}
-
-// compileReply builds the C→Java output constructors from the reply
-// plan. repPlan's FlatA side is the C reply record (out params in order,
-// then the return), FlatB the Java reply record.
-func compileReply(jc *jContext, cc *cContext, call *Call,
-	jFn, cFn *stype.Type, cSig lower.Signature, repPlan *plan.Plan) error {
-	if repPlan.Root.Kind != compare.DecRecord {
-		return unsupported("reply plan root is not a record")
-	}
-	rn := repPlan.Root
-
-	// C-side outputs, in lowering order: out params then return.
-	type cOut struct {
-		isReturn bool
-		outIdx   int // index into the allocated out buffers
-		elem     *stype.Type
-	}
-	var cOuts []cOut
-	outIdx := 0
-	for _, p := range cFn.Params {
-		if cSig.Roles[p.Name] != lower.RoleOut {
-			continue
-		}
-		cOuts = append(cOuts, cOut{outIdx: outIdx, elem: p.Type.ElemType})
-		outIdx++
-	}
-	if cFn.Result != nil {
-		cOuts = append(cOuts, cOut{isReturn: true})
-	}
-
-	// Precompute C leaf accessors per output.
-	cLeafAt := make(map[int]struct {
-		out cOut
-		cl  cLeaf
-		pos int
-	})
-	{
-		byField := make(map[int][]int)
-		for i, l := range rn.FlatA {
-			if l.Unit {
-				continue
-			}
-			if len(l.Path) == 0 {
-				return unsupported("reply collapsed to a single leaf")
-			}
-			byField[l.Path[0]] = append(byField[l.Path[0]], i)
-		}
-		for fld, leafIdxs := range byField {
-			if fld >= len(cOuts) {
-				return unsupported("reply leaf outside outputs")
-			}
-			out := cOuts[fld]
-			if out.isReturn {
-				if len(leafIdxs) != 1 {
-					return unsupported("aggregate return value")
-				}
-				kind, size, err := scalarKind(cc, cFn.Result)
-				if err != nil {
-					return err
-				}
-				cLeafAt[leafIdxs[0]] = struct {
-					out cOut
-					cl  cLeaf
-					pos int
-				}{out, cLeaf{kind: kind, size: size}, 0}
-				continue
-			}
-			cls, err := cc.cLeaves(out.elem, cAccessor{})
-			if err != nil {
-				return err
-			}
-			if len(cls) != len(leafIdxs) {
-				return unsupported("output leaf count mismatch")
-			}
-			for pos, i := range leafIdxs {
-				cLeafAt[i] = struct {
-					out cOut
-					cl  cLeaf
-					pos int
-				}{out, cls[pos], pos}
-			}
-		}
-	}
-
-	// Java-side outputs: out params (none allowed) then the return.
-	if jFn.Result == nil {
-		return unsupported("void java side with outputs")
-	}
-	// Group FlatB leaves by output; only one Java output (the return).
-	var jLeafIdxs []int
-	for j, l := range rn.FlatB {
-		if l.Unit {
-			continue
-		}
-		if len(l.Path) == 0 {
-			return unsupported("reply collapsed to a single leaf")
-		}
-		if l.Path[0] != 0 {
-			return unsupported("multiple java outputs")
-		}
-		jLeafIdxs = append(jLeafIdxs, j)
-	}
-	builder, nLeaves, err := compileJBuilder(jc, jFn.Result)
-	if err != nil {
-		return err
-	}
-	if nLeaves != len(jLeafIdxs) {
-		return unsupported("java result leaf count mismatch (%d vs %d)", nLeaves, len(jLeafIdxs))
-	}
-	jPos := make(map[int]int, len(jLeafIdxs))
-	for pos, j := range jLeafIdxs {
-		jPos[j] = pos
-	}
-
-	type replyMove struct {
-		src struct {
-			out cOut
-			cl  cLeaf
-			pos int
-		}
-		dstPos int
-		jk     leafKind
-	}
-	var moves []replyMove
-	jlsKinds, err := jc.jLeaves(jFn.Result, nil)
-	if err != nil {
-		return err
-	}
-	for i, j := range rn.Perm {
-		if j < 0 {
-			continue
-		}
-		src, ok := cLeafAt[i]
-		if !ok {
-			return unsupported("reply leaf with no C source")
-		}
-		pos, ok := jPos[j]
-		if !ok {
-			return unsupported("reply leaf with no java destination")
-		}
-		if !compatible(jlsKinds[pos].kind, src.cl.kind) {
-			return unsupported("reply leaf kinds incompatible")
-		}
-		moves = append(moves, replyMove{src: src, dstPos: pos, jk: jlsKinds[pos].kind})
-	}
-
-	model := cc.lay.Model()
-	call.buildOuts = append(call.buildOuts, func(h *jheap.Heap, mem *cmem.Arena, outAddrs []cmem.Addr, ret uint64) (jheap.Slot, error) {
-		leaves := make([]jheap.Slot, nLeaves)
-		for _, mv := range moves {
-			var slot jheap.Slot
-			var err error
-			if mv.src.out.isReturn {
-				slot, err = decodeReturnWord(ret, mv.src.cl, mv.jk)
-			} else {
-				var at cmem.Addr
-				at, err = resolveC(mem, model, outAddrs[mv.src.out.outIdx], mv.src.cl.acc)
-				if err == nil {
-					slot, err = moveC2J(mem, at, mv.src.cl, mv.jk)
-				}
-			}
-			if err != nil {
-				return jheap.Slot{}, err
-			}
-			leaves[mv.dstPos] = slot
-		}
-		return builder(h, leaves)
-	})
-	return nil
-}
-
-func decodeReturnWord(ret uint64, cl cLeaf, jk leafKind) (jheap.Slot, error) {
-	switch cl.kind {
-	case leafF32:
-		return jheap.FloatSlot(float64(f32frombits(uint32(ret)))), nil
-	case leafF64:
-		return jheap.FloatSlot(f64frombits(ret)), nil
-	default:
-		shift := uint(64 - 8*cl.size)
-		n := int64(ret<<shift) >> shift
-		if jk == leafChar {
-			return jheap.CharSlot(rune(n)), nil
-		}
-		return jheap.IntSlot(n), nil
-	}
-}
-
-// compileJBuilder compiles a constructor for the Java result type: given
-// leaf slots in jLeaves order it builds the object graph and returns the
-// root slot.
-func compileJBuilder(jc *jContext, t *stype.Type) (func(h *jheap.Heap, leaves []jheap.Slot) (jheap.Slot, error), int, error) {
-	t, decl, err := resolveNamed(jc.u, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	switch t.Kind {
-	case stype.KPrim:
-		if _, err := jPrimKind(t); err != nil {
-			return nil, 0, err
-		}
-		return func(h *jheap.Heap, leaves []jheap.Slot) (jheap.Slot, error) {
-			return leaves[0], nil
-		}, 1, nil
-	case stype.KNamed:
-		target := decl.Type
-		if !t.Ann.NonNull || !lower.ByValueOf(decl, t.Ann) {
-			return nil, 0, unsupported("fused result must be a non-null by-value class")
-		}
-		type fieldBuilder struct {
-			idx   int
-			build func(h *jheap.Heap, leaves []jheap.Slot) (jheap.Slot, error)
-			width int
-		}
-		var fbs []fieldBuilder
-		total := 0
-		for i, f := range target.Fields {
-			if f.Type.Ann.Ignore {
-				continue
-			}
-			fb, width, err := compileJBuilder(jc, f.Type)
-			if err != nil {
-				return nil, 0, fmt.Errorf("%s.%s: %w", decl.Name, f.Name, err)
-			}
-			fbs = append(fbs, fieldBuilder{idx: i, build: fb, width: width})
-			total += width
-		}
-		class := decl.Name
-		nFields := len(target.Fields)
-		return func(h *jheap.Heap, leaves []jheap.Slot) (jheap.Slot, error) {
-			r := h.New(class, nFields)
-			off := 0
-			for _, fb := range fbs {
-				slot, err := fb.build(h, leaves[off:off+fb.width])
-				if err != nil {
-					return jheap.Slot{}, err
-				}
-				if err := h.SetField(r, fb.idx, slot); err != nil {
-					return jheap.Slot{}, err
-				}
-				off += fb.width
-			}
-			return jheap.RefSlot(r), nil
-		}, total, nil
-	default:
-		return nil, 0, unsupported("fused result of kind %s", t.Kind)
-	}
-}
-
-// findChildPlan returns the plan node for the A-side leaf's pair, if the
-// request plan recorded one.
-func findChildPlan(p *plan.Plan, rn *plan.Node, aLeaf int) *plan.Node {
-	return rn.LeafPlans[aLeaf]
-}
-
 // Invoke runs the fused call: Java argument slots in, Java output slots
-// out (out parameters in order, then the return value).
+// out (the return value, if the method has one).
 func (c *Call) Invoke(h *jheap.Heap, args []jheap.Slot) ([]jheap.Slot, error) {
 	mem := cmem.NewArena()
-	cargs := make([]uint64, c.nCArgs)
-	outAddrs := make([]cmem.Addr, len(c.outMovers))
-	for i, om := range c.outMovers {
-		buf := mem.Alloc(om.size, om.align)
-		outAddrs[i] = buf
-		cargs[om.argIndex] = uint64(buf)
+	words := make([]uint64, c.nCArgs+1)
+	if err := c.toC(h, args, mem, words, c.request); err != nil {
+		return nil, err
 	}
-	for _, mv := range c.inMovers {
-		if err := mv(h, args, mem, cargs); err != nil {
-			return nil, err
-		}
-	}
-	ret, err := c.impl(mem, cargs)
+	ret, err := c.impl(mem, words[:c.nCArgs:c.nCArgs])
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]jheap.Slot, 0, len(c.buildOuts))
-	for _, b := range c.buildOuts {
-		slot, err := b(h, mem, outAddrs, ret)
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, slot)
+	words[c.nCArgs] = ret
+	outs := make([]jheap.Slot, c.nOuts)
+	if err := c.toJ(h, outs, mem, words, c.reply); err != nil {
+		return nil, err
 	}
 	return outs, nil
 }
-
-func f32bits(f float32) uint32     { return math.Float32bits(f) }
-func f64bits(f float64) uint64     { return math.Float64bits(f) }
-func f32frombits(u uint32) float32 { return math.Float32frombits(u) }
-func f64frombits(u uint64) float64 { return math.Float64frombits(u) }

@@ -1,0 +1,288 @@
+package fuse
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/cmem"
+	"repro/internal/core"
+)
+
+// pair is one Java↔C declaration pair with a C implementation: the
+// fixture every table in this package's tests is written over.
+type pair struct {
+	name             string
+	c, java          string
+	cScript, jScript string
+	iface, method    string
+	cfn              string
+	impl             func(mem *cmem.Arena, args []uint64) (uint64, error)
+}
+
+// session loads and annotates both sides and synthesizes the method
+// declaration; it returns the session and the Java declaration's name.
+func (p pair) session(t testing.TB, model cmem.Model) (*core.Session, string) {
+	t.Helper()
+	s := core.NewSession()
+	if err := s.LoadC("c", p.c, model); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadJava("java", p.java); err != nil {
+		t.Fatal(err)
+	}
+	for universe, script := range map[string]string{"c": p.cScript, "java": p.jScript} {
+		if script == "" {
+			continue
+		}
+		if _, err := s.Annotate(universe, script); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jFn, err := s.MethodDecl("java", p.iface, p.method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, jFn
+}
+
+// compile builds the fused stub for the pair.
+func (p pair) compile(t testing.TB, model cmem.Model) (*core.Session, string, *Call) {
+	t.Helper()
+	s, jFn := p.session(t, model)
+	call, err := CompileFromSession(s, "java", jFn, "c", p.cfn, model, p.impl)
+	if err != nil {
+		t.Fatalf("%s: %v", p.name, err)
+	}
+	return s, jFn, call
+}
+
+func f32(w uint64) float32 { return math.Float32frombits(uint32(w)) }
+
+// The pairs every tier must agree on. The C implementations are total
+// functions of their inputs, so random arguments are fair game.
+var (
+	fitterPair = pair{name: "fitter", c: fitterC, java: figure1Java, cScript: cScript, jScript: jScript,
+		iface: "JavaIdeal", method: "fitter", cfn: "fitter", impl: cFitterImpl}
+
+	// A vector of integer-carrying elements; struct cell is tag@0, w@8,
+	// size 16 under both models.
+	totalPair = pair{name: "total",
+		c: `struct cell { int tag; double w; };
+		    double total(struct cell xs[], int n);`,
+		cScript: "annotate total.xs length-from=n",
+		java: `class Cell { int tag; double w; }
+		       class Cells extends java.util.Vector;
+		       interface I { double total(Cells xs); }`,
+		jScript: "annotate Cells collection-of=Cell element-nonnull\nannotate I.total.xs nonnull",
+		iface:   "I", method: "total", cfn: "total",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			base, n, sum := cmem.Addr(args[0]), int(int32(args[1])), 0.0
+			for i := 0; i < n; i++ {
+				w, err := mem.ReadF64(base + cmem.Addr(16*i+8))
+				if err != nil {
+					return 0, err
+				}
+				tag, err := mem.ReadI(base+cmem.Addr(16*i), 4)
+				if err != nil {
+					return 0, err
+				}
+				sum += w * float64(tag)
+			}
+			return math.Float64bits(sum), nil
+		}}
+
+	// Java char is UCS-2, C char Latin-1: the §3.1 repertoire annotation
+	// widens the C side so the return types match.
+	gradePair = pair{name: "grade",
+		c: `char grade(int score);`, cScript: "annotate grade.return repertoire=ucs2",
+		java:  `interface I { char grade(int score); }`,
+		iface: "I", method: "grade", cfn: "grade",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			if int32(args[0]) >= 90 {
+				return 'A', nil
+			}
+			return 'B', nil
+		}}
+
+	scalePair = pair{name: "scale",
+		c: `float scale(float x, int k);`, java: `interface I { float scale(float x, int k); }`,
+		iface: "I", method: "scale", cfn: "scale",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			return uint64(math.Float32bits(f32(args[0]) * float32(int32(args[1])))), nil
+		}}
+
+	// A non-null pointer-to-struct input parameter.
+	norm1Pair = pair{name: "norm1",
+		c: `struct Pt { float x; float y; };
+		    float norm1(struct Pt *p);`,
+		cScript: "annotate norm1.p nonnull",
+		java: `class Point { float x; float y; }
+		       interface I { float norm1(Point p); }`,
+		jScript: "annotate I.norm1.p nonnull noalias",
+		iface:   "I", method: "norm1", cfn: "norm1",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			x, err := mem.ReadF32(cmem.Addr(args[0]))
+			if err != nil {
+				return 0, err
+			}
+			y, err := mem.ReadF32(cmem.Addr(args[0]) + 4)
+			if err != nil {
+				return 0, err
+			}
+			return uint64(math.Float32bits(float32(math.Abs(float64(x)) + math.Abs(float64(y))))), nil
+		}}
+
+	// The three signedness rows: an unsigned return word, an unsigned
+	// field of an out struct, and a C char above 0x7f in the return word.
+	levelPair = pair{name: "level",
+		c: `unsigned char level(int x);`, java: `interface I { int level(int x); }`,
+		jScript: "annotate I.level.return range=0..255",
+		iface:   "I", method: "level", cfn: "level",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) { return uint64(uint8(args[0])), nil }}
+
+	gaugePair = pair{name: "gauge",
+		c: `struct G { unsigned short v; int w; };
+		    void gauge(int seed, struct G *out);`,
+		cScript: "annotate gauge.out out nonnull",
+		java: `class G { int v; int w; }
+		       interface I { G gauge(int seed); }`,
+		jScript: "annotate G.v range=0..65535\nannotate I.gauge.return nonnull",
+		iface:   "I", method: "gauge", cfn: "gauge",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			if err := mem.WriteU(cmem.Addr(args[1]), 2, uint64(uint16(args[0]))); err != nil {
+				return 0, err
+			}
+			return 0, mem.WriteU(cmem.Addr(args[1])+4, 4, args[0])
+		}}
+
+	symPair = pair{name: "sym",
+		c: `char sym(int x);`, cScript: "annotate sym.return repertoire=ucs2",
+		java:  `interface I { char sym(int x); }`,
+		iface: "I", method: "sym", cfn: "sym",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) { return uint64(uint8(args[0])), nil }}
+)
+
+// Pairs beyond the golden transcript: the shapes the move list must carry
+// with no construct-specific code.
+var (
+	// A non-null pointer inside an out struct: the reply derefs it.
+	unboxPair = pair{name: "unbox",
+		c: `struct Box { int *p; };
+		    void unbox(int seed, struct Box *out);`,
+		cScript: "annotate unbox.out out nonnull\nannotate Box.p nonnull",
+		java: `class IntBox { int v; }
+		       class Box { IntBox p; }
+		       interface I { Box unbox(int seed); }`,
+		jScript: "annotate Box.p nonnull noalias\nannotate I.unbox.return nonnull",
+		iface:   "I", method: "unbox", cfn: "unbox",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			at := mem.Alloc(4, 4)
+			if err := mem.WriteU(at, 4, args[0]*3); err != nil {
+				return 0, err
+			}
+			return 0, mem.WritePtr(cmem.Addr(args[1]), cmem.ILP32, at)
+		}}
+
+	// The same inside an input struct: the request allocates the pointee.
+	weighPair = pair{name: "weigh",
+		c: `struct Box { int *p; short tag; };
+		    int weigh(struct Box *b);`,
+		cScript: "annotate weigh.b nonnull\nannotate Box.p nonnull",
+		java: `class IntBox { int v; }
+		       class Box { IntBox p; short tag; }
+		       interface I { int weigh(Box b); }`,
+		jScript: "annotate Box.p nonnull noalias\nannotate I.weigh.b nonnull noalias",
+		iface:   "I", method: "weigh", cfn: "weigh",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			p, err := mem.ReadPtr(cmem.Addr(args[0]), cmem.ILP32)
+			if err != nil {
+				return 0, err
+			}
+			v, err := mem.ReadI(p, 4)
+			if err != nil {
+				return 0, err
+			}
+			tag, err := mem.ReadI(cmem.Addr(args[0])+4, 2)
+			return uint64(int32(v) ^ int32(tag)), err
+		}}
+
+	pokePair = pair{name: "poke",
+		c: `void poke(int x);`, java: `interface I { void poke(int x); }`,
+		iface: "I", method: "poke", cfn: "poke",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) { return 0, nil }}
+
+	// Associativity across parameters: two Java objects feed four C words.
+	distPair = pair{name: "dist",
+		c: `float dist(float ax, float ay, float bx, float by);`,
+		java: `class Point { float x; float y; }
+		       interface I { float dist(Point a, Point b); }`,
+		jScript: "annotate I.dist.a nonnull noalias\nannotate I.dist.b nonnull noalias",
+		iface:   "I", method: "dist", cfn: "dist",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			return uint64(math.Float32bits(f32(args[0]) - f32(args[2]) + 2*(f32(args[1])-f32(args[3])))), nil
+		}}
+
+	// Commutativity: the plan's permutation reorders the fields.
+	mixPair = pair{name: "mix",
+		c: `struct rec { double w; int tag; char c; };
+		    double mix(struct rec *r);`,
+		cScript: "annotate mix.r nonnull\nannotate rec.c repertoire=ucs2",
+		java: `class Rec { char c; int tag; double w; }
+		       interface I { double mix(Rec r); }`,
+		jScript: "annotate I.mix.r nonnull noalias",
+		iface:   "I", method: "mix", cfn: "mix",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			at := cmem.Addr(args[0])
+			w, err := mem.ReadF64(at)
+			if err != nil {
+				return 0, err
+			}
+			tag, err := mem.ReadI(at+8, 4)
+			if err != nil {
+				return 0, err
+			}
+			c, err := mem.ReadU(at+12, 1)
+			return math.Float64bits(w*float64(tag) + float64(c)), err
+		}}
+
+	// A pointer annotated with a static length is a fixed array.
+	spanPair = pair{name: "span",
+		c: `float span(float *v);`, cScript: "annotate span.v length=3",
+		java: `class V3 { float a; float b; float c; }
+		       interface I { float span(V3 v); }`,
+		jScript: "annotate I.span.v nonnull noalias",
+		iface:   "I", method: "span", cfn: "span",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			var v [3]float32
+			for i := range v {
+				f, err := mem.ReadF32(cmem.Addr(args[0]) + cmem.Addr(4*i))
+				if err != nil {
+					return 0, err
+				}
+				v[i] = f
+			}
+			return uint64(math.Float32bits(v[0] - 2*v[1] + 4*v[2])), nil
+		}}
+
+	// An ignored Java field shifts field indices against Mtype paths.
+	skipPair = pair{name: "skip", c: totalPair.c, cScript: totalPair.cScript,
+		java: `class Cell { int junk; int tag; double w; }
+		       class Cells extends java.util.Vector;
+		       interface I { double total(Cells xs); }`,
+		jScript: totalPair.jScript + "\nannotate Cell.junk ignore",
+		iface:   "I", method: "total", cfn: "total", impl: totalPair.impl}
+
+	// Every integral width in argument words, unsigned included.
+	widthsPair = pair{name: "widths",
+		c:       `long long widths(short a, signed char b, long long c, unsigned int d);`,
+		java:    `interface I { long widths(short a, byte b, long c, long d); }`,
+		jScript: "annotate I.widths.d range=0..4294967295",
+		iface:   "I", method: "widths", cfn: "widths",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			return uint64(int64(int16(args[0]))*3 + int64(int8(args[1]))*5 + int64(args[2]) + int64(uint32(args[3]))), nil
+		}}
+)
+
+// tierPairs is every pair all execution tiers must agree on.
+var tierPairs = []pair{fitterPair, totalPair, gradePair, scalePair, norm1Pair, levelPair, gaugePair, symPair,
+	unboxPair, weighPair, pokePair, distPair, mixPair, spanPair, skipPair, widthsPair}

@@ -1,37 +1,22 @@
 package fuse
 
 import (
-	"fmt"
-
 	"repro/internal/cmem"
-	"repro/internal/compare"
 	"repro/internal/core"
-	"repro/internal/mtype"
-	"repro/internal/plan"
-	"repro/internal/stype"
 )
 
 // CompileFromSession builds a fused Java→C stub from declarations loaded
 // in a session: jDecl names a function-shaped Java declaration (use
 // core.Session.MethodDecl to synthesize one from an interface method),
-// cDecl a C function. The comparison runs with the session's default
-// rules; both request and reply correspondences are specialized.
+// cDecl a C function. The plans come from the session's one call-plan
+// assembler, so the comparison runs under the session's rules and
+// semantic registrations exactly as it does for a core.CallStub.
 func CompileFromSession(
 	sess *core.Session,
 	jUniverse, jDecl, cUniverse, cDecl string,
 	model cmem.Model,
 	impl func(mem *cmem.Arena, args []uint64) (uint64, error),
 ) (*Call, error) {
-	jU := sess.Universe(jUniverse)
-	cU := sess.Universe(cUniverse)
-	if jU == nil || cU == nil {
-		return nil, fmt.Errorf("fuse: unknown universe")
-	}
-	jd := jU.Lookup(jDecl)
-	cd := cU.Lookup(cDecl)
-	if jd == nil || cd == nil {
-		return nil, fmt.Errorf("fuse: unknown declaration")
-	}
 	mtJ, err := sess.Mtype(jUniverse, jDecl)
 	if err != nil {
 		return nil, err
@@ -40,66 +25,10 @@ func CompileFromSession(
 	if err != nil {
 		return nil, err
 	}
-	reqJ, repJ, err := callShapeM(mtJ)
+	reqPlan, repPlan, err := sess.CallPlans(mtJ, mtC)
 	if err != nil {
 		return nil, err
 	}
-	reqC, repC, err := callShapeM(mtC)
-	if err != nil {
-		return nil, err
-	}
-	c := compare.NewComparer(compare.DefaultRules())
-	m, ok := c.Equivalent(mtJ, mtC)
-	if !ok {
-		return nil, fmt.Errorf("fuse: declarations are not equivalent:\n%s", c.Explain(mtJ, mtC, compare.ModeEqual))
-	}
-	reqPlan, err := plan.BuildFor(m, reqJ, reqC)
-	if err != nil {
-		return nil, err
-	}
-	m2, ok := c.Equivalent(repC, repJ)
-	if !ok {
-		return nil, fmt.Errorf("fuse: reply records not equivalent in reverse")
-	}
-	repPlan, err := plan.BuildFor(m2, repC, repJ)
-	if err != nil {
-		return nil, err
-	}
-	jFn := jd.Type
-	cFn := cd.Type
-	if jFn.Kind != stype.KFunc || cFn.Kind != stype.KFunc {
-		return nil, fmt.Errorf("fuse: both declarations must be functions (got %s, %s)", jFn.Kind, cFn.Kind)
-	}
-	return CompileCall(jU, jFn, cU, cFn, model, reqPlan, repPlan, impl)
-}
-
-// callShapeM extracts the request and reply records of a lowered function
-// port.
-func callShapeM(mt *mtype.Type) (req, rep *mtype.Type, err error) {
-	u := mt
-	for u != nil && u.Kind() == mtype.KindRecursive {
-		u = u.Body()
-	}
-	if u == nil || u.Kind() != mtype.KindPort {
-		return nil, nil, fmt.Errorf("fuse: not a function port")
-	}
-	req = u.Elem()
-	for req.Kind() == mtype.KindRecursive {
-		req = req.Body()
-	}
-	if req.Kind() != mtype.KindRecord || len(req.Fields()) == 0 {
-		return nil, nil, fmt.Errorf("fuse: malformed request record")
-	}
-	last := req.Fields()[len(req.Fields())-1].Type
-	for last.Kind() == mtype.KindRecursive {
-		last = last.Body()
-	}
-	if last.Kind() != mtype.KindPort {
-		return nil, nil, fmt.Errorf("fuse: request has no reply port")
-	}
-	rep = last.Elem()
-	for rep.Kind() == mtype.KindRecursive {
-		rep = rep.Body()
-	}
-	return req, rep, nil
+	jU, cU := sess.Universe(jUniverse), sess.Universe(cUniverse)
+	return CompileCall(jU, jU.Lookup(jDecl).Type, cU, cU.Lookup(cDecl).Type, model, reqPlan, repPlan, impl)
 }

@@ -74,8 +74,7 @@ const (
 )
 
 // Transcoder pushes source bytes in arbitrary splits through a compiled
-// pair. Not safe for concurrent use; wrap with Pipe for a concurrent
-// Writer/Reader pair.
+// pair. Not safe for concurrent use.
 type Transcoder struct {
 	xc  *transcode.Transcoder
 	max int

@@ -3,10 +3,8 @@ package stream
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/big"
 	"testing"
-	"time"
 
 	"repro/internal/compare"
 	"repro/internal/mtype"
@@ -333,108 +331,6 @@ func TestEngineReuseAfterRelease(t *testing.T) {
 			t.Fatalf("round %d: output mismatch", i)
 		}
 	}
-}
-
-func TestPipeRoundTrip(t *testing.T) {
-	a, _, xc := recListPair(t)
-	src := recListPayload(t, a, 500)
-	want, err := xc.Transcode(src)
-	if err != nil {
-		t.Fatalf("one-shot: %v", err)
-	}
-	// A tiny window forces the writer to block on the reader repeatedly.
-	pw, pr := Pipe(New(xc, Options{}), 64)
-	werr := make(chan error, 1)
-	go func() {
-		for off := 0; off < len(src); off += 33 {
-			end := off + 33
-			if end > len(src) {
-				end = len(src)
-			}
-			if _, err := pw.Write(src[off:end]); err != nil {
-				werr <- err
-				return
-			}
-		}
-		werr <- pw.Close()
-	}()
-	got, rerr := io.ReadAll(pr)
-	if rerr != nil {
-		t.Fatalf("read: %v", rerr)
-	}
-	if err := <-werr; err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("pipe output differs from one-shot")
-	}
-	_ = pr.Close()
-}
-
-func TestPipeBackpressure(t *testing.T) {
-	a, _, xc := recListPair(t)
-	src := recListPayload(t, a, 2000)
-	pw, pr := Pipe(New(xc, Options{}), 128)
-	wrote := make(chan struct{})
-	go func() {
-		for off := 0; off < len(src); off += 1024 {
-			end := off + 1024
-			if end > len(src) {
-				end = len(src)
-			}
-			if _, err := pw.Write(src[off:end]); err != nil {
-				break
-			}
-		}
-		_ = pw.Close()
-		close(wrote)
-	}()
-	// The writer must stall against the 128-byte window long before
-	// pushing ~32 KiB of converted output.
-	select {
-	case <-wrote:
-		t.Fatal("writer finished without reader progress: no backpressure")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if _, err := io.ReadAll(pr); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	<-wrote
-	_ = pr.Close()
-}
-
-func TestPipeReaderGaveUp(t *testing.T) {
-	a, _, xc := recListPair(t)
-	src := recListPayload(t, a, 2000)
-	pw, pr := Pipe(New(xc, Options{}), 64)
-	_ = pr.Close()
-	var err error
-	for off := 0; off < len(src) && err == nil; off += 1024 {
-		end := off + 1024
-		if end > len(src) {
-			end = len(src)
-		}
-		_, err = pw.Write(src[off:end])
-	}
-	if !errors.Is(err, ErrPipeClosed) {
-		t.Fatalf("got %v, want ErrPipeClosed", err)
-	}
-}
-
-func TestPipeValidationErrorReachesReader(t *testing.T) {
-	a, _, xc := recListPair(t)
-	src := recListPayload(t, a, 3)
-	pw, pr := Pipe(New(xc, Options{}), 0)
-	if _, err := pw.Write(src[:len(src)-2]); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := pw.Close(); !errors.Is(err, wire.ErrShort) {
-		t.Fatalf("close: got %v, want wrapped wire.ErrShort", err)
-	}
-	if _, err := io.ReadAll(pr); !errors.Is(err, wire.ErrShort) {
-		t.Fatalf("read: got %v, want wrapped wire.ErrShort", err)
-	}
-	_ = pr.Close()
 }
 
 // TestWindowsStayPoolable is the reason relays push in shuttle-sized
