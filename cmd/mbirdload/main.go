@@ -157,7 +157,7 @@ func setupBroker(cfg config) (*target, error) {
 	addr := cfg.addr
 	t := &target{close: func() {}}
 	if addr == "" {
-		srv, err := orb.NewServer("127.0.0.1:0", orb.WithBufPooling())
+		srv, err := orb.NewServer("127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +346,7 @@ func setupGateway(cfg config) (*target, error) {
 	t := &target{close: func() {}}
 	var closers []func()
 	if addr == "" {
-		up, err := orb.NewServer("127.0.0.1:0", orb.WithBufPooling())
+		up, err := orb.NewServer("127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +380,7 @@ func setupGateway(cfg config) (*target, error) {
 			}
 			return nil, err
 		}
-		srv, err := orb.NewServer("127.0.0.1:0", orb.WithBufPooling())
+		srv, err := orb.NewServer("127.0.0.1:0")
 		if err != nil {
 			for _, c := range closers {
 				c()

@@ -43,19 +43,6 @@ func newSFCache[V any](capacity int) *sfCache[V] {
 	}
 }
 
-// get returns a cached value without filling.
-func (c *sfCache[V]) get(key fingerprint.PairKey) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*lruEntry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // do returns the cached value for key, filling it via fill on a miss.
 // cached reports whether the value came from the cache (true) rather than
 // from a fill this call ran or waited on (false).

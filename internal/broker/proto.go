@@ -315,9 +315,6 @@ type Client struct {
 	t proto.Transport
 }
 
-// NewClient wraps an established orb connection.
-func NewClient(c *orb.Client) *Client { return &Client{t: c} }
-
 // NewTransportClient wraps any proto.Transport — typically a
 // resil.Client for pooling, deadlines, retries, and hedging.
 func NewTransportClient(t proto.Transport) *Client { return &Client{t: t} }

@@ -165,9 +165,6 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// Self returns the node's advertised cluster address.
-func (n *Node) Self() string { return n.self }
-
 // Members returns the node's current member list, sorted.
 func (n *Node) Members() []string { return n.ring.Load().Members() }
 
@@ -183,33 +180,6 @@ func (n *Node) Peers() int {
 		}
 	}
 	return c
-}
-
-// SetMembers replaces the member list; links to departed peers drain
-// gracefully in the background.
-func (n *Node) SetMembers(members []string) {
-	ring := NewRing(members)
-	keep := make(map[string]bool, ring.Len())
-	for _, m := range ring.Members() {
-		keep[m] = true
-	}
-	var drain []*resil.Client
-	n.mu.Lock()
-	for addr, p := range n.peers {
-		if !keep[addr] {
-			drain = append(drain, p)
-			delete(n.peers, addr)
-		}
-	}
-	n.mu.Unlock()
-	n.ring.Store(ring)
-	for _, p := range drain {
-		go func(p *resil.Client) {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			_ = p.Drain(ctx)
-		}(p)
-	}
 }
 
 // peerPool returns (lazily creating) the resilient link to one peer.

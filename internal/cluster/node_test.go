@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 const (
@@ -111,6 +114,53 @@ func TestClusterWarmPushReplicatesVerdict(t *testing.T) {
 	}
 	if st := src.n.Status(); st.PushErrs != 0 || st.PushDrops != 0 {
 		t.Fatalf("push errs=%d drops=%d, want 0/0", st.PushErrs, st.PushDrops)
+	}
+}
+
+// A ConvertRaw fill on one daemon pushes the pair's transcoder recipe to
+// its ring successors, which compile it off the request path: a peer's
+// first ConvertRaw of the pair is a transcoder-cache hit on a warmed
+// entry, not a compile under the client's latency.
+func TestClusterWarmPushCompilesTranscoder(t *testing.T) {
+	fleet := newFleet(t, 3, NodeOptions{})
+	src := fleet[0]
+	loadPair(t, src.b)
+	mix, err := src.b.Mtype("ux", "mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.Marshal(mix, value.NewRecord(value.Real{V: 4.5}, value.NewInt(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := src.b.ConvertRaw("ux", "mix", "uy", "pair", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var peer *fleetNode
+	for _, addr := range src.n.Ring().Ranked(RouteKey("ux", "mix", "uy", "pair"))[:2] {
+		for _, fn := range fleet {
+			if fn.addr == addr && fn != src {
+				peer = fn
+			}
+		}
+	}
+	eventually(t, "transcoder push to "+peer.addr, func() bool { return peer.b.Stats().XcodeEntries == 1 })
+	before := peer.b.Stats()
+	if before.XcodeCompiles != 1 || before.XcodeHits != 0 || before.WarmHits != 0 {
+		t.Fatalf("peer before its first request: %+v, want one warm compile and no hits", before)
+	}
+	got, err := peer.b.ConvertRaw("ux", "mix", "uy", "pair", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("peer converted to %x, owner to %x", got, want)
+	}
+	after := peer.b.Stats()
+	if after.XcodeHits != 1 || after.WarmHits != before.WarmHits+1 || after.XcodeCompiles != 1 {
+		t.Fatalf("peer's first request: %+v, want a transcoder hit on the warmed entry and no compile", after)
 	}
 }
 

@@ -105,20 +105,8 @@ func NewClient(c *orb.Client) *Client { return &Client{t: c} }
 // reload is idempotent against an unchanged route file).
 func NewTransportClient(t proto.Transport) *Client { return &Client{t: t} }
 
-// DialTimeout bounds DialClient's connection attempt.
+// DialTimeout bounds a one-shot connection to a gateway's admin service.
 const DialTimeout = 10 * time.Second
-
-// DialClient connects to a gateway's admin service over a single orb
-// connection.
-func DialClient(addr string) (*Client, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), DialTimeout)
-	defer cancel()
-	c, err := orb.DialContext(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{t: c}, nil
-}
 
 // Close releases the underlying transport.
 func (c *Client) Close() error { return c.t.Close() }

@@ -17,7 +17,6 @@ package mtype
 import (
 	"fmt"
 	"math/big"
-	"sort"
 	"strings"
 )
 
@@ -748,15 +747,4 @@ func ListElem(t *Type) (elem *Type, ok bool) {
 		return nil, false
 	}
 	return cons.fields[0].Type, true
-}
-
-// SortedShapeKeys returns the shape keys of the given types, sorted. It is
-// a convenience for tests and diagnostics that compare child multisets.
-func SortedShapeKeys(types []*Type) []string {
-	keys := make([]string, len(types))
-	for i, ty := range types {
-		keys[i] = ShapeKey(ty)
-	}
-	sort.Strings(keys)
-	return keys
 }

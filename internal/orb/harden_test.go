@@ -137,3 +137,29 @@ func TestDialErrorTyped(t *testing.T) {
 		t.Errorf("err = %v, want ErrDial", err)
 	}
 }
+
+// A pooled deadline timer's callback can land on the request after the
+// one it was set for; the verdict must come from the clock.
+func TestServerCtxIgnoresStaleExpiry(t *testing.T) {
+	cl := callPool.New().(*call)
+	cl.arm(time.Now().Add(time.Hour))
+	cl.expire() // the previous request's callback, late
+	if err := cl.Err(); err != nil {
+		t.Fatalf("a stale expiry ended the next request's context: %v", err)
+	}
+	cl.disarm()
+	cl.arm(time.Now().Add(-time.Millisecond))
+	cl.expire()
+	if err := cl.Err(); err != context.DeadlineExceeded {
+		t.Fatalf("Err = %v after the deadline, want DeadlineExceeded", err)
+	}
+	select {
+	case <-cl.Done():
+	default:
+		t.Fatal("Done still open after the deadline")
+	}
+	cl.disarm()
+	if cl.Err() != nil {
+		t.Fatal("disarm left the verdict for the next request")
+	}
+}

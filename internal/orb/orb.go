@@ -1,30 +1,70 @@
 // Package orb is the network runtime under Mockingbird's network-enabled
 // stubs: a small GIOP-style protocol over TCP with request/reply
-// correlation and one-way messages (the messaging model of the §5
-// collaborative-objects case study). Payloads are opaque bytes; the typed
-// layer (core) marshals them with package wire.
+// correlation, one-way messages (the messaging model of the §5
+// collaborative-objects case study) and credit-controlled streams
+// (stream.go). Payloads are opaque bytes; the typed layer (core) marshals
+// them with package wire.
 //
 // Frame format (all integers little-endian):
 //
 //	magic   [4]byte "MBRD"
-//	version u8 (1 or 2)
-//	kind    u8 (request / reply / oneway / error / hello / cancel)
-//	id      u64 (request correlation; 0 for oneway)
+//	version u8 (1, 2 or 3)
+//	kind    u8 (request / reply / oneway / error / hello / cancel /
+//	            stream-open / stream-chunk / stream-close / stream-credit)
+//	id      u64 (call correlation; 0 for oneway)
 //	keyLen  u32
-//	budget  u32 (version 2 request frames only: remaining time budget in
-//	             milliseconds; 0 = no budget)
+//	budget  u32 (version ≥ 2 request and version 3 stream-open frames
+//	             only: remaining time budget in milliseconds; 0 = none)
 //	key     [keyLen]byte   (object key; empty on replies)
 //	op      u32            (method alternative; protocol version on hello
-//	                        frames, error code on error frames)
+//	                        frames, error code on error frames, status on
+//	                        stream-close frames, bytes on stream-credit)
 //	bodyLen u32, body [bodyLen]byte
 //
-// Version negotiation costs no round trip: a v2 server writes a hello
-// frame (encoded as v1, so v1 clients parse and ignore it) the moment a
-// connection is accepted. A v2 client that sees the hello upgrades its
+// Version negotiation costs no round trip: a server writes a hello frame
+// (encoded as v1, so v1 clients parse and ignore it) the moment a
+// connection is accepted. A client that sees the hello upgrades its
 // request encoding; one that never does (a v1 server) stays on v1 frames
-// forever, so budgets are simply absent rather than an error. Cancel
-// frames are likewise v1-encoded: a v1 server drops unknown kinds on the
-// floor, which is exactly the no-op semantics cancellation wants.
+// forever, so budgets and streams are simply absent rather than an
+// error. Cancel frames are likewise v1-encoded: a v1 server drops unknown
+// kinds on the floor, which is exactly the no-op semantics cancellation
+// wants.
+//
+// # One dispatch path
+//
+// On a server connection a request, a oneway and a stream open pass one
+// gate (serverConn.admit), in this order: a budget already spent when the
+// frame finished arriving is shed with ErrExpired, before it can count
+// against capacity; then the connection's concurrency cap (ErrOverloaded);
+// then the handler lookup; then the id must not name a call still live on
+// the connection. A refusal is one error frame from one writer (replyErr;
+// a oneway has no reply to carry it and is dropped) and costs no
+// goroutine, context or in-flight slot.
+//
+// An admitted call is one record in the connection's one table, id →
+// {context, stream end or nil}. Cancel, chunk, close and credit frames
+// find their call there, and when the read loop ends the table is walked
+// once (serverConn.teardown): connection death cancels every call;
+// Shutdown lets a unary call finish and reply but fails a live stream at
+// once, because a stream cannot complete without the read loop.
+//
+// Every call runs under one goroutine body (serverConn.run), which owns
+// panic isolation, the remap of a handler's deadline error to ErrExpired
+// when the propagated budget ran out under it, and the terminal frame: a
+// reply or a clean stream close; on failure an error frame, or a close
+// with a status once a reply chunk has gone out. The call leaves the
+// table before that frame is written, so a peer that has seen a call end
+// finds its id and its slot free.
+//
+// Handler contract: the request body and the context are recycled when
+// the handler returns. A handler must not retain either, anything
+// aliasing the body, or the context's Done channel; one that detaches
+// work copies the body first. Returning the body as the reply is fine.
+//
+// The client mirrors this with one table (Client.pending): a unary call
+// waits on a channel and resolves on the first frame carrying its id; a
+// stream call holds the same stream-end type the server does and stays
+// until it is closed.
 package orb
 
 import (
@@ -37,7 +77,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -47,22 +86,13 @@ const (
 	kindReply   = 2
 	kindOneway  = 3
 	kindError   = 4
-	// kindHello is sent by a server immediately on accept; op carries the
-	// server's maximum protocol version. Old clients drop it (no pending
-	// entry with id 0), new clients upgrade their request encoding.
-	kindHello = 5
-	// kindCancel is sent by a client to abort an in-flight request; id
-	// names the request. Old servers drop it (unknown kind), new servers
-	// cancel the per-request context.
-	kindCancel = 6
-	// Stream frames (protocol version 3). A stream is an id-correlated
-	// call whose request and reply bodies travel as chunk frames under
-	// credit-based flow control instead of single buffered frames; see
-	// stream.go. Old peers never see them: clients only open streams on
-	// connections whose hello negotiated v3.
+	kindHello   = 5 // server → client on accept; op is the server's maximum version
+	kindCancel  = 6 // client → server; id names the in-flight call to abort
+	// Stream frames (protocol version 3; see stream.go). Old peers never
+	// see them: clients only open streams where the hello negotiated v3.
 	kindStreamOpen   = 7  // client → server; op is the method, body empty
 	kindStreamChunk  = 8  // either direction; body is one payload chunk
-	kindStreamClose  = 9  // either direction; op is a status (see below)
+	kindStreamClose  = 9  // either direction; op is a status
 	kindStreamCredit = 10 // either direction; op grants op bytes of credit
 )
 
@@ -137,6 +167,39 @@ var (
 	ErrExpired = errors.New("orb: request budget expired")
 )
 
+// codedErrs is the typed error each non-generic error-frame code stands
+// for, indexed by code.
+var codedErrs = [...]error{codeErrPanic: ErrServerPanic, codeErrOverloaded: ErrOverloaded, codeErrExpired: ErrExpired}
+
+// errFrameCode maps a handler error to its error-frame code and message
+// body. The sentinel's own prefix is trimmed from the body: the client
+// re-wraps the body in the same sentinel, and keeping the prefix would
+// double it.
+func errFrameCode(err error) (uint32, []byte) {
+	for code, sentinel := range codedErrs {
+		if sentinel != nil && errors.Is(err, sentinel) {
+			return uint32(code), []byte(strings.TrimPrefix(err.Error(), sentinel.Error()+": "))
+		}
+	}
+	return codeErrGeneric, []byte(err.Error())
+}
+
+// errFromFrame reconstructs the typed error an error frame carries.
+func errFromFrame(f frame) error {
+	if f.op != codeErrGeneric && int(f.op) < len(codedErrs) {
+		return fmt.Errorf("%w: %s", codedErrs[f.op], f.body)
+	}
+	return &RemoteError{Msg: string(f.body)}
+}
+
+// RemoteError is an error returned by the remote handler (as opposed to a
+// transport failure).
+type RemoteError struct {
+	Msg string
+}
+
+func (e *RemoteError) Error() string { return "orb: remote: " + e.Msg }
+
 // ctxErr maps a context error to the orb typed equivalent.
 func ctxErr(err error) error {
 	switch {
@@ -169,24 +232,15 @@ func budgetMillis(ctx context.Context) uint32 {
 		return clampMillis(v)
 	}
 	if d, ok := ctx.Deadline(); ok {
-		rem := time.Until(d)
-		if rem <= 0 {
-			return 1
-		}
-		return clampMillis(rem)
+		return clampMillis(time.Until(d))
 	}
 	return 0
 }
 
+// clampMillis rounds d up to whole milliseconds within [1, MaxUint32].
 func clampMillis(d time.Duration) uint32 {
 	ms := (d + time.Millisecond - 1) / time.Millisecond
-	if ms < 1 {
-		return 1
-	}
-	if ms > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(ms)
+	return uint32(min(max(ms, 1), math.MaxUint32))
 }
 
 // Limits configures per-endpoint frame limits. The zero value selects the
@@ -201,25 +255,15 @@ type Limits struct {
 	// ErrOverloaded (oneways are dropped). Negative means unlimited.
 	// Ignored by clients.
 	MaxPerConn int
-	// MaxProtoVersion caps the protocol version the endpoint speaks.
-	// 0 selects the build's maximum (2). Setting 1 makes a server behave
-	// exactly like a pre-budget build (no hello, v2 frames rejected) and
-	// makes a client ignore hellos — the interop tests use it to pin one
-	// side down.
+	// MaxProtoVersion caps the protocol version the endpoint speaks; 0
+	// selects the build's maximum (3). 1 makes a server a pre-budget build
+	// (no hello, v2 frames rejected) and a client ignore hellos; 2 keeps
+	// budgets and cancel frames but no streams. Interop tests pin it.
 	MaxProtoVersion int
 	// StreamWindow is the initial per-stream flow-control credit this
 	// endpoint grants its peer, in bytes; it bounds the bytes in flight
 	// per stream direction. 0 selects DefaultStreamWindow.
 	StreamWindow int
-	// PoolBufs opts a server into recycling per-request state: request
-	// body buffers are drawn from a pool and returned once the reply is
-	// on the wire, and request contexts are pooled rather than built
-	// from the context package per frame. Off by default because it
-	// narrows the handler contract: handlers must not retain the request
-	// body or the context (or anything derived from either) past return
-	// — a handler that detaches work must copy the body first. The
-	// daemons (mbirdd, mbirdgw) satisfy that contract and enable it.
-	PoolBufs bool
 }
 
 func (l Limits) withDefaults() Limits {
@@ -229,16 +273,12 @@ func (l Limits) withDefaults() Limits {
 	if l.MaxKey <= 0 {
 		l.MaxKey = DefaultMaxKey
 	}
-	switch {
-	case l.MaxPerConn == 0:
+	if l.MaxPerConn == 0 {
 		l.MaxPerConn = DefaultMaxPerConn
-	case l.MaxPerConn < 0:
-		l.MaxPerConn = int(^uint(0) >> 1)
+	} else if l.MaxPerConn < 0 {
+		l.MaxPerConn = math.MaxInt
 	}
-	switch {
-	case l.MaxProtoVersion <= 0:
-		l.MaxProtoVersion = protoVersion
-	case l.MaxProtoVersion > protoVersion:
+	if l.MaxProtoVersion <= 0 || l.MaxProtoVersion > protoVersion {
 		l.MaxProtoVersion = protoVersion
 	}
 	if l.StreamWindow <= 0 {
@@ -265,9 +305,10 @@ func WithMaxPerConn(n int) Option { return func(l *Limits) { l.MaxPerConn = n } 
 // rollouts.
 func WithMaxProtoVersion(n int) Option { return func(l *Limits) { l.MaxProtoVersion = n } }
 
-// WithBufPooling opts a server into pooled request bodies and request
-// contexts (see Limits.PoolBufs for the handler contract it implies).
-func WithBufPooling() Option { return func(l *Limits) { l.PoolBufs = true } }
+// WithBufPooling does nothing: every server recycles request bodies and
+// contexts (the package comment has the handler contract). It remains
+// only because the benchmark harness still passes it.
+func WithBufPooling() Option { return func(*Limits) {} }
 
 func applyOptions(opts []Option) Limits {
 	var l Limits
@@ -298,11 +339,11 @@ type frame struct {
 // can be returned as soon as Write does. Buffers that grew past
 // maxPooledFrameBuf (a client streamed one huge body) are dropped
 // instead of pinning megabytes in the pool.
-var frameBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
+var frameBufPool = sync.Pool{New: newPooledBuf}
+
+func newPooledBuf() any {
+	b := make([]byte, 0, 512)
+	return &b
 }
 
 const maxPooledFrameBuf = 1 << 20
@@ -354,14 +395,10 @@ func writeFrame(w io.Writer, f frame, lim Limits) (int, error) {
 	return n, err
 }
 
-// bodyBufPool recycles request-body buffers on servers that opted into
-// pooling; the dispatch path returns a body once its reply is written.
-var bodyBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
+// bodyBufPool recycles the bodies a server connection reads: a request's
+// goes back once its terminal frame is written, a stream chunk's once the
+// handler has consumed it.
+var bodyBufPool = sync.Pool{New: newPooledBuf}
 
 // getBodyBuf returns a pooled buffer of exactly n bytes.
 func getBodyBuf(n int) []byte {
@@ -385,8 +422,9 @@ func putBodyBuf(b []byte) {
 // frameReader reads frames from one connection, reusing fixed scratch
 // for the header fields and interning the (almost always identical)
 // object key across frames so the steady-state read path allocates only
-// the body — and not even that on servers with pooling enabled. It is
-// owned by a single reader goroutine and must not be shared.
+// the body — and a server's (pool) not even that: its bodies come from
+// bodyBufPool, a client's are allocated because callers keep replies.
+// It is owned by a single reader goroutine and must not be shared.
 type frameReader struct {
 	r    io.Reader
 	lim  Limits
@@ -397,9 +435,8 @@ type frameReader struct {
 	lastKey string
 }
 
-// readFrame decodes a single frame with a one-shot reader. Connection
-// loops keep a frameReader instead so the scratch survives across
-// frames; this helper serves tests and single-frame call sites.
+// readFrame decodes a single frame with a one-shot reader; connection
+// loops keep a frameReader so the scratch survives across frames.
 func readFrame(r io.Reader, lim Limits) (frame, error) {
 	fr := frameReader{r: r, lim: lim}
 	return fr.read()
@@ -466,950 +503,4 @@ func (fr *frameReader) read() (frame, error) {
 		return f, err
 	}
 	return f, nil
-}
-
-// serverCtx is the context.Context handed to request handlers: a flat
-// cancel-plus-deadline context with no parent chain. Compared to
-// context.WithDeadline it allocates nothing on the steady-state path —
-// the struct, its done channel, and its deadline timer are all reused
-// across requests when the server has pooling enabled. The reuse
-// contract matches Limits.PoolBufs: handlers must not hold the context
-// (or its Done channel) past return.
-type serverCtx struct {
-	dl    time.Time
-	hasDL bool
-
-	mu     sync.Mutex
-	done   chan struct{}
-	closed bool // done is non-nil and closed
-	err    error
-	timer  *time.Timer
-	armed  bool
-	fired  bool // the armed timer's callback has run
-}
-
-var serverCtxPool = sync.Pool{New: func() any { return new(serverCtx) }}
-
-// acquireServerCtx readies a context for one request, arming the pooled
-// deadline timer when the request carries a budget.
-func acquireServerCtx(pool bool, deadline time.Time, hasDL bool) *serverCtx {
-	var c *serverCtx
-	if pool {
-		c = serverCtxPool.Get().(*serverCtx)
-	} else {
-		c = new(serverCtx)
-	}
-	c.dl, c.hasDL = deadline, hasDL
-	if hasDL {
-		d := time.Until(deadline)
-		if d < 0 {
-			d = 0
-		}
-		c.mu.Lock()
-		c.armed, c.fired = true, false
-		c.mu.Unlock()
-		if c.timer == nil {
-			c.timer = time.AfterFunc(d, c.fireTimer)
-		} else {
-			c.timer.Reset(d)
-		}
-	}
-	return c
-}
-
-// release disarms and recycles a request context once its reply is on
-// the wire. A context whose deadline callback is caught mid-flight is
-// abandoned to the GC instead of pooled — reusing it would let the
-// stale callback cancel the next request.
-func (c *serverCtx) release(pool bool) {
-	c.mu.Lock()
-	wasArmed := c.armed
-	c.armed = false
-	c.mu.Unlock()
-	if wasArmed && !c.timer.Stop() {
-		c.mu.Lock()
-		fired := c.fired
-		c.mu.Unlock()
-		if !fired {
-			return
-		}
-	}
-	if !pool {
-		return
-	}
-	c.mu.Lock()
-	c.err = nil
-	if c.closed {
-		// The open-done-chan case keeps the channel for the next request;
-		// a closed channel is spent and must be dropped.
-		c.done = nil
-		c.closed = false
-	}
-	c.mu.Unlock()
-	c.hasDL = false
-	serverCtxPool.Put(c)
-}
-
-func (c *serverCtx) fireTimer() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fired = true
-	if !c.armed {
-		return
-	}
-	c.armed = false
-	if c.err == nil {
-		c.err = context.DeadlineExceeded
-		if c.done != nil && !c.closed {
-			close(c.done)
-			c.closed = true
-		}
-	}
-}
-
-// cancel aborts the request (client cancel frame or teardown).
-func (c *serverCtx) cancel(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = err
-		if c.done != nil && !c.closed {
-			close(c.done)
-			c.closed = true
-		}
-	}
-}
-
-func (c *serverCtx) Deadline() (time.Time, bool) { return c.dl, c.hasDL }
-
-func (c *serverCtx) Done() <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done == nil {
-		c.done = make(chan struct{})
-		if c.err != nil {
-			close(c.done)
-			c.closed = true
-		}
-	}
-	return c.done
-}
-
-func (c *serverCtx) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-func (c *serverCtx) Value(key any) any { return nil }
-
-// Handler serves invocations on one exported object. op selects the
-// method alternative; the returned bytes are the reply body. For one-way
-// messages the return value is discarded. ctx carries the request's
-// propagated deadline budget (if any) and is canceled when the client
-// sends a cancel frame or its connection dies — long handlers should
-// watch it and abandon work nobody is waiting for.
-type Handler func(ctx context.Context, op uint32, body []byte) ([]byte, error)
-
-// Call invokes h and converts a panic into an error wrapping
-// ErrServerPanic, so one poisoned request cannot take down the process.
-// The server uses it for every dispatch; handler wrappers that move work
-// onto their own goroutines (e.g. the broker's request-timeout wrapper)
-// must use it there too, because a panic on a goroutine the orb never
-// sees is fatal no matter what the orb recovers.
-func Call(ctx context.Context, h Handler, op uint32, body []byte) (out []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", ErrServerPanic, r)
-		}
-	}()
-	return h(ctx, op, body)
-}
-
-// errFrameCode maps a handler error to its error-frame code and message
-// body. The sentinel's own prefix is trimmed from the body: the client
-// re-wraps the body in the same sentinel, and keeping the prefix would
-// double it.
-func errFrameCode(err error) (uint32, []byte) {
-	msg := err.Error()
-	switch {
-	case errors.Is(err, ErrServerPanic):
-		return codeErrPanic, []byte(strings.TrimPrefix(msg, ErrServerPanic.Error()+": "))
-	case errors.Is(err, ErrOverloaded):
-		return codeErrOverloaded, []byte(strings.TrimPrefix(msg, ErrOverloaded.Error()+": "))
-	case errors.Is(err, ErrExpired):
-		return codeErrExpired, []byte(strings.TrimPrefix(msg, ErrExpired.Error()+": "))
-	}
-	return codeErrGeneric, []byte(msg)
-}
-
-// errFromFrame reconstructs the typed error an error frame carries.
-func errFromFrame(f frame) error {
-	switch f.op {
-	case codeErrPanic:
-		return fmt.Errorf("%w: %s", ErrServerPanic, f.body)
-	case codeErrOverloaded:
-		return fmt.Errorf("%w: %s", ErrOverloaded, f.body)
-	case codeErrExpired:
-		return fmt.Errorf("%w: %s", ErrExpired, f.body)
-	}
-	return &RemoteError{Msg: string(f.body)}
-}
-
-// ServerStats counts hardening events on a server.
-type ServerStats struct {
-	// Panics is the number of handler panics recovered.
-	Panics int64
-	// Shed is the number of requests refused by the per-connection
-	// concurrency cap (one-way messages dropped over the cap included).
-	Shed int64
-	// Expired is the number of requests whose propagated budget was
-	// already spent at dispatch time: they were answered with ErrExpired
-	// (or dropped, for oneways) before the handler ran — zero work done
-	// for callers that had already given up.
-	Expired int64
-	// Canceled is the number of in-flight requests aborted by a client
-	// cancel frame.
-	Canceled int64
-}
-
-// Server exports objects on a TCP listener.
-type Server struct {
-	ln  net.Listener
-	lim Limits
-
-	panics   atomic.Int64
-	shed     atomic.Int64
-	expired  atomic.Int64
-	canceled atomic.Int64
-
-	mu             sync.Mutex
-	handlers       map[string]Handler
-	streamHandlers map[string]StreamHandler
-	conns          map[net.Conn]struct{}
-	closed         bool
-	draining       bool
-	wg             sync.WaitGroup
-}
-
-// NewServer starts a server listening on addr (e.g. "127.0.0.1:0").
-// Options adjust the frame limits (defaults: 16 MiB bodies, 4 KiB keys).
-func NewServer(addr string, opts ...Option) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("orb: listen: %w", err)
-	}
-	s := &Server{
-		ln:             ln,
-		lim:            applyOptions(opts),
-		handlers:       make(map[string]Handler),
-		streamHandlers: make(map[string]StreamHandler),
-		conns:          make(map[net.Conn]struct{}),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Stats returns a snapshot of the server's hardening counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Panics:   s.panics.Load(),
-		Shed:     s.shed.Load(),
-		Expired:  s.expired.Load(),
-		Canceled: s.canceled.Load(),
-	}
-}
-
-// Draining reports whether the server has begun a graceful shutdown and
-// is no longer accepting work. Health endpoints expose it as readiness.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining || s.closed
-}
-
-// Register exports an object under a key. Registering an existing key
-// replaces the handler.
-func (s *Server) Register(key string, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[key] = h
-}
-
-// Unregister withdraws an exported object. Requests already dispatched
-// to the old handler finish normally; new requests for the key are
-// answered with a no-object error. Proxies (the interop gateway) use it
-// to retire routes on a hot reload without restarting the listener.
-func (s *Server) Unregister(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.handlers, key)
-	delete(s.streamHandlers, key)
-}
-
-// Close stops the listener and all connections, and waits for the
-// serving goroutines to exit. In-flight requests are abandoned; use
-// Shutdown to drain them first.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-// Shutdown gracefully drains the server: it stops accepting connections
-// and new frames, lets requests already dispatched finish and write
-// their replies, then closes every connection. If ctx expires before the
-// drain completes, remaining connections are closed forcibly (their
-// in-flight requests fail client-side with ErrConnClosed). Shutdown
-// always waits for the serving goroutines to exit before returning.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	for c := range s.conns {
-		// Nudge the per-connection read loops off their blocking reads:
-		// no new frames are picked up, while replies (writes) still flow.
-		_ = c.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			_ = c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-	}
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed || s.draining {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
-	var writeMu sync.Mutex
-	var reqWG sync.WaitGroup
-	var inFlight atomic.Int64
-	pool := s.lim.PoolBufs
-	// cancels maps in-flight request ids to their contexts so a cancel
-	// frame can abort exactly the request it names. Lookup, removal, and
-	// the cancel call itself all run under cancelMu so a cancel frame can
-	// never touch a context its request has already released.
-	var cancelMu sync.Mutex
-	cancels := make(map[uint64]*serverCtx)
-	defer reqWG.Wait()
-	ss := &srvStreams{s: s, conn: conn, writeMu: &writeMu, lim: s.lim, pool: pool,
-		m: make(map[uint64]*srvStream)}
-	// Declared after reqWG.Wait so it runs first: wake every stream
-	// handler blocked on a read or a credit before waiting them out.
-	defer ss.failAll(ErrConnClosed)
-	if s.lim.MaxProtoVersion >= 2 {
-		// Advertise v2 before reading anything. v1 clients parse this as a
-		// frame for a request they never made and drop it.
-		writeMu.Lock()
-		_, err := writeFrame(conn, frame{kind: kindHello, op: uint32(s.lim.MaxProtoVersion)}, s.lim)
-		writeMu.Unlock()
-		if err != nil {
-			return
-		}
-	}
-	fr := frameReader{r: conn, lim: s.lim, pool: pool}
-	for {
-		f, err := fr.read()
-		if err != nil {
-			return
-		}
-		switch f.kind {
-		case kindRequest, kindOneway:
-			s.mu.Lock()
-			h := s.handlers[f.key]
-			s.mu.Unlock()
-			req := f
-			// Expired-budget shed: if the caller's propagated budget was
-			// spent before the frame could be dispatched (e.g. the body
-			// trickled in slowly), answer with a typed ErrExpired and do
-			// no work at all. Checked before the concurrency cap — an
-			// expired request should not even count against capacity.
-			var deadline time.Time
-			if req.budget > 0 {
-				deadline = req.hdrAt.Add(time.Duration(req.budget) * time.Millisecond)
-				if over := time.Since(deadline); over >= 0 {
-					s.expired.Add(1)
-					if pool {
-						putBodyBuf(req.body)
-					}
-					if req.kind == kindOneway {
-						continue
-					}
-					reply := frame{kind: kindError, id: req.id, op: codeErrExpired,
-						body: []byte(fmt.Sprintf("budget of %dms spent %v before dispatch", req.budget, over.Round(time.Millisecond)))}
-					writeMu.Lock()
-					_, _ = writeFrame(conn, reply, s.lim)
-					writeMu.Unlock()
-					continue
-				}
-			}
-			// Per-connection concurrency cap: a client pipelining past the
-			// cap is shed immediately (no dispatch, no queue) with a typed
-			// Overloaded error it can back off on. One-way messages have no
-			// reply to carry the error, so they are just dropped.
-			if inFlight.Load() >= int64(s.lim.MaxPerConn) {
-				s.shed.Add(1)
-				if pool {
-					putBodyBuf(req.body)
-				}
-				if req.kind == kindOneway {
-					continue
-				}
-				reply := frame{kind: kindError, id: req.id, op: codeErrOverloaded,
-					body: []byte(fmt.Sprintf("connection exceeds %d concurrent requests", s.lim.MaxPerConn))}
-				writeMu.Lock()
-				_, _ = writeFrame(conn, reply, s.lim)
-				writeMu.Unlock()
-				continue
-			}
-			reqCtx := acquireServerCtx(pool, deadline, req.budget > 0)
-			if req.kind == kindRequest {
-				cancelMu.Lock()
-				cancels[req.id] = reqCtx
-				cancelMu.Unlock()
-			}
-			hadBudget := req.budget > 0
-			inFlight.Add(1)
-			reqWG.Add(1)
-			go func() {
-				defer reqWG.Done()
-				defer inFlight.Add(-1)
-				defer func() {
-					if req.kind == kindRequest {
-						cancelMu.Lock()
-						delete(cancels, req.id)
-						cancelMu.Unlock()
-					}
-					reqCtx.release(pool)
-					if pool {
-						putBodyBuf(req.body)
-					}
-				}()
-				var reply frame
-				reply.id = req.id
-				if h == nil {
-					reply.kind = kindError
-					reply.body = []byte(fmt.Sprintf("no object %q", req.key))
-				} else {
-					body, err := Call(reqCtx, h, req.op, req.body)
-					if err != nil {
-						if errors.Is(err, ErrServerPanic) {
-							s.panics.Add(1)
-						}
-						// A handler that bailed because the propagated
-						// budget ran out mid-work reports ErrExpired, not a
-						// generic error: the caller's clock ran out, the
-						// service is healthy.
-						if hadBudget && !errors.Is(err, ErrExpired) &&
-							(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDeadline)) &&
-							reqCtx.Err() != nil {
-							err = fmt.Errorf("%w: handler abandoned at budget expiry: %v", ErrExpired, err)
-						}
-						reply.kind = kindError
-						reply.op, reply.body = errFrameCode(err)
-					} else {
-						reply.kind = kindReply
-						reply.body = body
-					}
-				}
-				if req.kind == kindOneway {
-					return
-				}
-				writeMu.Lock()
-				defer writeMu.Unlock()
-				_, _ = writeFrame(conn, reply, s.lim)
-			}()
-		case kindStreamOpen:
-			s.mu.Lock()
-			sh := s.streamHandlers[f.key]
-			s.mu.Unlock()
-			req := f
-			if pool {
-				putBodyBuf(req.body)
-			}
-			req.body = nil
-			// Same dispatch gates as buffered requests: expired budgets
-			// shed before the concurrency cap, both answered with typed
-			// error frames.
-			var deadline time.Time
-			if req.budget > 0 {
-				deadline = req.hdrAt.Add(time.Duration(req.budget) * time.Millisecond)
-				if over := time.Since(deadline); over >= 0 {
-					s.expired.Add(1)
-					reply := frame{kind: kindError, id: req.id, op: codeErrExpired,
-						body: []byte(fmt.Sprintf("budget of %dms spent %v before dispatch", req.budget, over.Round(time.Millisecond)))}
-					writeMu.Lock()
-					_, _ = writeFrame(conn, reply, s.lim)
-					writeMu.Unlock()
-					continue
-				}
-			}
-			if sh == nil {
-				reply := frame{kind: kindError, id: req.id,
-					body: []byte(fmt.Sprintf("no stream object %q", req.key))}
-				writeMu.Lock()
-				_, _ = writeFrame(conn, reply, s.lim)
-				writeMu.Unlock()
-				continue
-			}
-			if inFlight.Load() >= int64(s.lim.MaxPerConn) {
-				s.shed.Add(1)
-				reply := frame{kind: kindError, id: req.id, op: codeErrOverloaded,
-					body: []byte(fmt.Sprintf("connection exceeds %d concurrent requests", s.lim.MaxPerConn))}
-				writeMu.Lock()
-				_, _ = writeFrame(conn, reply, s.lim)
-				writeMu.Unlock()
-				continue
-			}
-			ss.dispatch(req, sh, acquireServerCtx(pool, deadline, req.budget > 0), &reqWG, &inFlight)
-		case kindStreamChunk, kindStreamClose, kindStreamCredit:
-			if !ss.handleFrame(f) {
-				// Flow-control violation: the peer wrote past its credit.
-				// The connection is the unit of trust; kill it.
-				return
-			}
-		case kindCancel:
-			cancelMu.Lock()
-			rc := cancels[f.id]
-			delete(cancels, f.id)
-			if rc != nil {
-				rc.cancel(context.Canceled)
-			}
-			cancelMu.Unlock()
-			if rc != nil {
-				s.canceled.Add(1)
-			} else if ss.cancel(f.id) {
-				s.canceled.Add(1)
-			}
-			if pool {
-				putBodyBuf(f.body)
-			}
-		default:
-			// Unexpected frame on a server connection; drop it.
-			if pool {
-				putBodyBuf(f.body)
-			}
-		}
-	}
-}
-
-// RemoteError is an error returned by the remote handler (as opposed to a
-// transport failure).
-type RemoteError struct {
-	Msg string
-}
-
-func (e *RemoteError) Error() string { return "orb: remote: " + e.Msg }
-
-// result is one call's outcome, delivered through its pending-map slot:
-// either a reply/error frame or the connection-level error that killed
-// the call.
-type result struct {
-	f   frame
-	err error
-}
-
-// resultChPool recycles the per-call reply channels. A channel is only
-// returned to the pool on paths where no sender can still be holding it:
-// after the single send was received, or after the call's pending-map
-// entry was removed while still present (proving no sender claimed it).
-// Abandoned calls whose entry was already claimed leak their channel to
-// the GC — the late sender owns it.
-var resultChPool = sync.Pool{New: func() any { return make(chan result, 1) }}
-
-// deadlineSlack is how far past a context's deadline the pooled
-// backstop timer fires. A context with a working Done channel expires
-// through that channel well inside the slack, preserving its exact
-// expiry semantics; only deadline-only contexts fall through to the
-// backstop.
-const deadlineSlack = 5 * time.Millisecond
-
-// waitTimer is a pooled timer for deadline-bounded reply waits. The
-// fire channel is drained on acquire, and a consumer that wakes early
-// (a stale fire from a previous user slipping past Stop) re-arms and
-// keeps waiting — so the classic pooled-timer race costs a spurious
-// wakeup, never a wrong result.
-var waitTimerPool = sync.Pool{
-	New: func() any {
-		t := time.NewTimer(time.Hour)
-		t.Stop()
-		return t
-	},
-}
-
-func acquireWaitTimer(d time.Duration) *time.Timer {
-	t := waitTimerPool.Get().(*time.Timer)
-	select {
-	case <-t.C:
-	default:
-	}
-	t.Reset(d)
-	return t
-}
-
-func releaseWaitTimer(t *time.Timer) {
-	t.Stop()
-	waitTimerPool.Put(t)
-}
-
-// Client is a connection to a Server, safe for concurrent use. Requests
-// are pipelined and correlated by id.
-type Client struct {
-	conn net.Conn
-	lim  Limits
-
-	writeMu sync.Mutex
-
-	// peerVer is the negotiated protocol version: 1 until a hello frame
-	// proves the server speaks something newer.
-	peerVer atomic.Int32
-	verOnce sync.Once
-	verCh   chan struct{}
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan result
-	streams map[uint64]*StreamCall
-	err     error
-	done    chan struct{}
-}
-
-// Dial connects to a server address. Options adjust the client's frame
-// limits (defaults: 16 MiB bodies, 4 KiB keys).
-func Dial(addr string, opts ...Option) (*Client, error) {
-	return DialContext(context.Background(), addr, opts...)
-}
-
-// DialContext connects to a server address, bounding the dial by the
-// context's deadline or cancellation.
-func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrDial, err)
-	}
-	c := &Client{
-		conn:    conn,
-		lim:     applyOptions(opts),
-		pending: make(map[uint64]chan result),
-		streams: make(map[uint64]*StreamCall),
-		done:    make(chan struct{}),
-		verCh:   make(chan struct{}),
-	}
-	c.peerVer.Store(1)
-	go c.readLoop()
-	return c, nil
-}
-
-// Close tears down the connection; in-flight Invokes fail with
-// ErrConnClosed.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	<-c.done
-	return err
-}
-
-// Err returns the connection's terminal error, or nil while the
-// connection is healthy. Connection pools use it as the health check.
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// ProtoVersion returns the negotiated protocol version: 1 until the
-// server's hello frame arrives and proves it speaks v2, then the
-// negotiated version. Budgets only travel on v2 connections.
-func (c *Client) ProtoVersion() int { return int(c.peerVer.Load()) }
-
-// AwaitVersion blocks until version negotiation settles — the server's
-// hello arrived, the connection died, or ctx expired — and returns the
-// version the connection speaks. Against a v1 server no hello ever
-// comes, so callers bound the wait with ctx and get 1 back; pools wait a
-// few milliseconds after dialing so the first budgeted request doesn't
-// race the hello.
-func (c *Client) AwaitVersion(ctx context.Context) int {
-	select {
-	case <-c.verCh:
-	case <-c.done:
-	case <-ctx.Done():
-	}
-	return c.ProtoVersion()
-}
-
-// fail records the connection's terminal error and fails every in-flight
-// call with it, draining the pending map so no caller is left blocked
-// and no entry leaks.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-			c.err = ErrConnClosed
-		} else {
-			c.err = fmt.Errorf("%w: %w", ErrConnClosed, err)
-		}
-	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		ch <- result{err: c.err}
-	}
-	for id, sc := range c.streams {
-		delete(c.streams, id)
-		sc.connFail(c.err)
-	}
-}
-
-func (c *Client) readLoop() {
-	defer close(c.done)
-	fr := frameReader{r: c.conn, lim: c.lim}
-	for {
-		f, err := fr.read()
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		if f.kind == kindHello {
-			if c.lim.MaxProtoVersion >= 2 && f.op >= 2 {
-				v := f.op
-				if v > uint32(c.lim.MaxProtoVersion) {
-					v = uint32(c.lim.MaxProtoVersion)
-				}
-				c.peerVer.Store(int32(v))
-			}
-			c.verOnce.Do(func() { close(c.verCh) })
-			continue
-		}
-		c.mu.Lock()
-		ch := c.pending[f.id]
-		delete(c.pending, f.id)
-		var sc *StreamCall
-		if ch == nil {
-			// Stream-correlated frames (chunks, closes, credits — and
-			// error/reply frames answering a stream open) route to the
-			// live stream call instead of the pending map.
-			sc = c.streams[f.id]
-		}
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- result{f: f}
-		} else if sc != nil {
-			sc.onFrame(f)
-		}
-	}
-}
-
-// write serializes a frame onto the connection. When the context carries
-// a deadline it is applied as the write deadline; a write that fails
-// after putting bytes on the wire has left a partial frame there, so the
-// connection is killed (failing all other in-flight calls) rather than
-// left unframeable. A write that fails before any byte reaches the wire
-// — the common case when a caller's deadline expires between arming it
-// and the syscall — leaves the stream perfectly framed, so the
-// connection stays usable and only this call reports the deadline.
-func (c *Client) write(ctx context.Context, f frame) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if d, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetWriteDeadline(d)
-		defer func() { _ = c.conn.SetWriteDeadline(time.Time{}) }()
-	}
-	n, err := writeFrame(c.conn, f, c.lim)
-	if err != nil && !errors.Is(err, ErrFrameTooLarge) {
-		var nerr net.Error
-		timeout := errors.As(err, &nerr) && nerr.Timeout()
-		if timeout && n == 0 {
-			return fmt.Errorf("%w: write: %v", ErrDeadline, err)
-		}
-		_ = c.conn.Close()
-		if timeout {
-			return fmt.Errorf("%w: write: %v", ErrDeadline, err)
-		}
-		return fmt.Errorf("%w: write: %v", ErrConnClosed, err)
-	}
-	return err
-}
-
-// sendCancel best-effort aborts an abandoned request server-side. Runs
-// on its own goroutine so the abandoning caller returns immediately; the
-// write is bounded so a wedged connection cannot pin the goroutine.
-func (c *Client) sendCancel(id uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = c.write(ctx, frame{kind: kindCancel, id: id})
-}
-
-// Invoke sends a request to the object's op and waits for the reply
-// body.
-func (c *Client) Invoke(key string, op uint32, body []byte) ([]byte, error) {
-	return c.InvokeContext(context.Background(), key, op, body)
-}
-
-// InvokeContext sends a request and waits for the reply body, honoring
-// the context: on deadline expiry or cancellation the pending call is
-// abandoned (its map entry removed, a late reply discarded, a cancel
-// frame sent so the server stops working on it) and a typed
-// ErrDeadline/ErrCanceled is returned. The connection itself stays
-// usable — only a write that timed out mid-frame poisons it.
-//
-// On v2 connections the context's remaining time (or an explicit
-// ContextWithBudget value) travels with the request as its deadline
-// budget, so every downstream hop can shed work the caller has already
-// given up on.
-func (c *Client) InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, ctxErr(err)
-	}
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.nextID++
-	id := c.nextID
-	ch := resultChPool.Get().(chan result)
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	fr := frame{kind: kindRequest, id: id, key: key, op: op, body: body}
-	if c.peerVer.Load() >= 2 {
-		if budget := budgetMillis(ctx); budget > 0 {
-			fr.ver = 2
-			fr.budget = budget
-		}
-	}
-	if err := c.write(ctx, fr); err != nil {
-		c.abandon(id, ch)
-		return nil, err
-	}
-
-	// The wait is additionally bounded by a pooled backstop timer armed
-	// a little past the context's deadline. Deadline-only contexts
-	// (resil's CallTimeout overlay) have no Done channel of their own,
-	// so this timer is what enforces their deadline; contexts with a
-	// live Done fire first and keep their own expiry semantics — the
-	// slack exists so the backstop never races them.
-	var timeoutCh <-chan time.Time
-	var wt *time.Timer
-	deadline, hasDeadline := ctx.Deadline()
-	if hasDeadline {
-		wt = acquireWaitTimer(time.Until(deadline) + deadlineSlack)
-		defer releaseWaitTimer(wt)
-		timeoutCh = wt.C
-	}
-	for {
-		select {
-		case r := <-ch:
-			resultChPool.Put(ch)
-			if r.err != nil {
-				return nil, r.err
-			}
-			if r.f.kind == kindError {
-				return nil, errFromFrame(r.f)
-			}
-			return r.f.body, nil
-		case <-ctx.Done():
-			c.abandon(id, ch)
-			if c.peerVer.Load() >= 2 {
-				go c.sendCancel(id)
-			}
-			return nil, ctxErr(ctx.Err())
-		case <-timeoutCh:
-			if err := ctx.Err(); err != nil {
-				// The context expired on its own terms while we were
-				// being woken; report its verdict, not the backstop's.
-				c.abandon(id, ch)
-				if c.peerVer.Load() >= 2 {
-					go c.sendCancel(id)
-				}
-				return nil, ctxErr(err)
-			}
-			if rem := time.Until(deadline); rem > 0 {
-				// Spurious wake from a recycled timer; re-arm and keep
-				// waiting out the remainder.
-				wt.Reset(rem + deadlineSlack)
-				continue
-			}
-			c.abandon(id, ch)
-			if c.peerVer.Load() >= 2 {
-				go c.sendCancel(id)
-			}
-			return nil, ErrDeadline
-		}
-	}
-}
-
-// abandon removes a call's pending entry. If the entry was still
-// present, no sender can ever touch the channel and it returns to the
-// pool; if the read loop already claimed it, the late send owns the
-// channel and it is left to the GC.
-func (c *Client) abandon(id uint64, ch chan result) {
-	c.mu.Lock()
-	_, mine := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
-	if mine {
-		select {
-		case <-ch:
-		default:
-		}
-		resultChPool.Put(ch)
-	}
-}
-
-// Send delivers a one-way message: no reply, no delivery confirmation
-// (the messaging model the collaborative-objects project needed, §5).
-func (c *Client) Send(key string, op uint32, body []byte) error {
-	return c.write(context.Background(), frame{kind: kindOneway, key: key, op: op, body: body})
 }

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -38,14 +38,17 @@ import (
 // failures before any reply chunk travel as ordinary kindError frames —
 // clients see identical typed errors either way.
 //
-// Budgets and cancellation reuse the v2 machinery: open frames carry the
-// millisecond budget exactly like request frames, handlers get the same
-// pooled deadline context, and kindCancel aborts a stream by id.
+// A stream open carries the millisecond budget exactly like a request
+// frame, passes the same gate and runs under the same goroutine body (see
+// the package comment), and kindCancel aborts a stream by id.
 //
-// v1/v2 interop: OpenStream on a connection that did not negotiate v3
-// returns a call in buffered fallback — writes accumulate up to MaxBody
-// and CloseSend performs an ordinary buffered invoke; payloads past the
-// cap fail fast with ErrFrameTooLarge.
+// Both ends of a stream are one type, streamEnd; StreamReader and
+// StreamWriter (server) and StreamCall (client) are views of it. Two
+// asymmetries are the caller's decision, not a second implementation: a
+// peer that overruns its credit kills the connection on a server and
+// only the call on a client; and only a client accepts error and reply
+// frames on a stream id and, on a connection that did not negotiate v3,
+// runs the same end over a buffering sink (StreamCall.sendBuffered).
 
 // DefaultStreamWindow is the default per-stream, per-direction
 // flow-control window (1 MiB).
@@ -62,253 +65,234 @@ const initialStreamCredit = 64 << 10
 const maxStreamChunk = 256 << 10
 
 // ErrStreamProto reports a peer violating stream flow control (chunks
-// past the granted credit); the connection is torn down.
+// past the granted credit).
 var ErrStreamProto = errors.New("orb: stream flow-control violation")
 
-// streamCloseErr reconstructs the typed error a non-zero close status
-// carries (status = error-frame code + 1).
-func streamCloseErr(op uint32, body []byte) error {
-	return errFromFrame(frame{kind: kindError, op: op - 1, body: body})
-}
+// streamEnd is one end of a stream: a receive half (the peer's chunks
+// and the credit granted to the peer) and a send half (the credit the
+// peer granted), under one lock.
+type streamEnd struct {
+	id uint64
+	// send is the sink this end's chunk, credit and close frames go to.
+	send func(f frame) error
+	// pooled: received chunks came from a server's reader and go back to
+	// the body pool when spent.
+	pooled bool
 
-// streamCloseStatus maps a handler error to a close-frame status and
-// message, the inverse of streamCloseErr.
-func streamCloseStatus(err error) (uint32, []byte) {
-	code, body := errFrameCode(err)
-	return code + 1, body
-}
-
-// chunkQueue is the receive side of one stream direction: delivered
-// chunks, credit accounting, and a condition variable for the consumer.
-type chunkQueue struct {
-	mu   sync.Mutex
-	cond sync.Cond
+	mu       sync.Mutex
+	readable sync.Cond // a Read waits here for a chunk or an end
+	writable sync.Cond // a Write waits here for credit or an end
 
 	q        [][]byte
 	cur      []byte
 	eof      bool  // clean close received
-	err      error // terminal failure
-	pool     bool  // chunk buffers came from the server body pool
+	rerr     error // terminal failure of the receive half
 	window   int   // configured receive window
 	granted  int   // total credit granted to the peer (incl. initial)
 	received int   // total body bytes delivered by the peer
 	consumed int   // total body bytes handed to the consumer
-	// grant puts a credit frame on the wire; called without mu held.
-	grant func(n int)
+
+	credit int   // bytes this end may still send
+	werr   error // terminal failure of the send half
+	sent   bool  // at least one chunk reached the wire
+	closed bool  // this end's clean close went out
 }
 
-func (cq *chunkQueue) init(window int, pool bool, grant func(n int)) {
-	cq.cond.L = &cq.mu
-	cq.window = window
-	cq.pool = pool
-	cq.grant = grant
-	cq.granted = initialStreamCredit
+// newStreamEnd returns an end holding the protocol's initial credit in
+// both directions.
+func newStreamEnd(id uint64, window int, pooled bool, send func(frame) error) *streamEnd {
+	e := &streamEnd{id: id, send: send, pooled: pooled, window: window,
+		granted: initialStreamCredit, credit: initialStreamCredit}
+	e.readable.L, e.writable.L = &e.mu, &e.mu
+	return e
 }
 
-// topUp grants the peer the configured window beyond the protocol
-// initial, called once at stream setup.
-func (cq *chunkQueue) topUp() {
-	cq.mu.Lock()
-	extra := cq.window - cq.granted
-	if extra > 0 {
-		cq.granted += extra
-	}
-	cq.mu.Unlock()
-	if extra > 0 {
-		cq.grant(extra)
+func (e *streamEnd) grant(n int) {
+	if n > 0 {
+		_ = e.send(frame{kind: kindStreamCredit, id: e.id, op: uint32(n)})
 	}
 }
 
-// deliver enqueues one received chunk. It reports false when the peer
-// overran its credit, which the caller must treat as a connection-fatal
-// protocol violation.
-func (cq *chunkQueue) deliver(body []byte) bool {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	cq.received += len(body)
-	if cq.received > cq.granted {
-		return false
+// topUp grants the peer this endpoint's configured window beyond the
+// protocol-fixed initial credit, once at stream setup.
+func (e *streamEnd) topUp() {
+	e.mu.Lock()
+	extra := max(e.window-e.granted, 0)
+	e.granted += extra
+	e.mu.Unlock()
+	e.grant(extra)
+}
+
+// recycle returns a spent buffer to the body pool if it came from there.
+func (e *streamEnd) recycle(b []byte) {
+	if e.pooled {
+		putBodyBuf(b)
 	}
-	if cq.err != nil || cq.eof {
-		// Late chunk after terminal state: drop it.
-		if cq.pool {
-			putBodyBuf(body)
+}
+
+// onFrame applies one inbound chunk, close or credit frame, taking
+// ownership of its body. It reports false when the peer overran its
+// credit; what dies then — the connection or the call — is the caller's
+// decision.
+func (e *streamEnd) onFrame(f frame) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch f.kind {
+	case kindStreamChunk:
+		e.received += len(f.body)
+		if e.received > e.granted {
+			return false
 		}
-		return true
+		if e.rerr == nil && !e.eof {
+			e.q = append(e.q, f.body)
+			e.readable.Broadcast()
+			return true
+		}
+		// A late chunk after a terminal state is dropped.
+	case kindStreamClose:
+		if f.op == 0 {
+			e.eof = true
+			e.readable.Broadcast()
+		} else {
+			e.failLocked(errFromFrame(frame{op: f.op - 1, body: f.body}))
+		}
+	case kindStreamCredit:
+		e.credit += int(f.op)
+		e.writable.Broadcast()
 	}
-	cq.q = append(cq.q, body)
-	cq.cond.Broadcast()
+	e.recycle(f.body)
 	return true
 }
 
-// closeSend marks clean end of the peer's data.
-func (cq *chunkQueue) closeEOF() {
-	cq.mu.Lock()
-	cq.eof = true
-	cq.cond.Broadcast()
-	cq.mu.Unlock()
+// deliverWhole makes b the entire reply outside flow-control accounting
+// (a buffered fallback's reply, or a reply frame on a stream id).
+func (e *streamEnd) deliverWhole(b []byte) {
+	e.mu.Lock()
+	if e.rerr == nil && !e.eof {
+		e.q = append(e.q, b)
+		e.eof = true
+		e.readable.Broadcast()
+	}
+	e.mu.Unlock()
 }
 
-// fail terminates the queue; blocked readers return err. Queued chunks
-// are released.
-func (cq *chunkQueue) fail(err error) {
-	cq.mu.Lock()
-	if cq.err == nil {
-		cq.err = err
-	}
-	if cq.pool {
-		for _, b := range cq.q {
-			putBodyBuf(b)
-		}
-		if cq.cur != nil {
-			putBodyBuf(cq.cur)
-			cq.cur = nil
-		}
-	}
-	cq.q = nil
-	cq.cond.Broadcast()
-	cq.mu.Unlock()
+// fail ends both directions: blocked reads and writes return err, and
+// chunks nobody consumed are released.
+func (e *streamEnd) fail(err error) {
+	e.mu.Lock()
+	e.failLocked(err)
+	e.mu.Unlock()
 }
 
-// read implements io.Reader over the queue, granting credit back to the
-// peer as bytes are consumed (batched to a quarter window so credit
-// frames stay rare).
-func (cq *chunkQueue) read(p []byte) (int, error) {
-	cq.mu.Lock()
+func (e *streamEnd) failLocked(err error) {
+	if e.rerr == nil {
+		e.rerr = err
+	}
+	for _, b := range e.q {
+		e.recycle(b)
+	}
+	if e.cur != nil {
+		e.recycle(e.cur)
+	}
+	e.q, e.cur = nil, nil
+	if e.werr == nil {
+		e.werr = err
+	}
+	e.readable.Broadcast()
+	e.writable.Broadcast()
+}
+
+// failSend ends the send half only: reads still drain what arrived.
+func (e *streamEnd) failSend(err error) {
+	e.mu.Lock()
+	if e.werr == nil {
+		e.werr = err
+	}
+	e.writable.Broadcast()
+	e.mu.Unlock()
+}
+
+// Finished reports a terminal receive state: the peer's clean close or a
+// failure.
+func (e *streamEnd) Finished() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.rerr != nil || e.eof
+}
+
+// Read implements io.Reader over the peer's chunks, granting credit back
+// as bytes are consumed (batched to a quarter window so credit frames
+// stay rare). It returns io.EOF at the peer's clean close and the
+// stream's typed error if it died first.
+func (e *streamEnd) Read(p []byte) (int, error) {
+	e.mu.Lock()
 	for {
-		if len(cq.cur) == 0 && len(cq.q) > 0 {
-			if cq.cur != nil && cq.pool {
-				putBodyBuf(cq.cur)
+		if len(e.cur) == 0 && len(e.q) > 0 {
+			if e.cur != nil {
+				e.recycle(e.cur)
 			}
-			cq.cur = cq.q[0]
-			cq.q[0] = nil
-			cq.q = cq.q[1:]
+			e.cur = e.q[0]
+			e.q[0] = nil
+			e.q = e.q[1:]
 		}
-		if len(cq.cur) > 0 {
-			n := copy(p, cq.cur)
-			cq.cur = cq.cur[n:]
-			cq.consumed += n
+		if len(e.cur) > 0 {
+			n := copy(p, e.cur)
+			e.cur = e.cur[n:]
+			e.consumed += n
 			var due int
-			if cq.err == nil && cq.granted-cq.consumed < cq.window-cq.window/4 {
-				due = cq.window - (cq.granted - cq.consumed)
-				cq.granted += due
+			if e.rerr == nil && e.granted-e.consumed < e.window-e.window/4 {
+				due = e.window - (e.granted - e.consumed)
+				e.granted += due
 			}
-			cq.mu.Unlock()
-			if due > 0 {
-				cq.grant(due)
-			}
+			e.mu.Unlock()
+			e.grant(due)
 			return n, nil
 		}
-		if cq.err != nil {
-			err := cq.err
-			cq.mu.Unlock()
+		if e.rerr != nil || e.eof {
+			err := e.rerr
+			if err == nil {
+				err = io.EOF
+			}
+			e.mu.Unlock()
 			return 0, err
 		}
-		if cq.eof {
-			cq.mu.Unlock()
-			return 0, io.EOF
-		}
-		cq.cond.Wait()
+		e.readable.Wait()
 	}
-}
-
-// creditGate is the send side of one stream direction: the sender's
-// remaining credit and terminal state.
-type creditGate struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	credit int
-	err    error
-	sent   bool // at least one chunk reached the wire
-	closed bool
-}
-
-func (cg *creditGate) init() {
-	cg.cond.L = &cg.mu
-	cg.credit = initialStreamCredit
-}
-
-func (cg *creditGate) add(n int) {
-	cg.mu.Lock()
-	cg.credit += n
-	cg.cond.Broadcast()
-	cg.mu.Unlock()
-}
-
-func (cg *creditGate) fail(err error) {
-	cg.mu.Lock()
-	if cg.err == nil {
-		cg.err = err
-	}
-	cg.cond.Broadcast()
-	cg.mu.Unlock()
 }
 
 // reserve blocks until at least one byte of credit is available and
-// returns min(want, credit), claiming it. A zero return means the gate
-// failed; the error is returned.
-func (cg *creditGate) reserve(want int) (int, error) {
-	cg.mu.Lock()
-	defer cg.mu.Unlock()
+// claims min(want, credit) of it.
+func (e *streamEnd) reserve(want int) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for {
-		if cg.err != nil {
-			return 0, cg.err
-		}
-		if cg.closed {
+		switch {
+		case e.werr != nil:
+			return 0, e.werr
+		case e.closed:
 			return 0, errors.New("orb: write on closed stream")
-		}
-		if cg.credit > 0 {
-			n := want
-			if n > cg.credit {
-				n = cg.credit
-			}
-			cg.credit -= n
-			cg.sent = true
+		case e.credit > 0:
+			n := min(want, e.credit)
+			e.credit -= n
+			e.sent = true
 			return n, nil
 		}
-		cg.cond.Wait()
+		e.writable.Wait()
 	}
 }
 
-func (cg *creditGate) anySent() bool {
-	cg.mu.Lock()
-	defer cg.mu.Unlock()
-	return cg.sent
-}
-
-// StreamReader is the request-body reader handed to a StreamHandler: an
-// io.Reader over the client's chunks that returns io.EOF at the client's
-// clean close and a typed error if the stream dies mid-body.
-type StreamReader struct {
-	cq chunkQueue
-}
-
-// Read implements io.Reader.
-func (r *StreamReader) Read(p []byte) (int, error) { return r.cq.read(p) }
-
-// StreamWriter is the reply-body writer handed to a StreamHandler:
-// chunks go to the client under its flow-control credit.
-type StreamWriter struct {
-	gate creditGate
-	// send puts one chunk frame on the wire; nil-safe after failure.
-	send func(b []byte) error
-}
-
-// Write implements io.Writer, blocking while the client's credit is
-// exhausted.
-func (w *StreamWriter) Write(p []byte) (int, error) {
+// Write implements io.Writer: p goes out as chunk frames of at most
+// maxStreamChunk bytes, blocking while the peer's credit is exhausted.
+func (e *streamEnd) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
-		want := len(p)
-		if want > maxStreamChunk {
-			want = maxStreamChunk
+		n, err := e.reserve(min(len(p), maxStreamChunk))
+		if err == nil {
+			if err = e.send(frame{kind: kindStreamChunk, id: e.id, body: p[:n]}); err != nil {
+				e.failSend(err)
+			}
 		}
-		n, err := w.gate.reserve(want)
 		if err != nil {
-			return total, err
-		}
-		if err := w.send(p[:n]); err != nil {
-			w.gate.fail(err)
 			return total, err
 		}
 		total += n
@@ -317,202 +301,54 @@ func (w *StreamWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// Wrote reports whether any reply chunk reached the wire (used to decide
+// CloseSend marks the end of this end's data with a clean close, once,
+// unless the send half has already failed.
+func (e *streamEnd) CloseSend() error {
+	e.mu.Lock()
+	skip := e.closed || e.werr != nil
+	e.closed = true
+	e.mu.Unlock()
+	if skip {
+		return nil
+	}
+	return e.send(frame{kind: kindStreamClose, id: e.id})
+}
+
+// wrote reports whether any chunk of this end's reached the wire.
+func (e *streamEnd) wrote() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sent
+}
+
+// StreamReader is the request-body reader handed to a StreamHandler: an
+// io.Reader over the client's chunks that returns io.EOF at the client's
+// clean close and a typed error if the stream dies mid-body.
+type StreamReader struct{ end *streamEnd }
+
+// Read implements io.Reader.
+func (r *StreamReader) Read(p []byte) (int, error) { return r.end.Read(p) }
+
+// StreamWriter is the reply-body writer handed to a StreamHandler:
+// chunks go to the client under its flow-control credit.
+type StreamWriter struct{ end *streamEnd }
+
+// Write implements io.Writer, blocking while the client's credit is
+// exhausted.
+func (w *StreamWriter) Write(p []byte) (int, error) { return w.end.Write(p) }
+
+// Wrote reports whether any reply chunk reached the wire (it decides
 // between an error frame and a mid-stream close on handler failure).
-func (w *StreamWriter) Wrote() bool { return w.gate.anySent() }
+func (w *StreamWriter) Wrote() bool { return w.end.wrote() }
 
 // StreamHandler serves one streaming call: read the request body from
 // in (io.EOF marks its end), write the reply body to out. A nil return
 // closes the reply stream cleanly; an error is delivered to the client
 // as a typed error (before any reply chunk) or a mid-stream abort
 // (after). ctx carries the propagated budget and is canceled by client
-// cancel frames and connection teardown.
+// cancel frames and connection teardown; like in and out it is dead once
+// the handler returns.
 type StreamHandler func(ctx context.Context, op uint32, in *StreamReader, out *StreamWriter) error
-
-// CallStream invokes h with panic isolation, like Call.
-func CallStream(ctx context.Context, h StreamHandler, op uint32, in *StreamReader, out *StreamWriter) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", ErrServerPanic, r)
-		}
-	}()
-	return h(ctx, op, in, out)
-}
-
-// RegisterStream exports a streaming object under a key. A key may carry
-// both a buffered Handler and a StreamHandler; buffered requests and
-// stream opens dispatch independently.
-func (s *Server) RegisterStream(key string, h StreamHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.streamHandlers[key] = h
-}
-
-// srvStream is one live stream on a server connection.
-type srvStream struct {
-	id  uint64
-	ctx *serverCtx
-	rd  *StreamReader
-	wr  *StreamWriter
-}
-
-// srvStreams tracks the live streams of one server connection.
-type srvStreams struct {
-	s       *Server
-	conn    io.Writer
-	writeMu *sync.Mutex
-	lim     Limits
-	pool    bool
-
-	mu sync.Mutex
-	m  map[uint64]*srvStream
-}
-
-func (ss *srvStreams) write(f frame) error {
-	ss.writeMu.Lock()
-	defer ss.writeMu.Unlock()
-	_, err := writeFrame(ss.conn, f, ss.lim)
-	return err
-}
-
-func (ss *srvStreams) get(id uint64) *srvStream {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.m[id]
-}
-
-func (ss *srvStreams) remove(id uint64) {
-	ss.mu.Lock()
-	delete(ss.m, id)
-	ss.mu.Unlock()
-}
-
-// cancel aborts a live stream by id (kindCancel); reports whether the id
-// named one.
-func (ss *srvStreams) cancel(id uint64) bool {
-	st := ss.get(id)
-	if st == nil {
-		return false
-	}
-	st.ctx.cancel(context.Canceled)
-	st.rd.cq.fail(ErrCanceled)
-	st.wr.gate.fail(ErrCanceled)
-	return true
-}
-
-// failAll tears down every live stream (connection death).
-func (ss *srvStreams) failAll(err error) {
-	ss.mu.Lock()
-	streams := make([]*srvStream, 0, len(ss.m))
-	for _, st := range ss.m {
-		streams = append(streams, st)
-	}
-	ss.m = map[uint64]*srvStream{}
-	ss.mu.Unlock()
-	for _, st := range streams {
-		st.ctx.cancel(err)
-		st.rd.cq.fail(err)
-		st.wr.gate.fail(err)
-	}
-}
-
-// dispatch runs one stream handler on its own goroutine, mirroring the
-// buffered request dispatch: panic isolation, budget-expiry mapping, and
-// a typed terminal frame — an error frame if no reply chunk went out, a
-// non-zero close status if one did, a clean close on success.
-func (ss *srvStreams) dispatch(req frame, sh StreamHandler, reqCtx *serverCtx, reqWG *sync.WaitGroup, inFlight *atomic.Int64) {
-	st := &srvStream{id: req.id, ctx: reqCtx, rd: &StreamReader{}, wr: &StreamWriter{}}
-	st.rd.cq.init(ss.lim.StreamWindow, ss.pool, func(n int) {
-		_ = ss.write(frame{kind: kindStreamCredit, id: req.id, op: uint32(n)})
-	})
-	st.wr.gate.init()
-	st.wr.send = func(b []byte) error {
-		return ss.write(frame{kind: kindStreamChunk, id: req.id, body: b})
-	}
-	ss.mu.Lock()
-	ss.m[req.id] = st
-	ss.mu.Unlock()
-	hadBudget := req.budget > 0
-	pool := ss.pool
-	inFlight.Add(1)
-	reqWG.Add(1)
-	go func() {
-		defer reqWG.Done()
-		defer inFlight.Add(-1)
-		defer func() {
-			ss.remove(req.id)
-			// Release chunk buffers the handler never consumed; chunks
-			// arriving after the removal above drop at the map miss.
-			st.rd.cq.fail(ErrConnClosed)
-			reqCtx.release(pool)
-		}()
-		// Top the client's send window up from the protocol-fixed
-		// initial credit to this endpoint's configured window.
-		st.rd.cq.topUp()
-		err := CallStream(reqCtx, sh, req.op, st.rd, st.wr)
-		if err == nil {
-			_ = ss.write(frame{kind: kindStreamClose, id: req.id, op: 0})
-			return
-		}
-		if errors.Is(err, ErrServerPanic) {
-			ss.s.panics.Add(1)
-		}
-		// Same budget-expiry mapping as buffered requests: a handler
-		// that bailed because the propagated budget ran out reports
-		// ErrExpired, not a generic failure.
-		if hadBudget && !errors.Is(err, ErrExpired) &&
-			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDeadline)) &&
-			reqCtx.Err() != nil {
-			err = fmt.Errorf("%w: handler abandoned at budget expiry: %v", ErrExpired, err)
-		}
-		if st.wr.Wrote() {
-			status, body := streamCloseStatus(err)
-			_ = ss.write(frame{kind: kindStreamClose, id: req.id, op: status, body: body})
-		} else {
-			code, body := errFrameCode(err)
-			_ = ss.write(frame{kind: kindError, id: req.id, op: code, body: body})
-		}
-	}()
-}
-
-// handleFrame dispatches one stream-kind frame on a server connection.
-// It reports false on a protocol violation that must kill the connection.
-func (ss *srvStreams) handleFrame(f frame) bool {
-	switch f.kind {
-	case kindStreamChunk:
-		st := ss.get(f.id)
-		if st == nil {
-			// Stream already finished (e.g. handler errored); drop.
-			if ss.pool {
-				putBodyBuf(f.body)
-			}
-			return true
-		}
-		return st.rd.cq.deliver(f.body)
-	case kindStreamClose:
-		st := ss.get(f.id)
-		if st != nil {
-			if f.op == 0 {
-				st.rd.cq.closeEOF()
-			} else {
-				st.rd.cq.fail(streamCloseErr(f.op, f.body))
-			}
-		}
-		if ss.pool {
-			putBodyBuf(f.body)
-		}
-		return true
-	case kindStreamCredit:
-		if st := ss.get(f.id); st != nil {
-			st.wr.gate.add(int(f.op))
-		}
-		if ss.pool {
-			putBodyBuf(f.body)
-		}
-		return true
-	}
-	return true
-}
 
 // errStreamClosed is the terminal state of a StreamCall released by its
 // owner before the call finished.
@@ -531,19 +367,17 @@ var errStreamClosed = errors.New("orb: stream call closed")
 type StreamCall struct {
 	c   *Client
 	ctx context.Context
-	id  uint64
 	key string
 	op  uint32
+	// end carries the call: its Read, Write, CloseSend and Finished are
+	// the call's.
+	*streamEnd
 
-	recv chunkQueue
-	gate creditGate
+	fbMu  sync.Mutex
+	fbBuf []byte // buffered fallback: the request body so far
 
-	fallback  bool
-	fbMu      sync.Mutex
-	fbBuf     []byte
-	fbDone    bool
 	closeOnce sync.Once
-	finished  chan struct{}
+	unwatch   func() bool // stops watching ctx
 }
 
 // OpenStream starts a streaming call to the object's op. The context
@@ -562,208 +396,103 @@ func (c *Client) OpenStream(ctx context.Context, key string, op uint32) (*Stream
 		defer cancel()
 	}
 	ver := c.AwaitVersion(vctx)
-	sc := &StreamCall{c: c, ctx: ctx, key: key, op: op, finished: make(chan struct{})}
+	sc := &StreamCall{c: c, ctx: ctx, key: key, op: op, unwatch: func() bool { return true }}
 	if ver < 3 {
-		sc.fallback = true
-		sc.recv.init(c.lim.StreamWindow, false, func(int) {})
+		// Buffered fallback: nothing grants this end credit, so it starts
+		// with all there is. Its id stays 0 — it is never entered in the
+		// table; the invoke it ends in has an id of its own.
+		sc.streamEnd = newStreamEnd(0, c.lim.StreamWindow, false, sc.sendBuffered)
+		sc.credit = math.MaxInt
 		return sc, nil
 	}
-	sc.gate.init()
-	sc.recv.init(c.lim.StreamWindow, false, func(n int) {
-		_ = c.write(context.Background(), frame{kind: kindStreamCredit, id: sc.id, op: uint32(n)})
-	})
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	sc.streamEnd = newStreamEnd(0, c.lim.StreamWindow, false, sc.sendWire)
+	id, err := c.register(waiter{sc: sc})
+	if err != nil {
 		return nil, err
 	}
-	c.nextID++
-	sc.id = c.nextID
-	c.streams[sc.id] = sc
-	c.mu.Unlock()
-	fr := frame{kind: kindStreamOpen, ver: 3, id: sc.id, key: key, op: op, budget: budgetMillis(ctx)}
+	fr := frame{kind: kindStreamOpen, ver: 3, id: id, key: key, op: op, budget: budgetMillis(ctx)}
 	if err := c.write(ctx, fr); err != nil {
-		c.removeStream(sc.id)
+		c.forget(id)
 		return nil, err
 	}
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				err := ctxErr(ctx.Err())
-				sc.gate.fail(err)
-				sc.recv.fail(err)
-				go c.sendCancel(sc.id)
-			case <-sc.finished:
-			}
-		}()
-	}
+	sc.unwatch = context.AfterFunc(ctx, func() {
+		sc.fail(ctxErr(ctx.Err()))
+		c.sendCancel(id)
+	})
 	// Grant the server's reply direction this client's full window.
-	sc.recv.topUp()
+	sc.topUp()
 	return sc, nil
 }
 
-func (c *Client) removeStream(id uint64) {
-	c.mu.Lock()
-	delete(c.streams, id)
-	c.mu.Unlock()
+// sendWire is the stream end's sink on a v3 connection. Chunks and the
+// close are bounded by the call's context; a credit grant is not, because
+// it comes from Read and must still flow while a caller drains a reply
+// past its write deadline.
+func (sc *StreamCall) sendWire(f frame) error {
+	ctx := sc.ctx
+	if f.kind == kindStreamCredit {
+		ctx = context.Background()
+	}
+	return sc.c.write(ctx, f)
 }
 
-// onFrame routes one stream-correlated frame from the read loop.
-func (sc *StreamCall) onFrame(f frame) {
+// sendBuffered is the sink in buffered fallback: chunks accumulate, the
+// close runs the whole call, and there is nobody to grant credit to.
+func (sc *StreamCall) sendBuffered(f frame) error {
+	sc.fbMu.Lock()
+	defer sc.fbMu.Unlock()
 	switch f.kind {
 	case kindStreamChunk:
-		if !sc.recv.deliver(f.body) {
-			err := ErrStreamProto
-			sc.gate.fail(err)
-			sc.recv.fail(err)
+		if n := len(sc.fbBuf) + len(f.body); n > sc.c.lim.MaxBody {
+			return fmt.Errorf("%w: stream of %d bytes exceeds buffered fallback cap %d (peer speaks protocol < 3)",
+				ErrFrameTooLarge, n, sc.c.lim.MaxBody)
 		}
+		sc.fbBuf = append(sc.fbBuf, f.body...)
 	case kindStreamClose:
-		if f.op == 0 {
-			sc.recv.closeEOF()
-		} else {
-			err := streamCloseErr(f.op, f.body)
-			sc.recv.fail(err)
-			sc.gate.fail(err)
-		}
-	case kindStreamCredit:
-		sc.gate.add(int(f.op))
-	case kindError:
-		err := errFromFrame(f)
-		sc.gate.fail(err)
-		sc.recv.fail(err)
-	case kindReply:
-		// Defensive: a reply frame for a stream id is treated as the
-		// whole reply body.
-		sc.recv.deliverRaw(f.body)
-		sc.recv.closeEOF()
-	}
-}
-
-// connFail terminates the call when its connection dies.
-func (sc *StreamCall) connFail(err error) {
-	sc.gate.fail(err)
-	sc.recv.fail(err)
-}
-
-// Write sends the next split of the request body, blocking while the
-// server's flow-control credit is exhausted. It fails fast once the
-// server answered with an error.
-func (sc *StreamCall) Write(p []byte) (int, error) {
-	if sc.fallback {
-		sc.fbMu.Lock()
-		defer sc.fbMu.Unlock()
-		if sc.fbDone {
-			return 0, errors.New("orb: write on closed stream")
-		}
-		if len(sc.fbBuf)+len(p) > sc.c.lim.MaxBody {
-			return 0, fmt.Errorf("%w: stream of %d bytes exceeds buffered fallback cap %d (peer speaks protocol < 3)",
-				ErrFrameTooLarge, len(sc.fbBuf)+len(p), sc.c.lim.MaxBody)
-		}
-		sc.fbBuf = append(sc.fbBuf, p...)
-		return len(p), nil
-	}
-	total := 0
-	for len(p) > 0 {
-		want := len(p)
-		if want > maxStreamChunk {
-			want = maxStreamChunk
-		}
-		n, err := sc.gate.reserve(want)
+		reply, err := sc.c.InvokeContext(sc.ctx, sc.key, sc.op, sc.fbBuf)
 		if err != nil {
-			return total, err
-		}
-		if err := sc.c.write(sc.ctx, frame{kind: kindStreamChunk, id: sc.id, body: p[:n]}); err != nil {
-			sc.gate.fail(err)
-			return total, err
-		}
-		total += n
-		p = p[n:]
-	}
-	return total, nil
-}
-
-// CloseSend marks the end of the request body. In buffered fallback this
-// is where the whole call executes; its error is also surfaced to Read.
-func (sc *StreamCall) CloseSend() error {
-	if sc.fallback {
-		sc.fbMu.Lock()
-		if sc.fbDone {
-			sc.fbMu.Unlock()
-			return nil
-		}
-		sc.fbDone = true
-		body := sc.fbBuf
-		sc.fbMu.Unlock()
-		reply, err := sc.c.InvokeContext(sc.ctx, sc.key, sc.op, body)
-		if err != nil {
-			sc.recv.fail(err)
+			sc.fail(err)
 			return err
 		}
-		sc.recv.deliverRaw(reply)
-		sc.recv.closeEOF()
-		return nil
+		sc.deliverWhole(reply)
 	}
-	if !sc.gate.close() {
-		return nil
-	}
-	return sc.c.write(sc.ctx, frame{kind: kindStreamClose, id: sc.id, op: 0})
+	return nil
 }
 
-// Read returns the next reply-body bytes, io.EOF at the server's clean
-// close, or the call's typed error.
-func (sc *StreamCall) Read(p []byte) (int, error) { return sc.recv.read(p) }
-
-// Finished reports whether the call reached a terminal state (clean
-// reply EOF or a failure).
-func (sc *StreamCall) Finished() bool {
-	sc.recv.mu.Lock()
-	defer sc.recv.mu.Unlock()
-	return sc.recv.err != nil || sc.recv.eof
+// onFrame routes one frame carrying the call's id from the read loop. A
+// client also accepts an error frame (the whole call failed before any
+// reply chunk) and, defensively, a reply frame as the whole reply body;
+// a server that overruns its credit costs it this call, not the
+// connection other calls share.
+func (sc *StreamCall) onFrame(f frame) {
+	switch f.kind {
+	case kindError:
+		sc.fail(errFromFrame(f))
+	case kindReply:
+		sc.deliverWhole(f.body)
+	default:
+		if !sc.streamEnd.onFrame(f) {
+			sc.fail(ErrStreamProto)
+		}
+	}
 }
 
 // Close releases the call. If the call has not finished, the server is
 // sent a best-effort cancel and local waiters fail with a typed error.
 func (sc *StreamCall) Close() error {
 	sc.closeOnce.Do(func() {
-		close(sc.finished)
-		if sc.fallback {
-			sc.fbMu.Lock()
-			sc.fbDone = true
-			sc.fbMu.Unlock()
+		sc.unwatch()
+		done := sc.Finished()
+		live := sc.c.forget(sc.id) // false in buffered fallback and on a dead connection
+		if done {
+			// Reads keep returning the reply's end; only writes are over.
+			sc.failSend(errStreamClosed)
 			return
 		}
-		done := sc.Finished()
-		sc.c.removeStream(sc.id)
-		sc.gate.fail(errStreamClosed)
-		if !done {
-			sc.recv.fail(errStreamClosed)
+		sc.fail(errStreamClosed)
+		if live {
 			go sc.c.sendCancel(sc.id)
 		}
 	})
 	return nil
-}
-
-// deliverRaw enqueues a chunk outside flow-control accounting (buffered
-// fallback replies, defensive reply frames).
-func (cq *chunkQueue) deliverRaw(b []byte) {
-	cq.mu.Lock()
-	if cq.err == nil && !cq.eof {
-		cq.q = append(cq.q, b)
-		cq.cond.Broadcast()
-	}
-	cq.mu.Unlock()
-}
-
-// close marks the send side done; reports false if already closed or
-// failed (no close frame should go out).
-func (cg *creditGate) close() bool {
-	cg.mu.Lock()
-	defer cg.mu.Unlock()
-	if cg.closed || cg.err != nil {
-		return false
-	}
-	cg.closed = true
-	return true
 }

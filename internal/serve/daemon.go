@@ -12,11 +12,11 @@ import (
 )
 
 // OrbOptions assembles the orb server options a daemon starts with from
-// its limit flags, where 0 keeps the orb default. Frame buffers are
-// pooled: no daemon handler retains a request body past its return
-// (detached work and hedged upstream attempts take a copy).
+// its limit flags, where 0 keeps the orb default. Every orb server
+// recycles a request's body and context when its handler returns; no
+// daemon handler keeps either (detached work and hedges take a copy).
 func OrbOptions(maxBody, maxKey, maxPerConn int) []orb.Option {
-	opts := []orb.Option{orb.WithBufPooling()}
+	var opts []orb.Option
 	if maxBody > 0 {
 		opts = append(opts, orb.WithMaxBody(maxBody))
 	}

@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -19,6 +20,12 @@ import (
 func LeakFence(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		// A fuzzing run's coordinator starts goroutines of its own (signal
+		// handling) that outlive m.Run; the seed corpus runs under the
+		// fence with every plain `go test`.
+		os.Exit(code)
+	}
 	// Only a passing run is fenced: a failed test may have bailed out
 	// before its own cleanup, and its failure is the one worth reading.
 	for deadline := time.Now().Add(5 * time.Second); code == 0 && runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {

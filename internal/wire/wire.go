@@ -37,18 +37,13 @@ const MaxDecodeDepth = limits.DefaultMaxValueDepth
 const maxUnfold = 1 << 10
 
 // Encoder marshals values of one Mtype. Create with NewEncoder; the
-// encoder precomputes nothing and is safe to reuse sequentially. Reset
-// repoints an existing encoder so pooled encoders carry no per-call
-// allocation.
+// encoder precomputes nothing and is safe to reuse sequentially.
 type Encoder struct {
 	ty *mtype.Type
 }
 
 // NewEncoder returns an encoder for values of ty.
 func NewEncoder(ty *mtype.Type) *Encoder { return &Encoder{ty: ty} }
-
-// Reset repoints the encoder at ty, allowing reuse without allocation.
-func (e *Encoder) Reset(ty *mtype.Type) { e.ty = ty }
 
 // Marshal encodes v.
 func (e *Encoder) Marshal(v value.Value) ([]byte, error) {
@@ -71,17 +66,13 @@ func (e *Encoder) MarshalAppend(dst []byte, v value.Value) ([]byte, error) {
 	return out, nil
 }
 
-// Decoder unmarshals values of one Mtype. Reset repoints an existing
-// decoder so pooled decoders carry no per-call allocation.
+// Decoder unmarshals values of one Mtype.
 type Decoder struct {
 	ty *mtype.Type
 }
 
 // NewDecoder returns a decoder for values of ty.
 func NewDecoder(ty *mtype.Type) *Decoder { return &Decoder{ty: ty} }
-
-// Reset repoints the decoder at ty, allowing reuse without allocation.
-func (d *Decoder) Reset(ty *mtype.Type) { d.ty = ty }
 
 // Unmarshal decodes one value and requires the input to be fully
 // consumed.
