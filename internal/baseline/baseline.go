@@ -19,7 +19,9 @@
 package baseline
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/bind"
 	"repro/internal/cmem"
@@ -40,61 +42,73 @@ type Line struct {
 // PointVector of Point objects to the imposed []Point. Field indices
 // follow the Figure 1 declaration (x at 0, y at 1).
 func BridgeFromApp(h *jheap.Heap, pts jheap.Ref) ([]Point, error) {
-	n, err := h.VectorLen(pts)
+	elems, err := h.VectorElems(pts)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		ref, err := h.VectorAt(pts, i)
-		if err != nil {
-			return nil, err
-		}
+	out := make([]Point, len(elems))
+	for i, ref := range elems {
 		if ref == jheap.NullRef {
 			return nil, fmt.Errorf("baseline: null Point at %d", i)
 		}
-		xs, err := h.Field(ref, 0)
+		p, err := pointFields(h, ref)
 		if err != nil {
 			return nil, err
 		}
-		ys, err := h.Field(ref, 1)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Point{X: float32(xs.F), Y: float32(ys.F)}
+		out[i] = Point{X: float32(p[0].F), Y: float32(p[1].F)}
 	}
 	return out, nil
+}
+
+// pointFields fetches an application Point's two fields once, and checks
+// that both hold floats.
+func pointFields(h *jheap.Heap, ref jheap.Ref) ([]jheap.Slot, error) {
+	p, err := h.Fields(ref)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(p) < 2:
+		return nil, fmt.Errorf("baseline: a Point with %d fields", len(p))
+	case p[0].Kind != jheap.SlotFloat || p[1].Kind != jheap.SlotFloat:
+		return nil, fmt.Errorf("baseline: a Point with coordinates of kinds %d, %d", p[0].Kind, p[1].Kind)
+	}
+	return p, nil
+}
+
+// newPoint allocates an application Point.
+func newPoint(h *jheap.Heap, x, y float32) (jheap.Ref, error) {
+	r := h.New("Point", 2)
+	p, err := h.Fields(r)
+	if err != nil {
+		return jheap.NullRef, err
+	}
+	p[0], p[1] = jheap.FloatSlot(float64(x)), jheap.FloatSlot(float64(y))
+	return r, nil
+}
+
+// newLine allocates an application Line over two Points.
+func newLine(h *jheap.Heap, start, end jheap.Ref) (jheap.Ref, error) {
+	r := h.New("Line", 2)
+	l, err := h.Fields(r)
+	if err != nil {
+		return jheap.NullRef, err
+	}
+	l[0], l[1] = jheap.RefSlot(start), jheap.RefSlot(end)
+	return r, nil
 }
 
 // BridgeToApp is the reverse bridge: the imposed Line back into
 // application Line/Point objects.
 func BridgeToApp(h *jheap.Heap, l Line) (jheap.Ref, error) {
-	mk := func(p Point) (jheap.Ref, error) {
-		r := h.New("Point", 2)
-		if err := h.SetField(r, 0, jheap.FloatSlot(float64(p.X))); err != nil {
-			return jheap.NullRef, err
-		}
-		if err := h.SetField(r, 1, jheap.FloatSlot(float64(p.Y))); err != nil {
-			return jheap.NullRef, err
-		}
-		return r, nil
-	}
-	start, err := mk(l.Start)
+	start, err := newPoint(h, l.Start.X, l.Start.Y)
 	if err != nil {
 		return jheap.NullRef, err
 	}
-	end, err := mk(l.End)
+	end, err := newPoint(h, l.End.X, l.End.Y)
 	if err != nil {
 		return jheap.NullRef, err
 	}
-	line := h.New("Line", 2)
-	if err := h.SetField(line, 0, jheap.RefSlot(start)); err != nil {
-		return jheap.NullRef, err
-	}
-	if err := h.SetField(line, 1, jheap.RefSlot(end)); err != nil {
-		return jheap.NullRef, err
-	}
-	return line, nil
+	return newLine(h, start, end)
 }
 
 // CallFitter is the generated IDL stub: it lays the imposed values out in
@@ -103,16 +117,16 @@ func BridgeToApp(h *jheap.Heap, l Line) (jheap.Ref, error) {
 // implementation.
 func CallFitter(impl bind.CFunc, pts []Point) (Line, error) {
 	mem := cmem.NewArena()
+	mem.Grow(8*len(pts) + 16)
 	base := cmem.Null
 	if len(pts) > 0 {
 		base = mem.Alloc(8*len(pts), 4)
+		array, err := mem.Window(base, 8*len(pts))
+		if err != nil {
+			return Line{}, err
+		}
 		for i, p := range pts {
-			if err := mem.WriteF32(base+cmem.Addr(8*i), p.X); err != nil {
-				return Line{}, err
-			}
-			if err := mem.WriteF32(base+cmem.Addr(8*i+4), p.Y); err != nil {
-				return Line{}, err
-			}
+			putPoint(array[8*i:], p.X, p.Y)
 		}
 	}
 	start := mem.Alloc(8, 4)
@@ -122,19 +136,28 @@ func CallFitter(impl bind.CFunc, pts []Point) (Line, error) {
 	}
 	var out Line
 	var err error
-	if out.Start.X, err = mem.ReadF32(start); err != nil {
+	if out.Start.X, out.Start.Y, err = getPoint(mem, start); err != nil {
 		return Line{}, err
 	}
-	if out.Start.Y, err = mem.ReadF32(start + 4); err != nil {
-		return Line{}, err
-	}
-	if out.End.X, err = mem.ReadF32(end); err != nil {
-		return Line{}, err
-	}
-	if out.End.Y, err = mem.ReadF32(end + 4); err != nil {
+	if out.End.X, out.End.Y, err = getPoint(mem, end); err != nil {
 		return Line{}, err
 	}
 	return out, nil
+}
+
+// putPoint stores a C point, float[2], at the start of w.
+func putPoint(w []byte, x, y float32) {
+	binary.LittleEndian.PutUint32(w, math.Float32bits(x))
+	binary.LittleEndian.PutUint32(w[4:], math.Float32bits(y))
+}
+
+// getPoint loads the C point at at.
+func getPoint(mem *cmem.Arena, at cmem.Addr) (x, y float32, err error) {
+	w, err := mem.Window(at, 8)
+	if err != nil {
+		return 0, 0, err
+	}
+	return math.Float32frombits(binary.LittleEndian.Uint32(w)), math.Float32frombits(binary.LittleEndian.Uint32(w[4:])), nil
 }
 
 // FitterViaIDL is the complete baseline path: bridge from the
@@ -155,72 +178,46 @@ func FitterViaIDL(h *jheap.Heap, pts jheap.Ref, impl bind.CFunc) (jheap.Ref, err
 // application heap to C memory with no intermediate representation at
 // all — the code a careful human would write for this one interface.
 func FitterHandWritten(h *jheap.Heap, pts jheap.Ref, impl bind.CFunc) (jheap.Ref, error) {
-	n, err := h.VectorLen(pts)
+	elems, err := h.VectorElems(pts)
 	if err != nil {
 		return jheap.NullRef, err
 	}
 	mem := cmem.NewArena()
+	mem.Grow(8*len(elems) + 16)
 	base := cmem.Null
-	if n > 0 {
-		base = mem.Alloc(8*n, 4)
-	}
-	for i := 0; i < n; i++ {
-		ref, err := h.VectorAt(pts, i)
+	if len(elems) > 0 {
+		base = mem.Alloc(8*len(elems), 4)
+		array, err := mem.Window(base, 8*len(elems))
 		if err != nil {
 			return jheap.NullRef, err
 		}
-		xs, err := h.Field(ref, 0)
-		if err != nil {
-			return jheap.NullRef, err
-		}
-		ys, err := h.Field(ref, 1)
-		if err != nil {
-			return jheap.NullRef, err
-		}
-		if err := mem.WriteF32(base+cmem.Addr(8*i), float32(xs.F)); err != nil {
-			return jheap.NullRef, err
-		}
-		if err := mem.WriteF32(base+cmem.Addr(8*i+4), float32(ys.F)); err != nil {
-			return jheap.NullRef, err
+		for i, ref := range elems {
+			p, err := pointFields(h, ref)
+			if err != nil {
+				return jheap.NullRef, err
+			}
+			putPoint(array[8*i:], float32(p[0].F), float32(p[1].F))
 		}
 	}
 	start := mem.Alloc(8, 4)
 	end := mem.Alloc(8, 4)
-	if _, err := impl(mem, []uint64{uint64(base), uint64(int32(n)), uint64(start), uint64(end)}); err != nil {
+	if _, err := impl(mem, []uint64{uint64(base), uint64(int32(len(elems))), uint64(start), uint64(end)}); err != nil {
 		return jheap.NullRef, err
 	}
-	read := func(at cmem.Addr) (jheap.Ref, error) {
-		x, err := mem.ReadF32(at)
-		if err != nil {
-			return jheap.NullRef, err
-		}
-		y, err := mem.ReadF32(at + 4)
-		if err != nil {
-			return jheap.NullRef, err
-		}
-		r := h.New("Point", 2)
-		if err := h.SetField(r, 0, jheap.FloatSlot(float64(x))); err != nil {
-			return jheap.NullRef, err
-		}
-		if err := h.SetField(r, 1, jheap.FloatSlot(float64(y))); err != nil {
-			return jheap.NullRef, err
-		}
-		return r, nil
-	}
-	startRef, err := read(start)
+	x, y, err := getPoint(mem, start)
 	if err != nil {
 		return jheap.NullRef, err
 	}
-	endRef, err := read(end)
+	startRef, err := newPoint(h, x, y)
 	if err != nil {
 		return jheap.NullRef, err
 	}
-	line := h.New("Line", 2)
-	if err := h.SetField(line, 0, jheap.RefSlot(startRef)); err != nil {
+	if x, y, err = getPoint(mem, end); err != nil {
 		return jheap.NullRef, err
 	}
-	if err := h.SetField(line, 1, jheap.RefSlot(endRef)); err != nil {
+	endRef, err := newPoint(h, x, y)
+	if err != nil {
 		return jheap.NullRef, err
 	}
-	return line, nil
+	return newLine(h, startRef, endRef)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cmem"
 	"repro/internal/jheap"
+	"repro/internal/testutil"
 )
 
 // fitterImpl computes the bounding-box diagonal, as in the stub tests.
@@ -140,5 +141,72 @@ func TestBridgeRejectsNullElement(t *testing.T) {
 	_ = h.VectorAppend(v, jheap.NullRef)
 	if _, err := BridgeFromApp(h, v); err == nil {
 		t.Error("null element accepted")
+	}
+}
+
+// TestFitterHandWrittenAllocs pins what the hand-written bridge allocates
+// on 64 points — the arena, its reserved word and its one sizing, the C
+// frame, and the three result objects at two allocations each: ten — so
+// that the fused stub's ceiling (fuse.TestFusedInvokeAllocs) stands next
+// to a measured number, not a remembered one. The ceiling is that plus
+// one.
+func TestFitterHandWrittenAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	h := jheap.NewHeap()
+	coords := make([]float64, 128)
+	for i := range coords {
+		coords[i] = float64((i*37)%101) - 50.5
+	}
+	pts := appPoints(h, coords...)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := FitterHandWritten(h, pts, fitterImpl); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a hand-written fitter call on 64 points allocates %v times", allocs)
+	if allocs > 11 {
+		t.Errorf("a hand-written fitter call on 64 points allocates %v times, ceiling 11", allocs)
+	}
+}
+
+// TestBridgesRefuseWhatTheStubRefuses: a short Point, a dangling element
+// and a non-Vector fail on both baseline paths, as they do in the stubs.
+func TestBridgesRefuseWhatTheStubRefuses(t *testing.T) {
+	for name, build := range map[string]func(h *jheap.Heap) jheap.Ref{
+		"short point": func(h *jheap.Heap) jheap.Ref {
+			v := appPoints(h, 1, 2)
+			_ = h.VectorAppend(v, h.New("Point", 1))
+			return v
+		},
+		"dangling element": func(h *jheap.Heap) jheap.Ref {
+			v := appPoints(h, 1, 2)
+			_ = h.VectorAppend(v, 9999)
+			return v
+		},
+		"null element": func(h *jheap.Heap) jheap.Ref {
+			v := appPoints(h, 1, 2)
+			_ = h.VectorAppend(v, jheap.NullRef)
+			return v
+		},
+		"wrong-kinded coordinate": func(h *jheap.Heap) jheap.Ref {
+			v := appPoints(h, 1, 2)
+			p := h.New("Point", 2)
+			_ = h.SetField(p, 0, jheap.IntSlot(3))
+			_ = h.SetField(p, 1, jheap.FloatSlot(4))
+			_ = h.VectorAppend(v, p)
+			return v
+		},
+		"not a vector": func(h *jheap.Heap) jheap.Ref { return h.New("Point", 2) },
+	} {
+		h := jheap.NewHeap()
+		pts := build(h)
+		if _, err := FitterHandWritten(h, pts, fitterImpl); err == nil {
+			t.Errorf("%s: accepted by the hand-written bridge", name)
+		}
+		if _, err := FitterViaIDL(h, pts, fitterImpl); err == nil {
+			t.Errorf("%s: accepted by the IDL path", name)
+		}
 	}
 }

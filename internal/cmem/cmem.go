@@ -69,10 +69,61 @@ func (a *Arena) Alloc(size, align int) Addr {
 	if size == 0 {
 		need = off + 1
 	}
-	for len(a.buf) < need {
-		a.buf = append(a.buf, 0)
-	}
+	a.buf = append(a.buf, make([]byte, need-len(a.buf))...) // one step; bytes past the length are never written, so still zero
 	return Addr(off)
+}
+
+// Grow makes room for n more bytes, so that allocations adding up to n
+// (alignment padding included) do not move the arena and the windows
+// taken from it stay live.
+func (a *Arena) Grow(n int) {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = append(make([]byte, 0, len(a.buf)+n), a.buf...)
+	}
+}
+
+// Window returns the n bytes at at for direct access: the check every
+// read and write makes, made once. The window is clipped to its length
+// and is live until an allocation moves the arena (see Grow).
+func (a *Arena) Window(at Addr, n int) ([]byte, error) {
+	if err := a.check(at, n); err != nil {
+		return nil, err
+	}
+	return a.buf[at : int(at)+n : int(at)+n], nil
+}
+
+// PutU stores the low size bytes of v, little-endian, at the start of w,
+// and reports whether size is one a scalar has: 1, 2, 4 or 8.
+func PutU(w []byte, size int, v uint64) bool {
+	switch size {
+	case 1:
+		w[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(w, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(w, uint32(v))
+	case 8:
+		binary.LittleEndian.PutUint64(w, v)
+	default:
+		return false
+	}
+	return true
+}
+
+// GetU loads a little-endian unsigned scalar of 1, 2, 4 or 8 bytes from
+// the start of w; any other size reads as 0, false.
+func GetU(w []byte, size int) (uint64, bool) {
+	switch size {
+	case 1:
+		return uint64(w[0]), true
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(w)), true
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(w)), true
+	case 8:
+		return binary.LittleEndian.Uint64(w), true
+	}
+	return 0, false
 }
 
 func (a *Arena) check(at Addr, n int) error {
@@ -91,16 +142,7 @@ func (a *Arena) WriteU(at Addr, size int, v uint64) error {
 	if err := a.check(at, size); err != nil {
 		return err
 	}
-	switch size {
-	case 1:
-		a.buf[at] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(a.buf[at:], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(a.buf[at:], uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(a.buf[at:], v)
-	default:
+	if !PutU(a.buf[at:], size, v) {
 		return fmt.Errorf("cmem: invalid scalar size %d", size)
 	}
 	return nil
@@ -111,18 +153,11 @@ func (a *Arena) ReadU(at Addr, size int) (uint64, error) {
 	if err := a.check(at, size); err != nil {
 		return 0, err
 	}
-	switch size {
-	case 1:
-		return uint64(a.buf[at]), nil
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(a.buf[at:])), nil
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(a.buf[at:])), nil
-	case 8:
-		return binary.LittleEndian.Uint64(a.buf[at:]), nil
-	default:
+	v, ok := GetU(a.buf[at:], size)
+	if !ok {
 		return 0, fmt.Errorf("cmem: invalid scalar size %d", size)
 	}
+	return v, nil
 }
 
 // ReadI reads a sign-extended scalar.

@@ -228,3 +228,112 @@ func TestEmptyStructSize(t *testing.T) {
 		t.Errorf("empty struct size = %d, want 1", lay.Size)
 	}
 }
+
+// TestAllocOneStep: an allocation of any size is zeroed, aligned and
+// distinct from its neighbours however the arena had to grow for it, the
+// word at address 0 stays reserved, and memory a write dirtied is never
+// handed out again.
+func TestAllocOneStep(t *testing.T) {
+	a := NewArena()
+	if a.Size() != 8 {
+		t.Errorf("an empty arena has size %d, want the reserved word's 8", a.Size())
+	}
+	end := 8
+	for i, size := range []int{1, 4096, 0, 3, 0, 100000, 8} {
+		align := 1 << (i % 4)
+		at := a.Alloc(size, align)
+		if int(at) < end || int(at)%align != 0 || int(at)-end >= align {
+			t.Fatalf("Alloc(%d, %d) = %d after an arena of %d bytes", size, align, at, end)
+		}
+		if end = int(at) + max(size, 1); a.Size() != end {
+			t.Fatalf("Alloc(%d, %d) left the arena at %d bytes, want %d", size, align, a.Size(), end)
+		}
+		w, err := a.Window(at, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range w {
+			if w[k] != 0 {
+				t.Fatalf("Alloc(%d, %d): byte %d is %#x, not zero", size, align, k, w[k])
+			}
+			w[k] = 0xAA
+		}
+	}
+}
+
+// TestGrowKeepsWindowsLive: allocations within what Grow reserved do not
+// move the arena, so a window taken before them still is the arena's
+// memory; Grow itself changes neither the size nor the contents.
+func TestGrowKeepsWindowsLive(t *testing.T) {
+	a := NewArena()
+	first := a.Alloc(4, 4)
+	if err := a.WriteU(first, 4, 0xDEADBEEF); err != nil {
+		t.Fatal(err)
+	}
+	size := a.Size()
+	a.Grow(3*8 + 1000*(8+8))
+	if v, _ := a.ReadU(first, 4); a.Size() != size || v != 0xDEADBEEF {
+		t.Fatalf("Grow left size %d (was %d) and the first word %#x", a.Size(), size, v)
+	}
+	at := a.Alloc(8, 8)
+	w, err := a.Window(at, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		a.Alloc(8, 8)
+	}
+	PutU(w, 8, 0x1122334455667788)
+	if v, _ := a.ReadU(at, 8); v != 0x1122334455667788 {
+		t.Errorf("a write through a window taken before 1000 reserved allocations is lost: read %#x", v)
+	}
+	fresh := NewArena()
+	fresh.Grow(64)
+	if at := fresh.Alloc(64, 8); at != 8 || fresh.Size() != 72 {
+		t.Errorf("the first allocation of a grown arena is at %d of %d bytes, want 8 of 72", at, fresh.Size())
+	}
+}
+
+// TestWindow: a window is the check of a read or write made once — NULL
+// and anything past the end are refused, an empty window at the very end
+// is not — and is clipped to its length.
+func TestWindow(t *testing.T) {
+	a := NewArena()
+	at := a.Alloc(16, 8)
+	if _, err := a.Window(Null, 4); err == nil {
+		t.Error("a window at NULL was granted")
+	}
+	if _, err := a.Window(at+8, 9); err == nil {
+		t.Error("a window one byte past the end was granted")
+	}
+	if _, err := a.Window(Addr(a.Size())+1, 0); err == nil {
+		t.Error("an empty window beyond the end was granted")
+	}
+	if _, err := a.Window(Addr(a.Size()), 0); err != nil {
+		t.Errorf("an empty window at the end: %v", err)
+	}
+	w, err := a.Window(at+4, 8)
+	if err != nil || len(w) != 8 || cap(w) != 8 {
+		t.Fatalf("Window(at+4, 8) = %d bytes of %d, %v", len(w), cap(w), err)
+	}
+	for _, size := range []int{1, 2, 4, 8} {
+		v := uint64(0xF1E2D3C4B5A69788) >> (8 * (8 - size))
+		if !PutU(w, size, v) {
+			t.Fatalf("PutU refused size %d", size)
+		}
+		got, ok := GetU(w, size)
+		read, err := a.ReadU(at+4, size)
+		if !ok || got != v || err != nil || read != v {
+			t.Errorf("size %d: put %#x, GetU %#x %v, ReadU %#x %v", size, v, got, ok, read, err)
+		}
+	}
+	if PutU(w, 3, 1) {
+		t.Error("PutU took a 3-byte scalar")
+	}
+	if _, ok := GetU(w, 16); ok {
+		t.Error("GetU took a 16-byte scalar")
+	}
+	if err := a.WriteU(at, 3, 1); err == nil {
+		t.Error("WriteU took a 3-byte scalar")
+	}
+}

@@ -8,16 +8,24 @@
 // constructs and reports anything else as unsupported, falling back to the
 // general value-tree engines.
 //
-// A move pairs one leaf of the Java representation (a field chain from a
-// slot of the Java frame) with one leaf of the C representation (a word of
-// the C frame, or memory an offset/deref chain away from the address in
-// that word), with both leaf kinds, the C width and its signedness. One
-// pairing function builds every move from a plan record node and the two
-// sides' leaves; one loop per direction runs them, whatever the parameter
+// A move pairs one leaf of the Java representation with one leaf of the C
+// representation, with both leaf kinds, the C width and its signedness.
+// Its Java end is (owner, field), a slot of an object; its C end is
+// (base, offset), bytes of a memory block, or a word of the C frame.
+// Owners and bases are registers of the call, numbered when the stub is
+// compiled, and the moves that fill them are entries of the same list,
+// each ahead of the moves under it. An owner move resolves a reference
+// once — a reference, not null, not dangling, to an object with every
+// field the declaration reads — and a base move resolves an address once
+// — not NULL (toward C: allocated), the arena covering the block — so a
+// leaf move is fields[f] ↔ window[off:] with a slot-kind check and
+// nothing else. One pairing function builds the leaves from a plan record
+// node and one loop per direction runs the list, whatever the parameter
 // shape: a scalar argument or return word, a pointer-to-aggregate
-// parameter, an out buffer, or a list element (a one-slot Java frame over
-// a one-word C frame). Every check that does not need a value — leaf
-// counts, the plan's permutation, kinds — runs at compile time.
+// parameter, an out buffer, or a list element (a program of its own:
+// its owner the element, its base a slice of the array's window). Every
+// check that needs no value — leaf counts, the plan's permutation,
+// kinds, spans — runs at compile time.
 //
 // Supported: primitives, by-value classes/structs/fixed arrays (with
 // associative flattening and commutative field permutation from the
@@ -44,7 +52,7 @@ func unsupported(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrUnsupported, fmt.Sprintf(format, args...))
 }
 
-// leafKind classifies one side of a move.
+// leafKind classifies one side of a move, and the move itself.
 type leafKind uint8
 
 const (
@@ -54,15 +62,18 @@ const (
 	leafChar // character slot
 	leafList // an ordered collection: Vector ↔ contiguous array + length word
 
-	leafObject // Java only: a by-value object the reply allocates
-	leafRegion // C only: backing memory the request allocates
+	leafObject // Java only: a by-value object, an owner register
+	leafRegion // C only: a memory block behind a pointer, a base register
 )
 
-// jLeaf is one leaf of the Java representation: the frame slot path[0],
-// then a chain of object field loads down to the leaf's slot.
+// jLeaf is one leaf of the Java representation: field `field` of the
+// object in owner register owner.
 type jLeaf struct {
-	path []int
 	kind leafKind
+	// want is the slot kind a scalar's declaration calls for; 0 takes an
+	// integral or a character slot, as bind.J does for a char read as int.
+	want         jheap.SlotKind
+	owner, field int
 	// elem is a leafList's element use; class and size name a leafObject
 	// and count its fields.
 	elem  *stype.Type
@@ -70,40 +81,53 @@ type jLeaf struct {
 	size  int
 }
 
-// cLeaf is one leaf of the C representation, located from word `word` of
-// the C frame: with no hops the value is that word itself (an argument or
-// the return word); otherwise the word holds an address and the hops lead
-// from it to the leaf in memory.
+// cLeaf is one leaf of the C representation: off bytes into the block in
+// base register base, or for inWord word off of the C frame (an argument
+// or the return word). word is the C parameter the leaf belongs to.
 type cLeaf struct {
-	word     int
-	hops     []cHop
-	kind     leafKind
-	size     int  // bytes of the scalar, of a leafRegion, of one leafList element
-	align    int  // of a leafRegion, of a leafList element
-	unsigned bool // zero-extend when loading (unsigned, bool, characters)
+	kind      leafKind
+	unsigned  bool // zero-extend when loading (unsigned, bool, characters)
+	size      int  // bytes of the scalar, of a leafRegion, of one leafList element
+	align     int  // of a leafRegion, of a leafList element
+	base, off int
+	word      int
 	// elem is a leafList's element type and lenWord the frame word that
 	// carries its length.
 	elem    *stype.Type
 	lenWord int
 }
 
-// cHop is one step of a C location: add off to the address and, unless
-// this is the last hop, load the non-null pointer stored there. A run
-// toward C allocates the pointee (size, align) of a pointer still NULL.
-type cHop struct{ off, size, align int }
+// inWord is the base of a C end that is a word of the C frame.
+const inWord = -1
 
-// move is one entry of a fused stub: a Java leaf, a C leaf, and for a list
-// the moves of one element.
+// move is one entry of a fused stub. With op 0 it carries a scalar from
+// one leaf to the other; a leafList lays a Vector out with the program of
+// one element; a leafObject resolves (toward Java: allocates) the object
+// in its Java end as owner register self, checking that it has span
+// fields; a leafRegion resolves (toward C: allocates) the block its C end
+// points to as base register self.
 type move struct {
-	j    jLeaf
-	c    cLeaf
-	elem []move
+	op         leafKind
+	j          jLeaf
+	c          cLeaf
+	self, span int
+	elem       *program
 }
 
-// compiler resolves leaves of both declarations.
+// program is the moves of one list element and the registers the list
+// fills for them: owner register frame with the element's fields, of which
+// the moves reach args, and base register window with its bytes.
+type program struct {
+	moves               []move
+	frame, args, window int
+}
+
+// compiler resolves leaves of both declarations and numbers the owner
+// and base registers of the call.
 type compiler struct {
-	jU, cU *stype.Universe
-	lay    *cmem.Layouts
+	jU, cU       *stype.Universe
+	lay          *cmem.Layouts
+	nObjs, nWins int
 }
 
 // resolveNamed follows a Named node to its target with annotations
@@ -146,65 +170,82 @@ func primKind(t *stype.Type) leafKind {
 	return leafInt
 }
 
-// jLeaves enumerates the Java-side leaves of a type in the exact order
-// lower flattens its Mtype record structure, each path starting with
-// prefix. Only containment shapes are fusible. With objs set the walk is
-// over a result the reply constructs: every by-value object on the way is
-// appended to objs, outermost first.
-func (cp *compiler) jLeaves(t *stype.Type, prefix []int, objs *[]move) ([]jLeaf, error) {
+// jLeaves enumerates the Java-side leaves of the value in a field of an
+// owner, in the exact order lower flattens its Mtype record structure.
+// Every by-value object on the way becomes an owner register: its move
+// goes to objs, ahead of what the object holds. Only containment shapes
+// are fusible; top marks an input parameter, where a collection may stand.
+func (cp *compiler) jLeaves(t *stype.Type, owner, field int, top bool, objs *[]move) ([]jLeaf, error) {
 	t, decl, err := resolveNamed(cp.jU, t)
 	if err != nil {
 		return nil, err
 	}
-	path := append([]int(nil), prefix...)
+	at := jLeaf{owner: owner, field: field, want: jheap.SlotInt}
 	switch {
 	case t.Kind == stype.KPrim && t.Prim == stype.PVoid:
 		return nil, nil
 	case t.Kind == stype.KPrim:
-		return []jLeaf{{path: path, kind: primKind(t)}}, nil
+		at.kind = primKind(t)
+		switch char := t.Prim == stype.PChar8 || t.Prim == stype.PChar16; {
+		case at.kind == leafF32 || at.kind == leafF64:
+			at.want = jheap.SlotFloat
+		case char != (at.kind == leafChar):
+			at.want = 0
+		case char:
+			at.want = jheap.SlotChar
+		}
+		return []jLeaf{at}, nil
 	case t.Kind != stype.KNamed:
 		return nil, unsupported("java %s inside a fused aggregate", t.Kind)
 	case lower.IsCollection(cp.jU, decl):
-		if len(prefix) != 1 || objs != nil {
+		if !top {
 			return nil, unsupported("collection %s is not a top-level input parameter", decl.Name)
 		}
 		ann := decl.Type.Ann.Merge(t.Ann)
-		elem := stype.NewNamed(lower.CollectionElement(cp.jU, decl, ann))
-		elem.Ann.NonNull = ann.ElementNonNull
-		return []jLeaf{{path: path, kind: leafList, elem: elem}}, nil
+		at.kind, at.elem = leafList, stype.NewNamed(lower.CollectionElement(cp.jU, decl, ann))
+		at.elem.Ann.NonNull = ann.ElementNonNull
+		return []jLeaf{at}, nil
 	case !t.Ann.NonNull:
 		return nil, unsupported("nullable reference to %s inside a fused aggregate", decl.Name)
 	case !lower.ByValueOf(decl, t.Ann):
 		return nil, unsupported("object reference %s inside a fused aggregate", decl.Name)
 	}
-	if objs != nil {
-		*objs = append(*objs, move{j: jLeaf{path: path, kind: leafObject, class: decl.Name, size: len(decl.Type.Fields)}})
-	}
+	at.kind, at.class, at.size = leafObject, decl.Name, len(decl.Type.Fields)
+	self, obj := cp.nObjs, len(*objs)
+	cp.nObjs++
+	*objs = append(*objs, move{op: leafObject, j: at, self: self})
 	var out []jLeaf
 	for i, f := range decl.Type.Fields {
 		if f.Type.Ann.Ignore {
 			continue
 		}
-		leaves, err := cp.jLeaves(f.Type, append(path, i), objs)
+		leaves, err := cp.jLeaves(f.Type, self, i, false, objs)
 		if err != nil {
 			return nil, fmt.Errorf("%s.%s: %w", decl.Name, f.Name, err)
 		}
-		out = append(out, leaves...)
+		out, (*objs)[obj].span = append(out, leaves...), i+1
 	}
 	return out, nil
 }
 
-// plus returns the location off bytes past l.
-func (l cLeaf) plus(off int) cLeaf {
-	l.hops = append([]cHop(nil), l.hops...)
-	l.hops[len(l.hops)-1].off += off
-	return l
+// behind makes the block of type t that the pointer at `at` points to a
+// base register — its move goes to bases, ahead of what lies in the block
+// — and returns the block's leaves.
+func (cp *compiler) behind(t *stype.Type, at cLeaf, bases *[]move) ([]cLeaf, error) {
+	lay, err := cp.lay.Of(t)
+	if err != nil {
+		return nil, err
+	}
+	at.kind, at.size, at.align = leafRegion, lay.Size, lay.Align
+	*bases = append(*bases, move{op: leafRegion, c: at, self: cp.nWins})
+	cp.nWins++
+	return cp.cLeaves(t, cLeaf{base: cp.nWins - 1, word: at.word}, bases)
 }
 
 // cLeaves enumerates the C-side leaves of a type in lowering order. at
-// locates the value: a bare frame word for a scalar carried in it, a word
-// plus one hop for memory the word points to.
-func (cp *compiler) cLeaves(t *stype.Type, at cLeaf) ([]cLeaf, error) {
+// locates the value: a frame word for a scalar carried in it, else an
+// offset into a block.
+func (cp *compiler) cLeaves(t *stype.Type, at cLeaf, bases *[]move) ([]cLeaf, error) {
 	t, decl, err := resolveNamed(cp.cU, t)
 	if err != nil {
 		return nil, err
@@ -230,21 +271,14 @@ func (cp *compiler) cLeaves(t *stype.Type, at cLeaf) ([]cLeaf, error) {
 		return []cLeaf{at}, nil
 	case t.Kind == stype.KPointer && !t.Ann.NonNull:
 		return nil, unsupported("nullable C pointer")
-	case len(at.hops) == 0:
+	case at.base == inWord:
 		return nil, unsupported("C %s passed or returned by value", t.Kind)
 	}
 	var elems []*stype.Type // the members of an aggregate, each at offs[i]
 	var offs []int
 	switch t.Kind {
 	case stype.KPointer:
-		lay, err := cp.lay.Of(t.ElemType)
-		if err != nil {
-			return nil, err
-		}
-		at = at.plus(0) // a copy of the hops to extend
-		at.hops[len(at.hops)-1].size, at.hops[len(at.hops)-1].align = lay.Size, lay.Align
-		at.hops = append(at.hops, cHop{})
-		return cp.cLeaves(t.ElemType, at)
+		return cp.behind(t.ElemType, at, bases)
 	case stype.KStruct:
 		lay, err := cp.lay.Of(t)
 		if err != nil {
@@ -272,7 +306,9 @@ func (cp *compiler) cLeaves(t *stype.Type, at cLeaf) ([]cLeaf, error) {
 	}
 	var out []cLeaf
 	for i, e := range elems {
-		leaves, err := cp.cLeaves(e, at.plus(offs[i]))
+		sub := at
+		sub.off += offs[i]
+		leaves, err := cp.cLeaves(e, sub, bases)
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +331,7 @@ func compatible(j, c leafKind) bool {
 
 // toWord encodes a Java slot as the 64-bit word of a C leaf of kind k;
 // memory leaves store its low bytes, argument words carry all of it.
-func toWord(s jheap.Slot, k leafKind) uint64 {
+func toWord(s *jheap.Slot, k leafKind) uint64 {
 	switch {
 	case k == leafF32:
 		return uint64(math.Float32bits(float32(s.F)))
@@ -327,76 +363,72 @@ func fromWord(w uint64, c *cLeaf, jk leafKind) jheap.Slot {
 	return jheap.IntSlot(n)
 }
 
-// walk follows a Java path from its frame slot through object fields.
-func walk(h *jheap.Heap, frame []jheap.Slot, path []int) (jheap.Slot, error) {
-	if path[0] >= len(frame) {
-		return jheap.Slot{}, fmt.Errorf("fuse: argument %d missing", path[0])
-	}
-	s := frame[path[0]]
-	for _, idx := range path[1:] {
-		if s.Kind != jheap.SlotRef {
-			return jheap.Slot{}, fmt.Errorf("fuse: expected reference while navigating")
-		}
-		if s.R == jheap.NullRef {
-			return jheap.Slot{}, fmt.Errorf("fuse: null in fused non-null path")
-		}
-		var err error
-		if s, err = h.Field(s.R, idx); err != nil {
-			return jheap.Slot{}, err
-		}
-	}
-	return s, nil
+// frame is what one Invoke runs over: the two memories, the C frame and
+// the width of a C pointer.
+type frame struct {
+	h     *jheap.Heap
+	mem   *cmem.Arena
+	words []uint64
+	ptr   int
 }
 
-// locate applies a memory leaf's hops to the address in its frame word.
-func locate(mem *cmem.Arena, model cmem.Model, words []uint64, c *cLeaf, alloc bool) (cmem.Addr, error) {
-	at := cmem.Addr(words[c.word])
-	for i, hop := range c.hops {
-		at += cmem.Addr(hop.off)
-		if i == len(c.hops)-1 {
-			break
-		}
-		target, err := mem.ReadPtr(at, model)
-		if err != nil {
-			return 0, err
-		}
-		if target == cmem.Null {
-			if !alloc {
-				return 0, fmt.Errorf("fuse: NULL in fused non-null pointer")
-			}
-			target = mem.Alloc(hop.size, hop.align)
-			if err := mem.WritePtr(at, model, target); err != nil {
-				return 0, err
-			}
-		}
-		at = target
+// reg is owner register i and base register i of a call: the fields of an
+// object a move has resolved, the window of a memory block one has. The
+// table is no part of the frame so that Invoke can keep it on its stack.
+type reg struct {
+	obj []jheap.Slot
+	win []byte
+}
+
+// put stores the low size bytes of w at a C end, get loads them.
+func (fr *frame) put(regs []reg, c *cLeaf, size int, w uint64) {
+	if c.base == inWord {
+		fr.words[c.off] = w
+	} else {
+		cmem.PutU(regs[c.base].win[c.off:], size, w)
 	}
-	return at, nil
+}
+
+func (fr *frame) get(regs []reg, c *cLeaf, size int) uint64 {
+	if c.base == inWord {
+		return fr.words[c.off]
+	}
+	w, _ := cmem.GetU(regs[c.base].win[c.off:], size)
+	return w
+}
+
+// object resolves a reference — not null, not dangling — to the fields of
+// the object it names, need of them at least: once per owner, not per leaf.
+func object(h *jheap.Heap, r jheap.Ref, need int) ([]jheap.Slot, error) {
+	fields, err := h.Fields(r)
+	if err == nil && len(fields) < need {
+		err = fmt.Errorf("fuse: object has %d fields where the stub reads %d", len(fields), need)
+	}
+	return fields, err
 }
 
 // toC runs moves from the Java frame into the C frame and memory.
-func (c *Call) toC(h *jheap.Heap, frame []jheap.Slot, mem *cmem.Arena, words []uint64, moves []move) error {
+func (fr *frame) toC(regs []reg, moves []move) error {
 	for i := range moves {
 		mv := &moves[i]
-		if mv.c.kind == leafRegion {
-			words[mv.c.word] = uint64(mem.Alloc(mv.c.size, mv.c.align))
-			continue
-		}
-		s, err := walk(h, frame, mv.j.path)
-		if err != nil {
-			return err
-		}
-		switch {
-		case mv.c.kind == leafList:
-			err = c.listToC(h, s, mem, words, mv)
-		case mv.c.hops == nil:
-			words[mv.c.word] = toWord(s, mv.c.kind)
-		default:
-			at, lerr := locate(mem, c.model, words, &mv.c, true)
-			if lerr != nil {
-				return lerr
+		var err error
+		if mv.op == leafRegion {
+			at := fr.mem.Alloc(mv.c.size, mv.c.align)
+			fr.put(regs, &mv.c, fr.ptr, uint64(at))
+			regs[mv.self].win, err = fr.mem.Window(at, mv.c.size)
+		} else {
+			switch s := &regs[mv.j.owner].obj[mv.j.field]; {
+			case mv.op == 0 && (mv.j.want == 0 || s.Kind == mv.j.want):
+				fr.put(regs, &mv.c, mv.c.size, toWord(s, mv.c.kind))
+			case mv.op == 0:
+				err = fmt.Errorf("fuse: leaf wants slot kind %d, got %d", mv.j.want, s.Kind)
+			case s.Kind != jheap.SlotRef:
+				err = fmt.Errorf("fuse: expected reference while navigating")
+			case mv.op == leafObject:
+				regs[mv.self].obj, err = object(fr.h, s.R, mv.span)
+			default:
+				err = fr.listToC(regs, s.R, mv)
 			}
-			err = mem.WriteU(at, mv.c.size, toWord(s, mv.c.kind))
 		}
 		if err != nil {
 			return err
@@ -405,71 +437,51 @@ func (c *Call) toC(h *jheap.Heap, frame []jheap.Slot, mem *cmem.Arena, words []u
 	return nil
 }
 
-// listToC lays a Vector out as a contiguous C array: each element is a
-// one-slot Java frame over a one-word C frame holding its address.
-func (c *Call) listToC(h *jheap.Heap, s jheap.Slot, mem *cmem.Arena, words []uint64, mv *move) error {
-	if s.Kind != jheap.SlotRef || s.R == jheap.NullRef {
-		return fmt.Errorf("fuse: collection argument is null")
-	}
-	n, err := h.VectorLen(s.R)
+// listToC lays a Vector out as a contiguous C array: each element runs the
+// element program, its fields the owner, its slice of the array the base.
+func (fr *frame) listToC(regs []reg, vec jheap.Ref, mv *move) error {
+	elems, err := fr.h.VectorElems(vec)
 	if err != nil {
 		return err
 	}
-	base := cmem.Null
-	if n > 0 {
-		base = mem.Alloc(n*mv.c.size, mv.c.align)
-	}
-	var elem [1]jheap.Slot
-	var at [1]uint64
-	for i := 0; i < n; i++ {
-		er, err := h.VectorAt(s.R, i)
-		if err != nil {
+	base, stride := cmem.Null, mv.c.size
+	var array []byte
+	if len(elems) > 0 {
+		base = fr.mem.Alloc(len(elems)*stride, mv.c.align)
+		if array, err = fr.mem.Window(base, len(elems)*stride); err != nil {
 			return err
 		}
-		if er == jheap.NullRef {
-			return fmt.Errorf("fuse: null element %d", i)
+	}
+	for i, er := range elems {
+		if regs[mv.elem.frame].obj, err = object(fr.h, er, mv.elem.args); err == nil {
+			regs[mv.elem.window].win = array[i*stride : (i+1)*stride]
+			err = fr.toC(regs, mv.elem.moves)
 		}
-		elem[0], at[0] = jheap.RefSlot(er), uint64(base)+uint64(i*mv.c.size)
-		if err := c.toC(h, elem[:], mem, at[:], mv.elem); err != nil {
+		if err != nil {
 			return fmt.Errorf("element %d: %w", i, err)
 		}
 	}
-	words[mv.c.word], words[mv.c.lenWord] = uint64(base), uint64(n)
+	fr.words[mv.c.off], fr.words[mv.c.lenWord] = uint64(base), uint64(len(elems))
 	return nil
 }
 
 // toJ runs moves from the C frame and memory into the Java frame,
 // allocating the result's objects as it reaches them.
-func (c *Call) toJ(h *jheap.Heap, frame []jheap.Slot, mem *cmem.Arena, words []uint64, moves []move) error {
+func (fr *frame) toJ(regs []reg, moves []move) error {
 	for i := range moves {
 		mv := &moves[i]
-		var s jheap.Slot
-		switch {
-		case mv.j.kind == leafObject:
-			s = jheap.RefSlot(h.New(mv.j.class, mv.j.size))
-		case mv.c.hops == nil:
-			s = fromWord(words[mv.c.word], &mv.c, mv.j.kind)
+		var err error
+		switch mv.op {
+		case leafRegion:
+			regs[mv.self].win, err = fr.mem.Window(cmem.Addr(fr.get(regs, &mv.c, fr.ptr)), mv.c.size)
+		case leafObject:
+			r := fr.h.New(mv.j.class, mv.j.size)
+			regs[mv.j.owner].obj[mv.j.field] = jheap.RefSlot(r)
+			regs[mv.self].obj, err = fr.h.Fields(r)
 		default:
-			at, err := locate(mem, c.model, words, &mv.c, false)
-			if err != nil {
-				return err
-			}
-			w, err := mem.ReadU(at, mv.c.size)
-			if err != nil {
-				return err
-			}
-			s = fromWord(w, &mv.c, mv.j.kind)
+			regs[mv.j.owner].obj[mv.j.field] = fromWord(fr.get(regs, &mv.c, mv.c.size), &mv.c, mv.j.kind)
 		}
-		last := len(mv.j.path) - 1
-		if last == 0 {
-			frame[mv.j.path[0]] = s
-			continue
-		}
-		owner, err := walk(h, frame, mv.j.path[:last])
 		if err != nil {
-			return err
-		}
-		if err := h.SetField(owner.R, mv.j.path[last], s); err != nil {
 			return err
 		}
 	}

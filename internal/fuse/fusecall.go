@@ -20,13 +20,15 @@ type Call struct {
 	impl  func(mem *cmem.Arena, args []uint64) (uint64, error)
 
 	// The C frame is one word per C parameter and then the return word;
-	// the Java frame is the argument slots going in and the output slots
-	// (none for void, else the result) coming back.
-	nCArgs, nOuts int
-	// request runs toward C: the out buffers, then per input parameter
-	// its backing region and the leaves that fill it or its word. reply
-	// runs toward Java: the result's objects, then its leaves.
+	// the Java frame, owner register 0, is nArgs argument slots going in
+	// and the output slots (none for void, else the result) coming back.
+	nCArgs, nArgs, nOuts int
+	// request runs toward C: the argument objects, the out buffers, then
+	// per input parameter its memory blocks and the leaves that fill them
+	// or its word. reply runs toward Java: the result's objects, the blocks
+	// the outputs lie in, then the leaves. nRegs counts both's registers.
 	request, reply []move
+	nRegs          int
 }
 
 // under lists the live leaves of a flattened record that lie in its first
@@ -72,33 +74,30 @@ func (cp *compiler) pair(n *plan.Node, aIdx, bIdx []int, jls []jLeaf, cls []cLea
 			return nil, fmt.Errorf("fuse: internal: plan leaf %d pairs java kind %d with C kind %d", i, mv.j.kind, mv.c.kind)
 		}
 		if mv.c.kind == leafList {
+			// The list fills the element's window register, and its owner
+			// register — the first its leaves define — in that move's place.
 			cons := n.LeafPlans[i].AltPlans[1] // list = μ Choice(nil, cons(elem, list))
-			ejls, err := cp.jLeaves(mv.j.elem, []int{0}, nil)
+			mv.op, mv.elem = leafList, &program{window: cp.nWins}
+			cp.nWins++
+			var objs, bases []move
+			ejls, err := cp.jLeaves(mv.j.elem, 0, 0, false, &objs)
 			if err != nil {
 				return nil, fmt.Errorf("element: %w", err)
 			}
-			ecls, err := cp.cLeaves(mv.c.elem, cLeaf{hops: []cHop{{}}})
+			ecls, err := cp.cLeaves(mv.c.elem, cLeaf{base: mv.elem.window}, &bases)
 			if err != nil {
 				return nil, fmt.Errorf("element: %w", err)
 			}
-			if mv.elem, err = cp.pair(cons, under(cons.FlatA, 1), under(cons.FlatB, 1), ejls, ecls, toC); err != nil {
+			leaves, err := cp.pair(cons, under(cons.FlatA, 1), under(cons.FlatB, 1), ejls, ecls, toC)
+			if err != nil {
 				return nil, fmt.Errorf("element: %w", err)
 			}
+			mv.elem.frame, mv.elem.args = objs[0].self, objs[0].span
+			mv.elem.moves = append(append(objs[1:], bases...), leaves...)
 		}
 		moves = append(moves, mv)
 	}
 	return moves, nil
-}
-
-// region returns the move that allocates backing memory for a value of
-// type t behind frame word `word`, and the value's leaves.
-func (cp *compiler) region(t *stype.Type, word int) (move, []cLeaf, error) {
-	lay, err := cp.lay.Of(t)
-	if err != nil {
-		return move{}, nil, err
-	}
-	leaves, err := cp.cLeaves(t, cLeaf{word: word, hops: []cHop{{}}})
-	return move{c: cLeaf{word: word, kind: leafRegion, size: lay.Size, align: lay.Align}}, leaves, err
 }
 
 // CompileCall builds a fused stub between a Java function-shaped
@@ -107,8 +106,7 @@ func (cp *compiler) region(t *stype.Type, word int) (move, []cLeaf, error) {
 // plan for the request records (Java→C) and repPlan for the reply records
 // (C→Java); both come from a successful equivalence match (see
 // CompileFromSession, which assembles all of this from a core.Session).
-// Returns ErrUnsupported-wrapped errors for constructs outside the fused
-// subset.
+// Constructs outside the fused subset return ErrUnsupported-wrapped errors.
 func CompileCall(
 	jU *stype.Universe, jFn *stype.Type,
 	cU *stype.Universe, cFn *stype.Type,
@@ -119,7 +117,7 @@ func CompileCall(
 	if jFn.Kind != stype.KFunc || cFn.Kind != stype.KFunc {
 		return nil, fmt.Errorf("fuse: both declarations must be functions (got %s, %s)", jFn.Kind, cFn.Kind)
 	}
-	cp := &compiler{jU: jU, cU: cU, lay: cmem.NewLayouts(cU, model)}
+	cp := &compiler{jU: jU, cU: cU, lay: cmem.NewLayouts(cU, model), nObjs: 1} // owner 0 is the Java frame
 	jSig, err := lower.SignatureOf(jFn.Params, jFn.Result)
 	if err != nil {
 		return nil, err
@@ -128,15 +126,16 @@ func CompileCall(
 	if err != nil {
 		return nil, err
 	}
-	call := &Call{model: model, impl: impl, nCArgs: len(cFn.Params)}
+	call := &Call{model: model, impl: impl, nCArgs: len(cFn.Params), nArgs: len(jFn.Params)}
 
 	// Java side of the request: one frame slot per parameter.
 	var jls []jLeaf
+	var request, reply []move // owners first, then out buffers
 	for a, p := range jFn.Params {
 		if role := jSig.Roles[p.Name]; role != lower.RoleIn {
 			return nil, unsupported("java parameter %s has role %s", p.Name, role)
 		}
-		leaves, err := cp.jLeaves(p.Type, []int{a}, nil)
+		leaves, err := cp.jLeaves(p.Type, 0, a, true, &request)
 		if err != nil {
 			return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
 		}
@@ -152,7 +151,7 @@ func CompileCall(
 		}
 	}
 	var ins, outs []cLeaf
-	var regions []move // of the input parameters
+	var blocks []move // of the input parameters
 	nIn := 0
 	for k, p := range cFn.Params {
 		t, _, err := resolveNamed(cU, p.Type)
@@ -160,6 +159,7 @@ func CompileCall(
 			return nil, err
 		}
 		var leaves []cLeaf
+		at := cLeaf{base: inWord, off: k, word: k}
 		switch role := cSig.Roles[p.Name]; {
 		case role == lower.RoleInOut:
 			return nil, unsupported("inout parameter %s", p.Name)
@@ -171,27 +171,27 @@ func CompileCall(
 		case role == lower.RoleOut && t.Kind != stype.KPointer:
 			return nil, unsupported("out parameter %s is not a pointer", p.Name)
 		case role == lower.RoleOut:
-			var buf move
-			if buf, leaves, err = cp.region(t.ElemType, k); err != nil {
+			// The request allocates the buffer; the reply resolves it again.
+			var behind []move
+			if leaves, err = cp.behind(t.ElemType, at, &behind); err != nil {
 				return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
 			}
-			call.request, outs = append(call.request, buf), append(outs, leaves...)
+			request, reply, outs = append(request, behind[0]), append(reply, behind...), append(outs, leaves...)
 			continue
 		case (t.Kind == stype.KPointer || t.Kind == stype.KArray) && t.Ann.LengthFrom != "":
 			var lay *cmem.Layout
 			if lay, err = cp.lay.Of(t.ElemType); err == nil {
-				leaves = []cLeaf{{word: k, kind: leafList, size: lay.Size, align: lay.Align, elem: t.ElemType, lenWord: lenWord[p.Name]}}
+				at.kind, at.size, at.align, at.elem, at.lenWord = leafList, lay.Size, lay.Align, t.ElemType, lenWord[p.Name]
+				leaves = []cLeaf{at}
 			}
 		case t.Kind == stype.KPointer && (t.Ann.NonNull || t.Ann.FixedLen > 0):
 			pointee := t.ElemType
 			if t.Ann.FixedLen > 0 {
 				pointee = stype.NewArray(t.ElemType, t.Ann.FixedLen)
 			}
-			var buf move
-			buf, leaves, err = cp.region(pointee, k)
-			regions = append(regions, buf)
+			leaves, err = cp.behind(pointee, at, &blocks)
 		default: // a scalar in the argument word; cLeaves refuses the rest
-			leaves, err = cp.cLeaves(t, cLeaf{word: k})
+			leaves, err = cp.cLeaves(t, at, &blocks)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
@@ -203,20 +203,21 @@ func CompileCall(
 	if err != nil {
 		return nil, fmt.Errorf("request: %w", err)
 	}
-	// C parameter order: a parameter's region, then what fills it.
-	moves = append(regions, moves...)
+	// C parameter order: a parameter's blocks, then what fills them.
+	moves = append(blocks, moves...)
 	for k := range cFn.Params {
 		for _, mv := range moves {
 			if mv.c.word == k {
-				call.request = append(call.request, mv)
+				request = append(request, mv)
 			}
 		}
 	}
+	call.request = request
 
 	// Reply: the C outputs are the out buffers in order and then the
 	// return word, the Java output is the result.
 	if cFn.Result != nil {
-		leaves, err := cp.cLeaves(cFn.Result, cLeaf{word: call.nCArgs})
+		leaves, err := cp.cLeaves(cFn.Result, cLeaf{base: inWord, off: call.nCArgs, word: call.nCArgs}, &reply)
 		if err != nil {
 			return nil, fmt.Errorf("return: %w", err)
 		}
@@ -225,7 +226,7 @@ func CompileCall(
 	jls = nil
 	if jFn.Result != nil {
 		call.nOuts = 1
-		if jls, err = cp.jLeaves(jFn.Result, []int{0}, &call.reply); err != nil {
+		if jls, err = cp.jLeaves(jFn.Result, 0, 0, false, &reply); err != nil {
 			return nil, fmt.Errorf("result: %w", err)
 		}
 	}
@@ -233,25 +234,52 @@ func CompileCall(
 	if err != nil {
 		return nil, fmt.Errorf("reply: %w", err)
 	}
-	call.reply = append(call.reply, moves...)
+	call.reply, call.nRegs = append(reply, moves...), max(cp.nObjs, cp.nWins)
 	return call, nil
 }
 
+// arenaNeed is the arena bytes a run of moves toward C takes: its regions,
+// and per list — args holds them — its elements and what each allocates.
+// A list it cannot size is left for the run to refuse.
+func arenaNeed(moves []move, h *jheap.Heap, args []jheap.Slot) (n int) {
+	for i := range moves {
+		switch mv := &moves[i]; mv.op {
+		case leafRegion:
+			n += mv.c.size + mv.c.align
+		case leafList:
+			elems, _ := h.VectorElems(args[mv.j.field].R)
+			n += len(elems)*(mv.c.size+arenaNeed(mv.elem.moves, h, nil)) + mv.c.align
+		}
+	}
+	return n
+}
+
 // Invoke runs the fused call: Java argument slots in, Java output slots
-// out (the return value, if the method has one).
+// out (the return value, if any). The arena is sized once, before the
+// request runs, so that no window the request holds is moved.
 func (c *Call) Invoke(h *jheap.Heap, args []jheap.Slot) ([]jheap.Slot, error) {
-	mem := cmem.NewArena()
-	words := make([]uint64, c.nCArgs+1)
-	if err := c.toC(h, args, mem, words, c.request); err != nil {
+	if len(args) < c.nArgs {
+		return nil, fmt.Errorf("fuse: argument %d missing", len(args))
+	}
+	var few [8]reg
+	regs := few[:]
+	if c.nRegs > len(few) {
+		regs = make([]reg, c.nRegs)
+	}
+	fr := &frame{h: h, mem: cmem.NewArena(), words: make([]uint64, c.nCArgs+1), ptr: c.model.PointerSize()}
+	fr.mem.Grow(arenaNeed(c.request, h, args))
+	regs[0].obj = args
+	if err := fr.toC(regs, c.request); err != nil {
 		return nil, err
 	}
-	ret, err := c.impl(mem, words[:c.nCArgs:c.nCArgs])
+	ret, err := c.impl(fr.mem, fr.words[:c.nCArgs:c.nCArgs])
 	if err != nil {
 		return nil, err
 	}
-	words[c.nCArgs] = ret
+	fr.words[c.nCArgs] = ret
 	outs := make([]jheap.Slot, c.nOuts)
-	if err := c.toJ(h, outs, mem, words, c.reply); err != nil {
+	regs[0].obj = outs
+	if err := fr.toJ(regs, c.reply); err != nil {
 		return nil, err
 	}
 	return outs, nil

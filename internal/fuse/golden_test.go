@@ -37,12 +37,7 @@ func ints(vs ...int64) func(testing.TB, *jheap.Heap) []jheap.Slot {
 }
 
 func point(x, y float64) func(testing.TB, *jheap.Heap) []jheap.Slot {
-	return func(_ testing.TB, h *jheap.Heap) []jheap.Slot {
-		p := h.New("Point", 2)
-		_ = h.SetField(p, 0, jheap.FloatSlot(x))
-		_ = h.SetField(p, 1, jheap.FloatSlot(y))
-		return []jheap.Slot{jheap.RefSlot(p)}
-	}
+	return objects(obj{"Point", []any{jheap.FloatSlot(x), jheap.FloatSlot(y)}})
 }
 
 func cells(_ testing.TB, h *jheap.Heap) []jheap.Slot {
@@ -98,7 +93,106 @@ func goldenCases() []goldenCase {
 		goldenCase{"level/200", levelPair, cmem.ILP32, ints(200)},
 		goldenCase{"gauge/40000", gaugePair, cmem.ILP32, ints(40000)},
 		goldenCase{"sym/0xE9", symPair, cmem.ILP32, ints(0xE9)},
+		// The refusal rows, pinned at the commit before owners and bases
+		// were hoisted out of the per-leaf walk: which of them fail is the
+		// contract, the error text is not.
+		goldenCase{"fitter/null-first", fitterPair, cmem.ILP32, vecOf(nullElem, pt(1, 2))},
+		goldenCase{"fitter/null-mid", fitterPair, cmem.ILP32, vecOf(pt(1, 2), nullElem, pt(3, 4))},
+		goldenCase{"fitter/dangling-element", fitterPair, cmem.ILP32, vecOf(pt(1, 2), danglingElem)},
+		goldenCase{"fitter/dangling-collection", fitterPair, cmem.ILP32, slots(jheap.RefSlot(9999))},
+		goldenCase{"fitter/short-element", fitterPair, cmem.ILP32, vecOf(pt(1, 2), shortElem)},
+		goldenCase{"fitter/empty-element", fitterPair, cmem.ILP32, vecOf(func(h *jheap.Heap) jheap.Ref { return h.New("Point", 0) })},
+		goldenCase{"fitter/not-a-vector", fitterPair, cmem.ILP32, point(1, 2)},
+		goldenCase{"fitter/int-for-collection", fitterPair, cmem.ILP32, ints(5)},
+		goldenCase{"scale/missing-second", scalePair, cmem.ILP32, slots(jheap.FloatSlot(2.5))},
+		goldenCase{"norm1/dangling", norm1Pair, cmem.ILP32, slots(jheap.RefSlot(77))},
+		goldenCase{"norm1/short", norm1Pair, cmem.ILP32, func(_ testing.TB, h *jheap.Heap) []jheap.Slot {
+			return []jheap.Slot{jheap.RefSlot(shortElem(h))}
+		}},
+		goldenCase{"norm1/int-for-object", norm1Pair, cmem.ILP32, ints(7)},
+		goldenCase{"weigh/box", weighPair, cmem.ILP32, objects(obj{"Box", []any{obj{"IntBox", []any{jheap.IntSlot(0x1234)}}, jheap.IntSlot(-2)}})},
+		goldenCase{"weigh/null-inner", weighPair, cmem.ILP32, objects(obj{"Box", []any{jheap.RefSlot(jheap.NullRef), jheap.IntSlot(-2)}})},
+		goldenCase{"mix/rec", mixPair, cmem.ILP32, objects(obj{"Rec", []any{jheap.CharSlot('z'), jheap.IntSlot(-6), jheap.FloatSlot(0.5)}})},
+		goldenCase{"span/v3", spanPair, cmem.LP64, objects(obj{"V3", []any{jheap.FloatSlot(1), jheap.FloatSlot(2), jheap.FloatSlot(3)}})},
+		goldenCase{"unbox/7", unboxPair, cmem.ILP32, ints(7)},
+		goldenCase{"unbox/null-reply-pointer", unboxTo(func(*cmem.Arena) cmem.Addr { return cmem.Null }), cmem.ILP32, ints(7)},
+		goldenCase{"unbox/wild-reply-pointer", unboxTo(func(*cmem.Arena) cmem.Addr { return 0x00ffff00 }), cmem.ILP32, ints(7)},
+		// The slot-kind rows: before the kind check the fused stub read a
+		// wrong-kinded or unset slot as 0 where both general stubs refuse
+		// it; a char declared an integer, and the reverse, take either.
+		goldenCase{"norm1/int-in-float-field", norm1Pair, cmem.ILP32, objects(obj{"Point", []any{jheap.IntSlot(3), jheap.FloatSlot(4)}})},
+		goldenCase{"norm1/unset-field", norm1Pair, cmem.ILP32, objects(obj{"Point", []any{jheap.FloatSlot(3), jheap.Slot{}}})},
+		goldenCase{"fitter/char-in-float-field", fitterPair, cmem.ILP32, vecOf(pt(1, 2), func(h *jheap.Heap) jheap.Ref {
+			return obj{"Point", []any{jheap.FloatSlot(3), jheap.CharSlot('x')}}.build(h).R
+		})},
+		goldenCase{"grade/float-for-int", gradePair, cmem.ILP32, slots(jheap.FloatSlot(95))},
+		goldenCase{"grade/char-for-int", gradePair, cmem.ILP32, slots(jheap.CharSlot('a'))},
+		goldenCase{"mix/int-for-char", mixPair, cmem.ILP32, objects(obj{"Rec", []any{jheap.IntSlot('z'), jheap.IntSlot(-6), jheap.FloatSlot(0.5)}})},
+		goldenCase{"code/char-for-int-char", codePair, cmem.ILP32, slots(jheap.CharSlot('q'), jheap.IntSlot('r'))},
+		goldenCase{"code/int-for-char-int", codePair, cmem.ILP32, slots(jheap.IntSlot('q'), jheap.CharSlot('r'))},
+		goldenCase{"unbox/straddling-reply-pointer", unboxTo(func(mem *cmem.Arena) cmem.Addr { return mem.Alloc(2, 2) }), cmem.ILP32, ints(7)},
 	)
+}
+
+// pt, nullElem, danglingElem and shortElem build one element of a
+// PointVector; vecOf appends them in order.
+func pt(x, y float64) func(*jheap.Heap) jheap.Ref {
+	return func(h *jheap.Heap) jheap.Ref { return point(x, y)(nil, h)[0].R }
+}
+
+func nullElem(*jheap.Heap) jheap.Ref     { return jheap.NullRef }
+func danglingElem(*jheap.Heap) jheap.Ref { return 9999 }
+func shortElem(h *jheap.Heap) jheap.Ref {
+	return obj{"Point", []any{jheap.FloatSlot(5)}}.build(h).R
+}
+
+func vecOf(elems ...func(*jheap.Heap) jheap.Ref) func(testing.TB, *jheap.Heap) []jheap.Slot {
+	return func(_ testing.TB, h *jheap.Heap) []jheap.Slot {
+		vec := h.NewVector("PointVector")
+		for _, e := range elems {
+			_ = h.VectorAppend(vec, e(h))
+		}
+		return []jheap.Slot{jheap.RefSlot(vec)}
+	}
+}
+
+// obj is an object to build on the heap: its fields are slots or objs.
+type obj struct {
+	class  string
+	fields []any
+}
+
+func (o obj) build(h *jheap.Heap) jheap.Slot {
+	r := h.New(o.class, len(o.fields))
+	for i, f := range o.fields {
+		if sub, ok := f.(obj); ok {
+			f = sub.build(h)
+		}
+		_ = h.SetField(r, i, f.(jheap.Slot))
+	}
+	return jheap.RefSlot(r)
+}
+
+// objects builds one argument object per parameter.
+func objects(os ...obj) func(testing.TB, *jheap.Heap) []jheap.Slot {
+	return func(_ testing.TB, h *jheap.Heap) []jheap.Slot {
+		out := make([]jheap.Slot, len(os))
+		for i, o := range os {
+			out[i] = o.build(h)
+		}
+		return out
+	}
+}
+
+// unboxTo is unboxPair with a C target that stores what p returns in the
+// out struct's pointer member: NULL, or an address the arena does not
+// cover.
+func unboxTo(p func(*cmem.Arena) cmem.Addr) pair {
+	u := unboxPair
+	u.impl = func(mem *cmem.Arena, args []uint64) (uint64, error) {
+		return 0, mem.WritePtr(cmem.Addr(args[1]), cmem.ILP32, p(mem))
+	}
+	return u
 }
 
 // renderSlot prints a Java slot structurally: object identity and heap
@@ -161,7 +255,11 @@ func (gc goldenCase) transcript(t *testing.T) string {
 // package's pairs. testdata/golden.txt was written by this test at the
 // commit before the move-list rewrite; the rewrite reproduces it except
 // for the three signedness rows, which now read what the general stub
-// reads (200, 40000, rune 233).
+// reads (200, 40000, rune 233). The refusal rows and the nested-layout
+// rows after them were written at the commit before owners and bases
+// became registers; that change reproduces every row's outcome and bytes
+// and rewords eleven error texts (CHANGES.md lists them). The slot-kind
+// rows were written after it: six of them used to reach C as 0.
 func TestGoldenTranscript(t *testing.T) {
 	var sb strings.Builder
 	for _, gc := range goldenCases() {

@@ -281,8 +281,43 @@ var (
 		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
 			return uint64(int64(int16(args[0]))*3 + int64(int8(args[1]))*5 + int64(args[2]) + int64(uint32(args[3]))), nil
 		}}
+
+	// bind.J's leniency: a char declared an integer and an int declared a
+	// character take an integral or a character slot alike.
+	codePair = pair{name: "code",
+		c: `int code(unsigned short a, unsigned short b);`, cScript: "annotate code.b char",
+		java:    `interface I { int code(char a, int b); }`,
+		jScript: "annotate I.code.a int\nannotate I.code.b char repertoire=ucs2",
+		iface:   "I", method: "code", cfn: "code",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			return uint64(uint16(args[0]))<<8 ^ uint64(uint16(args[1])), nil
+		}}
+
+	// A list whose elements hold a pointer, after a struct parameter: every
+	// element allocates its pointee while the array's window, and the
+	// struct's before it, are live.
+	cratesPair = pair{name: "crates",
+		c: `struct Box { int *p; short tag; };
+		    int crates(struct Box *first, struct Box xs[], int n);`,
+		cScript: "annotate crates.first nonnull\nannotate crates.xs length-from=n\nannotate Box.p nonnull",
+		java: `class IntBox { int v; }
+		       class Box { IntBox p; short tag; }
+		       class Boxes extends java.util.Vector;
+		       interface I { int crates(Box first, Boxes xs); }`,
+		jScript: "annotate Box.p nonnull noalias\nannotate Boxes collection-of=Box element-nonnull\n" +
+			"annotate I.crates.first nonnull noalias\nannotate I.crates.xs nonnull",
+		iface: "I", method: "crates", cfn: "crates",
+		impl: func(mem *cmem.Arena, args []uint64) (uint64, error) {
+			sum, err := weighPair.impl(mem, args[:1])
+			for i := 0; i < int(int32(args[2])) && err == nil; i++ {
+				var w uint64
+				w, err = weighPair.impl(mem, []uint64{args[1] + uint64(8*i)})
+				sum = sum*31 + w
+			}
+			return uint64(int32(sum)), err
+		}}
 )
 
 // tierPairs is every pair all execution tiers must agree on.
 var tierPairs = []pair{fitterPair, totalPair, gradePair, scalePair, norm1Pair, levelPair, gaugePair, symPair,
-	unboxPair, weighPair, pokePair, distPair, mixPair, spanPair, skipPair, widthsPair}
+	unboxPair, weighPair, pokePair, distPair, mixPair, spanPair, skipPair, widthsPair, codePair, cratesPair}

@@ -130,6 +130,17 @@ func (h *Heap) Field(r Ref, idx int) (Slot, error) {
 	return o.fields[idx], nil
 }
 
+// Fields returns the object's field slots themselves, not a copy: a
+// caller that has resolved a reference once reads and writes its fields
+// by index, under the checks Field and SetField make on every call.
+func (h *Heap) Fields(r Ref) ([]Slot, error) {
+	o, err := h.get(r)
+	if err != nil {
+		return nil, err
+	}
+	return o.fields, nil
+}
+
 // NewVector allocates an empty java.util.Vector (or subclass).
 func (h *Heap) NewVector(class string) Ref {
 	if class == "" {
@@ -176,6 +187,19 @@ func (h *Heap) VectorAt(r Ref, i int) (Ref, error) {
 		return NullRef, fmt.Errorf("jheap: vector index %d out of range %d", i, len(o.elems))
 	}
 	return o.elems[i], nil
+}
+
+// VectorElems returns the Vector's element references themselves, not a
+// copy, clipped so that an append cannot reach the Vector's spare room.
+func (h *Heap) VectorElems(r Ref) ([]Ref, error) {
+	o, err := h.get(r)
+	if err != nil {
+		return nil, err
+	}
+	if !o.isVector {
+		return nil, fmt.Errorf("jheap: %s is not a Vector", o.class)
+	}
+	return o.elems[:len(o.elems):len(o.elems)], nil
 }
 
 // NewRefArray allocates a reference array (elements start null).

@@ -178,3 +178,62 @@ func TestSlotConstructors(t *testing.T) {
 		t.Errorf("RefSlot = %+v", s)
 	}
 }
+
+// TestFields: the accessor hands out the object's own slots under the
+// checks Field and SetField make per call.
+func TestFields(t *testing.T) {
+	h := NewHeap()
+	p := h.New("Point", 2)
+	_ = h.SetField(p, 1, FloatSlot(2.5))
+	fields, err := h.Fields(p)
+	if err != nil || len(fields) != 2 || fields[1] != FloatSlot(2.5) {
+		t.Fatalf("Fields = %v, %v", fields, err)
+	}
+	fields[0] = IntSlot(7)
+	if s, _ := h.Field(p, 0); s != IntSlot(7) {
+		t.Errorf("a store through Fields is not in the object: field 0 = %v", s)
+	}
+	if f, err := h.Fields(h.New("Empty", 0)); err != nil || len(f) != 0 {
+		t.Errorf("Fields of a fieldless object = %v, %v", f, err)
+	}
+	if f, err := h.Fields(h.NewVector("")); err != nil || len(f) != 0 {
+		t.Errorf("Fields of a Vector = %v, %v", f, err)
+	}
+	for _, r := range []Ref{NullRef, 99, -1} {
+		if _, err := h.Fields(r); err == nil {
+			t.Errorf("Fields(%d) succeeded", r)
+		}
+	}
+}
+
+// TestVectorElems: the accessor hands out the Vector's own elements,
+// clipped, under the checks VectorLen and VectorAt make per call.
+func TestVectorElems(t *testing.T) {
+	h := NewHeap()
+	v := h.NewVector("")
+	a, b := h.New("A", 0), h.New("B", 0)
+	for _, e := range []Ref{a, NullRef, b} {
+		if err := h.VectorAppend(v, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	elems, err := h.VectorElems(v)
+	if err != nil || len(elems) != 3 || elems[0] != a || elems[1] != NullRef || elems[2] != b {
+		t.Fatalf("VectorElems = %v, %v", elems, err)
+	}
+	if cap(elems) != len(elems) {
+		t.Errorf("VectorElems has room for %d elements beyond its %d", cap(elems)-len(elems), len(elems))
+	}
+	_ = append(elems, a)
+	if n, _ := h.VectorLen(v); n != 3 {
+		t.Errorf("an append to VectorElems' result grew the Vector to %d", n)
+	}
+	if e, err := h.VectorElems(h.NewVector("")); err != nil || len(e) != 0 {
+		t.Errorf("VectorElems of an empty Vector = %v, %v", e, err)
+	}
+	for _, r := range []Ref{NullRef, 99, a, h.NewRefArray("A", 2)} {
+		if _, err := h.VectorElems(r); err == nil {
+			t.Errorf("VectorElems(%d) succeeded", r)
+		}
+	}
+}
