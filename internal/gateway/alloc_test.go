@@ -18,8 +18,8 @@ import (
 // relay: client → gateway (request and reply lanes on the fast tier) →
 // echo upstream → back. With pooled frame buffers on both servers and
 // the request-lane output in a pooled buffer, what remains is the
-// per-hop reply body, the dispatch goroutines, and the reply-lane
-// transcode output. This is the BenchmarkGatewayVsDirect fused number,
+// per-hop reply body and the reply-lane transcode output (both servers
+// dispatch to a worker parked on the connection, which allocates nothing). This is the BenchmarkGatewayVsDirect fused number,
 // enforced; a regression means a pool or memo fell off the hot path.
 func TestFusedRelayAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -76,7 +76,7 @@ func TestFusedRelayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 9
+	const ceiling = 6 // measured 6.0; 9 while each hop started a goroutine per call
 	if avg > ceiling {
 		t.Fatalf("fused relay allocates %.1f/op, ceiling %d", avg, ceiling)
 	}

@@ -13,8 +13,10 @@ import (
 // on a pooled-buffer server: request frame written from a pooled buffer,
 // request body read into a pooled buffer, reply written and the body
 // recycled. The remaining allocations are the client-side reply body
-// (clients don't pool — callers keep replies) and the server's dispatch
-// goroutine. A regression here means a pool stopped being hit.
+// (clients don't pool — callers keep replies) and the slice header that
+// carries the request body back into its pool; dispatch is not one, the
+// call goes to a worker already parked on the connection. A regression
+// here means a pool stopped being hit or a call started a goroutine.
 func TestRoundTripAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
@@ -40,7 +42,7 @@ func TestRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 5
+	const ceiling = 2 // measured 2.0; 3.0 while every call started a goroutine
 	if avg > ceiling {
 		t.Fatalf("round trip allocates %.1f/op, ceiling %d", avg, ceiling)
 	}

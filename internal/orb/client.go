@@ -178,7 +178,7 @@ func (c *Client) fail(err error) {
 
 func (c *Client) readLoop() {
 	defer close(c.done)
-	fr := frameReader{r: c.conn, lim: c.lim}
+	fr := newFrameReader(c.conn, c.lim, false)
 	for {
 		f, err := fr.read()
 		if err != nil {

@@ -104,8 +104,8 @@ func FuzzServerFrames(f *testing.F) {
 		go func() {
 			defer close(answered)
 			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			for {
-				if f, err := readFrame(conn, lim); err != nil || f.id == sentinel {
+			for fr := newFrameReader(conn, lim, false); ; {
+				if f, err := fr.read(); err != nil || f.id == sentinel {
 					return
 				}
 			}

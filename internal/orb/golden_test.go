@@ -25,6 +25,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/transcrip
 type peer struct {
 	t    *testing.T
 	conn net.Conn
+	fr   *frameReader // over conn; one reader, so no frame is lost between expects
 	lim  Limits
 	log  *strings.Builder
 }
@@ -70,6 +71,7 @@ func newPeer(t *testing.T, s *Server, log *strings.Builder) *peer {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	p := &peer{t: t, conn: conn, lim: Limits{}.withDefaults(), log: log}
+	p.fr = newFrameReader(conn, p.lim, false)
 	p.expect(1) // the hello
 	return p
 }
@@ -109,7 +111,7 @@ func (p *peer) expect(n int) []frame {
 	var out []frame
 	for i := 0; i < n; i++ {
 		_ = p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := readFrame(p.conn, p.lim)
+		f, err := p.fr.read()
 		if err != nil {
 			p.t.Fatalf("read (frame %d of %d): %v\ntranscript so far:\n%s", i+1, n, err, p.log)
 		}

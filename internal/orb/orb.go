@@ -48,13 +48,18 @@
 // Shutdown lets a unary call finish and reply but fails a live stream at
 // once, because a stream cannot complete without the read loop.
 //
-// Every call runs under one goroutine body (serverConn.run), which owns
+// Every call runs under one goroutine body (serverConn.worker), which owns
 // panic isolation, the remap of a handler's deadline error to ErrExpired
 // when the propagated budget ran out under it, and the terminal frame: a
 // reply or a clean stream close; on failure an error frame, or a close
 // with a status once a reply chunk has gone out. The call leaves the
 // table before that frame is written, so a peer that has seen a call end
-// finds its id and its slot free.
+// finds its id and its slot free. The worker then parks on its connection
+// and takes the next call the read loop admits; a goroutine is started
+// only when none is parked, so a caller that waits for each reply is
+// served on one stack, grown once, for its connection's life. At most
+// maxParkedWorkers stay parked; all end in teardown. The read loop never
+// runs a handler: it must keep reading cancel frames and pipelined calls.
 //
 // Handler contract: the request body and the context are recycled when
 // the handler returns. A handler must not retain either, anything
@@ -65,9 +70,22 @@
 // waits on a channel and resolves on the first frame carrying its id; a
 // stream call holds the same stream-end type the server does and stays
 // until it is closed.
+//
+// # One read per frame
+//
+// Both read loops decode through one buffer per connection (frameReader):
+// a small frame costs one read(2) however many fields it has, and a body
+// is read straight into place past what arrived with its header. So a
+// frame's budget clock (frame.hdrAt) starts when its header is decoded —
+// for a frame buffered behind others, later than its bytes arrived by
+// what the read loop spent on those — and Shutdown, which ends a read
+// loop by failing its next read, still serves the whole frames the loop
+// had buffered (they were read, like any frame a moment earlier) and
+// drops a partial one with the connection.
 package orb
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -75,6 +93,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -328,9 +347,8 @@ type frame struct {
 	// budget is the remaining time budget in milliseconds (v2 request
 	// frames only; 0 = none).
 	budget uint32
-	// hdrAt is the read-side timestamp taken right after the fixed header
-	// arrived. Budgets anchor here: a body that trickles in past the
-	// budget is already expired by the time it could be dispatched.
+	// hdrAt is when the read side decoded the fixed header. Budgets anchor
+	// here: a body that trickles in past one is expired before dispatch.
 	hdrAt time.Time
 }
 
@@ -403,10 +421,7 @@ var bodyBufPool = sync.Pool{New: newPooledBuf}
 // getBodyBuf returns a pooled buffer of exactly n bytes.
 func getBodyBuf(n int) []byte {
 	bp := bodyBufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	return (*bp)[:n]
+	return slices.Grow((*bp)[:0], n)[:n]
 }
 
 // putBodyBuf recycles a buffer handed out by getBodyBuf. Buffers that
@@ -419,32 +434,33 @@ func putBodyBuf(b []byte) {
 	bodyBufPool.Put(&b)
 }
 
-// frameReader reads frames from one connection, reusing fixed scratch
-// for the header fields and interning the (almost always identical)
-// object key across frames so the steady-state read path allocates only
-// the body — and a server's (pool) not even that: its bodies come from
-// bodyBufPool, a client's are allocated because callers keep replies.
-// It is owned by a single reader goroutine and must not be shared.
+// readBufSize holds a whole frame with a body under writevThreshold.
+const readBufSize = 4096
+
+// frameReader reads frames from one connection through one buffer,
+// interning the (almost always identical) object key across frames so the
+// steady-state read path allocates only the body — and a server's (pool)
+// not even that: its bodies come from bodyBufPool, a client's are
+// allocated because callers keep replies. A body as large as the buffer
+// is never copied through it whole. It is owned by a single reader
+// goroutine and must not be shared.
 type frameReader struct {
-	r    io.Reader
-	lim  Limits
-	pool bool
-	// scratch holds head (18) + budget (4) + tail (8).
-	scratch [30]byte
-	keyBuf  []byte
+	conn    io.Reader
+	r       *bufio.Reader // over conn
+	lim     Limits
+	pool    bool
+	head    [18]byte
+	rest    []byte // the header past head: [budget,] key, op, body length
 	lastKey string
 }
 
-// readFrame decodes a single frame with a one-shot reader; connection
-// loops keep a frameReader so the scratch survives across frames.
-func readFrame(r io.Reader, lim Limits) (frame, error) {
-	fr := frameReader{r: r, lim: lim}
-	return fr.read()
+func newFrameReader(r io.Reader, lim Limits, pool bool) *frameReader {
+	return &frameReader{conn: r, r: bufio.NewReaderSize(r, readBufSize), lim: lim, pool: pool}
 }
 
 func (fr *frameReader) read() (frame, error) {
 	var f frame
-	head := fr.scratch[:18]
+	head := fr.head[:]
 	if _, err := io.ReadFull(fr.r, head); err != nil {
 		return f, err
 	}
@@ -463,21 +479,20 @@ func (fr *frameReader) read() (frame, error) {
 	if uint64(keyLen) > uint64(fr.lim.MaxKey) {
 		return f, fmt.Errorf("%w: object key of %d bytes exceeds %d", ErrFrameTooLarge, keyLen, fr.lim.MaxKey)
 	}
-	if (ver >= 2 && f.kind == kindRequest) || (ver >= 3 && f.kind == kindStreamOpen) {
-		bud := fr.scratch[18:22]
-		if _, err := io.ReadFull(fr.r, bud); err != nil {
-			return f, err
-		}
-		f.budget = binary.LittleEndian.Uint32(bud)
+	budgeted := (ver >= 2 && f.kind == kindRequest) || (ver >= 3 && f.kind == kindStreamOpen)
+	restLen := int(keyLen) + 8
+	if budgeted {
+		restLen += 4
 	}
-	if keyLen > 0 {
-		if cap(fr.keyBuf) < int(keyLen) {
-			fr.keyBuf = make([]byte, keyLen)
-		}
-		key := fr.keyBuf[:keyLen]
-		if _, err := io.ReadFull(fr.r, key); err != nil {
-			return f, err
-		}
+	fr.rest = slices.Grow(fr.rest[:0], restLen)[:restLen]
+	rest := fr.rest
+	if _, err := io.ReadFull(fr.r, rest); err != nil {
+		return f, err
+	}
+	if budgeted {
+		f.budget, rest = binary.LittleEndian.Uint32(rest), rest[4:]
+	}
+	if key := rest[:keyLen]; keyLen > 0 {
 		// Connections overwhelmingly invoke one object; reuse the interned
 		// string instead of allocating an identical one per frame.
 		if fr.lastKey != string(key) {
@@ -485,12 +500,8 @@ func (fr *frameReader) read() (frame, error) {
 		}
 		f.key = fr.lastKey
 	}
-	tail := fr.scratch[22:30]
-	if _, err := io.ReadFull(fr.r, tail); err != nil {
-		return f, err
-	}
-	f.op = binary.LittleEndian.Uint32(tail)
-	bodyLen := binary.LittleEndian.Uint32(tail[4:])
+	f.op = binary.LittleEndian.Uint32(rest[keyLen:])
+	bodyLen := binary.LittleEndian.Uint32(rest[keyLen+4:])
 	if uint64(bodyLen) > uint64(fr.lim.MaxBody) {
 		return f, fmt.Errorf("%w: body of %d bytes exceeds %d", ErrFrameTooLarge, bodyLen, fr.lim.MaxBody)
 	}
@@ -499,8 +510,8 @@ func (fr *frameReader) read() (frame, error) {
 	} else {
 		f.body = make([]byte, bodyLen)
 	}
-	if _, err := io.ReadFull(fr.r, f.body); err != nil {
-		return f, err
-	}
-	return f, nil
+	behind, _ := fr.r.Peek(min(len(f.body), fr.r.Buffered())) // what arrived with the header
+	n, _ := fr.r.Discard(copy(f.body, behind))
+	_, err := io.ReadFull(fr.conn, f.body[n:])
+	return f, err
 }

@@ -5,12 +5,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// readFrame decodes one frame with a reader of its own, which may take
+// more than that frame off r: tests use it on a buffer holding one frame,
+// or a connection whose peer writes nothing more until asked; a loop over
+// a connection keeps one frameReader.
+func readFrame(r io.Reader, lim Limits) (frame, error) {
+	return newFrameReader(r, lim, false).read()
+}
 
 func startServer(t *testing.T) *Server {
 	t.Helper()

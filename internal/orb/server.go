@@ -159,7 +159,7 @@ type Server struct {
 	mu             sync.Mutex
 	handlers       map[string]Handler
 	streamHandlers map[string]StreamHandler
-	conns          map[net.Conn]struct{}
+	conns          map[net.Conn]*serverConn
 	closed         bool
 	draining       bool
 	wg             sync.WaitGroup
@@ -177,7 +177,7 @@ func NewServer(addr string, opts ...Option) (*Server, error) {
 		lim:            applyOptions(opts),
 		handlers:       make(map[string]Handler),
 		streamHandlers: make(map[string]StreamHandler),
-		conns:          make(map[net.Conn]struct{}),
+		conns:          make(map[net.Conn]*serverConn),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -291,10 +291,11 @@ func (s *Server) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		sc := &serverConn{s: s, conn: conn, calls: make(map[uint64]*call), work: make(chan *call)}
+		s.conns[conn] = sc
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.serveConn(conn)
+		go sc.serve()
 	}
 }
 
@@ -315,8 +316,6 @@ func (cl *call) handle(ctx context.Context, op uint32, body []byte) ([]byte, err
 	if cl.end == nil {
 		return cl.h(ctx, op, body)
 	}
-	// Top the client's send window up from the protocol-fixed initial
-	// credit to this endpoint's configured window.
 	cl.end.topUp()
 	return nil, cl.sh(ctx, op, &StreamReader{cl.end}, &StreamWriter{cl.end})
 }
@@ -327,15 +326,23 @@ var callPool = sync.Pool{New: func() any {
 	return cl
 }}
 
+// maxParkedWorkers bounds the workers parked on a connection between
+// calls; a pipelining caller can use as many as it has calls in flight.
+const maxParkedWorkers = 8
+
 // serverConn is the server half of one connection.
 type serverConn struct {
-	s        *Server
-	conn     net.Conn
-	writeMu  sync.Mutex
-	handlers sync.WaitGroup // calls dispatched and not yet ended
+	s       *Server
+	conn    net.Conn
+	writeMu sync.Mutex
 
-	// The read loop's goroutine enters calls and looks them up; a handler
-	// goroutine removes its own. A lookup uses the call under mu too, so a
+	work    chan *call     // unbuffered: a send succeeds only onto a parked worker; teardown closes it
+	workers sync.WaitGroup // workers started and not yet exited
+	started atomic.Int32   // workers ever started (tests count them)
+	parked  atomic.Int32   // workers waiting on work, or about to
+
+	// The read loop's goroutine enters calls and looks them up; a worker
+	// removes the one it ran. A lookup uses the call under mu too, so a
 	// cancel frame never touches one that has gone back to the pool.
 	mu    sync.Mutex
 	calls map[uint64]*call // requests and streams in flight, by id
@@ -359,24 +366,18 @@ func (sc *serverConn) replyErr(id uint64, err error) {
 	_ = sc.write(frame{kind: kindError, id: id, op: code, body: body})
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
-	sc := &serverConn{s: s, conn: conn, calls: make(map[uint64]*call)}
+// serve is the connection's read loop.
+func (sc *serverConn) serve() {
 	defer sc.teardown()
-	if s.lim.MaxProtoVersion >= 2 {
+	lim := sc.s.lim
+	if lim.MaxProtoVersion >= 2 {
 		// Advertise the version before reading anything. v1 clients parse
 		// this as a frame for a request they never made and drop it.
-		if sc.write(frame{kind: kindHello, op: uint32(s.lim.MaxProtoVersion)}) != nil {
+		if sc.write(frame{kind: kindHello, op: uint32(lim.MaxProtoVersion)}) != nil {
 			return
 		}
 	}
-	fr := frameReader{r: conn, lim: s.lim, pool: true}
+	fr := newFrameReader(sc.conn, lim, true)
 	for {
 		f, err := fr.read()
 		if err != nil {
@@ -385,7 +386,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		switch f.kind {
 		case kindRequest, kindOneway, kindStreamOpen:
 			if cl := sc.admit(f); cl != nil {
-				go sc.run(cl)
+				select {
+				case sc.work <- cl: // a parked worker has it
+				default:
+					sc.started.Add(1)
+					sc.workers.Add(1)
+					go sc.worker(cl)
+				}
 			}
 		default:
 			if !sc.onFrame(f) {
@@ -423,14 +430,13 @@ func (sc *serverConn) onFrame(f frame) bool {
 // admit is the one gate a request, a oneway and a stream open all pass;
 // the package comment gives the order and why. A refused frame gives its
 // body back and is answered through replyErr (a oneway is just dropped);
-// an admitted one is entered in the table and returned for run.
+// an admitted one is entered in the table and returned for a worker.
 func (sc *serverConn) admit(f frame) *call {
 	s := sc.s
 	var deadline time.Time
 	if f.budget > 0 {
-		// The budget clock started when the frame's header arrived: a body
-		// that trickled in past it is already expired, and an expired
-		// request should not even count against capacity.
+		// The budget clock started at hdrAt: a body that trickled in past it is
+		// expired, and an expired request should not count against capacity.
 		deadline = f.hdrAt.Add(time.Duration(f.budget) * time.Millisecond)
 		if over := time.Since(deadline); over >= 0 {
 			s.expired.Add(1)
@@ -479,7 +485,6 @@ func (sc *serverConn) admit(f frame) *call {
 		sc.calls[f.id] = cl
 	}
 	sc.inFlight++
-	sc.handlers.Add(1)
 	sc.mu.Unlock()
 	cl.arm(deadline)
 	return cl
@@ -492,11 +497,33 @@ func (sc *serverConn) refuse(f frame, err error) {
 	}
 }
 
-// run is the one goroutine body under every admitted call.
-func (sc *serverConn) run(cl *call) {
-	defer sc.handlers.Done()
+// errGoexit ends a call whose handler ended its goroutine, not returned.
+var errGoexit = fmt.Errorf("%w: handler called runtime.Goexit", ErrServerPanic)
+
+// worker is the one goroutine body under every admitted call: handler,
+// finish, park, next call. It ends with the connection, when enough are
+// parked, or when a handler ends the goroutine under it (finish still runs).
+func (sc *serverConn) worker(cl *call) {
+	defer func() {
+		if cl != nil {
+			sc.finish(cl, nil, errGoexit)
+		}
+		sc.workers.Done()
+	}()
+	for cl != nil {
+		reply, err := Call(&cl.serverCtx, cl.handle, cl.req.op, cl.req.body)
+		sc.finish(cl, reply, err)
+		cl = nil
+		if sc.parked.Add(1) <= maxParkedWorkers {
+			cl = <-sc.work // nil once teardown has closed it
+		}
+		sc.parked.Add(-1)
+	}
+}
+
+// finish ends a call with its handler's verdict.
+func (sc *serverConn) finish(cl *call, reply []byte, err error) {
 	req := &cl.req
-	reply, err := Call(&cl.serverCtx, cl.handle, req.op, req.body)
 	if err != nil {
 		if errors.Is(err, ErrServerPanic) {
 			sc.s.panics.Add(1)
@@ -511,8 +538,7 @@ func (sc *serverConn) run(cl *call) {
 		}
 	}
 
-	// The call leaves the table before its terminal frame goes out, so a
-	// peer that has seen the call end finds its id and its slot free.
+	// Out of the table before the terminal frame: see the package comment.
 	sc.mu.Lock()
 	if req.kind != kindOneway {
 		delete(sc.calls, req.id)
@@ -544,16 +570,14 @@ func (sc *serverConn) run(cl *call) {
 	callPool.Put(cl)
 }
 
-// teardown runs when the read loop ends and walks the table once. After
-// a connection death nobody is waiting for any call: every context is
-// canceled. Under Shutdown a unary call needs only the write side, so it
-// is left to finish and reply; a stream needs the read loop for its
-// chunks and credits and could never complete, so it is failed at once
-// either way. Then the handlers are waited out.
+// teardown runs when the read loop ends: it walks the table once, as the
+// package comment says, then waits the workers out, parked or running,
+// and closes the connection.
 func (sc *serverConn) teardown() {
-	sc.s.mu.Lock()
-	draining := sc.s.draining
-	sc.s.mu.Unlock()
+	s := sc.s
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
 	sc.mu.Lock()
 	for _, cl := range sc.calls {
 		if cl.end != nil || !draining {
@@ -564,5 +588,11 @@ func (sc *serverConn) teardown() {
 		}
 	}
 	sc.mu.Unlock()
-	sc.handlers.Wait()
+	close(sc.work)
+	sc.workers.Wait()
+	s.mu.Lock()
+	delete(s.conns, sc.conn)
+	s.mu.Unlock()
+	_ = sc.conn.Close()
+	s.wg.Done()
 }

@@ -10,8 +10,10 @@ import (
 
 // TestCallAllocs pins what the pool adds to a call: a warm buffered call
 // through resil allocates at most one object more than a bare orb round
-// trip on the same server — the deadlineCtx that overlays CallTimeout.
-// The call description, the result and the attempt loop all stay on the
+// trip on the same server — the deadlineCtx that overlays CallTimeout —
+// which is 3 in all: dispatch allocates nothing (the server's worker is
+// parked on the connection, not started per call). The
+// call description, the result and the attempt loop all stay on the
 // stack; a regression here means one of them started to escape.
 func TestCallAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -52,7 +54,8 @@ func TestCallAllocs(t *testing.T) {
 	orbAllocs := testing.AllocsPerRun(200, viaOrb)
 	poolAllocs := testing.AllocsPerRun(200, viaPool)
 	t.Logf("bare orb round trip %.1f allocs/op, pooled call %.1f", orbAllocs, poolAllocs)
-	if poolAllocs > orbAllocs+1 {
-		t.Fatalf("pooled call allocates %.1f/op over a bare round trip's %.1f, ceiling +1", poolAllocs, orbAllocs)
+	const ceiling = 3 // measured 3.0 over a bare 2.0; 4.0 over 3.0 with a goroutine per call
+	if poolAllocs > orbAllocs+1 || poolAllocs > ceiling {
+		t.Fatalf("pooled call allocates %.1f/op over a bare round trip's %.1f, ceiling +1 and %d", poolAllocs, orbAllocs, ceiling)
 	}
 }
