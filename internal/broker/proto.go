@@ -55,14 +55,9 @@ const (
 	OpConvertBatch
 )
 
-// Protocol Mtypes. A string is List(Character(unicode)); an int is a
-// 64-bit signed Integer.
-var (
-	loadReqT     = proto.Record(proto.StrT, proto.StrT, proto.StrT, proto.StrT, proto.StrT)
-	annotateReqT = proto.Record(proto.StrT, proto.StrT)
-	pairReqT     = proto.Record(proto.StrT, proto.StrT, proto.StrT, proto.StrT)
-	planRepT     = proto.Record(proto.StrT)
-)
+// The load, annotate and pair requests and the plan reply are records of
+// strings — five, two, four and one — which proto.MarshalStrings writes
+// and proto.UnmarshalStrings reads without a declaration.
 
 // loadReply is OpLoad's reply: whether the universe was already loaded,
 // and its declaration names.
@@ -222,7 +217,7 @@ func handler(b *Broker) orb.Handler {
 	return func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		switch op {
 		case OpLoad:
-			args, err := proto.UnmarshalStrings(loadReqT, body, 5)
+			args, err := proto.UnmarshalStrings(body, 5)
 			if err != nil {
 				return nil, err
 			}
@@ -233,7 +228,7 @@ func handler(b *Broker) orb.Handler {
 			return loadRec.Marshal(&rep)
 
 		case OpAnnotate:
-			args, err := proto.UnmarshalStrings(annotateReqT, body, 2)
+			args, err := proto.UnmarshalStrings(body, 2)
 			if err != nil {
 				return nil, err
 			}
@@ -244,7 +239,7 @@ func handler(b *Broker) orb.Handler {
 			return annotateRec.Marshal(&res)
 
 		case OpCompare:
-			args, err := proto.UnmarshalStrings(pairReqT, body, 4)
+			args, err := proto.UnmarshalStrings(body, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -255,7 +250,7 @@ func handler(b *Broker) orb.Handler {
 			return compareRec.Marshal(&v)
 
 		case OpPlan:
-			args, err := proto.UnmarshalStrings(pairReqT, body, 4)
+			args, err := proto.UnmarshalStrings(body, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -263,27 +258,19 @@ func handler(b *Broker) orb.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return proto.MarshalStrings(planRepT, text)
+			return proto.MarshalStrings(text), nil
 
 		case OpConvert:
-			hdr, n, err := wire.UnmarshalPrefix(pairReqT, body)
+			args, n, err := proto.UnmarshalStringsPrefix(body, 4)
 			if err != nil {
 				return nil, fmt.Errorf("convert header: %w", err)
-			}
-			args, err := proto.RecordStrings(hdr, 4)
-			if err != nil {
-				return nil, err
 			}
 			return b.ConvertRaw(args[0], args[1], args[2], args[3], body[n:])
 
 		case OpConvertBatch:
-			hdr, n, err := wire.UnmarshalPrefix(pairReqT, body)
+			args, n, err := proto.UnmarshalStringsPrefix(body, 4)
 			if err != nil {
 				return nil, fmt.Errorf("convert header: %w", err)
-			}
-			args, err := proto.RecordStrings(hdr, 4)
-			if err != nil {
-				return nil, err
 			}
 			payloads, err := parseBatch(body[n:])
 			if err != nil {
@@ -347,10 +334,7 @@ func (c *Client) Load(universe, lang, model, src, script string) (names []string
 
 // LoadContext is Load bounded by a context.
 func (c *Client) LoadContext(ctx context.Context, universe, lang, model, src, script string) (names []string, existed bool, err error) {
-	body, err := proto.MarshalStrings(loadReqT, universe, lang, model, src, script)
-	if err != nil {
-		return nil, false, err
-	}
+	body := proto.MarshalStrings(universe, lang, model, src, script)
 	reply, err := c.t.InvokeContext(ctx, ObjectKey, OpLoad, body)
 	if err != nil {
 		return nil, false, err
@@ -362,10 +346,7 @@ func (c *Client) LoadContext(ctx context.Context, universe, lang, model, src, sc
 
 // AnnotateContext applies a script to a loaded universe on the daemon.
 func (c *Client) AnnotateContext(ctx context.Context, universe, script string) (lines, applied int, err error) {
-	body, err := proto.MarshalStrings(annotateReqT, universe, script)
-	if err != nil {
-		return 0, 0, err
-	}
+	body := proto.MarshalStrings(universe, script)
 	reply, err := c.t.InvokeContext(ctx, ObjectKey, OpAnnotate, body)
 	if err != nil {
 		return 0, 0, err
@@ -377,10 +358,7 @@ func (c *Client) AnnotateContext(ctx context.Context, universe, script string) (
 
 // CompareContext asks the daemon for the relation between two declarations.
 func (c *Client) CompareContext(ctx context.Context, ua, da, ub, db string) (Verdict, error) {
-	body, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
-	if err != nil {
-		return Verdict{}, err
-	}
+	body := proto.MarshalStrings(ua, da, ub, db)
 	reply, err := c.t.InvokeContext(ctx, ObjectKey, OpCompare, body)
 	if err != nil {
 		return Verdict{}, err
@@ -392,15 +370,12 @@ func (c *Client) CompareContext(ctx context.Context, ua, da, ub, db string) (Ver
 
 // PlanContext fetches the rendered coercion plan for a pair.
 func (c *Client) PlanContext(ctx context.Context, ua, da, ub, db string) (string, error) {
-	body, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
-	if err != nil {
-		return "", err
-	}
+	body := proto.MarshalStrings(ua, da, ub, db)
 	reply, err := c.t.InvokeContext(ctx, ObjectKey, OpPlan, body)
 	if err != nil {
 		return "", err
 	}
-	text, err := proto.UnmarshalStrings(planRepT, reply, 1)
+	text, err := proto.UnmarshalStrings(reply, 1)
 	if err != nil {
 		return "", err
 	}
@@ -412,10 +387,7 @@ func (c *Client) PlanContext(ctx context.Context, ua, da, ub, db string) (string
 // the declarations' Mtypes (which it can lower locally from the same
 // sources it loaded).
 func (c *Client) ConvertRawContext(ctx context.Context, ua, da, ub, db string, payload []byte) ([]byte, error) {
-	hdr, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
-	if err != nil {
-		return nil, err
-	}
+	hdr := proto.MarshalStrings(ua, da, ub, db)
 	return c.t.InvokeContext(ctx, ObjectKey, OpConvert, append(hdr, payload...))
 }
 
@@ -424,10 +396,7 @@ func (c *Client) ConvertRawContext(ctx context.Context, ua, da, ub, db string, p
 // resolves the pair's execution tier once and converts every item
 // against it; item i of the result corresponds to payload i.
 func (c *Client) ConvertBatchRawContext(ctx context.Context, ua, da, ub, db string, payloads [][]byte) ([][]byte, error) {
-	body, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
-	if err != nil {
-		return nil, err
-	}
+	body := proto.MarshalStrings(ua, da, ub, db)
 	body = appendBatch(body, payloads)
 	reply, err := c.t.InvokeContext(ctx, ObjectKey, OpConvertBatch, body)
 	if err != nil {

@@ -130,7 +130,7 @@ func readStreamHeader(in *orb.StreamReader) (ua, da, ub, db string, err error) {
 	if _, err = io.ReadFull(in, hdr); err != nil {
 		return "", "", "", "", fmt.Errorf("broker: stream header: %w", err)
 	}
-	args, err := proto.UnmarshalStrings(pairReqT, hdr, 4)
+	args, err := proto.UnmarshalStrings(hdr, 4)
 	if err != nil {
 		return "", "", "", "", fmt.Errorf("broker: stream header: %w", err)
 	}
@@ -183,10 +183,7 @@ func (c *Client) ConvertStreamContext(ctx context.Context, ua, da, ub, db string
 	defer func() { done(err) }()
 	defer func() { _ = sc.Close() }()
 
-	hdr, err := proto.MarshalStrings(pairReqT, ua, da, ub, db)
-	if err != nil {
-		return 0, err
-	}
+	hdr := proto.MarshalStrings(ua, da, ub, db)
 	// The legs must run concurrently: the broker emits reply chunks while
 	// it is still consuming the request, so a caller that wrote the whole
 	// request before reading would deadlock against flow control once the

@@ -225,10 +225,7 @@ func (n *Node) PullVerdict(ua, da, ub, db string) (core.Relation, int, string, b
 		return 0, 0, "", false
 	}
 	n.pullsSent.Add(1)
-	body, err := proto.MarshalStrings(pairHeaderT, ua, da, ub, db)
-	if err != nil {
-		return 0, 0, "", false
-	}
+	body := proto.MarshalStrings(ua, da, ub, db)
 	ctx, cancel := context.WithTimeout(context.Background(), n.opts.PullTimeout)
 	defer cancel()
 	reply, err := p.InvokeContext(ctx, ObjectKey, OpPull, body)
@@ -451,7 +448,7 @@ func (n *Node) Handler() orb.Handler {
 		defer n.chassis.Release()
 		switch op {
 		case OpPull:
-			args, err := proto.UnmarshalStrings(pairHeaderT, body, 4)
+			args, err := proto.UnmarshalStrings(body, 4)
 			if err != nil {
 				return nil, err
 			}

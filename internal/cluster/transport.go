@@ -9,7 +9,6 @@ import (
 	"repro/internal/broker"
 	"repro/internal/proto"
 	"repro/internal/resil"
-	"repro/internal/wire"
 )
 
 // RouteKey derives the ring key for a request from its identifying
@@ -29,17 +28,13 @@ func RouteKey(parts ...string) []byte {
 	return h.Sum(nil)
 }
 
-// pairHeaderT mirrors the broker protocol's pair request header:
-// Record(uA, declA, uB, declB). The transport decodes only this prefix
-// to learn the route key; the body passes through untouched.
-var pairHeaderT = proto.Record(proto.StrT, proto.StrT, proto.StrT, proto.StrT)
-
 // BrokerTransport routes the broker protocol across the fleet: it
 // implements broker.Transport, so broker.NewTransportClient(t) yields a
 // typed client whose requests are sharded by content.
 //
-//   - Pair operations (compare, plan, convert, batch) decode their
-//     header and route by the pair's RouteKey to its ring owner;
+//   - Pair operations (compare, plan, convert, batch) decode only their
+//     header — four strings: uA, declA, uB, declB — and route by the
+//     pair's RouteKey to its ring owner; the body passes through;
 //   - loads and annotations broadcast to every member (idempotent —
 //     universes are content-addressed), so any member can own any pair;
 //   - keyless operations (stats, health) go to the least loaded member.
@@ -68,11 +63,7 @@ func (t *BrokerTransport) InvokeContext(ctx context.Context, key string, op uint
 		case broker.OpLoad, broker.OpAnnotate:
 			return t.c.Broadcast(ctx, key, op, body)
 		case broker.OpCompare, broker.OpPlan, broker.OpConvert, broker.OpConvertBatch:
-			hdr, _, err := wire.UnmarshalPrefix(pairHeaderT, body)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: pair header: %w", err)
-			}
-			args, err := proto.RecordStrings(hdr, 4)
+			args, _, err := proto.UnmarshalStringsPrefix(body, 4)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: pair header: %w", err)
 			}

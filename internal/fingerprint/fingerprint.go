@@ -4,37 +4,54 @@
 // processes, or orderings — key to comparable values without exchanging
 // the graphs themselves.
 //
-// The algorithm is iterative hash refinement (in the style of
-// Weisfeiler–Leman color refinement, the same family used for graph
-// canonization and bisimulation partitioning): every node starts from a
-// label derived from its local shape, and each round replaces a node's
-// color with a hash of its previous color, its label, and its children's
-// colors. Recursive (μ) nodes are treated equi-recursively — a μ node *is*
-// its body — so a graph and any of its unrollings refine to identical
-// colors round by round. After a fixed number of rounds the root's colors
-// under two independent seeds form the digest.
+// A digest names a bisimulation class. Recursive (μ) nodes are treated
+// equi-recursively — a μ node *is* its body — so equality of types is
+// bisimilarity of graphs (Amadio–Cardelli), and the digest is taken from
+// the graph's bisimulation quotient, which a graph shares with all of its
+// unrollings:
 //
-// Two digests are produced in one pass:
+//  1. Partition refinement. A node starts from a colour derived from its
+//     local shape (kind, parameters, child count), and a round replaces
+//     each colour with a hash of itself and the children's colours. Rounds
+//     only split classes, so the first round that leaves their number
+//     unchanged has found the coarsest stable partition: the bisimulation
+//     classes. That takes at most depth+1 rounds (3–8 on the synthesized
+//     suites), and the classes after k rounds are the distinct depth-k
+//     truncations of the unfolding, so every presentation of a type stops
+//     at the same round, on the same colours.
+//  2. Quotient serialisation. A depth-first walk from the root numbers the
+//     classes in visiting order and hashes, at 128 bits, each class's
+//     shape followed by its children's class numbers (a class first met
+//     is marked and expanded in place). The stream determines the quotient
+//     up to isomorphism, so equal digests mean bisimilar graphs, however
+//     deep their first difference.
 //
-//   - Canonical: Record and Choice children are combined as a sorted
-//     multiset of colors, so the digest is stable under child permutation
-//     — the isomorphism the comparer decides modulo (§4 commutativity).
-//     Canonical digests key verdict caches: permuted variants of the same
-//     pair share one compare result.
-//   - Exact: children are combined in declaration order. Exact digests key
-//     compiled-converter caches, where field order is load-bearing: a
-//     converter compiled for record(int, real) must not serve values of
-//     record(real, int).
+// Stopping at the stable round and taking the root's colour for the
+// digest is unsound: a colour after k rounds sees depth k from the root,
+// and μX.Choice(Unit, Record(τ, X)) is stable after one round for every
+// τ, so list<int32> and list<float32> collide. TestDeepLeaves is the
+// witness.
 //
-// Both digests are invariant under μ-unrolling and node identity, and
-// deterministic across processes (no map iteration, no pointers hashed).
-// Like mtype.Fingerprint, regular trees that first differ deeper than the
-// refinement round count collide; that is acceptable for a cache key and
-// unreachable for declaration-derived types, whose nesting is far
-// shallower.
+// Two digests come from one graph build:
+//
+//   - Canonical: Record and Choice children are a multiset — their colours
+//     combine sorted, and the walk visits them in class order — so the
+//     digest is stable under child permutation, the isomorphism the
+//     comparer decides modulo (§4 commutativity). Canonical digests key
+//     verdict caches: permuted variants of one pair share a compare result.
+//   - Exact: children combine and are visited in declaration order. Exact
+//     digests key compiled-converter caches, where field order is
+//     load-bearing: a converter compiled for record(int, real) must not
+//     serve values of record(real, int). Its refinement starts from the
+//     Canonical classes, which it can only split, and mostly ends at once.
+//
+// Both are deterministic across processes (no map iteration, no pointers
+// hashed), and no wire carries one: a changed digest function costs cold
+// caches at restart, and re-homes a fleet's routes once.
 package fingerprint
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"slices"
@@ -42,13 +59,7 @@ import (
 	"repro/internal/mtype"
 )
 
-// rounds is the number of refinement iterations. Colors at round k
-// distinguish regular trees up to bisimulation depth k; 64 matches the
-// truncation depth of mtype.Fingerprint.
-const rounds = 64
-
-// Digest is a 16-byte structural fingerprint (two independently seeded
-// 64-bit refinement streams).
+// Digest is a 16-byte structural fingerprint.
 type Digest [16]byte
 
 // String renders the digest as lowercase hex.
@@ -76,11 +87,23 @@ func Pair(a, b Digest) PairKey {
 // Of computes both digests of the graph rooted at t. A nil t has a
 // distinct well-defined digest.
 func Of(t *mtype.Type) Print {
-	g := buildGraph(t)
-	var p Print
-	p.Canonical = g.refine(true)
-	p.Exact = g.refine(false)
-	return p
+	g := &graph{index: make(map[*mtype.Type]int32)}
+	root := g.add(t)
+	if root < 0 {
+		// nil / unbound: a fixed distinguished digest.
+		var d Digest
+		copy(d[:], "mbird:nil-type!!")
+		return Print{d, d}
+	}
+	g.start = append(g.start, int32(len(g.kids)))
+	n := len(g.shape)
+	g.colour, g.next, g.sorted = make([]uint64, n), make([]uint64, n), make([]uint64, 0, n)
+	for i, s := range g.shape {
+		g.colour[i] = s.a
+	}
+	canonical := g.digest(root, g.refine(g.distinct(), true), true)
+	// Exact refinement goes on from the Canonical classes.
+	return Print{canonical, g.digest(root, g.refine(len(g.sorted), false), false)}
 }
 
 // Canonical is shorthand for Of(t).Canonical.
@@ -91,175 +114,217 @@ func Exact(t *mtype.Type) Digest { return Of(t).Exact }
 
 // graph is the μ-collapsed view of an Mtype graph: only structural and
 // primitive nodes, with child edges resolved through Recursive nodes.
+// Node i's children are kids[start[i]:start[i+1]], in declaration order;
+// -1 stands for a nil or unbound child.
 type graph struct {
-	root int // index of the root node, or -1 for nil/unbound types
-	// label is the local shape hash of each node (kind + parameters +
-	// child count), identical under both seeds.
-	label []uint64
-	// children holds child node indices in declaration order.
-	children [][]int
+	index map[*mtype.Type]int32
+	// shape is the 128-bit hash of each node's kind, parameters and child
+	// count.
+	shape []hash
 	// commutative marks nodes whose children form a multiset (Record,
 	// Choice) rather than a sequence.
 	commutative []bool
+	start, kids []int32
+	// colour is the current partition; next and sorted are refinement
+	// scratch. After distinct, sorted holds the distinct colours ascending.
+	colour, next, sorted []uint64
+	// The quotient walk: class is each node's class (the rank of its colour
+	// among the distinct ones, which no presentation of the type changes),
+	// number each class's place in visiting order or -1, order the child
+	// lists the walk follows, sum its running hash.
+	class, number, order []int32
+	visited              int32
+	sum                  hash
 }
 
 // unroll follows Recursive bodies to the first non-μ node. It returns nil
 // for nil types, unbound μ nodes, and (non-contractive) all-μ cycles —
 // all of which digest to a distinct "bottom" value.
 func unroll(t *mtype.Type) *mtype.Type {
-	seen := 0
-	for t != nil && t.Kind() == mtype.KindRecursive {
-		t = t.Body()
-		seen++
+	for seen := 0; t != nil && t.Kind() == mtype.KindRecursive; seen++ {
 		if seen > 1<<16 { // non-contractive μ cycle
 			return nil
 		}
+		t = t.Body()
 	}
 	return t
 }
 
-func buildGraph(t *mtype.Type) *graph {
-	g := &graph{}
-	index := make(map[*mtype.Type]int)
-	var walk func(n *mtype.Type) int
-	walk = func(n *mtype.Type) int {
-		n = unroll(n)
-		if n == nil {
-			return -1
-		}
-		if i, ok := index[n]; ok {
-			return i
-		}
-		i := len(g.label)
-		index[n] = i
-		g.label = append(g.label, 0)
-		g.children = append(g.children, nil)
-		g.commutative = append(g.commutative, false)
-
-		h := newHash(0x9e3779b97f4a7c15)
-		h.mix(uint64(n.Kind()))
-		var kids []*mtype.Type
-		switch n.Kind() {
-		case mtype.KindInteger:
-			lo, hi := n.IntegerRange()
-			h.mixString(lo.String())
-			h.mixString(hi.String())
-		case mtype.KindCharacter:
-			h.mix(uint64(n.Repertoire()))
-		case mtype.KindReal:
-			p, e := n.RealParams()
-			h.mix(uint64(p))
-			h.mix(uint64(e))
-		case mtype.KindUnit:
-			// kind alone
-		case mtype.KindRecord:
-			for _, f := range n.Fields() {
-				kids = append(kids, f.Type)
-			}
-			h.mix(uint64(len(kids)))
-			g.commutative[i] = true
-		case mtype.KindChoice:
-			for _, a := range n.Alts() {
-				kids = append(kids, a.Type)
-			}
-			// Salt choices so Record(τ) and Choice(τ) never share a label.
-			h.mix(0xC401CE)
-			h.mix(uint64(len(kids)))
-			g.commutative[i] = true
-		case mtype.KindPort:
-			kids = []*mtype.Type{n.Elem()}
-			h.mix(0x9087)
-		}
-		g.label[i] = h.sum()
-
-		idx := make([]int, len(kids))
-		for j, k := range kids {
-			idx[j] = walk(k)
-		}
-		g.children[i] = idx
+// add returns the index of n's node, adding it and everything reachable
+// from it on first sight.
+func (g *graph) add(n *mtype.Type) int32 {
+	if n = unroll(n); n == nil {
+		return -1
+	}
+	if i, ok := g.index[n]; ok {
 		return i
 	}
-	g.root = walk(t)
-	return g
+	i := int32(len(g.shape))
+	g.index[n] = i
+	h := hash{seedA, seedB}
+	h.mix(uint64(n.Kind()))
+	switch n.Kind() {
+	case mtype.KindInteger:
+		if lo, hi, signed, ok := n.IntegerWords(); !ok {
+			// Wider than 64 bits; no declaration lowers to such a range.
+			lo, hi := n.IntegerRange()
+			for _, b := range []byte(lo.String() + ".." + hi.String()) {
+				h.mix(uint64(b))
+			}
+		} else {
+			if signed {
+				h.mix(markSigned)
+			}
+			h.mix(lo)
+			h.mix(hi)
+		}
+	case mtype.KindCharacter:
+		h.mix(uint64(n.Repertoire()))
+	case mtype.KindReal:
+		p, e := n.RealParams()
+		h.mix(uint64(p))
+		h.mix(uint64(e))
+	}
+	kids := n.Children()
+	h.mix(uint64(len(kids)))
+	off := len(g.kids)
+	g.shape = append(g.shape, h)
+	g.commutative = append(g.commutative, n.Kind() != mtype.KindPort)
+	g.start = append(g.start, int32(off))
+	g.kids = append(g.kids, make([]int32, len(kids))...)
+	for j, k := range kids {
+		c := g.add(k) // may move g.kids
+		g.kids[off+j] = c
+	}
+	return i
 }
 
-// refine runs the fixed number of refinement rounds under two seeds and
-// returns the root's final colors as a digest.
-func (g *graph) refine(canonical bool) Digest {
-	var d Digest
-	if g.root < 0 {
-		// nil / unbound: a fixed distinguished digest.
-		copy(d[:], []byte("mbird:nil-type!!"))
-		return d
-	}
-	seeds := [2]uint64{0xcbf29ce484222325, 0x100000001b3f00d}
-	for s, seed := range seeds {
-		colors := make([]uint64, len(g.label))
-		next := make([]uint64, len(g.label))
-		for i := range colors {
-			colors[i] = g.label[i] ^ seed
-		}
-		var scratch []uint64
-		for r := 0; r < rounds; r++ {
-			for i := range next {
-				h := newHash(seed)
-				h.mix(colors[i])
-				h.mix(g.label[i])
-				kids := g.children[i]
-				if canonical && g.commutative[i] {
-					scratch = scratch[:0]
-					for _, c := range kids {
-						scratch = append(scratch, childColor(colors, c))
-					}
-					slices.Sort(scratch)
-					for _, cc := range scratch {
-						h.mix(cc)
-					}
-				} else {
-					for _, c := range kids {
-						h.mix(childColor(colors, c))
-					}
+// refine splits the partition held in colour, of the given number of
+// classes, until a round splits nothing, and returns the class count. It
+// leaves the stable colours in colour and the distinct ones in sorted.
+func (g *graph) refine(classes int, canonical bool) int {
+	for {
+		for i := range g.next {
+			h := mix(seedA, g.colour[i])
+			kids := g.kids[g.start[i]:g.start[i+1]]
+			if canonical && g.commutative[i] && len(kids) > 1 {
+				g.sorted = g.sorted[:0]
+				for _, k := range kids {
+					g.sorted = append(g.sorted, g.childColour(k))
 				}
-				next[i] = h.sum()
+				slices.Sort(g.sorted)
+				for _, c := range g.sorted {
+					h = mix(h, c)
+				}
+			} else {
+				for _, k := range kids {
+					h = mix(h, g.childColour(k))
+				}
 			}
-			colors, next = next, colors
+			g.next[i] = h
 		}
-		binary.LittleEndian.PutUint64(d[8*s:], colors[g.root])
+		g.colour, g.next = g.next, g.colour
+		n := g.distinct()
+		if n == classes {
+			return n
+		}
+		classes = n
 	}
+}
+
+// childColour maps the -1 sentinel (nil / unbound child) to a fixed colour.
+func (g *graph) childColour(k int32) uint64 {
+	if k < 0 {
+		return markNil
+	}
+	return g.colour[k]
+}
+
+// distinct counts the classes of colour, leaving the distinct colours
+// ascending in sorted.
+func (g *graph) distinct() int {
+	g.sorted = append(g.sorted[:0], g.colour...)
+	slices.Sort(g.sorted)
+	g.sorted = slices.Compact(g.sorted)
+	return len(g.sorted)
+}
+
+// digest hashes the quotient of the stable partition in colour, walked
+// from the root: canonical visits the children of commutative nodes in
+// class order, otherwise all children are visited as declared.
+func (g *graph) digest(root int32, classes int, canonical bool) Digest {
+	n := len(g.colour)
+	buf := make([]int32, n+classes)
+	g.class, g.number, g.order, g.visited, g.sum = buf[:n], buf[n:], g.kids, 0, hash{seedA, seedB}
+	for i, c := range g.colour {
+		rank, _ := slices.BinarySearch(g.sorted, c)
+		g.class[i] = int32(rank)
+	}
+	for i := range g.number {
+		g.number[i] = -1
+	}
+	if canonical {
+		g.order = slices.Clone(g.kids)
+		for i, comm := range g.commutative {
+			if kids := g.order[g.start[i]:g.start[i+1]]; comm && len(kids) > 1 {
+				slices.SortFunc(kids, func(x, y int32) int { return cmp.Compare(g.rank(x), g.rank(y)) })
+			}
+		}
+	}
+	g.visit(root)
+	var d Digest
+	binary.LittleEndian.PutUint64(d[:8], mix(g.sum.a, uint64(classes)))
+	binary.LittleEndian.PutUint64(d[8:], mix(g.sum.b, uint64(classes)))
 	return d
 }
 
-// childColor maps the -1 sentinel (nil / unbound child) to a fixed color.
-func childColor(colors []uint64, i int) uint64 {
-	if i < 0 {
-		return 0xdeadbeefdead
+// rank orders children for the canonical walk: nil first, then by class.
+func (g *graph) rank(k int32) int32 {
+	if k < 0 {
+		return -1
 	}
-	return colors[i]
+	return g.class[k]
 }
 
-// hash is a seeded FNV-1a-style 64-bit mixer.
-type hash struct{ h uint64 }
+// visit numbers node i's class and emits its shape, then its children: a
+// class already numbered as its number, a new one as a mark and its visit.
+func (g *graph) visit(i int32) {
+	g.number[g.class[i]] = g.visited
+	g.visited++
+	g.sum.mix(g.shape[i].a)
+	g.sum.mix(g.shape[i].b)
+	for _, k := range g.order[g.start[i]:g.start[i+1]] {
+		switch {
+		case k < 0:
+			g.sum.mix(markNil)
+		case g.number[g.class[k]] >= 0:
+			g.sum.mix(uint64(g.number[g.class[k]]))
+		default:
+			g.sum.mix(markNew)
+			g.visit(k)
+		}
+	}
+}
 
-const prime64 = 1099511628211
+// hash is a 128-bit running hash: two multiply–xorshift lanes over the
+// same words.
+type hash struct{ a, b uint64 }
 
-func newHash(seed uint64) *hash { return &hash{h: 14695981039346656037 ^ seed} }
+const (
+	seedA, seedB = 0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f
+	mulB         = 0xd6e8feb86659fd93
+	// Words no class number or colour-free field takes.
+	markNil, markNew, markSigned = ^uint64(0), ^uint64(1), ^uint64(2)
+)
+
+// mix folds v into the 64-bit state h.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0xff51afd7ed558ccd
+	return h ^ h>>32
+}
 
 func (x *hash) mix(v uint64) {
-	for i := 0; i < 8; i++ {
-		x.h ^= v & 0xff
-		x.h *= prime64
-		v >>= 8
-	}
+	x.a = mix(x.a, v)
+	b := (x.b ^ v) * mulB
+	x.b = b ^ b>>29
 }
-
-func (x *hash) mixString(s string) {
-	for i := 0; i < len(s); i++ {
-		x.h ^= uint64(s[i])
-		x.h *= prime64
-	}
-	// Terminator so "ab","c" and "a","bc" differ.
-	x.h ^= 0xff
-	x.h *= prime64
-}
-
-func (x *hash) sum() uint64 { return x.h }

@@ -157,27 +157,36 @@ func NewInteger(lo, hi *big.Int) *Type {
 	return &Type{kind: KindInteger, lo: new(big.Int).Set(lo), hi: new(big.Int).Set(hi)}
 }
 
+// bitBounds holds the bounds of every binary integer width, [lo, hi] by
+// [bits][signed], shared by all the nodes NewIntegerBits returns: a node
+// never modifies its bounds, and IntegerRange hands out copies.
+var bitBounds [129][2][2]*big.Int
+
+func init() {
+	one := big.NewInt(1)
+	for bits := uint(1); bits <= 128; bits++ {
+		half, full := new(big.Int).Lsh(one, bits-1), new(big.Int).Lsh(one, bits)
+		bitBounds[bits][0] = [2]*big.Int{new(big.Int), full.Sub(full, one)}
+		bitBounds[bits][1] = [2]*big.Int{new(big.Int).Neg(half), new(big.Int).Sub(half, one)}
+	}
+}
+
 // NewIntegerBits returns the Integer Mtype of a two's-complement (signed)
 // or unsigned binary integer of the given width in bits.
 func NewIntegerBits(bits int, signed bool) *Type {
 	if bits <= 0 || bits > 128 {
 		panic("mtype: invalid integer width")
 	}
-	one := big.NewInt(1)
+	b := &bitBounds[bits][0]
 	if signed {
-		hi := new(big.Int).Lsh(one, uint(bits-1))
-		lo := new(big.Int).Neg(hi)
-		hi.Sub(hi, one)
-		return &Type{kind: KindInteger, lo: lo, hi: hi}
+		b = &bitBounds[bits][1]
 	}
-	hi := new(big.Int).Lsh(one, uint(bits))
-	hi.Sub(hi, one)
-	return &Type{kind: KindInteger, lo: big.NewInt(0), hi: hi}
+	return &Type{kind: KindInteger, lo: b[0], hi: b[1]}
 }
 
 // NewBool returns the Integer Mtype 0..1, the conventional lowering of
 // booleans (§3.1).
-func NewBool() *Type { return NewInteger(big.NewInt(0), big.NewInt(1)) }
+func NewBool() *Type { return NewIntegerBits(1, false) }
 
 // NewEnum returns the Integer Mtype 0..n-1, the conventional lowering of an
 // enumeration with n elements (§3.1). NewEnum panics if n < 1.
@@ -192,6 +201,25 @@ func NewEnum(n int) *Type {
 func (t *Type) IntegerRange() (lo, hi *big.Int) {
 	t.mustKind(KindInteger)
 	return new(big.Int).Set(t.lo), new(big.Int).Set(t.hi)
+}
+
+// IntegerWords returns the bounds of an Integer Mtype as machine words,
+// without the copies IntegerRange makes. A range with a negative lower
+// bound is signed, and lo and hi are then int64 bit patterns. ok is false
+// when a bound does not fit: outside int64 if signed, uint64 if not.
+func (t *Type) IntegerWords() (lo, hi uint64, signed, ok bool) {
+	t.mustKind(KindInteger)
+	if t.lo.Sign() < 0 {
+		return uint64(t.lo.Int64()), uint64(t.hi.Int64()), true, t.lo.IsInt64() && t.hi.IsInt64()
+	}
+	return t.lo.Uint64(), t.hi.Uint64(), false, t.hi.IsUint64()
+}
+
+// IntegerContains reports whether v lies within the bounds of an Integer
+// Mtype, comparing in place.
+func (t *Type) IntegerContains(v *big.Int) bool {
+	t.mustKind(KindInteger)
+	return v.Cmp(t.lo) >= 0 && v.Cmp(t.hi) <= 0
 }
 
 // CompareIntegerRange compares the bounds of two Integer Mtypes in place,

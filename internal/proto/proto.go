@@ -8,13 +8,17 @@
 // recursive list encoding over Unicode characters, and a counter is a
 // 64-bit signed integer. Records are declared once (see Declare): the
 // protocol Mtype, the server encode and the client decode all derive
-// from one ordered field list.
+// from one ordered field list. The records of strings heading the pair
+// requests are written and read directly, as the same bytes (MarshalStrings).
 package proto
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"unicode/utf8"
 
+	"repro/internal/limits"
 	"repro/internal/mtype"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -39,9 +43,6 @@ var (
 	// IntT is the protocol counter Mtype.
 	IntT = mtype.NewIntegerBits(64, true)
 )
-
-// Record builds a protocol record Mtype from field Mtypes.
-func Record(types ...*mtype.Type) *mtype.Type { return mtype.RecordOf(types...) }
 
 // str encodes a Go string as a protocol string value.
 func str(s string) value.Value {
@@ -79,37 +80,57 @@ func goInt(v value.Value) (int64, error) {
 	return iv.Int64()
 }
 
-// MarshalStrings CDR-encodes a record of strings against ty.
-func MarshalStrings(ty *mtype.Type, ss ...string) ([]byte, error) {
-	fields := make([]value.Value, len(ss))
-	for i, s := range ss {
-		fields[i] = str(s)
+// MarshalStrings CDR-encodes a record of strings — Record(StrT, …) — as
+// wire.Marshal would their str values, without building them: per string a
+// u32 count of runes, then each rune as a u32; nothing is ever padded.
+func MarshalStrings(ss ...string) []byte {
+	size := 0
+	for _, s := range ss {
+		size += 4 + 4*utf8.RuneCountInString(s)
 	}
-	return wire.Marshal(ty, value.NewRecord(fields...))
-}
-
-// UnmarshalStrings decodes a record of n strings.
-func UnmarshalStrings(ty *mtype.Type, data []byte, n int) ([]string, error) {
-	v, err := wire.Unmarshal(ty, data)
-	if err != nil {
-		return nil, err
-	}
-	return RecordStrings(v, n)
-}
-
-// RecordStrings extracts n string fields from a decoded record value.
-func RecordStrings(v value.Value, n int) ([]string, error) {
-	rec, ok := v.(value.Record)
-	if !ok || len(rec.Fields) != n {
-		return nil, fmt.Errorf("proto: want record of %d strings, got %v", n, v)
-	}
-	out := make([]string, n)
-	for i, f := range rec.Fields {
-		s, err := goStr(f)
-		if err != nil {
-			return nil, err
+	buf := make([]byte, 0, size)
+	for _, s := range ss {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(utf8.RuneCountInString(s)))
+		for _, r := range s {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
 		}
-		out[i] = s
 	}
-	return out, nil
+	return buf
+}
+
+// UnmarshalStrings decodes a record of n strings that is all of data.
+func UnmarshalStrings(data []byte, n int) ([]string, error) {
+	out, used, err := UnmarshalStringsPrefix(data, n)
+	if err == nil && used != len(data) {
+		return nil, fmt.Errorf("wire: %d trailing bytes", len(data)-used)
+	}
+	return out, err
+}
+
+// UnmarshalStringsPrefix decodes a record of n strings from the front of
+// data and returns the bytes consumed, for ops that frame a header before a
+// payload. It accepts what wire.Unmarshal accepts for Record(StrT, …) and
+// gives goStr's strings: any u32 is an element, a non-scalar one U+FFFD.
+func UnmarshalStringsPrefix(data []byte, n int) ([]string, int, error) {
+	out := make([]string, n)
+	var buf []byte
+	off := 0
+	for i := range out {
+		count, next, err := wire.ReadUint(data, off, 4)
+		if err != nil {
+			return nil, 0, fmt.Errorf("field %d: %w", i, err)
+		}
+		if count > wire.MaxListLen {
+			return nil, 0, limits.Exceededf("wire: list length %d exceeds limit of %d", count, wire.MaxListLen)
+		}
+		if off = next + 4*int(count); off > len(data) {
+			return nil, 0, fmt.Errorf("field %d: wire: %w inside a string of %d", i, wire.ErrShort, count)
+		}
+		buf = buf[:0]
+		for ; next < off; next += 4 {
+			buf = utf8.AppendRune(buf, rune(binary.LittleEndian.Uint32(data[next:])))
+		}
+		out[i] = string(buf)
+	}
+	return out, off, nil
 }

@@ -51,8 +51,8 @@ func TestDeclaredRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	innerT := Record(StrT, IntT)
-	handT := Record(IntT, IntT, IntT, IntT, mtype.NewList(StrT), mtype.NewList(innerT), innerT)
+	innerT := mtype.RecordOf(StrT, IntT)
+	handT := mtype.RecordOf(IntT, IntT, IntT, IntT, mtype.NewList(StrT), mtype.NewList(innerT), innerT)
 	item := func(s string, n int64) value.Value { return value.NewRecord(str(s), value.NewInt(n)) }
 	want, err := wire.Marshal(handT, value.NewRecord(
 		value.NewInt(1), value.NewInt(3e6), value.NewInt(-7), value.NewInt(200),

@@ -130,20 +130,12 @@ func intChecked(ut *mtype.Type) bool {
 	if err != nil {
 		return true
 	}
-	lo, hi := ut.IntegerRange()
+	lo, hi, _, _ := ut.IntegerWords()
 	if signed {
-		shift := uint(8*size - 1)
-		min := int64(-1) << shift
-		max := int64(1)<<shift - 1
-		return !lo.IsInt64() || !hi.IsInt64() || lo.Int64() != min || hi.Int64() != max
+		min := int64(-1) << uint(8*size-1)
+		return int64(lo) != min || int64(hi) != ^min
 	}
-	var max uint64
-	if size == 8 {
-		max = ^uint64(0)
-	} else {
-		max = uint64(1)<<uint(8*size) - 1
-	}
-	return lo.Sign() != 0 || !hi.IsUint64() || hi.Uint64() != max
+	return lo != 0 || hi != ^uint64(0)>>uint(64-8*size)
 }
 
 // skipFn validates and measures one value of a declared type starting at
@@ -351,16 +343,16 @@ const (
 )
 
 func intRange(ut *mtype.Type) (rangeCheck, error) {
-	lo, hi := ut.IntegerRange()
+	lo, hi, signed, ok := ut.IntegerWords()
 	switch {
+	case !ok:
+		return rangeCheck{}, unsupported("integer range exceeds 64 bits")
 	case !intChecked(ut):
 		return rangeCheck{}, nil
-	case lo.Sign() < 0 && lo.IsInt64() && hi.IsInt64():
-		return rangeCheck{rangeSigned, uint64(lo.Int64()), uint64(hi.Int64())}, nil
-	case lo.Sign() >= 0 && hi.IsUint64():
-		return rangeCheck{rangeUnsigned, lo.Uint64(), hi.Uint64()}, nil
+	case signed:
+		return rangeCheck{rangeSigned, lo, hi}, nil
 	}
-	return rangeCheck{}, unsupported("integer range exceeds 64 bits")
+	return rangeCheck{rangeUnsigned, lo, hi}, nil
 }
 
 // check validates u, read from size bytes.

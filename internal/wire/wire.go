@@ -133,27 +133,26 @@ func listShape(t *mtype.Type) (elem *mtype.Type, ok bool) {
 }
 
 // IntWidth returns the CDR width (1, 2, 4, or 8 bytes) and signedness
-// able to hold the integer type's range.
+// able to hold the integer type's range. It reads the bounds as machine
+// words and allocates only on the error path.
 func IntWidth(t *mtype.Type) (size int, signed bool, err error) {
-	lo, hi := t.IntegerRange()
-	signed = lo.Sign() < 0
-	for _, size := range []int{1, 2, 4, 8} {
-		var min, max *big.Int
-		one := big.NewInt(1)
-		if signed {
-			max = new(big.Int).Lsh(one, uint(8*size-1))
-			min = new(big.Int).Neg(max)
-			max = new(big.Int).Sub(max, one)
-		} else {
-			min = big.NewInt(0)
-			max = new(big.Int).Lsh(one, uint(8*size))
-			max.Sub(max, one)
+	lo, hi, signed, ok := t.IntegerWords()
+	if !ok {
+		lo, hi := t.IntegerRange()
+		return 0, false, fmt.Errorf("wire: integer range [%s..%s] exceeds 64 bits", lo, hi)
+	}
+	// The narrowest width whose sign-extension (signed) or zero-extension
+	// (unsigned) reproduces both bounds.
+	for size = 1; size < 8; size *= 2 {
+		shift := uint(64 - 8*size)
+		if signed && uint64(int64(lo<<shift)>>shift) == lo && uint64(int64(hi<<shift)>>shift) == hi {
+			break
 		}
-		if lo.Cmp(min) >= 0 && hi.Cmp(max) <= 0 {
-			return size, signed, nil
+		if !signed && hi>>(8*size) == 0 {
+			break
 		}
 	}
-	return 0, false, fmt.Errorf("wire: integer range [%s..%s] exceeds 64 bits", lo, hi)
+	return size, signed, nil
 }
 
 // CharWidth returns the CDR width (1, 2, or 4 bytes) of the character
@@ -236,8 +235,8 @@ func encode(buf []byte, base int, t *mtype.Type, v value.Value) ([]byte, error) 
 		if !ok || iv.V == nil {
 			return nil, fmt.Errorf("wire: integer wants Int, got %T", v)
 		}
-		lo, hi := ut.IntegerRange()
-		if iv.V.Cmp(lo) < 0 || iv.V.Cmp(hi) > 0 {
+		if !ut.IntegerContains(iv.V) {
+			lo, hi := ut.IntegerRange()
 			return nil, fmt.Errorf("wire: %s outside range [%s..%s]", iv.V, lo, hi)
 		}
 		size, signed, err := IntWidth(ut)
@@ -478,8 +477,8 @@ func decode(data []byte, off int, t *mtype.Type, depth int) (value.Value, int, e
 		} else {
 			iv = value.Int{V: new(big.Int).SetUint64(u)}
 		}
-		lo, hi := ut.IntegerRange()
-		if iv.V.Cmp(lo) < 0 || iv.V.Cmp(hi) > 0 {
+		if !ut.IntegerContains(iv.V) {
+			lo, hi := ut.IntegerRange()
 			return nil, 0, fmt.Errorf("wire: decoded %s outside range [%s..%s]", iv.V, lo, hi)
 		}
 		return iv, off, nil
