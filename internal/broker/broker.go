@@ -16,9 +16,9 @@
 //     so record(int, real) and record(real, int) must not share one;
 //   - the transcoder cache, also keyed by exact digests, holding the
 //     fused CDR-bytes→CDR-bytes transcoder (internal/transcode) that
-//     serves raw conversions without building value trees. Pairs the
-//     fuser cannot handle cache their refusal, so the tree fallback
-//     decision costs one compile attempt, not one per request.
+//     serves raw conversions without building value trees. A pair the
+//     fuser refuses caches the tree rung in the same slot, so every raw
+//     conversion is one lookup and one call, whichever tier runs it.
 //
 // Both caches are content-addressed — the key depends only on the Mtype
 // structure — so annotation of a universe needs no invalidation: changed
@@ -60,8 +60,7 @@ type Options struct {
 	ConverterCacheSize int
 	// TranscoderCacheSize bounds the compiled wire-transcoder LRU
 	// (default 1024). Like the converter cache it is keyed by the pair of
-	// exact digests; entries for pairs the transcoder cannot fuse record
-	// that fact, so the fallback decision is cached too.
+	// exact digests; a pair the fuser refuses is cached as its tree rung.
 	TranscoderCacheSize int
 	// Workers bounds concurrent cache fills — compare runs and converter
 	// compilations (default GOMAXPROCS).
@@ -146,9 +145,8 @@ type Broker struct {
 	compileNs atomic.Int64
 	deadlines atomic.Int64
 
-	// Wire-transcoder data-plane counters: compilations, pairs the
-	// transcoder compiler refused (cached fallbacks), and per-request
-	// conversions served by each tier.
+	// Wire-transcoder data-plane counters: compilations, pairs the fuser
+	// refused (served by the tree rung), and conversions served per tier.
 	xcompiles    atomic.Int64
 	xunsupported atomic.Int64
 	fastConverts atomic.Int64
@@ -182,13 +180,35 @@ type verdictEntry struct {
 	warmed   bool
 }
 
-// convEntry is a cached compiled converter for one exact pair.
-type convEntry struct {
+// pairEntry is what every exact-pair cache entry records about its pair.
+type pairEntry struct {
 	relation core.Relation
 	explain  string
+	warmed   bool
+}
+
+// converts reports whether the pair converts A→B.
+func (e *pairEntry) converts() bool {
+	return e.relation == core.RelEquivalent || e.relation == core.RelSubtypeAB
+}
+
+// gate is the relation gate: nil when the pair converts, else why not.
+func (e *pairEntry) gate(ua, da, ub, db string) error {
+	switch {
+	case e.converts():
+		return nil
+	case e.relation == core.RelSubtypeBA:
+		return fmt.Errorf("broker: %s/%s only converts from %s/%s (B is the subtype); swap the pair", ua, da, ub, db)
+	}
+	return fmt.Errorf("broker: declarations do not match:\n%s", e.explain)
+}
+
+// convEntry is a cached compiled converter for one exact pair; conv is
+// nil when the pair does not convert A→B.
+type convEntry struct {
+	pairEntry
 	conv     convert.Converter
 	planText string
-	warmed   bool
 }
 
 // New returns a Broker serving the given session.
@@ -383,42 +403,39 @@ func (b *Broker) compareLocked(ua, da, ub, db string) (*core.Verdict, error) {
 	return b.sess.Compare(ua, da, ub, db)
 }
 
-// converter returns the cached compiled converter entry for the exact
-// pair, compiling it on a miss. warm marks a fill performed by the peer
-// cache-warming protocol rather than a client request: the entry is
-// flagged, counted as a warm fill, and not pushed onward.
-func (b *Broker) converter(ua, da, ub, db string, warm bool) (*convEntry, bool, error) {
+// fillPair returns cache c's entry for the exact pair, building it from
+// the pair's verdict on a miss — the one fill path of the converter and
+// transcoder caches: bounded by the fill semaphore, timed into
+// CompileTotal and counted in n, recorded as a recipe of the given kind.
+// warm marks a fill performed by the peer cache-warming protocol rather
+// than a client request: counted as a warm fill, and not pushed onward.
+// build is a plain function, so a hit allocates no closure for it.
+func fillPair[E any](b *Broker, c *sfCache[E], kind string, n *atomic.Int64, ua, da, ub, db string, warm bool, build func(*Broker, *core.Verdict, pairEntry) (E, error)) (E, bool, error) {
 	_, _, pa, pb, err := b.prints(ua, da, ub, db)
 	if err != nil {
-		return nil, false, err
+		var zero E
+		return zero, false, err
 	}
 	key := fingerprint.Pair(pa.Exact, pb.Exact)
 	filled := false
-	ent, cached, err := b.converters.do(key, func() (*convEntry, error) {
+	ent, cached, err := c.do(key, func() (ent E, err error) {
 		b.fillSem <- struct{}{}
 		defer func() { <-b.fillSem }()
 		start := time.Now()
 		defer func() {
 			b.compileNs.Add(time.Since(start).Nanoseconds())
-			b.compiles.Add(1)
+			n.Add(1)
 		}()
 		v, err := b.compareLocked(ua, da, ub, db)
 		if err != nil {
-			return nil, err
+			return ent, err
 		}
-		ent := &convEntry{relation: v.Relation, explain: v.Explain, warmed: warm}
-		if v.Relation != core.RelNone {
-			// Plan building and closure compilation read only the (now
-			// immutable) match and the session's hook table, so they run
-			// outside the session lock, bounded by the fill semaphore.
-			p, conv, err := b.buildConverter(v)
-			if err != nil {
-				return nil, err
-			}
-			ent.conv = conv
-			ent.planText = p.String()
+		// build reads only the (now immutable) match and the session's
+		// hook table, so it runs outside the session lock.
+		if ent, err = build(b, v, pairEntry{v.Relation, v.Explain, warm}); err != nil {
+			return ent, err
 		}
-		b.noteRecipe(KindConverter, key, ua, da, ub, db, nil)
+		b.noteRecipe(kind, key, ua, da, ub, db, nil)
 		if warm {
 			b.warmFills.Add(1)
 		}
@@ -426,13 +443,32 @@ func (b *Broker) converter(ua, da, ub, db string, warm bool) (*convEntry, bool, 
 		return ent, nil
 	})
 	if filled {
-		b.pushAfterFill(KindConverter, ua, da, ub, db)
+		b.pushAfterFill(kind, ua, da, ub, db)
 	}
 	return ent, cached, err
 }
 
-func (b *Broker) buildConverter(v *core.Verdict) (*plan.Plan, convert.Converter, error) {
-	return b.sess.BuildConverter(v)
+// converter returns the cached compiled converter entry for the exact
+// pair, compiling it on a miss; a B<:A pair gets its plan text only.
+func (b *Broker) converter(ua, da, ub, db string, warm bool) (*convEntry, bool, error) {
+	return fillPair(b, b.converters, KindConverter, &b.compiles, ua, da, ub, db, warm, buildConverter)
+}
+
+func buildConverter(b *Broker, v *core.Verdict, pe pairEntry) (*convEntry, error) {
+	ent := &convEntry{pairEntry: pe}
+	var p *plan.Plan
+	var err error
+	switch {
+	case pe.converts():
+		p, ent.conv, err = b.sess.BuildConverter(v)
+	case pe.relation == core.RelSubtypeBA:
+		// Convert only runs A→B: the plan is all anyone can ask of it.
+		p, err = plan.Build(v.Match)
+	}
+	if p != nil {
+		ent.planText = p.String()
+	}
+	return ent, err
 }
 
 // Convert converts a value of declaration A into one of declaration B
@@ -448,14 +484,10 @@ func (b *Broker) Convert(ua, da, ub, db string, v value.Value) (value.Value, err
 	if cached && ent.warmed {
 		b.warmHits.Add(1)
 	}
-	switch ent.relation {
-	case core.RelEquivalent, core.RelSubtypeAB:
-		return ent.conv.Convert(v)
-	case core.RelSubtypeBA:
-		return nil, fmt.Errorf("broker: %s/%s only converts from %s/%s (B is the subtype); swap the pair", ua, da, ub, db)
-	default:
-		return nil, fmt.Errorf("broker: declarations do not match:\n%s", ent.explain)
+	if err := ent.gate(ua, da, ub, db); err != nil {
+		return nil, err
 	}
+	return ent.conv.Convert(v)
 }
 
 // PlanText returns the rendered coercion plan for the pair (compiling it
@@ -471,7 +503,7 @@ func (b *Broker) PlanText(ua, da, ub, db string) (string, error) {
 		b.warmHits.Add(1)
 	}
 	if ent.relation == core.RelNone {
-		return "", fmt.Errorf("broker: declarations do not match:\n%s", ent.explain)
+		return "", ent.gate(ua, da, ub, db)
 	}
 	return ent.planText, nil
 }
@@ -553,8 +585,8 @@ func (b *Broker) Stats() Stats {
 // core plus the broker's own two fields.
 type Health struct {
 	serve.Health
-	// TranscoderEntries is the number of compiled wire transcoders (and
-	// cached fallback decisions) resident in the transcoder LRU.
+	// TranscoderEntries is the number of wire transcoders, fused or tree
+	// rung, resident in the transcoder LRU.
 	TranscoderEntries int64 `json:"transcoder_entries"`
 	// Peers is the number of other daemons in this daemon's cluster (0
 	// when running standalone).

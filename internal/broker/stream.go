@@ -4,12 +4,11 @@ package broker
 // that should not be buffered whole on either side. The request stream
 // carries a u32 header length, the CDR pairReqT header (uA, declA, uB,
 // declB), then the raw CDR payload of A's Mtype in arbitrary chunk
-// splits; the reply stream carries the CDR payload of B's Mtype. Pairs
-// whose fused transcoder has a streamable sequence root convert
-// chunk-at-a-time in constant memory through internal/stream; fused
-// pairs with other roots buffer inside the engine under its cap; tree-
-// tier pairs buffer here and take the ordinary convert path. Either
-// buffered fallback fails typed (stream.ErrTooLarge) past the cap.
+// splits; the reply stream carries the CDR payload of B's Mtype. The
+// pair's transcoder runs in internal/stream's engine, which decides from
+// the transcoder alone (package transcode's ladder table) between
+// chunk-at-a-time in constant memory and buffering under its cap, past
+// which it fails typed (stream.ErrTooLarge).
 
 import (
 	"context"
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/orb"
 	"repro/internal/proto"
 	"repro/internal/resil"
@@ -53,32 +51,13 @@ func streamHandler(b *Broker) orb.StreamHandler {
 		if err != nil {
 			return err
 		}
-		ent, _, err := b.transcoder(ua, da, ub, db, false)
+		ent, cached, err := b.transcoder(ua, da, ub, db, false)
 		if err != nil {
 			return err
 		}
-		switch ent.relation {
-		case core.RelEquivalent, core.RelSubtypeAB:
-		case core.RelSubtypeBA:
-			return fmt.Errorf("broker: %s/%s only converts from %s/%s (B is the subtype); swap the pair", ua, da, ub, db)
-		default:
-			return fmt.Errorf("broker: declarations do not match:\n%s", ent.explain)
-		}
-		if ent.xc == nil {
-			// Tree tier: no bytes-to-bytes program exists, so the payload
-			// buffers (capped) and converts through the value tree.
-			payload, err := readAllStream(in, stream.DefaultMaxBuffer)
-			if err != nil {
-				return err
-			}
-			res, err := b.convertRaw(nil, ua, da, ub, db, payload)
-			if err != nil {
-				return err
-			}
-			_, err = out.Write(res)
+		if err := ent.gate(ua, da, ub, db); err != nil {
 			return err
 		}
-
 		eng := stream.New(ent.xc, stream.Options{})
 		defer eng.Release()
 		buf := make([]byte, 64<<10)
@@ -110,7 +89,7 @@ func streamHandler(b *Broker) orb.StreamHandler {
 				return err
 			}
 		}
-		b.fastConverts.Add(1)
+		b.served(ent, cached)
 		return nil
 	}
 }
@@ -135,25 +114,6 @@ func readStreamHeader(in *orb.StreamReader) (ua, da, ub, db string, err error) {
 		return "", "", "", "", fmt.Errorf("broker: stream header: %w", err)
 	}
 	return args[0], args[1], args[2], args[3], nil
-}
-
-// readAllStream buffers a stream to EOF, failing typed past max bytes.
-func readAllStream(in *orb.StreamReader, max int) ([]byte, error) {
-	var buf []byte
-	tmp := make([]byte, 64<<10)
-	for {
-		n, err := in.Read(tmp)
-		buf = append(buf, tmp[:n]...)
-		if len(buf) > max {
-			return nil, fmt.Errorf("%w: tree-tier pair over %d bytes (cap %d)", stream.ErrTooLarge, len(buf), max)
-		}
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }
 
 // ErrNoStreamTransport is returned by ConvertStream when the client's

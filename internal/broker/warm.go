@@ -36,8 +36,8 @@ const (
 	// KindConverter is a compiled tree converter: warmed by recompiling
 	// from the pair's recipe.
 	KindConverter = "converter"
-	// KindTranscoder is a compiled wire transcoder (or its cached
-	// refusal): warmed by recompiling from the pair's recipe.
+	// KindTranscoder is a wire transcoder, fused or tree rung: warmed by
+	// recompiling from the pair's recipe.
 	KindTranscoder = "transcoder"
 )
 
@@ -232,8 +232,8 @@ func (b *Broker) WarmConverter(ua, da, ub, db string) error {
 	return err
 }
 
-// WarmTranscoder compiles the pair's wire transcoder (or caches its
-// refusal) off the request path; a no-op when already cached.
+// WarmTranscoder assembles the pair's wire transcoder off the request
+// path; a no-op when already cached.
 func (b *Broker) WarmTranscoder(ua, da, ub, db string) error {
 	_, _, err := b.transcoder(ua, da, ub, db, true)
 	return err

@@ -367,8 +367,8 @@ func (c *compiler) compile(n *plan.Node) (compiledFn, error) {
 
 // TranscodeTree is the reference wire-to-wire path: decode src against
 // tyA, run the converter, and re-encode against tyB, appending the
-// output bytes to dst. It is the fallback the broker uses when
-// transcode.Compile reports ErrUnsupported, and the oracle the
+// output bytes to dst. It is the whole program of transcode.Tree, the
+// rung that serves a pair transcode.Compile refused, and the oracle the
 // transcoder's differential tests compare against.
 func TranscodeTree(dst []byte, tyA, tyB *mtype.Type, c Converter, src []byte) ([]byte, error) {
 	v, err := wire.Unmarshal(tyA, src)

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -22,6 +23,7 @@ import (
 	"repro/internal/mtype"
 	"repro/internal/plan"
 	"repro/internal/stype"
+	"repro/internal/transcode"
 )
 
 // Session is one interactive session with the tool (the state a project
@@ -259,10 +261,7 @@ func (s *Session) compareMtypes(mtA, mtB *mtype.Type) *Verdict {
 // RelSubtypeAB, B→A for RelSubtypeBA (the match was taken in that
 // direction). The returned converter is safe for concurrent use.
 func (s *Session) BuildConverter(v *Verdict) (*plan.Plan, convert.Converter, error) {
-	if v == nil || v.Match == nil {
-		return nil, nil, fmt.Errorf("core: verdict carries no match to build from")
-	}
-	p, err := plan.Build(v.Match)
+	p, err := buildPlan(v)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -271,6 +270,35 @@ func (s *Session) BuildConverter(v *Verdict) (*plan.Plan, convert.Converter, err
 		return nil, nil, err
 	}
 	return p, c, nil
+}
+
+func buildPlan(v *Verdict) (*plan.Plan, error) {
+	if v == nil || v.Match == nil {
+		return nil, fmt.Errorf("core: verdict carries no match to build from")
+	}
+	return plan.Build(v.Match)
+}
+
+// BuildTranscoder assembles the wire-bytes stub of a verdict's pair, in
+// the direction BuildConverter converts: the fused program when the fuser
+// takes the plan, and when it refuses — on ErrUnsupported only — the tree
+// rung over the closure-compiled converter. Which of the two it is, and
+// why, is the transcoder's Refusal; callers run either the same way. Safe
+// for concurrent use.
+func (s *Session) BuildTranscoder(v *Verdict) (*transcode.Transcoder, error) {
+	p, err := buildPlan(v)
+	if err != nil {
+		return nil, err
+	}
+	xc, err := transcode.Compile(p, v.Match.A, v.Match.B)
+	if !errors.Is(err, transcode.ErrUnsupported) {
+		return xc, err
+	}
+	c, cerr := convert.CompileHooks(p, s.hooks)
+	if cerr != nil {
+		return nil, cerr
+	}
+	return transcode.Tree(v.Match.A, v.Match.B, c, err.Error()), nil
 }
 
 // DeclNames lists the declarations of a universe, sorted.

@@ -11,16 +11,12 @@
 // A route table (JSON, hot-reloadable) maps operation keys — (orb
 // object key, op number) pairs — to declaration pairs. At route load
 // the gateway lowers both declarations through a core.Session, compares
-// them, builds the coercion plan, and compiles each payload direction
-// into a lane:
-//
-//   - fast tier: a fused CDR-bytes→CDR-bytes transcoder
-//     (internal/transcode) that rewrites payloads without building
-//     value trees;
-//   - tree tier: when the fuser refuses the plan (wrapped
-//     ErrUnsupported — e.g. semantic hooks), the lane falls back to
-//     decode→convert→encode through the closure-compiled converter
-//     (internal/convert) with identical bytes.
+// them, and has core.Session.BuildTranscoder assemble each payload
+// direction into a lane — one transcode.Transcoder, which is the fused
+// CDR-bytes→CDR-bytes program (fast tier) or, when the fuser refuses the
+// plan (e.g. semantic hooks), the tree rung with identical bytes (tree
+// tier; package transcode's ladder table). The gateway runs either the
+// same way and only counts which it was.
 //
 // Compiled lanes are cached by exact fingerprint pair
 // (internal/fingerprint), so routes sharing a declaration pair — and
@@ -43,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/fingerprint"
 	"repro/internal/limits"
@@ -52,7 +47,6 @@ import (
 	"repro/internal/resil"
 	"repro/internal/serve"
 	"repro/internal/transcode"
-	"repro/internal/wire"
 )
 
 // Options configures a Gateway. Zero values select the defaults.
@@ -112,35 +106,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// lane is one compiled payload direction: src-declaration bytes in,
-// dst-declaration bytes out. xc is the fused fast tier; when the fuser
-// refused the plan xc is nil and conv (the tree engine, with semantic
-// hooks resolved) serves the lane instead.
-type lane struct {
-	src, dst    *mtype.Type
-	xc          *transcode.Transcoder
-	conv        convert.Converter
-	unsupported string // fuser's refusal, for stats/debugging
-}
-
-// run transcodes one payload, reporting which tier served it.
-func (l *lane) run(payload []byte) (out []byte, fast bool, err error) {
-	if l.xc != nil {
-		out, err = l.xc.Transcode(payload)
-		return out, true, err
-	}
-	v, err := wire.Unmarshal(l.src, payload)
-	if err != nil {
-		return nil, false, err
-	}
-	cv, err := l.conv.Convert(v)
-	if err != nil {
-		return nil, false, err
-	}
-	out, err = wire.Marshal(l.dst, cv)
-	return out, false, err
-}
-
 // routeCounters is the per-route stats block. It is keyed by route name
 // and survives hot reloads, so a reload does not zero the counters of
 // routes that persist.
@@ -166,9 +131,10 @@ type route struct {
 	upOp   uint32
 	up     upstream
 	rk     []byte // content-derived fleet route key
-	req    *lane  // nil = passthrough
-	rep    *lane  // nil = passthrough
-	c      *routeCounters
+	// req and rep are the compiled payload directions, each on whichever
+	// rung its pair reached; nil = passthrough.
+	req, rep *transcode.Transcoder
+	c        *routeCounters
 }
 
 // table is the immutable routing state the data plane reads; reloads
@@ -215,7 +181,7 @@ type Gateway struct {
 	mu       sync.Mutex
 	pools    map[string]*resil.Client
 	fleets   map[string]*cluster.Client
-	lanes    map[fingerprint.PairKey]*lane
+	lanes    map[fingerprint.PairKey]*transcode.Transcoder
 	counters map[string]*routeCounters
 	reloader func() (*Config, error)
 	closed   bool
@@ -237,7 +203,7 @@ func New(opts Options) *Gateway {
 		sess:     opts.Session,
 		pools:    make(map[string]*resil.Client),
 		fleets:   make(map[string]*cluster.Client),
-		lanes:    make(map[fingerprint.PairKey]*lane),
+		lanes:    make(map[fingerprint.PairKey]*transcode.Transcoder),
 		counters: make(map[string]*routeCounters),
 		chassis:  serve.New(opts.MaxInFlight, opts.AdmitWait),
 	}
@@ -420,10 +386,10 @@ func (g *Gateway) compileRoute(cfg *Config, rc *RouteConfig) (*route, error) {
 
 // lane returns the compiled lane for a declaration pair — and the
 // pair's exact fingerprint key, which doubles as the route's fleet
-// route key — loading the declarations into the session and compiling
-// both tiers on a fingerprint-cache miss. Called with g.mu held (reload
-// path only — the data plane never compiles).
-func (g *Gateway) lane(from, to *DeclConfig) (*lane, fingerprint.PairKey, error) {
+// route key — loading the declarations into the session and assembling
+// the transcoder on a fingerprint-cache miss. Called with g.mu held
+// (reload path only — the data plane never compiles).
+func (g *Gateway) lane(from, to *DeclConfig) (*transcode.Transcoder, fingerprint.PairKey, error) {
 	mtF, err := g.Lower(from)
 	if err != nil {
 		return nil, fingerprint.PairKey{}, err
@@ -450,22 +416,13 @@ func (g *Gateway) lane(from, to *DeclConfig) (*lane, fingerprint.PairKey, error)
 	default:
 		return nil, key, fmt.Errorf("declarations do not match:\n%s", v.Explain)
 	}
-	p, conv, err := g.sess.BuildConverter(v)
+	l, err := g.sess.BuildTranscoder(v)
 	if err != nil {
 		return nil, key, err
 	}
-	l := &lane{src: mtF, dst: mtT, conv: conv}
 	g.laneCompiles.Add(1)
-	xc, err := transcode.Compile(p, mtF, mtT)
-	switch {
-	case err == nil:
-		l.xc = xc
-	case errors.Is(err, transcode.ErrUnsupported):
-		// Tree tier serves the lane; remember why for stats.
-		l.unsupported = err.Error()
+	if l.Refusal() != "" {
 		g.laneUnsupported.Add(1)
-	default:
-		return nil, key, err
 	}
 	g.lanes[key] = l
 	return l, key, nil
@@ -544,21 +501,17 @@ func (g *Gateway) relay(ctx context.Context, r *route, body []byte) ([]byte, err
 		return nil, err
 	}
 	out := body
-	var err error
 	if r.req != nil {
-		if r.req.xc != nil {
-			// The fast-tier request output only lives until the upstream
-			// leg returns (hedged attempts copy it), so it lands in a
-			// pooled buffer instead of allocating per call.
-			buf := laneBufPool.Get().(*[]byte)
-			defer putLaneBuf(buf)
-			if out, err = g.runLaneAppend(r, r.req, (*buf)[:0], body); err != nil {
-				return nil, fmt.Errorf("gateway: request transcode: %w", err)
-			}
-			*buf = out
-		} else if out, err = g.runLane(r, r.req, body); err != nil {
+		// The request lane's output only lives until the upstream leg
+		// returns (hedged attempts copy it), so it lands in a pooled buffer
+		// instead of allocating per call.
+		buf := laneBufPool.Get().(*[]byte)
+		defer putLaneBuf(buf)
+		var err error
+		if out, err = g.runLane(r, r.req, (*buf)[:0], body); err != nil {
 			return nil, fmt.Errorf("gateway: request transcode: %w", err)
 		}
+		*buf = out
 	}
 	res, err := r.up(ctx, r.rk, resil.Call{Key: r.upKey, Op: r.upOp, Body: out})
 	if err != nil {
@@ -570,7 +523,7 @@ func (g *Gateway) relay(ctx context.Context, r *route, body []byte) ([]byte, err
 		return nil, err
 	}
 	if r.rep != nil {
-		if reply, err = g.runLane(r, r.rep, reply); err != nil {
+		if reply, err = g.runLane(r, r.rep, nil, reply); err != nil {
 			return nil, fmt.Errorf("gateway: reply transcode: %w", err)
 		}
 	}
@@ -608,11 +561,9 @@ func (g *Gateway) mapUpstreamErr(ctx context.Context, r *route, err error) error
 	return fmt.Errorf("gateway: upstream %s: %w", r.upAddr, err)
 }
 
-// runLane executes one lane under the route's tier and latency
-// counters.
-// laneBufPool recycles request-lane fast-tier output buffers; see
-// relay. Oversized buffers are dropped so one jumbo payload doesn't pin
-// its footprint forever.
+// laneBufPool recycles request-lane output buffers; see relay. Oversized
+// buffers are dropped so one jumbo payload doesn't pin its footprint
+// forever.
 var laneBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 const maxPooledLaneBuf = 64 << 10
@@ -623,28 +574,21 @@ func putLaneBuf(b *[]byte) {
 	}
 }
 
-// runLaneAppend is the fast-tier-only variant of runLane: the output is
-// appended to dst, so a caller that reuses dst across calls transcodes
-// without allocating.
-func (g *Gateway) runLaneAppend(r *route, l *lane, dst, payload []byte) ([]byte, error) {
+// runLane executes one lane under the route's latency counter and the
+// counter of the tier that lane is, appending the output to dst; a nil
+// dst asks for a fresh buffer of the lane's own size estimate.
+func (g *Gateway) runLane(r *route, l *transcode.Transcoder, dst, payload []byte) (out []byte, err error) {
 	start := time.Now()
-	out, err := l.xc.TranscodeAppend(dst, payload)
+	if dst == nil {
+		out, err = l.Transcode(payload)
+	} else {
+		out, err = l.TranscodeAppend(dst, payload)
+	}
 	r.c.transcodeNs.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		return nil, err
 	}
-	r.c.fastTier.Add(1)
-	return out, nil
-}
-
-func (g *Gateway) runLane(r *route, l *lane, payload []byte) ([]byte, error) {
-	start := time.Now()
-	out, fast, err := l.run(payload)
-	r.c.transcodeNs.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		return nil, err
-	}
-	if fast {
+	if l.Refusal() == "" {
 		r.c.fastTier.Add(1)
 	} else {
 		r.c.treeTier.Add(1)

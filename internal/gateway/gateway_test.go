@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/limits"
 	"repro/internal/mtype"
@@ -90,29 +91,27 @@ func dialOrb(t *testing.T, addr string) *orb.Client {
 }
 
 // oracle computes the reference bytes for one lane: decode src, convert
-// through a fresh session, encode dst.
+// through a fresh session's tree converter, encode dst.
 func oracle(t *testing.T, from, to DeclConfig, payload []byte) []byte {
 	t.Helper()
 	g := New(Options{})
-	l, err := func() (*lane, error) {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		l, _, err := g.lane(&from, &to)
-		return l, err
-	}()
+	mtF, err := g.Lower(&from)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mtF := l.src
-	v, err := wire.Unmarshal(mtF, payload)
+	mtT, err := g.Lower(&to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := l.conv.Convert(v)
+	v, err := g.sess.Compare(from.universe(), from.Decl, to.universe(), to.Decl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wire.Marshal(l.dst, cv)
+	_, conv, err := g.sess.BuildConverter(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := convert.TranscodeTree(nil, mtF, mtT, conv, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,13 @@ package gateway
 // Streaming relay lane: stream-opened calls whose request bodies
 // outgrow Options.StreamThreshold relay chunk-by-chunk to the upstream
 // instead of buffering, so payload size stops being bounded by gateway
-// memory. The fallback matrix, by request-lane shape:
+// memory. By request lane (which rung a transcoder is on, and so whether
+// it can stream, is package transcode's ladder table):
 //
-//	lane shape                 ≤ threshold        > threshold
+//	request lane               ≤ threshold        > threshold
 //	passthrough (no lane)      buffered relay     raw chunk relay
-//	fused, streamable root     buffered relay     stream.Transcoder relay
-//	fused, non-list root       buffered relay     buffered under payload cap
-//	tree tier (hooks etc.)     buffered relay     buffered under payload cap
+//	SeqStreamable transcoder   buffered relay     stream.Transcoder relay
+//	any other transcoder       buffered relay     buffered under payload cap
 //
 // "Buffered relay" is the ordinary relay path with its full resilience
 // envelope — retries, hedging, admission, byte budgets. The streaming
@@ -62,10 +62,9 @@ func (g *Gateway) frontStreamHandler(key string) orb.StreamHandler {
 		}
 		// How much may buffer before the relay must stream: the
 		// threshold when the request lane can stream, the full payload
-		// budget when it cannot (tree tier and non-list fused lanes have
-		// no chunk-at-a-time form).
-		canStream := g.opts.StreamThreshold >= 0 &&
-			(r.req == nil || (r.req.xc != nil && r.req.xc.SeqStreamable()))
+		// budget when it cannot (a lane whose root is not a fused sequence
+		// has no chunk-at-a-time form).
+		canStream := g.opts.StreamThreshold >= 0 && (r.req == nil || r.req.SeqStreamable())
 		limit := g.opts.StreamThreshold
 		if !canStream {
 			limit = g.budget.MaxBytes
@@ -175,7 +174,7 @@ func (g *Gateway) relayStream(ctx context.Context, r *route, prefix []byte, in *
 		return g.mapUpstreamErr(ctx, r, err)
 	}
 	if r.rep != nil {
-		if reply, err = g.runLane(r, r.rep, reply); err != nil {
+		if reply, err = g.runLane(r, r.rep, nil, reply); err != nil {
 			finalErr = err
 			return fmt.Errorf("gateway: reply transcode: %w", err)
 		}
@@ -191,7 +190,7 @@ func (g *Gateway) forwardRequest(ctx context.Context, r *route, sc *orb.StreamCa
 	var eng *stream.Transcoder
 	var xns int64 // transcode time, excluding upstream writes
 	if r.req != nil {
-		eng = stream.New(r.req.xc, stream.Options{MaxBuffer: g.budget.MaxBytes})
+		eng = stream.New(r.req, stream.Options{MaxBuffer: g.budget.MaxBytes})
 		defer eng.Release()
 	}
 	push := func(p []byte) error {
@@ -252,7 +251,7 @@ func (g *Gateway) forwardRequest(ctx context.Context, r *route, sc *orb.StreamCa
 		if err != nil {
 			return fmt.Errorf("gateway: request transcode: %w", err)
 		}
-		r.c.fastTier.Add(1)
+		r.c.fastTier.Add(1) // only a fused sequence lane streams
 		if len(tail) > 0 {
 			if _, err := sc.Write(tail); err != nil {
 				return g.mapUpstreamErr(ctx, r, err)

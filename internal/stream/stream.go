@@ -21,11 +21,11 @@
 // payload-relative offsets for every alignment decision the compiled
 // program makes.
 //
-// Pairs whose root is not a streamable sequence (records, choices, tree
-// constructs) degrade to buffered mode: input accumulates up to
-// Options.MaxBuffer and converts in one shot at Finish; payloads past
-// the cap fail with ErrTooLarge. This is the fallback matrix's bottom
-// row — correctness everywhere, constant memory where the shape allows.
+// Pairs whose root is not a streamable sequence (records, choices, every
+// pair on transcode's tree rung) degrade to buffered mode: input
+// accumulates up to Options.MaxBuffer and converts in one shot at Finish;
+// payloads past the cap fail with ErrTooLarge. These are the bottom rows of
+// transcode's ladder — correctness everywhere, constant memory where it can.
 package stream
 
 import (

@@ -144,10 +144,13 @@ func fuzzPairs() []fuzzPair {
 	}
 }
 
+// fuzzFixture is one pair on both rungs of the ladder — the fused program
+// and the tree rung over the closure-compiled converter — beside ref, the
+// plan interpreter neither of them is built from.
 type fuzzFixture struct {
 	fuzzPair
-	xc   *Transcoder
-	conv convert.Converter
+	xc, tree *Transcoder
+	ref      convert.Converter
 }
 
 func buildFuzzFixtures() ([]fuzzFixture, error) {
@@ -165,16 +168,16 @@ func buildFuzzFixtures() ([]fuzzFixture, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: tree compile: %w", p.name, err)
 		}
-		out = append(out, fuzzFixture{fuzzPair: p, xc: xc, conv: conv})
+		out = append(out, fuzzFixture{fuzzPair: p, xc: xc, tree: Tree(p.a, p.b, conv, "fuzz"), ref: convert.NewInterpreter(pl)})
 	}
 	return out, nil
 }
 
 // FuzzTranscodeOracle fuzzes raw wire bytes against a fixed table of
-// compiled pairs and enforces the transcoder's contract differentially:
-// whenever decode→convert→encode through the value-tree engine succeeds,
-// the wire transcoder must produce the identical bytes; whenever the
-// tree path rejects the input, the transcoder must reject it too.
+// compiled pairs and enforces the ladder's contract differentially:
+// whenever decode→convert→encode through the plan interpreter succeeds,
+// the fused program and the tree rung must each produce the identical
+// bytes; whenever the interpreter's path rejects the input, so must both.
 func FuzzTranscodeOracle(f *testing.F) {
 	fixtures, err := buildFuzzFixtures()
 	if err != nil {
@@ -193,20 +196,25 @@ func FuzzTranscodeOracle(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, idx uint8, data []byte) {
 		fx := &fixtures[int(idx)%len(fixtures)]
-		treeOut, treeErr := convert.TranscodeTree(nil, fx.a, fx.b, fx.conv, data)
-		xcOut, xcErr := fx.xc.Transcode(data)
-		if treeErr != nil {
-			if xcErr == nil {
-				t.Fatalf("%s: tree errored (%v) but transcoder accepted % x → % x",
-					fx.name, treeErr, data, xcOut)
+		refOut, refErr := convert.TranscodeTree(nil, fx.a, fx.b, fx.ref, data)
+		for _, rung := range []struct {
+			name string
+			xc   *Transcoder
+		}{{"fused", fx.xc}, {"tree rung", fx.tree}} {
+			out, err := rung.xc.Transcode(data)
+			if refErr != nil {
+				if err == nil {
+					t.Fatalf("%s: interpreter errored (%v) but %s accepted % x → % x",
+						fx.name, refErr, rung.name, data, out)
+				}
+				continue
 			}
-			return
-		}
-		if xcErr != nil {
-			t.Fatalf("%s: transcoder error %v on tree-accepted input % x", fx.name, xcErr, data)
-		}
-		if !bytes.Equal(treeOut, xcOut) {
-			t.Fatalf("%s: mismatch\nsrc:  % x\ntree: % x\nxc:   % x", fx.name, data, treeOut, xcOut)
+			if err != nil {
+				t.Fatalf("%s: %s error %v on interpreter-accepted input % x", fx.name, rung.name, err, data)
+			}
+			if !bytes.Equal(refOut, out) {
+				t.Fatalf("%s: %s mismatch\nsrc: % x\nref: % x\ngot: % x", fx.name, rung.name, data, refOut, out)
+			}
 		}
 	})
 }

@@ -12,7 +12,17 @@
 // permutation and associative flattening via the plan), sequences,
 // strings, choices, injections, and ports — and returns a wrapped
 // ErrUnsupported for anything else (semantic hooks, sequence↔cons-chain
-// mixes, >64-bit integers), so callers fall back to the tree engine.
+// mixes, >64-bit integers). The ladder a payload then descends lives in
+// the Transcoder, not in whoever holds it:
+//
+//	rung                      built by  one-shot               internal/stream
+//	stride kernel, list root  Compile   table moves            chunk-at-a-time
+//	closure program, list     Compile   one call per element   chunk-at-a-time
+//	closure program, other    Compile   one call               buffered, capped
+//	tree (Refusal() != "")    Tree      decode→convert→encode  buffered, capped
+//
+// core.Session.BuildTranscoder is the one assembler: Compile, and on
+// ErrUnsupported only, Tree over the closure-compiled converter.
 //
 // Compiled transcoders replicate the tree path bit for bit: they perform
 // the same validation (depth budgets, integer ranges, discriminant and
@@ -28,6 +38,7 @@ import (
 	"sync"
 
 	"repro/internal/compare"
+	"repro/internal/convert"
 	"repro/internal/limits"
 	"repro/internal/mtype"
 	"repro/internal/plan"
@@ -35,8 +46,8 @@ import (
 )
 
 // ErrUnsupported marks a plan construct outside the transcoder's fused
-// subset. Callers should fall back to the tree engine
-// (decode→convert→encode); results are identical, only slower.
+// subset. Tree serves such a pair (decode→convert→encode); results are
+// identical, only slower.
 var ErrUnsupported = errors.New("transcode: construct not supported by the wire transcoder")
 
 func unsupported(format string, args ...any) error {
@@ -114,6 +125,7 @@ type Transcoder struct {
 	// element (nil otherwise). Populated by Compile.
 	seqElem emitFn
 	seqKern *kernel
+	refusal string // why Compile refused the pair Tree built this for
 }
 
 // Compile fuses a coercion plan with the declared source and destination
@@ -154,6 +166,26 @@ func Compile(p *plan.Plan, a, b *mtype.Type) (*Transcoder, error) {
 	t.pool.New = func() any { return &xctx{arena: make([]int, 0, t.arenaHint)} }
 	return t, nil
 }
+
+// Tree is the ladder's last rung: the transcoder of a pair Compile
+// refused with the given text. Its whole program is convert.TranscodeTree
+// over c, the pair's tree converter with hooks resolved: same accepts,
+// same rejects, same bytes as a fused program, and it never streams.
+func Tree(a, b *mtype.Type, c convert.Converter, refusal string) *Transcoder {
+	t := &Transcoder{refusal: refusal}
+	t.outEst, t.outExact = wire.EstimateSize(b)
+	t.root = func(x *xctx) (err error) {
+		x.dst, err = convert.TranscodeTree(x.dst, a, b, c, x.src)
+		x.off = len(x.src)
+		return err
+	}
+	t.pool.New = func() any { return new(xctx) }
+	return t
+}
+
+// Refusal is the fuser's reason when the tree rung serves the pair, and
+// empty for a fused program.
+func (t *Transcoder) Refusal() string { return t.refusal }
 
 // Transcode converts one encoded value, returning a freshly allocated
 // output buffer. The input must be fully consumed, mirroring
