@@ -1,8 +1,10 @@
 // Package bind connects annotated Stype declarations to concrete
 // representations: it reads abstract values (package value) out of
 // simulated C memory (package cmem) and Java heaps (package jheap) and
-// writes them back, following exactly the lowering decisions of package
-// lower. A local Mockingbird stub is the composition
+// writes them back. It consumes lower's Shape — the one reading of an
+// annotated use — and owns only representation: loading and storing a
+// scalar of n bits in an arena, a heap slot or a frame word, and
+// allocating behind a pointer. A local Mockingbird stub is the composition
 //
 //	read(repr A) → convert(plan) → write(repr B) → invoke → read back …
 //
@@ -40,9 +42,9 @@ func NewC(u *stype.Universe, model cmem.Model) *C {
 // implementations).
 func (c *C) Layouts() *cmem.Layouts { return c.lay }
 
-// Read reads the value of annotated type t stored at addr. lengths
-// supplies runtime lengths for length-from arrays (keyed by the array
-// parameter's name).
+// Read reads the value of annotated type t stored at addr. arrayLen is the
+// runtime length of a list whose length rides in a sibling parameter, -1
+// for none.
 func (c *C) Read(t *stype.Type, mem *cmem.Arena, at cmem.Addr, arrayLen int) (value.Value, error) {
 	return c.read(t, mem, at, arrayLen, 0)
 }
@@ -51,182 +53,105 @@ func (c *C) read(t *stype.Type, mem *cmem.Arena, at cmem.Addr, arrayLen, depth i
 	if depth > maxDepth {
 		return nil, fmt.Errorf("bind: value nesting exceeds %d (cyclic data?)", maxDepth)
 	}
-	switch t.Kind {
-	case stype.KPrim:
-		return c.readPrim(t, mem, at)
-	case stype.KEnum:
-		n, err := mem.ReadI(at, 4)
-		if err != nil {
-			return nil, err
-		}
-		return value.NewInt(n), nil
-	case stype.KNamed:
-		target := t.Target
-		if target == nil {
-			target = c.u.Lookup(t.Name)
-		}
-		if target == nil {
-			return nil, fmt.Errorf("bind: unresolved type %q", t.Name)
-		}
-		overlaid := *target.Type
-		overlaid.Ann = target.Type.Ann.Merge(t.Ann)
-		return c.read(&overlaid, mem, at, arrayLen, depth+1)
-	case stype.KStruct:
-		lay, err := c.lay.Of(t)
-		if err != nil {
-			return nil, err
-		}
-		var fields []value.Value
-		for i, f := range t.Fields {
-			if f.Type.Ann.Ignore {
-				continue
-			}
-			fv, err := c.read(f.Type, mem, at+cmem.Addr(lay.Offsets[i]), -1, depth+1)
-			if err != nil {
-				return nil, fmt.Errorf("field %s: %w", f.Name, err)
-			}
-			fields = append(fields, fv)
-		}
-		return value.Record{Fields: fields}, nil
-	case stype.KUnion:
-		// C unions carry no discriminant in memory; the prototype's union
-		// support was incomplete (§6) and the C binding matches that.
-		return nil, fmt.Errorf("bind: cannot read C union %s (no discriminant in memory)", t.Name)
-	case stype.KPointer:
-		return c.readPointer(t, mem, at, arrayLen, depth)
-	case stype.KArray:
-		return c.readArray(t, mem, at, arrayLen, depth)
-	default:
-		return nil, fmt.Errorf("bind: cannot read C %s", t.Kind)
-	}
-}
-
-func (c *C) readPrim(t *stype.Type, mem *cmem.Arena, at cmem.Addr) (value.Value, error) {
-	asChar := func(def bool) bool {
-		if t.Ann.AsChar != nil {
-			return *t.Ann.AsChar
-		}
-		return def && t.Ann.Range == nil
-	}
-	switch t.Prim {
-	case stype.PVoid:
-		return value.Unit{}, nil
-	case stype.PBool:
-		u, err := mem.ReadU(at, 1)
-		if err != nil {
-			return nil, err
-		}
-		if u != 0 {
-			u = 1
-		}
-		return value.NewInt(int64(u)), nil
-	case stype.PF32:
-		f, err := mem.ReadF32(at)
-		if err != nil {
-			return nil, err
-		}
-		return value.Real{V: float64(f)}, nil
-	case stype.PF64:
-		f, err := mem.ReadF64(at)
-		if err != nil {
-			return nil, err
-		}
-		return value.Real{V: f}, nil
-	case stype.PChar8:
-		if asChar(true) {
-			u, err := mem.ReadU(at, 1)
-			if err != nil {
-				return nil, err
-			}
-			return value.Char{R: rune(u)}, nil
-		}
-		n, err := mem.ReadI(at, 1)
-		if err != nil {
-			return nil, err
-		}
-		return value.NewInt(n), nil
-	case stype.PChar16:
-		if asChar(true) {
-			u, err := mem.ReadU(at, 2)
-			if err != nil {
-				return nil, err
-			}
-			return value.Char{R: rune(u)}, nil
-		}
-		u, err := mem.ReadU(at, 2)
-		if err != nil {
-			return nil, err
-		}
-		return value.NewInt(int64(u)), nil
-	case stype.PI8, stype.PI16, stype.PI32, stype.PI64:
-		if asChar(false) {
-			size, _ := cmem.PrimSize(t.Prim)
-			u, err := mem.ReadU(at, size)
-			if err != nil {
-				return nil, err
-			}
-			return value.Char{R: rune(u)}, nil
-		}
-		size, _ := cmem.PrimSize(t.Prim)
-		n, err := mem.ReadI(at, size)
-		if err != nil {
-			return nil, err
-		}
-		return value.NewInt(n), nil
-	case stype.PU8, stype.PU16, stype.PU32, stype.PU64:
-		if asChar(false) {
-			size, _ := cmem.PrimSize(t.Prim)
-			u, err := mem.ReadU(at, size)
-			if err != nil {
-				return nil, err
-			}
-			return value.Char{R: rune(u)}, nil
-		}
-		size, _ := cmem.PrimSize(t.Prim)
-		u, err := mem.ReadU(at, size)
-		if err != nil {
-			return nil, err
-		}
-		return value.Int{V: new(big.Int).SetUint64(u)}, nil
-	default:
-		return nil, fmt.Errorf("bind: cannot read primitive %s", t.Prim)
-	}
-}
-
-func (c *C) readPointer(t *stype.Type, mem *cmem.Arena, at cmem.Addr, arrayLen, depth int) (value.Value, error) {
-	target, err := mem.ReadPtr(at, c.lay.Model())
+	s, err := lower.ShapeOf(c.u, t)
 	if err != nil {
 		return nil, err
 	}
-	ann := t.Ann
-	switch {
-	case ann.FixedLen > 0:
-		return c.readElems(t.ElemType, mem, target, ann.FixedLen, depth, false)
-	case ann.LengthFrom != "":
-		if arrayLen < 0 {
-			return nil, fmt.Errorf("bind: runtime length for pointer-array not supplied")
-		}
-		return c.readElems(t.ElemType, mem, target, arrayLen, depth, true)
-	case ann.NonNull:
-		if target == cmem.Null {
-			return nil, fmt.Errorf("bind: NULL in pointer annotated nonnull")
-		}
-		return c.read(t.ElemType, mem, target, -1, depth+1)
-	default:
-		if target == cmem.Null {
-			return value.Null(), nil
-		}
-		inner, err := c.read(t.ElemType, mem, target, -1, depth+1)
+	return c.readShape(&s, mem, at, arrayLen, depth)
+}
+
+func (c *C) readShape(s *lower.Shape, mem *cmem.Arena, at cmem.Addr, arrayLen, depth int) (value.Value, error) {
+	switch s.Kind {
+	case lower.Unit:
+		return value.Unit{}, nil
+	case lower.Bool, lower.Integer, lower.Character, lower.Real, lower.Enum:
+		w, err := mem.ReadU(at, s.Bits/8)
 		if err != nil {
 			return nil, err
 		}
-		return value.Some(inner), nil
+		return scalar(s, w), nil
+	case lower.Record:
+		lay, err := c.lay.Of(s.Type)
+		if err != nil {
+			return nil, err
+		}
+		fields := make([]value.Value, len(s.Fields))
+		for i, f := range s.Fields {
+			if fields[i], err = c.read(f.Type, mem, at+cmem.Addr(lay.Offsets[f.Index]), -1, depth+1); err != nil {
+				return nil, fmt.Errorf("field %s: %w", f.Name, err)
+			}
+		}
+		return value.Record{Fields: fields}, nil
+	case lower.Union:
+		// C unions carry no discriminant in memory; the prototype's union
+		// support was incomplete (§6) and the C binding matches that.
+		return nil, fmt.Errorf("bind: cannot read C union %s (no discriminant in memory)", s.Type.Name)
+	case lower.Fixed, lower.List, lower.Optional, lower.Deref:
+		if s.Type.Kind == stype.KPointer {
+			target, err := mem.ReadPtr(at, c.lay.Model())
+			if err != nil {
+				return nil, err
+			}
+			at = target
+		}
+		return c.readBehind(s, mem, at, arrayLen, depth)
+	default:
+		return nil, fmt.Errorf("bind: cannot read C %s", s.Type.Kind)
 	}
 }
 
-// readElems reads n contiguous elements starting at base; asList selects
-// the recursive list encoding (indefinite arrays) over a Record (fixed).
-func (c *C) readElems(elem *stype.Type, mem *cmem.Arena, base cmem.Addr, n int, depth int, asList bool) (value.Value, error) {
+// scalar decodes the low s.Bits bits of w, loaded from memory or found in
+// a return word.
+func scalar(s *lower.Shape, w uint64) value.Value {
+	shift := uint(64 - s.Bits)
+	w = w << shift >> shift
+	switch {
+	case s.Kind == lower.Real && s.Bits == 32:
+		return value.Real{V: float64(ArgF32(w))}
+	case s.Kind == lower.Real:
+		return value.Real{V: ArgF64(w)}
+	case s.Kind == lower.Bool:
+		if w != 0 {
+			w = 1
+		}
+	case s.Kind == lower.Character:
+		return value.Char{R: rune(w)}
+	case s.Signed:
+		return value.NewInt(int64(w<<shift) >> shift)
+	}
+	return value.Int{V: new(big.Int).SetUint64(w)}
+}
+
+// readBehind reads what an array in place holds at target, or what a
+// pointer that held target points to.
+func (c *C) readBehind(s *lower.Shape, mem *cmem.Arena, target cmem.Addr, arrayLen, depth int) (value.Value, error) {
+	switch {
+	case s.Kind == lower.Fixed:
+		elems, err := c.readElems(s.Elem, mem, target, s.N, depth)
+		return value.Record{Fields: elems}, err
+	case s.Kind == lower.List && arrayLen < 0:
+		what := "indefinite array"
+		if s.Type.Kind == stype.KPointer {
+			what = "pointer-array"
+		}
+		return nil, fmt.Errorf("bind: runtime length for %s not supplied", what)
+	case s.Kind == lower.List:
+		elems, err := c.readElems(s.Elem, mem, target, arrayLen, depth)
+		return value.FromSlice(elems), err
+	case target != cmem.Null:
+		inner, err := c.readShape(s.Inner, mem, target, -1, depth+1)
+		if err != nil || s.Kind == lower.Deref {
+			return inner, err
+		}
+		return value.Some(inner), nil
+	case s.Kind == lower.Deref:
+		return nil, fmt.Errorf("bind: NULL in pointer annotated nonnull")
+	}
+	return value.Null(), nil
+}
+
+// readElems reads n contiguous elements starting at base.
+func (c *C) readElems(elem *stype.Type, mem *cmem.Arena, base cmem.Addr, n, depth int) ([]value.Value, error) {
 	if base == cmem.Null && n > 0 {
 		return nil, fmt.Errorf("bind: NULL array of %d elements", n)
 	}
@@ -235,31 +160,12 @@ func (c *C) readElems(elem *stype.Type, mem *cmem.Arena, base cmem.Addr, n int, 
 		return nil, err
 	}
 	out := make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		v, err := c.read(elem, mem, base+cmem.Addr(i*lay.Size), -1, depth+1)
-		if err != nil {
+	for i := range out {
+		if out[i], err = c.read(elem, mem, base+cmem.Addr(i*lay.Size), -1, depth+1); err != nil {
 			return nil, fmt.Errorf("element %d: %w", i, err)
 		}
-		out[i] = v
 	}
-	if asList {
-		return value.FromSlice(out), nil
-	}
-	return value.Record{Fields: out}, nil
-}
-
-func (c *C) readArray(t *stype.Type, mem *cmem.Arena, at cmem.Addr, arrayLen, depth int) (value.Value, error) {
-	length := t.Len
-	if t.Ann.FixedLen > 0 {
-		length = t.Ann.FixedLen
-	}
-	if length >= 0 && t.Ann.LengthFrom == "" {
-		return c.readElems(t.ElemType, mem, at, length, depth, false)
-	}
-	if arrayLen < 0 {
-		return nil, fmt.Errorf("bind: runtime length for indefinite array not supplied")
-	}
-	return c.readElems(t.ElemType, mem, at, arrayLen, depth, true)
+	return out, nil
 }
 
 // Write stores v (a value of t's Mtype) at addr. Pointers allocate their
@@ -272,186 +178,155 @@ func (c *C) write(t *stype.Type, mem *cmem.Arena, at cmem.Addr, v value.Value, d
 	if depth > maxDepth {
 		return fmt.Errorf("bind: value nesting exceeds %d", maxDepth)
 	}
-	switch t.Kind {
-	case stype.KPrim:
-		return c.writePrim(t, mem, at, v)
-	case stype.KEnum:
-		iv, ok := v.(value.Int)
-		if !ok {
-			return fmt.Errorf("bind: enum wants integer, got %T", v)
-		}
-		n, err := iv.Int64()
+	s, err := lower.ShapeOf(c.u, t)
+	if err != nil {
+		return err
+	}
+	return c.writeShape(&s, mem, at, v, depth)
+}
+
+func (c *C) writeShape(s *lower.Shape, mem *cmem.Arena, at cmem.Addr, v value.Value, depth int) error {
+	switch s.Kind {
+	case lower.Unit:
+		return nil
+	case lower.Bool, lower.Integer, lower.Character, lower.Real, lower.Enum:
+		w, err := word(s, v)
 		if err != nil {
 			return err
 		}
-		return mem.WriteU(at, 4, uint64(n))
-	case stype.KNamed:
-		target := t.Target
-		if target == nil {
-			target = c.u.Lookup(t.Name)
-		}
-		if target == nil {
-			return fmt.Errorf("bind: unresolved type %q", t.Name)
-		}
-		overlaid := *target.Type
-		overlaid.Ann = target.Type.Ann.Merge(t.Ann)
-		return c.write(&overlaid, mem, at, v, depth+1)
-	case stype.KStruct:
-		lay, err := c.lay.Of(t)
+		return mem.WriteU(at, s.Bits/8, w)
+	case lower.Record:
+		lay, err := c.lay.Of(s.Type)
 		if err != nil {
 			return err
 		}
 		rec, ok := v.(value.Record)
-		if !ok {
-			return fmt.Errorf("bind: struct wants record, got %T", v)
+		if !ok || len(rec.Fields) != len(s.Fields) {
+			return fmt.Errorf("bind: struct %s wants %d-field record, got %s", s.Type.Name, len(s.Fields), v)
 		}
-		vi := 0
-		for i, f := range t.Fields {
-			if f.Type.Ann.Ignore {
-				continue
-			}
-			if vi >= len(rec.Fields) {
-				return fmt.Errorf("bind: record too short for struct %s", t.Name)
-			}
-			if err := c.write(f.Type, mem, at+cmem.Addr(lay.Offsets[i]), rec.Fields[vi], depth+1); err != nil {
+		for i, f := range s.Fields {
+			if err := c.write(f.Type, mem, at+cmem.Addr(lay.Offsets[f.Index]), rec.Fields[i], depth+1); err != nil {
 				return fmt.Errorf("field %s: %w", f.Name, err)
 			}
-			vi++
-		}
-		if vi != len(rec.Fields) {
-			return fmt.Errorf("bind: record has %d extra fields for struct %s", len(rec.Fields)-vi, t.Name)
 		}
 		return nil
-	case stype.KUnion:
-		return fmt.Errorf("bind: cannot write C union %s", t.Name)
-	case stype.KPointer:
-		return c.writePointer(t, mem, at, v, depth)
-	case stype.KArray:
-		return c.writeArray(t, mem, at, v, depth)
-	default:
-		return fmt.Errorf("bind: cannot write C %s", t.Kind)
-	}
-}
-
-func (c *C) writePrim(t *stype.Type, mem *cmem.Arena, at cmem.Addr, v value.Value) error {
-	switch t.Prim {
-	case stype.PVoid:
-		return nil
-	case stype.PF32:
-		rv, ok := v.(value.Real)
-		if !ok {
-			return fmt.Errorf("bind: float wants real, got %T", v)
+	case lower.Union:
+		return fmt.Errorf("bind: cannot write C union %s", s.Type.Name)
+	case lower.Fixed, lower.List, lower.Optional, lower.Deref:
+		if s.Type.Kind == stype.KPointer {
+			target, err := c.writeBehind(s, mem, v, depth)
+			if err != nil {
+				return err
+			}
+			return mem.WritePtr(at, c.lay.Model(), target)
 		}
-		return mem.WriteF32(at, float32(rv.V))
-	case stype.PF64:
-		rv, ok := v.(value.Real)
-		if !ok {
-			return fmt.Errorf("bind: double wants real, got %T", v)
+		if s.Kind == lower.List {
+			return fmt.Errorf("bind: cannot write indefinite array in place (use a pointer parameter)")
 		}
-		return mem.WriteF64(at, rv.V)
-	default:
-		size, err := cmem.PrimSize(t.Prim)
+		elems, err := elements(s, v)
 		if err != nil {
 			return err
 		}
-		switch pv := v.(type) {
-		case value.Int:
-			if pv.V == nil {
-				return fmt.Errorf("bind: nil integer")
-			}
-			var u uint64
-			if pv.V.Sign() < 0 {
-				u = uint64(pv.V.Int64())
-			} else {
-				u = pv.V.Uint64()
-			}
-			return mem.WriteU(at, size, u)
-		case value.Char:
-			return mem.WriteU(at, size, uint64(pv.R))
-		default:
-			return fmt.Errorf("bind: %s wants integer or char, got %T", t.Prim, v)
-		}
+		return c.writeElems(s.Elem, mem, at, elems, depth)
+	default:
+		return fmt.Errorf("bind: cannot write C %s", s.Type.Kind)
 	}
 }
 
-func (c *C) writePointer(t *stype.Type, mem *cmem.Arena, at cmem.Addr, v value.Value, depth int) error {
-	ann := t.Ann
-	elemLay, err := c.lay.Of(t.ElemType)
+// word encodes v as the bits of scalar s: what memory stores the low
+// s.Bits of, and an argument word carries whole.
+func word(s *lower.Shape, v value.Value) (uint64, error) {
+	switch pv := v.(type) {
+	case value.Real:
+		if s.Kind == lower.Real && s.Bits == 32 {
+			return RetF32(float32(pv.V)), nil
+		} else if s.Kind == lower.Real {
+			return RetF64(pv.V), nil
+		}
+	case value.Char:
+		if s.Kind != lower.Real {
+			return uint64(pv.R), nil
+		}
+	case value.Int:
+		if n, err := pv.Int64(); s.Kind == lower.Real {
+			break
+		} else if err == nil {
+			return uint64(n), nil
+		} else if pv.V != nil && pv.V.IsUint64() {
+			return pv.V.Uint64(), nil // large unsigned values still fit in the word
+		} else {
+			return 0, err
+		}
+	}
+	return 0, fmt.Errorf("bind: %s %s cannot hold %T", s.Kind, s.Type, v)
+}
+
+// elements are the values a Fixed or List shape holds one element each of.
+func elements(s *lower.Shape, v value.Value) ([]value.Value, error) {
+	if s.Kind == lower.List {
+		return value.ToSlice(v)
+	}
+	rec, ok := v.(value.Record)
+	if !ok || len(rec.Fields) != s.N {
+		return nil, fmt.Errorf("bind: %s wants %d-field record, got %s", s.Type, s.N, v)
+	}
+	return rec.Fields, nil
+}
+
+// writeBehind allocates what a pointer of shape s points to (an array
+// parameter decays to one), writes v there and returns the address the
+// pointer takes.
+func (c *C) writeBehind(s *lower.Shape, mem *cmem.Arena, v value.Value, depth int) (cmem.Addr, error) {
+	lay, err := c.lay.Of(s.Type.ElemType)
 	if err != nil {
-		return err
+		return cmem.Null, err
 	}
-	switch {
-	case ann.FixedLen > 0:
-		rec, ok := v.(value.Record)
-		if !ok || len(rec.Fields) != ann.FixedLen {
-			return fmt.Errorf("bind: fixed array pointer wants %d-field record, got %s", ann.FixedLen, v)
+	switch s.Kind {
+	case lower.Fixed, lower.List:
+		elems, err := elements(s, v)
+		if err != nil || len(elems) == 0 {
+			return cmem.Null, err
 		}
-		base := mem.Alloc(elemLay.Size*ann.FixedLen, elemLay.Align)
-		for i, f := range rec.Fields {
-			if err := c.write(t.ElemType, mem, base+cmem.Addr(i*elemLay.Size), f, depth+1); err != nil {
-				return err
-			}
-		}
-		return mem.WritePtr(at, c.lay.Model(), base)
-	case ann.LengthFrom != "":
-		elems, err := value.ToSlice(v)
-		if err != nil {
-			return err
-		}
-		base := cmem.Null
-		if len(elems) > 0 {
-			base = mem.Alloc(elemLay.Size*len(elems), elemLay.Align)
-		}
-		for i, e := range elems {
-			if err := c.write(t.ElemType, mem, base+cmem.Addr(i*elemLay.Size), e, depth+1); err != nil {
-				return err
-			}
-		}
-		return mem.WritePtr(at, c.lay.Model(), base)
-	case ann.NonNull:
-		base := mem.Alloc(elemLay.Size, elemLay.Align)
-		if err := c.write(t.ElemType, mem, base, v, depth+1); err != nil {
-			return err
-		}
-		return mem.WritePtr(at, c.lay.Model(), base)
-	default:
+		base := mem.Alloc(len(elems)*lay.Size, lay.Align)
+		return base, c.writeElems(s.Elem, mem, base, elems, depth)
+	case lower.Optional:
 		cv, ok := v.(value.Choice)
 		if !ok {
-			return fmt.Errorf("bind: nullable pointer wants choice, got %T", v)
+			return cmem.Null, fmt.Errorf("bind: nullable pointer wants choice, got %T", v)
 		}
 		if cv.Alt == 0 {
-			return mem.WritePtr(at, c.lay.Model(), cmem.Null)
+			return cmem.Null, nil
 		}
-		base := mem.Alloc(elemLay.Size, elemLay.Align)
-		if err := c.write(t.ElemType, mem, base, cv.V, depth+1); err != nil {
-			return err
-		}
-		return mem.WritePtr(at, c.lay.Model(), base)
+		v = cv.V
 	}
+	base := mem.Alloc(lay.Size, lay.Align)
+	return base, c.writeShape(s.Inner, mem, base, v, depth+1)
 }
 
-func (c *C) writeArray(t *stype.Type, mem *cmem.Arena, at cmem.Addr, v value.Value, depth int) error {
-	elemLay, err := c.lay.Of(t.ElemType)
+// writeElems stores contiguous elements from base on.
+func (c *C) writeElems(elem *stype.Type, mem *cmem.Arena, base cmem.Addr, elems []value.Value, depth int) error {
+	lay, err := c.lay.Of(elem)
+	for i := 0; i < len(elems) && err == nil; i++ {
+		err = c.write(elem, mem, base+cmem.Addr(i*lay.Size), elems[i], depth+1)
+	}
+	return err
+}
+
+// outBuffer allocates what an out parameter points to for the callee to
+// fill, and returns its address.
+func (c *C) outBuffer(t *stype.Type, mem *cmem.Arena) (uint64, error) {
+	s, err := lower.ShapeOf(c.u, t)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	length := t.Len
-	if t.Ann.FixedLen > 0 {
-		length = t.Ann.FixedLen
+	if s.Type.Kind != stype.KPointer || s.Kind == lower.List {
+		return 0, fmt.Errorf("an out parameter must be a pointer to one value or to a fixed number of them")
 	}
-	if length >= 0 && t.Ann.LengthFrom == "" {
-		rec, ok := v.(value.Record)
-		if !ok || len(rec.Fields) != length {
-			return fmt.Errorf("bind: array[%d] wants %d-field record, got %s", length, length, v)
-		}
-		for i, f := range rec.Fields {
-			if err := c.write(t.ElemType, mem, at+cmem.Addr(i*elemLay.Size), f, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
+	lay, err := c.lay.Of(s.Type.ElemType)
+	if err != nil {
+		return 0, err
 	}
-	return fmt.Errorf("bind: cannot write indefinite array in place (use a pointer parameter)")
+	return uint64(mem.Alloc(max(s.N, 1)*lay.Size, lay.Align)), nil
 }
 
 // CFunc is a registered C function implementation: it receives raw
@@ -523,32 +398,17 @@ func (c *C) Call(decl *stype.Decl, impl CFunc, mem *cmem.Arena, inputs value.Val
 	}
 
 	args := make([]uint64, len(fn.Params))
-	outAddrs := make(map[string]cmem.Addr)
 	for i, p := range fn.Params {
-		role := sig.Roles[p.Name]
-		switch role {
+		switch sig.Roles[p.Name] {
 		case lower.RoleLength:
 			args[i] = uint64(listLens[p.Name])
 		case lower.RoleIn, lower.RoleInOut:
-			w, addr, err := c.argWord(p.Type, mem, inVals[p.Name])
-			if err != nil {
-				return nil, fmt.Errorf("bind: parameter %s: %w", p.Name, err)
-			}
-			args[i] = w
-			if role == lower.RoleInOut {
-				outAddrs[p.Name] = addr
-			}
+			args[i], err = c.argWord(p.Type, mem, inVals[p.Name])
 		case lower.RoleOut:
-			if p.Type.Kind != stype.KPointer {
-				return nil, fmt.Errorf("bind: out parameter %s must be a pointer", p.Name)
-			}
-			lay, err := c.lay.Of(p.Type.ElemType)
-			if err != nil {
-				return nil, err
-			}
-			buf := mem.Alloc(lay.Size, lay.Align)
-			args[i] = uint64(buf)
-			outAddrs[p.Name] = buf
+			args[i], err = c.outBuffer(p.Type, mem)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bind: parameter %s: %w", p.Name, err)
 		}
 	}
 
@@ -557,14 +417,15 @@ func (c *C) Call(decl *stype.Decl, impl CFunc, mem *cmem.Arena, inputs value.Val
 		return nil, fmt.Errorf("bind: %s: %w", decl.Name, err)
 	}
 
-	// Collect outputs: out/inout parameters in order, then the return.
+	// Collect outputs: what each out/inout pointer points to now, in
+	// order, then the return.
 	var outs []value.Value
-	for _, p := range fn.Params {
+	for i, p := range fn.Params {
 		role := sig.Roles[p.Name]
 		if role != lower.RoleOut && role != lower.RoleInOut {
 			continue
 		}
-		v, err := c.read(p.Type.ElemType, mem, outAddrs[p.Name], -1, 0)
+		v, err := c.retValue(p.Type, mem, args[i])
 		if err != nil {
 			return nil, fmt.Errorf("bind: out parameter %s: %w", p.Name, err)
 		}
@@ -580,137 +441,38 @@ func (c *C) Call(decl *stype.Decl, impl CFunc, mem *cmem.Arena, inputs value.Val
 	return value.Record{Fields: outs}, nil
 }
 
-// argWord turns an input value into a call argument word, allocating
-// arena storage for aggregates. For pointer/array parameters the returned
-// address is the passed buffer (for inout reads back).
-func (c *C) argWord(t *stype.Type, mem *cmem.Arena, v value.Value) (uint64, cmem.Addr, error) {
-	switch t.Kind {
-	case stype.KPrim:
-		switch t.Prim {
-		case stype.PF32:
-			rv, ok := v.(value.Real)
-			if !ok {
-				return 0, 0, fmt.Errorf("float wants real, got %T", v)
-			}
-			return RetF32(float32(rv.V)), 0, nil
-		case stype.PF64:
-			rv, ok := v.(value.Real)
-			if !ok {
-				return 0, 0, fmt.Errorf("double wants real, got %T", v)
-			}
-			return RetF64(rv.V), 0, nil
-		default:
-			switch pv := v.(type) {
-			case value.Int:
-				n, err := pv.Int64()
-				if err != nil {
-					// Large unsigned values still fit in the word.
-					if pv.V != nil && pv.V.Sign() >= 0 && pv.V.IsUint64() {
-						return pv.V.Uint64(), 0, nil
-					}
-					return 0, 0, err
-				}
-				return uint64(n), 0, nil
-			case value.Char:
-				return uint64(pv.R), 0, nil
-			default:
-				return 0, 0, fmt.Errorf("scalar wants integer or char, got %T", v)
-			}
-		}
-	case stype.KEnum:
-		pv, ok := v.(value.Int)
-		if !ok {
-			return 0, 0, fmt.Errorf("enum wants integer, got %T", v)
-		}
-		n, err := pv.Int64()
-		if err != nil {
-			return 0, 0, err
-		}
-		return uint64(n), 0, nil
-	case stype.KNamed:
-		target := t.Target
-		if target == nil {
-			target = c.u.Lookup(t.Name)
-		}
-		if target == nil {
-			return 0, 0, fmt.Errorf("unresolved type %q", t.Name)
-		}
-		overlaid := *target.Type
-		overlaid.Ann = target.Type.Ann.Merge(t.Ann)
-		return c.argWord(&overlaid, mem, v)
-	case stype.KPointer, stype.KArray:
-		// Write through a temporary pointer slot: the argument is the
-		// address the pointer slot ends up holding. Arrays decay to a
-		// pointer to their first element.
-		pt := t
-		if t.Kind == stype.KArray {
-			pt = &stype.Type{Kind: stype.KPointer, ElemType: t.ElemType, Ann: t.Ann}
-			if t.Len > 0 && pt.Ann.FixedLen == 0 && pt.Ann.LengthFrom == "" {
-				pt.Ann.FixedLen = t.Len
-			}
-		}
-		slot := mem.Alloc(c.lay.Model().PointerSize(), c.lay.Model().PointerSize())
-		if err := c.writePointer(pt, mem, slot, v, 0); err != nil {
-			return 0, 0, err
-		}
-		target, err := mem.ReadPtr(slot, c.lay.Model())
-		if err != nil {
-			return 0, 0, err
-		}
-		return uint64(target), target, nil
-	default:
-		return 0, 0, fmt.Errorf("cannot pass %s by value", t.Kind)
+// argWord turns an input value into a call argument word: a scalar's
+// bits, or the address of arena storage allocated for what a pointer
+// parameter points to (an array parameter decays to one).
+func (c *C) argWord(t *stype.Type, mem *cmem.Arena, v value.Value) (uint64, error) {
+	s, err := lower.ShapeOf(c.u, t)
+	if err != nil {
+		return 0, err
 	}
+	switch s.Kind {
+	case lower.Bool, lower.Integer, lower.Character, lower.Real, lower.Enum:
+		return word(&s, v)
+	case lower.Fixed, lower.List, lower.Optional, lower.Deref:
+		target, err := c.writeBehind(&s, mem, v, 0)
+		return uint64(target), err
+	}
+	return 0, fmt.Errorf("cannot pass %s by value", s.Type.Kind)
 }
 
-// retValue decodes a return word.
+// retValue decodes a return word: a scalar's bits, or the address a
+// returned pointer holds.
 func (c *C) retValue(t *stype.Type, mem *cmem.Arena, w uint64) (value.Value, error) {
-	switch t.Kind {
-	case stype.KPrim:
-		switch t.Prim {
-		case stype.PVoid:
-			return value.Unit{}, nil
-		case stype.PF32:
-			return value.Real{V: float64(ArgF32(w))}, nil
-		case stype.PF64:
-			return value.Real{V: ArgF64(w)}, nil
-		case stype.PChar8, stype.PChar16:
-			if t.Ann.AsChar == nil || *t.Ann.AsChar {
-				return value.Char{R: rune(w)}, nil
-			}
-			return value.NewInt(int64(w)), nil
-		case stype.PU8, stype.PU16, stype.PU32, stype.PU64:
-			return value.Int{V: new(big.Int).SetUint64(w)}, nil
-		default:
-			size, err := cmem.PrimSize(t.Prim)
-			if err != nil {
-				return nil, err
-			}
-			shift := uint(64 - 8*size)
-			return value.NewInt(int64(w<<shift) >> shift), nil
-		}
-	case stype.KEnum:
-		return value.NewInt(int64(int32(w))), nil
-	case stype.KNamed:
-		target := t.Target
-		if target == nil {
-			target = c.u.Lookup(t.Name)
-		}
-		if target == nil {
-			return nil, fmt.Errorf("unresolved type %q", t.Name)
-		}
-		overlaid := *target.Type
-		overlaid.Ann = target.Type.Ann.Merge(t.Ann)
-		return c.retValue(&overlaid, mem, w)
-	case stype.KPointer:
-		// Returned pointers are read through the pointer lowering: write
-		// the word into a slot and read it back as a value.
-		slot := mem.Alloc(c.lay.Model().PointerSize(), c.lay.Model().PointerSize())
-		if err := mem.WritePtr(slot, c.lay.Model(), cmem.Addr(w)); err != nil {
-			return nil, err
-		}
-		return c.readPointer(t, mem, slot, -1, 0)
-	default:
-		return nil, fmt.Errorf("cannot return %s by value", t.Kind)
+	s, err := lower.ShapeOf(c.u, t)
+	if err != nil {
+		return nil, err
 	}
+	switch {
+	case s.Kind == lower.Unit:
+		return value.Unit{}, nil
+	case s.Bits > 0:
+		return scalar(&s, w), nil
+	case s.Type.Kind == stype.KPointer:
+		return c.readBehind(&s, mem, cmem.Addr(w), -1, 0)
+	}
+	return nil, fmt.Errorf("cannot return %s by value", s.Type.Kind)
 }

@@ -42,203 +42,161 @@ func (j *J) Read(t *stype.Type, h *jheap.Heap, s jheap.Slot) (value.Value, error
 	return j.read(t, h, s, 0)
 }
 
-func (j *J) read(t *stype.Type, h *jheap.Heap, s jheap.Slot, depth int) (value.Value, error) {
+func (j *J) read(t *stype.Type, h *jheap.Heap, slot jheap.Slot, depth int) (value.Value, error) {
 	if depth > maxDepth {
 		return nil, fmt.Errorf("bind: object nesting exceeds %d (cyclic by-value data?)", maxDepth)
 	}
-	switch t.Kind {
-	case stype.KPrim:
-		return j.readPrim(t, s)
-	case stype.KNamed:
-		target := t.Target
-		if target == nil {
-			target = j.u.Lookup(t.Name)
-		}
-		if target == nil {
-			return nil, fmt.Errorf("bind: unresolved type %q", t.Name)
-		}
-		switch target.Type.Kind {
-		case stype.KClass, stype.KInterface:
-			return j.readClassRef(target, t.Ann, h, s, depth)
-		default:
-			overlaid := *target.Type
-			overlaid.Ann = target.Type.Ann.Merge(t.Ann)
-			return j.read(&overlaid, h, s, depth+1)
-		}
-	case stype.KArray:
-		return j.readArray(t, h, s, depth)
-	case stype.KSequence:
-		return j.readSequence(t, h, s, depth)
-	default:
-		return nil, fmt.Errorf("bind: cannot read Java %s", t.Kind)
-	}
-}
-
-func (j *J) readPrim(t *stype.Type, s jheap.Slot) (value.Value, error) {
-	asChar := func(def bool) bool {
-		if t.Ann.AsChar != nil {
-			return *t.Ann.AsChar
-		}
-		return def && t.Ann.Range == nil
-	}
-	switch t.Prim {
-	case stype.PVoid:
-		return value.Unit{}, nil
-	case stype.PBool:
-		if s.Kind != jheap.SlotInt {
-			return nil, fmt.Errorf("bind: boolean wants int slot, got %d", s.Kind)
-		}
-		v := int64(0)
-		if s.I != 0 {
-			v = 1
-		}
-		return value.NewInt(v), nil
-	case stype.PF32, stype.PF64:
-		if s.Kind != jheap.SlotFloat {
-			return nil, fmt.Errorf("bind: float wants float slot, got %d", s.Kind)
-		}
-		return value.Real{V: s.F}, nil
-	case stype.PChar16, stype.PChar8:
-		if asChar(true) {
-			if s.Kind != jheap.SlotChar {
-				return nil, fmt.Errorf("bind: char wants char slot, got %d", s.Kind)
-			}
-			return value.Char{R: s.C}, nil
-		}
-		if s.Kind == jheap.SlotChar {
-			return value.NewInt(int64(s.C)), nil
-		}
-		return value.NewInt(s.I), nil
-	default:
-		if asChar(false) {
-			if s.Kind == jheap.SlotInt {
-				return value.Char{R: rune(s.I)}, nil
-			}
-			return value.Char{R: s.C}, nil
-		}
-		if s.Kind != jheap.SlotInt {
-			return nil, fmt.Errorf("bind: %s wants int slot, got %d", t.Prim, s.Kind)
-		}
-		return value.NewInt(s.I), nil
-	}
-}
-
-// readClassRef reads a reference to a class/interface instance following
-// the lowering rules: collection, by-value containment, or object port,
-// with nullability from the use-site annotation.
-func (j *J) readClassRef(d *stype.Decl, use stype.Ann, h *jheap.Heap, s jheap.Slot, depth int) (value.Value, error) {
-	if s.Kind != jheap.SlotRef {
-		return nil, fmt.Errorf("bind: reference to %s wants ref slot, got %d", d.Name, s.Kind)
-	}
-	if s.R == jheap.NullRef {
-		if use.NonNull {
-			return nil, fmt.Errorf("bind: null in reference to %s annotated nonnull", d.Name)
-		}
-		return value.Null(), nil
-	}
-	core, err := j.readObject(d, use, h, s.R, depth)
+	s, err := lower.ShapeOf(j.u, t)
 	if err != nil {
 		return nil, err
 	}
-	if use.NonNull {
-		return core, nil
-	}
-	return value.Some(core), nil
+	return j.readShape(&s, h, slot, depth)
 }
 
-// readObject reads the referent itself (no nullability wrapper).
-func (j *J) readObject(d *stype.Decl, use stype.Ann, h *jheap.Heap, r jheap.Ref, depth int) (value.Value, error) {
-	target := d.Type
-	if use.CollectionOf != "" || lower.IsCollection(j.u, d) {
-		return j.readCollection(d, target.Ann.Merge(use), h, r, depth)
+// storage is the kind of slot that holds a primitive the language reads
+// as s.Native.
+func storage(s *lower.Shape) jheap.SlotKind {
+	switch s.Native {
+	case lower.Real:
+		return jheap.SlotFloat
+	case lower.Character:
+		return jheap.SlotChar
 	}
-	if lower.ByValueOf(d, use) {
-		var fields []value.Value
-		for i, f := range target.Fields {
-			if f.Type.Ann.Ignore {
-				continue
+	return jheap.SlotInt
+}
+
+// misplaced reports a primitive found in a slot of another kind than its
+// storage.
+func misplaced(s *lower.Shape, got jheap.SlotKind) error {
+	name, slot := s.Type.String(), "int"
+	switch s.Native {
+	case lower.Bool:
+		name = "boolean"
+	case lower.Real:
+		name, slot = "float", "float"
+	case lower.Character:
+		name, slot = "char", "char"
+	}
+	return fmt.Errorf("bind: %s wants %s slot, got %d", name, slot, got)
+}
+
+// what names the heap object a reference-typed shape refers to.
+func what(s *lower.Shape) string {
+	if s.Decl != nil {
+		return "reference to " + s.Decl.Name
+	}
+	return "array"
+}
+
+func (j *J) readShape(s *lower.Shape, h *jheap.Heap, slot jheap.Slot, depth int) (value.Value, error) {
+	switch s.Kind {
+	case lower.Unit:
+		return value.Unit{}, nil
+	case lower.Bool, lower.Integer, lower.Character, lower.Real:
+		// A char read as an integer, or an integer read as a character,
+		// takes an integral or a character slot alike.
+		if crossed := s.Kind != s.Native && s.Native != lower.Bool; slot.Kind != storage(s) && !crossed {
+			return nil, misplaced(s, slot.Kind)
+		}
+		n := slot.I
+		if slot.Kind == jheap.SlotChar {
+			n = int64(slot.C)
+		}
+		switch s.Kind {
+		case lower.Real:
+			return value.Real{V: slot.F}, nil
+		case lower.Character:
+			return value.Char{R: rune(n)}, nil
+		case lower.Bool:
+			if n != 0 {
+				n = 1
 			}
-			slot, err := h.Field(r, i)
+		}
+		return value.NewInt(n), nil
+	case lower.Optional, lower.Record, lower.Port, lower.Fixed, lower.List:
+		if s.Kind == lower.Record && s.Decl == nil {
+			break // a class body has no storage of its own
+		}
+		if slot.Kind != jheap.SlotRef {
+			return nil, fmt.Errorf("bind: %s wants ref slot, got %d", what(s), slot.Kind)
+		}
+		switch {
+		case s.Kind == lower.Optional && slot.R == jheap.NullRef:
+			return value.Null(), nil
+		case s.Kind == lower.Optional:
+			inner, err := j.readShape(s.Inner, h, slot, depth)
 			if err != nil {
-				return nil, fmt.Errorf("bind: %s.%s: %w", d.Name, f.Name, err)
+				return nil, err
 			}
-			fv, err := j.read(f.Type, h, slot, depth+1)
+			return value.Some(inner), nil
+		case slot.R == jheap.NullRef && s.Decl == nil:
+			return nil, fmt.Errorf("bind: null array (initialize it or annotate the field ignore)")
+		case slot.R == jheap.NullRef:
+			return nil, fmt.Errorf("bind: null in reference to %s annotated nonnull", s.Decl.Name)
+		}
+		return j.readObject(s, h, slot.R, depth)
+	}
+	return nil, fmt.Errorf("bind: cannot read Java %s", s.Type.Kind)
+}
+
+// readObject reads the referent of a non-null reference: an object port,
+// the fields of a by-value object, or the elements of a collection or an
+// array.
+func (j *J) readObject(s *lower.Shape, h *jheap.Heap, r jheap.Ref, depth int) (value.Value, error) {
+	switch s.Kind {
+	case lower.Port:
+		return value.Port{Ref: PortRef(r)}, nil
+	case lower.Record:
+		fields := make([]value.Value, len(s.Fields))
+		for i, f := range s.Fields {
+			slot, err := h.Field(r, f.Index)
+			if err == nil {
+				fields[i], err = j.read(f.Type, h, slot, depth+1)
+			}
 			if err != nil {
-				return nil, fmt.Errorf("bind: %s.%s: %w", d.Name, f.Name, err)
+				return nil, fmt.Errorf("bind: %s.%s: %w", s.Decl.Name, f.Name, err)
 			}
-			fields = append(fields, fv)
 		}
 		return value.Record{Fields: fields}, nil
 	}
-	return value.Port{Ref: PortRef(r)}, nil
-}
-
-func (j *J) readCollection(d *stype.Decl, ann stype.Ann, h *jheap.Heap, r jheap.Ref, depth int) (value.Value, error) {
-	elemName := lower.CollectionElement(j.u, d, ann)
-	if elemName == "" {
-		return nil, fmt.Errorf("bind: %s is a collection of unknown element type", d.Name)
+	// A collection is a Vector of references; an array holds primitive
+	// slots or references by its declared element.
+	length, elem := h.ArrayLen, "array element"
+	if s.Decl != nil {
+		length, elem = h.VectorLen, "element"
 	}
-	elemDecl := j.u.Lookup(elemName)
-	if elemDecl == nil {
-		return nil, fmt.Errorf("bind: collection %s: unknown element type %q", d.Name, elemName)
-	}
-	n, err := h.VectorLen(r)
+	n, err := length(r)
 	if err != nil {
-		return nil, fmt.Errorf("bind: collection %s: %w", d.Name, err)
-	}
-	elemUse := stype.Ann{NonNull: ann.ElementNonNull}
-	out := make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		er, err := h.VectorAt(r, i)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := j.readClassRef(elemDecl, elemUse, h, jheap.RefSlot(er), depth+1)
-		if err != nil {
-			return nil, fmt.Errorf("bind: element %d: %w", i, err)
-		}
-		out[i] = ev
-	}
-	return value.FromSlice(out), nil
-}
-
-func (j *J) readArray(t *stype.Type, h *jheap.Heap, s jheap.Slot, depth int) (value.Value, error) {
-	if s.Kind != jheap.SlotRef {
-		return nil, fmt.Errorf("bind: array wants ref slot, got %d", s.Kind)
-	}
-	if s.R == jheap.NullRef {
-		return nil, fmt.Errorf("bind: null array (initialize it or annotate the field ignore)")
-	}
-	n, err := h.ArrayLen(s.R)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bind: %s: %w", what(s), err)
 	}
 	out := make([]value.Value, n)
-	elemIsPrim := t.ElemType.Kind == stype.KPrim
-	for i := 0; i < n; i++ {
+	for i := range out {
 		var slot jheap.Slot
-		if elemIsPrim {
-			slot, err = h.PrimArrayAt(s.R, i)
-		} else {
-			var er jheap.Ref
-			er, err = h.RefArrayAt(s.R, i)
+		var er jheap.Ref
+		switch {
+		case s.Decl != nil:
+			er, err = h.VectorAt(r, i)
+			slot = jheap.RefSlot(er)
+		case s.Elem.Kind == stype.KPrim:
+			slot, err = h.PrimArrayAt(r, i)
+		default:
+			er, err = h.RefArrayAt(r, i)
 			slot = jheap.RefSlot(er)
 		}
 		if err != nil {
 			return nil, err
 		}
-		ev, err := j.read(t.ElemType, h, slot, depth+1)
-		if err != nil {
-			return nil, fmt.Errorf("bind: array element %d: %w", i, err)
+		if out[i], err = j.read(s.Elem, h, slot, depth+1); err != nil {
+			return nil, fmt.Errorf("bind: %s %d: %w", elem, i, err)
 		}
-		out[i] = ev
 	}
-	return value.FromSlice(out), nil
-}
-
-func (j *J) readSequence(t *stype.Type, h *jheap.Heap, s jheap.Slot, depth int) (value.Value, error) {
-	// Sequences (java.lang.String) are backed by primitive arrays.
-	return j.readArray(&stype.Type{Kind: stype.KArray, ElemType: t.ElemType, Len: -1, Ann: t.Ann}, h, s, depth)
+	if s.Kind == lower.List {
+		return value.FromSlice(out), nil
+	}
+	if n != s.N {
+		return nil, fmt.Errorf("bind: array of %d elements where %s holds %d", n, s.Type, s.N)
+	}
+	return value.Record{Fields: out}, nil
 }
 
 // Write materializes v in the heap, returning the slot holding it.
@@ -250,186 +208,97 @@ func (j *J) write(t *stype.Type, h *jheap.Heap, v value.Value, depth int) (jheap
 	if depth > maxDepth {
 		return jheap.Slot{}, fmt.Errorf("bind: value nesting exceeds %d", maxDepth)
 	}
-	switch t.Kind {
-	case stype.KPrim:
-		return j.writePrim(t, v)
-	case stype.KNamed:
-		target := t.Target
-		if target == nil {
-			target = j.u.Lookup(t.Name)
-		}
-		if target == nil {
-			return jheap.Slot{}, fmt.Errorf("bind: unresolved type %q", t.Name)
-		}
-		switch target.Type.Kind {
-		case stype.KClass, stype.KInterface:
-			return j.writeClassRef(target, t.Ann, h, v, depth)
-		default:
-			overlaid := *target.Type
-			overlaid.Ann = target.Type.Ann.Merge(t.Ann)
-			return j.write(&overlaid, h, v, depth+1)
-		}
-	case stype.KArray:
-		return j.writeArray(t, h, v, depth)
-	case stype.KSequence:
-		return j.writeArray(&stype.Type{Kind: stype.KArray, ElemType: t.ElemType, Len: -1, Ann: t.Ann}, h, v, depth)
-	default:
-		return jheap.Slot{}, fmt.Errorf("bind: cannot write Java %s", t.Kind)
+	s, err := lower.ShapeOf(j.u, t)
+	if err != nil {
+		return jheap.Slot{}, err
 	}
+	return j.writeShape(&s, h, v, depth)
 }
 
-func (j *J) writePrim(t *stype.Type, v value.Value) (jheap.Slot, error) {
-	switch t.Prim {
-	case stype.PVoid:
+func (j *J) writeShape(s *lower.Shape, h *jheap.Heap, v value.Value, depth int) (jheap.Slot, error) {
+	switch s.Kind {
+	case lower.Unit:
 		return jheap.IntSlot(0), nil
-	case stype.PF32, stype.PF64:
-		rv, ok := v.(value.Real)
-		if !ok {
-			return jheap.Slot{}, fmt.Errorf("bind: float wants real, got %T", v)
+	case lower.Bool, lower.Integer, lower.Character, lower.Real:
+		w, err := word(s, v)
+		if err != nil {
+			return jheap.Slot{}, err
 		}
-		return jheap.FloatSlot(rv.V), nil
-	case stype.PChar16, stype.PChar8:
-		switch pv := v.(type) {
-		case value.Char:
-			return jheap.CharSlot(pv.R), nil
-		case value.Int:
-			n, err := pv.Int64()
-			if err != nil {
-				return jheap.Slot{}, err
-			}
-			return jheap.CharSlot(rune(n)), nil
-		default:
-			return jheap.Slot{}, fmt.Errorf("bind: char wants char or integer, got %T", v)
+		switch storage(s) {
+		case jheap.SlotFloat:
+			return jheap.FloatSlot(v.(value.Real).V), nil
+		case jheap.SlotChar:
+			return jheap.CharSlot(rune(w)), nil
 		}
-	default:
-		switch pv := v.(type) {
-		case value.Int:
-			n, err := pv.Int64()
-			if err != nil {
-				if pv.V != nil && pv.V.IsUint64() {
-					return jheap.IntSlot(int64(pv.V.Uint64())), nil
-				}
-				return jheap.Slot{}, err
-			}
-			return jheap.IntSlot(n), nil
-		case value.Char:
-			return jheap.IntSlot(int64(pv.R)), nil
-		default:
-			return jheap.Slot{}, fmt.Errorf("bind: %s wants integer, got %T", t.Prim, v)
-		}
-	}
-}
-
-func (j *J) writeClassRef(d *stype.Decl, use stype.Ann, h *jheap.Heap, v value.Value, depth int) (jheap.Slot, error) {
-	inner := v
-	if !use.NonNull {
+		return jheap.IntSlot(int64(w)), nil
+	case lower.Optional:
 		cv, ok := v.(value.Choice)
 		if !ok {
-			return jheap.Slot{}, fmt.Errorf("bind: nullable reference to %s wants choice, got %T", d.Name, v)
+			return jheap.Slot{}, fmt.Errorf("bind: nullable %s wants choice, got %T", what(s.Inner), v)
 		}
 		if cv.Alt == 0 {
 			return jheap.RefSlot(jheap.NullRef), nil
 		}
-		inner = cv.V
-	}
-	r, err := j.writeObject(d, use, h, inner, depth)
-	if err != nil {
-		return jheap.Slot{}, err
-	}
-	return jheap.RefSlot(r), nil
-}
-
-func (j *J) writeObject(d *stype.Decl, use stype.Ann, h *jheap.Heap, v value.Value, depth int) (jheap.Ref, error) {
-	target := d.Type
-	if use.CollectionOf != "" || lower.IsCollection(j.u, d) {
-		return j.writeCollection(d, target.Ann.Merge(use), h, v, depth)
-	}
-	if lower.ByValueOf(d, use) {
-		rec, ok := v.(value.Record)
+		return j.writeShape(s.Inner, h, cv.V, depth)
+	case lower.Port:
+		pv, ok := v.(value.Port)
 		if !ok {
-			return jheap.NullRef, fmt.Errorf("bind: by-value %s wants record, got %T", d.Name, v)
+			return jheap.Slot{}, fmt.Errorf("bind: by-reference %s wants port, got %T", s.Decl.Name, v)
 		}
-		r := h.New(d.Name, len(target.Fields))
-		vi := 0
-		for i, f := range target.Fields {
-			if f.Type.Ann.Ignore {
-				continue
+		r, err := ParsePortRef(pv.Ref)
+		return jheap.RefSlot(r), err
+	case lower.Record:
+		if s.Decl == nil {
+			break
+		}
+		rec, ok := v.(value.Record)
+		if !ok || len(rec.Fields) != len(s.Fields) {
+			return jheap.Slot{}, fmt.Errorf("bind: by-value %s wants %d-field record, got %s", s.Decl.Name, len(s.Fields), v)
+		}
+		r := h.New(s.Decl.Name, len(s.Type.Fields))
+		for i, f := range s.Fields {
+			slot, err := j.write(f.Type, h, rec.Fields[i], depth+1)
+			if err == nil {
+				err = h.SetField(r, f.Index, slot)
 			}
-			if vi >= len(rec.Fields) {
-				return jheap.NullRef, fmt.Errorf("bind: record too short for %s", d.Name)
-			}
-			slot, err := j.write(f.Type, h, rec.Fields[vi], depth+1)
 			if err != nil {
-				return jheap.NullRef, fmt.Errorf("bind: %s.%s: %w", d.Name, f.Name, err)
+				return jheap.Slot{}, fmt.Errorf("bind: %s.%s: %w", s.Decl.Name, f.Name, err)
 			}
-			if err := h.SetField(r, i, slot); err != nil {
-				return jheap.NullRef, err
-			}
-			vi++
 		}
-		if vi != len(rec.Fields) {
-			return jheap.NullRef, fmt.Errorf("bind: record has %d extra fields for %s", len(rec.Fields)-vi, d.Name)
-		}
-		return r, nil
-	}
-	pv, ok := v.(value.Port)
-	if !ok {
-		return jheap.NullRef, fmt.Errorf("bind: by-reference %s wants port, got %T", d.Name, v)
-	}
-	return ParsePortRef(pv.Ref)
-}
-
-func (j *J) writeCollection(d *stype.Decl, ann stype.Ann, h *jheap.Heap, v value.Value, depth int) (jheap.Ref, error) {
-	elemName := lower.CollectionElement(j.u, d, ann)
-	elemDecl := j.u.Lookup(elemName)
-	if elemDecl == nil {
-		return jheap.NullRef, fmt.Errorf("bind: collection %s: unknown element type %q", d.Name, elemName)
-	}
-	elems, err := value.ToSlice(v)
-	if err != nil {
-		return jheap.NullRef, fmt.Errorf("bind: collection %s: %w", d.Name, err)
-	}
-	r := h.NewVector(d.Name)
-	elemUse := stype.Ann{NonNull: ann.ElementNonNull}
-	for i, e := range elems {
-		slot, err := j.writeClassRef(elemDecl, elemUse, h, e, depth+1)
-		if err != nil {
-			return jheap.NullRef, fmt.Errorf("bind: element %d: %w", i, err)
-		}
-		if err := h.VectorAppend(r, slot.R); err != nil {
-			return jheap.NullRef, err
-		}
-	}
-	return r, nil
-}
-
-func (j *J) writeArray(t *stype.Type, h *jheap.Heap, v value.Value, depth int) (jheap.Slot, error) {
-	elems, err := value.ToSlice(v)
-	if err != nil {
-		return jheap.Slot{}, err
-	}
-	elemIsPrim := t.ElemType.Kind == stype.KPrim
-	var r jheap.Ref
-	if elemIsPrim {
-		r = h.NewPrimArray(t.ElemType.Prim.String(), len(elems))
-	} else {
-		r = h.NewRefArray(t.ElemType.Name, len(elems))
-	}
-	for i, e := range elems {
-		slot, err := j.write(t.ElemType, h, e, depth+1)
-		if err != nil {
-			return jheap.Slot{}, fmt.Errorf("bind: array element %d: %w", i, err)
-		}
-		if elemIsPrim {
-			err = h.PrimArraySet(r, i, slot)
-		} else {
-			err = h.RefArraySet(r, i, slot.R)
-		}
+		return jheap.RefSlot(r), nil
+	case lower.Fixed, lower.List:
+		elems, err := elements(s, v)
 		if err != nil {
 			return jheap.Slot{}, err
 		}
+		var r jheap.Ref
+		switch {
+		case s.Decl != nil:
+			r = h.NewVector(s.Decl.Name)
+		case s.Elem.Kind == stype.KPrim:
+			r = h.NewPrimArray(s.Elem.Prim.String(), len(elems))
+		default:
+			r = h.NewRefArray(s.Elem.Name, len(elems))
+		}
+		for i, e := range elems {
+			slot, err := j.write(s.Elem, h, e, depth+1)
+			switch {
+			case err != nil:
+				err = fmt.Errorf("bind: element %d: %w", i, err)
+			case s.Decl != nil:
+				err = h.VectorAppend(r, slot.R)
+			case s.Elem.Kind == stype.KPrim:
+				err = h.PrimArraySet(r, i, slot)
+			default:
+				err = h.RefArraySet(r, i, slot.R)
+			}
+			if err != nil {
+				return jheap.Slot{}, err
+			}
+		}
+		return jheap.RefSlot(r), nil
 	}
-	return jheap.RefSlot(r), nil
+	return jheap.Slot{}, fmt.Errorf("bind: cannot write Java %s", s.Type.Kind)
 }
 
 // JFunc is a registered Java method implementation operating on the heap.

@@ -27,6 +27,9 @@
 // check that needs no value — leaf counts, the plan's permutation,
 // kinds, spans — runs at compile time.
 //
+// How a use is read — scalar kind, width and signedness, containment,
+// nullability, what is a list — is lower's Shape, which the leaf
+// enumerators consume; this package adds only where a leaf lies.
 // Supported: primitives, by-value classes/structs/fixed arrays (with
 // associative flattening and commutative field permutation from the
 // plan), non-null pointers, and ordered collections (Vector ↔
@@ -130,44 +133,20 @@ type compiler struct {
 	nObjs, nWins int
 }
 
-// resolveNamed follows a Named node to its target with annotations
-// overlaid, for typedef-like targets.
-func resolveNamed(u *stype.Universe, t *stype.Type) (*stype.Type, *stype.Decl, error) {
-	if t.Kind != stype.KNamed {
-		return t, nil, nil
-	}
-	d := t.Target
-	if d == nil {
-		d = u.Lookup(t.Name)
-	}
-	if d == nil {
-		return nil, nil, fmt.Errorf("fuse: unresolved name %q", t.Name)
-	}
-	switch d.Type.Kind {
-	case stype.KClass, stype.KInterface, stype.KStruct, stype.KUnion:
-		return t, d, nil
-	default:
-		overlaid := *d.Type
-		overlaid.Ann = d.Type.Ann.Merge(t.Ann)
-		return resolveNamed(u, &overlaid)
-	}
-}
-
-// primKind classifies a primitive of either language.
-func primKind(t *stype.Type) leafKind {
-	switch {
-	case t.Prim == stype.PF32:
-		return leafF32
-	case t.Prim == stype.PF64:
+// scalarLeaf is the leaf kind of a scalar shape, 0 for any other.
+func scalarLeaf(s *lower.Shape) leafKind {
+	switch s.Kind {
+	case lower.Real:
+		if s.Bits == 32 {
+			return leafF32
+		}
 		return leafF64
-	case t.Ann.Range != nil:
+	case lower.Bool, lower.Integer, lower.Enum:
 		return leafInt
-	case t.Ann.AsChar != nil && !*t.Ann.AsChar:
-		return leafInt
-	case t.Ann.AsChar != nil, t.Prim == stype.PChar8, t.Prim == stype.PChar16:
+	case lower.Character:
 		return leafChar
 	}
-	return leafInt
+	return 0
 }
 
 // jLeaves enumerates the Java-side leaves of the value in a field of an
@@ -176,133 +155,118 @@ func primKind(t *stype.Type) leafKind {
 // goes to objs, ahead of what the object holds. Only containment shapes
 // are fusible; top marks an input parameter, where a collection may stand.
 func (cp *compiler) jLeaves(t *stype.Type, owner, field int, top bool, objs *[]move) ([]jLeaf, error) {
-	t, decl, err := resolveNamed(cp.jU, t)
+	s, err := lower.ShapeOf(cp.jU, t)
 	if err != nil {
 		return nil, err
 	}
-	at := jLeaf{owner: owner, field: field, want: jheap.SlotInt}
+	at := jLeaf{kind: scalarLeaf(&s), owner: owner, field: field}
 	switch {
-	case t.Kind == stype.KPrim && t.Prim == stype.PVoid:
+	case s.Kind == lower.Unit:
 		return nil, nil
-	case t.Kind == stype.KPrim:
-		at.kind = primKind(t)
-		switch char := t.Prim == stype.PChar8 || t.Prim == stype.PChar16; {
-		case at.kind == leafF32 || at.kind == leafF64:
+	case at.kind != 0 && s.Kind != lower.Enum:
+		// The slot a primitive lives in follows what the language says it
+		// holds; read as the other integral kind it takes either, as in
+		// bind.J.
+		switch {
+		case s.Native == lower.Real:
 			at.want = jheap.SlotFloat
-		case char != (at.kind == leafChar):
-			at.want = 0
-		case char:
+		case s.Kind != s.Native && s.Native != lower.Bool:
+		case s.Native == lower.Character:
 			at.want = jheap.SlotChar
+		default:
+			at.want = jheap.SlotInt
 		}
 		return []jLeaf{at}, nil
-	case t.Kind != stype.KNamed:
-		return nil, unsupported("java %s inside a fused aggregate", t.Kind)
-	case lower.IsCollection(cp.jU, decl):
+	case s.Kind == lower.List && s.Decl != nil:
 		if !top {
-			return nil, unsupported("collection %s is not a top-level input parameter", decl.Name)
+			return nil, unsupported("collection %s is not a top-level input parameter", s.Decl.Name)
 		}
-		ann := decl.Type.Ann.Merge(t.Ann)
-		at.kind, at.elem = leafList, stype.NewNamed(lower.CollectionElement(cp.jU, decl, ann))
-		at.elem.Ann.NonNull = ann.ElementNonNull
+		at.kind, at.elem = leafList, s.Elem
 		return []jLeaf{at}, nil
-	case !t.Ann.NonNull:
-		return nil, unsupported("nullable reference to %s inside a fused aggregate", decl.Name)
-	case !lower.ByValueOf(decl, t.Ann):
-		return nil, unsupported("object reference %s inside a fused aggregate", decl.Name)
+	case s.Kind == lower.Optional && s.Inner.Decl != nil:
+		return nil, unsupported("nullable reference to %s inside a fused aggregate", s.Inner.Decl.Name)
+	case s.Kind == lower.Port:
+		return nil, unsupported("object reference %s inside a fused aggregate", s.Decl.Name)
+	case s.Kind != lower.Record || s.Decl == nil:
+		return nil, unsupported("java %s inside a fused aggregate", s.Type.Kind)
 	}
-	at.kind, at.class, at.size = leafObject, decl.Name, len(decl.Type.Fields)
+	at.kind, at.class, at.size = leafObject, s.Decl.Name, len(s.Type.Fields)
 	self, obj := cp.nObjs, len(*objs)
 	cp.nObjs++
 	*objs = append(*objs, move{op: leafObject, j: at, self: self})
 	var out []jLeaf
-	for i, f := range decl.Type.Fields {
-		if f.Type.Ann.Ignore {
-			continue
-		}
-		leaves, err := cp.jLeaves(f.Type, self, i, false, objs)
+	for _, f := range s.Fields {
+		leaves, err := cp.jLeaves(f.Type, self, f.Index, false, objs)
 		if err != nil {
-			return nil, fmt.Errorf("%s.%s: %w", decl.Name, f.Name, err)
+			return nil, fmt.Errorf("%s.%s: %w", s.Decl.Name, f.Name, err)
 		}
-		out, (*objs)[obj].span = append(out, leaves...), i+1
+		out, (*objs)[obj].span = append(out, leaves...), f.Index+1
 	}
 	return out, nil
-}
-
-// behind makes the block of type t that the pointer at `at` points to a
-// base register — its move goes to bases, ahead of what lies in the block
-// — and returns the block's leaves.
-func (cp *compiler) behind(t *stype.Type, at cLeaf, bases *[]move) ([]cLeaf, error) {
-	lay, err := cp.lay.Of(t)
-	if err != nil {
-		return nil, err
-	}
-	at.kind, at.size, at.align = leafRegion, lay.Size, lay.Align
-	*bases = append(*bases, move{op: leafRegion, c: at, self: cp.nWins})
-	cp.nWins++
-	return cp.cLeaves(t, cLeaf{base: cp.nWins - 1, word: at.word}, bases)
 }
 
 // cLeaves enumerates the C-side leaves of a type in lowering order. at
 // locates the value: a frame word for a scalar carried in it, else an
 // offset into a block.
 func (cp *compiler) cLeaves(t *stype.Type, at cLeaf, bases *[]move) ([]cLeaf, error) {
-	t, decl, err := resolveNamed(cp.cU, t)
+	s, err := lower.ShapeOf(cp.cU, t)
 	if err != nil {
 		return nil, err
 	}
-	if decl != nil {
-		t = decl.Type
-	}
-	switch {
-	case t.Kind == stype.KPrim && t.Prim == stype.PVoid:
+	switch at.kind = scalarLeaf(&s); {
+	case s.Kind == lower.Unit:
 		return nil, nil
-	case t.Kind == stype.KPrim:
-		at.kind = primKind(t)
-		at.size, err = cmem.PrimSize(t.Prim)
-		switch t.Prim {
-		case stype.PBool, stype.PU8, stype.PU16, stype.PU32, stype.PU64, stype.PChar16:
-			at.unsigned = true
-		default:
-			at.unsigned = at.kind == leafChar
-		}
-		return []cLeaf{at}, err
-	case t.Kind == stype.KEnum:
-		at.kind, at.size = leafInt, 4
+	case at.kind != 0:
+		// Characters zero-extend when loaded, whatever holds them.
+		at.size, at.unsigned = s.Bits/8, !s.Signed || s.Kind == lower.Character
 		return []cLeaf{at}, nil
-	case t.Kind == stype.KPointer && !t.Ann.NonNull:
+	case s.Kind == lower.Optional:
 		return nil, unsupported("nullable C pointer")
 	case at.base == inWord:
-		return nil, unsupported("C %s passed or returned by value", t.Kind)
+		return nil, unsupported("C %s passed or returned by value", s.Type.Kind)
 	}
-	var elems []*stype.Type // the members of an aggregate, each at offs[i]
+	return cp.block(&s, at, bases)
+}
+
+// block enumerates the leaves of an aggregate in memory: the fields of a
+// struct or the elements of a fixed array at `at`, or — the shape being a
+// pointer's — in the block the pointer at `at` points to. That block
+// becomes a base register: its move goes to bases, ahead of what lies in
+// it.
+func (cp *compiler) block(s *lower.Shape, at cLeaf, bases *[]move) ([]cLeaf, error) {
+	var elems []*stype.Type // the members, each at offs[i]
 	var offs []int
-	switch t.Kind {
-	case stype.KPointer:
-		return cp.behind(t.ElemType, at, bases)
-	case stype.KStruct:
-		lay, err := cp.lay.Of(t)
+	size, align := 0, 0 // of the block behind a pointer
+	switch s.Kind {
+	case lower.Record:
+		lay, err := cp.lay.Of(s.Type)
 		if err != nil {
 			return nil, err
 		}
-		for i, f := range t.Fields {
-			if !f.Type.Ann.Ignore {
-				elems, offs = append(elems, f.Type), append(offs, lay.Offsets[i])
-			}
+		for _, f := range s.Fields {
+			elems, offs = append(elems, f.Type), append(offs, lay.Offsets[f.Index])
 		}
-	case stype.KArray:
-		n := t.Len
-		if t.Ann.FixedLen > 0 {
-			n = t.Ann.FixedLen
+	case lower.Deref, lower.Fixed:
+		n, elem := 1, s.Type.ElemType
+		if s.Kind == lower.Fixed {
+			n = s.N
 		}
-		lay, err := cp.lay.Of(t.ElemType)
+		lay, err := cp.lay.Of(elem)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
-			elems, offs = append(elems, t.ElemType), append(offs, i*lay.Size)
+			elems, offs = append(elems, elem), append(offs, i*lay.Size)
 		}
+		size, align = n*lay.Size, lay.Align
 	default:
-		return nil, unsupported("C %s inside a fused aggregate", t.Kind)
+		return nil, unsupported("C %s inside a fused aggregate", s.Type.Kind)
+	}
+	if s.Type.Kind == stype.KPointer {
+		at.kind, at.size, at.align = leafRegion, size, align
+		*bases = append(*bases, move{op: leafRegion, c: at, self: cp.nWins})
+		at = cLeaf{base: cp.nWins, word: at.word}
+		cp.nWins++
 	}
 	var out []cLeaf
 	for i, e := range elems {

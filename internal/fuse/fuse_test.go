@@ -3,7 +3,6 @@ package fuse
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -270,52 +269,50 @@ func TestFusedMatchesGeneralStub(t *testing.T) {
 // non-nil ill counts the values built down to the one that is to be
 // illegal instead (see illSlot).
 func randSlot(r *rand.Rand, u *stype.Universe, t *stype.Type, h *jheap.Heap, ill *int) jheap.Slot {
-	t, decl, err := resolveNamed(u, t)
+	s, err := lower.ShapeOf(u, t)
 	if err != nil {
 		panic(err)
 	}
+	if s.Kind == lower.Optional {
+		s = *s.Inner
+	}
 	if ill != nil {
 		if *ill--; *ill == 0 {
-			return illSlot(r, u, t, decl, h)
+			return illSlot(r, &s, h)
 		}
 	}
-	if t.Kind == stype.KPrim {
-		switch primKind(t) {
-		case leafF32:
-			return jheap.FloatSlot(float64(float32(r.NormFloat64() * 1e3)))
-		case leafF64:
-			return jheap.FloatSlot(r.NormFloat64() * 1e6)
-		case leafChar:
-			return jheap.CharSlot(rune(r.Intn(256)))
-		}
-		bits, _ := cmem.PrimSize(t.Prim)
-		lo, hi := -int64(1)<<(8*bits-1), int64(1)<<(8*bits-1)-1
-		if t.Prim == stype.PBool {
+	switch scalarLeaf(&s) {
+	case leafF32:
+		return jheap.FloatSlot(float64(float32(r.NormFloat64() * 1e3)))
+	case leafF64:
+		return jheap.FloatSlot(r.NormFloat64() * 1e6)
+	case leafChar:
+		return jheap.CharSlot(rune(r.Intn(256)))
+	case leafInt:
+		lo, hi := -int64(1)<<(s.Bits-1), int64(1)<<(s.Bits-1)-1
+		if s.Kind == lower.Bool {
 			lo, hi = 0, 1
 		}
-		if t.Ann.Range != nil {
-			l, _ := new(big.Int).SetString(t.Ann.Range.Lo, 10)
-			g, _ := new(big.Int).SetString(t.Ann.Range.Hi, 10)
-			lo, hi = l.Int64(), g.Int64()
+		if s.Lo != nil {
+			lo, hi = s.Lo.Int64(), s.Hi.Int64()
 		}
 		if span := uint64(hi-lo) + 1; span != 0 {
 			return jheap.IntSlot(lo + int64(r.Uint64()%span))
 		}
 		return jheap.IntSlot(int64(r.Uint64()))
 	}
-	if lower.IsCollection(u, decl) {
-		ann := decl.Type.Ann.Merge(t.Ann)
-		vec := h.NewVector(decl.Name)
+	if s.Kind == lower.List {
+		vec := h.NewVector(s.Decl.Name)
 		for n := r.Intn(9); n > 0; n-- {
-			elem := randSlot(r, u, stype.NewNamed(lower.CollectionElement(u, decl, ann)), h, ill)
-			if err := h.VectorAppend(vec, elem.R); err != nil {
+			if err := h.VectorAppend(vec, randSlot(r, u, s.Elem, h, ill).R); err != nil {
 				panic(err)
 			}
 		}
 		return jheap.RefSlot(vec)
 	}
-	obj := h.New(decl.Name, len(decl.Type.Fields))
-	for i, f := range decl.Type.Fields {
+	// Every field, the ignored ones too: they may hold anything.
+	obj := h.New(s.Decl.Name, len(s.Type.Fields))
+	for i, f := range s.Type.Fields {
 		if err := h.SetField(obj, i, randSlot(r, u, f.Type, h, ill)); err != nil {
 			panic(err)
 		}
@@ -329,16 +326,16 @@ func randSlot(r *rand.Rand, u *stype.Universe, t *stype.Type, h *jheap.Heap, ill
 // Vector belongs. (A field the declarations ignore may hold anything, and
 // a char declared an integer takes either kind: then the value is legal
 // after all, which "all fail or all agree" covers.)
-func illSlot(r *rand.Rand, u *stype.Universe, t *stype.Type, decl *stype.Decl, h *jheap.Heap) jheap.Slot {
+func illSlot(r *rand.Rand, s *lower.Shape, h *jheap.Heap) jheap.Slot {
 	legal := jheap.SlotRef
 	wrong := []jheap.Slot{jheap.RefSlot(jheap.NullRef), jheap.RefSlot(9999)}
 	switch {
-	case t.Kind == stype.KPrim:
-		legal, wrong = map[leafKind]jheap.SlotKind{leafF32: jheap.SlotFloat, leafF64: jheap.SlotFloat, leafInt: jheap.SlotInt, leafChar: jheap.SlotChar}[primKind(t)], nil
-	case lower.IsCollection(u, decl):
-		wrong = append(wrong, jheap.RefSlot(h.New(decl.Name, 2)))
-	case len(decl.Type.Fields) > 0:
-		wrong = append(wrong, jheap.RefSlot(h.New(decl.Name, len(decl.Type.Fields)-1)))
+	case s.Bits > 0:
+		legal, wrong = map[leafKind]jheap.SlotKind{leafF32: jheap.SlotFloat, leafF64: jheap.SlotFloat, leafInt: jheap.SlotInt, leafChar: jheap.SlotChar}[scalarLeaf(s)], nil
+	case s.Kind == lower.List:
+		wrong = append(wrong, jheap.RefSlot(h.New(s.Decl.Name, 2)))
+	case len(s.Type.Fields) > 0:
+		wrong = append(wrong, jheap.RefSlot(h.New(s.Decl.Name, len(s.Type.Fields)-1)))
 	}
 	for _, s := range []jheap.Slot{{}, jheap.IntSlot(7), jheap.FloatSlot(7.5), jheap.CharSlot('7'), jheap.RefSlot(h.New("Stray", 1))} {
 		if s.Kind != legal {

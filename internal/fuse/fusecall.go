@@ -154,13 +154,19 @@ func CompileCall(
 	var blocks []move // of the input parameters
 	nIn := 0
 	for k, p := range cFn.Params {
-		t, _, err := resolveNamed(cU, p.Type)
+		s, err := lower.ShapeOf(cU, p.Type)
 		if err != nil {
 			return nil, err
 		}
 		var leaves []cLeaf
 		at := cLeaf{base: inWord, off: k, word: k}
-		switch role := cSig.Roles[p.Name]; {
+		pointer := s.Type.Kind == stype.KPointer
+		role, into := cSig.Roles[p.Name], &blocks
+		if role == lower.RoleOut {
+			into = new([]move) // the buffer, then what it points to
+		}
+		n, counted := lenWord[p.Name]
+		switch {
 		case role == lower.RoleInOut:
 			return nil, unsupported("inout parameter %s", p.Name)
 		case role == lower.RoleLength:
@@ -168,33 +174,26 @@ func CompileCall(
 				return nil, unsupported("length parameter %s counts %s, which is not an input list", p.Name, arr)
 			}
 			continue
-		case role == lower.RoleOut && t.Kind != stype.KPointer:
+		case role == lower.RoleOut && !pointer:
 			return nil, unsupported("out parameter %s is not a pointer", p.Name)
-		case role == lower.RoleOut:
-			// The request allocates the buffer; the reply resolves it again.
-			var behind []move
-			if leaves, err = cp.behind(t.ElemType, at, &behind); err != nil {
-				return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
-			}
-			request, reply, outs = append(request, behind[0]), append(reply, behind...), append(outs, leaves...)
-			continue
-		case (t.Kind == stype.KPointer || t.Kind == stype.KArray) && t.Ann.LengthFrom != "":
+		case s.Kind == lower.List && counted && role == lower.RoleIn:
 			var lay *cmem.Layout
-			if lay, err = cp.lay.Of(t.ElemType); err == nil {
-				at.kind, at.size, at.align, at.elem, at.lenWord = leafList, lay.Size, lay.Align, t.ElemType, lenWord[p.Name]
+			if lay, err = cp.lay.Of(s.Elem); err == nil {
+				at.kind, at.size, at.align, at.elem, at.lenWord = leafList, lay.Size, lay.Align, s.Elem, n
 				leaves = []cLeaf{at}
 			}
-		case t.Kind == stype.KPointer && (t.Ann.NonNull || t.Ann.FixedLen > 0):
-			pointee := t.ElemType
-			if t.Ann.FixedLen > 0 {
-				pointee = stype.NewArray(t.ElemType, t.Ann.FixedLen)
-			}
-			leaves, err = cp.behind(pointee, at, &blocks)
+		case pointer && (s.Kind == lower.Deref || s.Kind == lower.Fixed):
+			leaves, err = cp.block(&s, at, into)
 		default: // a scalar in the argument word; cLeaves refuses the rest
-			leaves, err = cp.cLeaves(t, at, &blocks)
+			leaves, err = cp.cLeaves(p.Type, at, into)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("parameter %s: %w", p.Name, err)
+		}
+		if role == lower.RoleOut {
+			// The request allocates the buffer; the reply resolves it again.
+			request, reply, outs = append(request, (*into)[0]), append(reply, *into...), append(outs, leaves...)
+			continue
 		}
 		ins = append(ins, leaves...)
 		nIn++

@@ -14,6 +14,13 @@
 //   - functions become port(Record(I, port(O))) and object references
 //     port(Choice(invocations)) (§3.3).
 //
+// The package owns the reading of an annotated declaration. ShapeOf
+// decides once what a use is — typedef overlay, annotations, language
+// defaults — and the Mtype builder here is a switch on that Shape, as are
+// bind.C, bind.J and fuse's leaf enumerators: no other package reads an
+// annotation's meaning (TestLOCLedger counts the sites). DESIGN.md §3
+// has the table from use to shape to each representation.
+//
 // Lowering is memoized per declaration variant, so a declaration used in
 // many places lowers to one shared (possibly cyclic) Mtype graph.
 package lower
@@ -21,7 +28,6 @@ package lower
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"unicode"
 	"unicode/utf8"
 
@@ -100,42 +106,35 @@ func (l *Lowerer) lowerRoot(d *stype.Decl) (*mtype.Type, error) {
 	t := d.Type
 	switch t.Kind {
 	case stype.KFunc:
-		return l.lowerFunc(t.Params, t.Result, false)
+		return l.lowerFunc(t.Params, t.Result)
 	case stype.KInterface:
 		return l.lowerObjectPort(d)
 	case stype.KClass:
 		// A class decl at the root is inspected as a value shape when it
 		// has fields (the §2 Point/Line usage) and as an object port when
 		// it only has methods, unless byvalue/byref says otherwise.
-		if byValue, set := annByValue(t.Ann); set {
-			if byValue {
-				return l.lowerDeclValue(d)
+		byValue := len(t.Fields) > 0
+		switch {
+		case t.Ann.ByValue != nil:
+			byValue = *t.Ann.ByValue
+		case isCollection(l.u, d):
+			var s Shape
+			if err := s.collection(l.u, d, t.Ann); err != nil {
+				return nil, err
 			}
+			return l.lowerShape(&s)
+		}
+		if !byValue {
 			return l.lowerObjectPort(d)
 		}
-		if IsCollection(l.u, d) {
-			return l.lowerCollection(d, t.Ann)
-		}
-		if len(t.Fields) > 0 {
-			return l.lowerDeclValue(d)
-		}
-		return l.lowerObjectPort(d)
-	default:
-		return l.lowerDeclValue(d)
 	}
+	return l.lowerDeclValue(d)
 }
 
-func annByValue(a stype.Ann) (byValue, set bool) {
-	if a.ByValue != nil {
-		return *a.ByValue, true
-	}
-	return false, false
-}
-
-// lowerDeclValue lowers a declaration's content by value, memoized so that
-// recursive declarations become cyclic graphs.
-func (l *Lowerer) lowerDeclValue(d *stype.Decl) (*mtype.Type, error) {
-	key := memoKey{decl: d, byValue: true}
+// memoized builds the lowering of a declaration variant once, so that
+// recursive declarations become cyclic graphs: a re-entrant reference gets
+// the variant's μ node, which build's result then becomes the body of.
+func (l *Lowerer) memoized(key memoKey, build func() (*mtype.Type, error)) (*mtype.Type, error) {
 	if e, ok := l.memo[key]; ok {
 		if e.done != nil {
 			return e.done, nil
@@ -144,9 +143,9 @@ func (l *Lowerer) lowerDeclValue(d *stype.Decl) (*mtype.Type, error) {
 		e.used = true
 		return e.rec, nil
 	}
-	e := &memoEntry{rec: mtype.NewRecursive().SetTag(d.Name)}
+	e := &memoEntry{rec: mtype.NewRecursive().SetTag(key.decl.Name)}
 	l.memo[key] = e
-	body, err := l.lowerValue(d.Type)
+	body, err := build()
 	if err != nil {
 		delete(l.memo, key)
 		return nil, err
@@ -160,56 +159,43 @@ func (l *Lowerer) lowerDeclValue(d *stype.Decl) (*mtype.Type, error) {
 	return e.done, nil
 }
 
+// lowerDeclValue lowers a declaration's content by value.
+func (l *Lowerer) lowerDeclValue(d *stype.Decl) (*mtype.Type, error) {
+	return l.memoized(memoKey{decl: d, byValue: true}, func() (*mtype.Type, error) { return l.lowerValue(d.Type) })
+}
+
 // lowerObjectPort lowers a class/interface declaration as an object
 // reference target: port(Choice(invocation Mtypes)), collapsing a
 // single-method object to port(invocation) (§3.3, §3.4). Methods of base
 // interfaces/classes are included, innermost last.
 func (l *Lowerer) lowerObjectPort(d *stype.Decl) (*mtype.Type, error) {
-	key := memoKey{decl: d, byValue: false}
-	if e, ok := l.memo[key]; ok {
-		if e.done != nil {
-			return e.done, nil
-		}
-		e.used = true
-		return e.rec, nil
-	}
-	e := &memoEntry{rec: mtype.NewRecursive().SetTag(d.Name)}
-	l.memo[key] = e
-
-	methods, err := l.collectMethods(d, nil)
-	if err != nil {
-		delete(l.memo, key)
-		return nil, err
-	}
-	var alts []mtype.Alt
-	for _, m := range methods {
-		if m.Ann.Ignore {
-			continue
-		}
-		inv, err := l.lowerInvocation(m)
+	return l.memoized(memoKey{decl: d}, func() (*mtype.Type, error) {
+		methods, err := l.collectMethods(d, nil)
 		if err != nil {
-			delete(l.memo, key)
-			return nil, fmt.Errorf("method %s.%s: %w", d.Name, m.Name, err)
+			return nil, err
 		}
-		alts = append(alts, mtype.Alt{Name: m.Name, Type: inv})
-	}
-	var elem *mtype.Type
-	switch len(alts) {
-	case 0:
-		elem = mtype.Unit()
-	case 1:
-		elem = alts[0].Type
-	default:
-		elem = mtype.NewChoice(alts...)
-	}
-	body := mtype.NewPort(elem).SetTag(d.Name)
-	if e.used {
-		e.rec.SetBody(body)
-		e.done = e.rec
-	} else {
-		e.done = body
-	}
-	return e.done, nil
+		var alts []mtype.Alt
+		for _, m := range methods {
+			if m.Ann.Ignore {
+				continue
+			}
+			inv, err := l.lowerInvocation(m)
+			if err != nil {
+				return nil, fmt.Errorf("method %s.%s: %w", d.Name, m.Name, err)
+			}
+			alts = append(alts, mtype.Alt{Name: m.Name, Type: inv})
+		}
+		var elem *mtype.Type
+		switch len(alts) {
+		case 0:
+			elem = mtype.Unit()
+		case 1:
+			elem = alts[0].Type
+		default:
+			elem = mtype.NewChoice(alts...)
+		}
+		return mtype.NewPort(elem).SetTag(d.Name), nil
+	})
 }
 
 // collectMethods gathers the method set of d: its own methods, the Super
@@ -236,7 +222,7 @@ func (l *Lowerer) collectMethods(d *stype.Decl, seen map[string]bool) ([]stype.M
 		var next []*stype.Decl
 		for _, decl := range level {
 			for _, m := range decl.Type.Methods {
-				if l.unexported(m.Name) {
+				if unexported(l.u, m.Name) {
 					continue
 				}
 				if c, ok := claimed[m.Name]; ok {
@@ -300,8 +286,8 @@ func (l *Lowerer) methodBases(decl *stype.Decl) []string {
 // unexported reports that a Go member name is unexported and therefore
 // not part of the wire contract. Other languages encode visibility in
 // modifiers, which their parsers already honor.
-func (l *Lowerer) unexported(name string) bool {
-	if l.u.Lang() != stype.LangGo {
+func unexported(u *stype.Universe, name string) bool {
+	if u.Lang() != stype.LangGo {
 		return false
 	}
 	r, _ := utf8.DecodeRuneInString(name)
@@ -319,7 +305,7 @@ func (l *Lowerer) lowerInvocation(m stype.Method) (*mtype.Type, error) {
 		}
 		return mtype.NewRecord(inputs...).SetTag(m.Name), nil
 	}
-	port, err := l.lowerFunc(m.Params, m.Result, true)
+	port, err := l.lowerFunc(m.Params, m.Result)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +318,7 @@ func (l *Lowerer) lowerInvocation(m stype.Method) (*mtype.Type, error) {
 // Parameters annotated out contribute only to O; inout to both; the result
 // is always an output. Parameters named by a sibling's length-from are
 // consumed by the length relationship and appear in neither record.
-func (l *Lowerer) lowerFunc(params []stype.Param, result *stype.Type, method bool) (*mtype.Type, error) {
+func (l *Lowerer) lowerFunc(params []stype.Param, result *stype.Type) (*mtype.Type, error) {
 	sig, err := SignatureOf(params, result)
 	if err != nil {
 		return nil, err
@@ -383,63 +369,103 @@ func (l *Lowerer) lowerParams(params []stype.Param, sig *Signature) ([]mtype.Fie
 	return inputs, outputs, nil
 }
 
-// lowerValue lowers a type use to its Mtype, honoring the node's
-// annotations.
+// lowerValue lowers a type use to its Mtype: the Mtype of its Shape.
 func (l *Lowerer) lowerValue(t *stype.Type) (*mtype.Type, error) {
-	if t == nil {
-		return mtype.Unit(), nil
-	}
-	switch t.Kind {
-	case stype.KPrim:
-		return l.lowerPrim(t)
-	case stype.KNamed:
-		return l.lowerNamed(t)
-	case stype.KStruct:
-		return l.lowerFields(t.Fields, t.Name)
-	case stype.KUnion:
-		return l.lowerUnion(t)
-	case stype.KClass, stype.KInterface:
-		// An inline class node (anonymous composite) lowers by value.
-		return l.lowerFields(t.Fields, t.Name)
-	case stype.KEnum:
-		if len(t.EnumNames) == 0 {
-			return nil, fmt.Errorf("lower: enum %s has no elements", t.Name)
-		}
-		return mtype.NewEnum(len(t.EnumNames)).SetTag(t.Name), nil
-	case stype.KPointer:
-		return l.lowerPointer(t)
-	case stype.KArray:
-		return l.lowerArray(t)
-	case stype.KSequence:
-		elem, err := l.lowerValue(t.ElemType)
-		if err != nil {
-			return nil, err
-		}
-		return mtype.NewList(elem), nil
-	case stype.KFunc:
-		return l.lowerFunc(t.Params, t.Result, false)
-	default:
-		return nil, fmt.Errorf("lower: unsupported node kind %s", t.Kind)
-	}
-}
-
-func (l *Lowerer) lowerFields(fields []stype.Field, tag string) (*mtype.Type, error) {
-	flat, err := l.flattenFields(fields)
+	s, err := ShapeOf(l.u, t)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]mtype.Field, 0, len(flat))
-	for _, f := range flat {
-		if f.Type != nil && f.Type.Ann.Ignore {
-			continue
+	return l.lowerShape(&s)
+}
+
+// lowerShape is the first consumer of a Shape, so the Mtype and the shape
+// cannot part ways: scalars by their width or range (§3.1), records,
+// choices and the list encoding (§3.2), ports (§3.3).
+func (l *Lowerer) lowerShape(s *Shape) (*mtype.Type, error) {
+	switch s.Kind {
+	case Unit:
+		return mtype.Unit(), nil
+	case Bool:
+		return mtype.NewBool(), nil
+	case Integer:
+		if s.Lo != nil {
+			return mtype.NewInteger(s.Lo, s.Hi), nil
 		}
+		return mtype.NewIntegerBits(s.Bits, s.Signed), nil
+	case Character:
+		return mtype.NewCharacter(s.Rep), nil
+	case Real:
+		if s.Bits == 32 {
+			return mtype.NewFloat32(), nil
+		}
+		return mtype.NewFloat64(), nil
+	case Enum:
+		return mtype.NewEnum(s.N).SetTag(s.Type.Name), nil
+	case Record, Union:
+		if s.Decl != nil {
+			return l.memoized(memoKey{decl: s.Decl, byValue: true}, func() (*mtype.Type, error) { return l.lowerMembers(s) })
+		}
+		return l.lowerMembers(s)
+	case Fixed:
+		elem, err := l.lowerValue(s.Elem)
+		if err != nil {
+			return nil, err
+		}
+		fields := make([]mtype.Field, s.N)
+		for i := range fields {
+			fields[i] = mtype.Field{Type: elem}
+		}
+		return mtype.NewRecord(fields...), nil
+	case List:
+		elem, err := l.lowerValue(s.Elem)
+		if err != nil && s.Decl != nil {
+			err = fmt.Errorf("lower: collection %s: %w", s.Decl.Name, err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		list := mtype.NewList(elem)
+		if s.Decl != nil {
+			list.SetTag(s.Decl.Name)
+		}
+		return list, nil
+	case Optional, Deref:
+		inner, err := l.lowerShape(s.Inner)
+		if err != nil || s.Kind == Deref {
+			return inner, err
+		}
+		return mtype.NewOptional(inner), nil
+	case Port:
+		return l.lowerObjectPort(s.Decl)
+	default: // Func
+		return l.lowerFunc(s.Type.Params, s.Type.Result)
+	}
+}
+
+// lowerMembers lowers the members of a Record or Union shape.
+func (l *Lowerer) lowerMembers(s *Shape) (*mtype.Type, error) {
+	what := "field"
+	if s.Kind == Union {
+		if what = "union member"; len(s.Fields) == 0 {
+			return nil, fmt.Errorf("lower: union %s has no members", s.Type.Name)
+		}
+	}
+	fields := make([]mtype.Field, len(s.Fields))
+	for i, f := range s.Fields {
 		ty, err := l.lowerValue(f.Type)
 		if err != nil {
-			return nil, fmt.Errorf("field %s: %w", f.Name, err)
+			return nil, fmt.Errorf("%s %s: %w", what, f.Name, err)
 		}
-		out = append(out, mtype.Field{Name: f.Name, Type: ty})
+		fields[i] = mtype.Field{Name: f.Name, Type: ty}
 	}
-	return mtype.NewRecord(out...).SetTag(tag), nil
+	if s.Kind == Union {
+		alts := make([]mtype.Alt, len(fields))
+		for i, f := range fields {
+			alts[i] = mtype.Alt(f)
+		}
+		return mtype.NewChoice(alts...).SetTag(s.Type.Name), nil
+	}
+	return mtype.NewRecord(fields...).SetTag(s.Type.Name), nil
 }
 
 // flattenFields applies Go's field-promotion rules to embedded struct
@@ -451,13 +477,13 @@ func (l *Lowerer) lowerFields(fields []stype.Field, tag string) (*mtype.Type, er
 // embedded types promoting one name at the same depth wrap ErrAmbiguous.
 // Unexported fields are skipped. Non-Go universes pass through untouched
 // (only goparse sets Field.Embedded).
-func (l *Lowerer) flattenFields(fields []stype.Field) ([]stype.Field, error) {
-	if l.u.Lang() != stype.LangGo {
+func flattenFields(u *stype.Universe, fields []stype.Field) ([]stype.Field, error) {
+	if u.Lang() != stype.LangGo {
 		return fields, nil
 	}
 	needs := false
 	for _, f := range fields {
-		if f.Embedded || l.unexported(f.Name) {
+		if f.Embedded || unexported(u, f.Name) {
 			needs = true
 			break
 		}
@@ -487,10 +513,10 @@ func (l *Lowerer) flattenFields(fields []stype.Field) ([]stype.Field, error) {
 		var next []group
 		for _, g := range level {
 			for _, f := range g.fields {
-				if l.unexported(f.Name) {
+				if unexported(u, f.Name) {
 					continue
 				}
-				if target := l.embedTarget(f); target != nil {
+				if target := embedTarget(u, f); target != nil {
 					for _, anc := range g.path {
 						if anc == target.Name {
 							return nil, fmt.Errorf("lower: embedding cycle through %s", target.Name)
@@ -522,10 +548,10 @@ func (l *Lowerer) flattenFields(fields []stype.Field) ([]stype.Field, error) {
 	emit = func(fs []stype.Field, depth int, owner string) []stype.Field {
 		var out []stype.Field
 		for _, f := range fs {
-			if l.unexported(f.Name) {
+			if unexported(u, f.Name) {
 				continue
 			}
-			if target := l.embedTarget(f); target != nil {
+			if target := embedTarget(u, f); target != nil {
 				out = append(out, emit(target.Type.Fields, depth+1, target.Name)...)
 				continue
 			}
@@ -552,352 +578,21 @@ func claimOwner(owner string) string {
 // embedTarget resolves an embedded field to the struct declaration it
 // splices in, following typedef chains. Embedded interfaces (and embedded
 // names resolving to non-structs) stay ordinary fields.
-func (l *Lowerer) embedTarget(f stype.Field) *stype.Decl {
+func embedTarget(u *stype.Universe, f stype.Field) *stype.Decl {
 	if !f.Embedded || f.Type == nil || f.Type.Kind != stype.KNamed {
 		return nil
 	}
 	d := f.Type.Target
 	if d == nil {
-		d = l.u.Lookup(f.Type.Name)
+		d = u.Lookup(f.Type.Name)
 	}
 	seen := make(map[string]bool)
 	for d != nil && d.Type.Kind == stype.KNamed && !seen[d.Name] {
 		seen[d.Name] = true
-		d = l.u.Lookup(d.Type.Name)
+		d = u.Lookup(d.Type.Name)
 	}
 	if d == nil || d.Type.Kind != stype.KClass {
 		return nil
 	}
 	return d
-}
-
-func (l *Lowerer) lowerUnion(t *stype.Type) (*mtype.Type, error) {
-	alts := make([]mtype.Alt, 0, len(t.Fields))
-	for _, f := range t.Fields {
-		if f.Type != nil && f.Type.Ann.Ignore {
-			continue
-		}
-		ty, err := l.lowerValue(f.Type)
-		if err != nil {
-			return nil, fmt.Errorf("union member %s: %w", f.Name, err)
-		}
-		alts = append(alts, mtype.Alt{Name: f.Name, Type: ty})
-	}
-	if len(alts) == 0 {
-		return nil, fmt.Errorf("lower: union %s has no members", t.Name)
-	}
-	return mtype.NewChoice(alts...).SetTag(t.Name), nil
-}
-
-// lowerPrim lowers a primitive honoring range/char/repertoire annotations
-// (§3.1).
-func (l *Lowerer) lowerPrim(t *stype.Type) (*mtype.Type, error) {
-	ann := t.Ann
-	// Explicit range annotation wins and forces an Integer Mtype.
-	if ann.Range != nil {
-		lo, ok1 := new(big.Int).SetString(ann.Range.Lo, 10)
-		hi, ok2 := new(big.Int).SetString(ann.Range.Hi, 10)
-		if !ok1 || !ok2 || lo.Cmp(hi) > 0 {
-			return nil, fmt.Errorf("lower: invalid range annotation %s..%s", ann.Range.Lo, ann.Range.Hi)
-		}
-		return mtype.NewInteger(lo, hi), nil
-	}
-	asChar := func(defaultChar bool) bool {
-		if ann.AsChar != nil {
-			return *ann.AsChar
-		}
-		return defaultChar
-	}
-	rep := func(def mtype.Repertoire) (mtype.Repertoire, error) {
-		switch ann.Repertoire {
-		case "":
-			return def, nil
-		case "ascii":
-			return mtype.RepASCII, nil
-		case "latin1":
-			return mtype.RepLatin1, nil
-		case "ucs2":
-			return mtype.RepUCS2, nil
-		case "unicode":
-			return mtype.RepUnicode, nil
-		default:
-			return 0, fmt.Errorf("lower: unknown repertoire %q", ann.Repertoire)
-		}
-	}
-	switch t.Prim {
-	case stype.PVoid:
-		return mtype.Unit(), nil
-	case stype.PBool:
-		return mtype.NewBool(), nil
-	case stype.PI8:
-		if asChar(false) {
-			r, err := rep(mtype.RepLatin1)
-			if err != nil {
-				return nil, err
-			}
-			return mtype.NewCharacter(r), nil
-		}
-		return mtype.NewIntegerBits(8, true), nil
-	case stype.PU8:
-		if asChar(false) {
-			r, err := rep(mtype.RepLatin1)
-			if err != nil {
-				return nil, err
-			}
-			return mtype.NewCharacter(r), nil
-		}
-		return mtype.NewIntegerBits(8, false), nil
-	case stype.PI16:
-		if asChar(false) {
-			r, err := rep(mtype.RepUCS2)
-			if err != nil {
-				return nil, err
-			}
-			return mtype.NewCharacter(r), nil
-		}
-		return mtype.NewIntegerBits(16, true), nil
-	case stype.PU16:
-		if asChar(false) {
-			r, err := rep(mtype.RepUCS2)
-			if err != nil {
-				return nil, err
-			}
-			return mtype.NewCharacter(r), nil
-		}
-		return mtype.NewIntegerBits(16, false), nil
-	case stype.PI32:
-		if asChar(false) {
-			r, err := rep(mtype.RepUnicode)
-			if err != nil {
-				return nil, err
-			}
-			return mtype.NewCharacter(r), nil
-		}
-		return mtype.NewIntegerBits(32, true), nil
-	case stype.PU32:
-		return mtype.NewIntegerBits(32, false), nil
-	case stype.PI64:
-		return mtype.NewIntegerBits(64, true), nil
-	case stype.PU64:
-		return mtype.NewIntegerBits(64, false), nil
-	case stype.PF32:
-		return mtype.NewFloat32(), nil
-	case stype.PF64:
-		return mtype.NewFloat64(), nil
-	case stype.PChar8:
-		// Plain C char holds characters by convention (§3.1); `int`
-		// annotation turns it into a signed byte.
-		if asChar(true) {
-			r, err := rep(mtype.RepLatin1)
-			if err != nil {
-				return nil, err
-			}
-			return mtype.NewCharacter(r), nil
-		}
-		return mtype.NewIntegerBits(8, true), nil
-	case stype.PChar16:
-		if asChar(true) {
-			r, err := rep(mtype.RepUCS2)
-			if err != nil {
-				return nil, err
-			}
-			return mtype.NewCharacter(r), nil
-		}
-		return mtype.NewIntegerBits(16, false), nil
-	default:
-		return nil, fmt.Errorf("lower: unsupported primitive %s", t.Prim)
-	}
-}
-
-// lowerNamed lowers a use of a named declaration. For composite targets
-// the use-site annotations decide between containment (by value), object
-// reference, and nullability (§3.2):
-//
-//   - byvalue at use or declaration, or nonnull+noalias at use, lowers the
-//     target by value (the §3.4 Line-contains-two-Points conclusion);
-//   - otherwise classes and interfaces lower as object reference ports;
-//   - the result is wrapped in Choice(Unit, τ) unless nonnull.
-func (l *Lowerer) lowerNamed(t *stype.Type) (*mtype.Type, error) {
-	d := t.Target
-	if d == nil {
-		d = l.u.Lookup(t.Name)
-	}
-	if d == nil {
-		return nil, fmt.Errorf("lower: unresolved name %q", t.Name)
-	}
-	ann := t.Ann
-	target := d.Type
-	switch target.Kind {
-	case stype.KPrim, stype.KEnum, stype.KArray, stype.KSequence, stype.KPointer, stype.KFunc:
-		// Typedef-like targets: lower the target with the use-site
-		// annotation overlaid on the target's own.
-		overlaid := *target
-		overlaid.Ann = target.Ann.Merge(ann)
-		return l.lowerValue(&overlaid)
-	case stype.KStruct, stype.KUnion:
-		// Structs and unions are values; no reference semantics.
-		return l.lowerDeclValue(d)
-	case stype.KClass, stype.KInterface:
-		core, err := l.lowerClassRef(d, ann)
-		if err != nil {
-			return nil, err
-		}
-		if ann.NonNull {
-			return core, nil
-		}
-		return mtype.NewOptional(core), nil
-	default:
-		return nil, fmt.Errorf("lower: cannot lower reference to %s", target.Kind)
-	}
-}
-
-// lowerClassRef lowers the referent of a class/interface reference
-// (without the nullability wrapper).
-func (l *Lowerer) lowerClassRef(d *stype.Decl, use stype.Ann) (*mtype.Type, error) {
-	target := d.Type
-	// Collections lower to the list encoding regardless of by-value/by-ref.
-	if use.CollectionOf != "" || IsCollection(l.u, d) {
-		merged := target.Ann.Merge(use)
-		return l.lowerCollection(d, merged)
-	}
-	if ByValueOf(d, use) {
-		if target.Kind == stype.KInterface {
-			return nil, fmt.Errorf("lower: interface %s cannot be passed by value", d.Name)
-		}
-		return l.lowerDeclValue(d)
-	}
-	return l.lowerObjectPort(d)
-}
-
-// ByValueOf decides whether a reference to d with the given use-site
-// annotation lowers by value (containment) rather than as an object port:
-// an explicit byvalue/byref wins; nonnull+noalias implies containment (§3:
-// "neither field is ever null and neither may introduce an alias" lets
-// Mockingbird conclude every Line contains two different Points); and a
-// pure data class (fields, no methods) defaults to by-value because it has
-// no behavior to invoke remotely. The binding layer uses the same
-// predicate, so the Mtype and the marshaling code cannot disagree.
-func ByValueOf(d *stype.Decl, use stype.Ann) bool {
-	target := d.Type
-	if use.ByValue != nil {
-		return *use.ByValue
-	}
-	if target.Ann.ByValue != nil {
-		return *target.Ann.ByValue
-	}
-	if use.NonNull && use.NoAlias {
-		return true
-	}
-	return target.Kind == stype.KClass && len(target.Methods) == 0 && len(target.Fields) > 0
-}
-
-// IsCollection reports whether the declaration is an ordered collection:
-// annotated collection-of, or a transitive subclass of one (the Vector
-// rule of §3.4).
-func IsCollection(u *stype.Universe, d *stype.Decl) bool {
-	seen := make(map[string]bool)
-	for d != nil && !seen[d.Name] {
-		seen[d.Name] = true
-		if d.Type.Ann.CollectionOf != "" {
-			return true
-		}
-		if d.Type.Super == "" {
-			return false
-		}
-		d = u.Lookup(d.Type.Super)
-	}
-	return false
-}
-
-// collectionElement resolves the element type name of a collection
-// declaration, walking the super chain for the default.
-func CollectionElement(u *stype.Universe, d *stype.Decl, ann stype.Ann) string {
-	if ann.CollectionOf != "" {
-		return ann.CollectionOf
-	}
-	seen := make(map[string]bool)
-	for d != nil && !seen[d.Name] {
-		seen[d.Name] = true
-		if d.Type.Ann.CollectionOf != "" {
-			return d.Type.Ann.CollectionOf
-		}
-		d = u.Lookup(d.Type.Super)
-	}
-	return ""
-}
-
-// lowerCollection lowers an ordered-collection class to the list encoding.
-// Elements are references to the element class, nonnull when
-// element-nonnull is annotated.
-func (l *Lowerer) lowerCollection(d *stype.Decl, ann stype.Ann) (*mtype.Type, error) {
-	elemName := CollectionElement(l.u, d, ann)
-	if elemName == "" {
-		return nil, fmt.Errorf("lower: %s is a collection of unknown element type", d.Name)
-	}
-	if l.u.Lookup(elemName) == nil {
-		return nil, fmt.Errorf("lower: collection %s: unknown element type %q", d.Name, elemName)
-	}
-	elemUse := stype.NewNamed(elemName)
-	elemUse.Ann.NonNull = ann.ElementNonNull
-	// Element containment follows the element class's own annotations.
-	elem, err := l.lowerValue(elemUse)
-	if err != nil {
-		return nil, fmt.Errorf("lower: collection %s: %w", d.Name, err)
-	}
-	return mtype.NewList(elem).SetTag(d.Name), nil
-}
-
-// lowerPointer lowers a C pointer use (§3.2): with a length annotation it
-// is an array; otherwise it points at a single value and is nullable
-// unless annotated nonnull.
-func (l *Lowerer) lowerPointer(t *stype.Type) (*mtype.Type, error) {
-	ann := t.Ann
-	if ann.FixedLen > 0 {
-		elem, err := l.lowerValue(t.ElemType)
-		if err != nil {
-			return nil, err
-		}
-		fields := make([]mtype.Field, ann.FixedLen)
-		for i := range fields {
-			fields[i] = mtype.Field{Type: elem}
-		}
-		return mtype.NewRecord(fields...), nil
-	}
-	if ann.LengthFrom != "" {
-		elem, err := l.lowerValue(t.ElemType)
-		if err != nil {
-			return nil, err
-		}
-		return mtype.NewList(elem), nil
-	}
-	elem, err := l.lowerValue(t.ElemType)
-	if err != nil {
-		return nil, err
-	}
-	if ann.NonNull {
-		return elem, nil
-	}
-	return mtype.NewOptional(elem), nil
-}
-
-// lowerArray lowers an array use (§3.2): fixed length to a Record of n
-// elements, indefinite length to the recursive list encoding, with
-// annotations able to supply either form.
-func (l *Lowerer) lowerArray(t *stype.Type) (*mtype.Type, error) {
-	length := t.Len
-	if t.Ann.FixedLen > 0 {
-		length = t.Ann.FixedLen
-	}
-	elem, err := l.lowerValue(t.ElemType)
-	if err != nil {
-		return nil, err
-	}
-	if length >= 0 && t.Ann.LengthFrom == "" {
-		fields := make([]mtype.Field, length)
-		for i := range fields {
-			fields[i] = mtype.Field{Type: elem}
-		}
-		return mtype.NewRecord(fields...), nil
-	}
-	return mtype.NewList(elem), nil
 }

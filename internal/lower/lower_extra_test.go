@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/annotate"
+	"repro/internal/fingerprint"
 	"repro/internal/idlparse"
 	"repro/internal/javaparse"
 	"repro/internal/mtype"
@@ -52,7 +53,7 @@ func TestRootCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mtype.NewList(mtype.RecordOf(mtype.NewIntegerBits(32, true)))
-	if mtype.Fingerprint(ty) != mtype.Fingerprint(want) {
+	if fingerprint.Exact(ty) != fingerprint.Exact(want) {
 		t.Errorf("collection root = %s", ty)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/annotate"
 	"repro/internal/cparse"
+	"repro/internal/fingerprint"
 	"repro/internal/idlparse"
 	"repro/internal/javaparse"
 	"repro/internal/mtype"
@@ -138,7 +139,7 @@ func TestIndefiniteArrayEqualsListEncoding(t *testing.T) {
 	}
 	xs := req[0].Type
 	want := mtype.NewList(mtype.NewFloat32())
-	if mtype.Fingerprint(xs) != mtype.Fingerprint(want) {
+	if fingerprint.Exact(xs) != fingerprint.Exact(want) {
 		t.Errorf("xs = %s, want list of real", xs)
 	}
 }
@@ -223,7 +224,7 @@ func TestRangeAnnotationOverride(t *testing.T) {
 	// matches a C unsigned int annotated to stay below 2^31.
 	jTy := lowerJava(t, `class C { int v; }`, "annotate C.v range=0..2147483647", "C")
 	cTy := lowerC(t, `struct C { unsigned int v; };`, "annotate C.v range=0..2147483647", "C")
-	if mtype.Fingerprint(jTy) != mtype.Fingerprint(cTy) {
+	if fingerprint.Exact(jTy) != fingerprint.Exact(cTy) {
 		t.Errorf("annotated ranges differ: %s vs %s", jTy, cTy)
 	}
 }
@@ -284,7 +285,7 @@ func TestFixedArrayIsRecord(t *testing.T) {
 	// Mtype shape.
 	cTy := lowerC(t, `typedef float point[2];`, "", "point")
 	jTy := lowerJava(t, `class Point { float x; float y; }`, "", "Point")
-	if mtype.Fingerprint(cTy) != mtype.Fingerprint(jTy) {
+	if fingerprint.Exact(cTy) != fingerprint.Exact(jTy) {
 		t.Errorf("point %s vs Point %s", cTy, jTy)
 	}
 }
@@ -409,7 +410,7 @@ func TestIDLStringLowering(t *testing.T) {
 	}
 	name := ty.Fields()[0].Type
 	want := mtype.NewList(mtype.NewCharacter(mtype.RepLatin1))
-	if mtype.Fingerprint(name) != mtype.Fingerprint(want) {
+	if fingerprint.Exact(name) != fingerprint.Exact(want) {
 		t.Errorf("string = %s", name)
 	}
 }

@@ -499,33 +499,6 @@ func Validate(t *Type) error {
 	return walk(t)
 }
 
-// ShapeKey returns a shallow fingerprint of a node: its kind, primitive
-// parameters, and child count. Nodes with different shape keys can never be
-// equivalent, so the comparer uses shape keys to prune the commutative
-// matching search. ShapeKey does not recurse.
-func ShapeKey(t *Type) string {
-	switch t.kind {
-	case KindInteger:
-		return "i[" + t.lo.String() + "," + t.hi.String() + "]"
-	case KindCharacter:
-		return "c" + t.rep.String()
-	case KindReal:
-		return fmt.Sprintf("r%d.%d", t.precision, t.exponent)
-	case KindUnit:
-		return "u"
-	case KindRecord:
-		return fmt.Sprintf("R%d", len(t.fields))
-	case KindChoice:
-		return fmt.Sprintf("C%d", len(t.alts))
-	case KindRecursive:
-		return "M"
-	case KindPort:
-		return "P"
-	default:
-		return "?"
-	}
-}
-
 // String renders the graph rooted at t in a compact notation with μ-binders
 // for cycles, e.g. the Figure 8 list prints as
 //
@@ -645,100 +618,6 @@ func Nodes(t *Type) []*Type {
 
 // Size returns the number of distinct nodes reachable from t.
 func Size(t *Type) int { return len(Nodes(t)) }
-
-// Fingerprint returns a deep structural hash of the graph rooted at t that
-// is invariant under node identity (two isomorphic graphs built separately
-// hash equal) but sensitive to child order. It is used as a cache key by
-// clients that memoize per-shape work.
-//
-// Cycles are handled by hashing the graph as the infinite regular tree it
-// denotes, truncated at a fixed depth. Graphs denoting regular trees that
-// first differ deeper than the truncation depth collide, which is
-// acceptable for a cache key; using a fixed depth (rather than one derived
-// from graph size) makes a graph and its unrollings hash equal.
-func Fingerprint(t *Type) uint64 {
-	const depth = 64
-	type key struct {
-		n *Type
-		d int
-	}
-	memo := make(map[key]uint64)
-	inProgress := make(map[key]bool)
-	var hash func(n *Type, d int) uint64
-	hash = func(n *Type, d int) uint64 {
-		if n != nil {
-			if v, ok := memo[key{n, d}]; ok {
-				return v
-			}
-			// Re-entering the same node at the same depth can only happen
-			// on a non-contractive (invalid) graph; break the loop.
-			if inProgress[key{n, d}] {
-				return 0xbadc0de
-			}
-			inProgress[key{n, d}] = true
-			defer delete(inProgress, key{n, d})
-		}
-		const (
-			offset64 = 14695981039346656037
-			prime64  = 1099511628211
-		)
-		h := uint64(offset64)
-		mix := func(x uint64) {
-			h ^= x
-			h *= prime64
-		}
-		if n == nil || d == 0 {
-			mix(0xdead)
-			return h
-		}
-		if n.kind == KindRecursive {
-			// Equi-recursive: a μ node is its body, at the same depth, so
-			// that a graph and its unrollings hash identically.
-			v := hash(n.body, d)
-			memo[key{n, d}] = v
-			return v
-		}
-		mix(uint64(n.kind))
-		switch n.kind {
-		case KindInteger:
-			mix(hashString(n.lo.String()))
-			mix(hashString(n.hi.String()))
-		case KindCharacter:
-			mix(uint64(n.rep))
-		case KindReal:
-			mix(uint64(n.precision))
-			mix(uint64(n.exponent))
-		case KindRecord:
-			mix(uint64(len(n.fields)))
-			for _, f := range n.fields {
-				mix(hash(f.Type, d-1))
-			}
-		case KindChoice:
-			mix(uint64(len(n.alts)))
-			for _, a := range n.alts {
-				mix(hash(a.Type, d-1))
-			}
-		case KindPort:
-			mix(hash(n.elem, d-1))
-		}
-		memo[key{n, d}] = h
-		return h
-	}
-	return hash(t, depth)
-}
-
-func hashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
 
 // ListElem recognizes the recursive list encoding of §3.2,
 //

@@ -292,69 +292,6 @@ func TestSizeAndNodes(t *testing.T) {
 	}
 }
 
-func TestShapeKeysDiffer(t *testing.T) {
-	distinct := []*Type{
-		NewIntegerBits(8, true),
-		NewIntegerBits(8, false),
-		NewCharacter(RepASCII),
-		NewCharacter(RepUnicode),
-		NewFloat32(),
-		NewFloat64(),
-		Unit(),
-		RecordOf(Unit()),
-		RecordOf(Unit(), Unit()),
-		ChoiceOf(Unit()),
-		NewPort(Unit()),
-		NewList(Unit()),
-	}
-	seen := make(map[string]int)
-	for i, ty := range distinct {
-		key := ShapeKey(ty)
-		if j, dup := seen[key]; dup {
-			t.Errorf("types %d and %d share shape key %q", i, j, key)
-		}
-		seen[key] = i
-	}
-}
-
-func TestFingerprintIdentityInsensitive(t *testing.T) {
-	a := NewList(RecordOf(NewFloat32(), NewFloat32()))
-	b := NewList(RecordOf(NewFloat32(), NewFloat32()))
-	if Fingerprint(a) != Fingerprint(b) {
-		t.Error("separately built isomorphic graphs should fingerprint equal")
-	}
-}
-
-func TestFingerprintShapeSensitive(t *testing.T) {
-	pairs := [][2]*Type{
-		{NewFloat32(), NewFloat64()},
-		{RecordOf(NewFloat32()), RecordOf(NewFloat64())},
-		{NewList(NewFloat32()), NewList(NewFloat64())},
-		{NewPort(Unit()), Unit()},
-		{RecordOf(Unit(), NewFloat32()), RecordOf(NewFloat32(), Unit())},
-	}
-	for i, p := range pairs {
-		if Fingerprint(p[0]) == Fingerprint(p[1]) {
-			t.Errorf("pair %d: distinct shapes fingerprint equal (%s vs %s)", i, p[0], p[1])
-		}
-	}
-}
-
-func TestFingerprintUnrolledListEqual(t *testing.T) {
-	// An unrolled list choice(unit, record(τ, μL...)) denotes the same
-	// regular tree as the list itself; the fingerprint is tree-based so the
-	// two must agree.
-	elem := NewFloat32()
-	l := NewList(elem)
-	unrolled := NewChoice(
-		Alt{Name: "nil", Type: Unit()},
-		Alt{Name: "cons", Type: NewRecord(Field{Name: "head", Type: elem}, Field{Name: "tail", Type: l})},
-	)
-	if Fingerprint(l) != Fingerprint(unrolled) {
-		t.Error("one-step unrolling changed the fingerprint")
-	}
-}
-
 func TestTagRoundTrip(t *testing.T) {
 	ty := Unit().SetTag("void")
 	if ty.Tag() != "void" {
@@ -371,8 +308,9 @@ func TestMustKindPanics(t *testing.T) {
 	NewPort(Unit()).Fields()
 }
 
-// genType builds a random acyclic Mtype of bounded depth for property tests.
-func genType(rnd func(int) int, depth int) *Type {
+// GenType builds a random acyclic Mtype of bounded depth for property
+// tests, here and in digest_test.go.
+func GenType(rnd func(int) int, depth int) *Type {
 	if depth <= 0 {
 		switch rnd(5) {
 		case 0:
@@ -392,20 +330,20 @@ func genType(rnd func(int) int, depth int) *Type {
 		n := rnd(4)
 		kids := make([]*Type, n)
 		for i := range kids {
-			kids[i] = genType(rnd, depth-1)
+			kids[i] = GenType(rnd, depth-1)
 		}
 		return RecordOf(kids...)
 	case 1:
 		n := 1 + rnd(3)
 		kids := make([]*Type, n)
 		for i := range kids {
-			kids[i] = genType(rnd, depth-1)
+			kids[i] = GenType(rnd, depth-1)
 		}
 		return ChoiceOf(kids...)
 	case 2:
-		return NewPort(genType(rnd, depth-1))
+		return NewPort(GenType(rnd, depth-1))
 	default:
-		return NewList(genType(rnd, depth-1))
+		return NewList(GenType(rnd, depth-1))
 	}
 }
 
@@ -420,27 +358,8 @@ func TestPropertyRandomTypesValidate(t *testing.T) {
 			}
 			return v
 		}
-		ty := genType(rnd, 4)
+		ty := GenType(rnd, 4)
 		return Validate(ty) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyFingerprintDeterministic(t *testing.T) {
-	f := func(seed int64) bool {
-		state := seed
-		rnd := func(n int) int {
-			state = state*6364136223846793005 + 1442695040888963407
-			v := int((state >> 33) % int64(n))
-			if v < 0 {
-				v += n
-			}
-			return v
-		}
-		ty := genType(rnd, 3)
-		return Fingerprint(ty) == Fingerprint(ty)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -459,7 +378,7 @@ func TestPropertyStringTerminates(t *testing.T) {
 			}
 			return v
 		}
-		ty := NewList(genType(rnd, 3))
+		ty := NewList(GenType(rnd, 3))
 		s := ty.String()
 		return strings.Contains(s, "μ")
 	}

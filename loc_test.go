@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,13 +18,74 @@ var updateLOC = flag.Bool("update", false, "rewrite LOC.txt from this tree")
 
 const docsRow = "README.md+DESIGN.md+EXPERIMENTS.md"
 
+// annFields are the fields of stype.Ann that decide how a use is read.
+var annFields = map[string]bool{"AsChar": true, "Range": true, "Repertoire": true, "NonNull": true, "NoAlias": true,
+	"ByValue": true, "FixedLen": true, "LengthFrom": true, "CollectionOf": true, "ElementNonNull": true, "Ignore": true, "Mode": true}
+
+// isAnn says whether e is, by its syntax, a stype.Ann or a pointer to one:
+// a selection of a field named Ann, an Ann literal, a Merge of one, or a
+// variable declared as one or assigned one.
+func isAnn(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		return e.Sel.Name == "Ann"
+	case *ast.StarExpr: // *ann, and the type *stype.Ann
+		return isAnn(e.X)
+	case *ast.UnaryExpr: // &t.Ann
+		return isAnn(e.X)
+	case *ast.CompositeLit:
+		return isAnn(e.Type)
+	case *ast.CallExpr:
+		sel, ok := e.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Merge" && isAnn(sel.X)
+	case *ast.Ident:
+		if e.Name == "Ann" {
+			return true // the type, inside package stype
+		}
+		if e.Obj == nil {
+			return false
+		}
+		switch d := e.Obj.Decl.(type) {
+		case *ast.Field:
+			return isAnn(d.Type)
+		case *ast.ValueSpec:
+			return d.Type != nil && isAnn(d.Type) || len(d.Values) == 1 && isAnn(d.Values[0])
+		case *ast.AssignStmt:
+			for i, lhs := range d.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && id.Name == e.Name && len(d.Rhs) == len(d.Lhs) {
+					return isAnn(d.Rhs[i])
+				}
+			}
+		}
+	}
+	return false
+}
+
+// annReads counts the sites of a file that read an annotation's meaning:
+// selections of a decision field of a stype.Ann, and calls of Ann.Merge.
+func annReads(t *testing.T, path string) (n int) {
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(file, func(node ast.Node) bool {
+		if sel, ok := node.(*ast.SelectorExpr); ok && isAnn(sel.X) && (annFields[sel.Sel.Name] || sel.Sel.Name == "Merge") {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
 // locRows computes what ROADMAP tracks ("Non-test LOC per package is
 // tracked; growth needs a reason"): for every package under internal/ and
-// cmd/, its non-test lines and the unsupported( refusal sites among them,
-// and for the three documents together, their bytes.
-func locRows(t *testing.T) (names []string, rows map[string][2]int) {
+// cmd/, its non-test lines, the unsupported( refusal sites among them and
+// its annotation reads — lower owns the reading of an annotated use, and a
+// read anywhere downstream of it is a second reading — and for the three
+// documents together, their bytes.
+func locRows(t *testing.T) (names []string, rows map[string][3]int) {
 	t.Helper()
-	rows = map[string][2]int{}
+	rows = map[string][3]int{}
 	for _, pattern := range []string{"internal/*", "cmd/*"} {
 		pkgs, err := filepath.Glob(pattern)
 		if err != nil {
@@ -29,11 +93,12 @@ func locRows(t *testing.T) (names []string, rows map[string][2]int) {
 		}
 		for _, pkg := range pkgs {
 			files, _ := filepath.Glob(filepath.Join(pkg, "*.go"))
-			var row [2]int
+			var row [3]int
 			for _, f := range files {
 				if strings.HasSuffix(f, "_test.go") {
 					continue
 				}
+				row[2] += annReads(t, f)
 				src, err := os.ReadFile(f)
 				if err != nil {
 					t.Fatal(err)
@@ -52,7 +117,7 @@ func locRows(t *testing.T) (names []string, rows map[string][2]int) {
 			}
 		}
 	}
-	var docs [2]int
+	var docs [3]int
 	for _, f := range strings.Split(docsRow, "+") {
 		st, err := os.Stat(f)
 		if err != nil {
@@ -75,9 +140,9 @@ func TestLOCLedger(t *testing.T) {
 	names, got := locRows(t)
 	if *updateLOC {
 		var out strings.Builder
-		out.WriteString("# non-test lines (bytes, for the documents) and unsupported( sites; rewritten by\n# `go test -run TestLOCLedger -update .`, which any row that rises has to ride with\n")
+		out.WriteString("# non-test lines (bytes, for the documents), unsupported( sites and annotation reads; rewritten by\n# `go test -run TestLOCLedger -update .`, which any row that rises has to ride with\n")
 		for _, name := range names {
-			fmt.Fprintf(&out, "%7d %3d %s\n", got[name][0], got[name][1], name)
+			fmt.Fprintf(&out, "%7d %3d %3d %s\n", got[name][0], got[name][1], got[name][2], name)
 		}
 		if err := os.WriteFile("LOC.txt", []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -88,21 +153,21 @@ func TestLOCLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := map[string][2]int{}
+	ledger := map[string][3]int{}
 	for _, l := range strings.Split(string(text), "\n") {
-		var row [2]int
+		var row [3]int
 		var name string
-		if n, _ := fmt.Sscanf(l, "%d %d %s", &row[0], &row[1], &name); n == 3 {
+		if n, _ := fmt.Sscanf(l, "%d %d %d %s", &row[0], &row[1], &row[2], &name); n == 4 {
 			ledger[name] = row
 		}
 	}
 	for _, name := range names {
 		g, l := got[name], ledger[name]
 		switch {
-		case g[0] > l[0] || g[1] > l[1]:
-			t.Errorf("%s: %d with %d unsupported( sites, LOC.txt says %d with %d; if the growth has a reason, rerun with -update and give it", name, g[0], g[1], l[0], l[1])
+		case g[0] > l[0] || g[1] > l[1] || g[2] > l[2]:
+			t.Errorf("%s: %d lines, %d unsupported( sites, %d annotation reads; LOC.txt says %d, %d, %d; if the growth has a reason, rerun with -update and give it", name, g[0], g[1], g[2], l[0], l[1], l[2])
 		case g != l:
-			t.Logf("%s fell to %d with %d unsupported( sites (LOC.txt: %d with %d); regenerate with -update", name, g[0], g[1], l[0], l[1])
+			t.Logf("%s fell to %d lines, %d unsupported( sites, %d annotation reads (LOC.txt: %d, %d, %d); regenerate with -update", name, g[0], g[1], g[2], l[0], l[1], l[2])
 		}
 	}
 }
