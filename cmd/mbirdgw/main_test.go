@@ -101,7 +101,7 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
 
 	// Reload from the rewritten file through the admin op, as `mbird
 	// remote reload` and SIGHUP both do.
-	ac := gateway.NewClient(c)
+	ac := gateway.NewTransportClient(c)
 	if err := os.WriteFile(routesPath, []byte(routes(`,
     {"key": "extra", "op": 1}`)), 0o644); err != nil {
 		t.Fatal(err)

@@ -562,34 +562,6 @@ func TestJStrings(t *testing.T) {
 	}
 }
 
-func TestJCallMethod(t *testing.T) {
-	u := jUniverse(t, `
-		class Calc {
-			int add(int a, int b) { return a + b; }
-		}
-	`, "")
-	j := NewJ(u)
-	h := jheap.NewHeap()
-	impl := func(h *jheap.Heap, args []jheap.Slot) (jheap.Slot, error) {
-		return jheap.IntSlot(args[0].I + args[1].I), nil
-	}
-	outs, err := j.Call(u.Lookup("Calc"), "add", impl, h,
-		value.NewRecord(value.NewInt(2), value.NewInt(40)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := outs.(value.Record)
-	if len(rec.Fields) != 1 || !value.Equal(rec.Fields[0], value.NewInt(42)) {
-		t.Errorf("outputs = %s", outs)
-	}
-	if _, err := j.Call(u.Lookup("Calc"), "nope", impl, h, value.NewRecord()); err == nil {
-		t.Error("unknown method accepted")
-	}
-	if _, err := j.Call(u.Lookup("Calc"), "add", impl, h, value.NewRecord()); err == nil {
-		t.Error("wrong arity accepted")
-	}
-}
-
 func TestPortRefRoundTrip(t *testing.T) {
 	r := jheap.Ref(17)
 	got, err := ParsePortRef(PortRef(r))

@@ -300,50 +300,3 @@ func (j *J) writeShape(s *lower.Shape, h *jheap.Heap, v value.Value, depth int) 
 	}
 	return jheap.Slot{}, fmt.Errorf("bind: cannot write Java %s", s.Type.Kind)
 }
-
-// JFunc is a registered Java method implementation operating on the heap.
-type JFunc func(h *jheap.Heap, args []jheap.Slot) (jheap.Slot, error)
-
-// Call invokes a Java method implementation through the binding: inputs
-// (a record of the method's parameters) are materialized as heap values,
-// impl runs, and the output record ([return] or empty) is read back.
-func (j *J) Call(d *stype.Decl, methodName string, impl JFunc, h *jheap.Heap, inputs value.Value) (value.Value, error) {
-	var method *stype.Method
-	for i := range d.Type.Methods {
-		if d.Type.Methods[i].Name == methodName {
-			method = &d.Type.Methods[i]
-			break
-		}
-	}
-	if method == nil {
-		return nil, fmt.Errorf("bind: %s has no method %s", d.Name, methodName)
-	}
-	inRec, ok := inputs.(value.Record)
-	if !ok {
-		return nil, fmt.Errorf("bind: inputs must be a record, got %T", inputs)
-	}
-	if len(inRec.Fields) != len(method.Params) {
-		return nil, fmt.Errorf("bind: %s.%s wants %d inputs, got %d",
-			d.Name, methodName, len(method.Params), len(inRec.Fields))
-	}
-	args := make([]jheap.Slot, len(method.Params))
-	for i, p := range method.Params {
-		slot, err := j.write(p.Type, h, inRec.Fields[i], 0)
-		if err != nil {
-			return nil, fmt.Errorf("bind: parameter %s: %w", p.Name, err)
-		}
-		args[i] = slot
-	}
-	ret, err := impl(h, args)
-	if err != nil {
-		return nil, fmt.Errorf("bind: %s.%s: %w", d.Name, methodName, err)
-	}
-	if method.Result == nil {
-		return value.Record{}, nil
-	}
-	rv, err := j.read(method.Result, h, ret, 0)
-	if err != nil {
-		return nil, fmt.Errorf("bind: %s.%s return: %w", d.Name, methodName, err)
-	}
-	return value.Record{Fields: []value.Value{rv}}, nil
-}

@@ -20,10 +20,9 @@
 //     fuser refuses caches the tree rung in the same slot, so every raw
 //     conversion is one lookup and one call, whichever tier runs it.
 //
-// Both caches are content-addressed — the key depends only on the Mtype
-// structure — so annotation of a universe needs no invalidation: changed
-// lowerings produce new fingerprints and simply stop hitting the old
-// entries, which age out of the LRU.
+// The caches are content-addressed — the key depends only on the Mtype
+// structure — so nothing in them is ever invalidated: a universe loaded
+// with another annotation script lowers to new fingerprints.
 //
 // Concurrent requests for the same missing key are deduplicated
 // (singleflight): one request compiles, the rest wait for its result, so
@@ -42,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/annotate"
 	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/fingerprint"
@@ -124,9 +122,8 @@ type Broker struct {
 	xcoders    *sfCache[*xcodeEntry]
 
 	// printMemo caches fingerprints per lowered Mtype graph. The session
-	// memoizes lowerings per declaration and Annotate replaces them
-	// wholesale, so pointer identity is content identity: an annotated
-	// declaration lowers to a fresh graph and misses the memo naturally.
+	// memoizes lowerings per declaration and a loaded universe never
+	// changes, so pointer identity is content identity.
 	printMu   sync.Mutex
 	printMemo map[*mtype.Type]fingerprint.Print
 
@@ -234,7 +231,7 @@ func New(sess *core.Session, opts Options) *Broker {
 // Load parses src in the given language ("c", "java", "idl" or "go") into a
 // universe, then applies the optional annotation script. If the universe
 // already exists the call is a no-op and existed is true: universes are
-// immutable once loaded except through Annotate, and protocol clients
+// immutable once loaded, so the load record replays them, and clients
 // name universes by content hash to get idempotent loads.
 func (b *Broker) Load(universe, lang, model, src, script string) (names []string, existed bool, err error) {
 	b.sessMu.Lock()
@@ -258,15 +255,6 @@ func (b *Broker) Load(universe, lang, model, src, script string) (names []string
 	b.noteLoadRecord(universe, lang, model, src, script)
 	names, err = b.sess.DeclNames(universe)
 	return names, false, err
-}
-
-// Annotate applies an annotation script to a loaded universe. Cached
-// entries for the universe's old lowerings become unreachable (their
-// fingerprints change) rather than invalid, so no flush is needed.
-func (b *Broker) Annotate(universe, script string) (annotate.ScriptResult, error) {
-	b.sessMu.Lock()
-	defer b.sessMu.Unlock()
-	return b.sess.Annotate(universe, script)
 }
 
 // HasUniverse reports whether a universe is loaded.

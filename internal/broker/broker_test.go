@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fingerprint"
 	"repro/internal/value"
 )
 
@@ -202,11 +203,15 @@ func TestMismatchCachedNegative(t *testing.T) {
 }
 
 // Annotation changes lowering; the content-addressed caches need no
-// invalidation because the new lowering fingerprints differently.
+// invalidation because the annotated lowering fingerprints differently.
 func TestAnnotateContentAddressed(t *testing.T) {
 	b := newBroker(Options{})
-	loadC(t, b, "x", "typedef struct { float *p; } holder;")
+	const holder = "typedef struct { float *p; } holder;"
+	loadC(t, b, "x", holder)
 	loadC(t, b, "y", "typedef struct { float x; } plain;")
+	if _, _, err := b.Load("xnn", "c", "ilp32", holder, "annotate holder.p nonnull"); err != nil {
+		t.Fatal(err)
+	}
 
 	v, err := b.Compare("x", "holder", "y", "plain")
 	if err != nil {
@@ -215,10 +220,7 @@ func TestAnnotateContentAddressed(t *testing.T) {
 	if v.Relation == core.RelEquivalent {
 		t.Fatal("nullable pointer should not be equivalent to plain float")
 	}
-	if _, err := b.Annotate("x", "annotate holder.p nonnull"); err != nil {
-		t.Fatal(err)
-	}
-	v, err = b.Compare("x", "holder", "y", "plain")
+	v, err = b.Compare("xnn", "holder", "y", "plain")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,45 @@ func TestAnnotateContentAddressed(t *testing.T) {
 		t.Fatalf("after nonnull annotation: relation = %v, want equivalent", v.Relation)
 	}
 	if v.Cached {
-		t.Fatal("post-annotation compare served the stale pre-annotation entry")
+		t.Fatal("annotated compare served the unannotated entry")
+	}
+}
+
+// A broker that replays another's warm load records lowers every
+// declaration to the same canonical print: a universe changes only
+// through Load, so its record is the whole of how it was made.
+func TestWarmReplayKeepsPrints(t *testing.T) {
+	src := newBroker(Options{})
+	if _, _, err := src.Load("x", "c", "ilp32", "typedef struct { int n; float *p; } holder;", "annotate holder.p nonnull\nannotate holder.n range=0..10"); err != nil {
+		t.Fatal(err)
+	}
+	loadC(t, src, "y", "typedef struct { float x; int k; } plain;")
+	if _, err := src.Compare("x", "holder", "y", "plain"); err != nil {
+		t.Fatal(err)
+	}
+	recs, entries := src.WarmEntries(0)
+	if len(recs) != 2 || len(entries) == 0 {
+		t.Fatalf("warm state: %d load records, %d entries", len(recs), len(entries))
+	}
+	dst := newBroker(Options{})
+	for _, r := range recs {
+		if _, _, err := dst.Load(r.Universe, r.Lang, r.Model, r.Source, r.Script); err != nil {
+			t.Fatal(err)
+		}
+		names, err := src.DeclNames(r.Universe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range names {
+			a, errA := src.Mtype(r.Universe, d)
+			b, errB := dst.Mtype(r.Universe, d)
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			if fingerprint.Of(a).Canonical != fingerprint.Of(b).Canonical {
+				t.Errorf("%s.%s: replayed record lowers to another canonical print", r.Universe, d)
+			}
+		}
 	}
 }
 
@@ -259,7 +299,7 @@ func TestLRUEviction(t *testing.T) {
 
 // Satellite: core.Session is documented as not safe for concurrent use —
 // its lowering memo and comparer caches are plain maps. This test drives
-// Compare, Convert, Mtype, DeclNames, Load, and Annotate through the
+// Compare, Convert, Mtype, DeclNames and Load (with a script) through the
 // broker from many goroutines under -race; the broker's session mutex is
 // what makes it pass (removing b.sessMu.Lock from Mtype makes the race
 // detector fire on lower.(*Lowerer).Decl's memo map).
@@ -316,21 +356,19 @@ typedef int wide;
 			}
 		}(w)
 	}
-	// Concurrent loads of new universes and a mid-flight annotation.
+	// Concurrent loads of new universes, one of them annotated.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			u := fmt.Sprintf("extra%d", i)
-			if _, _, err := b.Load(u, "c", "ilp32", "typedef struct { float q; } qq;", ""); err != nil {
+			if _, _, err := b.Load(u, "c", "ilp32", "typedef struct { int q; } qq;", ""); err != nil {
 				errs <- err
 				return
 			}
 		}
-		if _, err := b.Annotate("extra0", "annotate qq range=0..10"); err != nil {
-			// Annotation vocabulary mismatches are fine here; the point is
-			// the concurrent session access, not the script.
-			_ = err
+		if _, _, err := b.Load("annotated", "c", "ilp32", "typedef struct { int q; } qq;", "annotate qq.q range=0..10"); err != nil {
+			errs <- err
 		}
 	}()
 	wg.Wait()

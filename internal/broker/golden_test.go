@@ -3,7 +3,6 @@ package broker
 import (
 	"testing"
 
-	"repro/internal/annotate"
 	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/testutil"
@@ -14,8 +13,8 @@ import (
 // 1, 2, 3, … marshaled against the parent's Mtype and read back by the
 // parent's client decoder, so every wire position is pinned to its Go
 // field. Everything else: the parent's server handler — stats and health
-// on a broker whose counters were all set distinct, the load, annotate
-// and compare replies from real requests.
+// on a broker whose counters were all set distinct, the load and compare
+// replies from real requests.
 func TestGoldenStatsWire(t *testing.T) {
 	testutil.Golden(t, statsRec, "stats_seq", Stats{
 		CompareHits: 1, CompareMisses: 2, CompareCoalesced: 3, CompareRuns: 4, CompareTotal: 5, VerdictEntries: 6,
@@ -53,7 +52,6 @@ func TestGoldenReplyWire(t *testing.T) {
 	names := []string{"mix", "odd", "pair"}
 	testutil.Golden(t, loadRec, "load_new", loadReply{Names: names})
 	testutil.Golden(t, loadRec, "load_again", loadReply{Existed: true, Names: names})
-	testutil.Golden(t, annotateRec, "annotate", annotate.ScriptResult{Lines: 2, Applied: 2})
 	testutil.Golden(t, compareRec, "compare_run", Verdict{Relation: core.RelSubtypeBA, Steps: 20})
 	testutil.Golden(t, compareRec, "compare_hit", Verdict{Relation: core.RelSubtypeBA, Steps: 20, Cached: true})
 	testutil.Golden(t, compareRec, "compare_none", Verdict{

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/annotate"
 	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/proto"
@@ -30,8 +29,10 @@ const (
 	// OpLoad: Record(universe, lang, model, source, script) →
 	// Record(existed, List(name)).
 	OpLoad uint32 = iota + 1
-	// OpAnnotate: Record(universe, script) → Record(lines, applied).
-	OpAnnotate
+	// 2 was OpAnnotate, which changed a loaded universe behind its load
+	// record; it stays reserved and is never reused. OpLoad's script
+	// argument is the one way to annotate a remote universe.
+	_
 	// OpCompare: Record(uA, declA, uB, declB) →
 	// Record(relation, steps, cached, explain).
 	OpCompare
@@ -55,9 +56,9 @@ const (
 	OpConvertBatch
 )
 
-// The load, annotate and pair requests and the plan reply are records of
-// strings — five, two, four and one — which proto.MarshalStrings writes
-// and proto.UnmarshalStrings reads without a declaration.
+// The load and pair requests and the plan reply are records of strings —
+// five, four and one — which proto.MarshalStrings writes and
+// proto.UnmarshalStrings reads without a declaration.
 
 // loadReply is OpLoad's reply: whether the universe was already loaded,
 // and its declaration names.
@@ -71,9 +72,6 @@ type loadReply struct {
 var (
 	loadRec = proto.Declare(func(r *loadReply) []proto.Field {
 		return []proto.Field{proto.Bool(&r.Existed), proto.List(&r.Names, proto.String)}
-	})
-	annotateRec = proto.Declare(func(r *annotate.ScriptResult) []proto.Field {
-		return []proto.Field{proto.Num(&r.Lines), proto.Num(&r.Applied)}
 	})
 	compareRec = proto.Declare(func(v *Verdict) []proto.Field {
 		return []proto.Field{proto.Num(&v.Relation), proto.Num(&v.Steps), proto.Bool(&v.Cached), proto.String(&v.Explain)}
@@ -227,17 +225,6 @@ func handler(b *Broker) orb.Handler {
 			}
 			return loadRec.Marshal(&rep)
 
-		case OpAnnotate:
-			args, err := proto.UnmarshalStrings(body, 2)
-			if err != nil {
-				return nil, err
-			}
-			res, err := b.Annotate(args[0], args[1])
-			if err != nil {
-				return nil, err
-			}
-			return annotateRec.Marshal(&res)
-
 		case OpCompare:
 			args, err := proto.UnmarshalStrings(body, 4)
 			if err != nil {
@@ -342,18 +329,6 @@ func (c *Client) LoadContext(ctx context.Context, universe, lang, model, src, sc
 	var rep loadReply
 	err = loadRec.Unmarshal(reply, &rep)
 	return rep.Names, rep.Existed, err
-}
-
-// AnnotateContext applies a script to a loaded universe on the daemon.
-func (c *Client) AnnotateContext(ctx context.Context, universe, script string) (lines, applied int, err error) {
-	body := proto.MarshalStrings(universe, script)
-	reply, err := c.t.InvokeContext(ctx, ObjectKey, OpAnnotate, body)
-	if err != nil {
-		return 0, 0, err
-	}
-	var res annotate.ScriptResult
-	err = annotateRec.Unmarshal(reply, &res)
-	return res.Lines, res.Applied, err
 }
 
 // CompareContext asks the daemon for the relation between two declarations.

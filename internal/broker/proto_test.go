@@ -58,10 +58,9 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Annotate over the wire (lines/applied counts round-trip).
-	lines, applied, err := c.AnnotateContext(context.Background(), "x", "# comment only\n")
-	if err != nil || lines != 0 || applied != 0 {
-		t.Fatalf("annotate: %d %d %v", lines, applied, err)
+	// Op 2 was the remote annotate op; its number stays reserved.
+	if _, err := c.t.InvokeContext(context.Background(), ObjectKey, 2, nil); err == nil || !strings.Contains(err.Error(), "unknown op 2") {
+		t.Fatalf("op 2: err = %v, want unknown op", err)
 	}
 
 	v, err := c.CompareContext(context.Background(), "x", "mix", "y", "pair")

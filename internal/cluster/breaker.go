@@ -98,9 +98,6 @@ func newBreaker(failThreshold int, cooldown time.Duration) *breaker {
 // breaker past its cooldown transitions to half-open and admits exactly
 // one probe; further requests are refused until the probe resolves.
 func (b *breaker) allow() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -126,9 +123,6 @@ func (b *breaker) allow() bool {
 // the failure streak, and banks the latency sample for outlier
 // ejection.
 func (b *breaker) success(d time.Duration) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	b.failures = 0
 	b.probing = false
@@ -146,9 +140,6 @@ func (b *breaker) success(d time.Duration) {
 // Tripworthy ones extend the streak; crossing the threshold — or
 // failing the half-open probe — opens the breaker.
 func (b *breaker) failure(trip bool) bool {
-	if b == nil {
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
@@ -171,9 +162,6 @@ func (b *breaker) failure(trip bool) bool {
 // clears the sample window so the stale p99 cannot re-trip the breaker
 // the moment the probe closes it.
 func (b *breaker) tripEject() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	b.open()
 	b.n = 0
@@ -192,9 +180,6 @@ func (b *breaker) open() {
 // p99 returns the window's 99th-percentile latency and the sample
 // count.
 func (b *breaker) p99() (time.Duration, int) {
-	if b == nil {
-		return 0, 0
-	}
 	b.mu.Lock()
 	n := b.n
 	if n > len(b.samples) {
@@ -212,9 +197,6 @@ func (b *breaker) p99() (time.Duration, int) {
 
 // snapshot returns the state name and trip count for stats.
 func (b *breaker) snapshot() (string, int64) {
-	if b == nil {
-		return "closed", 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return breakerStateName(b.state), b.trips
@@ -222,16 +204,13 @@ func (b *breaker) snapshot() (string, int64) {
 
 // noteLatency records a member's successful-call latency and runs the
 // outlier-ejection check: a member whose p99 exceeds
-// BreakerOutlierFactor times the median of its peers' p99s (given
+// outlierFactor times the median of its peers' p99s (given
 // enough samples on both sides) is ejected — its breaker opens as if it
 // had failed repeatedly, because "succeeding, but several times slower
 // than everyone else" is exactly the gray failure consecutive-error
 // counting cannot see.
 func (c *Client) noteLatency(m *member, d time.Duration) {
 	m.brk.success(d)
-	if c.opts.BreakerOutlierFactor <= 0 {
-		return
-	}
 	p99, n := m.brk.p99()
 	if n < outlierMinSamples {
 		return
@@ -252,7 +231,7 @@ func (c *Client) noteLatency(m *member, d time.Duration) {
 	}
 	sort.Float64s(peers)
 	med := peers[len(peers)/2]
-	if med > 0 && float64(p99) > c.opts.BreakerOutlierFactor*med {
+	if med > 0 && float64(p99) > outlierFactor*med {
 		m.brk.tripEject()
 		c.breakerTrips.Add(1)
 	}

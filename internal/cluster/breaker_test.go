@@ -112,7 +112,7 @@ func TestBreakerNonTripworthyFailureHeals(t *testing.T) {
 // consecutive-error counting cannot see.
 func TestBreakerOutlierEjection(t *testing.T) {
 	addrs := []string{"127.0.0.1:11", "127.0.0.1:12", "127.0.0.1:13"}
-	c := New(addrs, Options{BreakerOutlierFactor: 3})
+	c := New(addrs, Options{})
 	defer c.Close()
 
 	slow := c.member(addrs[0])
@@ -156,7 +156,7 @@ func TestBreakerSkipsDeadMember(t *testing.T) {
 	var rk []byte
 	for i := 0; i < 512; i++ {
 		k := RouteKey("breaker", fmt.Sprint(i))
-		if c.Ring().Ranked(k)[0] == dead {
+		if NewRing(addrs).Ranked(k)[0] == dead {
 			rk = k
 			break
 		}

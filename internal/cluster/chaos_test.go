@@ -82,6 +82,20 @@ func chaosPairs(n int) [][4]string {
 	return out
 }
 
+// keyed is a proto.Transport sending every call through a fleet client
+// under one route key.
+type keyed struct {
+	c  *Client
+	rk []byte
+}
+
+func (k keyed) InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error) {
+	res, err := k.c.Do(ctx, k.rk, resil.Call{Key: key, Op: op, Body: body})
+	return res.Reply, err
+}
+
+func (k keyed) Close() error { return nil }
+
 // TestChaosClusterWarmRestart kills and restarts one member of a 3-node
 // fleet behind chaos proxies while a client hammers the fleet, and
 // asserts the two cluster invariants: no request is dropped during the
@@ -115,22 +129,26 @@ func TestChaosClusterWarmRestart(t *testing.T) {
 		}
 	})
 
-	bt := Dial(members, testOpts())
-	c := broker.NewTransportClient(bt)
-	defer c.Close()
-
+	// Every member loads the working set; compares go through one fleet
+	// client routed by pair, as the gateway's fleet routes send them.
+	fc := New(members, testOpts())
+	defer fc.Close()
 	pairs := chaosPairs(8)
-	for _, p := range pairs {
-		if _, _, err := c.Load(p[0], "c", "ilp32", p[1], ""); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := c.Load(p[2], "c", "ilp32", p[3], ""); err != nil {
-			t.Fatal(err)
+	for _, d := range daemons {
+		for _, p := range pairs {
+			if _, _, err := d.b.Load(p[0], "c", "ilp32", p[1], ""); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := d.b.Load(p[2], "c", "ilp32", p[3], ""); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	compareAll := func() error {
 		for i, p := range pairs {
-			v, err := c.CompareContext(context.Background(), p[0], fmt.Sprintf("mix%d", i), p[2], fmt.Sprintf("pair%d", i))
+			ua, da, ub, db := p[0], fmt.Sprintf("mix%d", i), p[2], fmt.Sprintf("pair%d", i)
+			c := broker.NewTransportClient(keyed{fc, RouteKey(ua, da, ub, db)})
+			v, err := c.CompareContext(context.Background(), ua, da, ub, db)
 			if err != nil {
 				return fmt.Errorf("pair %d: %w", i, err)
 			}
@@ -183,7 +201,7 @@ func TestChaosClusterWarmRestart(t *testing.T) {
 	// The victim is pair 0's ring owner: proxy ports, and so ring shares,
 	// differ run to run, and the warm-hit audit below needs the restarted
 	// member to own part of the working set.
-	owner := bt.Client().Ring().Owner(RouteKey(pairs[0][0], "mix0", pairs[0][2], "pair0"))
+	owner := NewRing(members).Owner(RouteKey(pairs[0][0], "mix0", pairs[0][2], "pair0"))
 	vi := 0
 	for i, m := range members {
 		if m == owner {
@@ -304,7 +322,7 @@ func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 			t.Fatal("could not find keys for both owner classes")
 		}
 		rk := RouteKey("stall", fmt.Sprint(i))
-		if c.Ring().Ranked(rk)[0] == stalled {
+		if NewRing(members).Ranked(rk)[0] == stalled {
 			stalledKeys = append(stalledKeys, rk)
 		} else {
 			healthyKeys = append(healthyKeys, rk)

@@ -18,53 +18,45 @@ import (
 // list.
 var ErrNoMembers = errors.New("cluster: no members")
 
+// The fleet's fixed tunings: one value each is in use, so none is an
+// option.
+const (
+	// replicas is how many ring positions per key (owner + successors)
+	// take warm pushes and may take spillover. Spillover stays inside the
+	// replica set because those are the members warm pushes target — a
+	// spilled request still lands on a warm cache.
+	replicas = 2
+	// spillInflight is the in-flight gap between the owner and the least
+	// loaded replica past which a request spills over.
+	spillInflight = 16
+	// DrainTimeout bounds the graceful drain of a departed member's pool
+	// (and of a gateway's retired upstream); past it the pool closes
+	// forcibly.
+	DrainTimeout = 30 * time.Second
+	// outlierFactor ejects a member whose success-latency p99 exceeds this
+	// multiple of the median of its peers' p99s.
+	outlierFactor = 3
+)
+
 // Options configures a cluster Client. Zero values select the defaults.
 type Options struct {
 	// Resil tunes the per-member connection pool (deadlines, retries,
 	// hedging) — each member gets its own resil.Client built from this.
 	Resil resil.Options
-	// Replicas is how many ring positions per key participate in
-	// spillover (owner + successors, default 2). Spillover stays inside
-	// the replica set because those are the members warm pushes target —
-	// a spilled request still lands on a warm cache.
-	Replicas int
-	// SpillInflight is the in-flight gap between the owner and the least
-	// loaded replica past which a request spills over (default 16).
-	SpillInflight int
-	// DrainTimeout bounds the graceful drain of a departed member's pool
-	// (default 30s); past it the pool closes forcibly.
-	DrainTimeout time.Duration
 	// BreakerFailures is the consecutive transport-failure streak that
-	// opens a member's circuit breaker (default 5; negative disables
-	// breakers entirely).
+	// opens a member's circuit breaker (default 5).
 	BreakerFailures int
 	// BreakerCooldown is how long an open breaker refuses traffic before
 	// half-opening for a single probe (default 2s).
 	BreakerCooldown time.Duration
-	// BreakerOutlierFactor ejects a member whose success-latency p99
-	// exceeds this multiple of the median of its peers' p99s (default 3;
-	// negative disables outlier ejection).
-	BreakerOutlierFactor float64
 }
 
 func (o Options) withDefaults() Options {
-	if o.Replicas <= 0 {
-		o.Replicas = 2
-	}
-	if o.SpillInflight <= 0 {
-		o.SpillInflight = 16
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 30 * time.Second
-	}
-	if o.BreakerFailures == 0 {
+	if o.BreakerFailures <= 0 {
 		o.BreakerFailures = 5
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.BreakerOutlierFactor == 0 {
-		o.BreakerOutlierFactor = 3
 	}
 	// One retry budget spans every member pool (and the cluster-level
 	// failover loop), making the retry cap a fleet-wide invariant instead
@@ -82,7 +74,7 @@ type member struct {
 	addr     string
 	pool     *resil.Client
 	inflight atomic.Int64
-	brk      *breaker // nil when breakers are disabled
+	brk      *breaker
 }
 
 // Client is a multi-endpoint broker client: requests route by
@@ -100,7 +92,6 @@ type Client struct {
 
 	spills       atomic.Int64
 	failovers    atomic.Int64
-	broadcasts   atomic.Int64
 	breakerTrips atomic.Int64
 	breakerSkips atomic.Int64
 }
@@ -141,11 +132,11 @@ func (c *Client) SetMembers(addrs []string) {
 	}
 	for addr := range keep {
 		if c.members[addr] == nil {
-			m := &member{addr: addr, pool: resil.New(addr, c.opts.Resil)}
-			if c.opts.BreakerFailures > 0 {
-				m.brk = newBreaker(c.opts.BreakerFailures, c.opts.BreakerCooldown)
+			c.members[addr] = &member{
+				addr: addr,
+				pool: resil.New(addr, c.opts.Resil),
+				brk:  newBreaker(c.opts.BreakerFailures, c.opts.BreakerCooldown),
 			}
-			c.members[addr] = m
 		}
 		// Surviving members keep their member struct, so breaker state
 		// (and its latency window) persists across membership changes.
@@ -154,7 +145,7 @@ func (c *Client) SetMembers(addrs []string) {
 	c.mu.Unlock()
 	for _, m := range drain {
 		go func(m *member) {
-			ctx, cancel := context.WithTimeout(context.Background(), c.opts.DrainTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), DrainTimeout)
 			defer cancel()
 			_ = m.pool.Drain(ctx)
 		}(m)
@@ -163,9 +154,6 @@ func (c *Client) SetMembers(addrs []string) {
 
 // Members returns the current member addresses, sorted.
 func (c *Client) Members() []string { return c.ring.Load().Members() }
-
-// Ring returns the current ring view.
-func (c *Client) Ring() *Ring { return c.ring.Load() }
 
 // Close tears down every member pool immediately.
 func (c *Client) Close() error {
@@ -202,8 +190,8 @@ type Stats struct {
 	Members []MemberStats
 	// Spills counts requests routed to a replica instead of the loaded
 	// owner; Failovers counts attempts moved down the rank after a
-	// member failed; Broadcasts counts fan-out operations.
-	Spills, Failovers, Broadcasts int64
+	// member failed.
+	Spills, Failovers int64
 	// BreakerTrips counts breaker openings across all members;
 	// BreakerSkips counts ranked members passed over because their
 	// breaker was open.
@@ -215,7 +203,6 @@ func (c *Client) Stats() Stats {
 	st := Stats{
 		Spills:       c.spills.Load(),
 		Failovers:    c.failovers.Load(),
-		Broadcasts:   c.broadcasts.Load(),
 		BreakerTrips: c.breakerTrips.Load(),
 		BreakerSkips: c.breakerSkips.Load(),
 	}
@@ -268,7 +255,7 @@ func failover(err error) bool {
 
 // Do performs one fleet call of either kind routed by rk. The owner
 // serves it unless its in-flight load exceeds the least loaded replica's
-// by more than SpillInflight, in which case the request spills to that
+// by more than spillInflight, in which case the request spills to that
 // replica (still inside the warm replica set). Members whose circuit
 // breaker is open are skipped outright, so their traffic spills down the
 // rank without paying a timeout first. Unreachable or unable members
@@ -395,13 +382,10 @@ func duplicative(err error) bool {
 }
 
 // applySpill reorders the head of a ranked member list: when the owner
-// is carrying SpillInflight more in-flight calls than the least loaded
+// is carrying spillInflight more in-flight calls than the least loaded
 // member of the replica set, that replica takes the front slot.
 func (c *Client) applySpill(order []string) {
-	n := c.opts.Replicas
-	if n > len(order) {
-		n = len(order)
-	}
+	n := min(replicas, len(order))
 	if n < 2 {
 		return
 	}
@@ -417,7 +401,7 @@ func (c *Client) applySpill(order []string) {
 			}
 		}
 	}
-	if bestIdx != 0 && owner.inflight.Load()-bestLoad > int64(c.opts.SpillInflight) {
+	if bestIdx != 0 && owner.inflight.Load()-bestLoad > spillInflight {
 		order[0], order[bestIdx] = order[bestIdx], order[0]
 		c.spills.Add(1)
 	}
@@ -438,58 +422,4 @@ func (c *Client) leastLoadedOrder(ring *Ring) []string {
 		return li < lj
 	})
 	return order
-}
-
-// Broadcast sends one request to every member concurrently and returns
-// the first successful reply. It succeeds when at least one member
-// accepts: a load reaching most of the fleet is strictly better than an
-// error during a rolling restart, and the members that missed it heal
-// through the warm protocol (pushes carry universe sources). All-member
-// failure returns the first error observed.
-func (c *Client) Broadcast(ctx context.Context, key string, op uint32, body []byte) ([]byte, error) {
-	ring := c.ring.Load()
-	members := ring.Members()
-	if len(members) == 0 {
-		return nil, ErrNoMembers
-	}
-	c.broadcasts.Add(1)
-	type res struct {
-		reply []byte
-		err   error
-	}
-	ch := make(chan res, len(members))
-	live := 0
-	for _, addr := range members {
-		m := c.member(addr)
-		if m == nil {
-			continue
-		}
-		live++
-		go func(m *member) {
-			m.inflight.Add(1)
-			reply, err := m.pool.InvokeContext(ctx, key, op, body)
-			m.inflight.Add(-1)
-			ch <- res{reply, err}
-		}(m)
-	}
-	if live == 0 {
-		return nil, ErrNoMembers
-	}
-	var firstErr error
-	var reply []byte
-	ok := false
-	for i := 0; i < live; i++ {
-		r := <-ch
-		if r.err == nil {
-			if !ok {
-				reply, ok = r.reply, true
-			}
-		} else if firstErr == nil {
-			firstErr = r.err
-		}
-	}
-	if !ok {
-		return nil, fmt.Errorf("cluster: broadcast failed on all %d members: %w", live, firstErr)
-	}
-	return reply, nil
 }

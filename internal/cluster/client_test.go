@@ -136,7 +136,7 @@ func TestClusterCallKinds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := c.Ring().Owner(rk); got != want {
+				if want := NewRing(addrs).Owner(rk); got != want {
 					t.Fatalf("key %d served by %s, owner is %s", i, got, want)
 				}
 			}
@@ -150,7 +150,7 @@ func TestClusterCallKinds(t *testing.T) {
 			c := New(addrs, testOpts())
 			defer c.Close()
 			rk := RouteKey("doomed", "pair")
-			ranked := c.Ring().Ranked(rk)
+			ranked := NewRing(addrs).Ranked(rk)
 			_ = servers[ranked[0]].Close()
 			got, err := echo(c, kind, rk)
 			if err != nil {
@@ -211,7 +211,7 @@ func TestClusterCallKinds(t *testing.T) {
 			c := New(addrs, opts)
 			defer c.Close()
 			rk := RouteKey("tripped", "owner")
-			ranked := c.Ring().Ranked(rk)
+			ranked := NewRing(addrs).Ranked(rk)
 			c.member(ranked[0]).brk.tripEject()
 			got, err := echo(c, kind, rk)
 			if err != nil || got != ranked[1] {
@@ -232,7 +232,7 @@ func TestClusterCallKinds(t *testing.T) {
 			}
 			rk := RouteKey("fail", "static")
 			got, err := echo(c, kind, rk)
-			if err != nil || got != c.Ring().Owner(rk) {
+			if err != nil || got != NewRing(addrs).Owner(rk) {
 				t.Fatalf("call = %q, %v, want the best ranked member forced", got, err)
 			}
 			var total int64
@@ -276,12 +276,10 @@ func TestClusterCallKinds(t *testing.T) {
 		}},
 		{"spills to the least loaded replica of a saturated owner", func(t *testing.T, kind resil.Kind) {
 			addrs, _, _ := echoFleet(t, 3)
-			opts := testOpts()
-			opts.SpillInflight = 4
-			c := New(addrs, opts)
+			c := New(addrs, testOpts())
 			defer c.Close()
 			rk := RouteKey("hot", "pair")
-			order := c.Ring().Ranked(rk)
+			order := NewRing(addrs).Ranked(rk)
 			owner, replica := c.member(order[0]), c.member(order[1])
 			owner.inflight.Store(100)
 			if got, err := echo(c, kind, rk); err != nil || got != replica.addr {
@@ -292,7 +290,7 @@ func TestClusterCallKinds(t *testing.T) {
 			}
 			// Below the gap threshold the owner keeps the key (cache
 			// affinity beats perfect balance).
-			owner.inflight.Store(int64(opts.SpillInflight))
+			owner.inflight.Store(spillInflight)
 			if got, err := echo(c, kind, rk); err != nil || got != owner.addr {
 				t.Fatalf("mildly loaded owner: call = %q, %v, want the owner", got, err)
 			}
@@ -333,7 +331,7 @@ func TestClusterCallKinds(t *testing.T) {
 			c := New(addrs, testOpts())
 			defer c.Close()
 			rk := RouteKey("gauged", "pair")
-			owner := c.member(c.Ring().Owner(rk))
+			owner := c.member(NewRing(addrs).Owner(rk))
 			res, err := c.Do(context.Background(), rk, resil.Call{Key: "echo", Op: 1, Kind: kind})
 			if err != nil {
 				t.Fatal(err)
@@ -369,34 +367,5 @@ func TestClusterCallKinds(t *testing.T) {
 		}{{"buffered", resil.Buffered}, {"stream", resil.Stream}} {
 			t.Run(row.name+"/"+k.name, func(t *testing.T) { row.run(t, k.kind) })
 		}
-	}
-}
-
-func TestClusterClientBroadcast(t *testing.T) {
-	addrs, servers, calls := echoFleet(t, 3)
-	c := New(addrs, testOpts())
-	defer c.Close()
-
-	if _, err := c.Broadcast(context.Background(), "echo", 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	for addr, n := range calls {
-		if n.Load() == 0 {
-			t.Fatalf("broadcast missed member %s", addr)
-		}
-	}
-
-	// One member down: broadcast still succeeds (rolling-restart rule).
-	_ = servers[addrs[0]].Close()
-	if _, err := c.Broadcast(context.Background(), "echo", 1, nil); err != nil {
-		t.Fatalf("broadcast with one dead member failed: %v", err)
-	}
-
-	// All members down: the broadcast must report failure.
-	for _, srv := range servers {
-		_ = srv.Close()
-	}
-	if _, err := c.Broadcast(context.Background(), "echo", 1, nil); err == nil {
-		t.Fatal("broadcast succeeded with the whole fleet down")
 	}
 }

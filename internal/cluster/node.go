@@ -16,6 +16,24 @@ import (
 	"repro/internal/serve"
 )
 
+// The warm protocol's fixed tunings (each warm entry goes to the first
+// replicas ranked members of its pair).
+const (
+	// pushQueue bounds the background push queue; a full queue drops the
+	// push (counted) rather than blocking a cache fill.
+	pushQueue = 1024
+	// pullTimeout bounds an owner pull on the request path — a miss then
+	// compiles locally, so this is the most latency a dead owner can add
+	// to a cold compare.
+	pullTimeout = 2 * time.Second
+	// pushTimeout bounds one warm push RPC (the receiver compiles
+	// synchronously).
+	pushTimeout = 10 * time.Second
+	// syncMax bounds the warm entries requested from each peer during
+	// SyncFromPeers.
+	syncMax = 4096
+)
+
 // NodeOptions configures a cluster Node. Zero values select the
 // defaults.
 type NodeOptions struct {
@@ -23,22 +41,6 @@ type NodeOptions struct {
 	// caller sets, but its own defaults are tighter than resil's: peers
 	// are LAN neighbors, not WAN clients.
 	Resil resil.Options
-	// Replicas is how many ring positions (owner + successors) each warm
-	// entry is pushed to (default 2, matching Options.Replicas).
-	Replicas int
-	// PushQueue bounds the background push queue (default 1024); a full
-	// queue drops the push (counted) rather than blocking a cache fill.
-	PushQueue int
-	// PullTimeout bounds an owner pull on the request path (default 2s —
-	// a miss then compiles locally, so this is the most latency a dead
-	// owner can add to a cold compare).
-	PullTimeout time.Duration
-	// PushTimeout bounds one warm push RPC (default 10s: the receiver
-	// compiles synchronously).
-	PushTimeout time.Duration
-	// SyncMax bounds the warm entries requested from each peer during
-	// SyncFromPeers (default 4096).
-	SyncMax int
 	// MaxPeerInFlight bounds concurrently served peer requests (default
 	// 32); excess is shed with orb.ErrOverloaded, so a peer storm cannot
 	// starve the client-facing data plane.
@@ -46,21 +48,6 @@ type NodeOptions struct {
 }
 
 func (o NodeOptions) withDefaults() NodeOptions {
-	if o.Replicas <= 0 {
-		o.Replicas = 2
-	}
-	if o.PushQueue <= 0 {
-		o.PushQueue = 1024
-	}
-	if o.PullTimeout <= 0 {
-		o.PullTimeout = 2 * time.Second
-	}
-	if o.PushTimeout <= 0 {
-		o.PushTimeout = 10 * time.Second
-	}
-	if o.SyncMax <= 0 {
-		o.SyncMax = 4096
-	}
 	if o.MaxPeerInFlight <= 0 {
 		o.MaxPeerInFlight = 32
 	}
@@ -125,7 +112,7 @@ func NewNode(self string, members []string, b *broker.Broker, opts NodeOptions) 
 		b:     b,
 		opts:  opts,
 		peers: make(map[string]*resil.Client),
-		queue: make(chan pushJob, opts.PushQueue),
+		queue: make(chan pushJob, pushQueue),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 		// Peers retry with backoff themselves, so the gate never waits.
@@ -167,9 +154,6 @@ func (n *Node) Close() error {
 
 // Members returns the node's current member list, sorted.
 func (n *Node) Members() []string { return n.ring.Load().Members() }
-
-// Ring returns the node's current ring view.
-func (n *Node) Ring() *Ring { return n.ring.Load() }
 
 // Peers reports the number of other members (broker.PeerWarmer).
 func (n *Node) Peers() int {
@@ -213,7 +197,7 @@ func (n *Node) othersRanked(rk []byte) []string {
 
 // PullVerdict asks the pair's best-ranked other member for its cached
 // verdict (broker.PeerWarmer; called on the request path inside a
-// verdict miss). One attempt against one peer, bounded by PullTimeout:
+// verdict miss). One attempt against one peer, bounded by pullTimeout:
 // on any failure the caller just compares locally.
 func (n *Node) PullVerdict(ua, da, ub, db string) (core.Relation, int, string, bool) {
 	others := n.othersRanked(RouteKey(ua, da, ub, db))
@@ -226,7 +210,7 @@ func (n *Node) PullVerdict(ua, da, ub, db string) (core.Relation, int, string, b
 	}
 	n.pullsSent.Add(1)
 	body := proto.MarshalStrings(ua, da, ub, db)
-	ctx, cancel := context.WithTimeout(context.Background(), n.opts.PullTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
 	defer cancel()
 	reply, err := p.InvokeContext(ctx, ObjectKey, OpPull, body)
 	if err != nil {
@@ -264,14 +248,12 @@ func (n *Node) pushWorker() {
 	}
 }
 
-// pushOne sends one warm entry to the first Replicas ranked members of
+// pushOne sends one warm entry to the first replicas ranked members of
 // its pair (self excluded — self already holds the entry).
 func (n *Node) pushOne(j pushJob) {
 	rk := RouteKey(j.ua, j.da, j.ub, j.db)
 	targets := n.ring.Load().Ranked(rk)
-	if len(targets) > n.opts.Replicas {
-		targets = targets[:n.opts.Replicas]
-	}
+	targets = targets[:min(replicas, len(targets))]
 	body, err := n.pushBody(j)
 	if err != nil {
 		n.pushErrs.Add(1)
@@ -285,7 +267,7 @@ func (n *Node) pushOne(j pushJob) {
 		if p == nil {
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.opts.PushTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 		_, err := p.InvokeContext(ctx, ObjectKey, OpPush, body)
 		cancel()
 		if err != nil {
@@ -400,7 +382,8 @@ func (n *Node) listFrom(ctx context.Context, addr string) ([]broker.LoadRecord, 
 	if p == nil {
 		return nil, nil, errors.New("cluster: node closed")
 	}
-	body, err := proto.Count.Marshal(&n.opts.SyncMax)
+	limit := syncMax
+	body, err := proto.Count.Marshal(&limit)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,10 +25,29 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"hash/fnv"
 	"sort"
 	"strconv"
 )
+
+// RouteKey derives the ring key for a request from its identifying
+// strings — for broker pair operations, the four (universe, declaration)
+// names. Universe names are content hashes on the client side, so the
+// key is content-addressed: every client hashes the same pair to the
+// same owner, which is what makes the owner's cache worth routing to.
+// Parts are length-prefixed so ("ab","c") and ("a","bc") differ.
+func RouteKey(parts ...string) []byte {
+	h := sha256.New()
+	var n [4]byte
+	for _, p := range parts {
+		binary.LittleEndian.PutUint32(n[:], uint32(len(p)))
+		_, _ = h.Write(n[:])
+		_, _ = h.Write([]byte(p))
+	}
+	return h.Sum(nil)
+}
 
 // Ring is an immutable rendezvous-hash (highest-random-weight) view of
 // the member list. Every process that knows the same members computes

@@ -32,28 +32,31 @@ func TestCCallsJavaDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The Java implementation, operating on the heap through the binding.
+	// The Java implementation, operating on the heap: the binding writes
+	// the argument into it and reads the result back.
 	heap := jheap.NewHeap()
 	jbinder := bind.NewJ(s.Universe("java"))
-	impl := func(h *jheap.Heap, args []jheap.Slot) (jheap.Slot, error) {
-		n, err := h.ArrayLen(args[0].R)
+	method := s.Universe("java").Lookup("Stats").Type.Methods[0]
+	target := TargetFunc(func(in value.Value) (value.Value, error) {
+		xs, err := jbinder.Write(method.Params[0].Type, heap, in.(value.Record).Fields[0])
 		if err != nil {
-			return jheap.Slot{}, err
+			return nil, err
+		}
+		n, err := heap.ArrayLen(xs.R)
+		if err != nil {
+			return nil, err
 		}
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			sl, err := h.PrimArrayAt(args[0].R, i)
+			sl, err := heap.PrimArrayAt(xs.R, i)
 			if err != nil {
-				return jheap.Slot{}, err
+				return nil, err
 			}
 			sum += sl.F
 		}
-		if n == 0 {
-			return jheap.FloatSlot(0), nil
-		}
-		return jheap.FloatSlot(sum / float64(n)), nil
-	}
-	target := NewJTarget(jbinder, s.Universe("java").Lookup("Stats"), "mean", impl, heap)
+		mean, err := jbinder.Read(method.Result, heap, jheap.FloatSlot(sum/float64(max(n, 1))))
+		return value.NewRecord(mean), err
+	})
 
 	// The C side is the caller: its declaration shapes the inputs.
 	stub, err := s.NewCallStub("c", "mean", "java", jFn, EngineCompiled, target)

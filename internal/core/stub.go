@@ -7,7 +7,6 @@ import (
 	"repro/internal/cmem"
 	"repro/internal/compare"
 	"repro/internal/convert"
-	"repro/internal/jheap"
 	"repro/internal/mtype"
 	"repro/internal/plan"
 	"repro/internal/stype"
@@ -54,14 +53,6 @@ func NewCTarget(binder *bind.C, decl *stype.Decl, impl bind.CFunc) Target {
 	return TargetFunc(func(inputs value.Value) (value.Value, error) {
 		mem := cmem.NewArena()
 		return binder.Call(decl, impl, mem, inputs)
-	})
-}
-
-// NewJTarget wraps a Java method implementation operating on a persistent
-// heap.
-func NewJTarget(binder *bind.J, decl *stype.Decl, method string, impl bind.JFunc, heap *jheap.Heap) Target {
-	return TargetFunc(func(inputs value.Value) (value.Value, error) {
-		return binder.Call(decl, method, impl, heap, inputs)
 	})
 }
 
@@ -119,7 +110,24 @@ func (s *Session) NewCallStub(universeA, declA, universeB, declB string, engine 
 	if err != nil {
 		return nil, err
 	}
-	return s.newCallStubFromMtypes(mtA, mtB, engine, target)
+	reqPlan, repPlan, err := s.CallPlans(mtA, mtB)
+	if err != nil {
+		return nil, err
+	}
+	reqConv, err := s.newConverter(engine, reqPlan)
+	if err != nil {
+		return nil, err
+	}
+	repConv, err := s.newConverter(engine, repPlan)
+	if err != nil {
+		return nil, err
+	}
+	return &CallStub{
+		reqConv:  reqConv,
+		repConv:  repConv,
+		target:   target,
+		nbInputs: len(reqPlan.Root.B.Fields()) - 1,
+	}, nil
 }
 
 // CallPlans is the one call-plan assembler: two Mtypes that lower to
@@ -155,27 +163,6 @@ func (s *Session) CallPlans(mtA, mtB *mtype.Type) (reqPlan, repPlan *plan.Plan, 
 		return nil, nil, fmt.Errorf("core: reply plan: %w", err)
 	}
 	return reqPlan, repPlan, nil
-}
-
-func (s *Session) newCallStubFromMtypes(mtA, mtB *mtype.Type, engine Engine, target Target) (*CallStub, error) {
-	reqPlan, repPlan, err := s.CallPlans(mtA, mtB)
-	if err != nil {
-		return nil, err
-	}
-	reqConv, err := s.newConverter(engine, reqPlan)
-	if err != nil {
-		return nil, err
-	}
-	repConv, err := s.newConverter(engine, repPlan)
-	if err != nil {
-		return nil, err
-	}
-	return &CallStub{
-		reqConv:  reqConv,
-		repConv:  repConv,
-		target:   target,
-		nbInputs: len(reqPlan.Root.B.Fields()) - 1,
-	}, nil
 }
 
 // Invoke calls through the stub: inputs is the caller-shaped input record

@@ -53,12 +53,7 @@ func (g *Gateway) fleetFor(addrs []string) *cluster.Client {
 	if c := g.fleets[key]; c != nil {
 		return c
 	}
-	c := cluster.New(addrs, cluster.Options{
-		Resil:         g.opts.Upstream,
-		Replicas:      g.opts.Fleet.Replicas,
-		SpillInflight: g.opts.Fleet.SpillInflight,
-		DrainTimeout:  g.opts.Fleet.DrainTimeout,
-	})
+	c := cluster.New(addrs, cluster.Options{Resil: g.opts.Upstream})
 	g.fleets[key] = c
 	return c
 }
@@ -78,7 +73,7 @@ func (g *Gateway) retireUpstreams(routes map[string]map[uint32]*route) {
 		if !live[addr] {
 			delete(g.pools, addr)
 			go func(p *resil.Client) {
-				ctx, cancel := context.WithTimeout(context.Background(), g.opts.Fleet.DrainTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), cluster.DrainTimeout)
 				defer cancel()
 				_ = p.Drain(ctx)
 			}(p)

@@ -76,11 +76,6 @@ type Options struct {
 	// upstreams with (pool size, call deadlines, retries, hedging).
 	// Fleet upstreams use it for each member's pool.
 	Upstream resil.Options
-	// Fleet tunes fleet upstreams (routes whose upstream address is a
-	// comma-separated member list): replica count, spillover threshold,
-	// and the drain timeout retired upstreams get on reload. Fleet.Resil
-	// is ignored — member pools are tuned by Upstream.
-	Fleet cluster.Options
 	// Session supplies a pre-configured core.Session — the hook table
 	// (RegisterSemantic) must be populated before the first route
 	// compiles. Nil creates a fresh session.
@@ -99,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StreamThreshold == 0 {
 		o.StreamThreshold = DefaultStreamThreshold
-	}
-	if o.Fleet.DrainTimeout <= 0 {
-		o.Fleet.DrainTimeout = 30 * time.Second
 	}
 	return o
 }

@@ -175,7 +175,7 @@ func TestEndToEndFastTier(t *testing.T) {
 	}
 
 	// The same snapshot must round-trip the admin protocol.
-	ac := NewClient(dialOrb(t, srv.Addr()))
+	ac := NewTransportClient(dialOrb(t, srv.Addr()))
 	remote, err := ac.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func TestHotReload(t *testing.T) {
 
 	compiles := g.Stats().LaneCompiles
 	g.SetReloader(func() (*Config, error) { return mkCfg("new"), nil })
-	ac := NewClient(dialOrb(t, srv.Addr()))
+	ac := NewTransportClient(dialOrb(t, srv.Addr()))
 	n, err := ac.ReloadContext(context.Background())
 	if err != nil {
 		t.Fatal(err)

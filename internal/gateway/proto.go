@@ -97,9 +97,6 @@ type Client struct {
 	t proto.Transport
 }
 
-// NewClient wraps an established orb connection.
-func NewClient(c *orb.Client) *Client { return &Client{t: c} }
-
 // NewTransportClient wraps any proto.Transport — typically a
 // resil.Client (safe: every admin op except reload is a pure read, and
 // reload is idempotent against an unchanged route file).

@@ -279,10 +279,6 @@ type Limits struct {
 	// (no hello, v2 frames rejected) and a client ignore hellos; 2 keeps
 	// budgets and cancel frames but no streams. Interop tests pin it.
 	MaxProtoVersion int
-	// StreamWindow is the initial per-stream flow-control credit this
-	// endpoint grants its peer, in bytes; it bounds the bytes in flight
-	// per stream direction. 0 selects DefaultStreamWindow.
-	StreamWindow int
 }
 
 func (l Limits) withDefaults() Limits {
@@ -299,9 +295,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.MaxProtoVersion <= 0 || l.MaxProtoVersion > protoVersion {
 		l.MaxProtoVersion = protoVersion
-	}
-	if l.StreamWindow <= 0 {
-		l.StreamWindow = DefaultStreamWindow
 	}
 	return l
 }

@@ -479,7 +479,7 @@ func (sc *serverConn) admit(f frame) *call {
 	cl := callPool.Get().(*call)
 	cl.req, cl.h, cl.sh = f, h, sh
 	if stream {
-		cl.end = newStreamEnd(f.id, s.lim.StreamWindow, true, sc.write)
+		cl.end = newStreamEnd(f.id, streamWindow, true, sc.write)
 	}
 	if f.kind != kindOneway {
 		sc.calls[f.id] = cl

@@ -28,7 +28,7 @@ import (
 // Flow control is credit-based per stream and direction: a sender starts
 // with the protocol-fixed initialStreamCredit and may only put that many
 // body bytes on the wire until the receiver grants more. Receivers top
-// the sender up to their configured Limits.StreamWindow immediately on
+// the sender up to streamWindow immediately on
 // open and re-grant as the consumer drains, so a slow reader exerts
 // backpressure all the way to the origin instead of buffering.
 //
@@ -50,9 +50,10 @@ import (
 // frames on a stream id and, on a connection that did not negotiate v3,
 // runs the same end over a buffering sink (StreamCall.sendBuffered).
 
-// DefaultStreamWindow is the default per-stream, per-direction
-// flow-control window (1 MiB).
-const DefaultStreamWindow = 1 << 20
+// streamWindow is the per-stream, per-direction flow-control window
+// (1 MiB) every endpoint grants its peer: it bounds the bytes in flight
+// per stream direction.
+const streamWindow = 1 << 20
 
 // initialStreamCredit is the credit a sender holds the instant a stream
 // opens, before any grant arrives — small enough that a receiver with a
@@ -337,10 +338,6 @@ type StreamWriter struct{ end *streamEnd }
 // exhausted.
 func (w *StreamWriter) Write(p []byte) (int, error) { return w.end.Write(p) }
 
-// Wrote reports whether any reply chunk reached the wire (it decides
-// between an error frame and a mid-stream close on handler failure).
-func (w *StreamWriter) Wrote() bool { return w.end.wrote() }
-
 // StreamHandler serves one streaming call: read the request body from
 // in (io.EOF marks its end), write the reply body to out. A nil return
 // closes the reply stream cleanly; an error is delivered to the client
@@ -401,11 +398,11 @@ func (c *Client) OpenStream(ctx context.Context, key string, op uint32) (*Stream
 		// Buffered fallback: nothing grants this end credit, so it starts
 		// with all there is. Its id stays 0 — it is never entered in the
 		// table; the invoke it ends in has an id of its own.
-		sc.streamEnd = newStreamEnd(0, c.lim.StreamWindow, false, sc.sendBuffered)
+		sc.streamEnd = newStreamEnd(0, streamWindow, false, sc.sendBuffered)
 		sc.credit = math.MaxInt
 		return sc, nil
 	}
-	sc.streamEnd = newStreamEnd(0, c.lim.StreamWindow, false, sc.sendWire)
+	sc.streamEnd = newStreamEnd(0, streamWindow, false, sc.sendWire)
 	id, err := c.register(waiter{sc: sc})
 	if err != nil {
 		return nil, err

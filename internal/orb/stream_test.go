@@ -182,13 +182,9 @@ func TestStreamMidReplyAbort(t *testing.T) {
 }
 
 func TestStreamCreditBackpressure(t *testing.T) {
-	// The server grants only its configured window; a handler that is
-	// not reading must stall the client's writes at the initial credit.
-	s, err := NewServer("127.0.0.1:0", func(l *Limits) { l.StreamWindow = 1 << 10 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	// The server grants only its window; a handler that is not reading
+	// must stall the client's writes there.
+	s := startServer(t)
 	release := make(chan struct{})
 	s.RegisterStream("slow", func(ctx context.Context, op uint32, in *StreamReader, out *StreamWriter) error {
 		<-release
@@ -201,7 +197,7 @@ func TestStreamCreditBackpressure(t *testing.T) {
 	}
 	defer sc.Close()
 
-	body := patterned(256 << 10) // 4x the initial credit
+	body := patterned(4 * streamWindow)
 	done := make(chan error, 1)
 	go func() {
 		_, err := streamAll(t, sc, body, 16<<10)

@@ -26,10 +26,14 @@ type Universe struct {
 	Decls []Decl `json:"decls"`
 }
 
-// Decl is one serialized declaration.
+// Decl is one serialized declaration. A declaration whose type node an
+// earlier declaration of its universe holds (javaparse's
+// java.util.Vector/Vector) names that declaration as its Alias instead,
+// and loads sharing the node; a file without aliases loads as before.
 type Decl struct {
-	Name string `json:"name"`
-	Type *Type  `json:"type"`
+	Name  string `json:"name"`
+	Type  *Type  `json:"type,omitempty"`
+	Alias string `json:"alias,omitempty"`
 }
 
 // Type mirrors stype.Type for serialization; Named targets are stored by
@@ -123,7 +127,13 @@ func Save(s *core.Session) ([]byte, error) {
 	for _, name := range s.Universes() {
 		u := s.Universe(name)
 		fu := Universe{Name: name, Lang: langNames[u.Lang()]}
+		first := map[*stype.Type]string{}
 		for _, d := range u.Decls() {
+			if alias, ok := first[d.Type]; ok {
+				fu.Decls = append(fu.Decls, Decl{Name: d.Name, Alias: alias})
+				continue
+			}
+			first[d.Type] = d.Name
 			fu.Decls = append(fu.Decls, Decl{Name: d.Name, Type: encodeType(d.Type)})
 		}
 		f.Universes = append(f.Universes, fu)
@@ -183,6 +193,13 @@ func Load(data []byte) (*core.Session, error) {
 		u := stype.NewUniverse(lang)
 		for _, fd := range fu.Decls {
 			ty, err := decodeType(fd.Type)
+			if fd.Alias != "" {
+				if d := u.Lookup(fd.Alias); d != nil {
+					ty = d.Type
+				} else {
+					err = fmt.Errorf("alias of undeclared %q", fd.Alias)
+				}
+			}
 			if err != nil {
 				return nil, fmt.Errorf("project: %s.%s: %w", fu.Name, fd.Name, err)
 			}

@@ -1,6 +1,7 @@
 package project
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -231,5 +232,57 @@ type Store interface {
 		if orig.String() != back.String() {
 			t.Errorf("%s Mtype drift:\n%s\n%s", decl, orig, back)
 		}
+	}
+}
+
+// javaparse declares java.util.Vector and Vector as one node; a project
+// file keeps them one, so annotating either after a load is seen through
+// both. A format-1 file written before aliases still loads.
+func TestVectorAliasSurvives(t *testing.T) {
+	s := core.NewSession()
+	if err := s.LoadJava("java", figure1Java); err != nil {
+		t.Fatal(err)
+	}
+	data, err := Save(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collectionOf := func(s *core.Session) string {
+		if _, err := s.Annotate("java", "annotate Vector collection-of=Point"); err != nil {
+			t.Fatal(err)
+		}
+		return s.Universe("java").Lookup("java.util.Vector").Type.Ann.CollectionOf
+	}
+	restored, err := Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collectionOf(restored); got != "Point" {
+		t.Errorf("java.util.Vector collection-of = %q after annotating Vector, want Point", got)
+	}
+
+	// The same file with the alias written out whole, as before aliases.
+	var f File
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	decls := f.Universes[0].Decls
+	for i, d := range decls {
+		for _, e := range decls[:i] {
+			if d.Alias == e.Name {
+				decls[i] = Decl{Name: d.Name, Type: e.Type}
+			}
+		}
+	}
+	old, err := json.Marshal(f)
+	if err != nil || strings.Contains(string(old), `"alias"`) {
+		t.Fatalf("old-format file: %v", err)
+	}
+	restored, err = Load(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collectionOf(restored); got == "Point" {
+		t.Error("old-format file loaded the two declarations as one node")
 	}
 }

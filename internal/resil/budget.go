@@ -11,7 +11,6 @@ package resil
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrRetryBudget is returned (wrapping the attempt's own error) when a
@@ -43,8 +42,6 @@ type RetryBudget struct {
 
 	mu     sync.Mutex
 	tokens float64
-
-	exhausted atomic.Int64
 }
 
 // NewRetryBudget returns a budget earning ratio tokens per success,
@@ -72,19 +69,13 @@ func (b *RetryBudget) Deposit() {
 }
 
 // Withdraw takes one token for a retry or hedge attempt, reporting
-// whether the budget allowed it. A refused withdrawal is counted.
+// whether the budget allowed it.
 func (b *RetryBudget) Withdraw() bool {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	ok := b.tokens >= 1
 	if ok {
 		b.tokens--
 	}
-	b.mu.Unlock()
-	if !ok {
-		b.exhausted.Add(1)
-	}
 	return ok
 }
-
-// Exhausted returns the number of withdrawals the budget has refused.
-func (b *RetryBudget) Exhausted() int64 { return b.exhausted.Load() }

@@ -71,19 +71,18 @@ type Options struct {
 	// enable against idempotent services.
 	Hedge bool
 	// HedgeAfter is a fixed hedge delay. When 0, the delay tracks the
-	// HedgePercentile of recently observed call latencies.
+	// hedgePercentile of recently observed call latencies.
 	HedgeAfter time.Duration
-	// HedgePercentile selects the latency percentile used as the hedge
-	// delay when HedgeAfter is 0 (default 0.95).
-	HedgePercentile float64
 	// RetryBudget governs retries and hedges as a fraction of successes
 	// (see RetryBudget). Nil creates a private budget with the defaults;
 	// pass one instance to several Clients to make the cap shared (the
 	// cluster client does this across its member pools).
 	RetryBudget *RetryBudget
-	// OrbOptions adjusts frame limits on pooled connections.
-	OrbOptions []orb.Option
 }
+
+// hedgePercentile is the latency percentile used as the hedge delay when
+// HedgeAfter is 0.
+const hedgePercentile = 0.95
 
 func (o Options) withDefaults() Options {
 	if o.PoolSize <= 0 {
@@ -106,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = time.Second
-	}
-	if o.HedgePercentile <= 0 || o.HedgePercentile >= 1 {
-		o.HedgePercentile = 0.95
 	}
 	if o.RetryBudget == nil {
 		o.RetryBudget = NewRetryBudget(0, 0)
@@ -374,7 +370,7 @@ func (c *Client) acquire(ctx context.Context, exclude *pconn) (*pconn, error) {
 // a dial however it ends.
 func (c *Client) dial(ctx context.Context) (*pconn, error) {
 	dctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
-	oc, err := orb.DialContext(dctx, c.addr, c.opts.OrbOptions...)
+	oc, err := orb.DialContext(dctx, c.addr)
 	if err == nil {
 		// Let version negotiation settle (the server's hello is sent on
 		// accept, so against a live v2 server this is one read away;
@@ -704,7 +700,7 @@ func (c *Client) hedgeDelay() time.Duration {
 	if c.opts.HedgeAfter > 0 {
 		return c.opts.HedgeAfter
 	}
-	if d, ok := c.lat.percentile(c.opts.HedgePercentile); ok {
+	if d, ok := c.lat.percentile(hedgePercentile); ok {
 		return d
 	}
 	// No samples yet: a conservative cold-start delay.

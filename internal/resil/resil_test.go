@@ -134,9 +134,6 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 	if b.Withdraw() {
 		t.Fatal("empty budget allowed a withdrawal")
 	}
-	if b.Exhausted() != 1 {
-		t.Errorf("Exhausted = %d, want 1", b.Exhausted())
-	}
 	// Two successes at ratio 0.5 earn one whole token back.
 	b.Deposit()
 	b.Deposit()
