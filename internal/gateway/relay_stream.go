@@ -25,6 +25,7 @@ package gateway
 // only.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -70,12 +71,13 @@ func (g *Gateway) frontStreamHandler(key string) orb.StreamHandler {
 			limit = g.budget.MaxBytes
 		}
 		prefix, eof, err := readUpTo(in, limit)
+		defer putShuttles(prefix)
 		if err != nil {
 			g.canceled.Add(1)
 			return err
 		}
 		if eof {
-			reply, err := g.relay(ctx, r, prefix)
+			reply, err := g.relay(ctx, r, bytes.Join(prefix, nil))
 			if err != nil {
 				return err
 			}
@@ -90,28 +92,37 @@ func (g *Gateway) frontStreamHandler(key string) orb.StreamHandler {
 	}
 }
 
-// readUpTo buffers stream input until EOF or more than limit bytes are
-// pending, reporting whether the stream ended within the limit. A body
-// that outgrows one shuttle buffer gets its buffer sized once, for the
-// threshold plus the read that crosses it, rather than doubled up to it.
-func readUpTo(in *orb.StreamReader, limit int) ([]byte, bool, error) {
-	bp := relayBufPool.Get().(*[]byte)
-	defer relayBufPool.Put(bp)
-	var buf []byte
-	for len(buf) <= limit {
-		n, err := in.Read(*bp)
-		if need := len(buf) + n; need > cap(buf) && need > len(*bp) {
-			buf = append(make([]byte, 0, max(need, min(limit, DefaultStreamThreshold)+len(*bp))), buf...)
-		}
-		buf = append(buf, (*bp)[:n]...)
-		if err == io.EOF {
-			return buf, true, nil
+// readUpTo reads stream input into pooled shuttles, filling each, until
+// EOF or more than limit bytes are pending, and reports whether the
+// stream ended within the limit (one that ends past it reads as
+// unfinished; the next Read finds the end). The prefix stays in its
+// shuttles, which the caller puts back: a streamed call pushes it
+// upstream shuttle by shuttle, and only the buffered path joins it.
+func readUpTo(in *orb.StreamReader, limit int) ([][]byte, bool, error) {
+	var prefix [][]byte
+	for pending := 0; pending <= limit; {
+		b := *relayBufPool.Get().(*[]byte)
+		n, err := io.ReadFull(in, b)
+		prefix = append(prefix, b[:n])
+		pending += n
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return prefix, pending <= limit, nil
 		}
 		if err != nil {
-			return nil, false, err
+			return prefix, false, err
 		}
 	}
-	return buf, false, nil
+	return prefix, false, nil
+}
+
+// putShuttles gives a prefix's shuttles back to relayBufPool, skipping
+// those forwardRequest already gave back.
+func putShuttles(prefix [][]byte) {
+	for _, b := range prefix {
+		if b = b[:cap(b)]; len(b) > 0 {
+			relayBufPool.Put(&b)
+		}
+	}
 }
 
 // writeReply hands a buffered reply to the stream's send side.
@@ -127,7 +138,7 @@ func writeReply(out *orb.StreamWriter, reply []byte) error {
 // upstream stream (retried — nothing is committed yet), forward the
 // buffered prefix plus every further chunk through the request lane,
 // then buffer and transcode the reply leg under the payload budget.
-func (g *Gateway) relayStream(ctx context.Context, r *route, prefix []byte, in *orb.StreamReader, out *orb.StreamWriter) error {
+func (g *Gateway) relayStream(ctx context.Context, r *route, prefix [][]byte, in *orb.StreamReader, out *orb.StreamWriter) error {
 	if err := g.admit(r); err != nil {
 		return err
 	}
@@ -186,7 +197,7 @@ func (g *Gateway) relayStream(ctx context.Context, r *route, prefix []byte, in *
 // passthrough routes, through a pooled stream.Transcoder for fused
 // streamable lanes. Client-leg read errors count as cancellations;
 // upstream write errors map like any failed upstream leg.
-func (g *Gateway) forwardRequest(ctx context.Context, r *route, sc *orb.StreamCall, prefix []byte, in *orb.StreamReader) error {
+func (g *Gateway) forwardRequest(ctx context.Context, r *route, sc *orb.StreamCall, prefix [][]byte, in *orb.StreamReader) error {
 	var eng *stream.Transcoder
 	var xns int64 // transcode time, excluding upstream writes
 	if r.req != nil {
@@ -217,16 +228,20 @@ func (g *Gateway) forwardRequest(ctx context.Context, r *route, sc *orb.StreamCa
 		}
 		return nil
 	}
-	bp := relayBufPool.Get().(*[]byte)
-	defer relayBufPool.Put(bp)
-	// The prefix goes in shuttle-sized pieces like the chunks after it: as
-	// one push it would grow the pooled engine's windows past what Release
-	// keeps, and hold the first upstream write back a megabyte.
-	for ; len(prefix) > 0; prefix = prefix[min(len(prefix), len(*bp)):] {
-		if err := push(prefix[:min(len(prefix), len(*bp))]); err != nil {
+	// The prefix goes in the shuttles it was read into, like the chunks
+	// after it: as one push it would grow the pooled engine's windows past
+	// what Release keeps, and hold the first upstream write back a megabyte.
+	// Each shuttle goes back once pushed, for the next call's prefix.
+	for i, p := range prefix {
+		err := push(p)
+		putShuttles(prefix[i : i+1])
+		prefix[i] = nil
+		if err != nil {
 			return err
 		}
 	}
+	bp := relayBufPool.Get().(*[]byte)
+	defer relayBufPool.Put(bp)
 	for {
 		n, err := in.Read(*bp)
 		if n > 0 {

@@ -3,7 +3,10 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"runtime"
 	"strings"
@@ -227,6 +230,93 @@ func TestStreamNonStreamableLaneOverCap(t *testing.T) {
 	}
 	if r := g.Stats().Routes[0]; r.BudgetRejects != 1 {
 		t.Errorf("budget rejects = %d, want 1", r.BudgetRejects)
+	}
+}
+
+// TestConcurrentStreamScratchIntegrity is orb's test of the same name
+// run through the gateway's two streaming lanes: per lane, eight
+// concurrent streams past the threshold, each carrying its own seeded
+// bytes, to a sink that CRCs every byte it reads and answers with the
+// sum. On the passthrough lane the client checks it against the bytes it
+// sent, on the fused lane against the oracle's B image of them. Chunk
+// bodies are reused on both hops and the prefix sits in pooled shuttles,
+// so a reader still holding a slice into a recycled buffer surfaces here
+// as a wrong sum.
+func TestConcurrentStreamScratchIntegrity(t *testing.T) {
+	const streams = 8
+	up, err := orb.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = up.Close() })
+	sink := func(ctx context.Context, op uint32, in *orb.StreamReader, out *orb.StreamWriter) error {
+		// Reads smaller than any chunk: most chunks are read in several.
+		h := crc32.NewIEEE()
+		n, err := io.CopyBuffer(h, in, make([]byte, 5000))
+		if err != nil {
+			return err
+		}
+		_, err = out.Write(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(n)), h.Sum32()))
+		return err
+	}
+	up.RegisterStream("pass", sink)
+	up.RegisterStream("fused", sink)
+	cfg := &Config{Upstream: up.Addr(), Routes: []RouteConfig{
+		{Key: "pass", Op: 1},
+		{Key: "fused", Op: 1, Request: &LaneConfig{From: batchADecl(), To: batchBDecl()}},
+	}}
+	g, srv := startGateway(t, cfg, Options{StreamThreshold: 16 << 10})
+	c := dialOrb(t, srv.Addr())
+	mtA := lowerDecl(t, batchADecl())
+
+	for _, lane := range []string{"pass", "fused"} {
+		t.Run(lane, func(t *testing.T) {
+			// Payloads and the sums they must arrive as, built here: the
+			// oracle may only fail the test from its own goroutine.
+			payloads, sums := make([][]byte, streams), make([][]byte, streams)
+			for i := range payloads {
+				x := uint64(i+1) * 0x9e3779b97f4a7c15
+				next := func() uint64 { x ^= x << 13; x ^= x >> 7; x ^= x << 17; return x }
+				var arrives []byte
+				if lane == "pass" {
+					payloads[i] = make([]byte, 200<<10+i*4099)
+					for j := range payloads[i] {
+						payloads[i][j] = byte(next())
+					}
+					arrives = payloads[i]
+				} else {
+					recs := make([]value.Value, 12000+i*97)
+					for j := range recs {
+						recs[j] = value.NewRecord(value.NewInt(int64(int32(next()))), value.Real{V: float64(next()>>11) / 3})
+					}
+					if payloads[i], err = wire.Marshal(mtA, value.FromSlice(recs)); err != nil {
+						t.Fatal(err)
+					}
+					arrives = oracle(t, batchADecl(), batchBDecl(), payloads[i])
+				}
+				sums[i] = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(len(arrives))), crc32.ChecksumIEEE(arrives))
+			}
+			errs := make(chan error, streams)
+			for i := range payloads {
+				go func() {
+					got, err := streamThrough(t, c, lane, 1, payloads[i])
+					if err == nil && !bytes.Equal(got, sums[i]) {
+						err = fmt.Errorf("stream %d: sink summed % x, want % x", i, got, sums[i])
+					}
+					errs <- err
+				}()
+			}
+			for range streams {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, r := range g.Stats().Routes {
+		if r.Streamed != streams {
+			t.Errorf("route %s streamed %d of %d calls", r.Name, r.Streamed, streams)
+		}
 	}
 }
 

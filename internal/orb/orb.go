@@ -92,6 +92,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"slices"
 	"strings"
@@ -357,7 +358,7 @@ func newPooledBuf() any {
 	return &b
 }
 
-const maxPooledFrameBuf = 1 << 20
+const maxPooledFrameBuf = 1 << maxBodyClass
 
 // writevThreshold is the body size past which a frame is written as a
 // scatter-gather pair (header buffer + body, one writev on a TCP conn)
@@ -406,25 +407,71 @@ func writeFrame(w io.Writer, f frame, lim Limits) (int, error) {
 	return n, err
 }
 
-// bodyBufPool recycles the bodies a server connection reads: a request's
-// goes back once its terminal frame is written, a stream chunk's once the
-// handler has consumed it.
-var bodyBufPool = sync.Pool{New: newPooledBuf}
+// Read bodies pool by size class, a power of two from 512 bytes to
+// maxPooledFrameBuf, so a small request never pins a chunk-sized buffer
+// and a 32 KiB chunk never holds a 256 KiB one. A server gives a request
+// body back after its terminal frame; a stream end gives a chunk back
+// whole once Read has copied it out. A chunk class, 16 KiB up to
+// maxStreamChunk, keeps at most one streamWindow of spares: a sync.Pool
+// empties only as the collector runs, so a process that stops making
+// garbage would hold every chunk it ever pooled as resident memory. The
+// other classes keep sync.Pool's per-P caches: the small ones serve the
+// unary path, and a body past maxStreamChunk is a one-off request that a
+// spare would pin.
+const (
+	minBodyClass  = 9  // log2 of the smallest class, 512 bytes
+	minChunkClass = 14 // 16 KiB
+	maxChunkClass = 18 // maxStreamChunk
+	maxBodyClass  = 20 // maxPooledFrameBuf
+)
 
-// getBodyBuf returns a pooled buffer of exactly n bytes.
-func getBodyBuf(n int) []byte {
-	bp := bodyBufPool.Get().(*[]byte)
-	return slices.Grow((*bp)[:0], n)[:n]
+var (
+	bodyPools   [maxBodyClass - minBodyClass + 1]sync.Pool // chunk classes unused
+	chunkBodies [maxChunkClass - minChunkClass + 1]chan []byte
+)
+
+func init() {
+	for i := range chunkBodies {
+		chunkBodies[i] = make(chan []byte, streamWindow>>(minChunkClass+i))
+	}
 }
 
-// putBodyBuf recycles a buffer handed out by getBodyBuf. Buffers that
-// grew past maxPooledFrameBuf are dropped rather than pinned.
+// getBodyBuf returns a buffer of exactly n bytes with its class's
+// capacity; an empty body takes none, one past the classes its own.
+func getBodyBuf(n int) []byte {
+	if n == 0 || n > maxPooledFrameBuf {
+		return make([]byte, n)
+	}
+	c := max(bits.Len(uint(n-1)), minBodyClass)
+	if c < minChunkClass || c > maxChunkClass {
+		if bp, _ := bodyPools[c-minBodyClass].Get().(*[]byte); bp != nil {
+			return (*bp)[:n]
+		}
+	} else {
+		select {
+		case b := <-chunkBodies[c-minChunkClass]:
+			return b[:n]
+		default:
+		}
+	}
+	return make([]byte, n, 1<<c)
+}
+
+// putBodyBuf recycles a buffer handed out by getBodyBuf. One whose
+// capacity is not a class size was not, and is dropped.
 func putBodyBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledFrameBuf {
+	n := cap(b)
+	if n < 1<<minBodyClass || n > maxPooledFrameBuf || n&(n-1) != 0 {
 		return
 	}
-	b = b[:0]
-	bodyBufPool.Put(&b)
+	if c := bits.Len(uint(n)) - 1; c < minChunkClass || c > maxChunkClass {
+		bodyPools[c-minBodyClass].Put(&b)
+	} else {
+		select {
+		case chunkBodies[c-minChunkClass] <- b:
+		default:
+		}
+	}
 }
 
 // readBufSize holds a whole frame with a body under writevThreshold.
@@ -433,8 +480,9 @@ const readBufSize = 4096
 // frameReader reads frames from one connection through one buffer,
 // interning the (almost always identical) object key across frames so the
 // steady-state read path allocates only the body — and a server's (pool)
-// not even that: its bodies come from bodyBufPool, a client's are
-// allocated because callers keep replies. A body as large as the buffer
+// not even that: its bodies come from the body pool. A client's are
+// allocated because callers keep replies, except a stream chunk's, which
+// only a stream end's Read ever copies out. A body as large as the buffer
 // is never copied through it whole. It is owned by a single reader
 // goroutine and must not be shared.
 type frameReader struct {
@@ -498,7 +546,7 @@ func (fr *frameReader) read() (frame, error) {
 	if uint64(bodyLen) > uint64(fr.lim.MaxBody) {
 		return f, fmt.Errorf("%w: body of %d bytes exceeds %d", ErrFrameTooLarge, bodyLen, fr.lim.MaxBody)
 	}
-	if fr.pool {
+	if fr.pool || f.kind == kindStreamChunk {
 		f.body = getBodyBuf(int(bodyLen))
 	} else {
 		f.body = make([]byte, bodyLen)

@@ -76,22 +76,23 @@ type streamEnd struct {
 	id uint64
 	// send is the sink this end's chunk, credit and close frames go to.
 	send func(f frame) error
-	// pooled: received chunks came from a server's reader and go back to
-	// the body pool when spent.
+	// pooled: received chunks came from the body pool and go back to it,
+	// whole, once Read has copied them out.
 	pooled bool
 
 	mu       sync.Mutex
 	readable sync.Cond // a Read waits here for a chunk or an end
 	writable sync.Cond // a Write waits here for credit or an end
 
-	q        [][]byte
-	cur      []byte
-	eof      bool  // clean close received
-	rerr     error // terminal failure of the receive half
-	window   int   // configured receive window
-	granted  int   // total credit granted to the peer (incl. initial)
-	received int   // total body bytes delivered by the peer
-	consumed int   // total body bytes handed to the consumer
+	q        [][]byte // chunks not yet read, none empty
+	cur      []byte   // the chunk being read, whole; nil between chunks
+	off      int      // how much of cur Read has copied out
+	eof      bool     // clean close received
+	rerr     error    // terminal failure of the receive half
+	window   int      // configured receive window
+	granted  int      // total credit granted to the peer (incl. initial)
+	received int      // total body bytes delivered by the peer
+	consumed int      // total body bytes handed to the consumer
 
 	credit int   // bytes this end may still send
 	werr   error // terminal failure of the send half
@@ -124,7 +125,7 @@ func (e *streamEnd) topUp() {
 	e.grant(extra)
 }
 
-// recycle returns a spent buffer to the body pool if it came from there.
+// recycle returns a spent chunk to the body pool if it came from there.
 func (e *streamEnd) recycle(b []byte) {
 	if e.pooled {
 		putBodyBuf(b)
@@ -144,12 +145,12 @@ func (e *streamEnd) onFrame(f frame) bool {
 		if e.received > e.granted {
 			return false
 		}
-		if e.rerr == nil && !e.eof {
+		if e.rerr == nil && !e.eof && len(f.body) > 0 {
 			e.q = append(e.q, f.body)
 			e.readable.Broadcast()
 			return true
 		}
-		// A late chunk after a terminal state is dropped.
+		// An empty chunk, or a late one after a terminal state, is dropped.
 	case kindStreamClose:
 		if f.op == 0 {
 			e.eof = true
@@ -170,7 +171,9 @@ func (e *streamEnd) onFrame(f frame) bool {
 func (e *streamEnd) deliverWhole(b []byte) {
 	e.mu.Lock()
 	if e.rerr == nil && !e.eof {
-		e.q = append(e.q, b)
+		if len(b) > 0 {
+			e.q = append(e.q, b)
+		}
 		e.eof = true
 		e.readable.Broadcast()
 	}
@@ -192,10 +195,8 @@ func (e *streamEnd) failLocked(err error) {
 	for _, b := range e.q {
 		e.recycle(b)
 	}
-	if e.cur != nil {
-		e.recycle(e.cur)
-	}
-	e.q, e.cur = nil, nil
+	e.recycle(e.cur)
+	e.q, e.cur, e.off = nil, nil, 0
 	if e.werr == nil {
 		e.werr = err
 	}
@@ -228,17 +229,17 @@ func (e *streamEnd) Finished() bool {
 func (e *streamEnd) Read(p []byte) (int, error) {
 	e.mu.Lock()
 	for {
-		if len(e.cur) == 0 && len(e.q) > 0 {
-			if e.cur != nil {
-				e.recycle(e.cur)
-			}
-			e.cur = e.q[0]
+		if e.cur == nil && len(e.q) > 0 {
+			e.cur, e.off = e.q[0], 0
 			e.q[0] = nil
 			e.q = e.q[1:]
 		}
-		if len(e.cur) > 0 {
-			n := copy(p, e.cur)
-			e.cur = e.cur[n:]
+		if e.cur != nil {
+			n := copy(p, e.cur[e.off:])
+			if e.off += n; e.off == len(e.cur) {
+				e.recycle(e.cur)
+				e.cur = nil
+			}
 			e.consumed += n
 			var due int
 			if e.rerr == nil && e.granted-e.consumed < e.window-e.window/4 {
@@ -402,7 +403,7 @@ func (c *Client) OpenStream(ctx context.Context, key string, op uint32) (*Stream
 		sc.credit = math.MaxInt
 		return sc, nil
 	}
-	sc.streamEnd = newStreamEnd(0, streamWindow, false, sc.sendWire)
+	sc.streamEnd = newStreamEnd(0, streamWindow, true, sc.sendWire)
 	id, err := c.register(waiter{sc: sc})
 	if err != nil {
 		return nil, err
