@@ -64,6 +64,9 @@ func TestChaosProxyForwards(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echo = %q", got)
 	}
+	// The proxy counts a chunk after writing it, so the echo can arrive
+	// before its count; Close waits the forwarding goroutines out.
+	_ = p.Close()
 	st := p.Stats()
 	if st.Accepted != 1 || st.ForwardedBytes != int64(2*len(msg)) {
 		t.Errorf("stats = %+v", st)

@@ -272,7 +272,7 @@ func TestChaosClusterWarmRestart(t *testing.T) {
 //     Expired counter.
 func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 	// Three echo servers; the first sits behind a stall proxy that lets
-	// the 26-byte hello plus one request head through, then trickles.
+	// one request head through, then trickles.
 	var members []string
 	servers := make([]*orb.Server, 3)
 	calls := make([]*atomic.Int64, 3)
@@ -291,7 +291,7 @@ func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 		calls[i] = n
 	}
 	proxy, err := chaos.New("127.0.0.1:0", servers[0].Addr(), chaos.Faults{
-		StallAfter:    48, // hello (26) + request head and budget (22)
+		StallAfter:    22, // request head (18) + budget (4); the server writes nothing first
 		StallInterval: 25 * time.Millisecond,
 	})
 	if err != nil {
@@ -397,11 +397,6 @@ func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vctx, vcancel := context.WithTimeout(context.Background(), 2*time.Second)
-	if v := oc.AwaitVersion(vctx); v < 2 {
-		t.Fatalf("negotiated version %d through the stall proxy, want >= 2", v)
-	}
-	vcancel()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

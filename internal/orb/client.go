@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -78,12 +77,6 @@ type Client struct {
 
 	writeMu sync.Mutex
 
-	// peerVer is the negotiated protocol version: 1 until a hello frame
-	// proves the server speaks something newer.
-	peerVer atomic.Int32
-	verOnce sync.Once
-	verCh   chan struct{}
-
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]waiter // every call in flight, unary or stream
@@ -110,9 +103,7 @@ func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, err
 		lim:     applyOptions(opts),
 		pending: make(map[uint64]waiter),
 		done:    make(chan struct{}),
-		verCh:   make(chan struct{}),
 	}
-	c.peerVer.Store(1)
 	go c.readLoop()
 	return c, nil
 }
@@ -131,26 +122,6 @@ func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
-}
-
-// ProtoVersion returns the negotiated protocol version: 1 until the
-// server's hello frame arrives, then the lower of the two maxima.
-// Budgets need version 2, streams version 3.
-func (c *Client) ProtoVersion() int { return int(c.peerVer.Load()) }
-
-// AwaitVersion blocks until version negotiation settles — the server's
-// hello arrived, the connection died, or ctx expired — and returns the
-// version the connection speaks. Against a v1 server no hello ever
-// comes, so callers bound the wait with ctx and get 1 back; pools wait a
-// few milliseconds after dialing so the first budgeted request doesn't
-// race the hello.
-func (c *Client) AwaitVersion(ctx context.Context) int {
-	select {
-	case <-c.verCh:
-	case <-c.done:
-	case <-ctx.Done():
-	}
-	return c.ProtoVersion()
 }
 
 // fail records the connection's terminal error and fails every in-flight
@@ -184,13 +155,6 @@ func (c *Client) readLoop() {
 		if err != nil {
 			c.fail(err)
 			return
-		}
-		if f.kind == kindHello {
-			if c.lim.MaxProtoVersion >= 2 && f.op >= 2 {
-				c.peerVer.Store(int32(min(f.op, uint32(c.lim.MaxProtoVersion))))
-			}
-			c.verOnce.Do(func() { close(c.verCh) })
-			continue
 		}
 		c.mu.Lock()
 		w := c.pending[f.id]
@@ -284,10 +248,9 @@ func (c *Client) Invoke(key string, op uint32, body []byte) ([]byte, error) {
 // ErrDeadline/ErrCanceled is returned. The connection itself stays
 // usable — only a write that timed out mid-frame poisons it.
 //
-// On v2 connections the context's remaining time (or an explicit
-// ContextWithBudget value) travels with the request as its deadline
-// budget, so every downstream hop can shed work the caller has already
-// given up on.
+// The context's remaining time (or an explicit ContextWithBudget value)
+// travels with the request as its deadline budget, so every downstream
+// hop can shed work the caller has already given up on.
 func (c *Client) InvokeContext(ctx context.Context, key string, op uint32, body []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(err)
@@ -298,12 +261,7 @@ func (c *Client) InvokeContext(ctx context.Context, key string, op uint32, body 
 		resultChPool.Put(ch)
 		return nil, err
 	}
-	fr := frame{kind: kindRequest, id: id, key: key, op: op, body: body}
-	if c.peerVer.Load() >= 2 {
-		if budget := budgetMillis(ctx); budget > 0 {
-			fr.ver, fr.budget = 2, budget
-		}
-	}
+	fr := frame{kind: kindRequest, id: id, key: key, op: op, body: body, budget: budgetMillis(ctx)}
 	if err := c.write(ctx, fr); err != nil {
 		c.abandon(id, ch)
 		return nil, err
@@ -353,9 +311,7 @@ func (c *Client) InvokeContext(ctx context.Context, key string, op uint32, body 
 		// The one way out for a caller that stopped waiting: give the
 		// entry up and tell the server to stop working on it.
 		c.abandon(id, ch)
-		if c.peerVer.Load() >= 2 {
-			go c.sendCancel(id)
-		}
+		go c.sendCancel(id)
 		return nil, err
 	}
 }

@@ -9,22 +9,9 @@ import (
 	"time"
 )
 
-// awaitV2 blocks until the client has seen the server's hello, failing
-// the test if negotiation does not settle on at least version 2 (the
-// budget machinery these tests exercise).
-func awaitV2(t *testing.T, c *Client) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if v := c.AwaitVersion(ctx); v < 2 {
-		t.Fatalf("negotiated version %d, want >= 2", v)
-	}
-}
-
-// Both endpoints at the build maximum: the hello upgrades the client to
-// v2 and a context deadline travels as a wire budget the handler can see
-// as its own context deadline.
-func TestNegotiationV2BudgetReachesHandler(t *testing.T) {
+// A context deadline travels as a wire budget the handler can see as its
+// own context deadline.
+func TestBudgetReachesHandler(t *testing.T) {
 	s := startServer(t)
 	deadlines := make(chan time.Duration, 1)
 	s.Register("probe", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
@@ -37,7 +24,6 @@ func TestNegotiationV2BudgetReachesHandler(t *testing.T) {
 		return body, nil
 	})
 	c := dial(t, s)
-	awaitV2(t, c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 750*time.Millisecond)
 	defer cancel()
@@ -47,80 +33,6 @@ func TestNegotiationV2BudgetReachesHandler(t *testing.T) {
 	rem := <-deadlines
 	if rem <= 0 || rem > 750*time.Millisecond {
 		t.Errorf("handler saw %v of budget, want (0, 750ms]", rem)
-	}
-}
-
-// A v1-pinned server against a default client: no hello ever arrives, so
-// the client stays on v1 frames, calls succeed, and the budget is simply
-// absent — the handler's context carries no deadline even though the
-// caller's does.
-func TestNegotiationV1ServerInterop(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", WithMaxProtoVersion(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	hasDeadline := make(chan bool, 1)
-	s.Register("probe", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
-		_, ok := ctx.Deadline()
-		hasDeadline <- ok
-		return body, nil
-	})
-	c := dial(t, s)
-
-	// No hello ever arrives from a v1 server, so the bounded wait itself
-	// is the negotiation outcome.
-	wctx, wcancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer wcancel()
-	if v := c.AwaitVersion(wctx); v != 1 {
-		t.Fatalf("negotiated version %d against a v1 server, want 1", v)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	reply, err := c.InvokeContext(ctx, "probe", 3, []byte("v1 wire"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reply, []byte("v1 wire")) {
-		t.Errorf("reply = %q", reply)
-	}
-	if <-hasDeadline {
-		t.Error("handler saw a deadline on a v1 connection; budgets must be absent")
-	}
-}
-
-// A v1-pinned client against a v2 server: the hello is parsed and
-// discarded without upgrading, requests stay v1-framed, and interop is
-// clean in this direction too.
-func TestNegotiationV1ClientInterop(t *testing.T) {
-	s := startServer(t)
-	hasDeadline := make(chan bool, 1)
-	s.Register("probe", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
-		_, ok := ctx.Deadline()
-		hasDeadline <- ok
-		return body, nil
-	})
-	c, err := Dial(s.Addr(), WithMaxProtoVersion(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	c.AwaitVersion(ctx)
-	if v := c.ProtoVersion(); v != 1 {
-		t.Fatalf("v1-pinned client negotiated version %d, want 1", v)
-	}
-	reply, err := c.InvokeContext(ctx, "probe", 0, []byte("pinned"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reply, []byte("pinned")) {
-		t.Errorf("reply = %q", reply)
-	}
-	if <-hasDeadline {
-		t.Error("handler saw a deadline from a v1-pinned client")
 	}
 }
 
@@ -141,7 +53,6 @@ func TestCancelFrameAbortsHandler(t *testing.T) {
 		}
 	})
 	c := dial(t, s)
-	awaitV2(t, c)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -188,18 +99,13 @@ func TestExpiredShedBeforeDispatch(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	lim := Limits{}.withDefaults()
-	// Consume the server's hello first.
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	hello, err := readFrame(conn, lim)
-	if err != nil || hello.kind != kindHello {
-		t.Fatalf("hello = %+v, %v", hello, err)
-	}
 
-	// Encode a v2 request with a 20ms budget, then deliver it torn: the
-	// fixed header (which anchors the budget clock) immediately, the rest
-	// only after the budget is long spent.
+	// Encode a request with a 20ms budget, then deliver it torn: the fixed
+	// header (which anchors the budget clock) immediately, the rest only
+	// after the budget is long spent.
 	var buf bytes.Buffer
-	req := frame{ver: 2, kind: kindRequest, id: 1, key: "work", op: 0, budget: 20}
+	req := frame{kind: kindRequest, id: 1, key: "work", op: 0, budget: 20}
 	if _, err := writeFrame(&buf, req, lim); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +153,6 @@ func TestExpiredMidHandler(t *testing.T) {
 		}
 	})
 	c := dial(t, s)
-	awaitV2(t, c)
 
 	// Explicit wire budget, no local deadline: the client is willing to
 	// wait for the server's verdict, so the typed expiry must come from

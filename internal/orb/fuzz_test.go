@@ -3,44 +3,55 @@ package orb
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 )
 
-// fuzzFrames decodes a fuzzer-chosen script into well-formed frames:
-// four bytes each — kind (every kind, and two unknown ones), id from
-// {0,1,2} with key and version/budget bits, op, body length ≤ 64 —
-// followed by the body bytes (zero-padded when the script runs out).
-func fuzzFrames(script []byte) []frame {
+// fuzzFrame is one scripted frame and the version byte it goes out with.
+type fuzzFrame struct {
+	frame
+	ver byte
+}
+
+// fuzzFrames decodes a fuzzer-chosen script into frames, well-formed but
+// for the version byte: four bytes each — kind (every kind, and two
+// unknown ones) in the low nibble and the version byte's distance from
+// protoVersion (an xor) in the high one, id from {0,1,2} with key and
+// budget bits, op, body length ≤ 64 — followed by the body bytes
+// (zero-padded when the script runs out).
+func fuzzFrames(script []byte) []fuzzFrame {
 	keys := [4]string{"u", "s", "ghost", "u"}
-	var out []frame
+	var out []fuzzFrame
 	for len(script) >= 4 {
 		b := script[:4]
 		script = script[4:]
-		f := frame{kind: b[0] % 12, id: uint64(b[1]&3) % 3, key: keys[b[1]>>2&3], op: uint32(b[2])}
+		f := frame{kind: (b[0] & 15) % 12, id: uint64(b[1]&3) % 3, key: keys[b[1]>>2&3], op: uint32(b[2])}
 		if b[1]&0x10 != 0 {
-			// The budget field exists only on v2 requests and v3 opens;
-			// small budgets make some frames expire before dispatch.
-			f.ver, f.budget = 3, uint32(b[1]>>5)*10
+			// Only requests and opens carry the budget field; small
+			// budgets make some frames expire before dispatch.
+			f.budget = uint32(b[1]>>5) * 10
 		}
 		body := make([]byte, b[3]%65)
 		script = script[copy(body, script):]
 		f.body = body
-		out = append(out, f)
+		out = append(out, fuzzFrame{f, protoVersion ^ b[0]>>4})
 	}
 	return out
 }
 
-// fuzzScript is fuzzFrames' inverse for the seed corpus.
+// fuzzScript is fuzzFrames' inverse for the seed corpus; every frame
+// carries protoVersion.
 func fuzzScript(cut byte, frames ...frame) []byte {
 	keys := map[string]byte{"u": 0, "s": 1, "ghost": 2}
 	script := []byte{cut}
 	for _, f := range frames {
 		b1 := byte(f.id) | keys[f.key]<<2
-		if f.ver >= 2 {
+		if f.budget > 0 {
 			b1 |= 0x10 | byte(f.budget/10)<<5
 		}
 		script = append(script, f.kind, b1, byte(f.op), byte(len(f.body)))
@@ -56,13 +67,20 @@ func fuzzScript(cut byte, frames ...frame) []byte {
 // dispatched has to be reachable by teardown. (The package's leak fence
 // checks the goroutines afterwards.)
 func FuzzServerFrames(f *testing.F) {
-	open := frame{ver: 3, kind: kindStreamOpen, id: 1, key: "s"}
+	open := frame{kind: kindStreamOpen, id: 1, key: "s"}
 	f.Add(fuzzScript(0, open, open, frame{kind: kindStreamChunk, id: 1, body: []byte("x")})) // the duplicate-id hang
 	f.Add(fuzzScript(0, frame{kind: kindRequest, id: 2, key: "u", op: 1}, frame{kind: kindRequest, id: 2, key: "u"}, frame{kind: kindCancel, id: 2}))
-	f.Add(fuzzScript(0, frame{ver: 2, kind: kindRequest, id: 1, key: "u", budget: 10, body: []byte("hi")}, frame{kind: kindOneway, key: "u", op: 1}))
+	f.Add(fuzzScript(0, frame{kind: kindRequest, id: 1, key: "u", budget: 10, body: []byte("hi")}, frame{kind: kindOneway, key: "u", op: 1}))
 	f.Add(fuzzScript(7, open, frame{kind: kindStreamChunk, id: 1, body: bytes.Repeat([]byte{9}, 64)}, frame{kind: kindStreamClose, id: 1}))
 	f.Add(fuzzScript(0, open, frame{kind: kindStreamCredit, id: 1, op: 200}, frame{kind: kindStreamClose, id: 1, op: 3, body: []byte("why")},
-		frame{kind: kindReply, id: 1}, frame{kind: kindError, id: 0}, frame{kind: kindHello, op: 9}, frame{kind: 11, id: 1, key: "ghost"}))
+		frame{kind: kindReply, id: 1}, frame{kind: kindError, id: 0}, frame{kind: 5, op: 9}, frame{kind: 11, id: 1, key: "ghost"}))
+	// A request carrying another version byte: the server drops the
+	// connection at it, so the sentinel behind it is never answered.
+	for _, ver := range []byte{1, 2, 4} {
+		script := fuzzScript(0, frame{kind: kindRequest, id: 1, key: "u", body: []byte("hi")})
+		script[1] |= (protoVersion ^ ver) << 4
+		f.Add(script)
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 || len(script) > 4<<10 {
 			return
@@ -97,31 +115,42 @@ func FuzzServerFrames(f *testing.F) {
 		}
 		// Replies must not back up into the server, and a script sent
 		// whole ends in a sentinel request whose answer (reply or shed)
-		// says the server has been through every frame before it.
+		// says the server has been through every frame before it — or,
+		// past a frame with another version byte, in the connection's end.
 		const sentinel = 99
 		lim := Limits{}.withDefaults()
+		var readErr error
 		answered := make(chan struct{})
 		go func() {
 			defer close(answered)
 			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 			for fr := newFrameReader(conn, lim, false); ; {
-				if f, err := fr.read(); err != nil || f.id == sentinel {
+				f, err := fr.read()
+				if err != nil || f.id == sentinel {
+					readErr = err
 					return
 				}
 			}
 		}()
 		var wire bytes.Buffer
-		frames := append(fuzzFrames(script[1:]), frame{kind: kindRequest, id: sentinel, key: "u"})
+		wrongVer := false
+		frames := append(fuzzFrames(script[1:]), fuzzFrame{frame{kind: kindRequest, id: sentinel, key: "u"}, protoVersion})
 		for _, fr := range frames {
-			if _, err := writeFrame(&wire, fr, lim); err != nil {
+			at := wire.Len()
+			if _, err := writeFrame(&wire, fr.frame, lim); err != nil {
 				t.Fatal(err)
 			}
+			wire.Bytes()[at+4] = fr.ver
+			wrongVer = wrongVer || fr.ver != protoVersion
 		}
 		raw := wire.Bytes()
 		raw = raw[:len(raw)-min(int(script[0]), len(raw))] // cut the tail off, maybe mid-frame
 		_, _ = conn.Write(raw)
 		if script[0] == 0 {
 			<-answered
+			if wrongVer && (readErr == nil || errors.Is(readErr, os.ErrDeadlineExceeded)) {
+				t.Fatalf("connection still served past a frame with another version byte (%v); frames: %+v", readErr, frames)
+			}
 		}
 		// Leave by reset: a fuzzing run opens thousands of connections a
 		// second, and lingering ones would use the port range up.

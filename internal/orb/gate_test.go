@@ -57,12 +57,6 @@ func TestGateTable(t *testing.T) {
 					<-entered
 				}
 				probe := frame{kind: kind, id: r.id, key: r.key, op: 7, budget: r.budget}
-				switch {
-				case kind == kindStreamOpen:
-					probe.ver = 3
-				case r.budget > 0:
-					probe.ver = 2
-				}
 				if r.budget > 0 {
 					p.sendTorn(probe, 80*time.Millisecond)
 				} else {
@@ -133,7 +127,7 @@ func TestGateTable(t *testing.T) {
 // first handler again and Server.Close blocked forever waiting for it.
 func TestDuplicateID(t *testing.T) {
 	request := frame{kind: kindRequest, id: 7, key: "park"}
-	open := frame{ver: 3, kind: kindStreamOpen, id: 7, key: "park"}
+	open := frame{kind: kindStreamOpen, id: 7, key: "park"}
 	closeNow := func(s *Server) { _ = s.Close() }
 	shutdown := func(s *Server) {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

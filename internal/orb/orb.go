@@ -8,27 +8,22 @@
 // Frame format (all integers little-endian):
 //
 //	magic   [4]byte "MBRD"
-//	version u8 (1, 2 or 3)
-//	kind    u8 (request / reply / oneway / error / hello / cancel /
-//	            stream-open / stream-chunk / stream-close / stream-credit)
+//	version u8 (always 3)
+//	kind    u8 (request / reply / oneway / error / cancel / stream-open /
+//	            stream-chunk / stream-close / stream-credit)
 //	id      u64 (call correlation; 0 for oneway)
 //	keyLen  u32
-//	budget  u32 (version ≥ 2 request and version 3 stream-open frames
-//	             only: remaining time budget in milliseconds; 0 = none)
+//	budget  u32 (request and stream-open frames only: remaining time
+//	             budget in milliseconds; 0 = none)
 //	key     [keyLen]byte   (object key; empty on replies)
-//	op      u32            (method alternative; protocol version on hello
-//	                        frames, error code on error frames, status on
-//	                        stream-close frames, bytes on stream-credit)
+//	op      u32            (method alternative; error code on error
+//	                        frames, status on stream-close frames, bytes on
+//	                        stream-credit)
 //	bodyLen u32, body [bodyLen]byte
 //
-// Version negotiation costs no round trip: a server writes a hello frame
-// (encoded as v1, so v1 clients parse and ignore it) the moment a
-// connection is accepted. A client that sees the hello upgrades its
-// request encoding; one that never does (a v1 server) stays on v1 frames
-// forever, so budgets and streams are simply absent rather than an
-// error. Cancel frames are likewise v1-encoded: a v1 server drops unknown
-// kinds on the floor, which is exactly the no-op semantics cancellation
-// wants.
+// There is one protocol version and no negotiation: every peer is built
+// from this tree, so a connection is ready the moment it is accepted, and
+// a frame with any other version byte ends it.
 //
 // # One dispatch path
 //
@@ -106,10 +101,9 @@ const (
 	kindReply   = 2
 	kindOneway  = 3
 	kindError   = 4
-	kindHello   = 5 // server → client on accept; op is the server's maximum version
-	kindCancel  = 6 // client → server; id names the in-flight call to abort
-	// Stream frames (protocol version 3; see stream.go). Old peers never
-	// see them: clients only open streams where the hello negotiated v3.
+	// 5 is reserved: it was a version hello.
+	kindCancel = 6 // client → server; id names the in-flight call to abort
+	// Stream frames (see stream.go).
 	kindStreamOpen   = 7  // client → server; op is the method, body empty
 	kindStreamChunk  = 8  // either direction; body is one payload chunk
 	kindStreamClose  = 9  // either direction; op is a status
@@ -118,11 +112,8 @@ const (
 
 const magic = "MBRD"
 
-// protoVersion is the maximum protocol version this build speaks.
-// Version 2 adds a millisecond deadline budget to request frames and the
-// hello/cancel frame kinds. Version 3 adds the stream frame kinds with
-// credit-based flow control; stream-open frames carry the same budget
-// field v2 gave requests.
+// protoVersion is the one protocol version, written in every frame's
+// header; a reader rejects any other.
 const protoVersion = 3
 
 // Default frame limits.
@@ -152,6 +143,10 @@ const (
 // or object key exceeds the endpoint's configured limit, on either the
 // writing or the reading side.
 var ErrFrameTooLarge = errors.New("orb: frame exceeds limit")
+
+// errVersion is the read error of a frame whose version byte is not
+// protoVersion; the connection it arrived on ends.
+var errVersion = errors.New("orb: unsupported protocol version")
 
 // Typed transport errors. Resilience layers (internal/resil) classify on
 // these: ErrConnClosed is a connection-level failure and safe to retry
@@ -275,11 +270,6 @@ type Limits struct {
 	// ErrOverloaded (oneways are dropped). Negative means unlimited.
 	// Ignored by clients.
 	MaxPerConn int
-	// MaxProtoVersion caps the protocol version the endpoint speaks; 0
-	// selects the build's maximum (3). 1 makes a server a pre-budget build
-	// (no hello, v2 frames rejected) and a client ignore hellos; 2 keeps
-	// budgets and cancel frames but no streams. Interop tests pin it.
-	MaxProtoVersion int
 }
 
 func (l Limits) withDefaults() Limits {
@@ -293,9 +283,6 @@ func (l Limits) withDefaults() Limits {
 		l.MaxPerConn = DefaultMaxPerConn
 	} else if l.MaxPerConn < 0 {
 		l.MaxPerConn = math.MaxInt
-	}
-	if l.MaxProtoVersion <= 0 || l.MaxProtoVersion > protoVersion {
-		l.MaxProtoVersion = protoVersion
 	}
 	return l
 }
@@ -313,11 +300,6 @@ func WithMaxKey(n int) Option { return func(l *Limits) { l.MaxKey = n } }
 // negative means unlimited.
 func WithMaxPerConn(n int) Option { return func(l *Limits) { l.MaxPerConn = n } }
 
-// WithMaxProtoVersion caps the protocol version the endpoint speaks
-// (1 = pre-budget wire behavior). Mainly for interop tests and staged
-// rollouts.
-func WithMaxProtoVersion(n int) Option { return func(l *Limits) { l.MaxProtoVersion = n } }
-
 // WithBufPooling does nothing: every server recycles request bodies and
 // contexts (the package comment has the handler contract). It remains
 // only because the benchmark harness still passes it.
@@ -331,15 +313,17 @@ func applyOptions(opts []Option) Limits {
 	return l.withDefaults()
 }
 
+// budgeted reports whether frames of a kind carry the budget field.
+func budgeted(kind byte) bool { return kind == kindRequest || kind == kindStreamOpen }
+
 type frame struct {
-	ver  byte // wire version; 0 means 1
 	kind byte
 	id   uint64
 	key  string
 	op   uint32
 	body []byte
-	// budget is the remaining time budget in milliseconds (v2 request
-	// frames only; 0 = none).
+	// budget is the remaining time budget in milliseconds (request and
+	// stream-open frames only; 0 = none).
 	budget uint32
 	// hdrAt is when the read side decoded the fixed header. Budgets anchor
 	// here: a body that trickles in past one is expired before dispatch.
@@ -373,17 +357,13 @@ func writeFrame(w io.Writer, f frame, lim Limits) (int, error) {
 	if len(f.key) > lim.MaxKey {
 		return 0, fmt.Errorf("%w: object key of %d bytes exceeds %d", ErrFrameTooLarge, len(f.key), lim.MaxKey)
 	}
-	ver := f.ver
-	if ver == 0 {
-		ver = 1
-	}
 	bp := frameBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = append(buf, magic...)
-	buf = append(buf, ver, f.kind)
+	buf = append(buf, protoVersion, f.kind)
 	buf = binary.LittleEndian.AppendUint64(buf, f.id)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.key)))
-	if (ver >= 2 && f.kind == kindRequest) || (ver >= 3 && f.kind == kindStreamOpen) {
+	if budgeted(f.kind) {
 		buf = binary.LittleEndian.AppendUint32(buf, f.budget)
 	}
 	buf = append(buf, f.key...)
@@ -509,20 +489,18 @@ func (fr *frameReader) read() (frame, error) {
 	if string(head[:4]) != magic {
 		return f, fmt.Errorf("orb: bad magic %q", head[:4])
 	}
-	ver := head[4]
-	if ver < 1 || int(ver) > fr.lim.MaxProtoVersion {
-		return f, fmt.Errorf("orb: unsupported version %d", ver)
+	if ver := head[4]; ver != protoVersion {
+		return f, fmt.Errorf("%w %d", errVersion, ver)
 	}
-	f.ver = ver
 	f.kind = head[5]
 	f.id = binary.LittleEndian.Uint64(head[6:])
 	keyLen := binary.LittleEndian.Uint32(head[14:])
 	if uint64(keyLen) > uint64(fr.lim.MaxKey) {
 		return f, fmt.Errorf("%w: object key of %d bytes exceeds %d", ErrFrameTooLarge, keyLen, fr.lim.MaxKey)
 	}
-	budgeted := (ver >= 2 && f.kind == kindRequest) || (ver >= 3 && f.kind == kindStreamOpen)
+	hasBudget := budgeted(f.kind)
 	restLen := int(keyLen) + 8
-	if budgeted {
+	if hasBudget {
 		restLen += 4
 	}
 	fr.rest = slices.Grow(fr.rest[:0], restLen)[:restLen]
@@ -530,7 +508,7 @@ func (fr *frameReader) read() (frame, error) {
 	if _, err := io.ReadFull(fr.r, rest); err != nil {
 		return f, err
 	}
-	if budgeted {
+	if hasBudget {
 		f.budget, rest = binary.LittleEndian.Uint32(rest), rest[4:]
 	}
 	if key := rest[:keyLen]; keyLen > 0 {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,7 +236,7 @@ func TestFrameLimits(t *testing.T) {
 	// Oversized key rejected at read time.
 	buf.Reset()
 	buf.WriteString(magic)
-	buf.WriteByte(1)
+	buf.WriteByte(protoVersion)
 	buf.WriteByte(kindRequest)
 	buf.Write(make([]byte, 8))                // id
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // keyLen = huge
@@ -249,6 +251,68 @@ func TestFrameLimits(t *testing.T) {
 	if _, err := readFrame(&buf, Limits{}.withDefaults()); err == nil {
 		t.Error("unsupported version accepted")
 	}
+}
+
+// TestVersionCheck pins the one protocol version from both sides of a
+// connection: a frame carrying any other version byte ends it.
+func TestVersionCheck(t *testing.T) {
+	lim := Limits{}.withDefaults()
+	t.Run("server", func(t *testing.T) {
+		for _, ver := range []byte{1, 2, 4} {
+			s := startServer(t)
+			var ran atomic.Int32
+			s.Register("echo", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
+				ran.Add(1)
+				return body, nil
+			})
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := raw(t, frame{kind: kindRequest, id: 1, key: "echo", body: []byte("hi")})
+			req[4] = ver
+			if _, err := conn.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			f, err := readFrame(conn, lim)
+			switch {
+			case err == nil:
+				t.Errorf("v%d request answered with a frame of kind %d; want the connection dropped", ver, f.kind)
+			case errors.Is(err, os.ErrDeadlineExceeded):
+				t.Errorf("v%d request: connection still open after 2s", ver)
+			}
+			if n := ran.Load(); n != 0 {
+				t.Errorf("v%d request ran the handler %d times", ver, n)
+			}
+			_ = conn.Close()
+		}
+	})
+	t.Run("client", func(t *testing.T) {
+		c, p := pipeClient(t, nil)
+		errs := make(chan error, 2)
+		for i := 0; i < cap(errs); i++ {
+			go func() {
+				_, err := c.Invoke("echo", 0, nil)
+				errs <- err
+			}()
+		}
+		p.next(kindRequest)
+		req := p.next(kindRequest)
+		reply := raw(t, frame{kind: kindReply, id: req.id, body: []byte("v1")})
+		reply[4] = 1
+		p.write(reply)
+		for i := 0; i < cap(errs); i++ {
+			select {
+			case err := <-errs:
+				if !errors.Is(err, ErrConnClosed) || !errors.Is(err, errVersion) || !strings.Contains(err.Error(), "version 1") {
+					t.Errorf("in-flight call ended with %v; want ErrConnClosed naming version 1", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("an in-flight call outlived a frame with another version byte")
+			}
+		}
+	})
 }
 
 // --- configurable frame limits (write and read side) ---

@@ -137,15 +137,26 @@ func attach(s *Server, conn net.Conn) *serverConn {
 	return sc
 }
 
-// pipeConn serves one end of a pipe on s, wrapped, and returns the other
-// end with the hello already read.
+// pipeConn serves one end of a pipe on s, wrapped, and returns the other.
 func pipeConn(t *testing.T, s *Server, wrap func(net.Conn) net.Conn) *rawPeer {
 	t.Helper()
 	near, far := net.Pipe()
 	attach(s, wrap(near))
-	p := newRawPeer(t, far)
-	p.next(kindHello)
-	return p
+	return newRawPeer(t, far)
+}
+
+// pipeClient runs a client, as DialContext builds one, over one end of a
+// pipe, wrapped unless wrap is nil, and returns it with the other end.
+func pipeClient(t *testing.T, wrap func(net.Conn) net.Conn) (*Client, *rawPeer) {
+	t.Helper()
+	near, far := net.Pipe()
+	if wrap != nil {
+		near = wrap(near)
+	}
+	c := &Client{conn: near, lim: Limits{}.withDefaults(), pending: make(map[uint64]waiter), done: make(chan struct{})}
+	go c.readLoop()
+	t.Cleanup(func() { _ = c.Close() })
+	return c, newRawPeer(t, far)
 }
 
 const chunkHdr = 18 + 8 // a chunk frame has no key and no budget
@@ -155,7 +166,7 @@ const chunkHdr = 18 + 8 // a chunk frame has no key and no budget
 // straight off the connection, the counts were
 //
 //	                                          server  client
-//	(a) v2 request: key, budget, 8-byte body     5       -
+//	(a) request: key, budget, 8-byte body        5       -
 //	(b) reply, 8-byte body                       -       3
 //	(c) 64 KiB stream chunk, up to its body      2       2
 //
@@ -183,7 +194,7 @@ func TestReadsPerFrame(t *testing.T) {
 		var log *readLog
 		p := pipeConn(t, s, func(c net.Conn) net.Conn { log = &readLog{Conn: c}; return log })
 
-		n := p.write(raw(t, frame{ver: 2, kind: kindRequest, id: 1, key: "echo", budget: 5000, op: 1, body: body8}))
+		n := p.write(raw(t, frame{kind: kindRequest, id: 1, key: "echo", budget: 5000, op: 1, body: body8}))
 		if f := p.next(kindReply); !bytes.Equal(f.body, body8) {
 			t.Fatalf("echo = %q", f.body)
 		}
@@ -191,11 +202,11 @@ func TestReadsPerFrame(t *testing.T) {
 			t.Errorf("(a) request: %d reads %v, want 1", len(got), got)
 		}
 
-		log.take(t, p.write(raw(t, frame{ver: 3, kind: kindStreamOpen, id: 2, key: "sink", op: 1})))
+		log.take(t, p.write(raw(t, frame{kind: kindStreamOpen, id: 2, key: "sink", op: 1})))
 		p.next(kindStreamCredit) // the handler's top-up: two chunks overrun the initial credit
 		// As writeFrame puts a large body on a pipe: header, then body. The
 		// body finds the buffer empty and never touches it.
-		whole := raw(t, frame{ver: 3, kind: kindStreamChunk, id: 2, body: chunk})
+		whole := raw(t, frame{kind: kindStreamChunk, id: 2, body: chunk})
 		p.write(whole[:chunkHdr])
 		p.write(whole[chunkHdr:])
 		if got, want := log.take(t, len(whole)), []readRec{{readBufSize, chunkHdr}, {len(chunk), len(chunk)}}; !reflect.DeepEqual(got, want) {
@@ -205,7 +216,7 @@ func TestReadsPerFrame(t *testing.T) {
 		if got := log.take(t, p.write(whole)); !reflect.DeepEqual(got, chunkWhole) {
 			t.Errorf("(c) chunk, whole: reads %v, want %v", got, chunkWhole)
 		}
-		p.write(raw(t, frame{ver: 3, kind: kindStreamClose, id: 2}))
+		p.write(raw(t, frame{kind: kindStreamClose, id: 2}))
 		p.next(kindStreamClose)
 		if n := <-sunk; n != 2*len(chunk) {
 			t.Errorf("handler read %d bytes, want %d", n, 2*len(chunk))
@@ -213,19 +224,8 @@ func TestReadsPerFrame(t *testing.T) {
 	})
 
 	t.Run("client", func(t *testing.T) {
-		near, far := net.Pipe()
-		log := &readLog{Conn: near}
-		// As DialContext builds one, on a connection it did not dial.
-		c := &Client{conn: log, lim: Limits{}.withDefaults(), pending: make(map[uint64]waiter), done: make(chan struct{}), verCh: make(chan struct{})}
-		c.peerVer.Store(1)
-		go c.readLoop()
-		t.Cleanup(func() { _ = c.Close() })
-		p := newRawPeer(t, far)
-		n := p.write(raw(t, frame{kind: kindHello, op: protoVersion}))
-		if v := c.AwaitVersion(context.Background()); v != protoVersion {
-			t.Fatalf("negotiated v%d", v)
-		}
-		log.take(t, n)
+		var log *readLog
+		c, p := pipeClient(t, func(conn net.Conn) net.Conn { log = &readLog{Conn: conn}; return log })
 
 		replied := make(chan []byte, 1)
 		go func() {
@@ -233,7 +233,7 @@ func TestReadsPerFrame(t *testing.T) {
 			replied <- b
 		}()
 		req := p.next(kindRequest)
-		n = p.write(raw(t, frame{kind: kindReply, id: req.id, body: body8}))
+		n := p.write(raw(t, frame{kind: kindReply, id: req.id, body: body8}))
 		if b := <-replied; !bytes.Equal(b, body8) {
 			t.Fatalf("reply = %q", b)
 		}
@@ -247,10 +247,10 @@ func TestReadsPerFrame(t *testing.T) {
 		}
 		defer st.Close()
 		open := p.next(kindStreamOpen)
-		if got := log.take(t, p.write(raw(t, frame{ver: 3, kind: kindStreamChunk, id: open.id, body: chunk}))); !reflect.DeepEqual(got, chunkWhole) {
+		if got := log.take(t, p.write(raw(t, frame{kind: kindStreamChunk, id: open.id, body: chunk}))); !reflect.DeepEqual(got, chunkWhole) {
 			t.Errorf("(c) chunk, whole: reads %v, want %v", got, chunkWhole)
 		}
-		p.write(raw(t, frame{ver: 3, kind: kindStreamClose, id: open.id}))
+		p.write(raw(t, frame{kind: kindStreamClose, id: open.id}))
 		if b, err := io.ReadAll(st); err != nil || !bytes.Equal(b, chunk) {
 			t.Errorf("stream reply: %d bytes, %v", len(b), err)
 		}

@@ -369,15 +369,7 @@ func (sc *serverConn) replyErr(id uint64, err error) {
 // serve is the connection's read loop.
 func (sc *serverConn) serve() {
 	defer sc.teardown()
-	lim := sc.s.lim
-	if lim.MaxProtoVersion >= 2 {
-		// Advertise the version before reading anything. v1 clients parse
-		// this as a frame for a request they never made and drop it.
-		if sc.write(frame{kind: kindHello, op: uint32(lim.MaxProtoVersion)}) != nil {
-			return
-		}
-	}
-	fr := newFrameReader(sc.conn, lim, true)
+	fr := newFrameReader(sc.conn, sc.s.lim, true)
 	for {
 		f, err := fr.read()
 		if err != nil {
@@ -479,7 +471,7 @@ func (sc *serverConn) admit(f frame) *call {
 	cl := callPool.Get().(*call)
 	cl.req, cl.h, cl.sh = f, h, sh
 	if stream {
-		cl.end = newStreamEnd(f.id, streamWindow, true, sc.write)
+		cl.end = newStreamEnd(f.id, sc.write)
 	}
 	if f.kind != kindOneway {
 		sc.calls[f.id] = cl

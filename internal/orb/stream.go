@@ -3,14 +3,11 @@ package orb
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"math"
 	"sync"
-	"time"
 )
 
-// Streaming calls (protocol version 3).
+// Streaming calls.
 //
 // A stream is an id-correlated call whose bodies travel as a chunk
 // sequence instead of one buffered frame, so payloads are no longer
@@ -45,10 +42,9 @@ import (
 // Both ends of a stream are one type, streamEnd; StreamReader and
 // StreamWriter (server) and StreamCall (client) are views of it. Two
 // asymmetries are the caller's decision, not a second implementation: a
-// peer that overruns its credit kills the connection on a server and
-// only the call on a client; and only a client accepts error and reply
-// frames on a stream id and, on a connection that did not negotiate v3,
-// runs the same end over a buffering sink (StreamCall.sendBuffered).
+// peer that breaks the stream protocol kills the connection on a server
+// and only the call on a client; and only a client accepts an error
+// frame on a stream id.
 
 // streamWindow is the per-stream, per-direction flow-control window
 // (1 MiB) every endpoint grants its peer: it bounds the bytes in flight
@@ -65,9 +61,9 @@ const initialStreamCredit = 64 << 10
 // sane MaxBody, so chunk frames pass every peer's frame limit.
 const maxStreamChunk = 256 << 10
 
-// ErrStreamProto reports a peer violating stream flow control (chunks
-// past the granted credit).
-var ErrStreamProto = errors.New("orb: stream flow-control violation")
+// ErrStreamProto reports a peer breaking the stream protocol: chunks past
+// the granted credit, or a reply frame on a stream's id.
+var ErrStreamProto = errors.New("orb: stream protocol violation")
 
 // streamEnd is one end of a stream: a receive half (the peer's chunks
 // and the credit granted to the peer) and a send half (the credit the
@@ -76,9 +72,6 @@ type streamEnd struct {
 	id uint64
 	// send is the sink this end's chunk, credit and close frames go to.
 	send func(f frame) error
-	// pooled: received chunks came from the body pool and go back to it,
-	// whole, once Read has copied them out.
-	pooled bool
 
 	mu       sync.Mutex
 	readable sync.Cond // a Read waits here for a chunk or an end
@@ -89,7 +82,6 @@ type streamEnd struct {
 	off      int      // how much of cur Read has copied out
 	eof      bool     // clean close received
 	rerr     error    // terminal failure of the receive half
-	window   int      // configured receive window
 	granted  int      // total credit granted to the peer (incl. initial)
 	received int      // total body bytes delivered by the peer
 	consumed int      // total body bytes handed to the consumer
@@ -101,10 +93,10 @@ type streamEnd struct {
 }
 
 // newStreamEnd returns an end holding the protocol's initial credit in
-// both directions.
-func newStreamEnd(id uint64, window int, pooled bool, send func(frame) error) *streamEnd {
-	e := &streamEnd{id: id, send: send, pooled: pooled, window: window,
-		granted: initialStreamCredit, credit: initialStreamCredit}
+// both directions. Every chunk it receives came from the body pool, and
+// goes back to it whole once Read has copied it out.
+func newStreamEnd(id uint64, send func(frame) error) *streamEnd {
+	e := &streamEnd{id: id, send: send, granted: initialStreamCredit, credit: initialStreamCredit}
 	e.readable.L, e.writable.L = &e.mu, &e.mu
 	return e
 }
@@ -115,21 +107,14 @@ func (e *streamEnd) grant(n int) {
 	}
 }
 
-// topUp grants the peer this endpoint's configured window beyond the
+// topUp grants the peer the rest of streamWindow beyond the
 // protocol-fixed initial credit, once at stream setup.
 func (e *streamEnd) topUp() {
 	e.mu.Lock()
-	extra := max(e.window-e.granted, 0)
+	extra := max(streamWindow-e.granted, 0)
 	e.granted += extra
 	e.mu.Unlock()
 	e.grant(extra)
-}
-
-// recycle returns a spent chunk to the body pool if it came from there.
-func (e *streamEnd) recycle(b []byte) {
-	if e.pooled {
-		putBodyBuf(b)
-	}
 }
 
 // onFrame applies one inbound chunk, close or credit frame, taking
@@ -162,22 +147,8 @@ func (e *streamEnd) onFrame(f frame) bool {
 		e.credit += int(f.op)
 		e.writable.Broadcast()
 	}
-	e.recycle(f.body)
+	putBodyBuf(f.body)
 	return true
-}
-
-// deliverWhole makes b the entire reply outside flow-control accounting
-// (a buffered fallback's reply, or a reply frame on a stream id).
-func (e *streamEnd) deliverWhole(b []byte) {
-	e.mu.Lock()
-	if e.rerr == nil && !e.eof {
-		if len(b) > 0 {
-			e.q = append(e.q, b)
-		}
-		e.eof = true
-		e.readable.Broadcast()
-	}
-	e.mu.Unlock()
 }
 
 // fail ends both directions: blocked reads and writes return err, and
@@ -193,9 +164,9 @@ func (e *streamEnd) failLocked(err error) {
 		e.rerr = err
 	}
 	for _, b := range e.q {
-		e.recycle(b)
+		putBodyBuf(b)
 	}
-	e.recycle(e.cur)
+	putBodyBuf(e.cur)
 	e.q, e.cur, e.off = nil, nil, 0
 	if e.werr == nil {
 		e.werr = err
@@ -237,13 +208,13 @@ func (e *streamEnd) Read(p []byte) (int, error) {
 		if e.cur != nil {
 			n := copy(p, e.cur[e.off:])
 			if e.off += n; e.off == len(e.cur) {
-				e.recycle(e.cur)
+				putBodyBuf(e.cur)
 				e.cur = nil
 			}
 			e.consumed += n
 			var due int
-			if e.rerr == nil && e.granted-e.consumed < e.window-e.window/4 {
-				due = e.window - (e.granted - e.consumed)
+			if e.rerr == nil && e.granted-e.consumed < streamWindow-streamWindow/4 {
+				due = streamWindow - (e.granted - e.consumed)
 				e.granted += due
 			}
 			e.mu.Unlock()
@@ -358,21 +329,13 @@ var errStreamClosed = errors.New("orb: stream call closed")
 // request body is still arriving, so callers moving more than a window's
 // worth in both directions must Read concurrently with their Writes —
 // writing everything first deadlocks against flow control once the
-// unread reply exhausts its credit. On connections that did not negotiate v3
-// the call runs in buffered fallback: writes accumulate up to the
-// client's MaxBody (past it, writes fail fast wrapping ErrFrameTooLarge)
-// and CloseSend performs an ordinary buffered invoke.
+// unread reply exhausts its credit.
 type StreamCall struct {
 	c   *Client
 	ctx context.Context
-	key string
-	op  uint32
 	// end carries the call: its Read, Write, CloseSend and Finished are
 	// the call's.
 	*streamEnd
-
-	fbMu  sync.Mutex
-	fbBuf []byte // buffered fallback: the request body so far
 
 	closeOnce sync.Once
 	unwatch   func() bool // stops watching ctx
@@ -386,29 +349,13 @@ func (c *Client) OpenStream(ctx context.Context, key string, op uint32) (*Stream
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(err)
 	}
-	vctx := ctx
-	if _, ok := ctx.Deadline(); !ok {
-		// Bound the negotiation wait: a v1 server never sends a hello.
-		var cancel context.CancelFunc
-		vctx, cancel = context.WithTimeout(ctx, 2*time.Second)
-		defer cancel()
-	}
-	ver := c.AwaitVersion(vctx)
-	sc := &StreamCall{c: c, ctx: ctx, key: key, op: op, unwatch: func() bool { return true }}
-	if ver < 3 {
-		// Buffered fallback: nothing grants this end credit, so it starts
-		// with all there is. Its id stays 0 — it is never entered in the
-		// table; the invoke it ends in has an id of its own.
-		sc.streamEnd = newStreamEnd(0, streamWindow, false, sc.sendBuffered)
-		sc.credit = math.MaxInt
-		return sc, nil
-	}
-	sc.streamEnd = newStreamEnd(0, streamWindow, true, sc.sendWire)
+	sc := &StreamCall{c: c, ctx: ctx}
+	sc.streamEnd = newStreamEnd(0, sc.sendWire)
 	id, err := c.register(waiter{sc: sc})
 	if err != nil {
 		return nil, err
 	}
-	fr := frame{kind: kindStreamOpen, ver: 3, id: id, key: key, op: op, budget: budgetMillis(ctx)}
+	fr := frame{kind: kindStreamOpen, id: id, key: key, op: op, budget: budgetMillis(ctx)}
 	if err := c.write(ctx, fr); err != nil {
 		c.forget(id)
 		return nil, err
@@ -422,10 +369,10 @@ func (c *Client) OpenStream(ctx context.Context, key string, op uint32) (*Stream
 	return sc, nil
 }
 
-// sendWire is the stream end's sink on a v3 connection. Chunks and the
-// close are bounded by the call's context; a credit grant is not, because
-// it comes from Read and must still flow while a caller drains a reply
-// past its write deadline.
+// sendWire is the stream end's sink. Chunks and the close are bounded by
+// the call's context; a credit grant is not, because it comes from Read
+// and must still flow while a caller drains a reply past its write
+// deadline.
 func (sc *StreamCall) sendWire(f frame) error {
 	ctx := sc.ctx
 	if f.kind == kindStreamCredit {
@@ -434,44 +381,17 @@ func (sc *StreamCall) sendWire(f frame) error {
 	return sc.c.write(ctx, f)
 }
 
-// sendBuffered is the sink in buffered fallback: chunks accumulate, the
-// close runs the whole call, and there is nobody to grant credit to.
-func (sc *StreamCall) sendBuffered(f frame) error {
-	sc.fbMu.Lock()
-	defer sc.fbMu.Unlock()
-	switch f.kind {
-	case kindStreamChunk:
-		if n := len(sc.fbBuf) + len(f.body); n > sc.c.lim.MaxBody {
-			return fmt.Errorf("%w: stream of %d bytes exceeds buffered fallback cap %d (peer speaks protocol < 3)",
-				ErrFrameTooLarge, n, sc.c.lim.MaxBody)
-		}
-		sc.fbBuf = append(sc.fbBuf, f.body...)
-	case kindStreamClose:
-		reply, err := sc.c.InvokeContext(sc.ctx, sc.key, sc.op, sc.fbBuf)
-		if err != nil {
-			sc.fail(err)
-			return err
-		}
-		sc.deliverWhole(reply)
-	}
-	return nil
-}
-
 // onFrame routes one frame carrying the call's id from the read loop. A
 // client also accepts an error frame (the whole call failed before any
-// reply chunk) and, defensively, a reply frame as the whole reply body;
-// a server that overruns its credit costs it this call, not the
-// connection other calls share.
+// reply chunk). A server that overruns its credit or sends a reply frame
+// on the stream's id costs it this call, not the connection other calls
+// share.
 func (sc *StreamCall) onFrame(f frame) {
-	switch f.kind {
-	case kindError:
+	switch {
+	case f.kind == kindError:
 		sc.fail(errFromFrame(f))
-	case kindReply:
-		sc.deliverWhole(f.body)
-	default:
-		if !sc.streamEnd.onFrame(f) {
-			sc.fail(ErrStreamProto)
-		}
+	case f.kind == kindReply || !sc.streamEnd.onFrame(f):
+		sc.fail(ErrStreamProto)
 	}
 }
 
@@ -481,7 +401,7 @@ func (sc *StreamCall) Close() error {
 	sc.closeOnce.Do(func() {
 		sc.unwatch()
 		done := sc.Finished()
-		live := sc.c.forget(sc.id) // false in buffered fallback and on a dead connection
+		live := sc.c.forget(sc.id) // false on a dead connection
 		if done {
 			// Reads keep returning the reply's end; only writes are over.
 			sc.failSend(errStreamClosed)

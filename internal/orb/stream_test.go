@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -308,61 +307,20 @@ func TestStreamBudgetPropagates(t *testing.T) {
 	}
 }
 
-func TestStreamV1BufferedFallback(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", WithMaxProtoVersion(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	var gotLen atomic.Int64
-	s.Register("sum", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
-		gotLen.Store(int64(len(body)))
-		return []byte("ok"), nil
-	})
-	c := dial(t, s)
-	sc, err := c.OpenStream(context.Background(), "sum", 0)
+// No server sends a reply frame on a stream's id, so one is a protocol
+// error: the call fails as on a credit overrun, and the frame is not
+// taken for the whole reply.
+func TestStreamReplyFrameIsProtoError(t *testing.T) {
+	c, p := pipeClient(t, nil)
+	sc, err := c.OpenStream(context.Background(), "src", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	body := patterned(100 << 10)
-	got, err := streamAll(t, sc, body, 7<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "ok" || gotLen.Load() != int64(len(body)) {
-		t.Fatalf("fallback invoke saw %d bytes, reply %q", gotLen.Load(), got)
-	}
-}
-
-func TestStreamV1FallbackOverCap(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", WithMaxProtoVersion(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	s.Register("sum", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
-		return nil, nil
-	})
-	c, err := Dial(s.Addr(), WithMaxBody(4<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	sc, err := c.OpenStream(context.Background(), "sum", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	// The cap error is synchronous: it must surface on the Write that
-	// crosses the client's MaxBody, before any invoke happens.
-	body := patterned(8 << 10)
-	var werr error
-	for off := 0; off < len(body) && werr == nil; off += 1 << 10 {
-		_, werr = sc.Write(body[off : off+1<<10])
-	}
-	if !errors.Is(werr, ErrFrameTooLarge) {
-		t.Fatalf("got %v, want fast-fail wrapping ErrFrameTooLarge", werr)
+	open := p.next(kindStreamOpen)
+	p.write(raw(t, frame{kind: kindReply, id: open.id, body: []byte("whole")}))
+	if got, err := io.ReadAll(sc); !errors.Is(err, ErrStreamProto) {
+		t.Fatalf("read %q, %v; want ErrStreamProto", got, err)
 	}
 }
 

@@ -371,16 +371,6 @@ func (c *Client) acquire(ctx context.Context, exclude *pconn) (*pconn, error) {
 func (c *Client) dial(ctx context.Context) (*pconn, error) {
 	dctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
 	oc, err := orb.DialContext(dctx, c.addr)
-	if err == nil {
-		// Let version negotiation settle (the server's hello is sent on
-		// accept, so against a live v2 server this is one read away;
-		// against a v1 server the bound expires and the connection stays
-		// v1). Without this the first calls on a fresh connection would
-		// race the hello and ship without budgets.
-		vctx, vcancel := context.WithTimeout(dctx, 100*time.Millisecond)
-		oc.AwaitVersion(vctx)
-		vcancel()
-	}
 	cancel()
 	c.mu.Lock()
 	c.dialing--
