@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/testutil"
 	"repro/internal/value"
 )
 
@@ -246,7 +247,6 @@ func TestChaosDaemonResilience(t *testing.T) {
 	rc := resil.New(p.Addr(), resil.Options{
 		PoolSize:    2,
 		MaxAttempts: 3,
-		BackoffBase: time.Millisecond,
 		CallTimeout: 10 * time.Second,
 	})
 	c := broker.NewTransportClient(rc)
@@ -369,20 +369,13 @@ func TestClusterServeWarmSync(t *testing.T) {
 	}
 	// Wait for the verdict to replicate so the restart victim's peers
 	// can answer its warm sync regardless of which member compared.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	testutil.Eventually(t, "the verdict to replicate to a peer", func() bool {
 		fills := int64(0)
 		for _, d := range daemons {
 			fills += d.b.Stats().WarmFills
 		}
-		if fills > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("verdict never replicated to a peer")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return fills > 0
+	})
 
 	stop(daemons[1])
 	daemons[1] = start(1)

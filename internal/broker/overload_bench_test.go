@@ -66,7 +66,6 @@ func benchOverload(b *testing.B, maxInFlight int) {
 	rc := resil.New(srv.Addr(), resil.Options{
 		PoolSize:    8,
 		MaxAttempts: 4,
-		BackoffBase: 5 * time.Millisecond,
 	})
 	c := NewTransportClient(rc)
 	defer c.Close()

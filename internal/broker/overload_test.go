@@ -3,12 +3,14 @@ package broker
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
 
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/testutil"
 )
 
 const overloadSrc = "typedef struct { int count; float ratio; } pair;"
@@ -80,10 +82,7 @@ func TestOverloadRetriedByResil(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	Serve(srv, b)
 
-	rc := resil.New(srv.Addr(), resil.Options{
-		MaxAttempts: 8,
-		BackoffBase: 5 * time.Millisecond,
-	})
+	rc := resil.New(srv.Addr(), resil.Options{MaxAttempts: 8})
 	c := NewTransportClient(rc)
 	t.Cleanup(func() { c.Close() })
 
@@ -92,11 +91,16 @@ func TestOverloadRetriedByResil(t *testing.T) {
 	}
 
 	release := fillAdmission(t, b)
+	compared := make(chan error, 1)
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		release()
+		_, err := c.CompareContext(context.Background(), "u", "pair", "u", "pair")
+		compared <- err
 	}()
-	if _, err := c.CompareContext(context.Background(), "u", "pair", "u", "pair"); err != nil {
+	// The slot frees once a compare has been shed; resil's backoff then
+	// retries it into the free slot.
+	testutil.Eventually(t, "a shed", func() bool { return b.Stats().Sheds > 0 })
+	release()
+	if err := <-compared; err != nil {
 		t.Fatalf("compare through overload: %v", err)
 	}
 	st := rc.Stats()
@@ -145,15 +149,8 @@ func TestAdmitUnbounded(t *testing.T) {
 // client's stream open returns).
 func awaitInFlight(t *testing.T, c *Client, want int64) {
 	t.Helper()
-	var h Health
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		var err error
-		if h, err = c.HealthContext(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if h.InFlight == want {
-			return
-		}
-	}
-	t.Fatalf("health never reported %d in flight: %+v", want, h)
+	testutil.Eventually(t, fmt.Sprintf("health to report %d in flight", want), func() bool {
+		h, err := c.HealthContext(context.Background())
+		return err == nil && h.InFlight == want
+	})
 }

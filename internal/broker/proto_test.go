@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/testutil"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -166,16 +167,10 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	// Background completion: the universe materializes despite the
 	// client-visible failure.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := b.Mtype("x", "one"); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed-out load never completed in the background")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	testutil.Eventually(t, "the timed-out load to complete in the background", func() bool {
+		_, err := b.Mtype("x", "one")
+		return err == nil
+	})
 }
 
 func TestResilTransportRoundTrip(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/orb"
 )
 
@@ -75,9 +76,7 @@ func tripworthy(err error) bool {
 // breaker is one member's circuit state. All methods are safe for
 // concurrent use.
 type breaker struct {
-	failThreshold int
-	cooldown      time.Duration
-
+	clk      clock.Clock
 	mu       sync.Mutex
 	state    int
 	failures int // consecutive tripworthy failures while closed
@@ -90,9 +89,7 @@ type breaker struct {
 	n       int
 }
 
-func newBreaker(failThreshold int, cooldown time.Duration) *breaker {
-	return &breaker{failThreshold: failThreshold, cooldown: cooldown}
-}
+func newBreaker(clk clock.Clock) *breaker { return &breaker{clk: clk} }
 
 // allow reports whether a request may be sent to the member. An open
 // breaker past its cooldown transitions to half-open and admits exactly
@@ -104,7 +101,7 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if time.Since(b.openedAt) >= b.cooldown {
+		if b.clk.Now().Sub(b.openedAt) >= breakerCooldown {
 			b.state = breakerHalfOpen
 			b.probing = true
 			return true
@@ -138,10 +135,15 @@ func (b *breaker) success(d time.Duration) {
 // breaker. Non-tripworthy failures count as health evidence (the member
 // answered), closing a half-open breaker like a success would.
 // Tripworthy ones extend the streak; crossing the threshold — or
-// failing the half-open probe — opens the breaker.
+// failing the half-open probe — opens the breaker. An open breaker
+// ignores failures: they are calls admitted before it opened, ending
+// late, and must not restart its cooldown or count another trip.
 func (b *breaker) failure(trip bool) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.state == breakerOpen {
+		return false
+	}
 	b.probing = false
 	if !trip {
 		b.failures = 0
@@ -151,7 +153,7 @@ func (b *breaker) failure(trip bool) bool {
 		return false
 	}
 	b.failures++
-	if b.state == breakerHalfOpen || b.failures >= b.failThreshold {
+	if b.state == breakerHalfOpen || b.failures >= breakerFailures {
 		b.open()
 		return true
 	}
@@ -171,7 +173,7 @@ func (b *breaker) tripEject() {
 // open transitions to the open state. Caller holds b.mu.
 func (b *breaker) open() {
 	b.state = breakerOpen
-	b.openedAt = time.Now()
+	b.openedAt = b.clk.Now()
 	b.failures = 0
 	b.probing = false
 	b.trips++

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/testutil"
 )
 
 func TestTripworthyClassification(t *testing.T) {
@@ -34,26 +35,43 @@ func TestTripworthyClassification(t *testing.T) {
 	}
 }
 
+// strikes reports n tripworthy failures to b and whether the last opened it.
+func strikes(b *breaker, n int) (opened bool) {
+	for i := 0; i < n; i++ {
+		opened = b.failure(true)
+	}
+	return opened
+}
+
 func TestBreakerConsecutiveFailuresAndProbe(t *testing.T) {
-	b := newBreaker(3, 30*time.Millisecond)
-	// Two strikes, then a success: the streak resets.
-	b.failure(true)
-	b.failure(true)
+	clk := testutil.NewClock()
+	b := newBreaker(clk)
+	// A streak one short, then a success: the streak resets.
+	strikes(b, breakerFailures-1)
 	b.success(time.Millisecond)
 	if state, _ := b.snapshot(); state != "closed" {
 		t.Fatalf("state = %s after success reset", state)
 	}
-	// Three consecutive strikes open the breaker (the third reports it).
-	b.failure(true)
-	b.failure(true)
-	if b.failure(true) != true {
-		t.Fatal("third consecutive failure did not open the breaker")
+	// breakerFailures consecutive strikes open the breaker (the last
+	// reports it).
+	if !strikes(b, breakerFailures) {
+		t.Fatal("a full streak did not open the breaker")
 	}
+	// Calls admitted before it opened fail late: an open breaker ignores
+	// them, so they neither count a trip nor restart the cooldown.
+	clk.Advance(breakerCooldown / 2)
+	if strikes(b, breakerFailures) {
+		t.Fatal("late failures re-opened an open breaker")
+	}
+	if state, trips := b.snapshot(); state != "open" || trips != 1 {
+		t.Fatalf("state = %s trips = %d after late failures, want open with 1 trip", state, trips)
+	}
+	clk.Advance(breakerCooldown/2 - time.Nanosecond)
 	if b.allow() {
 		t.Fatal("open breaker admitted a request inside its cooldown")
 	}
-	// Past the cooldown: half-open, exactly one probe admitted.
-	time.Sleep(40 * time.Millisecond)
+	// One cooldown after the first opening: half-open, exactly one probe.
+	clk.Advance(time.Nanosecond)
 	if !b.allow() {
 		t.Fatal("breaker refused the half-open probe after cooldown")
 	}
@@ -71,7 +89,7 @@ func TestBreakerConsecutiveFailuresAndProbe(t *testing.T) {
 		t.Fatal("re-opened breaker admitted a request")
 	}
 	// Next cooldown, successful probe: closed again.
-	time.Sleep(40 * time.Millisecond)
+	clk.Advance(breakerCooldown)
 	if !b.allow() {
 		t.Fatal("breaker refused the second probe")
 	}
@@ -87,17 +105,18 @@ func TestBreakerConsecutiveFailuresAndProbe(t *testing.T) {
 // A non-tripworthy failure is evidence the member answered: it resets
 // the streak and closes a half-open breaker like a success would.
 func TestBreakerNonTripworthyFailureHeals(t *testing.T) {
-	b := newBreaker(2, 20*time.Millisecond)
-	b.failure(true)
+	clk := testutil.NewClock()
+	b := newBreaker(clk)
+	strikes(b, breakerFailures-1)
 	b.failure(false)
-	if b.failure(true) {
+	if strikes(b, breakerFailures-1) {
 		t.Fatal("streak survived a non-tripworthy failure")
 	}
-	b.failure(true) // second strike: open
+	b.failure(true) // a full streak since the answer: open
 	if b.allow() {
 		t.Fatal("breaker should be open")
 	}
-	time.Sleep(30 * time.Millisecond)
+	clk.Advance(breakerCooldown)
 	if !b.allow() {
 		t.Fatal("probe refused")
 	}
@@ -144,8 +163,6 @@ func TestBreakerSkipsDeadMember(t *testing.T) {
 	opts := testOpts()
 	opts.Resil.MaxAttempts = 1
 	opts.Resil.RetryBudget = resil.NewRetryBudget(0.1, 10)
-	opts.BreakerFailures = 3
-	opts.BreakerCooldown = time.Minute // no half-open probes mid-test
 	c := New(addrs, opts)
 	defer c.Close()
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/testutil"
 )
 
 // reservePort grabs an ephemeral port and frees it so a daemon can bind
@@ -164,7 +165,7 @@ func TestChaosClusterWarmRestart(t *testing.T) {
 	}
 	// Let the push workers finish replicating to successors, so the
 	// survivors hold the victim's entries before it dies.
-	eventually(t, "warm replication of the working set", func() bool {
+	testutil.Eventually(t, "warm replication of the working set", func() bool {
 		var fills int64
 		for _, d := range daemons {
 			fills += d.b.Stats().WarmFills
@@ -273,24 +274,9 @@ func TestChaosClusterWarmRestart(t *testing.T) {
 func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 	// Three echo servers; the first sits behind a stall proxy that lets
 	// one request head through, then trickles.
-	var members []string
-	servers := make([]*orb.Server, 3)
-	calls := make([]*atomic.Int64, 3)
-	for i := range servers {
-		srv, err := orb.NewServer("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		n := &atomic.Int64{}
-		srv.Register("echo", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
-			n.Add(1)
-			return body, nil
-		})
-		servers[i] = srv
-		calls[i] = n
-	}
-	proxy, err := chaos.New("127.0.0.1:0", servers[0].Addr(), chaos.Faults{
+	addrs, servers, calls := echoFleet(t, 3)
+	wedged := addrs[0]
+	proxy, err := chaos.New("127.0.0.1:0", wedged, chaos.Faults{
 		StallAfter:    22, // request head (18) + budget (4); the server writes nothing first
 		StallInterval: 25 * time.Millisecond,
 	})
@@ -298,7 +284,7 @@ func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = proxy.Close() })
-	members = []string{proxy.Addr(), servers[1].Addr(), servers[2].Addr()}
+	members := []string{proxy.Addr(), addrs[1], addrs[2]}
 	stalled := members[0]
 
 	budget := resil.NewRetryBudget(0.1, 32)
@@ -309,8 +295,6 @@ func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 			CallTimeout: 200 * time.Millisecond,
 			RetryBudget: budget,
 		},
-		BreakerFailures: 3,
-		BreakerCooldown: 400 * time.Millisecond,
 	})
 	defer c.Close()
 
@@ -385,7 +369,7 @@ func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 	if proxy.Stats().Stalls < 1 {
 		t.Error("stall fault never engaged")
 	}
-	if n := calls[0].Load(); n != 0 {
+	if n := calls[wedged].Load(); n != 0 {
 		t.Errorf("stalled member ran %d handler calls for abandoned requests, want 0", n)
 	}
 
@@ -402,12 +386,12 @@ func TestChaosStalledMemberBreakerAndBudget(t *testing.T) {
 		defer close(done)
 		_, _ = oc.InvokeContext(orb.ContextWithBudget(context.Background(), 150*time.Millisecond), "echo", 0, nil)
 	}()
-	eventually(t, "pre-dispatch expired shed on the stalled member", func() bool {
-		return servers[0].Stats().Expired >= 1
+	testutil.Eventually(t, "pre-dispatch expired shed on the stalled member", func() bool {
+		return servers[wedged].Stats().Expired >= 1
 	})
 	_ = oc.Close()
 	<-done
-	if n := calls[0].Load(); n != 0 {
+	if n := calls[wedged].Load(); n != 0 {
 		t.Errorf("stalled member did %d handler calls, want 0 — expired requests must be shed before work starts", n)
 	}
 }

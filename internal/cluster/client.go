@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/orb"
 	"repro/internal/resil"
 )
@@ -36,6 +37,10 @@ const (
 	// outlierFactor ejects a member whose success-latency p99 exceeds this
 	// multiple of the median of its peers' p99s.
 	outlierFactor = 3
+	// A member's breaker opens after breakerFailures consecutive transport
+	// failures and half-opens for a single probe breakerCooldown later.
+	breakerFailures = 5
+	breakerCooldown = 2 * time.Second
 )
 
 // Options configures a cluster Client. Zero values select the defaults.
@@ -43,21 +48,9 @@ type Options struct {
 	// Resil tunes the per-member connection pool (deadlines, retries,
 	// hedging) — each member gets its own resil.Client built from this.
 	Resil resil.Options
-	// BreakerFailures is the consecutive transport-failure streak that
-	// opens a member's circuit breaker (default 5).
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker refuses traffic before
-	// half-opening for a single probe (default 2s).
-	BreakerCooldown time.Duration
 }
 
 func (o Options) withDefaults() Options {
-	if o.BreakerFailures <= 0 {
-		o.BreakerFailures = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
 	// One retry budget spans every member pool (and the cluster-level
 	// failover loop), making the retry cap a fleet-wide invariant instead
 	// of a per-endpoint one.
@@ -135,7 +128,7 @@ func (c *Client) SetMembers(addrs []string) {
 			c.members[addr] = &member{
 				addr: addr,
 				pool: resil.New(addr, c.opts.Resil),
-				brk:  newBreaker(c.opts.BreakerFailures, c.opts.BreakerCooldown),
+				brk:  newBreaker(clock.Real),
 			}
 		}
 		// Surviving members keep their member struct, so breaker state

@@ -58,7 +58,6 @@ func testOpts() Options {
 		MaxAttempts: 2,
 		DialTimeout: 2 * time.Second,
 		CallTimeout: 5 * time.Second,
-		BackoffBase: time.Millisecond,
 	}}
 }
 
@@ -206,9 +205,7 @@ func TestClusterCallKinds(t *testing.T) {
 		}},
 		{"skips a member whose breaker is open", func(t *testing.T, kind resil.Kind) {
 			addrs, _, calls := echoFleet(t, 3)
-			opts := testOpts()
-			opts.BreakerCooldown = time.Minute // no half-open probe mid-test
-			c := New(addrs, opts)
+			c := New(addrs, testOpts())
 			defer c.Close()
 			rk := RouteKey("tripped", "owner")
 			ranked := NewRing(addrs).Ranked(rk)
@@ -223,9 +220,7 @@ func TestClusterCallKinds(t *testing.T) {
 		}},
 		{"probes a fully tripped fleet exactly once", func(t *testing.T, kind resil.Kind) {
 			addrs, _, calls := echoFleet(t, 3)
-			opts := testOpts()
-			opts.BreakerCooldown = time.Minute
-			c := New(addrs, opts)
+			c := New(addrs, testOpts())
 			defer c.Close()
 			for _, a := range addrs {
 				c.member(a).brk.tripEject()

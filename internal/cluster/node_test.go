@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/testutil"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -63,19 +64,6 @@ func loadPair(t *testing.T, b *broker.Broker) {
 	}
 }
 
-// eventually polls cond until it holds or the deadline passes.
-func eventually(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 // A compare on one daemon must replicate its verdict — and the universe
 // sources needed to use it — to the pair's ring successors, unasked.
 func TestClusterWarmPushReplicatesVerdict(t *testing.T) {
@@ -99,7 +87,7 @@ func TestClusterWarmPushReplicatesVerdict(t *testing.T) {
 			continue
 		}
 		fn := fn
-		eventually(t, "verdict push to "+fn.addr, func() bool {
+		testutil.Eventually(t, "verdict push to "+fn.addr, func() bool {
 			got, ok := fn.b.PeekVerdict("ux", "mix", "uy", "pair")
 			return ok && got.Relation == v.Relation
 		})
@@ -146,7 +134,7 @@ func TestClusterWarmPushCompilesTranscoder(t *testing.T) {
 			}
 		}
 	}
-	eventually(t, "transcoder push to "+peer.addr, func() bool { return peer.b.Stats().XcodeEntries == 1 })
+	testutil.Eventually(t, "transcoder push to "+peer.addr, func() bool { return peer.b.Stats().XcodeEntries == 1 })
 	before := peer.b.Stats()
 	if before.XcodeCompiles != 1 || before.XcodeHits != 0 || before.WarmHits != 0 {
 		t.Fatalf("peer before its first request: %+v, want one warm compile and no hits", before)
@@ -269,7 +257,7 @@ func TestClusterPeerAdmission(t *testing.T) {
 		t.Fatalf("saturated peer service answered %v, want orb.ErrOverloaded", err)
 	}
 	target.n.chassis.Release()
-	eventually(t, "admission slot release", func() bool {
+	testutil.Eventually(t, "admission slot release", func() bool {
 		_, err := FetchStatus(context.Background(), rc)
 		return err == nil
 	})

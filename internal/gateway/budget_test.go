@@ -20,11 +20,7 @@ import (
 // ErrExpired back — from the gateway, well before the client's own
 // timeout — while the upstream does zero work on the abandoned call.
 func TestChaosGatewayBudgetShedStalledUpstream(t *testing.T) {
-	up, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = up.Close() })
+	up := orbServer(t)
 	var upstreamOps atomic.Int64
 	up.Register("svc", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		upstreamOps.Add(1)

@@ -16,11 +16,7 @@ func echoTrio(t *testing.T) (addrs []string, servers map[string]*orb.Server) {
 	t.Helper()
 	servers = make(map[string]*orb.Server, 3)
 	for i := 0; i < 3; i++ {
-		srv, err := orb.NewServer("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
+		srv := orbServer(t)
 		addr := srv.Addr()
 		srv.Register("echo", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 			return []byte(addr), nil
@@ -41,7 +37,6 @@ func TestGatewayFleetUpstream(t *testing.T) {
 		MaxAttempts: 2,
 		CallTimeout: 5 * time.Second,
 		DialTimeout: 2 * time.Second,
-		BackoffBase: time.Millisecond,
 	}})
 	t.Cleanup(func() { _ = g.Close() })
 	cfg := &Config{Routes: []RouteConfig{{
@@ -51,11 +46,7 @@ func TestGatewayFleetUpstream(t *testing.T) {
 	if err := g.SetConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
-	front, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = front.Close() })
+	front := orbServer(t)
 	g.Serve(front)
 
 	cl, err := orb.Dial(front.Addr())
@@ -118,11 +109,7 @@ func TestGatewayFleetRetiredOnReload(t *testing.T) {
 	if err := g.SetConfig(fleetCfg); err != nil {
 		t.Fatal(err)
 	}
-	front, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = front.Close() })
+	front := orbServer(t)
 	g.Serve(front)
 	cl, err := orb.Dial(front.Addr())
 	if err != nil {

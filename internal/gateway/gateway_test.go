@@ -17,6 +17,7 @@ import (
 	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/testutil"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -48,11 +49,7 @@ func lowerDecl(t testing.TB, d DeclConfig) *mtype.Type {
 // expects) and echoing it back.
 func upstreamEcho(t *testing.T, key string, ty *mtype.Type) *orb.Server {
 	t.Helper()
-	s, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s := orbServer(t)
 	s.Register(key, func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		if _, err := wire.Unmarshal(ty, body); err != nil {
 			return nil, fmt.Errorf("upstream got bytes it cannot decode: %w", err)
@@ -71,13 +68,20 @@ func startGateway(t *testing.T, cfg *Config, opts Options) (*Gateway, *orb.Serve
 	if err := g.SetConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := orb.NewServer("127.0.0.1:0")
+	srv := orbServer(t)
+	g.Serve(srv)
+	return g, srv
+}
+
+// orbServer starts an orb server on a loopback port, closed with the test.
+func orbServer(t *testing.T) *orb.Server {
+	t.Helper()
+	s, err := orb.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
-	g.Serve(srv)
-	return g, srv
+	t.Cleanup(func() { _ = s.Close() })
+	return s
 }
 
 func dialOrb(t *testing.T, addr string) *orb.Client {
@@ -277,11 +281,7 @@ func TestEndToEndTreeTier(t *testing.T) {
 // TestPassthroughRoute: a route with no lanes forwards bytes untouched
 // and counts passthrough.
 func TestPassthroughRoute(t *testing.T) {
-	up, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = up.Close() })
+	up := orbServer(t)
 	up.Register("raw", func(ctx context.Context, op uint32, body []byte) ([]byte, error) { return body, nil })
 
 	cfg := &Config{
@@ -307,11 +307,7 @@ func TestPassthroughRoute(t *testing.T) {
 // TestRouteRewrite: upstream_key / upstream_op retarget the upstream
 // leg while clients keep their own key and op.
 func TestRouteRewrite(t *testing.T) {
-	up, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = up.Close() })
+	up := orbServer(t)
 	up.Register("v2", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		if op != 42 {
 			return nil, fmt.Errorf("upstream saw op %d", op)
@@ -417,11 +413,7 @@ func TestHotReload(t *testing.T) {
 // TestReloadFailureKeepsTable: a config that fails to compile must
 // leave the old table serving.
 func TestReloadFailureKeepsTable(t *testing.T) {
-	up, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = up.Close() })
+	up := orbServer(t)
 	up.Register("raw", func(ctx context.Context, op uint32, body []byte) ([]byte, error) { return body, nil })
 
 	cfg := &Config{Upstream: up.Addr(), Routes: []RouteConfig{{Key: "raw", Op: 0}}}
@@ -451,11 +443,7 @@ func TestReloadFailureKeepsTable(t *testing.T) {
 // budget error; a saturated gateway sheds with orb.ErrOverloaded.
 func TestBudgetAndAdmission(t *testing.T) {
 	release := make(chan struct{})
-	up, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = up.Close() })
+	up := orbServer(t)
 	up.Register("slow", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		<-release
 		return body, nil
@@ -485,13 +473,8 @@ func TestBudgetAndAdmission(t *testing.T) {
 		defer c2.Close()
 		_, _ = c2.Invoke("slow", 0, nil) // parks in the upstream handler
 	}()
-	// Wait for the first call to occupy the admission slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Stats().InFlight == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	_, err = c.Invoke("slow", 0, nil)
-	if !errors.Is(err, orb.ErrOverloaded) {
+	testutil.Eventually(t, "the first call to occupy the admission slot", func() bool { return g.Stats().InFlight > 0 })
+	if _, err := c.Invoke("slow", 0, nil); !errors.Is(err, orb.ErrOverloaded) {
 		t.Errorf("saturated gateway: err = %v, want ErrOverloaded", err)
 	}
 	if g.Stats().Sheds < 1 || g.Stats().Routes[0].Sheds < 1 {
@@ -512,11 +495,7 @@ func TestBudgetAndAdmission(t *testing.T) {
 // and health still counts what is in flight.
 func TestAdmitUnbounded(t *testing.T) {
 	release := make(chan struct{})
-	up, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = up.Close() })
+	up := orbServer(t)
 	up.Register("slow", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		<-release
 		return body, nil
@@ -537,10 +516,7 @@ func TestAdmitUnbounded(t *testing.T) {
 			_, _ = c.Invoke("slow", 0, nil) // parks in the upstream handler
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Health().InFlight < calls && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	testutil.Eventually(t, "every relay to park", func() bool { return g.Health().InFlight >= calls })
 	if h := g.Health(); h.InFlight != calls || h.Sheds != 0 {
 		t.Errorf("health with %d relays parked = %+v", calls, h)
 	}

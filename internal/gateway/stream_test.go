@@ -17,6 +17,7 @@ import (
 	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/resil"
+	"repro/internal/testutil"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -326,11 +327,7 @@ func TestConcurrentStreamScratchIntegrity(t *testing.T) {
 // not a hang — and the gateway must leak neither goroutines nor pooled
 // upstream connections.
 func TestStreamUpstreamDeathMidStream(t *testing.T) {
-	up, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = up.Close() })
+	up := orbServer(t)
 	var seen atomic.Int64
 	gotEnough := make(chan struct{})
 	var once atomic.Bool
@@ -415,13 +412,9 @@ func TestStreamUpstreamDeathMidStream(t *testing.T) {
 
 	// No goroutine leak: the relay's reply-drain goroutine and both
 	// stream queues must unwind once the call fails.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline+3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d, baseline %d — relay leaked", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	testutil.Eventually(t, fmt.Sprintf("goroutines back to the baseline %d", baseline), func() bool {
+		return runtime.NumGoroutine() <= baseline+3
+	})
 	// No pooled-connection leak past the bound.
 	if u := g.Stats().Upstreams[0]; u.Conns > poolSize {
 		t.Errorf("upstream pool holds %d conns, bound %d", u.Conns, poolSize)

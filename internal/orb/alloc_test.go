@@ -24,11 +24,7 @@ func TestRoundTripAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
 	}
-	s, err := NewServer("127.0.0.1:0", WithBufPooling())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s := startServer(t, WithBufPooling())
 	s.Register("echo", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		return body, nil
 	})
@@ -57,11 +53,7 @@ func TestRoundTripAllocs(t *testing.T) {
 // buffers: a buffer recycled while a handler (or a reply write) still
 // held it would surface here as a cross-request payload swap.
 func TestConcurrentScratchIntegrity(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", WithBufPooling())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s := startServer(t, WithBufPooling())
 	s.Register("echo", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		// Copy into a fresh reply so the server's reply write and the
 		// pooled request body are distinct buffers, maximizing reuse

@@ -1,13 +1,18 @@
 package orb
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
+	"repro/internal/testutil"
 )
+
+// withClock runs a server's frame stamps and budget timers on clk.
+func withClock(clk clock.Clock) Option { return func(l *Limits) { l.clk = clk } }
 
 // A context deadline travels as a wire budget the handler can see as its
 // own context deadline.
@@ -73,56 +78,23 @@ func TestCancelFrameAbortsHandler(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("handler never observed the cancel frame")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Canceled == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("server Canceled = %d, want ≥ 1", s.Stats().Canceled)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testutil.Eventually(t, "the server to count the cancel", func() bool { return s.Stats().Canceled > 0 })
 }
 
 // A request whose body trickles in past its own budget is shed before
 // dispatch: the handler never runs, the Expired counter proves it, and
 // the error frame carries the typed expiry code.
 func TestExpiredShedBeforeDispatch(t *testing.T) {
-	s := startServer(t)
+	clk := testutil.NewClock()
+	s := startServer(t, withClock(clk))
 	ran := make(chan struct{}, 1)
 	s.Register("work", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		ran <- struct{}{}
 		return nil, nil
 	})
-
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	lim := Limits{}.withDefaults()
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-
-	// Encode a request with a 20ms budget, then deliver it torn: the fixed
-	// header (which anchors the budget clock) immediately, the rest only
-	// after the budget is long spent.
-	var buf bytes.Buffer
-	req := frame{kind: kindRequest, id: 1, key: "work", op: 0, budget: 20}
-	if _, err := writeFrame(&buf, req, lim); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	const headLen = 18 + 4 // fixed head + budget field
-	if _, err := conn.Write(raw[:headLen]); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(80 * time.Millisecond)
-	if _, err := conn.Write(raw[headLen:]); err != nil {
-		t.Fatal(err)
-	}
-
-	reply, err := readFrame(conn, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPeer(t, s, new(strings.Builder))
+	p.sendTorn(frame{kind: kindRequest, id: 1, key: "work", op: 0, budget: 20}, clk)
+	reply := p.expect(1)[0]
 	if reply.kind != kindError || reply.op != codeErrExpired {
 		t.Fatalf("reply kind=%d op=%d, want expired error frame", reply.kind, reply.op)
 	}
@@ -143,7 +115,8 @@ func TestExpiredShedBeforeDispatch(t *testing.T) {
 // surfaces to the caller as the typed expiry, not a generic remote
 // error: the service was healthy, the caller's clock ran out.
 func TestExpiredMidHandler(t *testing.T) {
-	s := startServer(t)
+	clk := testutil.NewClock()
+	s := startServer(t, withClock(clk))
 	s.Register("sleepy", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		select {
 		case <-ctx.Done():
@@ -157,9 +130,14 @@ func TestExpiredMidHandler(t *testing.T) {
 	// Explicit wire budget, no local deadline: the client is willing to
 	// wait for the server's verdict, so the typed expiry must come from
 	// the server, proving the budget → handler-context derivation.
-	ctx := ContextWithBudget(context.Background(), 50*time.Millisecond)
-	_, err := c.InvokeContext(ctx, "sleepy", 0, nil)
-	if !errors.Is(err, ErrExpired) {
+	errs := make(chan error, 1)
+	go func() {
+		_, err := c.InvokeContext(ContextWithBudget(context.Background(), 50*time.Millisecond), "sleepy", 0, nil)
+		errs <- err
+	}()
+	clk.WaitArmed(t, 1) // the budget's deadline timer
+	clk.Advance(50 * time.Millisecond)
+	if err := <-errs; !errors.Is(err, ErrExpired) {
 		t.Fatalf("err = %v, want ErrExpired", err)
 	}
 }

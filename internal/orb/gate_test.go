@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // TestGateTable drives the one admission gate with a raw-socket peer:
@@ -49,7 +51,8 @@ func TestGateTable(t *testing.T) {
 			}
 			t.Run(r.name+"/"+kindName(kind), func(t *testing.T) {
 				entered := make(chan string, 8)
-				s := goldenServer(t, entered, r.opts...)
+				clk := testutil.NewClock()
+				s := goldenServer(t, entered, append([]Option{withClock(clk)}, r.opts...)...)
 				var log strings.Builder
 				p := newPeer(t, s, &log)
 				if r.park {
@@ -58,7 +61,7 @@ func TestGateTable(t *testing.T) {
 				}
 				probe := frame{kind: kind, id: r.id, key: r.key, op: 7, budget: r.budget}
 				if r.budget > 0 {
-					p.sendTorn(probe, 80*time.Millisecond)
+					p.sendTorn(probe, clk)
 				} else {
 					p.send(probe)
 				}

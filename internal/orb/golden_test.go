@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/transcript.txt from this build")
@@ -83,22 +85,20 @@ func (p *peer) send(f frame) {
 	}
 }
 
-// sendTorn writes a frame's fixed header (where the server anchors the
-// budget clock) at once and the rest only after pause.
-func (p *peer) sendTorn(f frame, pause time.Duration) {
+// sendTorn writes a budgeted frame's fixed header, where the server stamps
+// the budget clock, and the rest once the server has read clk for that
+// stamp and clk has moved 80ms on.
+func (p *peer) sendTorn(f frame, clk *testutil.Clock) {
 	p.t.Helper()
 	p.log.WriteString(frameLine(">", f))
-	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, f, p.lim); err != nil {
+	const headLen = 18 + 4 // fixed head + budget field
+	b, stamps := raw(p.t, f), clk.Reads()
+	if _, err := p.conn.Write(b[:headLen]); err != nil {
 		p.t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	const headLen = 18 + 4
-	if _, err := p.conn.Write(raw[:headLen]); err != nil {
-		p.t.Fatal(err)
-	}
-	time.Sleep(pause)
-	if _, err := p.conn.Write(raw[headLen:]); err != nil {
+	testutil.Eventually(p.t, "the header's stamp", func() bool { return clk.Reads() > stamps })
+	clk.Advance(80 * time.Millisecond)
+	if _, err := p.conn.Write(b[headLen:]); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -134,11 +134,7 @@ func (p *peer) quiet() {
 // handler starts, so the peer can order its next frame after it.
 func goldenServer(t *testing.T, entered chan string, opts ...Option) *Server {
 	t.Helper()
-	s, err := NewServer("127.0.0.1:0", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s := startServer(t, opts...)
 	note := func(name string) { entered <- name }
 	s.Register("ping", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		return []byte("pong"), nil
@@ -162,23 +158,7 @@ func goldenServer(t *testing.T, entered chan string, opts ...Option) *Server {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	s.RegisterStream("echo", func(ctx context.Context, op uint32, in *StreamReader, out *StreamWriter) error {
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := in.Read(buf)
-			if n > 0 {
-				if _, werr := out.Write(buf[:n]); werr != nil {
-					return werr
-				}
-			}
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-		}
-	})
+	s.RegisterStream("echo", streamEcho)
 	// sink counts the request body and replies with the count.
 	s.RegisterStream("sink", func(ctx context.Context, op uint32, in *StreamReader, out *StreamWriter) error {
 		n, err := io.Copy(io.Discard, in)
@@ -268,6 +248,8 @@ func TestGoldenTranscript(t *testing.T) {
 		}
 	}
 	capOne := []Option{WithMaxPerConn(1)}
+	torn := testutil.NewClock()
+	onTorn := []Option{withClock(torn)}
 	rows := []row{
 		{"request, no budget / served", nil, func(p *peer, e chan string) { p.send(req(1, "echo")); p.expect(1) }},
 		{"request, budget / served", nil, func(p *peer, e chan string) { p.send(reqBudget(1, "echo", far)); p.expect(1) }},
@@ -328,16 +310,16 @@ func TestGoldenTranscript(t *testing.T) {
 		{"request, no budget / no object while at the cap", capOne, atCap(func(p *peer) { p.send(req(2, "ghost")); p.expect(1) })},
 		{"open / no object while at the cap", capOne, atCap(func(p *peer) { p.send(open(2, "ghost", 0, 0)); p.expect(1) })},
 
-		{"request, budget / budget spent before dispatch", nil, func(p *peer, e chan string) {
-			p.sendTorn(reqBudget(1, "echo", 20), 80*time.Millisecond)
+		{"request, budget / budget spent before dispatch", onTorn, func(p *peer, e chan string) {
+			p.sendTorn(reqBudget(1, "echo", 20), torn)
 			p.expect(1)
 		}},
-		{"open / budget spent before dispatch", nil, func(p *peer, e chan string) {
-			p.sendTorn(open(1, "echo", 0, 20), 80*time.Millisecond)
+		{"open / budget spent before dispatch", onTorn, func(p *peer, e chan string) {
+			p.sendTorn(open(1, "echo", 0, 20), torn)
 			p.expect(1)
 		}},
-		{"request, budget / budget spent before dispatch, no object", nil, func(p *peer, e chan string) {
-			p.sendTorn(reqBudget(1, "ghost", 20), 80*time.Millisecond)
+		{"request, budget / budget spent before dispatch, no object", onTorn, func(p *peer, e chan string) {
+			p.sendTorn(reqBudget(1, "ghost", 20), torn)
 			p.expect(1)
 		}},
 

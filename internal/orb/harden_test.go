@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // TestHandlerPanicIsolated asserts the server-side hardening contract:
@@ -65,11 +67,7 @@ func TestCallRecoversPanic(t *testing.T) {
 // ErrOverloaded while the admitted ones complete once released.
 func TestPerConnCap(t *testing.T) {
 	const lim = 4
-	s, err := NewServer("127.0.0.1:0", WithMaxPerConn(lim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s := startServer(t, WithMaxPerConn(lim))
 
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 64)
@@ -99,7 +97,7 @@ func TestPerConnCap(t *testing.T) {
 	}
 
 	// Connection is at its cap: the next request must be shed, typed.
-	_, err = c.Invoke("slow", 0, nil)
+	_, err := c.Invoke("slow", 0, nil)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-cap err = %v, want ErrOverloaded", err)
 	}
@@ -141,14 +139,15 @@ func TestDialErrorTyped(t *testing.T) {
 // A pooled deadline timer's callback can land on the request after the
 // one it was set for; the verdict must come from the clock.
 func TestServerCtxIgnoresStaleExpiry(t *testing.T) {
-	cl := callPool.New().(*call)
-	cl.arm(time.Now().Add(time.Hour))
+	clk := testutil.NewClock()
+	cl := &call{serverCtx: serverCtx{clk: clk, done: make(chan struct{})}}
+	cl.arm(clk.Now().Add(time.Hour))
 	cl.expire() // the previous request's callback, late
 	if err := cl.Err(); err != nil {
 		t.Fatalf("a stale expiry ended the next request's context: %v", err)
 	}
 	cl.disarm()
-	cl.arm(time.Now().Add(-time.Millisecond))
+	cl.arm(clk.Now().Add(-time.Millisecond))
 	cl.expire()
 	if err := cl.Err(); err != context.DeadlineExceeded {
 		t.Fatalf("Err = %v after the deadline, want DeadlineExceeded", err)

@@ -93,6 +93,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Message kinds.
@@ -270,6 +272,7 @@ type Limits struct {
 	// ErrOverloaded (oneways are dropped). Negative means unlimited.
 	// Ignored by clients.
 	MaxPerConn int
+	clk        clock.Clock // stamps frames, times budgets; tests set a fake
 }
 
 func (l Limits) withDefaults() Limits {
@@ -283,6 +286,9 @@ func (l Limits) withDefaults() Limits {
 		l.MaxPerConn = DefaultMaxPerConn
 	} else if l.MaxPerConn < 0 {
 		l.MaxPerConn = math.MaxInt
+	}
+	if l.clk == nil {
+		l.clk = clock.Real
 	}
 	return l
 }
@@ -485,7 +491,7 @@ func (fr *frameReader) read() (frame, error) {
 	if _, err := io.ReadFull(fr.r, head); err != nil {
 		return f, err
 	}
-	f.hdrAt = time.Now()
+	f.hdrAt = fr.lim.clk.Now()
 	if string(head[:4]) != magic {
 		return f, fmt.Errorf("orb: bad magic %q", head[:4])
 	}

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // readFrame decodes one frame with a reader of its own, which may take
@@ -23,9 +25,9 @@ func readFrame(r io.Reader, lim Limits) (frame, error) {
 	return newFrameReader(r, lim, false).read()
 }
 
-func startServer(t *testing.T) *Server {
+func startServer(t *testing.T, opts ...Option) *Server {
 	t.Helper()
-	s, err := NewServer("127.0.0.1:0")
+	s, err := NewServer("127.0.0.1:0", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +37,7 @@ func startServer(t *testing.T) *Server {
 
 func dial(t *testing.T, s *Server) *Client {
 	t.Helper()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
+	return dialAddr(t, s.Addr())
 }
 
 func TestRequestReply(t *testing.T) {
@@ -344,18 +341,13 @@ func TestWriteSideFrameLimits(t *testing.T) {
 }
 
 func TestReadSideFrameLimitServer(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", WithMaxBody(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s := startServer(t, WithMaxBody(64))
 	s.Register("echo", func(ctx context.Context, op uint32, body []byte) ([]byte, error) { return body, nil })
 
 	c := dialAddr(t, s.Addr())
 	// The client happily writes 1 KiB; the server's read side must refuse
 	// it and drop the connection.
-	_, err = c.Invoke("echo", 0, make([]byte, 1024))
-	if err == nil {
+	if _, err := c.Invoke("echo", 0, make([]byte, 1024)); err == nil {
 		t.Fatal("oversized request was served")
 	}
 	// A fresh connection with a conforming request still works.
@@ -475,16 +467,17 @@ func TestInvokeContextDeadline(t *testing.T) {
 
 func TestInvokeContextCancel(t *testing.T) {
 	s := startServer(t)
-	release := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	s.Register("stall", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
+		close(entered)
 		<-release
 		return nil, nil
 	})
 	c := dial(t, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		<-entered
 		cancel()
 	}()
 	if _, err := c.InvokeContext(ctx, "stall", 0, nil); !errors.Is(err, ErrCanceled) {
@@ -503,15 +496,18 @@ func TestInvokeContextCancel(t *testing.T) {
 // come back empty — no leaked entries, no caller blocked forever.
 func TestConnectionDeathFailsInFlightCalls(t *testing.T) {
 	s := startServer(t)
+	const inflight = 8
+	var entered sync.WaitGroup
+	entered.Add(inflight)
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	s.Register("stall", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
+		entered.Done()
 		<-release
 		return nil, nil
 	})
 	c := dial(t, s)
 
-	const inflight = 8
 	errs := make(chan error, inflight)
 	for i := 0; i < inflight; i++ {
 		go func() {
@@ -519,19 +515,7 @@ func TestConnectionDeathFailsInFlightCalls(t *testing.T) {
 			errs <- err
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		n := len(c.pending)
-		c.mu.Unlock()
-		if n == inflight {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d calls in flight", n, inflight)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	entered.Wait() // every call is in the client's table, and in a handler
 
 	// The transport dies under the client (not a graceful Close).
 	_ = c.conn.Close()
@@ -591,11 +575,7 @@ func TestReadSideKeyLimit(t *testing.T) {
 }
 
 func TestReadSideKeyLimitServer(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", WithMaxKey(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s := startServer(t, WithMaxKey(8))
 	s.Register("12345678", func(ctx context.Context, op uint32, body []byte) ([]byte, error) { return body, nil })
 
 	// The client's default limits allow the long key; the server's read
@@ -642,12 +622,33 @@ func TestReplyAfterClientClose(t *testing.T) {
 
 // --- graceful shutdown ---
 
-func TestShutdownDrainsInFlight(t *testing.T) {
-	s := startServer(t)
+// slowServer serves a "slow" handler that stays in flight until release
+// is closed; entered is closed once it has started.
+func slowServer(t *testing.T) (s *Server, entered, release chan struct{}) {
+	s = startServer(t)
+	entered, release = make(chan struct{}), make(chan struct{})
 	s.Register("slow", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
-		time.Sleep(150 * time.Millisecond)
+		close(entered)
+		<-release
 		return []byte("drained"), nil
 	})
+	return s, entered, release
+}
+
+// shutdown starts s.Shutdown(ctx) once the call is in its handler, and
+// returns when the drain has begun, with the channel Shutdown's result
+// arrives on: it must not while the handler runs.
+func shutdown(t *testing.T, s *Server, ctx context.Context, entered chan struct{}) chan error {
+	t.Helper()
+	<-entered
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(ctx) }()
+	testutil.Eventually(t, "the drain to begin", s.Draining)
+	return done
+}
+
+func TestShutdownDrainsInFlight(t *testing.T) {
+	s, entered, release := slowServer(t)
 	c := dial(t, s)
 
 	got := make(chan struct{})
@@ -657,11 +658,9 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		reply, invokeErr = c.Invoke("slow", 0, nil)
 		close(got)
 	}()
-	time.Sleep(30 * time.Millisecond) // let the request reach the server
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	done := shutdown(t, s, context.Background(), entered)
+	close(release)
+	if err := <-done; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	<-got
@@ -678,11 +677,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 }
 
 func TestShutdownForceClosesOnContextExpiry(t *testing.T) {
-	s := startServer(t)
-	s.Register("slow", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
-		time.Sleep(500 * time.Millisecond)
-		return []byte("too slow"), nil
-	})
+	s, entered, release := slowServer(t)
 	c := dial(t, s)
 
 	errs := make(chan error, 1)
@@ -690,23 +685,23 @@ func TestShutdownForceClosesOnContextExpiry(t *testing.T) {
 		_, err := c.Invoke("slow", 0, nil)
 		errs <- err
 	}()
-	time.Sleep(30 * time.Millisecond)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_ = s.Shutdown(ctx)
-	// The client sees its connection force-closed near the drain deadline,
-	// well before the handler would have finished.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := shutdown(t, s, ctx, entered)
+	cancel() // the drain runs out of time
+	// The client sees its connection force-closed while the handler runs.
 	select {
 	case err := <-errs:
 		if !errors.Is(err, ErrConnClosed) {
 			t.Errorf("force-closed call err = %v, want ErrConnClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("force-closed call never returned")
+		t.Error("force-closed call never returned")
 	}
-	if elapsed := time.Since(start); elapsed < 400*time.Millisecond {
-		t.Errorf("Shutdown returned in %v, want it to wait for the handler goroutine", elapsed)
+	select {
+	case <-done:
+		t.Error("Shutdown returned before the forced-out handler ended")
+	default:
 	}
+	close(release)
+	<-done
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // readRec is one Read that returned data: how much was asked for and how
@@ -42,7 +44,7 @@ func (c *readLog) Read(p []byte) (int, error) {
 func (c *readLog) take(t *testing.T, n int) []readRec {
 	t.Helper()
 	var out []readRec
-	waitFor(t, "the reads to be logged", func() bool {
+	testutil.Eventually(t, "the reads to be logged", func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		got := 0

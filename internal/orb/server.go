@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // serverCtx is the context.Context handed to handlers: a flat
@@ -17,11 +19,12 @@ import (
 // timer are all reused across requests, which is why a handler must not
 // hold the context or its Done channel past return.
 type serverCtx struct {
+	clk   clock.Clock
 	mu    sync.Mutex
 	dl    time.Time     // zero: the request carried no budget
 	done  chan struct{} // closed exactly when err is set
 	err   error
-	timer *time.Timer
+	timer clock.Timer
 }
 
 // arm readies the context for one request, setting the pooled deadline
@@ -33,8 +36,8 @@ func (c *serverCtx) arm(deadline time.Time) {
 	if deadline.IsZero() {
 		return
 	}
-	if d := time.Until(deadline); c.timer == nil {
-		c.timer = time.AfterFunc(d, c.expire)
+	if d := deadline.Sub(c.clk.Now()); c.timer == nil {
+		c.timer = c.clk.AfterFunc(d, c.expire)
 	} else {
 		c.timer.Reset(d)
 	}
@@ -47,7 +50,7 @@ func (c *serverCtx) arm(deadline time.Time) {
 func (c *serverCtx) expire() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.dl.IsZero() && !time.Now().Before(c.dl) {
+	if !c.dl.IsZero() && !c.clk.Now().Before(c.dl) {
 		c.end(context.DeadlineExceeded)
 	}
 }
@@ -148,8 +151,9 @@ type ServerStats struct {
 
 // Server exports objects on a TCP listener.
 type Server struct {
-	ln  net.Listener
-	lim Limits
+	ln       net.Listener
+	lim      Limits
+	callPool sync.Pool // of *call, on lim's clock
 
 	panics   atomic.Int64
 	shed     atomic.Int64
@@ -178,6 +182,9 @@ func NewServer(addr string, opts ...Option) (*Server, error) {
 		handlers:       make(map[string]Handler),
 		streamHandlers: make(map[string]StreamHandler),
 		conns:          make(map[net.Conn]*serverConn),
+	}
+	s.callPool.New = func() any {
+		return &call{serverCtx: serverCtx{clk: s.lim.clk, done: make(chan struct{})}}
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -320,12 +327,6 @@ func (cl *call) handle(ctx context.Context, op uint32, body []byte) ([]byte, err
 	return nil, cl.sh(ctx, op, &StreamReader{cl.end}, &StreamWriter{cl.end})
 }
 
-var callPool = sync.Pool{New: func() any {
-	cl := new(call)
-	cl.done = make(chan struct{})
-	return cl
-}}
-
 // maxParkedWorkers bounds the workers parked on a connection between
 // calls; a pipelining caller can use as many as it has calls in flight.
 const maxParkedWorkers = 8
@@ -430,7 +431,7 @@ func (sc *serverConn) admit(f frame) *call {
 		// The budget clock started at hdrAt: a body that trickled in past it is
 		// expired, and an expired request should not count against capacity.
 		deadline = f.hdrAt.Add(time.Duration(f.budget) * time.Millisecond)
-		if over := time.Since(deadline); over >= 0 {
+		if over := s.lim.clk.Now().Sub(deadline); over >= 0 {
 			s.expired.Add(1)
 			sc.refuse(f, fmt.Errorf("%w: budget of %dms spent %v before dispatch", ErrExpired, f.budget, over.Round(time.Millisecond)))
 			return nil
@@ -468,7 +469,7 @@ func (sc *serverConn) admit(f frame) *call {
 		sc.refuse(f, deny)
 		return nil
 	}
-	cl := callPool.Get().(*call)
+	cl := s.callPool.Get().(*call)
 	cl.req, cl.h, cl.sh = f, h, sh
 	if stream {
 		cl.end = newStreamEnd(f.id, sc.write)
@@ -559,7 +560,7 @@ func (sc *serverConn) finish(cl *call, reply []byte, err error) {
 	putBodyBuf(req.body)
 	cl.disarm()
 	cl.req, cl.h, cl.sh, cl.end = frame{}, nil, nil, nil
-	callPool.Put(cl)
+	sc.s.callPool.Put(cl)
 }
 
 // teardown runs when the read loop ends: it walks the table once, as the

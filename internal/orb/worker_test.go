@@ -11,31 +11,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
-
-// spin waits, off the test's goroutine, for a state the test itself
-// brings about.
-func spin(cond func() bool) {
-	for !cond() {
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// waitFor polls for a state another goroutine is about to reach.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-}
 
 // soleConn returns the one connection s is serving.
 func soleConn(t *testing.T, s *Server) *serverConn {
 	t.Helper()
 	var sc *serverConn
-	waitFor(t, "the server's one connection", func() bool {
+	testutil.Eventually(t, "the server's one connection", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for _, sc = range s.conns {
@@ -48,7 +32,7 @@ func soleConn(t *testing.T, s *Server) *serverConn {
 // parked waits until exactly n workers are parked on sc.
 func parked(t *testing.T, sc *serverConn, n int32) {
 	t.Helper()
-	waitFor(t, "parked workers", func() bool { return sc.parked.Load() == n })
+	testutil.Eventually(t, "parked workers", func() bool { return sc.parked.Load() == n })
 }
 
 // idle reports that sc's accounting shows nothing in flight.
@@ -130,7 +114,7 @@ func TestWorkerConcurrentCallsParkUpToCap(t *testing.T) {
 		t.Errorf("%d concurrent calls started %d workers, want %d", k, n, k)
 	}
 	parked(t, sc, maxParkedWorkers)
-	waitFor(t, "the workers over the cap to exit", func() bool { return workerGoroutines() == maxParkedWorkers })
+	testutil.Eventually(t, "the workers over the cap to exit", func() bool { return workerGoroutines() == maxParkedWorkers })
 	burst("second", maxParkedWorkers)
 	if n := sc.started.Load(); n != k {
 		t.Errorf("a burst the parked workers cover started %d more", n-k)
@@ -182,7 +166,7 @@ func TestWorkerSurvivesPanicAndGoexit(t *testing.T) {
 		if err := c.Send(key, 1, nil); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "the oneway's verdict and its slot", func() bool {
+		testutil.Eventually(t, "the oneway's verdict and its slot", func() bool {
 			return s.Stats().Panics == int64(5+i) && idle(sc)
 		})
 	}
@@ -194,11 +178,7 @@ func TestWorkerSurvivesPanicAndGoexit(t *testing.T) {
 func TestWorkersEndWithConnection(t *testing.T) {
 	for _, ending := range []string{"close", "drain", "drain expired", "peer reset"} {
 		t.Run(ending, func(t *testing.T) {
-			s, err := NewServer("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := startServer(t)
 			release := make(chan struct{})
 			running := make(chan struct{})
 			s.Register("echo", echoHandler)
@@ -235,32 +215,32 @@ func TestWorkersEndWithConnection(t *testing.T) {
 			}
 
 			wantHeld := ErrConnClosed
+			drained := make(chan error, 1)
 			switch ending {
 			case "close":
 				_ = s.Close()
 			case "drain":
-				go func() {
-					spin(s.Draining)
-					close(release)
-				}()
-				if err := s.Shutdown(context.Background()); err != nil {
+				go func() { drained <- s.Shutdown(context.Background()) }()
+				testutil.Eventually(t, "the drain to begin", s.Draining)
+				close(release)
+				if err := <-drained; err != nil {
 					t.Errorf("Shutdown: %v", err)
 				}
 				wantHeld = nil // a dispatched unary call finishes and replies
 			case "drain expired":
-				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-				defer cancel()
+				ctx, cancel := context.WithCancel(context.Background())
+				go func() { drained <- s.Shutdown(ctx) }()
+				testutil.Eventually(t, "the drain to begin", s.Draining)
+				cancel()
 				// The drain leaves a unary call's context alone, so this
 				// handler ends only when released — after the connection was
 				// force-closed under it.
-				go func() {
-					spin(func() bool { return c.Err() != nil })
-					close(release)
-				}()
-				_ = s.Shutdown(ctx)
+				testutil.Eventually(t, "the forced close", func() bool { return c.Err() != nil })
+				close(release)
+				<-drained
 			case "peer reset":
 				_ = c.Close()
-				waitFor(t, "the server to drop the connection", func() bool {
+				testutil.Eventually(t, "the server to drop the connection", func() bool {
 					s.mu.Lock()
 					defer s.mu.Unlock()
 					return len(s.conns) == 0
@@ -271,16 +251,22 @@ func TestWorkersEndWithConnection(t *testing.T) {
 			}
 			// The connection waited for its workers' last statement; the
 			// profile can still catch one returning from it.
-			waitFor(t, "every worker to be gone", func() bool { return workerGoroutines() == 0 })
+			testutil.Eventually(t, "every worker to be gone", func() bool { return workerGoroutines() == 0 })
 		})
 	}
 }
 
 // hookConn runs hook once, after the first Read that returned data and
-// before the reader sees it.
+// before the reader sees it, and closes nudged when a read deadline is set.
 type hookConn struct {
 	net.Conn
-	hook func()
+	hook   func()
+	nudged chan struct{}
+}
+
+func (c *hookConn) SetReadDeadline(t time.Time) error {
+	defer close(c.nudged)
+	return c.Conn.SetReadDeadline(t)
 }
 
 func (c *hookConn) Read(p []byte) (int, error) {
@@ -298,20 +284,16 @@ func (c *hookConn) Read(p []byte) (int, error) {
 // — and a partial one is dropped with the connection, because the nudge
 // that ends the read loop fails the read for its remainder.
 func TestShutdownServesBufferedFrames(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := startServer(t)
 	s.Register("echo", echoHandler)
 	drained := make(chan error, 1)
 	p := pipeConn(t, s, func(c net.Conn) net.Conn {
-		return &hookConn{Conn: c, hook: func() {
+		hc := &hookConn{Conn: c, nudged: make(chan struct{})}
+		hc.hook = func() {
 			go func() { drained <- s.Shutdown(context.Background()) }()
-			// Draining reads under the lock Shutdown sets the read
-			// deadlines under: once it is true, every nudge has landed.
-			spin(s.Draining)
-		}}
+			<-hc.nudged // the deadline that ends the read loop has landed
+		}
+		return hc
 	})
 	var batch []byte
 	for id := uint64(1); id <= 3; id++ {
@@ -338,23 +320,25 @@ func TestShutdownServesBufferedFrames(t *testing.T) {
 // its bytes arrived behind another frame's: when the read loop decodes
 // its header, not when the bytes reached the buffer. Frame B (30 ms
 // budget) arrives in the same read as frame A, whose refusal the peer
-// leaves unread for 100 ms; a pipe write blocks until it is read, so the
-// read loop sits in A's refusal that long. B is then decoded with a fresh
-// clock and served. Behind a frame that is admitted, not refused, the
-// distance is that frame's admit time — a microsecond.
+// leaves unread while the server's clock moves 100 ms; a pipe write blocks
+// until it is read, so the read loop sits in A's refusal that long. B is
+// then decoded with a fresh clock and served. Behind a frame that is
+// admitted, not refused, the distance is that frame's admit time.
 func TestBudgetAnchorsAtDecode(t *testing.T) {
-	s := startServer(t)
+	clk := testutil.NewClock()
+	s := startServer(t, withClock(clk))
 	s.Register("echo", echoHandler)
 	near, far := net.Pipe()
 	attach(s, near)
 	defer far.Close()
-	fr := newFrameReader(far, s.lim, false)
+	fr := newFrameReader(far, Limits{}.withDefaults(), false)
 	a := raw(t, frame{kind: kindRequest, id: 1, key: "nobody", op: 1})
 	b := raw(t, frame{kind: kindRequest, id: 2, key: "echo", budget: 30, op: 1, body: []byte("b")})
 	if _, err := far.Write(append(a, b...)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	testutil.Eventually(t, "A's stamp", func() bool { return clk.Reads() > 0 })
+	clk.Advance(100 * time.Millisecond)
 	if f, err := fr.read(); err != nil || f.kind != kindError || f.id != 1 {
 		t.Fatalf("A: kind %d id %d, %v", f.kind, f.id, err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/orb"
+	"repro/internal/testutil"
 )
 
 // kindOrb starts an orb server whose "echo" object echoes a body back
@@ -64,6 +65,22 @@ func do(c *Client, kind Kind, key string, body []byte) ([]byte, error) {
 	return finish(res, body)
 }
 
+// backedOff runs f while advancing clk past each of the n retry backoffs
+// it waits out, one at a time, once the backoff has armed its timer.
+func backedOff(t *testing.T, clk *testutil.Clock, n int, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	for i := 0; i < n; i++ {
+		clk.WaitArmed(t, 2) // the reaper and the backoff
+		clk.Advance(backoffMax)
+	}
+	<-done
+}
+
 // deadAddr reserves a port and frees it, so dials to it are refused fast.
 func deadAddr(t *testing.T) string {
 	s := echoOrb(t)
@@ -92,14 +109,12 @@ func TestCallKinds(t *testing.T) {
 			}
 		}},
 		{"retries a refused dial, then reports the attempts", func(t *testing.T, kind Kind) {
-			c := newClient(t, deadAddr(t), Options{MaxAttempts: 3, BackoffBase: time.Millisecond, CallTimeout: 2 * time.Second})
-			start := time.Now()
-			_, err := do(c, kind, "echo", nil)
+			clk := testutil.NewClock()
+			c := newClient(t, deadAddr(t), Options{MaxAttempts: 3, clk: clk})
+			var err error
+			backedOff(t, clk, 2, func() { _, err = do(c, kind, "echo", nil) })
 			if !errors.Is(err, orb.ErrDial) || !strings.Contains(err.Error(), "resil: 3 attempts to ") {
 				t.Fatalf("err = %v, want the dial failure under \"resil: 3 attempts to ...\"", err)
-			}
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Fatalf("dead-address failure took %v", elapsed)
 			}
 			if st := c.Stats(); st.Retries != 2 {
 				t.Errorf("retries = %d, want 2", st.Retries)
@@ -107,7 +122,8 @@ func TestCallKinds(t *testing.T) {
 		}},
 		{"retries after connection death", func(t *testing.T, kind Kind) {
 			s := kindOrb(t)
-			c := newClient(t, s.Addr(), Options{PoolSize: 1, BackoffBase: time.Millisecond})
+			clk := testutil.NewClock()
+			c := newClient(t, s.Addr(), Options{PoolSize: 1, clk: clk})
 			if _, err := do(c, kind, "echo", []byte("warm")); err != nil {
 				t.Fatal(err)
 			}
@@ -115,9 +131,11 @@ func TestCallKinds(t *testing.T) {
 			// Wait until the connection knows: an open frame written into a
 			// connection that is dying but not yet dead "succeeds", and the
 			// stream then fails past the point a retry can cover.
-			for pc := c.conns[0]; pc.c.Err() == nil; time.Sleep(time.Millisecond) {
-			}
-			if _, err := do(c, kind, "echo", []byte("x")); err == nil {
+			pc := c.conns[0]
+			testutil.Eventually(t, "the connection's death", func() bool { return pc.c.Err() != nil })
+			var err error
+			backedOff(t, clk, 2, func() { _, err = do(c, kind, "echo", []byte("x")) })
+			if err == nil {
 				t.Fatal("call against a closed server succeeded")
 			}
 			if st := c.Stats(); st.Retries == 0 || st.Conns != 0 {
@@ -126,13 +144,10 @@ func TestCallKinds(t *testing.T) {
 		}},
 		// The typed ErrRetryBudget, not MaxAttempts, bounds a retry storm.
 		{"stops when the retry budget is dry", func(t *testing.T, kind Kind) {
-			c := newClient(t, deadAddr(t), Options{
-				MaxAttempts: 5,
-				BackoffBase: time.Millisecond,
-				DialTimeout: 500 * time.Millisecond,
-				RetryBudget: NewRetryBudget(0.1, 1),
-			})
-			_, err := do(c, kind, "echo", nil)
+			clk := testutil.NewClock()
+			c := newClient(t, deadAddr(t), Options{MaxAttempts: 5, RetryBudget: NewRetryBudget(0.1, 1), clk: clk})
+			var err error
+			backedOff(t, clk, 1, func() { _, err = do(c, kind, "echo", nil) })
 			if !errors.Is(err, ErrRetryBudget) || !errors.Is(err, orb.ErrDial) {
 				t.Fatalf("err = %v, want ErrRetryBudget wrapping the last attempt's dial failure", err)
 			}
@@ -141,9 +156,10 @@ func TestCallKinds(t *testing.T) {
 			}
 		}},
 		// The failed attempt stays the cause and the count is the attempts
-		// made, not MaxAttempts.
+		// made, not MaxAttempts. The first backoff is at least half of
+		// backoffBase, more than the whole call has.
 		{"a backoff the deadline cannot survive ends the loop", func(t *testing.T, kind Kind) {
-			c := newClient(t, deadAddr(t), Options{MaxAttempts: 5, BackoffBase: time.Minute, BackoffMax: time.Minute, CallTimeout: time.Second})
+			c := newClient(t, deadAddr(t), Options{MaxAttempts: 5, CallTimeout: 10 * time.Millisecond})
 			_, err := do(c, kind, "echo", nil)
 			if !errors.Is(err, orb.ErrDial) || !strings.Contains(err.Error(), "resil: 1 attempts to ") {
 				t.Fatalf("err = %v, want the dial failure under \"resil: 1 attempts to ...\"", err)
@@ -200,15 +216,10 @@ func TestCallKinds(t *testing.T) {
 				defer cancel()
 				drained <- c.Drain(ctx)
 			}()
-			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			testutil.Eventually(t, "new calls to be refused with ErrClosed", func() bool {
 				_, err := do(c, kind, "echo", nil)
-				if errors.Is(err, ErrClosed) {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("new call after Drain = %v, want ErrClosed", err)
-				}
-			}
+				return errors.Is(err, ErrClosed)
+			})
 			close(release)
 			if r := <-inflight; r.err != nil || string(r.reply) != "inflight" {
 				t.Fatalf("in-flight call = %q, %v, want clean completion", r.reply, r.err)
@@ -261,12 +272,10 @@ func TestCallKinds(t *testing.T) {
 				}
 				_ = s.Close()
 				var termErr error
-				for deadline := time.Now().Add(5 * time.Second); termErr == nil; time.Sleep(5 * time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatal("writes kept succeeding after server death")
-					}
+				testutil.Eventually(t, "a write to fail after server death", func() bool {
 					_, termErr = res.Stream.Write([]byte("x"))
-				}
+					return termErr != nil
+				})
 				_ = res.Stream.Close()
 				res.Done(termErr)
 			}
@@ -293,8 +302,14 @@ func TestCallKinds(t *testing.T) {
 			s.RegisterStream("busy", func(ctx context.Context, op uint32, in *orb.StreamReader, out *orb.StreamWriter) error {
 				return shedFirst()
 			})
-			c := newClient(t, s.Addr(), Options{BackoffBase: time.Millisecond})
-			_, err := do(c, kind, "busy", []byte("x"))
+			clk := testutil.NewClock()
+			c := newClient(t, s.Addr(), Options{clk: clk})
+			backoffs := 1 // a buffered shed is retried, a stream's is final
+			if kind == Stream {
+				backoffs = 0
+			}
+			var err error
+			backedOff(t, clk, backoffs, func() { _, err = do(c, kind, "busy", []byte("x")) })
 			st := c.Stats()
 			if kind == Buffered && (err != nil || st.Overloads != 1 || st.Retries != 1) {
 				t.Errorf("err = %v, stats = %+v, want the shed counted and retried to success", err, st)
@@ -349,12 +364,18 @@ func TestCallKinds(t *testing.T) {
 }
 
 // TestStreamNeverHedges: a stream is stateful, so the hedge a buffered
-// call on the same client would get never fires for it, and the pooled
-// connection serves both kinds in turn.
+// call on the same client would get never fires for it, however long the
+// stream stays open, and the pooled connection serves both kinds in turn.
 func TestStreamNeverHedges(t *testing.T) {
-	c := newClient(t, kindOrb(t).Addr(), Options{Hedge: true, HedgeAfter: time.Nanosecond})
+	clk := testutil.NewClock()
+	c := newClient(t, kindOrb(t).Addr(), Options{Hedge: true, clk: clk})
 	for i := 0; i < 3; i++ {
-		if got, err := do(c, Stream, "echo", []byte("payload")); err != nil || string(got) != "payload" {
+		res, err := c.Do(context.Background(), Call{Key: "echo", Op: 1, Kind: Stream})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(time.Second) // far past any hedge delay
+		if got, err := finish(res, []byte("payload")); err != nil || string(got) != "payload" {
 			t.Fatalf("stream %d = %q, %v", i, got, err)
 		}
 	}

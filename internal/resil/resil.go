@@ -16,9 +16,9 @@
 //     content-addressed by fingerprint, loads are keyed by universe
 //     name; remote handler errors are never retried;
 //   - optional hedging: when a call outlives the recent latency
-//     percentile, a second copy races it on another connection and the
-//     first success wins — masking a single slow or silently dead
-//     connection without waiting for the full deadline.
+//     percentile (the delay is always that adaptive one), a second copy
+//     races it on another connection and the first success wins — masking
+//     a slow or silently dead connection without waiting out the deadline.
 //
 // Every call is one Call — key, op, body and a kind — run through one
 // envelope, Do. A stream is a kind of call, not a second API: it shares
@@ -41,19 +41,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/orb"
 )
 
 // ErrClosed is returned by calls on a closed Client.
 var ErrClosed = errors.New("resil: client closed")
 
-// Options configures a Client. Zero values select the defaults.
+// Options configures a Client; zero values select the defaults. Its
+// timings are constants a test runs on a fake clock: retries back off 25ms,
+// doubling with ±50% jitter up to 1s; a connection idle 60s is reaped; the
+// hedge delay is the p95 of the last 128 latencies, 10ms below 8 samples.
 type Options struct {
 	// PoolSize bounds the number of live connections (default 4).
 	PoolSize int
-	// IdleTimeout reaps connections with no in-flight calls that have
-	// been unused this long (default 60s).
-	IdleTimeout time.Duration
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
 	// CallTimeout is the per-call deadline applied when the caller's
@@ -61,35 +62,29 @@ type Options struct {
 	CallTimeout time.Duration
 	// MaxAttempts bounds tries per call, the first included (default 3).
 	MaxAttempts int
-	// BackoffBase is the first retry delay; it doubles per attempt with
-	// ±50% jitter (default 25ms).
-	BackoffBase time.Duration
-	// BackoffMax caps the retry delay (default 1s).
-	BackoffMax time.Duration
 	// Hedge enables request hedging: a duplicate attempt is raced on
-	// another connection once a call outlives the hedge delay. Only
-	// enable against idempotent services.
+	// another connection once a call outlives the adaptive hedge delay.
+	// Only enable against idempotent services.
 	Hedge bool
-	// HedgeAfter is a fixed hedge delay. When 0, the delay tracks the
-	// hedgePercentile of recently observed call latencies.
-	HedgeAfter time.Duration
 	// RetryBudget governs retries and hedges as a fraction of successes
 	// (see RetryBudget). Nil creates a private budget with the defaults;
 	// pass one instance to several Clients to make the cap shared (the
 	// cluster client does this across its member pools).
 	RetryBudget *RetryBudget
+	clk         clock.Clock // nil selects clock.Real; tests substitute a fake
 }
 
-// hedgePercentile is the latency percentile used as the hedge delay when
-// HedgeAfter is 0.
-const hedgePercentile = 0.95
+// The Client's timings, as Options gives them.
+const (
+	idleTimeout     = 60 * time.Second
+	backoffBase     = 25 * time.Millisecond
+	backoffMax      = time.Second
+	hedgePercentile = 0.95
+)
 
 func (o Options) withDefaults() Options {
 	if o.PoolSize <= 0 {
 		o.PoolSize = 4
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 60 * time.Second
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
@@ -100,14 +95,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 25 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = time.Second
-	}
 	if o.RetryBudget == nil {
 		o.RetryBudget = NewRetryBudget(0, 0)
+	}
+	if o.clk == nil {
+		o.clk = clock.Real
 	}
 	return o
 }
@@ -152,9 +144,7 @@ type Client struct {
 	dialed   chan struct{} // closed and replaced each time a dial ends
 	closed   bool
 	draining bool
-
-	stop chan struct{}
-	done chan struct{}
+	reaper   clock.Timer
 
 	lat latencyWindow
 
@@ -174,10 +164,10 @@ func New(addr string, opts Options) *Client {
 		addr:   addr,
 		opts:   opts.withDefaults(),
 		dialed: make(chan struct{}),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
-	go c.reapLoop()
+	c.mu.Lock() // the reaper reads its own timer under mu
+	c.reaper = c.opts.clk.AfterFunc(idleTimeout/4, c.reap)
+	c.mu.Unlock()
 	return c
 }
 
@@ -192,9 +182,8 @@ func (c *Client) Close() error {
 	c.closed = true
 	conns := c.conns
 	c.conns = nil
+	c.reaper.Stop()
 	c.mu.Unlock()
-	close(c.stop)
-	<-c.done
 	for _, pc := range conns {
 		_ = pc.c.Close()
 	}
@@ -260,38 +249,28 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-// reapLoop closes connections that have sat idle past IdleTimeout.
-func (c *Client) reapLoop() {
-	defer close(c.done)
-	interval := c.opts.IdleTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+// reap closes connections that have sat idle past idleTimeout, and
+// re-arms itself until Close.
+func (c *Client) reap() {
+	cutoff := c.opts.clk.Now().Add(-idleTimeout).UnixNano()
+	var idle []*pconn
+	c.mu.Lock()
+	live := c.conns[:0]
+	for _, pc := range c.conns {
+		if pc.inflight.Load() == 0 && pc.lastUsed.Load() < cutoff {
+			idle = append(idle, pc)
+			continue
+		}
+		live = append(live, pc)
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-		}
-		cutoff := time.Now().Add(-c.opts.IdleTimeout).UnixNano()
-		var idle []*pconn
-		c.mu.Lock()
-		live := c.conns[:0]
-		for _, pc := range c.conns {
-			if pc.inflight.Load() == 0 && pc.lastUsed.Load() < cutoff {
-				idle = append(idle, pc)
-				continue
-			}
-			live = append(live, pc)
-		}
-		c.conns = live
-		c.mu.Unlock()
-		for _, pc := range idle {
-			c.discards.Add(1)
-			_ = pc.c.Close()
-		}
+	c.conns = live
+	if !c.closed {
+		c.reaper.Reset(idleTimeout / 4)
+	}
+	c.mu.Unlock()
+	for _, pc := range idle {
+		c.discards.Add(1)
+		_ = pc.c.Close()
 	}
 }
 
@@ -387,7 +366,7 @@ func (c *Client) dial(ctx context.Context) (*pconn, error) {
 	}
 	c.dials.Add(1)
 	pc := &pconn{c: oc}
-	pc.lastUsed.Store(time.Now().UnixNano())
+	pc.lastUsed.Store(c.opts.clk.Now().UnixNano())
 	pc.inflight.Add(1)
 	c.conns = append(c.conns, pc)
 	c.mu.Unlock()
@@ -396,7 +375,7 @@ func (c *Client) dial(ctx context.Context) (*pconn, error) {
 
 // release returns a connection to the pool after a call.
 func (c *Client) release(pc *pconn) {
-	pc.lastUsed.Store(time.Now().UnixNano())
+	pc.lastUsed.Store(c.opts.clk.Now().UnixNano())
 	pc.inflight.Add(-1)
 }
 
@@ -650,8 +629,8 @@ func (c *Client) hedged(ctx context.Context, call Call) ([]byte, error) {
 		return pc
 	}
 	primary := run(false, nil)
-	timer := time.NewTimer(c.hedgeDelay())
-	defer timer.Stop()
+	fire := make(chan struct{}, 1)
+	defer c.opts.clk.AfterFunc(c.hedgeDelay(), func() { fire <- struct{}{} }).Stop()
 	launched := 1
 	var lastErr error
 	for got := 0; got < launched; {
@@ -667,19 +646,17 @@ func (c *Client) hedged(ctx context.Context, call Call) ([]byte, error) {
 			if lastErr == nil || !errors.Is(r.err, orb.ErrCanceled) {
 				lastErr = r.err
 			}
-		case <-timer.C:
-			if launched == 1 {
-				// A hedge is a speculative retry; it spends the same budget
-				// token a retry would. Refused hedges just let the primary
-				// run to its own deadline.
-				if !c.opts.RetryBudget.Withdraw() {
-					c.budgetExhausted.Add(1)
-					continue
-				}
-				c.hedges.Add(1)
-				run(true, primary)
-				launched = 2
+		case <-fire:
+			// A hedge is a speculative retry; it spends the same budget
+			// token a retry would. Refused hedges just let the primary run
+			// to its own deadline.
+			if !c.opts.RetryBudget.Withdraw() {
+				c.budgetExhausted.Add(1)
+				continue
 			}
+			c.hedges.Add(1)
+			run(true, primary)
+			launched = 2
 		}
 	}
 	return nil, lastErr
@@ -687,22 +664,18 @@ func (c *Client) hedged(ctx context.Context, call Call) ([]byte, error) {
 
 // hedgeDelay is the time to let the primary run before hedging.
 func (c *Client) hedgeDelay() time.Duration {
-	if c.opts.HedgeAfter > 0 {
-		return c.opts.HedgeAfter
-	}
 	if d, ok := c.lat.percentile(hedgePercentile); ok {
 		return d
 	}
-	// No samples yet: a conservative cold-start delay.
-	return 10 * time.Millisecond
+	return 10 * time.Millisecond // no samples yet: the cold-start delay
 }
 
 // backoff sleeps the exponential-with-jitter retry delay, aborting if
 // the call's context expires first.
 func (c *Client) backoff(ctx context.Context, attempt int) error {
-	d := c.opts.BackoffBase << (attempt - 1)
-	if d > c.opts.BackoffMax || d <= 0 {
-		d = c.opts.BackoffMax
+	d := backoffBase << (attempt - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	// Jitter to ±50% so synchronized clients don't retry in lockstep.
 	d = d/2 + time.Duration(rand.Int63n(int64(d)))
@@ -713,10 +686,10 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
 		return context.DeadlineExceeded
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	wake := make(chan struct{})
+	defer c.opts.clk.AfterFunc(d, func() { close(wake) }).Stop()
 	select {
-	case <-t.C:
+	case <-wake:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

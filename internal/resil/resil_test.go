@@ -37,18 +37,22 @@ func newClient(t *testing.T, addr string, opts Options) *Client {
 	return c
 }
 
+// TestIdleReap: the reaper, ticking every quarter idleTimeout, keeps a
+// connection idle for exactly idleTimeout and closes it by the next tick.
 func TestIdleReap(t *testing.T) {
 	s := echoOrb(t)
-	c := newClient(t, s.Addr(), Options{IdleTimeout: 40 * time.Millisecond})
+	clk := testutil.NewClock()
+	c := newClient(t, s.Addr(), Options{clk: clk})
 	if _, err := c.InvokeContext(context.Background(), "echo", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().Conns != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle connection not reaped: %+v", c.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
+	clk.Advance(idleTimeout)
+	if st := c.Stats(); st.Conns != 1 {
+		t.Fatalf("a connection idle for idleTimeout was reaped: %+v", st)
+	}
+	clk.Advance(idleTimeout / 4)
+	if st := c.Stats(); st.Conns != 0 || st.Discards != 1 {
+		t.Fatalf("idle connection not reaped: %+v", st)
 	}
 	// The pool re-dials transparently after the reap.
 	if _, err := c.InvokeContext(context.Background(), "echo", 0, nil); err != nil {
@@ -60,33 +64,32 @@ func TestIdleReap(t *testing.T) {
 }
 
 func TestHedgingMasksSlowReplica(t *testing.T) {
-	s, err := orb.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
+	s := echoOrb(t)
 	var calls atomic.Int64
-	release := make(chan struct{})
+	stalled, release := make(chan struct{}), make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	s.Register("flaky", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		if calls.Add(1) == 1 {
+			close(stalled)
 			<-release // first request stalls until the test ends
 		}
 		return []byte("ok"), nil
 	})
-	c := newClient(t, s.Addr(), Options{
-		PoolSize:    2,
-		Hedge:       true,
-		HedgeAfter:  20 * time.Millisecond,
-		CallTimeout: 10 * time.Second,
-	})
-	start := time.Now()
-	reply, err := c.InvokeContext(context.Background(), "flaky", 0, nil)
+	clk := testutil.NewClock()
+	c := newClient(t, s.Addr(), Options{PoolSize: 2, Hedge: true, CallTimeout: 10 * time.Second, clk: clk})
+	var reply []byte
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		reply, err = c.InvokeContext(context.Background(), "flaky", 0, nil)
+	}()
+	<-stalled
+	clk.WaitArmed(t, 2) // the reaper and the hedge
+	clk.Advance(10 * time.Millisecond)
+	<-done
 	if err != nil || string(reply) != "ok" {
 		t.Fatalf("reply = %q err = %v", reply, err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hedge did not mask the stalled primary (took %v)", elapsed)
 	}
 	if st := c.Stats(); st.Hedges != 1 || st.HedgeWins != 1 {
 		t.Errorf("stats = %+v, want 1 hedge / 1 win", st)
@@ -175,7 +178,6 @@ func TestChaosMatrixReset(t *testing.T) {
 	_, p := chaosPair(t, chaos.Faults{ResetAfter: 100})
 	c := newClient(t, p.Addr(), Options{
 		PoolSize:    1,
-		BackoffBase: time.Millisecond,
 		CallTimeout: 5 * time.Second,
 	})
 	start := time.Now()
@@ -218,7 +220,6 @@ func TestChaosMatrixTruncation(t *testing.T) {
 	_, p := chaosPair(t, chaos.Faults{TruncateAfter: 20})
 	c := newClient(t, p.Addr(), Options{
 		MaxAttempts: 3,
-		BackoffBase: time.Millisecond,
 		CallTimeout: 3 * time.Second,
 	})
 	start := time.Now()
@@ -245,7 +246,6 @@ func TestChaosMatrixHealedProxy(t *testing.T) {
 	_, p := chaosPair(t, chaos.Faults{DropOnAccept: true})
 	c := newClient(t, p.Addr(), Options{
 		MaxAttempts: 2,
-		BackoffBase: time.Millisecond,
 		CallTimeout: 2 * time.Second,
 	})
 	if _, err := c.InvokeContext(context.Background(), "echo", 0, nil); err == nil {
