@@ -145,11 +145,11 @@ func TestBridgeRejectsNullElement(t *testing.T) {
 }
 
 // TestFitterHandWrittenAllocs pins what the hand-written bridge allocates
-// on 64 points — the arena, its reserved word and its one sizing, the C
-// frame, and the three result objects at two allocations each: ten — so
-// that the fused stub's ceiling (fuse.TestFusedInvokeAllocs) stands next
-// to a measured number, not a remembered one. The ceiling is that plus
-// one.
+// on 64 points — the arena, its reserved word and its one sizing, and the
+// C frame: four; its three result objects come from jheap's slabs, a share
+// of one allocation each — so that the fused stub's ceiling
+// (fuse.TestFusedInvokeAllocs) stands next to a measured number, not a
+// remembered one. The ceiling is that plus one.
 func TestFitterHandWrittenAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates")
@@ -166,8 +166,8 @@ func TestFitterHandWrittenAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("a hand-written fitter call on 64 points allocates %v times", allocs)
-	if allocs > 11 {
-		t.Errorf("a hand-written fitter call on 64 points allocates %v times, ceiling 11", allocs)
+	if allocs > 5 {
+		t.Errorf("a hand-written fitter call on 64 points allocates %v times, ceiling 5", allocs)
 	}
 }
 

@@ -69,8 +69,15 @@ func (a *Arena) Alloc(size, align int) Addr {
 	if size == 0 {
 		need = off + 1
 	}
-	a.buf = append(a.buf, make([]byte, need-len(a.buf))...) // one step; bytes past the length are never written, so still zero
+	// One step, and it zeroes what it extends: a Reset leaves old bytes there.
+	a.buf = append(a.buf, make([]byte, need-len(a.buf))...)
 	return Addr(off)
+}
+
+// Reset empties the arena for reuse, keeping its buffer; the reserved word reads 0.
+func (a *Arena) Reset() {
+	a.buf = a.buf[:8]
+	clear(a.buf)
 }
 
 // Grow makes room for n more bytes, so that allocations adding up to n

@@ -22,6 +22,42 @@ func TestAllocAlignmentAndZeroing(t *testing.T) {
 	}
 }
 
+// TestResetThenAllocIsZero: a reset arena keeps its buffer, so the bytes
+// past its length are what the last user wrote; Alloc must still hand out
+// zeroed memory, and the reserved word must read zero again.
+func TestResetThenAllocIsZero(t *testing.T) {
+	a := NewArena()
+	a.Grow(256)
+	at := a.Alloc(200, 8)
+	for i := range a.buf {
+		a.buf[i] = 0xA5 // the reserved word too
+	}
+	a.Reset()
+	if a.Size() != 8 {
+		t.Fatalf("reset arena has size %d, want 8", a.Size())
+	}
+	for i, b := range a.buf {
+		if b != 0 {
+			t.Fatalf("reserved byte %d reads %#x after Reset", i, b)
+		}
+	}
+	if again := a.Alloc(200, 8); again != at {
+		t.Fatalf("the same allocation after Reset is at %d, was at %d", again, at)
+	}
+	w, err := a.Window(at, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range w {
+		if b != 0 {
+			t.Fatalf("byte %d of a fresh allocation reads %#x after Reset", i, b)
+		}
+	}
+	if cap(a.buf) < 256 {
+		t.Errorf("Reset dropped the buffer: cap %d", cap(a.buf))
+	}
+}
+
 func TestAllocZeroSizeUnique(t *testing.T) {
 	a := NewArena()
 	p1 := a.Alloc(0, 1)

@@ -3,6 +3,7 @@ package fuse
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cmem"
 	"repro/internal/compare"
@@ -29,6 +30,7 @@ type Call struct {
 	// the outputs lie in, then the leaves. nRegs counts both's registers.
 	request, reply []move
 	nRegs          int
+	frames         sync.Pool // of *frame, each with its arena and C frame
 }
 
 // under lists the live leaves of a flattened record that lie in its first
@@ -106,6 +108,8 @@ func (cp *compiler) pair(n *plan.Node, aIdx, bIdx []int, jls []jLeaf, cls []cLea
 // plan for the request records (Java→C) and repPlan for the reply records
 // (C→Java); both come from a successful equivalence match (see
 // CompileFromSession, which assembles all of this from a core.Session).
+// impl is the C function: the arena and the argument words it is handed
+// are valid only until it returns, when the next call may reuse them.
 // Constructs outside the fused subset return ErrUnsupported-wrapped errors.
 func CompileCall(
 	jU *stype.Universe, jFn *stype.Type,
@@ -127,6 +131,9 @@ func CompileCall(
 		return nil, err
 	}
 	call := &Call{model: model, impl: impl, nCArgs: len(cFn.Params), nArgs: len(jFn.Params)}
+	call.frames.New = func() any {
+		return &frame{mem: cmem.NewArena(), words: make([]uint64, call.nCArgs+1), ptr: model.PointerSize()}
+	}
 
 	// Java side of the request: one frame slot per parameter.
 	var jls []jLeaf
@@ -254,7 +261,8 @@ func arenaNeed(moves []move, h *jheap.Heap, args []jheap.Slot) (n int) {
 }
 
 // Invoke runs the fused call: Java argument slots in, Java output slots
-// out (the return value, if any). The arena is sized once, before the
+// out (the return value, if any). Its frame (arena and C frame) is one an
+// earlier call gave back emptied; the arena is sized once, before the
 // request runs, so that no window the request holds is moved.
 func (c *Call) Invoke(h *jheap.Heap, args []jheap.Slot) ([]jheap.Slot, error) {
 	if len(args) < c.nArgs {
@@ -265,7 +273,9 @@ func (c *Call) Invoke(h *jheap.Heap, args []jheap.Slot) ([]jheap.Slot, error) {
 	if c.nRegs > len(few) {
 		regs = make([]reg, c.nRegs)
 	}
-	fr := &frame{h: h, mem: cmem.NewArena(), words: make([]uint64, c.nCArgs+1), ptr: c.model.PointerSize()}
+	fr := c.frames.Get().(*frame)
+	defer c.release(fr)
+	fr.h = h
 	fr.mem.Grow(arenaNeed(c.request, h, args))
 	regs[0].obj = args
 	if err := fr.toC(regs, c.request); err != nil {
@@ -282,4 +292,12 @@ func (c *Call) Invoke(h *jheap.Heap, args []jheap.Slot) ([]jheap.Slot, error) {
 		return nil, err
 	}
 	return outs, nil
+}
+
+// release empties a frame and gives it back for the next call.
+func (c *Call) release(fr *frame) {
+	fr.h = nil
+	fr.mem.Reset()
+	clear(fr.words)
+	c.frames.Put(fr)
 }

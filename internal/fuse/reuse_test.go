@@ -1,0 +1,136 @@
+package fuse
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/cmem"
+	"repro/internal/jheap"
+)
+
+// TestReusedFrameLeaksNothing: a Call hands its frames — arena and C frame
+// — from one Invoke to the next, so nothing a call leaves there may reach
+// a later one. Eight goroutines share one Call, each with its own heap and
+// point counts that differ from call to call, so a frame's arena is laid
+// out differently each time it comes back; every fifth call is first
+// spoiled, failing on the last element of its list with the array and
+// the arena written up to it. Every good call must return the oracle's Line, and the C
+// function checks at entry that its out buffers read zero, as Alloc
+// promises.
+func TestReusedFrameLeaksNothing(t *testing.T) {
+	var dirty atomic.Int64
+	checked := fitterPair
+	checked.impl = func(mem *cmem.Arena, args []uint64) (uint64, error) {
+		for _, at := range args[2:4] {
+			for i := 0; i < 8; i += 4 {
+				if u, err := mem.ReadU(cmem.Addr(at)+cmem.Addr(i), 4); err != nil || u != 0 {
+					dirty.Add(1)
+					return 0, fmt.Errorf("out buffer at %d+%d reads %#x (%v) on entry", at, i, u, err)
+				}
+			}
+		}
+		return cFitterImpl(mem, args)
+	}
+	_, _, call := checked.compile(t, cmem.ILP32)
+
+	// Every goroutine's heap and vectors are built here, on the test's own
+	// goroutine, and then belong to that goroutine alone.
+	const goroutines, rounds = 8, 100
+	type round struct {
+		coords        []float64
+		good, spoiled jheap.Ref // spoiled is null on four rounds of five
+	}
+	heaps, plans := make([]*jheap.Heap, goroutines), make([][]round, goroutines)
+	for g := range heaps {
+		h := jheap.NewHeap()
+		heaps[g] = h
+		for r := 0; r < rounds; r++ {
+			coords := make([]float64, 2*(1+(7*g+13*r)%40))
+			for i := range coords {
+				coords[i] = float64((31*g+17*r+7*i)%97) - 48.5
+			}
+			rd := round{coords: coords, good: buildHeapPoints(t, h, coords...)}
+			if r%5 == 0 {
+				// The good points, then a null element or a Point whose x
+				// is an int: the call fails after writing the good ones.
+				rd.spoiled = buildHeapPoints(t, h, coords...)
+				bad := jheap.NullRef
+				if r%10 == 0 {
+					bad = h.New("Point", 2)
+					if h.SetField(bad, 0, jheap.IntSlot(3)) != nil || h.SetField(bad, 1, jheap.FloatSlot(4)) != nil {
+						t.Fatal("cannot build the ill-kinded Point")
+					}
+				}
+				if h.VectorAppend(rd.spoiled, bad) != nil {
+					t.Fatal("cannot build the spoiled vector")
+				}
+			}
+			plans[g] = append(plans[g], rd)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := range heaps {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := heaps[g]
+			for r, rd := range plans[g] {
+				if rd.spoiled != jheap.NullRef {
+					if _, err := call.Invoke(h, []jheap.Slot{jheap.RefSlot(rd.spoiled)}); err == nil {
+						errs <- fmt.Errorf("goroutine %d round %d: a spoiled vector was accepted", g, r)
+						return
+					}
+				}
+				outs, err := call.Invoke(h, []jheap.Slot{jheap.RefSlot(rd.good)})
+				if err == nil {
+					err = sameLine(h, outs, rd.coords)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d round %d (%d points): %w", g, r, len(rd.coords)/2, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := dirty.Load(); n > 0 {
+		t.Errorf("the C function found written out buffers on entry %d times", n)
+	}
+}
+
+// sameLine checks that a fitter's outputs are the Line the oracle, a
+// bounding box computed in plain Go, says.
+func sameLine(h *jheap.Heap, outs []jheap.Slot, coords []float64) error {
+	if len(outs) != 1 {
+		return fmt.Errorf("%d outputs, want the Line", len(outs))
+	}
+	want := [4]float32{float32(coords[0]), float32(coords[1]), float32(coords[0]), float32(coords[1])}
+	for i := 0; i+1 < len(coords); i += 2 {
+		x, y := float32(coords[i]), float32(coords[i+1])
+		want = [4]float32{min(want[0], x), min(want[1], y), max(want[2], x), max(want[3], y)}
+	}
+	var got [4]float32
+	for i := 0; i < 4; i++ {
+		pt, err := h.Field(outs[0].R, i/2)
+		if err != nil {
+			return err
+		}
+		f, err := h.Field(pt.R, i%2)
+		if err != nil {
+			return err
+		}
+		got[i] = float32(f.F)
+	}
+	if got != want {
+		return fmt.Errorf("Line %v, oracle %v", got, want)
+	}
+	return nil
+}

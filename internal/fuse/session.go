@@ -10,7 +10,8 @@ import (
 // core.Session.MethodDecl to synthesize one from an interface method),
 // cDecl a C function. The plans come from the session's one call-plan
 // assembler, so the comparison runs under the session's rules and
-// semantic registrations exactly as it does for a core.CallStub.
+// semantic registrations exactly as it does for a core.CallStub. As in
+// CompileCall, what impl is handed is valid only until it returns.
 func CompileFromSession(
 	sess *core.Session,
 	jUniverse, jDecl, cUniverse, cDecl string,

@@ -51,49 +51,62 @@ func RefSlot(r Ref) Slot { return Slot{Kind: SlotRef, R: r} }
 type object struct {
 	class  string
 	fields []Slot
-	// elems is the backing store of Vectors and reference arrays.
-	elems []Ref
-	// prims is the backing store of primitive arrays.
-	prims []Slot
+	box    *box // the elements of a built-in container, nil for others
 	// isVector / isArray discriminate the built-in container kinds.
 	isVector  bool
 	isRefArr  bool
 	isPrimArr bool
 }
 
-// Heap is a simulated Java heap. The zero value is not usable; call
-// NewHeap.
-type Heap struct {
-	objects []*object // index 0 unused (null)
+// box is the backing store of Vectors and reference arrays, or of primitive arrays.
+type box struct {
+	elems []Ref
+	prims []Slot
 }
+
+// Heap is a simulated Java heap; nothing in it moves or is freed.
+type Heap struct {
+	slabs [][]object // object r is slabs[(r-1)/objSlab][(r-1)%objSlab]
+	live  int
+	slots []Slot // what is left of the slab fields are carved from
+}
+
+const objSlab, slotSlab = 64, 256 // objects and field slots a slab holds
 
 // NewHeap returns an empty heap.
-func NewHeap() *Heap {
-	return &Heap{objects: make([]*object, 1)}
-}
+func NewHeap() *Heap { return &Heap{} }
 
 // Live returns the number of live objects.
-func (h *Heap) Live() int { return len(h.objects) - 1 }
+func (h *Heap) Live() int { return h.live }
 
-func (h *Heap) add(o *object) Ref {
-	h.objects = append(h.objects, o)
-	return Ref(len(h.objects) - 1)
+func (h *Heap) add(o object) Ref {
+	if h.live%objSlab == 0 {
+		h.slabs = append(h.slabs, make([]object, objSlab))
+	}
+	h.slabs[h.live/objSlab][h.live%objSlab] = o
+	h.live++
+	return Ref(h.live)
 }
 
 func (h *Heap) get(r Ref) (*object, error) {
 	if r == NullRef {
 		return nil, fmt.Errorf("jheap: null reference")
 	}
-	if int(r) >= len(h.objects) || r < 0 {
+	if int(r) > h.live || r < 0 {
 		return nil, fmt.Errorf("jheap: dangling reference %d", r)
 	}
-	return h.objects[r], nil
+	return &h.slabs[(r-1)/objSlab][(r-1)%objSlab], nil
 }
 
 // New allocates an object of the class with the given field count; fields
-// start zeroed (int 0 / null).
+// start zeroed (int 0 / null), with no spare room an append could reach.
 func (h *Heap) New(class string, numFields int) Ref {
-	return h.add(&object{class: class, fields: make([]Slot, numFields)})
+	if numFields > len(h.slots) {
+		h.slots = make([]Slot, max(slotSlab, numFields))
+	}
+	fields := h.slots[:numFields:numFields]
+	h.slots = h.slots[numFields:]
+	return h.add(object{class: class, fields: fields})
 }
 
 // Class returns the class name of the object.
@@ -146,7 +159,7 @@ func (h *Heap) NewVector(class string) Ref {
 	if class == "" {
 		class = "java.util.Vector"
 	}
-	return h.add(&object{class: class, isVector: true})
+	return h.add(object{class: class, isVector: true, box: &box{}})
 }
 
 // VectorAppend appends an element reference.
@@ -158,7 +171,7 @@ func (h *Heap) VectorAppend(r Ref, elem Ref) error {
 	if !o.isVector {
 		return fmt.Errorf("jheap: %s is not a Vector", o.class)
 	}
-	o.elems = append(o.elems, elem)
+	o.box.elems = append(o.box.elems, elem)
 	return nil
 }
 
@@ -171,7 +184,7 @@ func (h *Heap) VectorLen(r Ref) (int, error) {
 	if !o.isVector {
 		return 0, fmt.Errorf("jheap: %s is not a Vector", o.class)
 	}
-	return len(o.elems), nil
+	return len(o.box.elems), nil
 }
 
 // VectorAt returns the element at index i.
@@ -183,10 +196,10 @@ func (h *Heap) VectorAt(r Ref, i int) (Ref, error) {
 	if !o.isVector {
 		return NullRef, fmt.Errorf("jheap: %s is not a Vector", o.class)
 	}
-	if i < 0 || i >= len(o.elems) {
-		return NullRef, fmt.Errorf("jheap: vector index %d out of range %d", i, len(o.elems))
+	if i < 0 || i >= len(o.box.elems) {
+		return NullRef, fmt.Errorf("jheap: vector index %d out of range %d", i, len(o.box.elems))
 	}
-	return o.elems[i], nil
+	return o.box.elems[i], nil
 }
 
 // VectorElems returns the Vector's element references themselves, not a
@@ -199,17 +212,17 @@ func (h *Heap) VectorElems(r Ref) ([]Ref, error) {
 	if !o.isVector {
 		return nil, fmt.Errorf("jheap: %s is not a Vector", o.class)
 	}
-	return o.elems[:len(o.elems):len(o.elems)], nil
+	return o.box.elems[:len(o.box.elems):len(o.box.elems)], nil
 }
 
 // NewRefArray allocates a reference array (elements start null).
 func (h *Heap) NewRefArray(class string, length int) Ref {
-	return h.add(&object{class: class + "[]", isRefArr: true, elems: make([]Ref, length)})
+	return h.add(object{class: class + "[]", isRefArr: true, box: &box{elems: make([]Ref, length)}})
 }
 
 // NewPrimArray allocates a primitive array of the given slot kind.
 func (h *Heap) NewPrimArray(class string, length int) Ref {
-	return h.add(&object{class: class + "[]", isPrimArr: true, prims: make([]Slot, length)})
+	return h.add(object{class: class + "[]", isPrimArr: true, box: &box{prims: make([]Slot, length)}})
 }
 
 // ArrayLen returns the length of a reference or primitive array, or of a
@@ -221,9 +234,9 @@ func (h *Heap) ArrayLen(r Ref) (int, error) {
 	}
 	switch {
 	case o.isRefArr, o.isVector:
-		return len(o.elems), nil
+		return len(o.box.elems), nil
 	case o.isPrimArr:
-		return len(o.prims), nil
+		return len(o.box.prims), nil
 	default:
 		return 0, fmt.Errorf("jheap: %s is not an array", o.class)
 	}
@@ -238,10 +251,10 @@ func (h *Heap) RefArraySet(r Ref, i int, elem Ref) error {
 	if !o.isRefArr {
 		return fmt.Errorf("jheap: %s is not a reference array", o.class)
 	}
-	if i < 0 || i >= len(o.elems) {
-		return fmt.Errorf("jheap: index %d out of range %d", i, len(o.elems))
+	if i < 0 || i >= len(o.box.elems) {
+		return fmt.Errorf("jheap: index %d out of range %d", i, len(o.box.elems))
 	}
-	o.elems[i] = elem
+	o.box.elems[i] = elem
 	return nil
 }
 
@@ -254,10 +267,10 @@ func (h *Heap) RefArrayAt(r Ref, i int) (Ref, error) {
 	if !o.isRefArr {
 		return NullRef, fmt.Errorf("jheap: %s is not a reference array", o.class)
 	}
-	if i < 0 || i >= len(o.elems) {
-		return NullRef, fmt.Errorf("jheap: index %d out of range %d", i, len(o.elems))
+	if i < 0 || i >= len(o.box.elems) {
+		return NullRef, fmt.Errorf("jheap: index %d out of range %d", i, len(o.box.elems))
 	}
-	return o.elems[i], nil
+	return o.box.elems[i], nil
 }
 
 // PrimArraySet stores into a primitive array.
@@ -269,10 +282,10 @@ func (h *Heap) PrimArraySet(r Ref, i int, s Slot) error {
 	if !o.isPrimArr {
 		return fmt.Errorf("jheap: %s is not a primitive array", o.class)
 	}
-	if i < 0 || i >= len(o.prims) {
-		return fmt.Errorf("jheap: index %d out of range %d", i, len(o.prims))
+	if i < 0 || i >= len(o.box.prims) {
+		return fmt.Errorf("jheap: index %d out of range %d", i, len(o.box.prims))
 	}
-	o.prims[i] = s
+	o.box.prims[i] = s
 	return nil
 }
 
@@ -285,10 +298,10 @@ func (h *Heap) PrimArrayAt(r Ref, i int) (Slot, error) {
 	if !o.isPrimArr {
 		return Slot{}, fmt.Errorf("jheap: %s is not a primitive array", o.class)
 	}
-	if i < 0 || i >= len(o.prims) {
-		return Slot{}, fmt.Errorf("jheap: index %d out of range %d", i, len(o.prims))
+	if i < 0 || i >= len(o.box.prims) {
+		return Slot{}, fmt.Errorf("jheap: index %d out of range %d", i, len(o.box.prims))
 	}
-	return o.prims[i], nil
+	return o.box.prims[i], nil
 }
 
 // IsVector reports whether the reference is a Vector.

@@ -206,6 +206,62 @@ func TestFields(t *testing.T) {
 	}
 }
 
+// TestSlabsKeepObjectsApart: objects carved from one slab do not share
+// fields — each field slice ends where its object does, and a store into
+// one object leaves its neighbours as they were — and what an early object
+// holds survives thousands of later allocations, over many slabs, one too
+// wide for a slab among them.
+func TestSlabsKeepObjectsApart(t *testing.T) {
+	h := NewHeap()
+	refs := make([]Ref, 300) // five slabs of objects, three of slots
+	for i := range refs {
+		refs[i] = h.New("P", 1+i%5)
+		fields, err := h.Fields(refs[i])
+		if err != nil || cap(fields) != len(fields) || len(fields) != 1+i%5 {
+			t.Fatalf("object %d: fields len %d cap %d, %v", i, len(fields), cap(fields), err)
+		}
+	}
+	// unchanged reports whether object i's fields all still read zero.
+	unchanged := func(i int) bool {
+		fields, _ := h.Fields(refs[i])
+		for _, s := range fields {
+			if s != (Slot{}) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 1; i+1 < len(refs); i++ {
+		for f := 0; f < 1+i%5; f++ {
+			if err := h.SetField(refs[i], f, IntSlot(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !unchanged(i-1) || !unchanged(i+1) {
+			t.Fatalf("a store into object %d reached a neighbour", i)
+		}
+		fields, _ := h.Fields(refs[i])
+		clear(fields)
+	}
+
+	first, _ := h.Fields(refs[0])
+	first[0] = FloatSlot(2.5)
+	live := h.Live()
+	for i := 0; i < 10000; i++ {
+		h.New("Q", i%7)
+	}
+	wide := h.New("Wide", 3*slotSlab)
+	if h.Live() != live+10001 {
+		t.Errorf("live = %d after 10 001 more objects, want %d", h.Live(), live+10001)
+	}
+	if s, _ := h.Field(refs[0], 0); s != FloatSlot(2.5) || first[0] != s {
+		t.Errorf("the first object's field reads %+v (its slice %+v) after 10 000 more", s, first[0])
+	}
+	if f, _ := h.Fields(wide); len(f) != 3*slotSlab || cap(f) != len(f) {
+		t.Errorf("a wide object has %d fields, cap %d", len(f), cap(f))
+	}
+}
+
 // TestVectorElems: the accessor hands out the Vector's own elements,
 // clipped, under the checks VectorLen and VectorAt make per call.
 func TestVectorElems(t *testing.T) {
