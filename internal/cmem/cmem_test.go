@@ -373,3 +373,73 @@ func TestWindow(t *testing.T) {
 		t.Error("WriteU took a 3-byte scalar")
 	}
 }
+
+// TestAccessorErrors pins the exact error of every accessor on each way an
+// access fails: NULL, starting one byte past the end, straddling the end
+// by one byte and, where the caller names the width, a size no scalar
+// has. The bounds are checked before the size. The arena is 24 bytes:
+// the reserved word and one 16-byte block at 8.
+func TestAccessorErrors(t *testing.T) {
+	a := NewArena()
+	if at := a.Alloc(16, 8); at != 8 || a.Size() != 24 {
+		t.Fatalf("the block is at %d of %d bytes, want 8 of 24", at, a.Size())
+	}
+	type access func(at Addr, size int) error
+	accessors := []struct {
+		name  string
+		width int // 0: the caller names it
+		fn    access
+	}{
+		{"ReadU", 0, func(at Addr, n int) error { _, err := a.ReadU(at, n); return err }},
+		{"WriteU", 0, func(at Addr, n int) error { return a.WriteU(at, n, 1) }},
+		{"ReadI", 0, func(at Addr, n int) error { _, err := a.ReadI(at, n); return err }},
+		{"ReadF32", 4, func(at Addr, _ int) error { _, err := a.ReadF32(at); return err }},
+		{"WriteF32", 4, func(at Addr, _ int) error { return a.WriteF32(at, 1) }},
+		{"ReadF64", 8, func(at Addr, _ int) error { _, err := a.ReadF64(at); return err }},
+		{"WriteF64", 8, func(at Addr, _ int) error { return a.WriteF64(at, 1) }},
+		{"ReadPtr/ILP32", 4, func(at Addr, _ int) error { _, err := a.ReadPtr(at, ILP32); return err }},
+		{"WritePtr/ILP32", 4, func(at Addr, _ int) error { return a.WritePtr(at, ILP32, 8) }},
+		{"ReadPtr/LP64", 8, func(at Addr, _ int) error { _, err := a.ReadPtr(at, LP64); return err }},
+		{"WritePtr/LP64", 8, func(at Addr, _ int) error { return a.WritePtr(at, LP64, 8) }},
+		{"Window", 0, func(at Addr, n int) error { _, err := a.Window(at, n); return err }},
+	}
+	type fault struct {
+		at   Addr
+		size int
+		want string
+	}
+	bounds := map[int][]fault{
+		4: {
+			{Null, 4, "cmem: NULL dereference"},
+			{24, 4, "cmem: access [24,28) beyond arena size 24"},
+			{21, 4, "cmem: access [21,25) beyond arena size 24"},
+		},
+		8: {
+			{Null, 8, "cmem: NULL dereference"},
+			{24, 8, "cmem: access [24,32) beyond arena size 24"},
+			{17, 8, "cmem: access [17,25) beyond arena size 24"},
+		},
+	}
+	sizes := []fault{
+		{8, 3, "cmem: invalid scalar size 3"},
+		{8, 0, "cmem: invalid scalar size 0"},
+		{8, 16, "cmem: invalid scalar size 16"},
+		{24, 3, "cmem: access [24,27) beyond arena size 24"},
+		{Null, 3, "cmem: NULL dereference"},
+	}
+	for _, acc := range accessors {
+		faults := bounds[acc.width]
+		switch {
+		case acc.name == "Window":
+			faults = append(bounds[4], bounds[8]...)
+		case acc.width == 0:
+			faults = append(append(bounds[4], bounds[8]...), sizes...)
+		}
+		for _, f := range faults {
+			err := acc.fn(f.at, f.size)
+			if err == nil || err.Error() != f.want {
+				t.Errorf("%s(%d, %d) = %v, want %q", acc.name, f.at, f.size, err, f.want)
+			}
+		}
+	}
+}
