@@ -143,38 +143,44 @@ func (a *Arena) check(at Addr, n int) error {
 	return nil
 }
 
-// WriteU reads and writes little-endian unsigned scalars of 1, 2, 4, or 8
-// bytes.
-func (a *Arena) WriteU(at Addr, size int, v uint64) error {
-	if err := a.check(at, size); err != nil {
+// in is check without the error, small enough to run in line; fault
+// forms the error of an access in refused, or of a size no scalar has.
+func (a *Arena) in(at Addr, n int) bool {
+	return at != Null && int(at)+n <= len(a.buf)
+}
+
+func (a *Arena) fault(at Addr, n int) error {
+	if err := a.check(at, n); err != nil {
 		return err
 	}
-	if !PutU(a.buf[at:], size, v) {
-		return fmt.Errorf("cmem: invalid scalar size %d", size)
+	return fmt.Errorf("cmem: invalid scalar size %d", n)
+}
+
+// WriteU reads and writes little-endian unsigned scalars of 1, 2, 4, or 8
+// bytes. It and ReadU are each one call with the bounds check in line, and
+// the accessors below run in line to them.
+func (a *Arena) WriteU(at Addr, size int, v uint64) error {
+	if !a.in(at, size) || !PutU(a.buf[at:], size, v) {
+		return a.fault(at, size)
 	}
 	return nil
 }
 
 // ReadU reads a little-endian unsigned scalar.
 func (a *Arena) ReadU(at Addr, size int) (uint64, error) {
-	if err := a.check(at, size); err != nil {
-		return 0, err
+	if a.in(at, size) {
+		if v, ok := GetU(a.buf[at:], size); ok {
+			return v, nil
+		}
 	}
-	v, ok := GetU(a.buf[at:], size)
-	if !ok {
-		return 0, fmt.Errorf("cmem: invalid scalar size %d", size)
-	}
-	return v, nil
+	return 0, a.fault(at, size)
 }
 
 // ReadI reads a sign-extended scalar.
 func (a *Arena) ReadI(at Addr, size int) (int64, error) {
 	u, err := a.ReadU(at, size)
-	if err != nil {
-		return 0, err
-	}
 	shift := uint(64 - 8*size)
-	return int64(u<<shift) >> shift, nil
+	return int64(u<<shift) >> shift, err
 }
 
 // WriteF32 writes an IEEE 754 binary32 value.
@@ -185,10 +191,7 @@ func (a *Arena) WriteF32(at Addr, v float32) error {
 // ReadF32 reads an IEEE 754 binary32 value.
 func (a *Arena) ReadF32(at Addr) (float32, error) {
 	u, err := a.ReadU(at, 4)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(uint32(u)), nil
+	return math.Float32frombits(uint32(u)), err
 }
 
 // WriteF64 writes an IEEE 754 binary64 value.
@@ -199,10 +202,7 @@ func (a *Arena) WriteF64(at Addr, v float64) error {
 // ReadF64 reads an IEEE 754 binary64 value.
 func (a *Arena) ReadF64(at Addr) (float64, error) {
 	u, err := a.ReadU(at, 8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(u), nil
+	return math.Float64frombits(u), err
 }
 
 // WritePtr writes a pointer-sized address.
@@ -213,10 +213,7 @@ func (a *Arena) WritePtr(at Addr, m Model, target Addr) error {
 // ReadPtr reads a pointer-sized address.
 func (a *Arena) ReadPtr(at Addr, m Model) (Addr, error) {
 	u, err := a.ReadU(at, m.PointerSize())
-	if err != nil {
-		return 0, err
-	}
-	return Addr(u), nil
+	return Addr(u), err
 }
 
 // Layout describes the concrete representation of a C type: its size,

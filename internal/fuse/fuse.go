@@ -336,16 +336,23 @@ type frame struct {
 	ptr   int
 }
 
+// maxRegs bounds a call's registers of either kind; a stub that needs
+// more is refused.
+const maxRegs = 8
+
 // reg is owner register i and base register i of a call: the fields of an
-// object a move has resolved, the window of a memory block one has. The
-// table is no part of the frame so that Invoke can keep it on its stack.
+// object a move has resolved, the window of a memory block one has. Each
+// direction keeps them in a local [maxRegs]reg and stores into it only in
+// its own body: a store into a local array is a stack store and takes no
+// write barrier, one through a slice or a pointer does while the collector
+// marks.
 type reg struct {
 	obj []jheap.Slot
 	win []byte
 }
 
 // put stores the low size bytes of w at a C end, get loads them.
-func (fr *frame) put(regs []reg, c *cLeaf, size int, w uint64) {
+func (fr *frame) put(regs *[maxRegs]reg, c *cLeaf, size int, w uint64) {
 	if c.base == inWord {
 		fr.words[c.off] = w
 	} else {
@@ -353,7 +360,7 @@ func (fr *frame) put(regs []reg, c *cLeaf, size int, w uint64) {
 	}
 }
 
-func (fr *frame) get(regs []reg, c *cLeaf, size int) uint64 {
+func (fr *frame) get(regs *[maxRegs]reg, c *cLeaf, size int) uint64 {
 	if c.base == inWord {
 		return fr.words[c.off]
 	}
@@ -371,79 +378,119 @@ func object(h *jheap.Heap, r jheap.Ref, need int) ([]jheap.Slot, error) {
 	return fields, err
 }
 
-// toC runs moves from the Java frame into the C frame and memory.
-func (fr *frame) toC(regs []reg, moves []move) error {
+var errNotRef = fmt.Errorf("fuse: expected reference while navigating")
+
+// word is the C word of Java slot s for scalar move mv, or false when s is
+// not of the kind mv wants; small enough to run in line.
+func word(s *jheap.Slot, mv *move) (uint64, bool) {
+	if mv.j.want != 0 && s.Kind != mv.j.want {
+		return 0, false
+	}
+	return toWord(s, mv.c.kind), true
+}
+
+func kindErr(mv *move, s *jheap.Slot) error {
+	return fmt.Errorf("fuse: leaf wants slot kind %d, got %d", mv.j.want, s.Kind)
+}
+
+// step runs one move toward C other than a list, and returns register
+// mv.self as the move leaves it (a scalar move leaves them all as they are).
+func (fr *frame) step(regs *[maxRegs]reg, mv *move) (reg, error) {
+	r := regs[mv.self]
+	var err error
+	if mv.op == leafRegion {
+		at := fr.mem.Alloc(mv.c.size, mv.c.align)
+		fr.put(regs, &mv.c, fr.ptr, uint64(at))
+		r.win, err = fr.mem.Window(at, mv.c.size)
+		return r, err
+	}
+	switch s := &regs[mv.j.owner].obj[mv.j.field]; {
+	case mv.op == 0:
+		w, ok := word(s, mv)
+		if !ok {
+			return r, kindErr(mv, s)
+		}
+		fr.put(regs, &mv.c, mv.c.size, w)
+	case s.Kind != jheap.SlotRef:
+		err = errNotRef
+	default:
+		r.obj, err = object(fr.h, s.R, mv.span)
+	}
+	return r, err
+}
+
+// toC runs the request: moves from the Java arguments, owner register 0,
+// into the C frame and memory. A list runs here, not in a call that would
+// need the registers' address: each element runs the element program, its
+// fields the owner, its slice of the array the base, and its scalar leaves
+// go straight to that slice.
+func (fr *frame) toC(args []jheap.Slot, moves []move) error {
+	var regs [maxRegs]reg
+	regs[0].obj = args
 	for i := range moves {
 		mv := &moves[i]
 		var err error
-		if mv.op == leafRegion {
-			at := fr.mem.Alloc(mv.c.size, mv.c.align)
-			fr.put(regs, &mv.c, fr.ptr, uint64(at))
-			regs[mv.self].win, err = fr.mem.Window(at, mv.c.size)
-		} else {
-			switch s := &regs[mv.j.owner].obj[mv.j.field]; {
-			case mv.op == 0 && (mv.j.want == 0 || s.Kind == mv.j.want):
-				fr.put(regs, &mv.c, mv.c.size, toWord(s, mv.c.kind))
-			case mv.op == 0:
-				err = fmt.Errorf("fuse: leaf wants slot kind %d, got %d", mv.j.want, s.Kind)
-			case s.Kind != jheap.SlotRef:
-				err = fmt.Errorf("fuse: expected reference while navigating")
-			case mv.op == leafObject:
-				regs[mv.self].obj, err = object(fr.h, s.R, mv.span)
-			default:
-				err = fr.listToC(regs, s.R, mv)
+		if mv.op != leafList {
+			if regs[mv.self], err = fr.step(&regs, mv); err != nil {
+				return err
+			}
+			continue
+		}
+		s := &regs[mv.j.owner].obj[mv.j.field]
+		if s.Kind != jheap.SlotRef {
+			return errNotRef
+		}
+		elems, err := fr.h.VectorElems(s.R)
+		if err != nil {
+			return err
+		}
+		el, stride, base := mv.elem, mv.c.size, cmem.Null
+		var array []byte
+		if len(elems) > 0 {
+			base = fr.mem.Alloc(len(elems)*stride, mv.c.align)
+			if array, err = fr.mem.Window(base, len(elems)*stride); err != nil {
+				return err
 			}
 		}
-		if err != nil {
-			return err
+		for e, er := range elems {
+			regs[el.frame].obj, err = object(fr.h, er, el.args)
+			regs[el.window].win = array[e*stride : (e+1)*stride]
+			for k := 0; k < len(el.moves) && err == nil; k++ {
+				if em := &el.moves[k]; em.op != 0 {
+					regs[em.self], err = fr.step(&regs, em)
+				} else if w, ok := word(&regs[em.j.owner].obj[em.j.field], em); ok {
+					cmem.PutU(regs[em.c.base].win[em.c.off:], em.c.size, w)
+				} else {
+					err = kindErr(em, &regs[em.j.owner].obj[em.j.field])
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("element %d: %w", e, err)
+			}
 		}
+		fr.words[mv.c.off], fr.words[mv.c.lenWord] = uint64(base), uint64(len(elems))
 	}
 	return nil
 }
 
-// listToC lays a Vector out as a contiguous C array: each element runs the
-// element program, its fields the owner, its slice of the array the base.
-func (fr *frame) listToC(regs []reg, vec jheap.Ref, mv *move) error {
-	elems, err := fr.h.VectorElems(vec)
-	if err != nil {
-		return err
-	}
-	base, stride := cmem.Null, mv.c.size
-	var array []byte
-	if len(elems) > 0 {
-		base = fr.mem.Alloc(len(elems)*stride, mv.c.align)
-		if array, err = fr.mem.Window(base, len(elems)*stride); err != nil {
-			return err
-		}
-	}
-	for i, er := range elems {
-		if regs[mv.elem.frame].obj, err = object(fr.h, er, mv.elem.args); err == nil {
-			regs[mv.elem.window].win = array[i*stride : (i+1)*stride]
-			err = fr.toC(regs, mv.elem.moves)
-		}
-		if err != nil {
-			return fmt.Errorf("element %d: %w", i, err)
-		}
-	}
-	fr.words[mv.c.off], fr.words[mv.c.lenWord] = uint64(base), uint64(len(elems))
-	return nil
-}
-
-// toJ runs moves from the C frame and memory into the Java frame,
-// allocating the result's objects as it reaches them.
-func (fr *frame) toJ(regs []reg, moves []move) error {
+// toJ runs the reply: moves from the C frame and memory into the Java
+// outputs, owner register 0, allocating the result's objects as it
+// reaches them. Its registers are a local array of its own, as toC's are.
+func (fr *frame) toJ(outs []jheap.Slot, moves []move) error {
+	var regs [maxRegs]reg
+	regs[0].obj = outs
 	for i := range moves {
 		mv := &moves[i]
 		var err error
 		switch mv.op {
 		case leafRegion:
-			regs[mv.self].win, err = fr.mem.Window(cmem.Addr(fr.get(regs, &mv.c, fr.ptr)), mv.c.size)
+			regs[mv.self].win, err = fr.mem.Window(cmem.Addr(fr.get(&regs, &mv.c, fr.ptr)), mv.c.size)
 		case leafObject:
 			r := fr.h.New(mv.j.class, mv.j.size)
 			regs[mv.j.owner].obj[mv.j.field] = jheap.RefSlot(r)
 			regs[mv.self].obj, err = fr.h.Fields(r)
 		default:
-			regs[mv.j.owner].obj[mv.j.field] = fromWord(fr.get(regs, &mv.c, mv.c.size), &mv.c, mv.j.kind)
+			regs[mv.j.owner].obj[mv.j.field] = fromWord(fr.get(&regs, &mv.c, mv.c.size), &mv.c, mv.j.kind)
 		}
 		if err != nil {
 			return err

@@ -27,9 +27,8 @@ type Call struct {
 	// request runs toward C: the argument objects, the out buffers, then
 	// per input parameter its memory blocks and the leaves that fill them
 	// or its word. reply runs toward Java: the result's objects, the blocks
-	// the outputs lie in, then the leaves. nRegs counts both's registers.
+	// the outputs lie in, then the leaves.
 	request, reply []move
-	nRegs          int
 	frames         sync.Pool // of *frame, each with its arena and C frame
 }
 
@@ -240,7 +239,10 @@ func CompileCall(
 	if err != nil {
 		return nil, fmt.Errorf("reply: %w", err)
 	}
-	call.reply, call.nRegs = append(reply, moves...), max(cp.nObjs, cp.nWins)
+	if n := max(cp.nObjs, cp.nWins); n > maxRegs {
+		return nil, unsupported("the stub needs %d registers where a call holds %d", n, maxRegs)
+	}
+	call.reply = append(reply, moves...)
 	return call, nil
 }
 
@@ -268,17 +270,11 @@ func (c *Call) Invoke(h *jheap.Heap, args []jheap.Slot) ([]jheap.Slot, error) {
 	if len(args) < c.nArgs {
 		return nil, fmt.Errorf("fuse: argument %d missing", len(args))
 	}
-	var few [8]reg
-	regs := few[:]
-	if c.nRegs > len(few) {
-		regs = make([]reg, c.nRegs)
-	}
 	fr := c.frames.Get().(*frame)
 	defer c.release(fr)
 	fr.h = h
 	fr.mem.Grow(arenaNeed(c.request, h, args))
-	regs[0].obj = args
-	if err := fr.toC(regs, c.request); err != nil {
+	if err := fr.toC(args, c.request); err != nil {
 		return nil, err
 	}
 	ret, err := c.impl(fr.mem, fr.words[:c.nCArgs:c.nCArgs])
@@ -287,8 +283,7 @@ func (c *Call) Invoke(h *jheap.Heap, args []jheap.Slot) ([]jheap.Slot, error) {
 	}
 	fr.words[c.nCArgs] = ret
 	outs := make([]jheap.Slot, c.nOuts)
-	regs[0].obj = outs
-	if err := fr.toJ(regs, c.reply); err != nil {
+	if err := fr.toJ(outs, c.reply); err != nil {
 		return nil, err
 	}
 	return outs, nil

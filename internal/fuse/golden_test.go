@@ -57,12 +57,17 @@ func cells(_ testing.TB, h *jheap.Heap) []jheap.Slot {
 // points builds a PointVector of n seeded points.
 func points(n int) func(testing.TB, *jheap.Heap) []jheap.Slot {
 	return func(t testing.TB, h *jheap.Heap) []jheap.Slot {
-		coords := make([]float64, 0, 2*n)
-		for i := 0; i < n; i++ {
-			coords = append(coords, float64((i*37)%101)-50.5, float64((i*53)%89)*0.25-11)
-		}
-		return []jheap.Slot{jheap.RefSlot(buildHeapPoints(t, h, coords...))}
+		return []jheap.Slot{jheap.RefSlot(buildHeapPoints(t, h, pointCoords(n)...))}
 	}
+}
+
+// pointCoords is x0, y0, x1, y1, ... of the n points points builds.
+func pointCoords(n int) []float64 {
+	coords := make([]float64, 0, 2*n)
+	for i := 0; i < n; i++ {
+		coords = append(coords, float64((i*37)%101)-50.5, float64((i*53)%89)*0.25-11)
+	}
+	return coords
 }
 
 func goldenCases() []goldenCase {

@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -89,6 +90,24 @@ var refusals = []refusal{
 	{site: "out parameter %s is not a pointer", pair: decls(
 		`void get(float v[2]);`, "annotate get.v out",
 		`class V { float a; float b; } interface I { V get(); }`, "annotate I.get.return nonnull", "get")},
+	// Each direction keeps its registers in a fixed-size array on its own
+	// stack; a Java object of maxRegs boxed ints needs two owners more.
+	{site: "the stub needs %d registers where a call holds %d", pair: boxes(maxRegs)},
+}
+
+// boxes is a pair whose Java argument holds n objects of one int each and
+// whose C argument points to a struct of n ints.
+func boxes(n int) pair {
+	var cFields, jFields, jScript strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&cFields, "int a%d; ", i)
+		fmt.Fprintf(&jFields, "Box a%d; ", i)
+		fmt.Fprintf(&jScript, "annotate Boxes.a%d nonnull noalias\n", i)
+	}
+	return decls(
+		"struct Boxes { "+cFields.String()+"}; void eat(struct Boxes *b);", "annotate eat.b nonnull",
+		"class Box { int v; } class Boxes { "+jFields.String()+"} interface I { void eat(Boxes b); }",
+		jScript.String()+"annotate I.eat.b nonnull noalias", "eat")
 }
 
 // verbRe matches a fmt verb in a refusal site's format string.
@@ -189,4 +208,10 @@ func TestEveryRefusalSiteHasARow(t *testing.T) {
 	if len(sites) == 0 {
 		t.Fatal("found no unsupported( site; the check is looking in the wrong place")
 	}
+}
+
+// TestRegisterBoundIsExact: the refusal row's pair with two boxes fewer
+// needs exactly maxRegs owner registers and fuses.
+func TestRegisterBoundIsExact(t *testing.T) {
+	boxes(maxRegs-2).compile(t, cmem.ILP32)
 }

@@ -106,31 +106,42 @@ func TestReusedFrameLeaksNothing(t *testing.T) {
 	}
 }
 
-// sameLine checks that a fitter's outputs are the Line the oracle, a
-// bounding box computed in plain Go, says.
+// sameLine checks that a fitter's outputs are the Line the oracle says.
 func sameLine(h *jheap.Heap, outs []jheap.Slot, coords []float64) error {
-	if len(outs) != 1 {
-		return fmt.Errorf("%d outputs, want the Line", len(outs))
+	got, err := lineOf(h, outs)
+	if want := oracleLine(coords); err == nil && got != want {
+		err = fmt.Errorf("Line %v, oracle %v", got, want)
 	}
+	return err
+}
+
+// oracleLine is the Line a fitter must return: the bounding box of the
+// points, computed in plain Go.
+func oracleLine(coords []float64) [4]float32 {
 	want := [4]float32{float32(coords[0]), float32(coords[1]), float32(coords[0]), float32(coords[1])}
 	for i := 0; i+1 < len(coords); i += 2 {
 		x, y := float32(coords[i]), float32(coords[i+1])
 		want = [4]float32{min(want[0], x), min(want[1], y), max(want[2], x), max(want[3], y)}
 	}
+	return want
+}
+
+// lineOf reads the Line a fitter returned back out of the heap.
+func lineOf(h *jheap.Heap, outs []jheap.Slot) ([4]float32, error) {
 	var got [4]float32
+	if len(outs) != 1 {
+		return got, fmt.Errorf("%d outputs, want the Line", len(outs))
+	}
 	for i := 0; i < 4; i++ {
 		pt, err := h.Field(outs[0].R, i/2)
 		if err != nil {
-			return err
+			return got, err
 		}
 		f, err := h.Field(pt.R, i%2)
 		if err != nil {
-			return err
+			return got, err
 		}
 		got[i] = float32(f.F)
 	}
-	if got != want {
-		return fmt.Errorf("Line %v, oracle %v", got, want)
-	}
-	return nil
+	return got, nil
 }
