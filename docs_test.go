@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,12 +19,11 @@ var (
 	docFlagRe  = regexp.MustCompile("(?:^|[\\s`(])-([a-z][a-z0-9-]*)")
 )
 
-// liveNames collects what the tree under root holds: every top-level
-// function a *_test.go declares, and the flag names mbirdload's
-// parseFlags defines.
-func liveNames(t *testing.T, root string) (funcs, flags map[string]bool) {
+// liveNames collects every top-level function a *_test.go under root
+// declares.
+func liveNames(t *testing.T, root string) map[string]bool {
 	t.Helper()
-	funcs, flags = map[string]bool{}, map[string]bool{}
+	funcs := map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -37,8 +35,7 @@ func liveNames(t *testing.T, root string) (funcs, flags map[string]bool) {
 			}
 			return nil
 		}
-		isLoad := path == filepath.Join(root, "cmd", "mbirdload", "main.go")
-		if !strings.HasSuffix(path, "_test.go") && !isLoad {
+		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -46,27 +43,8 @@ func liveNames(t *testing.T, root string) (funcs, flags map[string]bool) {
 			return err
 		}
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil {
-				continue
-			}
-			if !isLoad {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
 				funcs[fn.Name.Name] = true
-			} else if fn.Name.Name == "parseFlags" {
-				// fs.StringVar(&cfg.tier, "tier", ...): the name is argument 1.
-				ast.Inspect(fn, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok || len(call.Args) < 2 {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					lit, isLit := call.Args[1].(*ast.BasicLit)
-					if ok && isLit && strings.HasSuffix(sel.Sel.Name, "Var") && lit.Kind == token.STRING {
-						name, _ := strconv.Unquote(lit.Value)
-						flags[name] = true
-					}
-					return true
-				})
 			}
 		}
 		return nil
@@ -74,17 +52,17 @@ func liveNames(t *testing.T, root string) (funcs, flags map[string]bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(funcs) == 0 || len(flags) == 0 {
-		t.Fatalf("found %d test functions and %d mbirdload flags under %s", len(funcs), len(flags), root)
+	if len(funcs) == 0 {
+		t.Fatalf("found no test functions under %s", root)
 	}
-	return funcs, flags
+	return funcs
 }
 
 // staleNames returns what doc names that the tree does not hold: a
 // Benchmark*/Test*/Fuzz* function outside funcs, a BENCH_*.json file that
-// is not under root, or — in a paragraph that mentions mbirdload — a
-// -flag outside flags.
-func staleNames(root, doc string, funcs, flags map[string]bool) []string {
+// is not under root, or any -flag in a paragraph that mentions mbirdload,
+// a load driver the tree no longer has.
+func staleNames(root, doc string, funcs map[string]bool) []string {
 	stale := map[string]bool{}
 	for _, name := range docFuncRe.FindAllString(doc, -1) {
 		if !funcs[name] {
@@ -101,9 +79,7 @@ func staleNames(root, doc string, funcs, flags map[string]bool) []string {
 			continue
 		}
 		for _, m := range docFlagRe.FindAllStringSubmatch(para, -1) {
-			if !flags[m[1]] {
-				stale["mbirdload -"+m[1]] = true
-			}
+			stale["mbirdload -"+m[1]] = true
 		}
 	}
 	out := make([]string, 0, len(stale))
@@ -122,13 +98,13 @@ func TestDocsNameLiveCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	funcs, flags := liveNames(t, root)
+	funcs := liveNames(t, root)
 	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		doc, err := os.ReadFile(filepath.Join(root, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range staleNames(root, string(doc), funcs, flags) {
+		for _, s := range staleNames(root, string(doc), funcs) {
 			t.Errorf("%s names %s, which the tree does not have", name, s)
 		}
 	}
@@ -138,8 +114,8 @@ func TestDocsNameLiveCode(t *testing.T) {
 	record := "BENCH_" + "load.json" // spelled in two parts so a grep for such names finds only stale docs
 	gone := "`BenchmarkOverheadFused` wrote " + record + ".\n\n" +
 		"Run `mbirdload -tier compare -json -bench-file F`; see TestExamplesRun."
-	want := []string{record, "BenchmarkOverheadFused", "mbirdload -bench-file", "mbirdload -json"}
-	if got := staleNames(root, gone, funcs, flags); strings.Join(got, ",") != strings.Join(want, ",") {
+	want := []string{record, "BenchmarkOverheadFused", "mbirdload -bench-file", "mbirdload -json", "mbirdload -tier"}
+	if got := staleNames(root, gone, funcs); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("staleNames on a stale text = %v, want %v", got, want)
 	}
 }

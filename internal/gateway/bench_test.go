@@ -137,7 +137,7 @@ func BenchmarkGatewayVsDirect(b *testing.B) {
 			Key: "lines", Op: 1,
 			Request: &LaneConfig{From: slope, To: seg},
 		}}}
-		g := New(Options{Session: sess})
+		g := New(Options{session: sess})
 		b.Cleanup(func() { _ = g.Close() })
 		if err := g.SetConfig(cfg); err != nil {
 			b.Fatal(err)

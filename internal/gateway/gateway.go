@@ -76,10 +76,10 @@ type Options struct {
 	// upstreams with (pool size, call deadlines, retries, hedging).
 	// Fleet upstreams use it for each member's pool.
 	Upstream resil.Options
-	// Session supplies a pre-configured core.Session — the hook table
+	// session supplies a pre-configured core.Session — the hook table
 	// (RegisterSemantic) must be populated before the first route
-	// compiles. Nil creates a fresh session.
-	Session *core.Session
+	// compiles. Nil creates a fresh session. Only in-package tests set it.
+	session *core.Session
 }
 
 func (o Options) withDefaults() Options {
@@ -89,8 +89,8 @@ func (o Options) withDefaults() Options {
 	if o.AdmitWait <= 0 {
 		o.AdmitWait = 5 * time.Millisecond
 	}
-	if o.Session == nil {
-		o.Session = core.NewSession()
+	if o.session == nil {
+		o.session = core.NewSession()
 	}
 	if o.StreamThreshold == 0 {
 		o.StreamThreshold = DefaultStreamThreshold
@@ -192,7 +192,7 @@ func New(opts Options) *Gateway {
 	g := &Gateway{
 		opts:     opts,
 		budget:   limits.Budget{MaxBytes: opts.MaxPayload}.WithDefaults(),
-		sess:     opts.Session,
+		sess:     opts.session,
 		pools:    make(map[string]*resil.Client),
 		fleets:   make(map[string]*cluster.Client),
 		lanes:    make(map[fingerprint.PairKey]*transcode.Transcoder),

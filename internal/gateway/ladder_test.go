@@ -276,7 +276,7 @@ func ladderGateway(t *testing.T, log *strings.Builder, pairs []ladderPair) {
 	cfg := &Config{Upstream: up.Addr()}
 	for i, p := range pairs {
 		rc := RouteConfig{Name: p.name, Key: "svc", Op: uint32(i + 1), Request: &LaneConfig{From: p.from, To: p.to}}
-		g := New(Options{Session: ladderSession()})
+		g := New(Options{session: ladderSession()})
 		err := g.SetConfig(&Config{Upstream: up.Addr(), Routes: []RouteConfig{rc}})
 		st := g.Stats()
 		fmt.Fprintf(log, "gw setconfig %-8s lane_compiles=%d lane_unsupported=%d  %s\n", p.name, st.LaneCompiles, st.LaneUnsupported, outcome(nil, err))
@@ -295,7 +295,7 @@ func ladderGateway(t *testing.T, log *strings.Builder, pairs []ladderPair) {
 	}
 	var ends [2]gwEnd // [0]: every payload under StreamThreshold; [1]: every one over
 	for i, threshold := range []int{0, 4} {
-		g, srv := startGateway(t, cfg, Options{Session: ladderSession(), MaxPayload: maxPayload, StreamThreshold: threshold})
+		g, srv := startGateway(t, cfg, Options{session: ladderSession(), MaxPayload: maxPayload, StreamThreshold: threshold})
 		ends[i] = gwEnd{g, dialOrb(t, srv.Addr())}
 	}
 	row := func(e gwEnd, route, name string, call func() ([]byte, error)) {

@@ -145,9 +145,8 @@ type Health struct {
 	Canceled int64 `json:"canceled"`
 	// HeapBytes is the process's in-use heap (runtime HeapInuse);
 	// GCPauseNs the cumulative stop-the-world GC pause time; NumGC the
-	// completed GC cycle count. Load harnesses (cmd/mbirdload) record the
-	// deltas of these across a run to attribute GC pressure to the
-	// request path.
+	// completed GC cycle count. `mbird remote health` prints them; their
+	// deltas across a run attribute GC pressure to the request path.
 	HeapBytes int64 `json:"heap_bytes"`
 	GCPauseNs int64 `json:"gc_pause_ns"`
 	NumGC     int64 `json:"num_gc"`
