@@ -44,6 +44,7 @@ import (
 	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/fingerprint"
+	"repro/internal/metrics"
 	"repro/internal/mtype"
 	"repro/internal/plan"
 	"repro/internal/serve"
@@ -135,36 +136,16 @@ type Broker struct {
 	// outlives its RequestTimeout in the background.
 	chassis *serve.Chassis
 
-	inFlight  atomic.Int64
-	compiles  atomic.Int64
-	compares  atomic.Int64
-	compareNs atomic.Int64
-	compileNs atomic.Int64
-	deadlines atomic.Int64
-
-	// Wire-transcoder data-plane counters: compilations, pairs the fuser
-	// refused (served by the tree rung), and conversions served per tier.
-	xcompiles    atomic.Int64
-	xunsupported atomic.Int64
-	fastConverts atomic.Int64
-	treeConverts atomic.Int64
-
 	// Peer cache-warming state (internal/cluster installs the warmer).
-	// warmFills counts cache entries materialized by the warming protocol
-	// (pushes received, startup sync) rather than by a client request;
-	// warmHits counts request-path cache hits on such entries; peerPulls
-	// counts verdict fills answered by the pair's owner instead of a
-	// local compare; peerPushes counts fills handed to the warmer for
-	// push replication.
-	warmMu     sync.RWMutex
-	warm       PeerWarmer
-	recMu      sync.Mutex
-	loadRecs   map[string]LoadRecord
-	recipes    map[recipeKey]WarmEntry
-	warmFills  atomic.Int64
-	warmHits   atomic.Int64
-	peerPulls  atomic.Int64
-	peerPushes atomic.Int64
+	warmMu   sync.RWMutex
+	warm     PeerWarmer
+	recMu    sync.Mutex
+	loadRecs map[string]LoadRecord
+	recipes  map[recipeKey]WarmEntry
+
+	// live holds the counters Stats reports, bumped in place with
+	// sync/atomic; the caches count into it too.
+	live Stats
 }
 
 // verdictEntry is a cached compare outcome, freed of the session-owned
@@ -212,17 +193,18 @@ type convEntry struct {
 func New(sess *core.Session, opts Options) *Broker {
 	opts = opts.withDefaults()
 	b := &Broker{
-		opts:       opts,
-		sess:       sess,
-		verdicts:   newSFCache[*verdictEntry](opts.VerdictCacheSize),
-		converters: newSFCache[*convEntry](opts.ConverterCacheSize),
-		xcoders:    newSFCache[*xcodeEntry](opts.TranscoderCacheSize),
-		printMemo:  make(map[*mtype.Type]fingerprint.Print),
-		fillSem:    make(chan struct{}, opts.Workers),
-		chassis:    serve.New(opts.MaxInFlight, opts.AdmitWait),
-		loadRecs:   make(map[string]LoadRecord),
-		recipes:    make(map[recipeKey]WarmEntry),
+		opts:      opts,
+		sess:      sess,
+		printMemo: make(map[*mtype.Type]fingerprint.Print),
+		fillSem:   make(chan struct{}, opts.Workers),
+		chassis:   serve.New(opts.MaxInFlight, opts.AdmitWait),
+		loadRecs:  make(map[string]LoadRecord),
+		recipes:   make(map[recipeKey]WarmEntry),
 	}
+	l := &b.live
+	b.verdicts = newSFCache[*verdictEntry](opts.VerdictCacheSize, &l.CompareHits, &l.CompareMisses, &l.CompareCoalesced, &l.Evictions)
+	b.converters = newSFCache[*convEntry](opts.ConverterCacheSize, &l.ConvertHits, &l.ConvertMisses, &l.ConvertCoalesced, &l.Evictions)
+	b.xcoders = newSFCache[*xcodeEntry](opts.TranscoderCacheSize, &l.XcodeHits, &l.XcodeMisses, &l.XcodeCoalesced, &l.Evictions)
 	return b
 }
 
@@ -339,8 +321,8 @@ type Verdict struct {
 // Compare decides the relation between two loaded declarations, serving
 // from the canonical-fingerprint verdict cache when possible.
 func (b *Broker) Compare(ua, da, ub, db string) (Verdict, error) {
-	b.inFlight.Add(1)
-	defer b.inFlight.Add(-1)
+	atomic.AddInt64(&b.live.InFlight, 1)
+	defer atomic.AddInt64(&b.live.InFlight, -1)
 	_, _, pa, pb, err := b.prints(ua, da, ub, db)
 	if err != nil {
 		return Verdict{}, err
@@ -353,7 +335,7 @@ func (b *Broker) Compare(ua, da, ub, db string) (Verdict, error) {
 		// computation outright.
 		if w := b.peerWarmer(); w != nil {
 			if rel, steps, explain, ok := w.PullVerdict(ua, da, ub, db); ok {
-				b.peerPulls.Add(1)
+				atomic.AddInt64(&b.live.PeerPulls, 1)
 				e := &verdictEntry{relation: rel, steps: steps, explain: explain, warmed: true}
 				b.noteRecipe(KindVerdict, key, ua, da, ub, db, e)
 				return e, nil
@@ -363,8 +345,8 @@ func (b *Broker) Compare(ua, da, ub, db string) (Verdict, error) {
 		defer func() { <-b.fillSem }()
 		start := time.Now()
 		v, err := b.compareLocked(ua, da, ub, db)
-		b.compareNs.Add(time.Since(start).Nanoseconds())
-		b.compares.Add(1)
+		atomic.AddInt64((*int64)(&b.live.CompareTotal), int64(time.Since(start)))
+		atomic.AddInt64(&b.live.CompareRuns, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +362,7 @@ func (b *Broker) Compare(ua, da, ub, db string) (Verdict, error) {
 		b.pushAfterFill(KindVerdict, ua, da, ub, db)
 	}
 	if cached && ent.warmed {
-		b.warmHits.Add(1)
+		atomic.AddInt64(&b.live.WarmHits, 1)
 	}
 	return Verdict{Relation: ent.relation, Steps: ent.steps, Explain: ent.explain, Cached: cached}, nil
 }
@@ -398,7 +380,7 @@ func (b *Broker) compareLocked(ua, da, ub, db string) (*core.Verdict, error) {
 // warm marks a fill performed by the peer cache-warming protocol rather
 // than a client request: counted as a warm fill, and not pushed onward.
 // build is a plain function, so a hit allocates no closure for it.
-func fillPair[E any](b *Broker, c *sfCache[E], kind string, n *atomic.Int64, ua, da, ub, db string, warm bool, build func(*Broker, *core.Verdict, pairEntry) (E, error)) (E, bool, error) {
+func fillPair[E any](b *Broker, c *sfCache[E], kind string, n *int64, ua, da, ub, db string, warm bool, build func(*Broker, *core.Verdict, pairEntry) (E, error)) (E, bool, error) {
 	_, _, pa, pb, err := b.prints(ua, da, ub, db)
 	if err != nil {
 		var zero E
@@ -411,8 +393,8 @@ func fillPair[E any](b *Broker, c *sfCache[E], kind string, n *atomic.Int64, ua,
 		defer func() { <-b.fillSem }()
 		start := time.Now()
 		defer func() {
-			b.compileNs.Add(time.Since(start).Nanoseconds())
-			n.Add(1)
+			atomic.AddInt64((*int64)(&b.live.CompileTotal), int64(time.Since(start)))
+			atomic.AddInt64(n, 1)
 		}()
 		v, err := b.compareLocked(ua, da, ub, db)
 		if err != nil {
@@ -425,7 +407,7 @@ func fillPair[E any](b *Broker, c *sfCache[E], kind string, n *atomic.Int64, ua,
 		}
 		b.noteRecipe(kind, key, ua, da, ub, db, nil)
 		if warm {
-			b.warmFills.Add(1)
+			atomic.AddInt64(&b.live.WarmFills, 1)
 		}
 		filled = !warm
 		return ent, nil
@@ -439,7 +421,7 @@ func fillPair[E any](b *Broker, c *sfCache[E], kind string, n *atomic.Int64, ua,
 // converter returns the cached compiled converter entry for the exact
 // pair, compiling it on a miss; a B<:A pair gets its plan text only.
 func (b *Broker) converter(ua, da, ub, db string, warm bool) (*convEntry, bool, error) {
-	return fillPair(b, b.converters, KindConverter, &b.compiles, ua, da, ub, db, warm, buildConverter)
+	return fillPair(b, b.converters, KindConverter, &b.live.Compiles, ua, da, ub, db, warm, buildConverter)
 }
 
 func buildConverter(b *Broker, v *core.Verdict, pe pairEntry) (*convEntry, error) {
@@ -463,14 +445,14 @@ func buildConverter(b *Broker, v *core.Verdict, pe pairEntry) (*convEntry, error
 // using the cached compiled converter. The pair must be equivalent or
 // A <: B; for a B <: A pair, swap the arguments.
 func (b *Broker) Convert(ua, da, ub, db string, v value.Value) (value.Value, error) {
-	b.inFlight.Add(1)
-	defer b.inFlight.Add(-1)
+	atomic.AddInt64(&b.live.InFlight, 1)
+	defer atomic.AddInt64(&b.live.InFlight, -1)
 	ent, cached, err := b.converter(ua, da, ub, db, false)
 	if err != nil {
 		return nil, err
 	}
 	if cached && ent.warmed {
-		b.warmHits.Add(1)
+		atomic.AddInt64(&b.live.WarmHits, 1)
 	}
 	if err := ent.gate(ua, da, ub, db); err != nil {
 		return nil, err
@@ -481,14 +463,14 @@ func (b *Broker) Convert(ua, da, ub, db string, v value.Value) (value.Value, err
 // PlanText returns the rendered coercion plan for the pair (compiling it
 // if needed) — the daemon's window into what a conversion will do.
 func (b *Broker) PlanText(ua, da, ub, db string) (string, error) {
-	b.inFlight.Add(1)
-	defer b.inFlight.Add(-1)
+	atomic.AddInt64(&b.live.InFlight, 1)
+	defer atomic.AddInt64(&b.live.InFlight, -1)
 	ent, cached, err := b.converter(ua, da, ub, db, false)
 	if err != nil {
 		return "", err
 	}
 	if cached && ent.warmed {
-		b.warmHits.Add(1)
+		atomic.AddInt64(&b.live.WarmHits, 1)
 	}
 	if ent.relation == core.RelNone {
 		return "", ent.gate(ua, da, ub, db)
@@ -496,7 +478,9 @@ func (b *Broker) PlanText(ua, da, ub, db string) (string, error) {
 	return ent.planText, nil
 }
 
-// Stats is a point-in-time snapshot of the broker's counters.
+// Stats is a point-in-time snapshot of the broker's counters. The broker
+// counts into a live Stats of its own; the entry counts and Sheds are
+// read from the caches and the admission gate when the snapshot is taken.
 type Stats struct {
 	// Verdict cache.
 	CompareHits, CompareMisses, CompareCoalesced int64
@@ -533,40 +517,12 @@ type Stats struct {
 
 // Stats returns a snapshot of the broker's counters.
 func (b *Broker) Stats() Stats {
-	return Stats{
-		CompareHits:      b.verdicts.hits.Load(),
-		CompareMisses:    b.verdicts.misses.Load(),
-		CompareCoalesced: b.verdicts.coalesced.Load(),
-		CompareRuns:      b.compares.Load(),
-		CompareTotal:     time.Duration(b.compareNs.Load()),
-		VerdictEntries:   b.verdicts.len(),
-
-		ConvertHits:      b.converters.hits.Load(),
-		ConvertMisses:    b.converters.misses.Load(),
-		ConvertCoalesced: b.converters.coalesced.Load(),
-		Compiles:         b.compiles.Load(),
-		CompileTotal:     time.Duration(b.compileNs.Load()),
-		ConverterEntries: b.converters.len(),
-
-		XcodeHits:        b.xcoders.hits.Load(),
-		XcodeMisses:      b.xcoders.misses.Load(),
-		XcodeCoalesced:   b.xcoders.coalesced.Load(),
-		XcodeCompiles:    b.xcompiles.Load(),
-		XcodeUnsupported: b.xunsupported.Load(),
-		XcodeEntries:     b.xcoders.len(),
-		FastConverts:     b.fastConverts.Load(),
-		TreeConverts:     b.treeConverts.Load(),
-
-		WarmFills:  b.warmFills.Load(),
-		WarmHits:   b.warmHits.Load(),
-		PeerPulls:  b.peerPulls.Load(),
-		PeerPushes: b.peerPushes.Load(),
-
-		Evictions:        b.verdicts.evictions.Load() + b.converters.evictions.Load() + b.xcoders.evictions.Load(),
-		InFlight:         b.inFlight.Load(),
-		DeadlineExceeded: b.deadlines.Load(),
-		Sheds:            b.chassis.Sheds(),
-	}
+	st := metrics.Load(&b.live)
+	st.VerdictEntries = b.verdicts.len()
+	st.ConverterEntries = b.converters.len()
+	st.XcodeEntries = b.xcoders.len()
+	st.Sheds = b.chassis.Sheds()
+	return st
 }
 
 // Health is the daemon's readiness and load snapshot: the shared serving

@@ -20,7 +20,9 @@ type sfCache[V any] struct {
 	items    map[fingerprint.PairKey]*list.Element
 	inflight map[fingerprint.PairKey]*flight[V]
 
-	hits, misses, coalesced, evictions atomic.Int64
+	// The counters live in the owner's stats block, bumped with
+	// sync/atomic; caches may share one (the broker's evictions).
+	hits, misses, coalesced, evictions *int64
 }
 
 type flight[V any] struct {
@@ -34,12 +36,16 @@ type lruEntry[V any] struct {
 	val V
 }
 
-func newSFCache[V any](capacity int) *sfCache[V] {
+func newSFCache[V any](capacity int, hits, misses, coalesced, evictions *int64) *sfCache[V] {
 	return &sfCache[V]{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[fingerprint.PairKey]*list.Element),
-		inflight: make(map[fingerprint.PairKey]*flight[V]),
+		capacity:  capacity,
+		hits:      hits,
+		misses:    misses,
+		coalesced: coalesced,
+		evictions: evictions,
+		ll:        list.New(),
+		items:     make(map[fingerprint.PairKey]*list.Element),
+		inflight:  make(map[fingerprint.PairKey]*flight[V]),
 	}
 }
 
@@ -51,19 +57,19 @@ func (c *sfCache[V]) do(key fingerprint.PairKey, fill func() (V, error)) (val V,
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.mu.Unlock()
-		c.hits.Add(1)
+		atomic.AddInt64(c.hits, 1)
 		return el.Value.(*lruEntry[V]).val, true, nil
 	}
 	if fl, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
-		c.coalesced.Add(1)
+		atomic.AddInt64(c.coalesced, 1)
 		<-fl.done
 		return fl.val, false, fl.err
 	}
 	fl := &flight[V]{done: make(chan struct{})}
 	c.inflight[key] = fl
 	c.mu.Unlock()
-	c.misses.Add(1)
+	atomic.AddInt64(c.misses, 1)
 
 	fl.val, fl.err = fill()
 
@@ -119,7 +125,7 @@ func (c *sfCache[V]) add(key fingerprint.PairKey, val V) {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
 		delete(c.items, tail.Value.(*lruEntry[V]).key)
-		c.evictions.Add(1)
+		atomic.AddInt64(c.evictions, 1)
 	}
 }
 

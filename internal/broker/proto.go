@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mtype"
@@ -195,14 +196,14 @@ func Handler(b *Broker) orb.Handler {
 		case r := <-ch:
 			return r.body, r.err
 		case <-t.C:
-			b.deadlines.Add(1)
+			atomic.AddInt64(&b.live.DeadlineExceeded, 1)
 			return nil, fmt.Errorf("broker: request exceeded server deadline %v", d)
 		case <-ctx.Done():
 			// The caller's propagated budget expired (or it sent a cancel
 			// frame) while the work was in flight; answer with the typed
 			// expiry so the client distinguishes "my clock ran out" from
 			// "the broker is slow".
-			b.deadlines.Add(1)
+			atomic.AddInt64(&b.live.DeadlineExceeded, 1)
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				return nil, fmt.Errorf("%w: budget spent while request was in flight", orb.ErrExpired)
 			}

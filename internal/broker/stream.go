@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/orb"
 	"repro/internal/proto"
@@ -44,8 +45,8 @@ func streamHandler(b *Broker) orb.StreamHandler {
 			return err
 		}
 		defer b.chassis.Release()
-		b.inFlight.Add(1)
-		defer b.inFlight.Add(-1)
+		atomic.AddInt64(&b.live.InFlight, 1)
+		defer atomic.AddInt64(&b.live.InFlight, -1)
 
 		ua, da, ub, db, err := readStreamHeader(in)
 		if err != nil {

@@ -24,6 +24,7 @@ package broker
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fingerprint"
@@ -77,7 +78,7 @@ func (b *Broker) peerWarmer() PeerWarmer {
 // back out of the cache, and do publishes it only once the fill returns.
 func (b *Broker) pushAfterFill(kind, ua, da, ub, db string) {
 	if w := b.peerWarmer(); w != nil {
-		b.peerPushes.Add(1)
+		atomic.AddInt64(&b.live.PeerPushes, 1)
 		w.PushCompiled(kind, ua, da, ub, db)
 	}
 }
@@ -218,7 +219,7 @@ func (b *Broker) WarmVerdict(ua, da, ub, db string, rel core.Relation, steps int
 	if !b.verdicts.putIfAbsent(key, ent) {
 		return false, nil
 	}
-	b.warmFills.Add(1)
+	atomic.AddInt64(&b.live.WarmFills, 1)
 	b.noteRecipe(KindVerdict, key, ua, da, ub, db, ent)
 	return true, nil
 }

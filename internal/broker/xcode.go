@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/transcode"
@@ -19,7 +20,7 @@ type xcodeEntry struct {
 // transcoder returns the cached wire-transcoder entry for the exact
 // pair, assembling it on a miss.
 func (b *Broker) transcoder(ua, da, ub, db string, warm bool) (*xcodeEntry, bool, error) {
-	return fillPair(b, b.xcoders, KindTranscoder, &b.xcompiles, ua, da, ub, db, warm, buildTranscoder)
+	return fillPair(b, b.xcoders, KindTranscoder, &b.live.XcodeCompiles, ua, da, ub, db, warm, buildTranscoder)
 }
 
 func buildTranscoder(b *Broker, v *core.Verdict, pe pairEntry) (*xcodeEntry, error) {
@@ -29,7 +30,7 @@ func buildTranscoder(b *Broker, v *core.Verdict, pe pairEntry) (*xcodeEntry, err
 	}
 	var err error
 	if ent.xc, err = b.sess.BuildTranscoder(v); err == nil && ent.xc.Refusal() != "" {
-		b.xunsupported.Add(1)
+		atomic.AddInt64(&b.live.XcodeUnsupported, 1)
 	}
 	return ent, err
 }
@@ -38,12 +39,12 @@ func buildTranscoder(b *Broker, v *core.Verdict, pe pairEntry) (*xcodeEntry, err
 // warm hit when the entry it ran from was cached and a peer's.
 func (b *Broker) served(ent *xcodeEntry, cached bool) {
 	if cached && ent.warmed {
-		b.warmHits.Add(1)
+		atomic.AddInt64(&b.live.WarmHits, 1)
 	}
 	if ent.xc.Refusal() == "" {
-		b.fastConverts.Add(1)
+		atomic.AddInt64(&b.live.FastConverts, 1)
 	} else {
-		b.treeConverts.Add(1)
+		atomic.AddInt64(&b.live.TreeConverts, 1)
 	}
 }
 
@@ -52,8 +53,8 @@ func (b *Broker) served(ent *xcodeEntry, cached bool) {
 // to bytes with no value tree when the plan fused, decode→convert→encode
 // with identical results when it did not.
 func (b *Broker) ConvertRaw(ua, da, ub, db string, payload []byte) ([]byte, error) {
-	b.inFlight.Add(1)
-	defer b.inFlight.Add(-1)
+	atomic.AddInt64(&b.live.InFlight, 1)
+	defer atomic.AddInt64(&b.live.InFlight, -1)
 	return b.convertRaw(nil, ua, da, ub, db, payload)
 }
 
@@ -86,8 +87,8 @@ const MaxBatchItems = 4096
 // once for the whole batch. Item i of the result corresponds to payload
 // i; the first failing item aborts the batch with its error.
 func (b *Broker) ConvertRawBatch(ua, da, ub, db string, payloads [][]byte) ([][]byte, error) {
-	b.inFlight.Add(1)
-	defer b.inFlight.Add(-1)
+	atomic.AddInt64(&b.live.InFlight, 1)
+	defer atomic.AddInt64(&b.live.InFlight, -1)
 	if len(payloads) > MaxBatchItems {
 		return nil, fmt.Errorf("broker: batch of %d exceeds %d items", len(payloads), MaxBatchItems)
 	}

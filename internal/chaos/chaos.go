@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Faults configures what the proxy does to traffic. The zero value
@@ -88,12 +90,7 @@ type Proxy struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	accepted    atomic.Int64
-	forwarded   atomic.Int64
-	resets      atomic.Int64
-	blackholes  atomic.Int64
-	truncations atomic.Int64
-	stalls      atomic.Int64
+	live Stats // bumped with sync/atomic; Stats loads it
 }
 
 // New starts a proxy listening on listenAddr (e.g. "127.0.0.1:0")
@@ -135,16 +132,7 @@ func (p *Proxy) Faults() Faults {
 }
 
 // Stats returns a snapshot of the proxy's counters.
-func (p *Proxy) Stats() Stats {
-	return Stats{
-		Accepted:       p.accepted.Load(),
-		ForwardedBytes: p.forwarded.Load(),
-		Resets:         p.resets.Load(),
-		Blackholes:     p.blackholes.Load(),
-		Truncations:    p.truncations.Load(),
-		Stalls:         p.stalls.Load(),
-	}
-}
+func (p *Proxy) Stats() Stats { return metrics.Load(&p.live) }
 
 // Close stops the listener, severs every proxied connection, and waits
 // for the forwarding goroutines to exit.
@@ -172,9 +160,9 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return
 		}
-		p.accepted.Add(1)
+		atomic.AddInt64(&p.live.Accepted, 1)
 		if p.Faults().DropOnAccept {
-			p.resets.Add(1)
+			atomic.AddInt64(&p.live.Resets, 1)
 			reset(down)
 			continue
 		}
@@ -200,10 +188,10 @@ func (p *Proxy) acceptLoop() {
 		// same budget are one reset, not two.
 		var used atomic.Int64
 		var once sync.Once
-		closeBoth := func(rst bool, cause *atomic.Int64) {
+		closeBoth := func(rst bool, cause *int64) {
 			once.Do(func() {
 				if cause != nil {
-					cause.Add(1)
+					atomic.AddInt64(cause, 1)
 				}
 				if rst {
 					reset(down)
@@ -235,7 +223,7 @@ func reset(c net.Conn) {
 // pipe forwards src→dst applying the current faults per chunk. Once the
 // pair is black-holed it keeps draining src (so both endpoints see a
 // live connection) without forwarding anything.
-func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst bool, cause *atomic.Int64)) {
+func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst bool, cause *int64)) {
 	defer p.wg.Done()
 	buf := make([]byte, 32<<10)
 	blackholed := false
@@ -252,16 +240,16 @@ func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst b
 				}
 				prev := used.Load()
 				if f.BlackholeAfter > 0 && prev >= f.BlackholeAfter {
-					p.blackholes.Add(1)
+					atomic.AddInt64(&p.live.Blackholes, 1)
 					blackholed = true
 					break
 				}
 				if f.TruncateAfter > 0 && prev >= f.TruncateAfter {
-					closeBoth(false, &p.truncations)
+					closeBoth(false, &p.live.Truncations)
 					return
 				}
 				if f.ResetAfter > 0 && prev >= f.ResetAfter {
-					closeBoth(true, &p.resets)
+					closeBoth(true, &p.live.Resets)
 					return
 				}
 				if f.StallAfter > 0 && prev >= f.StallAfter {
@@ -270,7 +258,7 @@ func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst b
 					// live, glacially slow connection.
 					if !stalled {
 						stalled = true
-						p.stalls.Add(1)
+						atomic.AddInt64(&p.live.Stalls, 1)
 					}
 					chunk = chunk[:1]
 					if !p.sleepFor(f.stallInterval()) {
@@ -295,7 +283,7 @@ func (p *Proxy) pipe(dst, src net.Conn, used *atomic.Int64, closeBoth func(rst b
 					return
 				}
 				used.Add(int64(len(chunk)))
-				p.forwarded.Add(int64(len(chunk)))
+				atomic.AddInt64(&p.live.ForwardedBytes, int64(len(chunk)))
 				data = data[len(chunk):]
 			}
 		}

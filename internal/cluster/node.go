@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/orb"
 	"repro/internal/proto"
 	"repro/internal/resil"
@@ -91,14 +92,7 @@ type Node struct {
 	// orb server the node is registered on (attached by Serve).
 	chassis *serve.Chassis
 
-	pullsSent   atomic.Int64
-	pushesSent  atomic.Int64
-	pushErrs    atomic.Int64
-	pushDrops   atomic.Int64
-	pushesRecv  atomic.Int64
-	pullsServed atomic.Int64
-	listsServed atomic.Int64
-	synced      atomic.Int64
+	live NodeStatus // counters bumped with sync/atomic; Status loads it
 }
 
 // NewNode joins broker b to a cluster as the member advertised at self
@@ -208,7 +202,7 @@ func (n *Node) PullVerdict(ua, da, ub, db string) (core.Relation, int, string, b
 	if p == nil {
 		return 0, 0, "", false
 	}
-	n.pullsSent.Add(1)
+	atomic.AddInt64(&n.live.PullsSent, 1)
 	body := proto.MarshalStrings(ua, da, ub, db)
 	ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
 	defer cancel()
@@ -230,7 +224,7 @@ func (n *Node) PushCompiled(kind, ua, da, ub, db string) {
 	select {
 	case n.queue <- pushJob{kind, ua, da, ub, db}:
 	default:
-		n.pushDrops.Add(1)
+		atomic.AddInt64(&n.live.PushDrops, 1)
 	}
 }
 
@@ -256,7 +250,7 @@ func (n *Node) pushOne(j pushJob) {
 	targets = targets[:min(replicas, len(targets))]
 	body, err := n.pushBody(j)
 	if err != nil {
-		n.pushErrs.Add(1)
+		atomic.AddInt64(&n.live.PushErrs, 1)
 		return
 	}
 	for _, addr := range targets {
@@ -271,10 +265,10 @@ func (n *Node) pushOne(j pushJob) {
 		_, err := p.InvokeContext(ctx, ObjectKey, OpPush, body)
 		cancel()
 		if err != nil {
-			n.pushErrs.Add(1)
+			atomic.AddInt64(&n.live.PushErrs, 1)
 			continue
 		}
-		n.pushesSent.Add(1)
+		atomic.AddInt64(&n.live.PushesSent, 1)
 	}
 }
 
@@ -366,7 +360,7 @@ func (n *Node) SyncFromPeers(ctx context.Context) (int, error) {
 			seen[k] = true
 			if ok, err := n.applyEntry(e); err == nil && ok {
 				warmed++
-				n.synced.Add(1)
+				atomic.AddInt64(&n.live.Synced, 1)
 			}
 		}
 	}
@@ -401,21 +395,11 @@ func (n *Node) listFrom(ctx context.Context, addr string) ([]broker.LoadRecord, 
 // budget expiries land across the fleet. It is a pure counter read: a
 // status poll never stops the world on a fleet member.
 func (n *Node) Status() NodeStatus {
+	st := metrics.Load(&n.live)
+	st.Self, st.Members = n.self, n.Members()
 	srv := n.chassis.ServerStats()
-	return NodeStatus{
-		Self:        n.self,
-		Members:     n.Members(),
-		PullsSent:   n.pullsSent.Load(),
-		PushesSent:  n.pushesSent.Load(),
-		PushErrs:    n.pushErrs.Load(),
-		PushDrops:   n.pushDrops.Load(),
-		PushesRecv:  n.pushesRecv.Load(),
-		PullsServed: n.pullsServed.Load(),
-		ListsServed: n.listsServed.Load(),
-		Synced:      n.synced.Load(),
-		Expired:     srv.Expired,
-		Canceled:    srv.Canceled,
-	}
+	st.Expired, st.Canceled = srv.Expired, srv.Canceled
+	return st
 }
 
 // --- peer service (server side) ---
@@ -435,7 +419,7 @@ func (n *Node) Handler() orb.Handler {
 			if err != nil {
 				return nil, err
 			}
-			n.pullsServed.Add(1)
+			atomic.AddInt64(&n.live.PullsServed, 1)
 			var rep pullReply
 			if v, ok := n.b.PeekVerdict(args[0], args[1], args[2], args[3]); ok {
 				rep = pullReply{Found: true, Relation: v.Relation, Steps: v.Steps, Explain: v.Explain}
@@ -451,7 +435,7 @@ func (n *Node) Handler() orb.Handler {
 			if err := n.ensureUniverses(req.Loads); err == nil {
 				if ok, err := n.applyEntry(req.Entry); err == nil && ok {
 					accepted = 1
-					n.pushesRecv.Add(1)
+					atomic.AddInt64(&n.live.PushesRecv, 1)
 				}
 			}
 			return proto.Count.Marshal(&accepted)
@@ -464,7 +448,7 @@ func (n *Node) Handler() orb.Handler {
 			if max <= 0 || max > 1<<16 {
 				max = 1 << 16
 			}
-			n.listsServed.Add(1)
+			atomic.AddInt64(&n.live.ListsServed, 1)
 			var l listReply
 			l.Loads, l.Entries = n.b.WarmEntries(max)
 			return listRec.Marshal(&l)

@@ -42,6 +42,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fingerprint"
 	"repro/internal/limits"
+	"repro/internal/metrics"
 	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/resil"
@@ -98,24 +99,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// routeCounters is the per-route stats block. It is keyed by route name
-// and survives hot reloads, so a reload does not zero the counters of
-// routes that persist.
-type routeCounters struct {
-	requests      atomic.Int64
-	fastTier      atomic.Int64
-	treeTier      atomic.Int64
-	passthrough   atomic.Int64
-	streamed      atomic.Int64
-	transcodeNs   atomic.Int64
-	upstreamErrs  atomic.Int64
-	sheds         atomic.Int64
-	budgetRejects atomic.Int64
-}
-
 // route is one compiled table entry.
 type route struct {
-	name   string
 	key    string
 	op     uint32
 	upAddr string
@@ -126,7 +111,10 @@ type route struct {
 	// req and rep are the compiled payload directions, each on whichever
 	// rung its pair reached; nil = passthrough.
 	req, rep *transcode.Transcoder
-	c        *routeCounters
+	// live is the route's counter block, bumped with sync/atomic. It is
+	// keyed by route name and survives hot reloads, so a reload does not
+	// zero the counters of routes that persist.
+	live *RouteStats
 }
 
 // table is the immutable routing state the data plane reads; reloads
@@ -174,15 +162,11 @@ type Gateway struct {
 	pools    map[string]*resil.Client
 	fleets   map[string]*cluster.Client
 	lanes    map[fingerprint.PairKey]*transcode.Transcoder
-	counters map[string]*routeCounters
+	counters map[string]*RouteStats
 	reloader func() (*Config, error)
 	closed   bool
 
-	expired         atomic.Int64
-	canceled        atomic.Int64
-	laneCompiles    atomic.Int64
-	laneUnsupported atomic.Int64
-	laneHits        atomic.Int64
+	live Stats // gateway-wide counters, bumped with sync/atomic
 }
 
 // New returns a Gateway with an empty route table. Call SetConfig (or
@@ -196,7 +180,7 @@ func New(opts Options) *Gateway {
 		pools:    make(map[string]*resil.Client),
 		fleets:   make(map[string]*cluster.Client),
 		lanes:    make(map[fingerprint.PairKey]*transcode.Transcoder),
-		counters: make(map[string]*routeCounters),
+		counters: make(map[string]*RouteStats),
 		chassis:  serve.New(opts.MaxInFlight, opts.AdmitWait),
 	}
 	g.tab.Store(&table{routes: map[string]map[uint32]*route{}})
@@ -316,7 +300,6 @@ func (g *Gateway) SetConfig(cfg *Config) error {
 func (g *Gateway) compileRoute(cfg *Config, rc *RouteConfig) (*route, error) {
 	name := rc.DisplayName()
 	r := &route{
-		name:   name,
 		key:    rc.Key,
 		op:     rc.Op,
 		upAddr: rc.Upstream,
@@ -332,9 +315,9 @@ func (g *Gateway) compileRoute(cfg *Config, rc *RouteConfig) (*route, error) {
 	if rc.UpstreamOp != nil {
 		r.upOp = *rc.UpstreamOp
 	}
-	if r.c = g.counters[name]; r.c == nil {
-		r.c = &routeCounters{}
-		g.counters[name] = r.c
+	if r.live = g.counters[name]; r.live == nil {
+		r.live = &RouteStats{Name: name}
+		g.counters[name] = r.live
 	}
 	addrs := splitUpstream(r.upAddr)
 	switch len(addrs) {
@@ -392,7 +375,7 @@ func (g *Gateway) lane(from, to *DeclConfig) (*transcode.Transcoder, fingerprint
 	}
 	key := fingerprint.Pair(fingerprint.Exact(mtF), fingerprint.Exact(mtT))
 	if l := g.lanes[key]; l != nil {
-		g.laneHits.Add(1)
+		atomic.AddInt64(&g.live.LaneReuses, 1)
 		return l, key, nil
 	}
 	g.sessMu.Lock()
@@ -412,9 +395,9 @@ func (g *Gateway) lane(from, to *DeclConfig) (*transcode.Transcoder, fingerprint
 	if err != nil {
 		return nil, key, err
 	}
-	g.laneCompiles.Add(1)
+	atomic.AddInt64(&g.live.LaneCompiles, 1)
 	if l.Refusal() != "" {
-		g.laneUnsupported.Add(1)
+		atomic.AddInt64(&g.live.LaneUnsupported, 1)
 	}
 	g.lanes[key] = l
 	return l, key, nil
@@ -442,10 +425,10 @@ func (g *Gateway) Lower(d *DeclConfig) (*mtype.Type, error) {
 // admit counts one call against its route and takes an admission slot
 // for it; a shed is counted against the route as well as the gate.
 func (g *Gateway) admit(r *route) error {
-	r.c.requests.Add(1)
+	atomic.AddInt64(&r.live.Requests, 1)
 	err := g.chassis.Admit()
 	if err != nil {
-		r.c.sheds.Add(1)
+		atomic.AddInt64(&r.live.Sheds, 1)
 	}
 	return err
 }
@@ -489,7 +472,7 @@ func (g *Gateway) relay(ctx context.Context, r *route, body []byte) ([]byte, err
 	defer g.chassis.Release()
 
 	if err := g.checkBudget("request", len(body)); err != nil {
-		r.c.budgetRejects.Add(1)
+		atomic.AddInt64(&r.live.BudgetRejects, 1)
 		return nil, err
 	}
 	out := body
@@ -511,7 +494,7 @@ func (g *Gateway) relay(ctx context.Context, r *route, body []byte) ([]byte, err
 	}
 	reply := res.Reply
 	if err := g.checkBudget("reply", len(reply)); err != nil {
-		r.c.budgetRejects.Add(1)
+		atomic.AddInt64(&r.live.BudgetRejects, 1)
 		return nil, err
 	}
 	if r.rep != nil {
@@ -520,7 +503,7 @@ func (g *Gateway) relay(ctx context.Context, r *route, body []byte) ([]byte, err
 		}
 	}
 	if r.req == nil && r.rep == nil {
-		r.c.passthrough.Add(1)
+		atomic.AddInt64(&r.live.Passthrough, 1)
 	}
 	return reply, nil
 }
@@ -532,22 +515,22 @@ func (g *Gateway) relay(ctx context.Context, r *route, body []byte) ([]byte, err
 // generic failures — degrades to a tagged upstream error whose typed
 // wrappers survive the error frame back to the client.
 func (g *Gateway) mapUpstreamErr(ctx context.Context, r *route, err error) error {
-	r.c.upstreamErrs.Add(1)
+	atomic.AddInt64(&r.live.UpstreamErrors, 1)
 	switch {
 	case errors.Is(err, orb.ErrExpired):
 		// The upstream shed (or abandoned) the call because the
 		// propagated budget was spent; keep the typed expiry intact.
-		g.expired.Add(1)
+		atomic.AddInt64(&g.live.Expired, 1)
 	case ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded):
 		// Our own budget-derived deadline ran out while the leg was in
 		// flight: the caller's clock expired, so answer with the typed
 		// expiry instead of a generic upstream failure.
-		g.expired.Add(1)
+		atomic.AddInt64(&g.live.Expired, 1)
 		return fmt.Errorf("%w: budget spent relaying via %s: %v", orb.ErrExpired, r.upAddr, err)
 	case ctx.Err() != nil:
 		// The client canceled or disconnected mid-relay; the upstream
 		// leg was already aborted via a forwarded cancel frame.
-		g.canceled.Add(1)
+		atomic.AddInt64(&g.live.Canceled, 1)
 		return fmt.Errorf("%w: caller went away relaying via %s", orb.ErrCanceled, r.upAddr)
 	}
 	return fmt.Errorf("gateway: upstream %s: %w", r.upAddr, err)
@@ -576,14 +559,14 @@ func (g *Gateway) runLane(r *route, l *transcode.Transcoder, dst, payload []byte
 	} else {
 		out, err = l.TranscodeAppend(dst, payload)
 	}
-	r.c.transcodeNs.Add(time.Since(start).Nanoseconds())
+	atomic.AddInt64((*int64)(&r.live.TranscodeTotal), int64(time.Since(start)))
 	if err != nil {
 		return nil, err
 	}
 	if l.Refusal() == "" {
-		r.c.fastTier.Add(1)
+		atomic.AddInt64(&r.live.FastTier, 1)
 	} else {
-		r.c.treeTier.Add(1)
+		atomic.AddInt64(&r.live.TreeTier, 1)
 	}
 	return out, nil
 }
@@ -615,22 +598,17 @@ type RouteStats struct {
 
 // UpstreamStats is one upstream pool's counter snapshot.
 type UpstreamStats struct {
-	Addr      string `json:"addr"`
-	Conns     int    `json:"conns"`
-	Dials     int64  `json:"dials"`
-	Discards  int64  `json:"discards"`
-	Retries   int64  `json:"retries"`
-	Overloads int64  `json:"overloads"`
-	Hedges    int64  `json:"hedges"`
-	HedgeWins int64  `json:"hedge_wins"`
-	// BudgetExhausted counts retries and hedges the pool wanted but the
-	// shared retry budget refused; BreakerTrips counts circuit-breaker
-	// openings (fleet members only — single pools have no breaker).
-	BudgetExhausted int64 `json:"budget_exhausted"`
-	BreakerTrips    int64 `json:"breaker_trips"`
+	Addr string `json:"addr"`
+	resil.Stats
+	// BreakerTrips counts circuit-breaker openings (fleet members only —
+	// single pools have no breaker).
+	BreakerTrips int64 `json:"breaker_trips"`
 }
 
-// Stats is a point-in-time snapshot of the gateway's counters.
+// Stats is a point-in-time snapshot of the gateway's counters. The
+// gateway counts into a live Stats of its own and each route into a live
+// RouteStats; the lists, InFlight and Sheds are filled in when the
+// snapshot is taken.
 type Stats struct {
 	// Routes holds the live table's per-route counters, sorted by name.
 	Routes []RouteStats `json:"routes"`
@@ -656,50 +634,23 @@ type Stats struct {
 
 // Stats returns a snapshot of the gateway's counters.
 func (g *Gateway) Stats() Stats {
-	st := Stats{
-		LaneCompiles:    g.laneCompiles.Load(),
-		LaneUnsupported: g.laneUnsupported.Load(),
-		LaneReuses:      g.laneHits.Load(),
-		InFlight:        g.chassis.InFlight(),
-		Sheds:           g.chassis.Sheds(),
-		Expired:         g.expired.Load(),
-		Canceled:        g.canceled.Load(),
-	}
-	tab := g.tab.Load()
-	for _, ops := range tab.routes {
+	st := metrics.Load(&g.live)
+	st.InFlight, st.Sheds = g.chassis.InFlight(), g.chassis.Sheds()
+	for _, ops := range g.tab.Load().routes {
 		for _, r := range ops {
-			st.Routes = append(st.Routes, RouteStats{
-				Name:           r.name,
-				Requests:       r.c.requests.Load(),
-				FastTier:       r.c.fastTier.Load(),
-				TreeTier:       r.c.treeTier.Load(),
-				Passthrough:    r.c.passthrough.Load(),
-				Streamed:       r.c.streamed.Load(),
-				TranscodeTotal: time.Duration(r.c.transcodeNs.Load()),
-				UpstreamErrors: r.c.upstreamErrs.Load(),
-				Sheds:          r.c.sheds.Load(),
-				BudgetRejects:  r.c.budgetRejects.Load(),
-			})
+			st.Routes = append(st.Routes, metrics.Load(r.live))
 		}
 	}
 	sortRouteStats(st.Routes)
-	upstream := func(addr string, ps resil.Stats, breakerTrips int64) {
-		st.Upstreams = append(st.Upstreams, UpstreamStats{
-			Addr: addr, Conns: ps.Conns, Dials: ps.Dials, Discards: ps.Discards,
-			Retries: ps.Retries, Overloads: ps.Overloads,
-			Hedges: ps.Hedges, HedgeWins: ps.HedgeWins,
-			BudgetExhausted: ps.BudgetExhausted, BreakerTrips: breakerTrips,
-		})
-	}
 	g.mu.Lock()
 	for addr, p := range g.pools {
-		upstream(addr, p.Stats(), 0)
+		st.Upstreams = append(st.Upstreams, UpstreamStats{Addr: addr, Stats: p.Stats()})
 	}
 	// Fleet members report individually, so the existing stats schema
 	// (a flat upstream list) spans the fleet unchanged.
 	for _, f := range g.fleets {
 		for _, m := range f.Stats().Members {
-			upstream(m.Addr, m.Pool, m.BreakerTrips)
+			st.Upstreams = append(st.Upstreams, UpstreamStats{Addr: m.Addr, Stats: m.Pool, BreakerTrips: m.BreakerTrips})
 		}
 	}
 	g.mu.Unlock()
@@ -729,8 +680,8 @@ type Health struct {
 // Health returns the gateway's readiness and load snapshot.
 func (g *Gateway) Health() Health {
 	h := Health{Health: g.chassis.Health()}
-	h.Expired += g.expired.Load()
-	h.Canceled += g.canceled.Load()
+	h.Expired += atomic.LoadInt64(&g.live.Expired)
+	h.Canceled += atomic.LoadInt64(&g.live.Canceled)
 	for _, ops := range g.tab.Load().routes {
 		h.Routes += len(ops)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/proto"
+	"repro/internal/resil"
 	"repro/internal/serve"
 	"repro/internal/testutil"
 )
@@ -38,8 +39,8 @@ func TestGoldenStatsWire(t *testing.T) {
 				TranscodeTotal: 15, UpstreamErrors: 16, Sheds: 17, BudgetRejects: 18},
 		},
 		Upstreams: []UpstreamStats{
-			{Addr: "127.0.0.1:7465", Conns: 19, Dials: 20, Discards: 21, Retries: 22,
-				Overloads: 23, Hedges: 24, HedgeWins: 25, BudgetExhausted: 26, BreakerTrips: 27},
+			{Addr: "127.0.0.1:7465", Stats: resil.Stats{Conns: 19, Dials: 20, Discards: 21, Retries: 22,
+				Overloads: 23, Hedges: 24, HedgeWins: 25, BudgetExhausted: 26}, BreakerTrips: 27},
 		},
 		LaneCompiles: 28, LaneUnsupported: 29, LaneReuses: 30, InFlight: 31, Sheds: 32, Expired: 33, Canceled: 34,
 	})

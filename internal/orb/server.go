@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/metrics"
 )
 
 // serverCtx is the context.Context handed to handlers: a flat
@@ -155,10 +156,7 @@ type Server struct {
 	lim      Limits
 	callPool sync.Pool // of *call, on lim's clock
 
-	panics   atomic.Int64
-	shed     atomic.Int64
-	expired  atomic.Int64
-	canceled atomic.Int64
+	live ServerStats // bumped with sync/atomic; Stats loads it
 
 	mu             sync.Mutex
 	handlers       map[string]Handler
@@ -195,14 +193,7 @@ func NewServer(addr string, opts ...Option) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Stats returns a snapshot of the server's hardening counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Panics:   s.panics.Load(),
-		Shed:     s.shed.Load(),
-		Expired:  s.expired.Load(),
-		Canceled: s.canceled.Load(),
-	}
-}
+func (s *Server) Stats() ServerStats { return metrics.Load(&s.live) }
 
 // Draining reports whether the server has begun a graceful shutdown and
 // is no longer accepting work. Health endpoints expose it as readiness.
@@ -406,7 +397,7 @@ func (sc *serverConn) onFrame(f frame) bool {
 	if cl := sc.calls[f.id]; cl != nil {
 		end = cl.end
 		if f.kind == kindCancel && cl.cancel(context.Canceled) {
-			sc.s.canceled.Add(1)
+			atomic.AddInt64(&sc.s.live.Canceled, 1)
 		}
 		if f.kind == kindCancel && end != nil {
 			end.fail(ErrCanceled)
@@ -432,7 +423,7 @@ func (sc *serverConn) admit(f frame) *call {
 		// expired, and an expired request should not count against capacity.
 		deadline = f.hdrAt.Add(time.Duration(f.budget) * time.Millisecond)
 		if over := s.lim.clk.Now().Sub(deadline); over >= 0 {
-			s.expired.Add(1)
+			atomic.AddInt64(&s.live.Expired, 1)
 			sc.refuse(f, fmt.Errorf("%w: budget of %dms spent %v before dispatch", ErrExpired, f.budget, over.Round(time.Millisecond)))
 			return nil
 		}
@@ -453,7 +444,7 @@ func (sc *serverConn) admit(f frame) *call {
 	switch _, live := sc.calls[f.id]; {
 	case sc.inFlight >= s.lim.MaxPerConn:
 		// No dispatch, no queue: the peer gets a typed error to back off on.
-		s.shed.Add(1)
+		atomic.AddInt64(&s.live.Shed, 1)
 		deny = fmt.Errorf("%w: connection exceeds %d concurrent requests", ErrOverloaded, s.lim.MaxPerConn)
 	case stream && sh == nil:
 		deny = fmt.Errorf("no stream object %q", f.key)
@@ -519,7 +510,7 @@ func (sc *serverConn) finish(cl *call, reply []byte, err error) {
 	req := &cl.req
 	if err != nil {
 		if errors.Is(err, ErrServerPanic) {
-			sc.s.panics.Add(1)
+			atomic.AddInt64(&sc.s.live.Panics, 1)
 		}
 		// A handler that bailed because the propagated budget ran out
 		// mid-work reports ErrExpired, not a generic error: the caller's

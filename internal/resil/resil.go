@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/metrics"
 	"repro/internal/orb"
 )
 
@@ -104,25 +105,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats is a snapshot of a Client's counters.
+// Stats is a snapshot of a Client's counters. The JSON tags are the
+// upstream fields of `mbird remote stats -gateway -json`.
 type Stats struct {
 	// Conns is the number of live pooled connections.
-	Conns int
+	Conns int `json:"conns"`
 	// Dials counts connections established over the Client's lifetime.
-	Dials int64
+	Dials int64 `json:"dials"`
 	// Discards counts connections dropped for failure or idleness.
-	Discards int64
+	Discards int64 `json:"discards"`
 	// Retries counts retry attempts (not first attempts).
-	Retries int64
+	Retries int64 `json:"retries"`
 	// Overloads counts attempts shed by the server with orb.ErrOverloaded
 	// (each is retried with backoff until attempts run out).
-	Overloads int64
+	Overloads int64 `json:"overloads"`
 	// Hedges counts hedge attempts launched; HedgeWins counts calls
 	// completed by the hedge rather than the primary.
-	Hedges, HedgeWins int64
+	Hedges    int64 `json:"hedges"`
+	HedgeWins int64 `json:"hedge_wins"`
 	// BudgetExhausted counts retries and hedges this Client wanted but
 	// the retry budget refused.
-	BudgetExhausted int64
+	BudgetExhausted int64 `json:"budget_exhausted"`
 }
 
 // pconn is one pooled orb connection.
@@ -148,13 +151,7 @@ type Client struct {
 
 	lat latencyWindow
 
-	dials           atomic.Int64
-	discards        atomic.Int64
-	retries         atomic.Int64
-	overloads       atomic.Int64
-	hedges          atomic.Int64
-	hedgeWins       atomic.Int64
-	budgetExhausted atomic.Int64
+	live Stats // bumped with sync/atomic; Stats loads it
 }
 
 // New returns a Client for addr. Connections are dialed lazily on first
@@ -234,19 +231,11 @@ func (c *Client) Drain(ctx context.Context) error {
 
 // Stats returns a snapshot of the Client's counters.
 func (c *Client) Stats() Stats {
+	st := metrics.Load(&c.live)
 	c.mu.Lock()
-	n := len(c.conns)
+	st.Conns = len(c.conns)
 	c.mu.Unlock()
-	return Stats{
-		Conns:           n,
-		Dials:           c.dials.Load(),
-		Discards:        c.discards.Load(),
-		Retries:         c.retries.Load(),
-		Overloads:       c.overloads.Load(),
-		Hedges:          c.hedges.Load(),
-		HedgeWins:       c.hedgeWins.Load(),
-		BudgetExhausted: c.budgetExhausted.Load(),
-	}
+	return st
 }
 
 // reap closes connections that have sat idle past idleTimeout, and
@@ -269,7 +258,7 @@ func (c *Client) reap() {
 	}
 	c.mu.Unlock()
 	for _, pc := range idle {
-		c.discards.Add(1)
+		atomic.AddInt64(&c.live.Discards, 1)
 		_ = pc.c.Close()
 	}
 }
@@ -315,7 +304,7 @@ func (c *Client) acquire(ctx context.Context, exclude *pconn) (*pconn, error) {
 		dialed := c.dialed
 		c.mu.Unlock()
 		for _, pc := range dead {
-			c.discards.Add(1)
+			atomic.AddInt64(&c.live.Discards, 1)
 			_ = pc.c.Close()
 		}
 		switch {
@@ -364,7 +353,7 @@ func (c *Client) dial(ctx context.Context) (*pconn, error) {
 		_ = oc.Close()
 		return nil, ErrClosed
 	}
-	c.dials.Add(1)
+	atomic.AddInt64(&c.live.Dials, 1)
 	pc := &pconn{c: oc}
 	pc.lastUsed.Store(c.opts.clk.Now().UnixNano())
 	pc.inflight.Add(1)
@@ -389,7 +378,7 @@ func (c *Client) discard(pc *pconn) {
 		}
 	}
 	c.mu.Unlock()
-	c.discards.Add(1)
+	atomic.AddInt64(&c.live.Discards, 1)
 	_ = pc.c.Close()
 }
 
@@ -524,10 +513,10 @@ func (c *Client) Do(ctx context.Context, call Call) (Result, error) {
 			// dry the backend is failing broadly and piling on attempts
 			// would amplify the outage, so fail fast instead.
 			if !c.opts.RetryBudget.Withdraw() {
-				c.budgetExhausted.Add(1)
+				atomic.AddInt64(&c.live.BudgetExhausted, 1)
 				return Result{}, fmt.Errorf("%w: after %d attempts to %s: %w", ErrRetryBudget, attempt, c.addr, lastErr)
 			}
-			c.retries.Add(1)
+			atomic.AddInt64(&c.live.Retries, 1)
 			if err := c.backoff(ctx, attempt); err != nil {
 				break // lastErr, the failed attempt, stays the cause
 			}
@@ -544,7 +533,7 @@ func (c *Client) Do(ctx context.Context, call Call) (Result, error) {
 			return res, nil
 		}
 		if errors.Is(err, orb.ErrOverloaded) {
-			c.overloads.Add(1)
+			atomic.AddInt64(&c.live.Overloads, 1)
 		}
 		lastErr = err
 		if !retryable(err) {
@@ -639,7 +628,7 @@ func (c *Client) hedged(ctx context.Context, call Call) ([]byte, error) {
 			got++
 			if r.err == nil {
 				if r.hedge {
-					c.hedgeWins.Add(1)
+					atomic.AddInt64(&c.live.HedgeWins, 1)
 				}
 				return r.reply, nil
 			}
@@ -651,10 +640,10 @@ func (c *Client) hedged(ctx context.Context, call Call) ([]byte, error) {
 			// token a retry would. Refused hedges just let the primary run
 			// to its own deadline.
 			if !c.opts.RetryBudget.Withdraw() {
-				c.budgetExhausted.Add(1)
+				atomic.AddInt64(&c.live.BudgetExhausted, 1)
 				continue
 			}
-			c.hedges.Add(1)
+			atomic.AddInt64(&c.live.Hedges, 1)
 			run(true, primary)
 			launched = 2
 		}
