@@ -83,6 +83,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -929,21 +930,6 @@ type clusterStatusJSON struct {
 	Nodes   []clusterNodeJSON `json:"nodes"`
 }
 
-// membersEqual compares two member lists ignoring order.
-func membersEqual(a, b []string) bool {
-	ra, rb := cluster.NewRing(a), cluster.NewRing(b)
-	am, bm := ra.Members(), rb.Members()
-	if len(am) != len(bm) {
-		return false
-	}
-	for i := range am {
-		if am[i] != bm[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func cmdClusterStatus(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cluster status", flag.ContinueOnError)
 	var tf transportFlags
@@ -953,12 +939,7 @@ func cmdClusterStatus(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var addrs []string
-	for _, a := range strings.Split(*members, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
+	addrs := cluster.SplitMembers(*members)
 	if len(addrs) == 0 {
 		return fmt.Errorf("missing -cluster member list")
 	}
@@ -968,25 +949,20 @@ func cmdClusterStatus(args []string, out io.Writer) error {
 	js := clusterStatusJSON{Members: ring.Members(), Nodes: []clusterNodeJSON{}}
 	for _, addr := range ring.Members() {
 		row := clusterNodeJSON{Addr: addr, RingShare: shares[addr]}
-		rc := resil.New(addr, resil.Options{
-			CallTimeout: tf.timeout,
-			DialTimeout: tf.dialTimeout,
-			MaxAttempts: tf.retries,
-		})
+		member := tf
+		member.addr = addr
+		rc := member.pool()
 		err := func() error {
-			bc := broker.NewTransportClient(rc)
-			st, err := bc.StatsContext(context.Background())
+			st, err := broker.NewTransportClient(rc).StatsContext(tf.ctx())
 			if err != nil {
 				return err
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), gateway.DialTimeout)
-			ns, err := cluster.FetchStatus(ctx, rc)
-			cancel()
+			ns, err := cluster.FetchStatus(tf.ctx(), rc)
 			if err != nil {
 				return err
 			}
 			row.Reachable = true
-			row.MembersAgree = membersEqual(ns.Members, addrs)
+			row.MembersAgree = slices.Equal(cluster.NewRing(ns.Members).Members(), ring.Members())
 			row.Verdicts, row.Converters, row.Transcoders = st.VerdictEntries, st.ConverterEntries, st.XcodeEntries
 			row.Hits = st.CompareHits + st.ConvertHits + st.XcodeHits
 			row.Sheds = st.Sheds

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/broker"
 	"repro/internal/cluster"
@@ -621,5 +622,43 @@ func TestClusterStatusCommand(t *testing.T) {
 	}
 	if _, err := runCLI(t, "cluster", "status"); err == nil {
 		t.Fatal("cluster status without -cluster accepted")
+	}
+}
+
+// TestClusterStatusBudget checks that `mbird cluster status` carries
+// -budget to each member: a member whose broker handler waits on its
+// context comes back as an unreachable row once the budget is spent,
+// not after -timeout.
+func TestClusterStatusBudget(t *testing.T) {
+	srv, err := orb.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	srv.Register(broker.ObjectKey, func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+
+	start := time.Now()
+	out, err := runCLI(t, "cluster", "status", "-cluster", srv.Addr(), "-json",
+		"-budget", "20ms", "-timeout", "5s", "-retries", "1")
+	if err != nil {
+		t.Fatalf("cluster status: %v (out=%q)", err, out)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("cluster status took %v with -budget 20ms, want under 1s", took)
+	}
+	var st struct {
+		Nodes []struct {
+			Reachable bool   `json:"reachable"`
+			Error     string `json:"error"`
+		} `json:"nodes"`
+	}
+	if err := json.Unmarshal([]byte(out), &st); err != nil {
+		t.Fatalf("bad JSON %q: %v", out, err)
+	}
+	if len(st.Nodes) != 1 || st.Nodes[0].Reachable || st.Nodes[0].Error == "" {
+		t.Fatalf("stalled member rows = %+v, want one unreachable row with an error", st.Nodes)
 	}
 }

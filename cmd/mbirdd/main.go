@@ -50,7 +50,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/broker"
@@ -120,15 +120,8 @@ func start(cfg config) (*orb.Server, *broker.Broker, *cluster.Node, error) {
 		if self == "" {
 			self = cfg.addr
 		}
-		members := NewRingMembers(cfg.cluster)
-		found := false
-		for _, m := range members {
-			if m == self {
-				found = true
-				break
-			}
-		}
-		if !found {
+		members := cluster.SplitMembers(cfg.cluster)
+		if !slices.Contains(members, self) {
 			return nil, nil, nil, fmt.Errorf("mbirdd: -cluster-self %q is not in -cluster %q", self, cfg.cluster)
 		}
 		node = cluster.NewNode(self, members, b, cluster.NodeOptions{})
@@ -157,17 +150,6 @@ func start(cfg config) (*orb.Server, *broker.Broker, *cluster.Node, error) {
 		cluster.Serve(srv, node)
 	}
 	return srv, b, node, nil
-}
-
-// NewRingMembers splits a -cluster flag value into member addresses.
-func NewRingMembers(list string) []string {
-	var out []string
-	for _, m := range strings.Split(list, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // writeHeapProfile forces a GC so the profile reflects live objects, then

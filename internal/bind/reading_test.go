@@ -842,7 +842,7 @@ func readingRows() []readingRow {
 // TestReadingTable pins how every module reads an annotated declaration.
 // testdata/reading.txt was written by this test at the commit before
 // lower's Shape became the one reading; that change reproduces it except
-// for the rows CHANGES.md names.
+// for the rows CHANGES.md names at 06bf690.
 func TestReadingTable(t *testing.T) {
 	var sb strings.Builder
 	for _, r := range readingRows() {

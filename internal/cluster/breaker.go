@@ -58,14 +58,9 @@ func tripworthy(err error) bool {
 	if errors.Is(err, orb.ErrOverloaded) {
 		return true
 	}
-	if errors.Is(err, orb.ErrCanceled) || errors.Is(err, orb.ErrExpired) {
-		return false
-	}
 	var re *orb.RemoteError
-	if errors.As(err, &re) {
-		return false
-	}
-	if errors.Is(err, orb.ErrServerPanic) || errors.Is(err, orb.ErrFrameTooLarge) {
+	if errors.Is(err, orb.ErrCanceled) || errors.Is(err, orb.ErrExpired) || errors.As(err, &re) ||
+		errors.Is(err, orb.ErrServerPanic) || errors.Is(err, orb.ErrFrameTooLarge) {
 		return false
 	}
 	// ErrDeadline lands here deliberately: a member that eats the whole
@@ -124,9 +119,7 @@ func (b *breaker) success(d time.Duration) {
 	b.mu.Lock()
 	b.failures = 0
 	b.probing = false
-	if b.state != breakerClosed {
-		b.state = breakerClosed
-	}
+	b.state = breakerClosed
 	b.samples[b.n%len(b.samples)] = d
 	b.n++
 	b.mu.Unlock()
@@ -193,10 +186,7 @@ func (b *breaker) open() {
 // count.
 func (b *breaker) p99() (time.Duration, int) {
 	b.mu.Lock()
-	n := b.n
-	if n > len(b.samples) {
-		n = len(b.samples)
-	}
+	n := min(b.n, len(b.samples))
 	buf := make([]time.Duration, n)
 	copy(buf, b.samples[:n])
 	b.mu.Unlock()

@@ -399,16 +399,13 @@ func (c *Client) applySpill(order []string) {
 // leastLoadedOrder returns the members ordered by in-flight load, for
 // keyless operations (stats, health) that any member can answer.
 func (c *Client) leastLoadedOrder(ring *Ring) []string {
+	load := func(addr string) int64 {
+		if m := c.member(addr); m != nil {
+			return m.inflight.Load()
+		}
+		return 0
+	}
 	order := ring.Members()
-	sort.Slice(order, func(i, j int) bool {
-		var li, lj int64
-		if m := c.member(order[i]); m != nil {
-			li = m.inflight.Load()
-		}
-		if m := c.member(order[j]); m != nil {
-			lj = m.inflight.Load()
-		}
-		return li < lj
-	})
+	sort.Slice(order, func(i, j int) bool { return load(order[i]) < load(order[j]) })
 	return order
 }

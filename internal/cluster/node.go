@@ -334,8 +334,7 @@ func (n *Node) applyEntry(e broker.WarmEntry) (bool, error) {
 // Unreachable peers are skipped; an error is returned only when every
 // peer failed (one live peer is enough to warm from).
 func (n *Node) SyncFromPeers(ctx context.Context) (int, error) {
-	others := 0
-	warmed := 0
+	others, warmed := 0, 0
 	var lastErr error
 	seen := map[string]bool{}
 	for _, addr := range n.ring.Load().Members() {

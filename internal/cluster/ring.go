@@ -30,6 +30,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // RouteKey derives the ring key for a request from its identifying
@@ -72,6 +73,17 @@ func NewRing(members []string) *Ring {
 	}
 	sort.Strings(ms)
 	return &Ring{members: ms}
+}
+
+// SplitMembers parses a comma-separated member list: each member
+// trimmed, empties dropped, order and duplicates left for NewRing.
+func SplitMembers(list string) (out []string) {
+	for _, m := range strings.Split(list, ",") {
+		if m = strings.TrimSpace(m); m != "" {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // Members returns the ring's member addresses, sorted.

@@ -86,3 +86,19 @@ func TestClusterRouteKeyDistinguishesParts(t *testing.T) {
 		t.Fatal("RouteKey is not deterministic")
 	}
 }
+
+// TestClusterSplitMembers pins the member-list syntax every -cluster
+// flag and fleet upstream shares: trimmed, empties dropped, order and
+// duplicates left for NewRing.
+func TestClusterSplitMembers(t *testing.T) {
+	for in, want := range map[string]string{
+		"":                   "[]",
+		"a:1":                "[a:1]",
+		" b:1 , a:1,,b:1 , ": "[b:1 a:1 b:1]",
+		",,":                 "[]",
+	} {
+		if got := fmt.Sprint(SplitMembers(in)); got != want {
+			t.Errorf("SplitMembers(%q) = %s, want %s", in, got, want)
+		}
+	}
+}

@@ -263,7 +263,7 @@ func (gc goldenCase) transcript(t *testing.T) string {
 // reads (200, 40000, rune 233). The refusal rows and the nested-layout
 // rows after them were written at the commit before owners and bases
 // became registers; that change reproduces every row's outcome and bytes
-// and rewords eleven error texts (CHANGES.md lists them). The slot-kind
+// and rewords eleven error texts (CHANGES.md at 06bf690 lists them). The slot-kind
 // rows were written after it: six of them used to reach C as 0.
 func TestGoldenTranscript(t *testing.T) {
 	var sb strings.Builder

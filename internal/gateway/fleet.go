@@ -25,19 +25,6 @@ import (
 // as a cancel frame).
 type upstream func(ctx context.Context, rk []byte, call resil.Call) (resil.Result, error)
 
-// splitUpstream parses an upstream address field: one address, or a
-// comma-separated fleet member list (whitespace around members is
-// ignored, empties dropped).
-func splitUpstream(addr string) []string {
-	var out []string
-	for _, a := range strings.Split(addr, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // fleetKey canonicalizes a member list so two routes naming the same
 // fleet in different orders share one cluster client.
 func fleetKey(addrs []string) string {

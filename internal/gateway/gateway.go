@@ -319,7 +319,7 @@ func (g *Gateway) compileRoute(cfg *Config, rc *RouteConfig) (*route, error) {
 		r.live = &RouteStats{Name: name}
 		g.counters[name] = r.live
 	}
-	addrs := splitUpstream(r.upAddr)
+	addrs := cluster.SplitMembers(r.upAddr) // one address, or a fleet's member list
 	switch len(addrs) {
 	case 0:
 		return nil, errors.New("empty upstream address")

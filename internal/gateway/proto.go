@@ -9,7 +9,6 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/orb"
 	"repro/internal/proto"
@@ -101,9 +100,6 @@ type Client struct {
 // resil.Client (safe: every admin op except reload is a pure read, and
 // reload is idempotent against an unchanged route file).
 func NewTransportClient(t proto.Transport) *Client { return &Client{t: t} }
-
-// DialTimeout bounds a one-shot connection to a gateway's admin service.
-const DialTimeout = 10 * time.Second
 
 // Close releases the underlying transport.
 func (c *Client) Close() error { return c.t.Close() }

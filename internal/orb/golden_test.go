@@ -215,7 +215,7 @@ func goldenServer(t *testing.T, entered chan string, opts ...Option) *Server {
 // against each outcome and compares every frame the server wrote back
 // with testdata/golden/transcript.txt. The file was captured at the
 // commit before the one-dispatch-path rewrite; the rows that differ from
-// that capture are the drifts CHANGES.md names. A request row runs with
+// that capture are the drifts CHANGES.md names at 06bf690. A request row runs with
 // no budget (0 on the wire) or with one.
 func TestGoldenTranscript(t *testing.T) {
 	const far = 60000 // a budget (ms) no row outlives
