@@ -273,6 +273,7 @@ func TestExitCodes(t *testing.T) {
 		{"dial failure", wrap(fmt.Errorf("%w: connection refused", orb.ErrDial)), 2},
 		{"remote handler error", &orb.RemoteError{Msg: "compare: unknown universe"}, 3},
 		{"server panic", fmt.Errorf("%w: runtime error", orb.ErrServerPanic), 3},
+		{"not served here", fmt.Errorf("%w: no object \"mbird.broker\"", orb.ErrUnavailable), 3},
 		{"overload shed", wrap(fmt.Errorf("%w: 256 requests already in flight", orb.ErrOverloaded)), 4},
 		{"budget expired", fmt.Errorf("%w: budget of 50ms spent before dispatch", orb.ErrExpired), 5},
 		{"budget expired mid-flight", wrap(fmt.Errorf("%w: budget spent while request was in flight", orb.ErrExpired)), 5},

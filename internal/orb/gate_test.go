@@ -38,8 +38,9 @@ func TestGateTable(t *testing.T) {
 			wantCode: codeErrOverloaded, wantText: "connection exceeds 1 concurrent requests", want: ServerStats{Shed: 1}},
 		{name: "the cap outranks a missing object", opts: capOne, park: true, id: 2, key: "ghost",
 			wantCode: codeErrOverloaded, wantText: "connection exceeds 1 concurrent requests", want: ServerStats{Shed: 1}},
-		{name: "no object", id: 2, key: "ghost", wantText: `no *object "ghost"`},
-		{name: "a missing object outranks a duplicate id", park: true, id: 0, key: "ghost", wantText: `no *object "ghost"`},
+		{name: "no object", id: 2, key: "ghost", wantCode: codeErrUnavailable, wantText: `no *object "ghost"`},
+		{name: "a missing object outranks a duplicate id", park: true, id: 0, key: "ghost",
+			wantCode: codeErrUnavailable, wantText: `no *object "ghost"`},
 		{name: "duplicate live id", park: true, id: 0, key: "echo",
 			wantText: "id 0 names a call still in flight on this connection"},
 		{name: "admitted", id: 2, key: "echo"},

@@ -73,9 +73,8 @@ func TestUnknownObject(t *testing.T) {
 	s := startServer(t)
 	c := dial(t, s)
 	_, err := c.Invoke("ghost", 0, nil)
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		t.Errorf("err = %v", err)
+	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), `no object "ghost"`) {
+		t.Errorf("err = %v, want ErrUnavailable naming the object", err)
 	}
 }
 

@@ -447,9 +447,9 @@ func (sc *serverConn) admit(f frame) *call {
 		atomic.AddInt64(&s.live.Shed, 1)
 		deny = fmt.Errorf("%w: connection exceeds %d concurrent requests", ErrOverloaded, s.lim.MaxPerConn)
 	case stream && sh == nil:
-		deny = fmt.Errorf("no stream object %q", f.key)
+		deny = fmt.Errorf("%w: no stream object %q", ErrUnavailable, f.key)
 	case h == nil && sh == nil:
-		deny = fmt.Errorf("no object %q", f.key)
+		deny = fmt.Errorf("%w: no object %q", ErrUnavailable, f.key)
 	case live && f.kind != kindOneway:
 		// Entering it would orphan the first call: no cancel frame, chunk
 		// or teardown could reach it again.

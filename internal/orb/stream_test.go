@@ -122,9 +122,8 @@ func TestStreamNoSuchObject(t *testing.T) {
 	defer sc.Close()
 	_ = sc.CloseSend()
 	_, err = io.ReadAll(sc)
-	var re *RemoteError
-	if !errors.As(err, &re) || !strings.Contains(err.Error(), "no stream object") {
-		t.Fatalf("got %v, want remote no-stream-object error", err)
+	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "no stream object") {
+		t.Fatalf("got %v, want ErrUnavailable naming the stream object", err)
 	}
 }
 
