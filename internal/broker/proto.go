@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mtype"
 	"repro/internal/orb"
 	"repro/internal/proto"
@@ -151,9 +152,17 @@ func Serve(srv *orb.Server, b *Broker) {
 // deadline error while the session work runs to completion in the
 // background (caches still warm, so a retry after the deadline is
 // usually a hit). Health and stats requests bypass admission — they are
-// pure counter reads and must answer when the daemon is saturated.
+// pure counter reads and must answer when the daemon is saturated. A
+// universe not loaded here is orb.ErrUnavailable: a peer may have it.
 func Handler(b *Broker) orb.Handler {
-	h := handler(b)
+	inner := handler(b)
+	h := func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
+		reply, err := inner(ctx, op, body)
+		if errors.Is(err, core.ErrNoUniverse) {
+			err = fmt.Errorf("%w: %w", orb.ErrUnavailable, err)
+		}
+		return reply, err
+	}
 	d := b.opts.RequestTimeout
 	return func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
 		if op == OpHealth || op == OpStats {

@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -119,8 +120,8 @@ func TestProtocolErrors(t *testing.T) {
 	b, c := startDaemon(t)
 	if _, err := c.CompareContext(context.Background(), "nope", "a", "nope", "b"); err == nil {
 		t.Fatal("compare of unknown universe succeeded")
-	} else if _, ok := err.(*orb.RemoteError); !ok {
-		t.Fatalf("error %T, want RemoteError", err)
+	} else if !errors.Is(err, orb.ErrUnavailable) || !strings.Contains(err.Error(), `core: no universe "nope"`) {
+		t.Fatalf("error %v, want ErrUnavailable naming the universe", err)
 	}
 	if _, _, err := c.Load("u", "cobol", "", "x", ""); err == nil ||
 		!strings.Contains(err.Error(), "unknown language") {

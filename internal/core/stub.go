@@ -260,7 +260,7 @@ func (ms *MessageStub) Send(msg value.Value) error {
 func (s *Session) MethodDecl(universe, class, method string) (string, error) {
 	u := s.universes[universe]
 	if u == nil {
-		return "", fmt.Errorf("core: no universe %q", universe)
+		return "", fmt.Errorf("%w %q", ErrNoUniverse, universe)
 	}
 	d := u.Lookup(class)
 	if d == nil {
