@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,31 +11,7 @@ import (
 	"repro/internal/testutil"
 )
 
-func TestTripworthyClassification(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{orb.ErrConnClosed, true},
-		{orb.ErrDial, true},
-		{orb.ErrOverloaded, true},
-		{orb.ErrDeadline, true},
-		{fmt.Errorf("wrapped: %w", orb.ErrConnClosed), true},
-		{orb.ErrCanceled, false},
-		{orb.ErrExpired, false},
-		{orb.ErrServerPanic, false},
-		{orb.ErrFrameTooLarge, false},
-		{&orb.RemoteError{Msg: "no object \"x\""}, false},
-		{errors.New("resil: no usable connection"), true},
-	}
-	for _, c := range cases {
-		if got := tripworthy(c.err); got != c.want {
-			t.Errorf("tripworthy(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-}
-
-// strikes reports n tripworthy failures to b and whether the last opened it.
+// strikes reports n failures that strike to b and whether the last opened it.
 func strikes(b *breaker, n int) (opened bool) {
 	for i := 0; i < n; i++ {
 		opened = b.failure(true, true)
@@ -135,11 +110,11 @@ func TestBreakerOutlierEjection(t *testing.T) {
 	c := New(addrs, Options{})
 	defer c.Close()
 
-	slow := c.member(addrs[0])
+	slow := c.members[addrs[0]]
 	// Peers bank enough fast samples to form the fleet baseline.
 	for i := 0; i < outlierMinSamples; i++ {
-		c.noteLatency(c.member(addrs[1]), time.Millisecond)
-		c.noteLatency(c.member(addrs[2]), time.Millisecond)
+		c.noteLatency(c.members[addrs[1]], time.Millisecond)
+		c.noteLatency(c.members[addrs[2]], time.Millisecond)
 	}
 	for i := 0; i < outlierMinSamples; i++ {
 		c.noteLatency(slow, 100*time.Millisecond)
@@ -150,7 +125,7 @@ func TestBreakerOutlierEjection(t *testing.T) {
 	if c.Stats().BreakerTrips < 1 {
 		t.Error("ejection not counted in BreakerTrips")
 	}
-	healthy := c.member(addrs[1])
+	healthy := c.members[addrs[1]]
 	if state, _ := healthy.brk.snapshot(); state != "closed" {
 		t.Errorf("healthy peer state = %s, want closed", state)
 	}
