@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -284,12 +285,7 @@ func (n *Node) pushBody(j pushJob) ([]byte, error) {
 		e.Relation, e.Steps, e.Explain = v.Relation, v.Steps, v.Explain
 	}
 	req := pushRequest{Entry: e}
-	seen := map[string]bool{}
-	for _, u := range []string{j.ua, j.ub} {
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
+	for _, u := range slices.Compact([]string{j.ua, j.ub}) {
 		if r, ok := n.b.LoadRecord(u); ok {
 			req.Loads = append(req.Loads, r)
 		}

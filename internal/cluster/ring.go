@@ -28,6 +28,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,11 +88,7 @@ func SplitMembers(list string) (out []string) {
 }
 
 // Members returns the ring's member addresses, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
+func (r *Ring) Members() []string { return slices.Clone(r.members) }
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }

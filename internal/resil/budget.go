@@ -61,10 +61,7 @@ func NewRetryBudget(ratio float64, reserve int) *RetryBudget {
 // Deposit credits one successful call.
 func (b *RetryBudget) Deposit() {
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.cap {
-		b.tokens = b.cap
-	}
+	b.tokens = min(b.tokens+b.ratio, b.cap)
 	b.mu.Unlock()
 }
 
