@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,5 +73,53 @@ func TestChaosGatewayBudgetShedStalledUpstream(t *testing.T) {
 	}
 	if h := g.Health(); h.Expired < 1 {
 		t.Error("gateway health does not surface the expired relay")
+	}
+}
+
+// pastDeadline is a context whose deadline has passed while its Err is
+// still nil: the state a budget-derived context is in between its
+// deadline and the run of the timer that ends it.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestUpstreamExpiryTable: how the gateway answers a failed upstream leg,
+// by the error and the state of the relay's context. A passed deadline is
+// an expiry even before the context says so: orb's reply-wait backstop can
+// beat the context's own timer.
+func TestUpstreamExpiryTable(t *testing.T) {
+	spent, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	gone, leave := context.WithCancel(context.Background())
+	leave()
+	ahead, cancelAhead := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelAhead()
+	reset := errors.New("connection reset by peer")
+	for _, tc := range []struct {
+		name              string
+		ctx               context.Context
+		err               error
+		want              error // nil: a plain upstream error
+		expired, canceled int64
+	}{
+		{"upstream expiry", context.Background(), fmt.Errorf("orb: remote: %w", orb.ErrExpired), orb.ErrExpired, 1, 0},
+		{"deadline exceeded", spent, orb.ErrDeadline, orb.ErrExpired, 1, 0},
+		{"deadline passed, Err nil", pastDeadline{context.Background()}, orb.ErrDeadline, orb.ErrExpired, 1, 0},
+		{"caller canceled", gone, reset, orb.ErrCanceled, 0, 1},
+		{"deadline ahead", ahead, reset, nil, 0, 0},
+		{"no deadline", context.Background(), reset, nil, 0, 0},
+	} {
+		g, r := &Gateway{}, &route{upAddr: "up:1", live: new(RouteStats)}
+		err := g.mapUpstreamErr(tc.ctx, r, tc.err)
+		switch {
+		case tc.want != nil && !errors.Is(err, tc.want):
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		case tc.want == nil && (errors.Is(err, orb.ErrExpired) || errors.Is(err, orb.ErrCanceled) || !errors.Is(err, reset)):
+			t.Errorf("%s: err = %v, want a plain upstream error", tc.name, err)
+		}
+		if g.live.Expired != tc.expired || g.live.Canceled != tc.canceled || r.live.UpstreamErrors != 1 {
+			t.Errorf("%s: expired %d canceled %d upstream errors %d, want %d %d 1",
+				tc.name, g.live.Expired, g.live.Canceled, r.live.UpstreamErrors, tc.expired, tc.canceled)
+		}
 	}
 }

@@ -521,10 +521,11 @@ func (g *Gateway) mapUpstreamErr(ctx context.Context, r *route, err error) error
 		// The upstream shed (or abandoned) the call because the
 		// propagated budget was spent; keep the typed expiry intact.
 		atomic.AddInt64(&g.live.Expired, 1)
-	case ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded):
+	case errors.Is(ctx.Err(), context.DeadlineExceeded) || ctx.Err() == nil && orb.DeadlinePassed(ctx, time.Now()):
 		// Our own budget-derived deadline ran out while the leg was in
-		// flight: the caller's clock expired, so answer with the typed
-		// expiry instead of a generic upstream failure.
+		// flight, whether or not its timer has run: the caller's clock
+		// expired, so answer with the typed expiry instead of a generic
+		// upstream failure.
 		atomic.AddInt64(&g.live.Expired, 1)
 		return fmt.Errorf("%w: budget spent relaying via %s: %v", orb.ErrExpired, r.upAddr, err)
 	case ctx.Err() != nil:

@@ -156,3 +156,44 @@ func TestExplicitBudgetOverridesDeadline(t *testing.T) {
 		t.Fatalf("explicit budget = %dms, want 250", ms)
 	}
 }
+
+// lateTimers is a fake clock whose timers run an hour late: between a
+// deadline and the timer that ends the context, the state a loaded host
+// leaves a call in for a while.
+type lateTimers struct{ *testutil.Clock }
+
+func (c lateTimers) AfterFunc(d time.Duration, f func()) clock.Timer {
+	return c.Clock.AfterFunc(d+time.Hour, f)
+}
+
+// TestHandlerExpiryTable: a handler that gives up reporting its deadline
+// answers with the typed expiry once the budget's deadline has come, even
+// while the context's Err is still nil, and only then.
+func TestHandlerExpiryTable(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		advance time.Duration // how far the clock moves while the handler runs
+		err     error
+		expired bool
+	}{
+		{"orb deadline, deadline passed", 50 * time.Millisecond, ErrDeadline, true},
+		{"context deadline, deadline passed", 60 * time.Millisecond, context.DeadlineExceeded, true},
+		{"other error, deadline passed", 50 * time.Millisecond, errors.New("disk full"), false},
+		{"orb deadline, deadline ahead", 49 * time.Millisecond, ErrDeadline, false},
+	} {
+		clk := lateTimers{testutil.NewClock()}
+		s := startServer(t, withClock(clk))
+		s.Register("work", func(ctx context.Context, op uint32, body []byte) ([]byte, error) {
+			clk.Advance(tc.advance)
+			if ctx.Err() != nil {
+				t.Errorf("%s: the late timer already ended the context", tc.name)
+			}
+			return nil, tc.err
+		})
+		_, err := dial(t, s).InvokeContext(ContextWithBudget(context.Background(), 50*time.Millisecond), "work", 0, nil)
+		var remote *RemoteError
+		if got := errors.Is(err, ErrExpired); got != tc.expired || !got && !errors.As(err, &remote) {
+			t.Errorf("%s: err = %v, want expired %v (else a remote error)", tc.name, err, tc.expired)
+		}
+	}
+}

@@ -92,6 +92,14 @@ func (c *serverCtx) end(err error) bool {
 
 func (c *serverCtx) Deadline() (time.Time, bool) { return c.dl, !c.dl.IsZero() }
 
+// DeadlinePassed reports whether ctx's deadline has come by now. A
+// context's Err can still be nil then: the timer that ends it may run
+// late, after a reply-wait backstop or a handler has given up.
+func DeadlinePassed(ctx context.Context, now time.Time) bool {
+	dl, ok := ctx.Deadline()
+	return ok && !now.Before(dl)
+}
+
 // Done takes the lock although the channel is only replaced between
 // requests: a context derived from this one is watched by a goroutine of
 // the context package's, which may call Done after the handler returned.
@@ -514,10 +522,11 @@ func (sc *serverConn) finish(cl *call, reply []byte, err error) {
 		}
 		// A handler that bailed because the propagated budget ran out
 		// mid-work reports ErrExpired, not a generic error: the caller's
-		// clock ran out, the service is healthy.
+		// clock ran out, the service is healthy. The deadline's timer may
+		// not have run yet.
 		if req.budget > 0 && !errors.Is(err, ErrExpired) &&
 			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDeadline)) &&
-			cl.Err() != nil {
+			(cl.Err() != nil || DeadlinePassed(cl, cl.clk.Now())) {
 			err = fmt.Errorf("%w: handler abandoned at budget expiry: %v", ErrExpired, err)
 		}
 	}
