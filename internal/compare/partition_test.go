@@ -16,7 +16,7 @@ import (
 	"repro/internal/synth"
 )
 
-// probePartition is matchMultiset's equivalence case as it was before
+// probePartition is multiset's equivalence case as it was before
 // primitive leaves found their class by key: every item of both sides is
 // probed against every class representative in turn. It stays as the
 // oracle the keyed partition must agree with.
@@ -66,22 +66,44 @@ func (c *Comparer) probePartition(a, b []*mtype.Type) (assignment []int, miss in
 // It returns the count of matches checked.
 func checkPartitions(tb testing.TB) *int {
 	checked, inOracle := new(int), false
-	partitionHook = func(c *Comparer, a, b []*mtype.Type) ([]int, int, bool) {
-		got, miss, self := c.partition(a, b)
+	partitionHook = func(c *Comparer, a, b []*mtype.Type, ka, kb []primKey, out []int) (int, bool) {
+		miss, self := c.partition(a, b, ka, kb, out)
 		if inOracle {
-			return got, miss, self // a match nested inside the oracle's own probes
+			return miss, self // a match nested inside the oracle's own probes
 		}
 		inOracle = true
 		want, wantMiss := c.probePartition(a, b)
 		inOracle = false
 		*checked++
+		got := out
+		if miss >= 0 {
+			got = nil
+		}
 		if !slices.Equal(got, want) || miss != wantMiss {
 			tb.Errorf("keyed partition %v (miss %d), probe loop %v (miss %d)\n a: %v\n b: %v", got, miss, want, wantMiss, a, b)
 		}
-		return got, miss, self
+		return miss, self
 	}
 	tb.Cleanup(func() { partitionHook = nil })
 	return checked
+}
+
+// matchMultiset is multiset as the tests call it: the keys computed here,
+// the assignment returned in a fresh slice, nil on a miss.
+func (c *Comparer) matchMultiset(a, b []*mtype.Type, mode Mode) ([]int, int, bool) {
+	keys := func(ns []*mtype.Type) []primKey {
+		out := make([]primKey, len(ns))
+		for i, n := range ns {
+			out[i] = c.key(n)
+		}
+		return out
+	}
+	out := make([]int, len(a))
+	miss, self := c.multiset(a, b, keys(a), keys(b), mode, out)
+	if miss >= 0 {
+		return nil, miss, self
+	}
+	return out, -1, self
 }
 
 // universePairs lowers a synthesized suite in all four languages and pairs
