@@ -3,17 +3,13 @@ package fuse
 import (
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cmem"
 	"repro/internal/core"
+	"repro/internal/testutil"
 	"repro/internal/value"
 )
 
@@ -153,61 +149,14 @@ func TestFusedRejectsInout(t *testing.T) {
 	}
 }
 
-// TestEveryRefusalSiteHasARow parses the package and fails when an
-// unsupported( call has no row in the refusal table, or a row names a
-// site the package no longer has: a refusal no declaration pair reaches
-// is dead code, and one no test reaches is an unpinned fallback.
+// TestEveryRefusalSiteHasARow holds the refusal table to the package's
+// unsupported( sites: one row per site, one site per row.
 func TestEveryRefusalSiteHasARow(t *testing.T) {
-	rows := make(map[string]bool)
+	var rows []string
 	for _, r := range refusals {
-		rows[r.site] = true
+		rows = append(rows, r.site)
 	}
-	files, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	sites := make(map[string]bool)
-	for _, f := range files {
-		if !strings.HasSuffix(f.Name(), ".go") || strings.HasSuffix(f.Name(), "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, f.Name(), nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "unsupported" {
-				return true
-			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				t.Errorf("%s: unsupported( takes a literal format string so the table can name it", fset.Position(call.Pos()))
-				return true
-			}
-			site, _ := strconv.Unquote(lit.Value)
-			if sites[site] {
-				t.Errorf("%s: a second site says %q; one row cannot tell them apart", fset.Position(call.Pos()), site)
-			}
-			sites[site] = true
-			if !rows[site] {
-				t.Errorf("%s: refusal site %q has no row in the refusal table", fset.Position(call.Pos()), site)
-			}
-			return true
-		})
-	}
-	for site := range rows {
-		if !sites[site] {
-			t.Errorf("the refusal table names %q, which no unsupported( site says", site)
-		}
-	}
-	if len(sites) == 0 {
-		t.Fatal("found no unsupported( site; the check is looking in the wrong place")
-	}
+	testutil.RefusalSites(t, "unsupported", rows)
 }
 
 // TestRegisterBoundIsExact: the refusal row's pair with two boxes fewer
