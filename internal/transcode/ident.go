@@ -35,23 +35,20 @@ func (c *compiler) ident(tA, tB *mtype.Type) (emitFn, error) {
 }
 
 func (c *compiler) identNew(tA, tB *mtype.Type) (emitFn, error) {
-	elemA, listA := mtype.ListElem(tA)
-	elemB, listB := mtype.ListElem(tB)
-	if listA != listB {
-		return nil, unsupported("identity between sequence and cons-chain encodings")
-	}
-	if listA {
-		elem, err := c.ident(elemA, elemB)
+	// pairNew refused a list-shaped side against one that is not, and two
+	// list-shaped types with one unfolding are one node: the unfolding's
+	// cons cell names its list.
+	if elem, ok := mtype.ListElem(tA); ok {
+		fn, err := c.ident(elem, elem)
 		if err != nil {
 			return nil, err
 		}
-		return listEmit(elem, c.identKernel(elemA)), nil
+		return listEmit(fn, c.identKernel(elem)), nil
 	}
-	ut := wire.Unfold(tA)
-	if ut == nil || wire.Unfold(tB) != ut {
-		return nil, unsupported("identity pair does not share an unfolding")
+	if err := c.refusal(tA, tB); err != nil {
+		return nil, err
 	}
-	switch ut.Kind() {
+	switch ut := wire.Unfold(tA); ut.Kind() {
 	case mtype.KindInteger, mtype.KindCharacter, mtype.KindReal:
 		return c.primEmit(tA, tB)
 	case mtype.KindUnit:
@@ -88,35 +85,17 @@ func (c *compiler) identNew(tA, tB *mtype.Type) (emitFn, error) {
 			return nil
 		}
 		return kernelOr(c.identKernel(tA), structural), nil
-	case mtype.KindChoice:
+	default: // mtype.KindChoice
 		alts := ut.Alts()
 		subs := make([]emitFn, len(alts))
+		remap := make([]uint64, len(alts))
 		for i, a := range alts {
 			fn, err := c.ident(a.Type, a.Type)
 			if err != nil {
 				return nil, err
 			}
-			subs[i] = fn
+			subs[i], remap[i] = fn, uint64(i)
 		}
-		return func(x *xctx) error {
-			if x.depth > wire.MaxDecodeDepth {
-				return depthErr()
-			}
-			disc, off, err := wire.ReadUint(x.src, x.off, 4)
-			if err != nil {
-				return err
-			}
-			if disc >= uint64(len(subs)) {
-				return discErr(disc, len(subs))
-			}
-			x.off = off
-			x.dst = wire.AppendUint(x.dst, x.base, 4, disc)
-			x.depth++
-			err = subs[disc](x)
-			x.depth--
-			return err
-		}, nil
-	default:
-		return nil, unsupported("identity on %s", ut.Kind())
+		return choiceEmit(subs, remap), nil
 	}
 }

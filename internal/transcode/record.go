@@ -33,9 +33,6 @@ type outStep struct {
 // cons cell's head field while wire.decode recurses on the element type
 // directly.
 func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans []*plan.Node, dropLead int) (emitFn, *kernel, error) {
-	if len(perm) != len(flatA) || len(leafPlans) != len(flatA) {
-		return nil, nil, unsupported("malformed record plan")
-	}
 	if len(flatA) > c.maxLeaves {
 		c.maxLeaves = len(flatA)
 	}
@@ -55,9 +52,6 @@ func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans
 	}
 	for i, j := range perm {
 		if j >= 0 {
-			if j >= len(flatB) || invPerm[j] >= 0 {
-				return nil, nil, unsupported("malformed record permutation")
-			}
 			invPerm[j] = i
 		}
 	}
@@ -69,9 +63,6 @@ func (c *compiler) record(flatA, flatB []compare.FlatLeaf, perm []int, leafPlans
 			continue
 		}
 		i := invPerm[j]
-		if i < 0 || leafPlans[i] == nil {
-			return nil, nil, unsupported("destination leaf %d has no source", j)
-		}
 		emit, err := c.pair(leafPlans[i], flatA[i].Node, flatB[j].Node)
 		if err != nil {
 			return nil, nil, err

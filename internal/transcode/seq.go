@@ -46,7 +46,7 @@ func CheckSeqCount(n uint64) error {
 // complete element.
 func (t *Transcoder) SeqStep(dst, src []byte, off, remaining int) ([]byte, int, int, error) {
 	if t.seqElem == nil {
-		return dst, off, 0, unsupported("pair is not a streamable sequence")
+		return dst, off, 0, errors.New("transcode: SeqStep on a pair that does not stream")
 	}
 	x := t.pool.Get().(*xctx)
 	x.src, x.dst, x.base, x.off, x.depth = src, dst, 0, off, 1

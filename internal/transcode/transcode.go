@@ -10,10 +10,13 @@
 // Like internal/fuse, the compiler handles the common structural core —
 // primitives (including widening numeric coercions), records (commutative
 // permutation and associative flattening via the plan), sequences,
-// strings, choices, injections, and ports — and returns a wrapped
-// ErrUnsupported for anything else (semantic hooks, sequence↔cons-chain
-// mixes, >64-bit integers). The ladder a payload then descends lives in
-// the Transcoder, not in whoever holds it:
+// strings, choices, injections, and ports — and refuses the rest with a
+// wrapped ErrUnsupported, from one closed table (refusal_test.go holds a
+// pair for each row): a semantic hook; a sequence against a cons chain; a
+// subtype that moves a list's tail into a head; an integer wider than 64
+// bits; a real wider than binary64; μ binders nested past wire.Unfold.
+// The ladder a payload then descends lives in the Transcoder, not in
+// whoever holds it:
 //
 //	rung                      built by  one-shot               internal/stream
 //	stride kernel, list root  Compile   table moves            chunk-at-a-time
@@ -46,8 +49,9 @@ import (
 )
 
 // ErrUnsupported marks a plan construct outside the transcoder's fused
-// subset. Tree serves such a pair (decode→convert→encode); results are
-// identical, only slower.
+// subset, one of the rows the package comment lists; a Transcoder's
+// Refusal carries which. Tree serves such a pair (decode→convert→encode);
+// results are identical, only slower.
 var ErrUnsupported = errors.New("transcode: construct not supported by the wire transcoder")
 
 func unsupported(format string, args ...any) error {
@@ -142,6 +146,11 @@ func Compile(p *plan.Plan, a, b *mtype.Type) (*Transcoder, error) {
 	if wire.Unfold(a) != p.Root.A || wire.Unfold(b) != p.Root.B {
 		return nil, fmt.Errorf("transcode: declared types do not match plan root")
 	}
+	for _, n := range p.Nodes {
+		if n.Kind == compare.DecSemantic {
+			return nil, unsupported("semantic hook %q requires the tree engine", n.Hook)
+		}
+	}
 	c := newCompiler()
 	root, err := c.pair(p.Root, a, b)
 	if err != nil {
@@ -153,14 +162,12 @@ func Compile(p *plan.Plan, a, b *mtype.Type) (*Transcoder, error) {
 		outEst:   est,
 		outExact: exact,
 	}
-	// If the root pair is list-shaped, expose the per-element program so
-	// internal/stream can run the sequence chunk-at-a-time. Failure here
-	// is not an error — the one-shot program above already compiled, the
-	// pair just is not streamable.
-	if elemA, listA := mtype.ListElem(a); listA {
-		if elemB, listB := mtype.ListElem(b); listB {
-			t.seqElem, t.seqKern, _ = c.listParts(p.Root, elemA, elemB)
-		}
+	// A list-shaped root (both sides are, or pair refused it) exposes its
+	// per-element program so internal/stream can run the sequence
+	// chunk-at-a-time; the one-shot program above compiled the same parts.
+	if elemA, ok := mtype.ListElem(a); ok {
+		elemB, _ := mtype.ListElem(b)
+		t.seqElem, t.seqKern, _ = c.listParts(p.Root, elemA, elemB)
 	}
 	t.arenaHint = c.maxLeaves * 4
 	t.pool.New = func() any { return &xctx{arena: make([]int, 0, t.arenaHint)} }
@@ -228,9 +235,6 @@ func (t *Transcoder) TranscodeAppend(dst, src []byte) ([]byte, error) {
 // types) can be reached through different declared types with different
 // wire encodings.
 func (c *compiler) pair(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) {
-	if n == nil {
-		return nil, unsupported("missing plan node")
-	}
 	key := tripleKey{n, tA, tB}
 	if s, ok := c.pairs[key]; ok {
 		if s.fn == nil {
@@ -248,44 +252,31 @@ func (c *compiler) pair(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) {
 	return fn, nil
 }
 
+// pairNew dispatches on the plan node's kind. What plan.Build guarantees
+// of a node — a known kind, its children present, an injective
+// permutation sourcing every destination leaf, an alternative map as long
+// as the alternatives — is held by the plan package's law test, not
+// re-checked here; Compile has already refused semantic hooks.
 func (c *compiler) pairNew(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) {
 	elemA, listA := mtype.ListElem(tA)
 	elemB, listB := mtype.ListElem(tB)
+	if listA != listB {
+		// A sequence against its own unfolding, a record holding one, or a
+		// value injected into one: the plan sees a cons chain where the
+		// wire has a count-prefixed sequence.
+		return nil, unsupported("sequence vs cons-chain encoding mix")
+	}
 	switch n.Kind {
 	case compare.DecSame:
 		return c.ident(tA, tB)
 	case compare.DecPrim:
-		if listA || listB {
-			return nil, unsupported("primitive plan on list-shaped type")
-		}
 		return c.primEmit(tA, tB)
 	case compare.DecPort:
-		if listA || listB {
-			return nil, unsupported("port plan on list-shaped type")
-		}
 		return portEmit(), nil
 	case compare.DecRecord:
-		if listA || listB {
-			return nil, unsupported("record plan on list-shaped type")
-		}
 		slow, k, err := c.record(n.FlatA, n.FlatB, n.Perm, n.LeafPlans, 0)
 		return kernelOr(k, slow), err
-	case compare.DecChoice:
-		if listA != listB {
-			return nil, unsupported("sequence vs cons-chain encoding mix")
-		}
-		if listA {
-			elem, k, err := c.listParts(n, elemA, elemB)
-			if err != nil {
-				return nil, err
-			}
-			return listEmit(elem, k), nil
-		}
-		return c.choicePair(n, tA, tB)
 	case compare.DecInject:
-		if listB {
-			return nil, unsupported("injection into list-shaped choice")
-		}
 		altB := n.B.Alts()[n.AltMap[0]].Type
 		inner, err := c.pair(n.InjectPlan, tA, altB)
 		if err != nil {
@@ -296,34 +287,36 @@ func (c *compiler) pairNew(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) {
 			x.dst = wire.AppendUint(x.dst, x.base, 4, disc)
 			return inner(x)
 		}, nil
-	case compare.DecSemantic:
-		return nil, unsupported("semantic hook %q requires the tree engine", n.Hook)
-	default:
-		return nil, unsupported("unknown plan node kind %d", n.Kind)
+	default: // compare.DecChoice
+		if listA {
+			elem, k, err := c.listParts(n, elemA, elemB)
+			if err != nil {
+				return nil, err
+			}
+			return listEmit(elem, k), nil
+		}
+		return c.choicePair(n)
 	}
 }
 
 // choicePair compiles a discriminant-remapping union conversion.
-func (c *compiler) choicePair(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) {
-	altsA := n.A.Alts()
-	altsB := n.B.Alts()
-	if len(n.AltPlans) != len(altsA) {
-		return nil, unsupported("malformed choice plan")
-	}
+func (c *compiler) choicePair(n *plan.Node) (emitFn, error) {
+	altsA, altsB := n.A.Alts(), n.B.Alts()
 	subs := make([]emitFn, len(altsA))
-	discMap := make([]uint64, len(altsA))
-	for i := range altsA {
-		j := n.AltMap[i]
-		if j < 0 || j >= len(altsB) {
-			return nil, unsupported("unmatched choice alternative %d", i)
-		}
+	remap := make([]uint64, len(altsA))
+	for i, j := range n.AltMap {
 		fn, err := c.pair(n.AltPlans[i], altsA[i].Type, altsB[j].Type)
 		if err != nil {
 			return nil, err
 		}
-		subs[i] = fn
-		discMap[i] = uint64(j)
+		subs[i], remap[i] = fn, uint64(j)
 	}
+	return choiceEmit(subs, remap), nil
+}
+
+// choiceEmit builds a union conversion: a value of alternative i converts
+// by subs[i] and is written under discriminant remap[i].
+func choiceEmit(subs []emitFn, remap []uint64) emitFn {
 	return func(x *xctx) error {
 		if x.depth > wire.MaxDecodeDepth {
 			return depthErr()
@@ -336,12 +329,12 @@ func (c *compiler) choicePair(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) 
 			return discErr(disc, len(subs))
 		}
 		x.off = off
-		x.dst = wire.AppendUint(x.dst, x.base, 4, discMap[disc])
+		x.dst = wire.AppendUint(x.dst, x.base, 4, remap[disc])
 		x.depth++
 		err = subs[disc](x)
 		x.depth--
 		return err
-	}, nil
+	}
 }
 
 // listParts compiles the per-element program of a list-shaped DecSame or
@@ -354,50 +347,26 @@ func (c *compiler) choicePair(n *plan.Node, tA, tB *mtype.Type) (emitFn, error) 
 func (c *compiler) listParts(n *plan.Node, elemA, elemB *mtype.Type) (emitFn, *kernel, error) {
 	cons := n
 	if n.Kind == compare.DecChoice {
-		if len(n.AltMap) != 2 || n.AltMap[0] != 0 || n.AltMap[1] != 1 {
-			return nil, nil, unsupported("list choice with permuted alternatives")
-		}
-		if len(n.AltPlans) != 2 || n.AltPlans[1] == nil {
-			return nil, nil, unsupported("malformed list plan")
-		}
-		cons = n.AltPlans[1]
+		cons = n.AltPlans[1] // a list choice maps nil to nil and cons to cons
 	}
-	switch cons.Kind {
-	case compare.DecSame:
+	if cons.Kind == compare.DecSame {
 		elem, err := c.ident(elemA, elemB)
 		return elem, c.identKernel(elemA), err
-	case compare.DecRecord:
-		return c.consElem(cons)
-	default:
-		return nil, nil, unsupported("list cons cell with plan kind %d", cons.Kind)
 	}
+	return c.consElem(cons)
 }
 
 // consElem derives the per-element conversion from a cons-cell record
-// plan: the unique tail leaf (path [1]) on each side must be last and
-// map to its counterpart; the remaining head leaves form an ordinary
-// record shuffle. Leaf paths lose their leading head index so depth
-// accounting matches wire.decode of the element type itself.
+// plan. A cons cell flattens to its head's leaves, then the tail (path
+// [1]); when the tail maps to its counterpart, the head leaves form an
+// ordinary record shuffle. Leaf paths lose their leading head index so
+// depth accounting matches wire.decode of the element type itself.
 func (c *compiler) consElem(cons *plan.Node) (emitFn, *kernel, error) {
-	tailA := len(cons.FlatA) - 1
-	tailB := len(cons.FlatB) - 1
-	if tailA < 0 || tailB < 0 ||
-		len(cons.FlatA[tailA].Path) != 1 || cons.FlatA[tailA].Path[0] != 1 ||
-		len(cons.FlatB[tailB].Path) != 1 || cons.FlatB[tailB].Path[0] != 1 {
-		return nil, nil, unsupported("cons cell without trailing tail leaf")
-	}
-	for i := 0; i < tailA; i++ {
-		if len(cons.FlatA[i].Path) == 0 || cons.FlatA[i].Path[0] != 0 {
-			return nil, nil, unsupported("cons cell with non-head leaf")
-		}
-	}
+	tailA, tailB := len(cons.FlatA)-1, len(cons.FlatB)-1
 	if cons.Perm[tailA] != tailB {
+		// Only a subtype match gets here: its augmenting paths may hand a
+		// list's tail to a head leaf that is a list too.
 		return nil, nil, unsupported("cons tail does not map to tail")
-	}
-	for i := 0; i < tailA; i++ {
-		if cons.Perm[i] >= tailB {
-			return nil, nil, unsupported("cons head leaf maps to tail")
-		}
 	}
 	return c.record(cons.FlatA[:tailA], cons.FlatB[:tailB], cons.Perm[:tailA], cons.LeafPlans[:tailA], 1)
 }
@@ -462,46 +431,25 @@ func portEmit() emitFn {
 }
 
 // primOp resolves a primitive pair to the move that converts it — widths,
-// conversion, range check — for primEmit and the stride kernel's tables
-// alike, replicating the tree path's read-validate-write chain so output
-// bytes, NaN canonicalization and sign extension included, match.
-func (c *compiler) primOp(ua, ub *mtype.Type) (m move, err error) {
-	if ua == nil || ub == nil {
-		return m, unsupported("unbound recursive type")
+// conversion, range check, all decided by analyze — for primEmit and the
+// stride kernel's tables alike, replicating the tree path's
+// read-validate-write chain so output bytes, NaN canonicalization and
+// sign extension included, match.
+func (c *compiler) primOp(ta, tb *mtype.Type) (move, error) {
+	if err := c.refusal(ta, tb); err != nil {
+		return move{}, err
 	}
-	if ua.Kind() != ub.Kind() {
-		return m, unsupported("cross-kind primitive pair %s/%s", ua.Kind(), ub.Kind())
+	la, lb := c.analyze(ta), c.analyze(tb)
+	m := move{srcW: uint8(la.align), dstW: uint8(lb.align), op: la.op, chk: la.rng}
+	if m.op == opReal && m.srcW == 8 && m.dstW == 8 {
+		m.op = opZext
 	}
-	la, lb := c.analyze(ua), c.analyze(ub)
-	m = move{srcW: uint8(la.align), dstW: uint8(lb.align), op: opZext}
-	switch ua.Kind() {
-	case mtype.KindInteger:
-		if !la.fixed || !lb.fixed {
-			return m, unsupported("integer exceeds 64 bits")
-		}
-		if la.signed {
-			m.op = opSext
-		}
-		if la.checked {
-			m.chk, err = intRange(ua)
-		}
-	case mtype.KindCharacter:
-	case mtype.KindReal:
-		if !la.fixed || !lb.fixed {
-			return m, unsupported("real exceeds binary64")
-		}
-		if m.srcW != 8 || m.dstW != 8 {
-			m.op = opReal
-		}
-	default:
-		return m, unsupported("primitive pair of kind %s", ua.Kind())
-	}
-	return m, err
+	return m, nil
 }
 
 // primEmit compiles a primitive-to-primitive conversion.
 func (c *compiler) primEmit(tA, tB *mtype.Type) (emitFn, error) {
-	m, err := c.primOp(wire.Unfold(tA), wire.Unfold(tB))
+	m, err := c.primOp(tA, tB)
 	if err != nil {
 		return nil, err
 	}
