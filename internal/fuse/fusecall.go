@@ -95,6 +95,7 @@ func (cp *compiler) pair(n *plan.Node, aIdx, bIdx []int, jls []jLeaf, cls []cLea
 			}
 			mv.elem.frame, mv.elem.args = objs[0].self, objs[0].span
 			mv.elem.moves = append(append(objs[1:], bases...), leaves...)
+			mv.elem.tabulate()
 		}
 		moves = append(moves, mv)
 	}

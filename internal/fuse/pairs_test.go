@@ -318,6 +318,84 @@ var (
 		}}
 )
 
+// hashBytes is a C function of one list parameter of stride-byte
+// elements: an FNV-1a hash of every byte of the array, padding included,
+// so that a byte one tier writes differently from another, or that an
+// earlier call left behind, changes the answer.
+func hashBytes(stride int) func(mem *cmem.Arena, args []uint64) (uint64, error) {
+	return func(mem *cmem.Arena, args []uint64) (uint64, error) {
+		base, n, h := cmem.Addr(args[0]), int(int32(args[1])), uint64(14695981039346656037)
+		for i := 0; i < n*stride; i++ {
+			b, err := mem.ReadU(base+cmem.Addr(i), 1)
+			if err != nil {
+				return 0, err
+			}
+			h = (h ^ b) * 1099511628211
+		}
+		return h, nil
+	}
+}
+
+// The list-kind pairs: lists whose flat elements hold, between them,
+// every conversion a run of an element table carries. Each struct lays
+// out the same under both data models.
+var (
+	// Signed integers of every width; struct si is a@0, b@2, c@4, d@8.
+	signedPair = pair{name: "signed",
+		c: `struct si { signed char a; short b; int c; long long d; };
+		    long long signedSum(struct si xs[], int n);`,
+		cScript: "annotate signedSum.xs length-from=n",
+		java: `class SI { byte a; short b; int c; long d; }
+		       class SIs extends java.util.Vector;
+		       interface I { long signedSum(SIs xs); }`,
+		jScript: "annotate SIs collection-of=SI element-nonnull\nannotate I.signedSum.xs nonnull",
+		iface:   "I", method: "signedSum", cfn: "signedSum", impl: hashBytes(16)}
+
+	// Unsigned integers of every width, each read as the Java integer its
+	// range fits; the 64-bit one holds the range both languages share.
+	unsignedPair = pair{name: "unsigned",
+		c: `struct ui { unsigned char a; unsigned short b; unsigned int c; unsigned long long d; };
+		    long long unsignedSum(struct ui xs[], int n);`,
+		cScript: "annotate unsignedSum.xs length-from=n\nannotate ui.d range=0..9223372036854775807",
+		java: `class UI { short a; int b; long c; long d; }
+		       class UIs extends java.util.Vector;
+		       interface I { long unsignedSum(UIs xs); }`,
+		jScript: "annotate UIs collection-of=UI element-nonnull\nannotate I.unsignedSum.xs nonnull\n" +
+			"annotate UI.a range=0..255\nannotate UI.b range=0..65535\nannotate UI.c range=0..4294967295\n" +
+			"annotate UI.d range=0..9223372036854775807",
+		iface: "I", method: "unsignedSum", cfn: "unsignedSum", impl: hashBytes(16)}
+
+	// A bool, a char and both reals; struct mc is z@0, ch@1, f@4, g@8.
+	scalarsPair = pair{name: "scalars",
+		c: `struct mc { _Bool z; char ch; float f; double g; };
+		    long long scalarSum(struct mc xs[], int n);`,
+		cScript: "annotate scalarSum.xs length-from=n\nannotate mc.ch repertoire=ucs2",
+		java: `class MC { boolean z; char ch; float f; double g; }
+		       class MCs extends java.util.Vector;
+		       interface I { long scalarSum(MCs xs); }`,
+		jScript: "annotate MCs collection-of=MC element-nonnull\nannotate I.scalarSum.xs nonnull",
+		iface:   "I", method: "scalarSum", cfn: "scalarSum", impl: hashBytes(16)}
+
+	// An element that holds a by-value object: its leaves lie in a second
+	// owner register, so the list runs the per-move loop. struct seg is
+	// a.x@0, a.y@4, tag@8.
+	segsPair = pair{name: "segs",
+		c: `struct pt { float x; float y; };
+		    struct seg { struct pt a; int tag; };
+		    long long segSum(struct seg xs[], int n);`,
+		cScript: "annotate segSum.xs length-from=n",
+		java: `class Pt { float x; float y; }
+		       class Seg { Pt a; int tag; }
+		       class Segs extends java.util.Vector;
+		       interface I { long segSum(Segs xs); }`,
+		jScript: "annotate Seg.a nonnull noalias\nannotate Segs collection-of=Seg element-nonnull\nannotate I.segSum.xs nonnull",
+		iface:   "I", method: "segSum", cfn: "segSum", impl: hashBytes(12)}
+)
+
+// listKindPairs are the pairs above.
+var listKindPairs = []pair{signedPair, unsignedPair, scalarsPair, segsPair}
+
 // tierPairs is every pair all execution tiers must agree on.
-var tierPairs = []pair{fitterPair, totalPair, gradePair, scalePair, norm1Pair, levelPair, gaugePair, symPair,
-	unboxPair, weighPair, pokePair, distPair, mixPair, spanPair, skipPair, widthsPair, codePair, cratesPair}
+var tierPairs = append([]pair{fitterPair, totalPair, gradePair, scalePair, norm1Pair, levelPair, gaugePair, symPair,
+	unboxPair, weighPair, pokePair, distPair, mixPair, spanPair, skipPair, widthsPair, codePair, cratesPair},
+	listKindPairs...)

@@ -2,6 +2,8 @@ package fuse
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,4 +146,71 @@ func lineOf(h *jheap.Heap, outs []jheap.Slot) ([4]float32, error) {
 		got[i] = float32(f.F)
 	}
 	return got, nil
+}
+
+// TestReusedFrameLeaksNothingListKinds holds the list-kind pairs, whose
+// flat elements run as tables of runs, to the same rule under both data
+// models: eight goroutines share each pair's Call, every fifth call on a
+// heap with one illegal value somewhere, and every call must answer as a
+// Call compiled afresh did on the same heap, error text included. The C
+// function hashes every byte of the array, padding too, so a byte an
+// earlier call left there shows.
+func TestReusedFrameLeaksNothingListKinds(t *testing.T) {
+	const goroutines, rounds = 8, 40
+	for _, p := range listKindPairs {
+		for _, model := range []cmem.Model{cmem.ILP32, cmem.LP64} {
+			// Each round's heap, arguments and answer are made here, on the
+			// test's goroutine, with every tier agreeing, and then belong to
+			// one goroutine alone.
+			ts := p.tiers(t, model)
+			_, _, fresh := p.compile(t, model)
+			type round struct {
+				h         *jheap.Heap
+				args, out []jheap.Slot
+				err       string
+			}
+			r := rand.New(rand.NewSource(int64(model)))
+			plans := make([][]round, goroutines)
+			for g := range plans {
+				for i := 0; i < rounds; i++ {
+					var ill *int
+					if i%5 == 0 {
+						ill = new(int)
+						*ill = 1 + r.Intn(6)
+					}
+					rd := round{h: jheap.NewHeap()}
+					for _, param := range ts.jFn.Params {
+						rd.args = append(rd.args, randSlot(r, ts.jU, param.Type, rd.h, ill))
+					}
+					if err := ts.agree(rd.h, rd.args); err != nil {
+						t.Fatalf("%s, model %d: %v", p.name, model, err)
+					}
+					out, err := fresh.Invoke(rd.h, rd.args)
+					rd.out, rd.err = out, fmt.Sprint(err)
+					plans[g] = append(plans[g], rd)
+				}
+			}
+
+			var wg sync.WaitGroup
+			errs := make(chan error, goroutines)
+			for g := range plans {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i, rd := range plans[g] {
+						out, err := ts.fused.Invoke(rd.h, rd.args)
+						if fmt.Sprint(err) != rd.err || !slices.Equal(out, rd.out) {
+							errs <- fmt.Errorf("%s, model %d, goroutine %d round %d: %v (%v), fresh call %v (%s)", p.name, model, g, i, out, err, rd.out, rd.err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		}
+	}
 }
