@@ -66,6 +66,10 @@ var refusals = []refusal{
 		a: mtype.NewReal(113, 15), b: mtype.NewReal(113, 15)},
 	{site: "recursive binders nest too deep to unfold",
 		a: mtype.RecordOf(deepBinders(i32())), b: i32()},
+	// The same chain as the declared root: it matches no plan node, and
+	// must still be this refusal, not a mismatch.
+	{site: "recursive binders nest too deep to unfold",
+		a: deepBinders(i32()), b: i32()},
 }
 
 // verbRe matches a fmt verb in a refusal site's format string.
@@ -111,7 +115,8 @@ func (r refusal) run(t *testing.T) {
 
 // TestTranscodeRefusals is the refusal table: the constructs outside the
 // fused subset, each turned down by Compile with an error matching
-// ErrUnsupported, so core.BuildTranscoder gives the pair the tree rung.
+// ErrUnsupported, so core.BuildTranscoder gives the pair the tree rung. A
+// row a second pair reaches runs again under its name with "#01" added.
 func TestTranscodeRefusals(t *testing.T) {
 	for _, r := range refusals {
 		t.Run(r.site, r.run)
