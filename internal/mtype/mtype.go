@@ -529,36 +529,13 @@ func (t *Type) String() string {
 	if t == nil {
 		return "<nil>"
 	}
-	// First pass: find Recursive nodes that are actually re-entered so only
-	// they get binder labels.
+	// A μ node gets a binder label when printing re-enters it inside its
+	// own body. The first pass finds those by printing with every μ node a
+	// binder: every cycle passes through one, so it stops. The second
+	// prints with only those labelled, and up to where the first stopped it
+	// makes the same moves, so it stops too.
+	var labels map[*Type]string
 	referenced := make(map[*Type]bool)
-	visited := make(map[*Type]bool)
-	var scan func(n *Type)
-	scan = func(n *Type) {
-		if n == nil {
-			return
-		}
-		if visited[n] {
-			if n.kind == KindRecursive {
-				referenced[n] = true
-			}
-			return
-		}
-		visited[n] = true
-		for _, c := range n.Children() {
-			scan(c)
-		}
-	}
-	scan(t)
-
-	// Assign stable binder labels to re-entered Recursive nodes in preorder.
-	labels := make(map[*Type]string)
-	for _, n := range Nodes(t) {
-		if n.kind == KindRecursive && referenced[n] {
-			labels[n] = fmt.Sprintf("L%d", len(labels)+1)
-		}
-	}
-
 	opened := make(map[*Type]bool)
 	var sb strings.Builder
 	var render func(n *Type)
@@ -567,8 +544,9 @@ func (t *Type) String() string {
 			sb.WriteString("<nil>")
 			return
 		}
-		if lbl, ok := labels[n]; ok && opened[n] {
-			sb.WriteString(lbl)
+		if opened[n] {
+			referenced[n] = true
+			sb.WriteString(labels[n])
 			return
 		}
 		switch n.kind {
@@ -599,14 +577,13 @@ func (t *Type) String() string {
 			}
 			sb.WriteString(")")
 		case KindRecursive:
-			if lbl, ok := labels[n]; ok {
-				opened[n] = true
+			lbl, ok := labels[n]
+			if ok {
 				sb.WriteString("μ" + lbl + ".")
-				render(n.body)
-				opened[n] = false
-			} else {
-				render(n.body)
 			}
+			opened[n] = ok || labels == nil
+			render(n.body)
+			opened[n] = false
 		case KindPort:
 			sb.WriteString("port(")
 			render(n.elem)
@@ -615,6 +592,16 @@ func (t *Type) String() string {
 			sb.WriteString("<invalid>")
 		}
 	}
+	render(t)
+
+	// Stable labels, in preorder.
+	labels = make(map[*Type]string)
+	for _, n := range Nodes(t) {
+		if referenced[n] {
+			labels[n] = fmt.Sprintf("L%d", len(labels)+1)
+		}
+	}
+	sb.Reset()
 	render(t)
 	return sb.String()
 }
