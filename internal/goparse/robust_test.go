@@ -90,6 +90,9 @@ func TestInputBudgets(t *testing.T) {
 		{"oversized input",
 			"package p\ntype T struct {\n\tAQuiteLongFieldName int32\n}",
 			limits.Budget{MaxBytes: 16}},
+		{"go/parser nesting bomb",
+			"package p\ntype T struct {\n\tF " + strings.Repeat("*", 200000) + "int32\n}",
+			limits.Budget{}},
 		{"token bomb",
 			"package p\ntype T struct {\n\tA, B, C, D, E, F, G, H int32\n}",
 			limits.Budget{MaxTokens: 8}},

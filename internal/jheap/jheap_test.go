@@ -293,3 +293,106 @@ func TestVectorElems(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessorErrors pins the exact error of every accessor for each way
+// a reference or an index can be wrong: null, dangling (past the last
+// object and negative), a field or element index out of range at either
+// end, and an object of the wrong kind.
+func TestAccessorErrors(t *testing.T) {
+	h := NewHeap()
+	pt := h.New("Point", 2)
+	vec := h.NewVector("")
+	if err := h.VectorAppend(vec, pt); err != nil {
+		t.Fatal(err)
+	}
+	refs := h.NewRefArray("Point", 3)
+	prims := h.NewPrimArray("int", 3)
+	spare := h.NewVector("") // VectorAppend's own call grows this one, not vec
+	type access func(r Ref, i int) error
+	accessors := []struct {
+		name  string
+		fn    access
+		right Ref // an object of the kind the accessor wants
+	}{
+		{"Class", func(r Ref, _ int) error { _, err := h.Class(r); return err }, pt},
+		{"SetField", func(r Ref, i int) error { return h.SetField(r, i, IntSlot(1)) }, pt},
+		{"Field", func(r Ref, i int) error { _, err := h.Field(r, i); return err }, pt},
+		{"Fields", func(r Ref, _ int) error { _, err := h.Fields(r); return err }, pt},
+		{"VectorAppend", func(r Ref, _ int) error { return h.VectorAppend(r, pt) }, spare},
+		{"VectorLen", func(r Ref, _ int) error { _, err := h.VectorLen(r); return err }, vec},
+		{"VectorAt", func(r Ref, i int) error { _, err := h.VectorAt(r, i); return err }, vec},
+		{"VectorElems", func(r Ref, _ int) error { _, err := h.VectorElems(r); return err }, vec},
+		{"ArrayLen", func(r Ref, _ int) error { _, err := h.ArrayLen(r); return err }, refs},
+		{"RefArraySet", func(r Ref, i int) error { return h.RefArraySet(r, i, pt) }, refs},
+		{"RefArrayAt", func(r Ref, i int) error { _, err := h.RefArrayAt(r, i); return err }, refs},
+		{"PrimArraySet", func(r Ref, i int) error { return h.PrimArraySet(r, i, IntSlot(1)) }, prims},
+		{"PrimArrayAt", func(r Ref, i int) error { _, err := h.PrimArrayAt(r, i); return err }, prims},
+	}
+	type fault struct {
+		r    Ref
+		i    int
+		want string
+	}
+	// Every accessor resolves its reference first.
+	refFaults := []fault{
+		{NullRef, 0, "jheap: null reference"},
+		{Ref(h.Live() + 1), 0, "jheap: dangling reference 6"},
+		{-1, 0, "jheap: dangling reference -1"},
+	}
+	// What each accessor says of an object of another kind, or of an
+	// index outside the object.
+	own := map[string][]fault{
+		"SetField": {
+			{pt, 2, "jheap: field 2 out of range (class Point has 2)"},
+			{pt, -1, "jheap: field -1 out of range (class Point has 2)"},
+		},
+		"Field": {
+			{pt, 2, "jheap: field 2 out of range (class Point has 2)"},
+			{pt, -1, "jheap: field -1 out of range (class Point has 2)"},
+		},
+		"VectorAppend": {{pt, 0, "jheap: Point is not a Vector"}},
+		"VectorLen":    {{refs, 0, "jheap: Point[] is not a Vector"}},
+		"VectorAt": {
+			{prims, 0, "jheap: int[] is not a Vector"},
+			{vec, 1, "jheap: vector index 1 out of range 1"},
+			{vec, -1, "jheap: vector index -1 out of range 1"},
+		},
+		"VectorElems": {{pt, 0, "jheap: Point is not a Vector"}},
+		"ArrayLen":    {{pt, 0, "jheap: Point is not an array"}},
+		"RefArraySet": {
+			{prims, 0, "jheap: int[] is not a reference array"},
+			{refs, 3, "jheap: index 3 out of range 3"},
+			{refs, -1, "jheap: index -1 out of range 3"},
+		},
+		"RefArrayAt": {
+			{vec, 0, "jheap: java.util.Vector is not a reference array"},
+			{refs, 3, "jheap: index 3 out of range 3"},
+		},
+		"PrimArraySet": {
+			{refs, 0, "jheap: Point[] is not a primitive array"},
+			{prims, 3, "jheap: index 3 out of range 3"},
+			{prims, -1, "jheap: index -1 out of range 3"},
+		},
+		"PrimArrayAt": {
+			{vec, 0, "jheap: java.util.Vector is not a primitive array"},
+			{prims, 3, "jheap: index 3 out of range 3"},
+		},
+	}
+	for _, acc := range accessors {
+		for _, f := range append(append([]fault(nil), refFaults...), own[acc.name]...) {
+			err := acc.fn(f.r, f.i)
+			if err == nil || err.Error() != f.want {
+				t.Errorf("%s(%d, %d) = %v, want %q", acc.name, f.r, f.i, err, f.want)
+			}
+		}
+		if err := acc.fn(acc.right, 0); err != nil {
+			t.Errorf("%s(%d, 0) = %v on an object of its kind", acc.name, acc.right, err)
+		}
+	}
+	// ArrayLen also reads a primitive array and a Vector.
+	for _, r := range []Ref{prims, vec} {
+		if _, err := h.ArrayLen(r); err != nil {
+			t.Errorf("ArrayLen(%d) = %v", r, err)
+		}
+	}
+}
