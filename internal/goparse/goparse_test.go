@@ -390,7 +390,7 @@ func TestErrors(t *testing.T) {
 		{"package p\ntype T struct {\n\tA [x]int32\n}", "array length"},
 		{"package p\ntype T struct {\n\tA [-1]int32\n}", "array length"},
 		{"package p\ntype T struct {\n\tU uintptr\n}", "not portable"},
-		{"package p\ntype T struct {\n\tX struct { y", "unterminated"},
+		{"package p\ntype T struct {\n\tX struct { y", "expected '}', found 'EOF'"},
 		{"package p\ntype T struct {\n\tI interface{ M() }\n}", "inline interface"},
 	}
 	for _, c := range cases {

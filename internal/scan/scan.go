@@ -1,10 +1,8 @@
 // Package scan provides the shared lexical scanner used by the C, Java,
-// CORBA IDL, and Go declaration parsers. All four languages have C-style
+// and CORBA IDL declaration parsers. All three languages have C-style
 // tokens: identifiers, integer/float literals, string/char literals,
-// punctuation, and // and /* */ comments. For Go the scanner additionally
-// recognizes backquoted raw strings (struct tags) and records whether a
-// newline preceded each token, which is what the Go parser needs to apply
-// the language's semicolon-insertion rule at member boundaries.
+// punctuation, and // and /* */ comments. Its positioned Error is the
+// error form of every frontend.
 package scan
 
 import (
@@ -55,11 +53,6 @@ type Token struct {
 	Text string
 	Line int
 	Col  int
-	// AfterNL reports that at least one newline separates this token from
-	// the previous one. The Go parser uses it to apply semicolon
-	// insertion at declaration and member boundaries; the C/Java/IDL
-	// grammars ignore it.
-	AfterNL bool
 }
 
 // String renders the token for error messages.
@@ -234,9 +227,8 @@ func (s *Scanner) ExpectIdent() (Token, error) {
 }
 
 func (s *Scanner) scan() Token {
-	before := s.line
 	s.skipSpaceAndComments()
-	start := Token{Line: s.line, Col: s.col, AfterNL: s.line > before}
+	start := Token{Line: s.line, Col: s.col}
 	if s.pos >= len(s.src) {
 		start.Kind = TokEOF
 		return start
@@ -296,15 +288,6 @@ func (s *Scanner) scan() Token {
 		start.Kind = TokChar
 		start.Text = text
 		return start
-	case r == '`':
-		text, ok := s.scanRaw()
-		if !ok {
-			start.Kind = TokEOF
-			return start
-		}
-		start.Kind = TokString
-		start.Text = text
-		return start
 	default:
 		for _, mp := range multiPunct {
 			if strings.HasPrefix(s.src[s.pos:], mp) {
@@ -344,24 +327,6 @@ func (s *Scanner) scanQuoted(quote byte) (string, bool) {
 		s.advance(1)
 	}
 	s.Errorf(Token{Line: openLine, Col: openCol}, "unterminated %c literal", quote)
-	return "", false
-}
-
-// scanRaw consumes a backquoted raw string literal (a Go struct tag).
-// Raw strings have no escapes and may span newlines.
-func (s *Scanner) scanRaw() (string, bool) {
-	openLine, openCol := s.line, s.col
-	s.advance(1) // opening backquote
-	begin := s.pos
-	for s.pos < len(s.src) {
-		if s.src[s.pos] == '`' {
-			text := s.src[begin:s.pos]
-			s.advance(1)
-			return text, true
-		}
-		s.advance(1)
-	}
-	s.Errorf(Token{Line: openLine, Col: openCol}, "unterminated raw string literal")
 	return "", false
 }
 

@@ -179,46 +179,3 @@ func TestErrorFormat(t *testing.T) {
 		t.Errorf("Error() = %q", e2.Error())
 	}
 }
-
-func TestRawStringLiteral(t *testing.T) {
-	toks := collect(t, "`mbird:\"char\"` x")
-	if toks[0].Kind != TokString || toks[0].Text != `mbird:"char"` {
-		t.Errorf("raw string = %+v", toks[0])
-	}
-	// No escape processing: a backslash is itself.
-	toks = collect(t, "`a\\nb`")
-	if toks[0].Text != `a\nb` {
-		t.Errorf("raw string kept escapes: %q", toks[0].Text)
-	}
-	// Newlines are allowed inside.
-	toks = collect(t, "`two\nlines`")
-	if toks[0].Text != "two\nlines" {
-		t.Errorf("multiline raw string = %q", toks[0].Text)
-	}
-}
-
-func TestUnterminatedRawString(t *testing.T) {
-	s := New("test", "`never closed")
-	for s.Next().Kind != TokEOF {
-	}
-	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "raw string") {
-		t.Errorf("err = %v", err)
-	}
-}
-
-// TestAfterNL checks the newline flag that drives Go's semicolon
-// insertion: set exactly on the first token of each new line.
-func TestAfterNL(t *testing.T) {
-	toks := collect(t, "a b\nc d\n\ne")
-	want := map[string]bool{"a": false, "b": false, "c": true, "d": false, "e": true}
-	for _, tok := range toks {
-		if w, ok := want[tok.Text]; ok && tok.AfterNL != w {
-			t.Errorf("%s AfterNL = %v, want %v", tok.Text, tok.AfterNL, w)
-		}
-	}
-	// A comment spanning the newline still marks the next token.
-	toks = collect(t, "a /* x\n y */ b")
-	if !toks[1].AfterNL {
-		t.Error("token after multi-line comment not marked AfterNL")
-	}
-}
