@@ -270,23 +270,25 @@ func TestCommentsAndPreprocessor(t *testing.T) {
 	}
 }
 
+// errorCases are rejected sources and a substring of each one's error.
+var errorCases = []struct {
+	src  string
+	want string
+}{
+	{`void f(int x, ...);`, "variadic"},
+	{`typedef int;`, "name"},
+	{`struct;`, "tag"},
+	{`typedef unsigned signed int x;`, "signed"},
+	{`typedef short long x;`, "long"},
+	{`typedef int x; typedef float x;`, "duplicate"},
+	{`void f(undeclared_t x);`, "unresolved"},
+	{`typedef float point[2`, "expected"},
+	{`struct S { int x : 99; };`, "bit-field"},
+	{`typedef long long long x;`, "long"},
+}
+
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{`void f(int x, ...);`, "variadic"},
-		{`typedef int;`, "name"},
-		{`struct;`, "tag"},
-		{`typedef unsigned signed int x;`, "signed"},
-		{`typedef short long x;`, "long"},
-		{`typedef int x; typedef float x;`, "duplicate"},
-		{`void f(undeclared_t x);`, "unresolved"},
-		{`typedef float point[2`, "expected"},
-		{`struct S { int x : 99; };`, "bit-field"},
-		{`typedef long long long x;`, "long"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		_, err := Parse("t.h", c.src, Config{})
 		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error containing %q", c.src, c.want)

@@ -41,18 +41,21 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 }
 
+// garbage is malformed input: parsing it must end, with or without an
+// error, and never panic or hang.
+var garbage = []string{
+	"",
+	";;;;",
+	"}{",
+	"typedef typedef typedef",
+	strings.Repeat("(", 100),
+	strings.Repeat("struct A { struct B { ", 50),
+	"\x00\x01\x02",
+	"typedef int x; \xff\xfe",
+	"int f(int f(int f(int)));",
+}
+
 func TestParserHandlesGarbage(t *testing.T) {
-	garbage := []string{
-		"",
-		";;;;",
-		"}{",
-		"typedef typedef typedef",
-		strings.Repeat("(", 100),
-		strings.Repeat("struct A { struct B { ", 50),
-		"\x00\x01\x02",
-		"typedef int x; \xff\xfe",
-		"int f(int f(int f(int)));",
-	}
 	for _, src := range garbage {
 		_, _ = Parse("garbage.h", src, Config{}) // must not panic or hang
 	}
@@ -64,35 +67,37 @@ func TestDeeplyNestedDeclarators(t *testing.T) {
 	_, _ = Parse("deep.h", src, Config{})
 }
 
+// budgetCases drive each budget axis past its limit.
+var budgetCases = []struct {
+	name   string
+	src    string
+	budget limits.Budget
+}{
+	{"deep declarator nesting",
+		"typedef int " + strings.Repeat("(*", 300) + "x" + strings.Repeat(")", 300) + ";",
+		limits.Budget{}},
+	{"pointer chain bomb",
+		"typedef int " + strings.Repeat("*", 500) + "x;",
+		limits.Budget{}},
+	{"deep struct nesting",
+		strings.Repeat("struct A { ", 300) + "int x;" + strings.Repeat(" };", 300),
+		limits.Budget{}},
+	{"array suffix bomb",
+		"typedef int x" + strings.Repeat("[2]", 300) + ";",
+		limits.Budget{}},
+	{"oversized input",
+		"typedef int a_rather_long_name_for_an_int;",
+		limits.Budget{MaxBytes: 16}},
+	{"token bomb",
+		"typedef struct { int a, b, c, d, e, f, g, h; } s;",
+		limits.Budget{MaxTokens: 8}},
+}
+
 // TestInputBudgets drives each budget axis past its limit: every case
 // must surface a typed error wrapping limits.ErrBudget, never a stack
 // overflow or a masked syntax diagnosis.
 func TestInputBudgets(t *testing.T) {
-	cases := []struct {
-		name   string
-		src    string
-		budget limits.Budget
-	}{
-		{"deep declarator nesting",
-			"typedef int " + strings.Repeat("(*", 300) + "x" + strings.Repeat(")", 300) + ";",
-			limits.Budget{}},
-		{"pointer chain bomb",
-			"typedef int " + strings.Repeat("*", 500) + "x;",
-			limits.Budget{}},
-		{"deep struct nesting",
-			strings.Repeat("struct A { ", 300) + "int x;" + strings.Repeat(" };", 300),
-			limits.Budget{}},
-		{"array suffix bomb",
-			"typedef int x" + strings.Repeat("[2]", 300) + ";",
-			limits.Budget{}},
-		{"oversized input",
-			"typedef int a_rather_long_name_for_an_int;",
-			limits.Budget{MaxBytes: 16}},
-		{"token bomb",
-			"typedef struct { int a, b, c, d, e, f, g, h; } s;",
-			limits.Budget{MaxTokens: 8}},
-	}
-	for _, tc := range cases {
+	for _, tc := range budgetCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse("hostile.h", tc.src, Config{Budget: tc.budget})
 			if !errors.Is(err, limits.ErrBudget) {

@@ -287,23 +287,25 @@ func TestConstIgnored(t *testing.T) {
 	}
 }
 
+// errorCases are rejected sources and a substring of each one's error.
+var errorCases = []struct {
+	src  string
+	want string
+}{
+	{`interface I { void f(in any x); };`, "any"},
+	{`exception E { long code; };`, "exceptions"},
+	{`interface I { void f(in long x) raises (E); };`, "raises"},
+	{`interface I { void f(long x); };`, "in/out/inout"},
+	{`interface I { oneway long bad(in long x); };`, "oneway"},
+	{`struct S { unknown u; };`, "unresolved"},
+	{`typedef fixed<9,2> money;`, "fixed"},
+	{`struct S { long x; }`, "expected"},
+	{`module M { struct S { long x; };`, "unterminated"},
+	{`struct S { long x; }; struct S { long y; };`, "duplicate"},
+}
+
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{`interface I { void f(in any x); };`, "any"},
-		{`exception E { long code; };`, "exceptions"},
-		{`interface I { void f(in long x) raises (E); };`, "raises"},
-		{`interface I { void f(long x); };`, "in/out/inout"},
-		{`interface I { oneway long bad(in long x); };`, "oneway"},
-		{`struct S { unknown u; };`, "unresolved"},
-		{`typedef fixed<9,2> money;`, "fixed"},
-		{`struct S { long x; }`, "expected"},
-		{`module M { struct S { long x; };`, "unterminated"},
-		{`struct S { long x; }; struct S { long y; };`, "duplicate"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		_, err := Parse("t.idl", c.src)
 		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error %q", c.src, c.want)

@@ -35,49 +35,54 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 }
 
+// garbage is malformed input: parsing it must end, with or without an
+// error, and never panic or hang.
+var garbage = []string{
+	"",
+	"};",
+	"module",
+	"module M {",
+	strings.Repeat("module M { ", 60),
+	"interface I { void f(in sequence<sequence<sequence<long>>> x); };",
+	"\xff\xfeinterface I {};",
+}
+
 func TestParserHandlesGarbage(t *testing.T) {
-	garbage := []string{
-		"",
-		"};",
-		"module",
-		"module M {",
-		strings.Repeat("module M { ", 60),
-		"interface I { void f(in sequence<sequence<sequence<long>>> x); };",
-		"\xff\xfeinterface I {};",
-	}
 	for _, src := range garbage {
 		_, _ = Parse("garbage.idl", src)
 	}
 }
 
+// budgetCases drive each budget axis past its limit.
+var budgetCases = []struct {
+	name   string
+	src    string
+	budget limits.Budget
+}{
+	{"deep module nesting",
+		strings.Repeat("module M { ", 300) + "typedef long t;" + strings.Repeat(" };", 300),
+		limits.Budget{}},
+	{"deep struct nesting",
+		strings.Repeat("struct S { ", 300) + "long x;" + strings.Repeat(" };", 300),
+		limits.Budget{}},
+	{"sequence nesting bomb",
+		"typedef " + strings.Repeat("sequence<", 300) + "long" + strings.Repeat(">", 300) + " t;",
+		limits.Budget{}},
+	{"array suffix bomb",
+		"typedef long t" + strings.Repeat("[2]", 300) + ";",
+		limits.Budget{}},
+	{"oversized input",
+		"typedef long a_rather_long_name_for_a_long;",
+		limits.Budget{MaxBytes: 16}},
+	{"token bomb",
+		"struct S { long a; long b; long c; long d; };",
+		limits.Budget{MaxTokens: 8}},
+}
+
 // TestInputBudgets drives each budget axis past its limit: every case
 // must surface a typed error wrapping limits.ErrBudget.
 func TestInputBudgets(t *testing.T) {
-	cases := []struct {
-		name   string
-		src    string
-		budget limits.Budget
-	}{
-		{"deep module nesting",
-			strings.Repeat("module M { ", 300) + "typedef long t;" + strings.Repeat(" };", 300),
-			limits.Budget{}},
-		{"deep struct nesting",
-			strings.Repeat("struct S { ", 300) + "long x;" + strings.Repeat(" };", 300),
-			limits.Budget{}},
-		{"sequence nesting bomb",
-			"typedef " + strings.Repeat("sequence<", 300) + "long" + strings.Repeat(">", 300) + " t;",
-			limits.Budget{}},
-		{"array suffix bomb",
-			"typedef long t" + strings.Repeat("[2]", 300) + ";",
-			limits.Budget{}},
-		{"oversized input",
-			"typedef long a_rather_long_name_for_a_long;",
-			limits.Budget{MaxBytes: 16}},
-		{"token bomb",
-			"struct S { long a; long b; long c; long d; };",
-			limits.Budget{MaxTokens: 8}},
-	}
-	for _, tc := range cases {
+	for _, tc := range budgetCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseBudget("hostile.idl", tc.src, tc.budget)
 			if !errors.Is(err, limits.ErrBudget) {

@@ -268,18 +268,20 @@ func TestExtendsAndImplements(t *testing.T) {
 	}
 }
 
+// errorCases are rejected sources and a substring of each one's error.
+var errorCases = []struct {
+	src  string
+	want string
+}{
+	{`class C { Vector<Point> pts; }`, "generics"},
+	{`class C { Undeclared u; }`, "unresolved"},
+	{`class C { int x`, "end of input"},
+	{`class C {} class C {}`, "duplicate"},
+	{`int x;`, "expected class or interface"},
+}
+
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{`class C { Vector<Point> pts; }`, "generics"},
-		{`class C { Undeclared u; }`, "unresolved"},
-		{`class C { int x`, "end of input"},
-		{`class C {} class C {}`, "duplicate"},
-		{`int x;`, "expected class or interface"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		_, err := Parse("T.java", c.src)
 		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error %q", c.src, c.want)

@@ -35,43 +35,48 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 }
 
+// garbage is malformed input: parsing it must end, with or without an
+// error, and never panic or hang.
+var garbage = []string{
+	"",
+	"}}}}",
+	"class",
+	"class X {",
+	strings.Repeat("class A { ", 50),
+	"class C { int x = { { { ; } } } }",
+	"\x00class C {}",
+}
+
 func TestParserHandlesGarbage(t *testing.T) {
-	garbage := []string{
-		"",
-		"}}}}",
-		"class",
-		"class X {",
-		strings.Repeat("class A { ", 50),
-		"class C { int x = { { { ; } } } }",
-		"\x00class C {}",
-	}
 	for _, src := range garbage {
 		_, _ = Parse("Garbage.java", src)
 	}
 }
 
+// budgetCases drive each budget axis past its limit.
+var budgetCases = []struct {
+	name   string
+	src    string
+	budget limits.Budget
+}{
+	{"array dimension bomb on a field",
+		"class C { int" + strings.Repeat("[]", 300) + " x; }",
+		limits.Budget{}},
+	{"array dimension bomb on a parameter",
+		"class C { void m(int" + strings.Repeat("[]", 300) + " x) {} }",
+		limits.Budget{}},
+	{"oversized input",
+		"class TheNameAloneBlowsTheBudget {}",
+		limits.Budget{MaxBytes: 16}},
+	{"token bomb",
+		"class C { int a; int b; int c; int d; int e; }",
+		limits.Budget{MaxTokens: 8}},
+}
+
 // TestInputBudgets drives each budget axis past its limit: every case
 // must surface a typed error wrapping limits.ErrBudget.
 func TestInputBudgets(t *testing.T) {
-	cases := []struct {
-		name   string
-		src    string
-		budget limits.Budget
-	}{
-		{"array dimension bomb on a field",
-			"class C { int" + strings.Repeat("[]", 300) + " x; }",
-			limits.Budget{}},
-		{"array dimension bomb on a parameter",
-			"class C { void m(int" + strings.Repeat("[]", 300) + " x) {} }",
-			limits.Budget{}},
-		{"oversized input",
-			"class TheNameAloneBlowsTheBudget {}",
-			limits.Budget{MaxBytes: 16}},
-		{"token bomb",
-			"class C { int a; int b; int c; int d; int e; }",
-			limits.Budget{MaxTokens: 8}},
-	}
-	for _, tc := range cases {
+	for _, tc := range budgetCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseBudget("Hostile.java", tc.src, tc.budget)
 			if !errors.Is(err, limits.ErrBudget) {
