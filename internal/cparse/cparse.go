@@ -53,16 +53,8 @@ func Parse(file, src string, cfg Config) (*stype.Universe, error) {
 		cfg: cfg,
 		u:   stype.NewUniverse(stype.LangC),
 	}
-	if err := p.unit(); err != nil {
-		// A budget truncation surfaces as a bogus syntax error at the cut
-		// point; report the root cause instead.
-		if berr := p.s.BudgetErr(); berr != nil {
-			return nil, berr
-		}
+	if err := p.s.Parse(p.declaration); err != nil {
 		return nil, err
-	}
-	if berr := p.s.BudgetErr(); berr != nil {
-		return nil, berr
 	}
 	if err := p.u.Resolve(); err != nil {
 		return nil, err
@@ -80,42 +72,10 @@ var cKeywords = map[string]bool{
 }
 
 type parser struct {
-	s     *scan.Scanner
-	cfg   Config
-	u     *stype.Universe
-	anon  int
-	depth int
-}
-
-func (p *parser) errorf(at scan.Token, format string, args ...interface{}) error {
-	return p.s.Errorf(at, format, args...)
-}
-
-// enter guards a recursive descent step against the depth budget; every
-// enter must be paired with leave. The same cap bounds iteratively built
-// type chains (pointers, array suffixes) because later recursive walks
-// over the resulting Stype are only as deep as the parsed nesting.
-func (p *parser) enter(at scan.Token) error {
-	p.depth++
-	if p.depth > p.s.Budget().MaxDepth {
-		return limits.Exceededf("%d:%d: declaration nesting exceeds depth budget of %d",
-			at.Line, at.Col, p.s.Budget().MaxDepth)
-	}
-	return nil
-}
-
-func (p *parser) leave() { p.depth-- }
-
-func (p *parser) unit() error {
-	for {
-		t := p.s.Peek()
-		if t.Kind == scan.TokEOF {
-			return p.s.Err()
-		}
-		if err := p.declaration(); err != nil {
-			return err
-		}
-	}
+	s    *scan.Scanner
+	cfg  Config
+	u    *stype.Universe
+	anon int
 }
 
 // declaration parses one top-level declaration.
@@ -141,11 +101,11 @@ func (p *parser) declaration() error {
 			return err
 		}
 		if name == "" {
-			return p.errorf(p.s.Peek(), "declaration requires a name")
+			return p.s.Errorf(p.s.Peek(), "declaration requires a name")
 		}
 		if ty.Kind == stype.KFunc {
 			if _, err := p.u.Add(name, ty); err != nil {
-				return p.errorf(p.s.Peek(), "%v", err)
+				return p.s.Errorf(p.s.Peek(), "%v", err)
 			}
 		} else {
 			// Global variable declarations carry no interface information;
@@ -172,13 +132,13 @@ func (p *parser) typedefDecl() error {
 			return err
 		}
 		if name == "" {
-			return p.errorf(p.s.Peek(), "typedef requires a name")
+			return p.s.Errorf(p.s.Peek(), "typedef requires a name")
 		}
 		// The C idiom `typedef struct Point {...} Point;` re-declares the
 		// tag name; treat it as the same declaration.
 		if !(ty.Kind == stype.KNamed && ty.Name == name) {
 			if _, err := p.u.Add(name, ty); err != nil {
-				return p.errorf(p.s.Peek(), "%v", err)
+				return p.s.Errorf(p.s.Peek(), "%v", err)
 			}
 		}
 		if p.s.Accept(",") {
@@ -203,10 +163,10 @@ func (p *parser) specifier() (*stype.Type, error) {
 		result                 *stype.Type
 	)
 	at := p.s.Peek()
-	if err := p.enter(at); err != nil {
+	if err := p.s.Enter(at); err != nil {
 		return nil, err
 	}
-	defer p.leave()
+	defer p.s.Leave()
 	for {
 		t := p.s.Peek()
 		if t.Kind != scan.TokIdent {
@@ -230,7 +190,7 @@ func (p *parser) specifier() (*stype.Type, error) {
 		case "int", "char", "float", "double", "void", "_Bool", "bool", "wchar_t":
 			p.s.Next()
 			if base != "" {
-				return nil, p.errorf(t, "multiple base types (%s and %s)", base, t.Text)
+				return nil, p.s.Errorf(t, "multiple base types (%s and %s)", base, t.Text)
 			}
 			base = t.Text
 		case "struct", "union":
@@ -249,7 +209,7 @@ func (p *parser) specifier() (*stype.Type, error) {
 			result = ty
 		default:
 			if cKeywords[t.Text] {
-				return nil, p.errorf(t, "unexpected keyword %q", t.Text)
+				return nil, p.s.Errorf(t, "unexpected keyword %q", t.Text)
 			}
 			// A typedef name is only consumed when no builtin base has
 			// been seen; this keeps `unsigned x;` (x the declarator)
@@ -281,13 +241,13 @@ done:
 
 func (p *parser) primFor(base string, uns, sgn bool, longs, shorts int, at scan.Token) (stype.Prim, error) {
 	if uns && sgn {
-		return 0, p.errorf(at, "both signed and unsigned")
+		return 0, p.s.Errorf(at, "both signed and unsigned")
 	}
 	if longs > 0 && shorts > 0 {
-		return 0, p.errorf(at, "both long and short")
+		return 0, p.s.Errorf(at, "both long and short")
 	}
 	if longs > 2 {
-		return 0, p.errorf(at, "too many 'long'")
+		return 0, p.s.Errorf(at, "too many 'long'")
 	}
 	switch base {
 	case "void":
@@ -316,7 +276,7 @@ func (p *parser) primFor(base string, uns, sgn bool, longs, shorts int, at scan.
 		return stype.PF64, nil
 	case "int", "":
 		if base == "" && longs == 0 && shorts == 0 && !uns && !sgn {
-			return 0, p.errorf(at, "expected type")
+			return 0, p.s.Errorf(at, "expected type")
 		}
 		switch {
 		case shorts > 0:
@@ -347,7 +307,7 @@ func (p *parser) primFor(base string, uns, sgn bool, longs, shorts int, at scan.
 			return stype.PI32, nil
 		}
 	default:
-		return 0, p.errorf(at, "unsupported base type %q", base)
+		return 0, p.s.Errorf(at, "unsupported base type %q", base)
 	}
 }
 
@@ -368,14 +328,14 @@ func (p *parser) structSpec(isUnion bool) (*stype.Type, error) {
 	}
 	if !p.s.Accept("{") {
 		if tag == "" {
-			return nil, p.errorf(p.s.Peek(), "%s requires a tag or a body", word)
+			return nil, p.s.Errorf(p.s.Peek(), "%s requires a tag or a body", word)
 		}
 		return stype.NewNamed(tag), nil
 	}
 	node := &stype.Type{Kind: kind, Name: tag}
 	for !p.s.Accept("}") {
 		if p.s.Peek().Kind == scan.TokEOF {
-			return nil, p.errorf(p.s.Peek(), "unterminated %s body", word)
+			return nil, p.s.Errorf(p.s.Peek(), "unterminated %s body", word)
 		}
 		base, err := p.specifier()
 		if err != nil {
@@ -392,12 +352,12 @@ func (p *parser) structSpec(isUnion bool) (*stype.Type, error) {
 				widthTok := p.s.Next()
 				width, werr := strconv.Atoi(widthTok.Text)
 				if werr != nil || width <= 0 || width > 64 {
-					return nil, p.errorf(widthTok, "invalid bit-field width %q", widthTok.Text)
+					return nil, p.s.Errorf(widthTok, "invalid bit-field width %q", widthTok.Text)
 				}
 				ty = p.bitfieldType(ty, width)
 			}
 			if name == "" {
-				return nil, p.errorf(p.s.Peek(), "member requires a name")
+				return nil, p.s.Errorf(p.s.Peek(), "member requires a name")
 			}
 			node.Fields = append(node.Fields, stype.Field{Name: name, Type: ty})
 			if p.s.Accept(",") {
@@ -413,7 +373,7 @@ func (p *parser) structSpec(isUnion bool) (*stype.Type, error) {
 		return node, nil
 	}
 	if _, err := p.u.Add(tag, node); err != nil {
-		return nil, p.errorf(p.s.Peek(), "%v", err)
+		return nil, p.s.Errorf(p.s.Peek(), "%v", err)
 	}
 	return stype.NewNamed(tag), nil
 }
@@ -428,7 +388,7 @@ func (p *parser) bitfieldType(ty *stype.Type, width int) *stype.Type {
 			signed = false
 		}
 	}
-	out := *ty
+	out := ty.Clone()
 	if signed {
 		lo := -(int64(1) << (width - 1))
 		hi := (int64(1) << (width - 1)) - 1
@@ -442,7 +402,7 @@ func (p *parser) bitfieldType(ty *stype.Type, width int) *stype.Type {
 		}
 		out.Ann.Range = &stype.RangeAnn{Lo: "0", Hi: strconv.FormatUint(hi, 10)}
 	}
-	return &out
+	return out
 }
 
 // enumSpec parses `enum tag? { A, B = 3, C }?`.
@@ -454,7 +414,7 @@ func (p *parser) enumSpec() (*stype.Type, error) {
 	}
 	if !p.s.Accept("{") {
 		if tag == "" {
-			return nil, p.errorf(p.s.Peek(), "enum requires a tag or a body")
+			return nil, p.s.Errorf(p.s.Peek(), "enum requires a tag or a body")
 		}
 		return stype.NewNamed(tag), nil
 	}
@@ -471,7 +431,7 @@ func (p *parser) enumSpec() (*stype.Type, error) {
 			p.s.Accept("-")
 			v := p.s.Next()
 			if v.Kind != scan.TokNumber && v.Kind != scan.TokIdent && v.Kind != scan.TokChar {
-				return nil, p.errorf(v, "invalid enumerator value %s", v)
+				return nil, p.s.Errorf(v, "invalid enumerator value %s", v)
 			}
 		}
 		if !p.s.Accept(",") {
@@ -487,7 +447,7 @@ func (p *parser) enumSpec() (*stype.Type, error) {
 		node.Name = tag
 	}
 	if _, err := p.u.Add(tag, node); err != nil {
-		return nil, p.errorf(p.s.Peek(), "%v", err)
+		return nil, p.s.Errorf(p.s.Peek(), "%v", err)
 	}
 	return stype.NewNamed(tag), nil
 }
@@ -497,19 +457,16 @@ func (p *parser) enumSpec() (*stype.Type, error) {
 // type. The base node is cloned so every declaration site gets its own
 // node for per-use annotation (`float x, y;` yields two float nodes).
 func (p *parser) declarator(base *stype.Type) (string, *stype.Type, error) {
-	copied := *base
-	return p.declaratorNoClone(&copied)
+	return p.declaratorNoClone(base.Clone())
 }
 
 // declaratorNoClone is declarator without the defensive copy; the paren
 // declarator branch needs the base pointer preserved for hole
 // substitution.
 func (p *parser) declaratorNoClone(base *stype.Type) (string, *stype.Type, error) {
-	stars := 0
-	for p.s.Accept("*") {
-		if stars++; stars > p.s.Budget().MaxDepth {
-			return "", nil, limits.Exceededf("pointer chain exceeds depth budget of %d",
-				p.s.Budget().MaxDepth)
+	for stars := 1; p.s.Accept("*"); stars++ {
+		if err := p.s.Chain(stars, "pointer chain exceeds depth budget of %d"); err != nil {
+			return "", nil, err
 		}
 		for p.s.AcceptIdent("const") || p.s.AcceptIdent("volatile") || p.s.AcceptIdent("restrict") {
 		}
@@ -526,10 +483,10 @@ func (p *parser) directDeclarator(base *stype.Type) (string, *stype.Type, error)
 		inner func(*stype.Type) (string, *stype.Type, error)
 	)
 	t := p.s.Peek()
-	if err := p.enter(t); err != nil {
+	if err := p.s.Enter(t); err != nil {
 		return "", nil, err
 	}
-	defer p.leave()
+	defer p.s.Leave()
 	switch {
 	case t.Kind == scan.TokIdent && !cKeywords[t.Text]:
 		p.s.Next()
@@ -561,9 +518,8 @@ func (p *parser) directDeclarator(base *stype.Type) (string, *stype.Type, error)
 	}
 	var suffixes []suffix
 	for {
-		if len(suffixes) > p.s.Budget().MaxDepth {
-			return "", nil, limits.Exceededf("declarator suffixes exceed depth budget of %d",
-				p.s.Budget().MaxDepth)
+		if err := p.s.Chain(len(suffixes), "declarator suffixes exceed depth budget of %d"); err != nil {
+			return "", nil, err
 		}
 		if p.s.Accept("[") {
 			length := -1
@@ -571,7 +527,7 @@ func (p *parser) directDeclarator(base *stype.Type) (string, *stype.Type, error)
 				numTok := p.s.Next()
 				n, err := strconv.Atoi(numTok.Text)
 				if err != nil || n < 0 {
-					return "", nil, p.errorf(numTok, "invalid array length %q", numTok.Text)
+					return "", nil, p.s.Errorf(numTok, "invalid array length %q", numTok.Text)
 				}
 				length = n
 				if _, err := p.s.Expect("]"); err != nil {
@@ -637,7 +593,7 @@ func substituteHole(ty, hole, actual *stype.Type) *stype.Type {
 	if ty == hole {
 		return actual
 	}
-	out := *ty
+	out := ty.Clone()
 	if ty.ElemType != nil {
 		out.ElemType = substituteHole(ty.ElemType, hole, actual)
 	}
@@ -650,7 +606,7 @@ func substituteHole(ty, hole, actual *stype.Type) *stype.Type {
 			out.Params[i] = stype.Param{Name: prm.Name, Type: substituteHole(prm.Type, hole, actual)}
 		}
 	}
-	return &out
+	return out
 }
 
 // paramList parses a function parameter list after "(" up to and including
@@ -671,7 +627,7 @@ func (p *parser) paramList() ([]stype.Param, error) {
 	for {
 		t := p.s.Peek()
 		if t.Kind == scan.TokPunct && t.Text == "..." {
-			return nil, p.errorf(t, "variadic functions cannot be stubbed")
+			return nil, p.s.Errorf(t, "variadic functions cannot be stubbed")
 		}
 		base, err := p.specifier()
 		if err != nil {

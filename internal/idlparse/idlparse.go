@@ -32,22 +32,11 @@ func Parse(file, src string) (*stype.Universe, error) {
 // limits defaults). Violations return an error wrapping limits.ErrBudget.
 func ParseBudget(file, src string, b limits.Budget) (*stype.Universe, error) {
 	p := &parser{s: scan.NewBudget(file, src, b), u: stype.NewUniverse(stype.LangIDL)}
-	if err := p.unit(); err != nil {
-		// A budget truncation surfaces as a bogus syntax error at the cut
-		// point; report the root cause instead.
-		if berr := p.s.BudgetErr(); berr != nil {
-			return nil, berr
-		}
+	if err := p.s.Parse(p.definition); err != nil {
 		return nil, err
 	}
-	if berr := p.s.BudgetErr(); berr != nil {
-		return nil, berr
-	}
-	if err := p.resolveScoped(); err != nil {
-		return nil, err
-	}
-	if err := p.u.Resolve(); err != nil {
-		return nil, err
+	if err := p.u.ResolveScoped(); err != nil {
+		return nil, fmt.Errorf("idlparse: %w", err)
 	}
 	return p.u, nil
 }
@@ -68,27 +57,7 @@ type parser struct {
 	s     *scan.Scanner
 	u     *stype.Universe
 	scope []string
-	depth int
 }
-
-func (p *parser) errorf(at scan.Token, format string, args ...interface{}) error {
-	return p.s.Errorf(at, format, args...)
-}
-
-// enter guards a recursive descent step (definition and typeSpec, which
-// between them cover every recursion cycle: module bodies, interface
-// members, nested struct/union definitions, sequence element types)
-// against the depth budget; pair with leave.
-func (p *parser) enter(at scan.Token) error {
-	p.depth++
-	if p.depth > p.s.Budget().MaxDepth {
-		return limits.Exceededf("%d:%d: declaration nesting exceeds depth budget of %d",
-			at.Line, at.Col, p.s.Budget().MaxDepth)
-	}
-	return nil
-}
-
-func (p *parser) leave() { p.depth-- }
 
 // scopedName returns name qualified by the current scope.
 func (p *parser) scopedName(name string) string {
@@ -100,32 +69,23 @@ func (p *parser) scopedName(name string) string {
 
 func (p *parser) addDecl(at scan.Token, name string, ty *stype.Type) error {
 	if _, err := p.u.Add(p.scopedName(name), ty); err != nil {
-		return p.errorf(at, "%v", err)
+		return p.s.Errorf(at, "%v", err)
 	}
 	return nil
 }
 
-func (p *parser) unit() error {
-	for {
-		t := p.s.Peek()
-		if t.Kind == scan.TokEOF {
-			return p.s.Err()
-		}
-		if err := p.definition(); err != nil {
-			return err
-		}
-	}
-}
-
-// definition parses one IDL definition at the current scope.
+// definition parses one IDL definition at the current scope. It and
+// typeSpec guard the descent against the depth budget: between them they
+// are on every recursion cycle (module bodies, interface members, nested
+// struct/union definitions, sequence element types).
 func (p *parser) definition() error {
 	t := p.s.Peek()
-	if err := p.enter(t); err != nil {
+	if err := p.s.Enter(t); err != nil {
 		return err
 	}
-	defer p.leave()
+	defer p.s.Leave()
 	if t.Kind != scan.TokIdent {
-		return p.errorf(t, "expected definition, found %s", t)
+		return p.s.Errorf(t, "expected definition, found %s", t)
 	}
 	switch t.Text {
 	case "module":
@@ -161,9 +121,9 @@ func (p *parser) definition() error {
 	case "const":
 		return p.constDef()
 	case "exception":
-		return p.errorf(t, "exceptions are not supported (incomplete in the prototype, paper §6)")
+		return p.s.Errorf(t, "exceptions are not supported (incomplete in the prototype, paper §6)")
 	default:
-		return p.errorf(t, "unexpected %s", t)
+		return p.s.Errorf(t, "unexpected %s", t)
 	}
 }
 
@@ -179,7 +139,7 @@ func (p *parser) module() error {
 	p.scope = append(p.scope, nameTok.Text)
 	for !p.s.Accept("}") {
 		if p.s.Peek().Kind == scan.TokEOF {
-			return p.errorf(nameTok, "unterminated module %s", nameTok.Text)
+			return p.s.Errorf(nameTok, "unterminated module %s", nameTok.Text)
 		}
 		if err := p.definition(); err != nil {
 			return err
@@ -203,7 +163,7 @@ func (p *parser) interfaceDef() error {
 		if existing.Type.Kind == stype.KInterface && len(existing.Type.Methods) == 0 {
 			node = existing.Type
 		} else {
-			return p.errorf(nameTok, "duplicate declaration %q", nameTok.Text)
+			return p.s.Errorf(nameTok, "duplicate declaration %q", nameTok.Text)
 		}
 	}
 	if p.s.Accept(";") {
@@ -238,7 +198,7 @@ func (p *parser) interfaceDef() error {
 	defer func() { p.scope = p.scope[:len(p.scope)-1] }()
 	for !p.s.Accept("}") {
 		if p.s.Peek().Kind == scan.TokEOF {
-			return p.errorf(nameTok, "unterminated interface %s", nameTok.Text)
+			return p.s.Errorf(nameTok, "unterminated interface %s", nameTok.Text)
 		}
 		if err := p.interfaceMember(node); err != nil {
 			return err
@@ -274,7 +234,7 @@ func (p *parser) interfaceMember(node *stype.Type) error {
 func (p *parser) attribute(node *stype.Type) error {
 	readonly := p.s.AcceptIdent("readonly")
 	if !p.s.AcceptIdent("attribute") {
-		return p.errorf(p.s.Peek(), "expected attribute")
+		return p.s.Errorf(p.s.Peek(), "expected attribute")
 	}
 	ty, err := p.typeSpec()
 	if err != nil {
@@ -287,12 +247,12 @@ func (p *parser) attribute(node *stype.Type) error {
 		}
 		node.Methods = append(node.Methods, stype.Method{
 			Name:   "_get_" + nameTok.Text,
-			Result: cloneNode(ty),
+			Result: ty.Clone(),
 		})
 		if !readonly {
 			node.Methods = append(node.Methods, stype.Method{
 				Name:   "_set_" + nameTok.Text,
-				Params: []stype.Param{{Name: "value", Type: cloneNode(ty)}},
+				Params: []stype.Param{{Name: "value", Type: ty.Clone()}},
 			})
 		}
 		if p.s.Accept(",") {
@@ -318,7 +278,7 @@ func (p *parser) operation(node *stype.Type, oneway bool) error {
 	m := stype.Method{Name: nameTok.Text, Oneway: oneway}
 	if !(resultTy.Kind == stype.KPrim && resultTy.Prim == stype.PVoid) {
 		if oneway {
-			return p.errorf(nameTok, "oneway operation %s must return void", nameTok.Text)
+			return p.s.Errorf(nameTok, "oneway operation %s must return void", nameTok.Text)
 		}
 		m.Result = resultTy
 	}
@@ -333,7 +293,7 @@ func (p *parser) operation(node *stype.Type, oneway bool) error {
 			case p.s.AcceptIdent("inout"):
 				mode = stype.ModeInOut
 			default:
-				return p.errorf(p.s.Peek(), "parameter requires in/out/inout")
+				return p.s.Errorf(p.s.Peek(), "parameter requires in/out/inout")
 			}
 			ty, err := p.typeSpec()
 			if err != nil {
@@ -355,10 +315,10 @@ func (p *parser) operation(node *stype.Type, oneway bool) error {
 		}
 	}
 	if p.s.AcceptIdent("raises") {
-		return p.errorf(nameTok, "raises clauses are not supported (paper §6)")
+		return p.s.Errorf(nameTok, "raises clauses are not supported (paper §6)")
 	}
 	if p.s.AcceptIdent("context") {
-		return p.errorf(nameTok, "context clauses are not supported")
+		return p.s.Errorf(nameTok, "context clauses are not supported")
 	}
 	node.Methods = append(node.Methods, m)
 	_, err = p.s.Expect(";")
@@ -376,14 +336,14 @@ func (p *parser) structDef() (*stype.Type, error) {
 	node := &stype.Type{Kind: stype.KStruct, Name: p.scopedName(nameTok.Text)}
 	for !p.s.Accept("}") {
 		if p.s.Peek().Kind == scan.TokEOF {
-			return nil, p.errorf(nameTok, "unterminated struct %s", nameTok.Text)
+			return nil, p.s.Errorf(nameTok, "unterminated struct %s", nameTok.Text)
 		}
 		ty, err := p.typeSpec()
 		if err != nil {
 			return nil, err
 		}
 		for {
-			fieldName, fieldTy, err := p.declarator(cloneNode(ty))
+			fieldName, fieldTy, err := p.declarator(ty.Clone())
 			if err != nil {
 				return nil, err
 			}
@@ -412,7 +372,7 @@ func (p *parser) unionDef() (*stype.Type, error) {
 		return nil, err
 	}
 	if !p.s.AcceptIdent("switch") {
-		return nil, p.errorf(p.s.Peek(), "expected switch")
+		return nil, p.s.Errorf(p.s.Peek(), "expected switch")
 	}
 	if _, err := p.s.Expect("("); err != nil {
 		return nil, err
@@ -429,7 +389,7 @@ func (p *parser) unionDef() (*stype.Type, error) {
 	node := &stype.Type{Kind: stype.KUnion, Name: p.scopedName(nameTok.Text)}
 	for !p.s.Accept("}") {
 		if p.s.Peek().Kind == scan.TokEOF {
-			return nil, p.errorf(nameTok, "unterminated union %s", nameTok.Text)
+			return nil, p.s.Errorf(nameTok, "unterminated union %s", nameTok.Text)
 		}
 		var label string
 		for {
@@ -511,7 +471,7 @@ func (p *parser) typedefDef() error {
 		return err
 	}
 	for {
-		name, ty, err := p.declarator(cloneNode(base))
+		name, ty, err := p.declarator(base.Clone())
 		if err != nil {
 			return err
 		}
@@ -534,7 +494,7 @@ func (p *parser) constDef() error {
 	for {
 		t := p.s.Next()
 		if t.Kind == scan.TokEOF {
-			return p.errorf(t, "unterminated const")
+			return p.s.Errorf(t, "unterminated const")
 		}
 		if t.Kind == scan.TokPunct && t.Text == ";" {
 			return nil
@@ -551,14 +511,13 @@ func (p *parser) declarator(base *stype.Type) (string, *stype.Type, error) {
 	}
 	var lengths []int
 	for p.s.Accept("[") {
-		if len(lengths) >= p.s.Budget().MaxDepth {
-			return "", nil, limits.Exceededf("array suffixes exceed depth budget of %d",
-				p.s.Budget().MaxDepth)
+		if err := p.s.Chain(len(lengths)+1, "array suffixes exceed depth budget of %d"); err != nil {
+			return "", nil, err
 		}
 		numTok := p.s.Next()
 		n, err := strconv.Atoi(numTok.Text)
 		if err != nil || n < 0 {
-			return "", nil, p.errorf(numTok, "invalid array length %q", numTok.Text)
+			return "", nil, p.s.Errorf(numTok, "invalid array length %q", numTok.Text)
 		}
 		lengths = append(lengths, n)
 		if _, err := p.s.Expect("]"); err != nil {
@@ -575,12 +534,12 @@ func (p *parser) declarator(base *stype.Type) (string, *stype.Type, error) {
 // typeSpec parses a type use.
 func (p *parser) typeSpec() (*stype.Type, error) {
 	t := p.s.Peek()
-	if err := p.enter(t); err != nil {
+	if err := p.s.Enter(t); err != nil {
 		return nil, err
 	}
-	defer p.leave()
+	defer p.s.Leave()
 	if t.Kind != scan.TokIdent && !(t.Kind == scan.TokPunct && t.Text == "::") {
-		return nil, p.errorf(t, "expected type, found %s", t)
+		return nil, p.s.Errorf(t, "expected type, found %s", t)
 	}
 	switch t.Text {
 	case "void":
@@ -627,7 +586,7 @@ func (p *parser) typeSpec() (*stype.Type, error) {
 			}
 			return stype.NewPrim(stype.PU32), nil
 		default:
-			return nil, p.errorf(p.s.Peek(), "unsigned requires short or long")
+			return nil, p.s.Errorf(p.s.Peek(), "unsigned requires short or long")
 		}
 	case "string":
 		p.s.Next()
@@ -667,9 +626,9 @@ func (p *parser) typeSpec() (*stype.Type, error) {
 		}
 		return stype.NewSequence(elem), nil
 	case "any":
-		return nil, p.errorf(t, "the any type is not supported (incomplete in the prototype, paper §6)")
+		return nil, p.s.Errorf(t, "the any type is not supported (incomplete in the prototype, paper §6)")
 	case "fixed":
-		return nil, p.errorf(t, "fixed-point types are not supported")
+		return nil, p.s.Errorf(t, "fixed-point types are not supported")
 	case "Object":
 		p.s.Next()
 		return stype.NewNamed("Object"), nil
@@ -692,8 +651,8 @@ func (p *parser) typeSpec() (*stype.Type, error) {
 }
 
 // scopedRef parses a possibly scoped name reference (A::B::C or ::A::B).
-// The returned name is recorded verbatim; resolveScoped later rewrites
-// unqualified and partially qualified references to the declaration's full
+// The returned name is recorded with the scope it is written in, which
+// ResolveScoped searches innermost first for the declaration's full
 // scoped name.
 func (p *parser) scopedRef() (string, error) {
 	var parts []string
@@ -706,89 +665,18 @@ func (p *parser) scopedRef() (string, error) {
 			return "", err
 		}
 		if idlKeywords[t.Text] {
-			return "", p.errorf(t, "keyword %q cannot be used as a name", t.Text)
+			return "", p.s.Errorf(t, "keyword %q cannot be used as a name", t.Text)
 		}
 		parts = append(parts, t.Text)
 		if !p.s.Accept("::") {
 			break
 		}
 	}
-	// Remember the scope at the point of reference so resolution can walk
-	// outward. We encode it in the name with a marker consumed by
-	// resolveScoped.
 	ref := strings.Join(parts, "::")
 	if len(p.scope) > 0 && !strings.HasPrefix(ref, "::") {
-		return strings.Join(p.scope, "::") + "\x00" + ref, nil
+		return strings.Join(p.scope, "::") + stype.ScopeMark + ref, nil
 	}
 	return ref, nil
-}
-
-// resolveScoped rewrites every Named node's reference to the full scoped
-// declaration name, resolving unqualified names innermost-scope-first as
-// IDL requires.
-func (p *parser) resolveScoped() error {
-	for _, d := range p.u.Decls() {
-		var firstErr error
-		stype.Walk(d.Type, func(n *stype.Type) {
-			if firstErr != nil || n.Kind != stype.KNamed {
-				return
-			}
-			name := n.Name
-			var scopeAt []string
-			if i := strings.IndexByte(name, 0); i >= 0 {
-				scopeAt = strings.Split(name[:i], "::")
-				name = name[i+1:]
-			}
-			name = strings.TrimPrefix(name, "::")
-			// Try the reference at each enclosing scope, innermost first,
-			// then globally.
-			for k := len(scopeAt); k >= 0; k-- {
-				candidate := name
-				if k > 0 {
-					candidate = strings.Join(scopeAt[:k], "::") + "::" + name
-				}
-				if p.u.Lookup(candidate) != nil {
-					n.Name = candidate
-					return
-				}
-			}
-			firstErr = fmt.Errorf("idlparse: unresolved name %q in %s", name, d.Name)
-		})
-		if firstErr != nil {
-			return firstErr
-		}
-		// Also resolve Super references.
-		if d.Type.Super != "" {
-			s := d.Type.Super
-			var scopeAt []string
-			if i := strings.IndexByte(s, 0); i >= 0 {
-				scopeAt = strings.Split(s[:i], "::")
-				s = s[i+1:]
-			}
-			s = strings.TrimPrefix(s, "::")
-			resolved := false
-			for k := len(scopeAt); k >= 0; k-- {
-				candidate := s
-				if k > 0 {
-					candidate = strings.Join(scopeAt[:k], "::") + "::" + s
-				}
-				if p.u.Lookup(candidate) != nil {
-					d.Type.Super = candidate
-					resolved = true
-					break
-				}
-			}
-			if !resolved {
-				return fmt.Errorf("idlparse: unresolved base interface %q of %s", s, d.Name)
-			}
-		}
-	}
-	return nil
-}
-
-func cloneNode(ty *stype.Type) *stype.Type {
-	out := *ty
-	return &out
 }
 
 // MustParse is a test helper: it parses src and panics on error.

@@ -34,16 +34,8 @@ func Parse(file, src string) (*stype.Universe, error) {
 func ParseBudget(file, src string, b limits.Budget) (*stype.Universe, error) {
 	p := &parser{s: scan.NewBudget(file, src, b), u: stype.NewUniverse(stype.LangJava)}
 	p.registerBuiltins()
-	if err := p.unit(); err != nil {
-		// A budget truncation surfaces as a bogus syntax error at the cut
-		// point; report the root cause instead.
-		if berr := p.s.BudgetErr(); berr != nil {
-			return nil, berr
-		}
+	if err := p.s.Parse(p.topLevel); err != nil {
 		return nil, err
-	}
-	if berr := p.s.BudgetErr(); berr != nil {
-		return nil, berr
 	}
 	if err := p.u.Resolve(); err != nil {
 		return nil, err
@@ -99,56 +91,31 @@ func (p *parser) registerBuiltins() {
 	}
 }
 
-func (p *parser) errorf(at scan.Token, format string, args ...interface{}) error {
-	return p.s.Errorf(at, format, args...)
-}
-
-// checkDims guards the iteratively built array dimension chains (the
-// grammar here has no recursive descent, but `int x[][][]...` builds a
-// nested Stype whose later recursive walks are as deep as the chain).
-func (p *parser) checkDims(dims int) error {
-	if dims > p.s.Budget().MaxDepth {
-		return limits.Exceededf("array dimensions exceed depth budget of %d",
-			p.s.Budget().MaxDepth)
-	}
-	return nil
-}
-
-func (p *parser) unit() error {
-	for {
-		t := p.s.Peek()
-		if t.Kind == scan.TokEOF {
-			return p.s.Err()
+// topLevel parses a package clause, an import, a stray semicolon or a
+// type declaration.
+func (p *parser) topLevel() error {
+	switch {
+	case p.s.AcceptIdent("package"):
+		if _, err := p.qualifiedName(); err != nil {
+			return err
 		}
-		switch {
-		case t.Kind == scan.TokIdent && t.Text == "package":
-			p.s.Next()
-			if _, err := p.qualifiedName(); err != nil {
-				return err
+		_, err := p.s.Expect(";")
+		return err
+	case p.s.AcceptIdent("import"):
+		// Imports may end in ".*"; consume tokens to the semicolon.
+		for {
+			tok := p.s.Next()
+			if tok.Kind == scan.TokEOF {
+				return p.s.Errorf(tok, "unterminated import")
 			}
-			if _, err := p.s.Expect(";"); err != nil {
-				return err
-			}
-		case t.Kind == scan.TokIdent && t.Text == "import":
-			p.s.Next()
-			// Imports may end in ".*"; consume tokens to the semicolon.
-			for {
-				tok := p.s.Next()
-				if tok.Kind == scan.TokEOF {
-					return p.errorf(tok, "unterminated import")
-				}
-				if tok.Kind == scan.TokPunct && tok.Text == ";" {
-					break
-				}
-			}
-		case t.Kind == scan.TokPunct && t.Text == ";":
-			p.s.Next()
-		default:
-			if err := p.typeDecl(); err != nil {
-				return err
+			if tok.Is(";") {
+				return nil
 			}
 		}
+	case p.s.Accept(";"):
+		return nil
 	}
+	return p.typeDecl()
 }
 
 // typeDecl parses one class or interface declaration.
@@ -163,7 +130,7 @@ func (p *parser) typeDecl() error {
 	}
 	t := p.s.Next()
 	if t.Kind != scan.TokIdent || (t.Text != "class" && t.Text != "interface") {
-		return p.errorf(t, "expected class or interface, found %s", t)
+		return p.s.Errorf(t, "expected class or interface, found %s", t)
 	}
 	isInterface := t.Text == "interface"
 	nameTok, err := p.s.ExpectIdent()
@@ -210,7 +177,7 @@ func (p *parser) typeDecl() error {
 	if p.s.Accept(";") {
 		_, err := p.u.Add(node.Name, node)
 		if err != nil {
-			return p.errorf(nameTok, "%v", err)
+			return p.s.Errorf(nameTok, "%v", err)
 		}
 		return nil
 	}
@@ -221,7 +188,7 @@ func (p *parser) typeDecl() error {
 		return err
 	}
 	if _, err := p.u.Add(node.Name, node); err != nil {
-		return p.errorf(nameTok, "%v", err)
+		return p.s.Errorf(nameTok, "%v", err)
 	}
 	return nil
 }
@@ -233,7 +200,7 @@ func (p *parser) members(node *stype.Type) error {
 			return nil
 		}
 		if p.s.Peek().Kind == scan.TokEOF {
-			return p.errorf(p.s.Peek(), "unterminated body of %s", node.Name)
+			return p.s.Errorf(p.s.Peek(), "unterminated body of %s", node.Name)
 		}
 		if p.s.Accept(";") {
 			continue
@@ -251,8 +218,8 @@ func (p *parser) members(node *stype.Type) error {
 			break
 		}
 		// Static initializer block: `static { ... }`.
-		if isStatic && p.s.Peek().Kind == scan.TokPunct && p.s.Peek().Text == "{" {
-			if err := p.skipBlock(); err != nil {
+		if isStatic && p.s.Peek().Is("{") {
+			if err := p.s.Skip("{", "}", "block"); err != nil {
 				return err
 			}
 			continue
@@ -260,9 +227,9 @@ func (p *parser) members(node *stype.Type) error {
 		// Constructor: `Name(...)`.
 		t := p.s.Peek()
 		if t.Kind == scan.TokIdent && t.Text == node.Name {
-			if n := p.s.Peek2(); n.Kind == scan.TokPunct && n.Text == "(" {
+			if p.s.Peek2().Is("(") {
 				p.s.Next()
-				if err := p.skipParens(); err != nil {
+				if err := p.s.Skip("(", ")", "parameter list"); err != nil {
 					return err
 				}
 				if err := p.skipThrowsAndBody(); err != nil {
@@ -279,9 +246,8 @@ func (p *parser) members(node *stype.Type) error {
 		if err != nil {
 			return err
 		}
-		if n := p.s.Peek(); n.Kind == scan.TokPunct && n.Text == "(" {
+		if p.s.Accept("(") {
 			// Method.
-			p.s.Next()
 			params, err := p.paramList()
 			if err != nil {
 				return err
@@ -302,26 +268,15 @@ func (p *parser) members(node *stype.Type) error {
 		// Field(s): `float x, y;` with optional trailing `[]` per name and
 		// optional initializers.
 		for {
-			fieldTy := ty
-			dims := 0
-			for p.s.Accept("[") {
-				if err := p.checkDims(dims + 1); err != nil {
-					return err
-				}
-				dims++
-				if _, err := p.s.Expect("]"); err != nil {
-					return err
-				}
-				fieldTy = stype.NewArray(cloneRef(fieldTy), -1)
-			}
-			if fieldTy == ty {
-				fieldTy = cloneRef(ty)
+			fieldTy, err := p.dims(ty.Clone())
+			if err != nil {
+				return err
 			}
 			if !isStatic {
 				node.Fields = append(node.Fields, stype.Field{Name: nameTok.Text, Type: fieldTy})
 			}
 			if p.s.Accept("=") {
-				if err := p.skipInitializer(); err != nil {
+				if err := p.s.Skip("([{", ")]}", "initializer"); err != nil {
 					return err
 				}
 			}
@@ -338,13 +293,6 @@ func (p *parser) members(node *stype.Type) error {
 			break
 		}
 	}
-}
-
-// cloneRef copies a type node so that each field use-site can carry its own
-// annotations (e.g. Line.start nonnull vs. some other Point reference).
-func cloneRef(ty *stype.Type) *stype.Type {
-	out := *ty
-	return &out
 }
 
 // typeRef parses a type use: primitive or qualified class name, with any
@@ -368,24 +316,31 @@ func (p *parser) typeRef() (*stype.Type, error) {
 		}
 		ty = stype.NewNamed(name)
 	}
-	if t := p.s.Peek(); t.Kind == scan.TokPunct && t.Text == "<" {
-		return nil, p.errorf(t, "generics are not supported (pre-Java-5 declarations only)")
+	if t := p.s.Peek(); t.Is("<") {
+		return nil, p.s.Errorf(t, "generics are not supported (pre-Java-5 declarations only)")
 	}
-	dims := 0
-	for {
-		if t := p.s.Peek(); t.Kind == scan.TokPunct && t.Text == "[" {
-			if n := p.s.Peek2(); n.Kind == scan.TokPunct && n.Text == "]" {
-				if err := p.checkDims(dims + 1); err != nil {
-					return nil, err
-				}
-				dims++
-				p.s.Next()
-				p.s.Next()
-				ty = stype.NewArray(ty, -1)
-				continue
-			}
+	for dims := 1; p.s.Peek().Is("[") && p.s.Peek2().Is("]"); dims++ {
+		if err := p.s.Chain(dims, "array dimensions exceed depth budget of %d"); err != nil {
+			return nil, err
 		}
-		break
+		p.s.Next()
+		p.s.Next()
+		ty = stype.NewArray(ty, -1)
+	}
+	return ty, nil
+}
+
+// dims parses the `[]` pairs after a declared name, each a dimension of
+// an indefinite array of ty.
+func (p *parser) dims(ty *stype.Type) (*stype.Type, error) {
+	for dims := 1; p.s.Accept("["); dims++ {
+		if err := p.s.Chain(dims, "array dimensions exceed depth budget of %d"); err != nil {
+			return nil, err
+		}
+		if _, err := p.s.Expect("]"); err != nil {
+			return nil, err
+		}
+		ty = stype.NewArray(ty, -1)
 	}
 	return ty, nil
 }
@@ -405,16 +360,8 @@ func (p *parser) paramList() ([]stype.Param, error) {
 		if err != nil {
 			return nil, err
 		}
-		dims := 0
-		for p.s.Accept("[") {
-			if err := p.checkDims(dims + 1); err != nil {
-				return nil, err
-			}
-			dims++
-			if _, err := p.s.Expect("]"); err != nil {
-				return nil, err
-			}
-			ty = stype.NewArray(ty, -1)
+		if ty, err = p.dims(ty); err != nil {
+			return nil, err
 		}
 		params = append(params, stype.Param{Name: nameTok.Text, Type: ty})
 		if p.s.Accept(",") {
@@ -464,71 +411,7 @@ func (p *parser) skipThrowsAndBody() error {
 	if p.s.Accept(";") {
 		return nil
 	}
-	return p.skipBlock()
-}
-
-// skipBlock consumes a `{ ... }` block with balanced braces.
-func (p *parser) skipBlock() error {
-	open, err := p.s.Expect("{")
-	if err != nil {
-		return err
-	}
-	depth := 1
-	for depth > 0 {
-		t := p.s.Next()
-		switch {
-		case t.Kind == scan.TokEOF:
-			return p.errorf(open, "unterminated block")
-		case t.Kind == scan.TokPunct && t.Text == "{":
-			depth++
-		case t.Kind == scan.TokPunct && t.Text == "}":
-			depth--
-		}
-	}
-	return nil
-}
-
-// skipParens consumes a parenthesized group with balanced parens; the
-// opening paren has already been peeked at by the caller.
-func (p *parser) skipParens() error {
-	open, err := p.s.Expect("(")
-	if err != nil {
-		return err
-	}
-	depth := 1
-	for depth > 0 {
-		t := p.s.Next()
-		switch {
-		case t.Kind == scan.TokEOF:
-			return p.errorf(open, "unterminated parameter list")
-		case t.Kind == scan.TokPunct && t.Text == "(":
-			depth++
-		case t.Kind == scan.TokPunct && t.Text == ")":
-			depth--
-		}
-	}
-	return nil
-}
-
-// skipInitializer consumes a field initializer expression up to the
-// terminating comma or semicolon at nesting depth zero. The terminator is
-// left unconsumed.
-func (p *parser) skipInitializer() error {
-	depth := 0
-	for {
-		t := p.s.Peek()
-		switch {
-		case t.Kind == scan.TokEOF:
-			return p.errorf(t, "unterminated initializer")
-		case t.Kind == scan.TokPunct && (t.Text == "(" || t.Text == "{" || t.Text == "["):
-			depth++
-		case t.Kind == scan.TokPunct && (t.Text == ")" || t.Text == "}" || t.Text == "]"):
-			depth--
-		case t.Kind == scan.TokPunct && (t.Text == ";" || t.Text == ",") && depth == 0:
-			return nil
-		}
-		p.s.Next()
-	}
+	return p.s.Skip("{", "}", "block")
 }
 
 // MustParse is a test helper: it parses src and panics on error.

@@ -1,8 +1,11 @@
 package scan
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/limits"
 )
 
 func collect(t *testing.T, src string) []Token {
@@ -177,5 +180,81 @@ func TestErrorFormat(t *testing.T) {
 	e2 := &Error{Line: 1, Col: 2, Msg: "m"}
 	if e2.Error() != "1:2: m" {
 		t.Errorf("Error() = %q", e2.Error())
+	}
+}
+
+// TestSkip drives the three skips a grammar makes: a brace group and a
+// paren group, through the matching close and counting only their own
+// pair, and an expression, up to a "," or ";" outside brackets, where a
+// stray close leaves no depth that ends it.
+func TestSkip(t *testing.T) {
+	cases := []struct {
+		src, open, close, what string
+		next, err              string // the token left next, or the error
+	}{
+		{"{ ( { } ] } x", "{", "}", "block", "x", ""},
+		{"( { ( ) } ) x", "(", ")", "parameter list", "x", ""},
+		{"f(a, [b; c]) + {d} , x", "([{", ")]}", "initializer", ",", ""},
+		{"a ; x", "([{", ")]}", "initializer", ";", ""},
+		{"x", "{", "}", "block", "", `1:1: expected "{", found "x"`},
+		{"  { { }", "{", "}", "block", "", "1:3: unterminated block"},
+		{"(", "(", ")", "parameter list", "", "1:1: unterminated parameter list"},
+		{"a ) ( b ; } ;", "([{", ")]}", "initializer", ";", ""},
+		{"a ) ;", "([{", ")]}", "initializer", "", "1:6: unterminated initializer"},
+	}
+	for _, c := range cases {
+		s := New("", c.src)
+		err := s.Skip(c.open, c.close, c.what)
+		switch {
+		case c.err != "":
+			if err == nil || err.Error() != c.err {
+				t.Errorf("Skip over %q = %v, want %q", c.src, err, c.err)
+			}
+		case err != nil:
+			t.Errorf("Skip over %q: %v", c.src, err)
+		case s.Peek().Text != c.next:
+			t.Errorf("Skip over %q left %s next, want %q", c.src, s.Peek(), c.next)
+		}
+	}
+}
+
+// TestDepthGuards holds Enter, Leave and Chain to the depth budget and
+// Parse to the budget's precedence over the syntax error a truncated
+// input causes.
+func TestDepthGuards(t *testing.T) {
+	s := NewBudget("f", "a b c", limits.Budget{MaxDepth: 2})
+	at := s.Peek()
+	for i := 0; i < 2; i++ {
+		if err := s.Enter(at); err != nil {
+			t.Fatalf("Enter %d: %v", i+1, err)
+		}
+	}
+	if err := s.Enter(at); !errors.Is(err, limits.ErrBudget) || !strings.HasPrefix(err.Error(), "1:1: declaration nesting exceeds depth budget of 2") {
+		t.Errorf("third Enter = %v", err)
+	}
+	s.Leave()
+	s.Leave()
+	if err := s.Enter(at); err != nil {
+		t.Errorf("Enter after Leave: %v", err)
+	}
+	if err := s.Chain(2, "links exceed depth budget of %d"); err != nil {
+		t.Errorf("Chain(2) = %v", err)
+	}
+	if err := s.Chain(3, "links exceed depth budget of %d"); !errors.Is(err, limits.ErrBudget) || !strings.HasPrefix(err.Error(), "links exceed depth budget of 2") {
+		t.Errorf("Chain(3) = %v", err)
+	}
+
+	truncated := NewBudget("f", "a b c", limits.Budget{MaxTokens: 2})
+	err := truncated.Parse(func() error {
+		for truncated.Next().Kind != TokEOF {
+		}
+		return truncated.Errorf(truncated.Peek(), "unexpected end of input")
+	})
+	if !errors.Is(err, limits.ErrBudget) {
+		t.Errorf("Parse of a truncated input = %v, want the budget error", err)
+	}
+	whole := New("f", "a b c")
+	if err := whole.Parse(func() error { whole.Next(); return nil }); err != nil {
+		t.Errorf("Parse = %v", err)
 	}
 }
