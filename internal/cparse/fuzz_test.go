@@ -1,17 +1,16 @@
 package cparse
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/limits"
+	"repro/internal/testutil"
 )
 
-// FuzzCParse feeds arbitrary bytes to the C parser under a small budget:
-// any outcome except a panic or a hang is acceptable, and when the
-// parser does reject on resources the error must be the typed budget
-// sentinel.
+// FuzzCParse feeds arbitrary bytes to the C parser: under a small
+// budget it must end as under the default one, or fail with the typed
+// budget sentinel (testutil.BudgetLaw), and never panic or hang.
 func FuzzCParse(f *testing.F) {
 	f.Add(`typedef float point[2];`)
 	f.Add(`void fitter(point pts[], int count, point *start, point *end);`)
@@ -22,10 +21,9 @@ func FuzzCParse(f *testing.F) {
 	f.Add("typedef int " + strings.Repeat("(*", 40) + "x" + strings.Repeat(")", 40) + ";")
 	f.Add(strings.Repeat("struct A { ", 30) + "int x;" + strings.Repeat(" };", 30))
 	f.Fuzz(func(t *testing.T, src string) {
-		b := limits.Budget{MaxBytes: 1 << 16, MaxTokens: 1 << 12, MaxDepth: 64}
-		_, err := Parse("fuzz.h", src, Config{Budget: b})
-		if err != nil && strings.Contains(err.Error(), "budget") && !errors.Is(err, limits.ErrBudget) {
-			t.Errorf("budget-shaped error not typed: %v", err)
-		}
+		testutil.BudgetLaw(t, func(b limits.Budget) error {
+			_, err := Parse("fuzz.h", src, Config{Budget: b})
+			return err
+		})
 	})
 }

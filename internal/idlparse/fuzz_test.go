@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/limits"
+	"repro/internal/testutil"
 )
 
-// FuzzIDLParse feeds arbitrary bytes to the IDL parser under a small
-// budget: it must terminate without panicking.
+// FuzzIDLParse feeds arbitrary bytes to the IDL parser: under a small
+// budget it must end as under the default one, or fail with the typed
+// budget sentinel (testutil.BudgetLaw), and never panic or hang.
 func FuzzIDLParse(f *testing.F) {
 	f.Add(`interface I { void f(in long x, out double y); };`)
 	f.Add(`module M { struct S { float a; }; typedef sequence<S> Ss; };`)
@@ -17,7 +19,9 @@ func FuzzIDLParse(f *testing.F) {
 	f.Add(`interface A : B { readonly attribute string name; };`)
 	f.Add("typedef " + strings.Repeat("sequence<", 40) + "long" + strings.Repeat(">", 40) + " t;")
 	f.Fuzz(func(t *testing.T, src string) {
-		b := limits.Budget{MaxBytes: 1 << 16, MaxTokens: 1 << 12, MaxDepth: 64}
-		_, _ = ParseBudget("fuzz.idl", src, b)
+		testutil.BudgetLaw(t, func(b limits.Budget) error {
+			_, err := ParseBudget("fuzz.idl", src, b)
+			return err
+		})
 	})
 }

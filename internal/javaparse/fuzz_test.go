@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/limits"
+	"repro/internal/testutil"
 )
 
-// FuzzJavaParse feeds arbitrary bytes to the Java parser under a small
-// budget: it must terminate without panicking.
+// FuzzJavaParse feeds arbitrary bytes to the Java parser: under a small
+// budget it must end as under the default one, or fail with the typed
+// budget sentinel (testutil.BudgetLaw), and never panic or hang.
 func FuzzJavaParse(f *testing.F) {
 	f.Add(`public class Point { private float x; private float y; }`)
 	f.Add(`public interface I { Line fitter(PointVector pts); }`)
@@ -17,7 +19,9 @@ func FuzzJavaParse(f *testing.F) {
 	f.Add(`package a.b.c; import java.util.*; class X {}`)
 	f.Add("class C { int" + strings.Repeat("[]", 40) + " x; }")
 	f.Fuzz(func(t *testing.T, src string) {
-		b := limits.Budget{MaxBytes: 1 << 16, MaxTokens: 1 << 12, MaxDepth: 64}
-		_, _ = ParseBudget("Fuzz.java", src, b)
+		testutil.BudgetLaw(t, func(b limits.Budget) error {
+			_, err := ParseBudget("Fuzz.java", src, b)
+			return err
+		})
 	})
 }
