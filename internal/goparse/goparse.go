@@ -292,14 +292,14 @@ func (w *walker) fields(node *stype.Type, list *ast.FieldList, depth int) {
 	}
 }
 
-// embedded lowers an embedded field. T is recorded as Embedded for the
-// lowering to flatten; *T stays a named optional reference, since
-// promoting through a nullable indirection would make the record's shape
-// depend on runtime state.
+// embedded lowers an embedded field, marked Embedded. The lowering
+// flattens an embedded T's fields into the record; *T stays an optional
+// reference (fields promoted through a nullable pointer would make the
+// record's shape depend on runtime state) but promotes T's methods.
 func (w *walker) embedded(e ast.Expr) stype.Field {
 	if star, ok := e.(*ast.StarExpr); ok {
 		name := w.typeName(star.X)
-		return stype.Field{Name: name, Type: stype.NewPointer(w.use(name))}
+		return stype.Field{Name: name, Type: stype.NewPointer(w.use(name)), Embedded: true}
 	}
 	name := w.typeName(e)
 	return stype.Field{Name: name, Type: w.use(name), Embedded: true}

@@ -267,8 +267,8 @@ func (l *Lowerer) collectMethods(d *stype.Decl, seen map[string]bool) ([]stype.M
 }
 
 // methodBases lists the method-set contributors one level below decl: the
-// single-inheritance Super, the Embeds list, and Go's value-embedded
-// struct fields.
+// single-inheritance Super, the Embeds list, and Go's embedded struct
+// fields, T or *T.
 func (l *Lowerer) methodBases(decl *stype.Decl) []string {
 	var bases []string
 	if decl.Type.Super != "" {
@@ -276,8 +276,12 @@ func (l *Lowerer) methodBases(decl *stype.Decl) []string {
 	}
 	bases = append(bases, decl.Type.Embeds...)
 	for _, f := range decl.Type.Fields {
-		if f.Embedded && f.Type != nil && f.Type.Kind == stype.KNamed {
-			bases = append(bases, f.Type.Name)
+		t := f.Type
+		if f.Embedded && t != nil && t.Kind == stype.KPointer {
+			t = t.ElemType
+		}
+		if f.Embedded && t != nil && t.Kind == stype.KNamed {
+			bases = append(bases, t.Name)
 		}
 	}
 	return bases
