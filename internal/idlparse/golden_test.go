@@ -2,13 +2,10 @@ package idlparse
 
 import (
 	"flag"
-	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/stype"
-	"repro/internal/synth"
 	"repro/internal/testutil"
 )
 
@@ -16,35 +13,16 @@ var _ = flag.Bool("update", false, "rewrite testdata/decls.golden and testdata/e
 
 func pinParse(src string) (*stype.Universe, error) { return Parse("pin.idl", src) }
 
-// pinSources gathers every IDL source the package's tests and the
-// examples name that Parse accepts with a declaration of its own, the
-// FuzzIDLParse corpus, and the IDL side of three 60-class synthesized suites.
+// pinSources gathers the sources testutil.IDLPins names that Parse
+// accepts with a declaration of its own (the corpus and the synthesized
+// suites whole).
 func pinSources(t *testing.T) []testutil.Source {
 	t.Helper()
 	builtins := len(MustParse("").Names())
-	declares := func(src string) bool {
+	return testutil.IDLPins.Sources(t, ".", func(src string) bool {
 		u, err := pinParse(src)
 		return err == nil && len(u.Names()) > builtins
-	}
-	var out []testutil.Source
-	for _, file := range []string{"idlparse_test.go", "robust_test.go", "fuzz_test.go"} {
-		out = append(out, testutil.LiteralSources(t, file, file, declares)...)
-	}
-	examples, err := filepath.Glob("../../examples/*/main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, file := range examples {
-		label := filepath.Join(filepath.Base(filepath.Dir(file)), "main.go")
-		out = append(out, testutil.LiteralSources(t, file, label, declares)...)
-	}
-	out = append(out, testutil.CorpusSources(t, "FuzzIDLParse")...)
-	for _, seed := range []uint64{7, 11, 60} {
-		cfg := synth.VisualAgeScaled(60)
-		cfg.Seed = seed
-		out = append(out, testutil.Source{Label: fmt.Sprintf("synth VisualAgeScaled(60) seed %d", seed), Src: synth.Generate(cfg).IDLSource})
-	}
-	return out
+	})
 }
 
 // TestDeclarationsGolden pins every declaration Parse returns for the

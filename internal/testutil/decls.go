@@ -87,11 +87,11 @@ func constString(e ast.Expr) (string, bool) {
 	return "", false
 }
 
-// CorpusSources returns the string seeds of a fuzz target's corpus,
-// testdata/fuzz/<target>/*, in name order.
-func CorpusSources(t *testing.T, target string) []Source {
+// corpusSources returns the string seeds of the fuzz corpus in dir, in
+// name order.
+func corpusSources(t *testing.T, dir string) []Source {
 	t.Helper()
-	corpus, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	corpus, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
