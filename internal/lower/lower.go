@@ -31,6 +31,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"repro/internal/limits"
 	"repro/internal/mtype"
 	"repro/internal/stype"
 )
@@ -58,6 +59,11 @@ type Lowerer struct {
 	// replacing the Lowerer wholesale (core.Session.Annotate), so
 	// entries can never go stale.
 	roots map[string]*mtype.Type
+	// fixed counts the elements of the fixed-length records built so
+	// far: a universe lowers into at most limits.DefaultMaxTokens of
+	// them, as many as one source may hold tokens, so a hostile length
+	// is a budget error rather than an allocation that ends the process.
+	fixed int
 }
 
 type memoKey struct {
@@ -411,6 +417,10 @@ func (l *Lowerer) lowerShape(s *Shape) (*mtype.Type, error) {
 		}
 		return l.lowerMembers(s)
 	case Fixed:
+		if s.N > limits.DefaultMaxTokens-l.fixed {
+			return nil, limits.Exceededf("lower: fixed-length arrays of %s exceed %d elements", s.Type, limits.DefaultMaxTokens)
+		}
+		l.fixed += s.N
 		elem, err := l.lowerValue(s.Elem)
 		if err != nil {
 			return nil, err

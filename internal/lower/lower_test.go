@@ -1,6 +1,7 @@
 package lower
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/idlparse"
 	"repro/internal/javaparse"
+	"repro/internal/limits"
 	"repro/internal/mtype"
 	"repro/internal/stype"
 )
@@ -508,5 +510,37 @@ func TestMutuallyRecursiveDecls(t *testing.T) {
 	}
 	if ty.Kind() != mtype.KindRecursive {
 		t.Errorf("A = %s, want μ root", ty.Kind())
+	}
+}
+
+// TestFixedLengthBudget: a universe lowers into at most
+// limits.DefaultMaxTokens fixed-length array elements, counted across
+// its declarations, so a hostile length is a budget error and not an
+// allocation of gigabytes. A length at the bound still lowers.
+func TestFixedLengthBudget(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		decls []string
+		fails bool
+	}{
+		{"struct S { char a[1000000000]; };", []string{"S"}, true},
+		{"struct S { char a[600000], b[600000]; };", []string{"S"}, true},
+		{"struct A { char a[600000]; }; struct B { char b[600000]; };", []string{"A", "B"}, true},
+		{"struct S { char a[1048576]; };", []string{"S"}, false},
+	} {
+		u, err := cparse.Parse("t.h", c.src, cparse.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := New(u)
+		for _, d := range c.decls {
+			_, err = l.Decl(d)
+			if err != nil {
+				break
+			}
+		}
+		if c.fails != errors.Is(err, limits.ErrBudget) || !c.fails && err != nil {
+			t.Errorf("%s: %v", c.src, err)
+		}
 	}
 }
