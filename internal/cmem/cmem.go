@@ -32,6 +32,18 @@ const (
 	LP64
 )
 
+// models is the one table of data-model names; "" is the default, ILP32.
+var models = map[string]Model{"": ILP32, "ilp32": ILP32, "lp64": LP64}
+
+// ParseModel returns the data model a name names; an unknown name is an
+// error, whatever the language it comes with.
+func ParseModel(name string) (Model, error) {
+	if m, ok := models[name]; ok {
+		return m, nil
+	}
+	return 0, fmt.Errorf("unknown C data model %q", name)
+}
+
 // PointerSize returns the pointer size in bytes.
 func (m Model) PointerSize() int {
 	if m == LP64 {

@@ -118,23 +118,28 @@ func (s *Session) LoadGo(name, src string) error {
 	return s.AddUniverse(name, u)
 }
 
-// LoadSource is LoadC, LoadJava, LoadIDL or LoadGo by language name ("c",
-// "java", "idl", "go"); model "lp64" picks that C data model, else ILP32.
+// LoadSource is LoadC, LoadJava, LoadIDL or LoadGo by language name
+// (stype.Lang's text form: "c", "java", "idl", "go"). model names the C
+// data model (cmem.ParseModel); an unknown one is an error for every
+// language.
 func (s *Session) LoadSource(universe, lang, model, src string) error {
-	switch lang {
-	case "c":
-		if model == "lp64" {
-			return s.LoadC(universe, src, cmem.LP64)
-		}
-		return s.LoadC(universe, src, cmem.ILP32)
-	case "java":
-		return s.LoadJava(universe, src)
-	case "idl":
-		return s.LoadIDL(universe, src)
-	case "go":
-		return s.LoadGo(universe, src)
+	var l stype.Lang
+	if err := l.UnmarshalText([]byte(lang)); err != nil {
+		return err
 	}
-	return fmt.Errorf("unknown language %q", lang)
+	m, err := cmem.ParseModel(model)
+	if err != nil {
+		return err
+	}
+	switch l {
+	case stype.LangC:
+		return s.LoadC(universe, src, m)
+	case stype.LangJava:
+		return s.LoadJava(universe, src)
+	case stype.LangIDL:
+		return s.LoadIDL(universe, src)
+	}
+	return s.LoadGo(universe, src)
 }
 
 // AddUniverse installs an already-built universe (used by the project

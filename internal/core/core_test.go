@@ -483,3 +483,46 @@ func TestRulesAffectSession(t *testing.T) {
 		t.Error("default rules no longer match")
 	}
 }
+
+// TestLoadSourceNames: LoadSource reads a language through stype.Lang's
+// text form and a data model through cmem.ParseModel, for every
+// language; "" is ILP32, and a model it does not know ("LP64", "lp46")
+// is an error, not ILP32 in silence.
+func TestLoadSourceNames(t *testing.T) {
+	srcs := map[string]string{"c": "typedef long L;", "java": "class L { long x; }"}
+	for _, c := range []struct {
+		model    string
+		longBits string // the C long's range under the model, "" for an error
+	}{
+		{"", "-2147483648..2147483647"},
+		{"ilp32", "-2147483648..2147483647"},
+		{"lp64", "-9223372036854775808..9223372036854775807"},
+		{"LP64", ""},
+		{"lp46", ""},
+	} {
+		for _, lang := range []string{"c", "java"} {
+			s := NewSession()
+			err := s.LoadSource("u", lang, c.model, srcs[lang])
+			if (err != nil) != (c.longBits == "") {
+				t.Errorf("%s under model %q: %v", lang, c.model, err)
+				continue
+			}
+			if err != nil {
+				if !strings.Contains(err.Error(), "unknown C data model") {
+					t.Errorf("%s under model %q: %v", lang, c.model, err)
+				}
+				continue
+			}
+			if lang != "c" {
+				continue
+			}
+			m, err := s.Mtype("u", "L")
+			if err != nil || !strings.Contains(m.String(), c.longBits) {
+				t.Errorf("C long under model %q: %v, %v; want %s", c.model, m, err, c.longBits)
+			}
+		}
+	}
+	if err := NewSession().LoadSource("u", "cobol", "", ""); err == nil || err.Error() != `unknown language "cobol"` {
+		t.Errorf("LoadSource of cobol: %v", err)
+	}
+}

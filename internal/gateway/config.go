@@ -14,6 +14,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/cmem"
+	"repro/internal/stype"
 )
 
 // Config is the gateway's route table.
@@ -92,17 +95,15 @@ func (d *DeclConfig) universe() string {
 }
 
 func (d *DeclConfig) validate(where string) error {
-	switch d.Lang {
-	case "c", "java", "idl", "go":
-	case "":
+	if d.Lang == "" {
 		return fmt.Errorf("gateway: %s: missing lang", where)
-	default:
-		return fmt.Errorf("gateway: %s: unknown lang %q", where, d.Lang)
 	}
-	switch d.Model {
-	case "", "ilp32", "lp64":
-	default:
-		return fmt.Errorf("gateway: %s: unknown C model %q", where, d.Model)
+	var lang stype.Lang
+	if err := lang.UnmarshalText([]byte(d.Lang)); err != nil {
+		return fmt.Errorf("gateway: %s: %w", where, err)
+	}
+	if _, err := cmem.ParseModel(d.Model); err != nil {
+		return fmt.Errorf("gateway: %s: %w", where, err)
 	}
 	if (d.Source == "") == (d.File == "") {
 		return fmt.Errorf("gateway: %s: exactly one of source and file must be set", where)

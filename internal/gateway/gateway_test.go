@@ -796,3 +796,26 @@ func TestEndToEndGoEndpoint(t *testing.T) {
 		t.Fatalf("route stats = %+v", st.Routes)
 	}
 }
+
+// TestDeclConfigNames: a lane's declarations name their language and C
+// data model through the one parse core.LoadSource uses, so the config
+// refuses what LoadSource would refuse.
+func TestDeclConfigNames(t *testing.T) {
+	for _, c := range []struct {
+		lang, model, err string
+	}{
+		{"c", "", ""},
+		{"java", "lp64", ""},
+		{"", "", "missing lang"},
+		{"cobol", "", `unknown language "cobol"`},
+		{"c", "LP64", `unknown C data model "LP64"`},
+		{"java", "lp46", `unknown C data model "lp46"`},
+	} {
+		d := mixDecl()
+		d.Lang, d.Model = c.lang, c.model
+		err := d.validate("lane")
+		if (err == nil) != (c.err == "") || err != nil && !strings.Contains(err.Error(), c.err) {
+			t.Errorf("lang %q model %q: %v, want %q", c.lang, c.model, err, c.err)
+		}
+	}
+}
