@@ -180,12 +180,14 @@ func cmdRemote(args []string, out io.Writer) error {
 	}
 }
 
-// side describes one declaration side's flags.
+// side describes one declaration side's flags; prefix is their common
+// prefix ("a-", "b-", or "" where the file is the argument).
 type side struct {
-	lang, file, script, decl, model string
+	lang, file, script, decl, model, prefix string
 }
 
 func (s *side) register(fs *flag.FlagSet, prefix string) {
+	s.prefix = prefix
 	fs.StringVar(&s.lang, prefix+"lang", "", "language: c, java, idl, or go (inferred from the file extension when empty)")
 	fs.StringVar(&s.file, prefix+"file", "", "declaration source file")
 	fs.StringVar(&s.script, prefix+"script", "", "annotation script file (optional)")
@@ -220,6 +222,15 @@ func (s *side) resolveLang() error {
 	return fmt.Errorf("cannot infer language from %q (extension %q is not one of .h/.c/.java/.idl/.go); pass -lang c|java|idl|go", s.file, ext)
 }
 
+// missing is the error for a side without a language or a file, naming
+// the flags that give them.
+func (s *side) missing() error {
+	if s.prefix == "" {
+		return errors.New("missing -lang or the file argument")
+	}
+	return fmt.Errorf("missing -%slang/-%sfile", s.prefix, s.prefix)
+}
+
 // load parses the side's file into the session under the given universe
 // name and applies its annotation script.
 func (s *side) load(sess *core.Session, universe string) error {
@@ -227,7 +238,7 @@ func (s *side) load(sess *core.Session, universe string) error {
 		return err
 	}
 	if s.lang == "" || s.file == "" {
-		return fmt.Errorf("missing -%slang/-%sfile", universe, universe)
+		return s.missing()
 	}
 	src, err := os.ReadFile(s.file)
 	if err != nil {
@@ -425,7 +436,7 @@ func (s *side) sources() (src, script string, err error) {
 		return "", "", err
 	}
 	if s.lang == "" || s.file == "" {
-		return "", "", fmt.Errorf("missing -lang/-file for one side")
+		return "", "", s.missing()
 	}
 	data, err := os.ReadFile(s.file)
 	if err != nil {

@@ -173,6 +173,32 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestMissingSideNamesItsFlags: a side without a file is refused with the
+// flags that exist on that command: -a-lang/-a-file or -b-lang/-b-file
+// where both sides are flags, -lang and the file argument for parse and
+// mtype.
+func TestMissingSideNamesItsFlags(t *testing.T) {
+	dir := writeFitterFiles(t)
+	header, addr := filepath.Join(dir, "fitter.h"), startBrokerDaemon(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"compare", "-a-decl", "x", "-b-decl", "y"}, "missing -a-lang/-a-file"},
+		{[]string{"compare", "-a-file", header, "-a-decl", "x", "-b-decl", "y"}, "missing -b-lang/-b-file"},
+		{[]string{"emit", "-b-file", header, "-a-decl", "x", "-b-decl", "y"}, "missing -a-lang/-a-file"},
+		{[]string{"save", "-a-file", header, "-out", filepath.Join(dir, "p.json")}, "missing -b-lang/-b-file"},
+		{[]string{"parse", ""}, "missing -lang or the file argument"},
+		{[]string{"mtype", "-decl", "fitter", ""}, "missing -lang or the file argument"},
+		{[]string{"remote", "compare", "-addr", addr, "-a-decl", "x", "-b-decl", "y"}, "missing -a-lang/-a-file"},
+		{[]string{"remote", "compare", "-addr", addr, "-a-file", header, "-a-decl", "x", "-b-decl", "y"}, "missing -b-lang/-b-file"},
+	} {
+		if _, err := runCLI(t, tc.args...); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 // startBrokerDaemon serves an in-process broker daemon for the remote
 // subcommand tests and returns its address.
 func startBrokerDaemon(t *testing.T) string {
