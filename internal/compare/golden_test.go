@@ -7,6 +7,7 @@ import (
 	"hash"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cmem"
@@ -359,8 +360,40 @@ func TestReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestConcurrentComparers: comparers running at once, as a broker's
+// callers run them, share only the pool their scratch stacks come from;
+// each pair's answer, steps, decisions and diagnostics equal a lone
+// comparer's. Every other class meets the next class's IDL counterpart,
+// so half the pairs fail and are diagnosed. Run it under -race.
+func TestConcurrentComparers(t *testing.T) {
+	suite := synth.Generate(synth.VisualAgeScaled(60))
+	sess := suiteSession(t, suite)
+	all := append(append([]string(nil), suite.DataClassNames...), suite.ServiceClassNames...)
+	pairs := make([][2]*mtype.Type, len(all))
+	want := make([]string, len(all))
+	for i, name := range all {
+		pairs[i] = [2]*mtype.Type{mustMtype(t, sess, "java", name), mustMtype(t, sess, "idl", all[(i+i%2)%len(all)])}
+		want[i] = pairDigest(compare.DefaultRules(), pairs[i][0], pairs[i][1])
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range pairs {
+				i := (k + g*len(pairs)/4) % len(pairs)
+				if got := pairDigest(compare.DefaultRules(), pairs[i][0], pairs[i][1]); got != want[i] {
+					t.Errorf("%s: %s, alone %s", all[i], got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestValidatedSizeIsSize: every declaration lowered from the 60-class
-// suite, in all four languages, carries the node count mtype.Size counts.
+// suite, in all four languages, carries the node count a walk of its
+// graph finds.
 func TestValidatedSizeIsSize(t *testing.T) {
 	suite := synth.Generate(synth.VisualAgeScaled(60))
 	sess := suiteSession(t, suite)
@@ -371,8 +404,8 @@ func TestValidatedSizeIsSize(t *testing.T) {
 	}{{"java", all}, {"go", all}, {"idl", all}, {"c", suite.DataClassNames}} {
 		for _, name := range side.names {
 			mt := mustMtype(t, sess, side.universe, name)
-			if got, want := mt.ValidatedSize(), mtype.Size(mt); got != want {
-				t.Errorf("%s %s: recorded %d nodes, mtype.Size %d", side.universe, name, got, want)
+			if got, want := mt.ValidatedSize(), len(mtype.Nodes(mt)); got != want {
+				t.Errorf("%s %s: recorded %d nodes, %d reachable", side.universe, name, got, want)
 			}
 		}
 	}
