@@ -1,6 +1,6 @@
-// The comparer's three standing benchmarks, the ones EXPERIMENTS.md's
-// "§5-A scaling", "Figure 8" and "Ablations" sections rest on and no
-// bench/ layer reads.
+// The comparer's standing benchmarks, the ones EXPERIMENTS.md's "§5-A
+// scaling", "Figure 8" and "Ablations" sections and its diagnosis cost
+// rest on and no bench/ layer reads.
 package compare_test
 
 import (
@@ -53,6 +53,34 @@ func BenchmarkComparerScaling(b *testing.B) {
 			}
 			b.ReportMetric(float64(totalSteps)/float64(b.N), "steps/op")
 		})
+	}
+}
+
+// BenchmarkMismatchedVerdicts compares each class of the 60-class suite
+// against the next one's IDL: 59 of the 60 pairs have no relation, and
+// core explains each such verdict. The benchmark operation's suites
+// compare only equivalent pairs, so they never pay for a diagnosis.
+func BenchmarkMismatchedVerdicts(b *testing.B) {
+	suite := synth.Generate(synth.VisualAgeScaled(60))
+	sess := core.NewSession()
+	if err := sess.LoadJava("java", suite.JavaSource); err != nil {
+		b.Fatal(err)
+	}
+	if err := sess.LoadIDL("idl", suite.IDLSource); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Annotate("java", suite.JavaScript); err != nil {
+		b.Fatal(err)
+	}
+	names := append(append([]string(nil), suite.DataClassNames...), suite.ServiceClassNames...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, name := range names {
+			if _, err := sess.Compare("java", name, "idl", names[(j+1)%len(names)]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
