@@ -49,8 +49,9 @@ annotate JavaIdeal.fitter.return nonnull
 // subtyping each way) on a fresh comparer and renders everything a caller
 // can observe: the relation, the step count, a decisions digest over every
 // reachable Decision, and a diagnostics digest over the Explain text in
-// both modes and the root FailureReason. Nodes are named by first-visit
-// order, so the digests do not depend on addresses. The two digests are
+// both modes and the root FailureReason. Leaves are named by value and
+// other nodes by first-visit order, so the digests depend neither on
+// addresses nor on whether lowering shares its leaves. The two digests are
 // apart because they answer to different rules: decisions are what the
 // planner builds from and may not move, diagnostics are prose.
 func pairDigest(rules compare.Rules, a, b *mtype.Type) string {
@@ -80,32 +81,57 @@ type digester struct {
 	seen map[[2]*mtype.Type]bool
 }
 
-func (d *digester) id(t *mtype.Type) int {
+// id names a node: a primitive or unit leaf by its value and tag, since
+// lowering may share one such node among all its uses, and any other node
+// by the order it was first seen in.
+func (d *digester) id(t *mtype.Type) string {
+	if u := leafOf(t); u != nil {
+		return fmt.Sprintf("%s%q", u, u.Tag())
+	}
 	if _, ok := d.ids[t]; !ok {
 		d.ids[t] = len(d.ids)
 	}
-	return d.ids[t]
+	return fmt.Sprint(d.ids[t])
+}
+
+// leafOf returns the Integer, Character, Real or Unit node t unfolds to,
+// or nil.
+func leafOf(t *mtype.Type) *mtype.Type {
+	for t != nil && t.Kind() == mtype.KindRecursive {
+		t = t.Body()
+	}
+	if t != nil && t.Kind() <= mtype.KindUnit { // the four leaf kinds come first
+		return t
+	}
+	return nil
 }
 
 func (d *digester) leaves(side string, flat []compare.FlatLeaf) {
 	for _, l := range flat {
-		fmt.Fprintf(d.h, " %s%v/%d/%v", side, l.Path, d.id(l.Node), l.Unit)
+		fmt.Fprintf(d.h, " %s%v/%s/%v", side, l.Path, d.id(l.Node), l.Unit)
 	}
 }
 
 // decisions walks the correspondence the way the planner does, and
 // through port elements as the stub builders do.
+// A pair of two leaves is digested each time it is reached, as a pair of
+// unshared leaves would be, except inside its own decision (Unit against
+// Unit is a record pair whose one leaf pair is itself).
 func (d *digester) decisions(m *compare.Match, a, b *mtype.Type) {
-	if d.seen[[2]*mtype.Type{a, b}] {
+	key := [2]*mtype.Type{a, b}
+	if d.seen[key] {
 		return
 	}
-	d.seen[[2]*mtype.Type{a, b}] = true
+	d.seen[key] = true
+	if leafOf(a) != nil && leafOf(b) != nil {
+		defer delete(d.seen, key)
+	}
 	dec, err := m.Decision(a, b)
 	if err != nil {
-		fmt.Fprintf(d.h, "%d~%d: %v\n", d.id(a), d.id(b), err)
+		fmt.Fprintf(d.h, "%s~%s: %v\n", d.id(a), d.id(b), err)
 		return
 	}
-	fmt.Fprintf(d.h, "%d~%d: kind=%d A=%d B=%d perm=%v alts=%v hook=%q", d.id(a), d.id(b),
+	fmt.Fprintf(d.h, "%s~%s: kind=%d A=%s B=%s perm=%v alts=%v hook=%q", d.id(a), d.id(b),
 		dec.Kind, d.id(dec.A), d.id(dec.B), dec.Perm, dec.AltMap, dec.Hook)
 	d.leaves("a", dec.FlatA)
 	d.leaves("b", dec.FlatB)
@@ -275,8 +301,9 @@ func goldenLines(t *testing.T) []string {
 
 // TestGolden pins the comparer's observable behaviour — relation, step
 // count, every reachable decision and every diagnostic string — to digests
-// first captured from the five-map comparer at commit 8f8aa6e. A rebuilt hot
-// path must reproduce each line exactly.
+// first captured from the five-map comparer at commit 8f8aa6e; the decisions
+// column was captured again at 64f8276 when leaves came to be digested by
+// value. A rebuilt hot path must reproduce each line exactly.
 func TestGolden(t *testing.T) {
 	got := goldenLines(t)
 	const path = "testdata/golden.txt"
