@@ -47,9 +47,11 @@ func suitePair(t *testing.T, class string) (a, b *mtype.Type) {
 // of the Comparer for the matchers' scratch to 86. What is left is what
 // the Match keeps: the table, sized from the node counts Validate
 // recorded, and the arena chunks its pair states, decisions and
-// flattenings (leaves only) are carved from. The scratch stacks come from
-// a pool, a pair refused at its first step takes no entry, and the
-// semantic maps wait for a registration: 39 allocations.
+// flattenings are carved from. The scratch stacks come from a pool, a
+// pair refused at its first step takes no entry, and the semantic maps
+// wait for a registration: 39 allocations. A flattening is its leaf nodes
+// alone, in chunks sized from the leaves the flattenings before held, and
+// the paths wait for Match.Decision: 32.
 func TestAllocsPerComparison(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
@@ -64,7 +66,7 @@ func TestAllocsPerComparison(t *testing.T) {
 		steps = c.Steps()
 	})
 	t.Logf("%.0f allocations, %d steps", allocs, steps)
-	const ceiling = 39
+	const ceiling = 32
 	if allocs > ceiling {
 		t.Fatalf("%.0f allocations per comparison, ceiling %d", allocs, ceiling)
 	}
@@ -72,11 +74,12 @@ func TestAllocsPerComparison(t *testing.T) {
 
 // TestAllocBytesPerComparison pins the bytes of the same comparison:
 // 291 KB when each flattening also copied out its live leaves' indices,
-// nodes and keys and the pair table was sized at one entry a node. Most
-// of what is left is the leaves and index paths the decisions hand to the
-// planner. It reads about 175 000; the ceiling leaves room for a
-// collection that empties the scratch pool mid-loop and for the runtime's
-// map sizing to move between Go releases.
+// nodes and keys and the pair table was sized at one entry a node, 175 KB
+// when each flattening copied out its leaves' index paths. A flattening
+// is now its leaf nodes, and Match.Decision builds the paths of the
+// decisions a plan reads. It reads about 66 000; the ceiling leaves room
+// for a collection that empties the scratch pool mid-loop and for the
+// runtime's map sizing to move between Go releases.
 func TestAllocBytesPerComparison(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
@@ -98,7 +101,7 @@ func TestAllocBytesPerComparison(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("%d bytes per comparison", bytes)
-	const ceiling = 190_000
+	const ceiling = 80_000
 	if bytes > ceiling {
 		t.Fatalf("%d bytes per comparison, ceiling %d", bytes, ceiling)
 	}
@@ -129,6 +132,32 @@ func TestAllocsPairTableHit(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { probe() }); allocs != 0 {
 			t.Errorf("%s: a pair-table hit allocates %.1f times", name, allocs)
+		}
+	}
+}
+
+// TestAllocsKeyedDecision: the decision of a same-node pair or of a pair
+// of primitives matched by key is carved from the comparer's arena, so
+// asking for it allocates nothing a call.
+func TestAllocsKeyedDecision(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation counts")
+	}
+	a, b := suitePair(t, "S0")
+	m, ok := NewComparer(DefaultRules()).Equivalent(a, b)
+	if !ok {
+		t.Fatal("generated pair must be equivalent")
+	}
+	x, y := i16(), i16()
+	for _, tc := range []struct {
+		a, b *mtype.Type
+		want DecisionKind
+	}{{x, x, DecSame}, {x, y, DecPrim}} {
+		if d, err := m.Decision(tc.a, tc.b); err != nil || d.Kind != tc.want {
+			t.Fatalf("decision %+v, %v; want kind %d", d, err, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.Decision(tc.a, tc.b) }); allocs != 0 {
+			t.Errorf("kind %d: a decision allocates %.1f times", tc.want, allocs)
 		}
 	}
 }

@@ -28,8 +28,8 @@ package compare
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -106,7 +106,9 @@ const (
 )
 
 // FlatLeaf is one leaf of a flattened record: the index path from the
-// record node (through nested records) and the leaf node itself.
+// record node (through nested records) and the leaf node itself. The
+// comparer matches leaves by node alone; Match.Decision builds the paths
+// of a record decision's leaves the first time it returns it.
 type FlatLeaf struct {
 	Path []int
 	Node *mtype.Type
@@ -133,6 +135,10 @@ type Decision struct {
 
 	// DecSemantic: the registered hook name.
 	Hook string
+
+	// fa and fb are a DecRecord's flattenings until FlatA and FlatB are
+	// built from them, on first read.
+	fa, fb *flattening
 }
 
 type pairKey struct {
@@ -188,12 +194,17 @@ var whyText = [...]string{
 	whyNoAltMapping:  "no mapping of choice alternatives matches",
 }
 
-// flattening is the memoized result of flattening one node: its leaves,
-// and how many of them are live (not eliminated as units).
+// flattening is the memoized result of flattening one node: its leaf
+// nodes, how many of them are live (not eliminated as units), whether it
+// exceeded the budget, and the semantic tags it was made under. leaves
+// is the nodes with their paths, built the first time a decision that
+// reads them is returned.
 type flattening struct {
-	leaves []FlatLeaf
+	nodes  []*mtype.Type
 	live   int
-	err    error
+	wide   bool
+	tags   map[string]bool
+	leaves []FlatLeaf
 }
 
 // class is one class of partition: its first member's key and index,
@@ -213,42 +224,52 @@ type Comparer struct {
 	slab  []pairState
 	// flat memoizes flatten. Flattenings, decisions and their slices are
 	// carved from the arenas after it, in chunks sized from n, the node
-	// count of the first comparison's graphs.
-	n      int
-	flat   map[*mtype.Type]*flattening
-	flats  []flattening
-	decs   []Decision
-	leaves []FlatLeaf
-	ints   []int
+	// count of the first comparison's graphs, and from uses, the number of
+	// leaves its flattenings held.
+	n, uses int
+	flat    map[*mtype.Type]*flattening
+	flats   []flattening
+	decs    []Decision
+	nodes   []*mtype.Type
+	ints    []int
 	// scratch holds the matchers' stacks; run lends it from a pool.
 	scratch
+	// mu guards what Match.Decision builds after the runs: decisions of
+	// same-node and keyed pairs, and the paths of record leaves, carved
+	// from leaves, ints and decs, with path the walk's stack.
+	mu     sync.Mutex
+	leaves []FlatLeaf
+	path   []int
 	// semantic maps tag pairs to hook names: pairs of nodes carrying
 	// these tags match by fiat, converted by the named programmer hook.
 	semantic map[[2]string]string
 	// semanticTags holds every tag that appears in a registration:
 	// flattening must not dissolve such records, or the pair would never
-	// be compared as a unit.
+	// be compared as a unit. A registration replaces the set rather than
+	// adding to it, so a flattening keeps the set it was made under.
 	semanticTags map[string]bool
 
 	// runs are the comparisons run made, by mode. A diagnosis of a mode
 	// replays that mode's runs on its replay, a comparer whose diag flag
-	// gives each pair refused at its first step an entry too. late is set
-	// by a registration made after runs: from then on every probe takes an
-	// entry, and no run is replayed.
-	runs   [2][]pairKey
-	replay [2]*Comparer
-	diag   bool
-	late   bool
+	// gives each pair refused at its first step an entry too; Explain
+	// reads one made on copies of the graphs (explainer), whose copies
+	// maps each node, and each use of an interned leaf, to its copy. late
+	// is set by a registration made after runs: from then on every probe
+	// takes an entry, and no run is replayed.
+	runs    [2][]pairKey
+	replay  [2]*Comparer
+	explain [2]*Comparer
+	copies  map[use]*mtype.Type
+	diag    bool
+	late    bool
 
 	steps int
 }
 
 // scratch is the matchers' stacks: a matcher pushes what it needs and
-// truncates back on return, so a nested match works above it. path is
-// flatten's. No Match reads them, so they go back to scratchPool when a
-// comparison ends.
+// truncates back on return, so a nested match works above it. No Match
+// reads them, so they go back to scratchPool when a comparison ends.
 type scratch struct {
-	path       []int
 	classStack []class
 	intStack   []int
 	nodeStack  []*mtype.Type
@@ -279,14 +300,16 @@ func (c *Comparer) RegisterSemantic(tagA, tagB, hook string) {
 				}
 			}
 		}
-		c.late, c.replay = true, [2]*Comparer{}
+		c.late, c.replay, c.explain = true, [2]*Comparer{}, [2]*Comparer{}
 	}
 	if c.semantic == nil {
-		c.semantic, c.semanticTags = make(map[[2]string]string), make(map[string]bool)
+		c.semantic = make(map[[2]string]string)
 	}
 	c.semantic[[2]string{tagA, tagB}] = hook
-	c.semanticTags[tagA] = true
-	c.semanticTags[tagB] = true
+	tags := make(map[string]bool, len(c.semanticTags)+2)
+	maps.Copy(tags, c.semanticTags)
+	tags[tagA], tags[tagB] = true, true
+	c.semanticTags = tags
 	clear(c.flat) // a newly registered tag changes what flattening dissolves
 }
 
@@ -357,28 +380,41 @@ type Match struct {
 
 // Decision returns the recorded correspondence for a node pair reached
 // during conversion. The pair must have been matched (directly or as a
-// descendant of the matched roots).
+// descendant of the matched roots). Concurrent calls are safe once the
+// comparer makes no more comparisons.
 func (m *Match) Decision(a, b *mtype.Type) (*Decision, error) {
-	ua, ub := unfold(a), unfold(b)
+	c, ua, ub := m.c, unfold(a), unfold(b)
 	// Same nodes and primitives matched by key have no entry.
+	kind := DecisionKind(0)
 	if ua == ub {
-		return &Decision{Kind: DecSame, A: ua, B: ub}, nil
+		kind = DecSame
+	} else if k := c.key(ua); k.kind != 0 && k == c.key(ub) {
+		kind = DecPrim
 	}
-	if k := m.c.key(ua); k.kind != 0 && k == m.c.key(ub) {
-		return &Decision{Kind: DecPrim, A: ua, B: ub}, nil
+	if kind != 0 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.decision(Decision{Kind: kind, A: ua, B: ub}), nil
 	}
-	if st := m.c.pairs[pairKey{ua, ub, m.Mode}]; st != nil && st.dec != nil {
-		return st.dec, nil
-	}
+	st := c.pairs[pairKey{ua, ub, m.Mode}]
 	// Subtype conversions recurse through port elements contravariantly,
 	// flipping back to the covariant pair; equal-mode decisions also
 	// satisfy subtype queries.
-	if m.Mode == ModeSubtype {
-		if st := m.c.pairs[pairKey{ua, ub, ModeEqual}]; st != nil && st.dec != nil {
-			return st.dec, nil
+	if (st == nil || st.dec == nil) && m.Mode == ModeSubtype {
+		st = c.pairs[pairKey{ua, ub, ModeEqual}]
+	}
+	if st == nil || st.dec == nil {
+		return nil, fmt.Errorf("compare: no decision recorded for %s ~ %s", ua.Kind(), ub.Kind())
+	}
+	if d := st.dec; d.Kind == DecRecord {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if d.fa != nil {
+			d.FlatA, d.FlatB = c.paths(d.A, d.fa), c.paths(d.B, d.fb)
+			d.fa, d.fb = nil, nil
 		}
 	}
-	return nil, fmt.Errorf("compare: no decision recorded for %s ~ %s", ua.Kind(), ub.Kind())
+	return st.dec, nil
 }
 
 // primKey is a primitive's kind and parameters as machine words: two keyed
@@ -600,7 +636,7 @@ func (c *Comparer) refuse(a, b *mtype.Type) (why uint8, x, y int) {
 	switch ak, bk := a.Kind(), b.Kind(); {
 	case recordLike(ak, bk):
 		fa, fb := c.flatten(a), c.flatten(b)
-		if fa.err != nil || fb.err != nil {
+		if fa.wide || fb.wide {
 			return whyTooWide, 0, 0
 		}
 		if fa.live != fb.live {
@@ -684,66 +720,105 @@ func (st *pairState) primitive(a, b *mtype.Type, mode Mode) bool {
 // bound.)
 const flattenBudget = 1 << 12
 
-// errFlattenBudget signals that flattening exceeded the budget.
-var errFlattenBudget = errors.New("flattening budget exceeded")
-
 // flatten returns the record leaves of t. With associativity, records
 // nested directly inside records are expanded (never through a μ node);
-// with unit elimination, leaves that unfold to Unit are kept but marked.
+// with unit elimination, leaves that unfold to Unit are kept but not live.
 // A non-record node is a single leaf of itself. A node is flattened once
-// per comparer: the walk keeps one path stack and copies a path out only
-// at a leaf, so its cost is the size of its result.
+// per comparer, into the node arena's free tail, cut past its leaves at
+// the end; leaves outgrowing it move on to a new chunk. Paths wait for
+// Match.Decision.
 func (c *Comparer) flatten(t *mtype.Type) *flattening {
 	if f := c.flat[t]; f != nil {
 		return f
 	}
 	f := &carve(&c.flats, 1, c.n/8)[0]
 	c.flat[t] = f
-	// The walk appends the leaves to the leaf arena's free tail, cut past
-	// them at the end; leaves outgrowing it move on to a new chunk.
-	f.leaves = c.leaves[:0]
-	path := c.path[:0]
-	defer func() { c.path = path }()
-	var walk func(n *mtype.Type) error
-	walk = func(n *mtype.Type) error {
-		if len(f.leaves) >= flattenBudget {
-			return errFlattenBudget
-		}
-		un, depth := unfold(n), len(path)
-		semanticLeaf := un != nil && len(c.semanticTags) > 0 && un.Tag() != "" && c.semanticTags[un.Tag()] && depth > 0
-		if un != nil && un.Kind() == mtype.KindRecord && (depth == 0 || c.rules.Associativity) && !semanticLeaf {
-			for i, fld := range un.Fields() {
-				path = append(path, i)
-				err := walk(fld.Type)
-				path = path[:depth]
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		leaf := FlatLeaf{Node: n, Unit: c.rules.UnitElimination && un != nil && un.Kind() == mtype.KindUnit}
-		if depth > 0 {
-			leaf.Path = carve(&c.ints, depth, 2*c.n)
-			copy(leaf.Path, path)
-		}
-		if !leaf.Unit {
-			f.live++
-		}
-		if len(f.leaves) == cap(f.leaves) {
-			c.leaves = make([]FlatLeaf, max(2*len(f.leaves), chunk[FlatLeaf](c.n), 16))
-			f.leaves = append(c.leaves[:0], f.leaves...)
-		}
-		f.leaves = append(f.leaves, leaf)
-		return nil
-	}
-	if err := walk(t); err != nil {
-		*f = flattening{err: err}
+	f.tags, f.nodes = c.semanticTags, c.nodes[:0]
+	if !c.collect(f, t, 0) {
+		*f = flattening{wide: true}
 		return f
 	}
-	n := len(f.leaves)
-	f.leaves, c.leaves = f.leaves[:n:n], c.leaves[n:]
+	n := len(f.nodes)
+	f.nodes, c.nodes = f.nodes[:n:n], c.nodes[n:]
+	c.uses += n
 	return f
+}
+
+// collect appends the leaves of n, reached at depth, to f's nodes. It
+// reports false when they exceed the budget.
+func (c *Comparer) collect(f *flattening, n *mtype.Type, depth int) bool {
+	if len(f.nodes) >= flattenBudget {
+		return false
+	}
+	if un := unfold(n); c.dissolves(un, depth, f.tags) {
+		for _, fld := range un.Fields() {
+			if !c.collect(f, fld.Type, depth+1) {
+				return false
+			}
+		}
+		return true
+	}
+	if !c.unit(n) {
+		f.live++
+	}
+	if len(f.nodes) == cap(f.nodes) {
+		c.nodes = make([]*mtype.Type, max(2*len(f.nodes), chunk[*mtype.Type](c.arena()), 16))
+		f.nodes = append(c.nodes[:0], f.nodes...)
+	}
+	f.nodes = append(f.nodes, n)
+	return true
+}
+
+// dissolves reports whether flattening under tags expands the unfolded
+// node u, reached at depth: a record at the top, or nested with
+// associativity unless a registration names its tag.
+func (c *Comparer) dissolves(u *mtype.Type, depth int, tags map[string]bool) bool {
+	if u == nil || u.Kind() != mtype.KindRecord {
+		return false
+	}
+	return depth == 0 || c.rules.Associativity && (len(tags) == 0 || u.Tag() == "" || !tags[u.Tag()])
+}
+
+// unit reports whether the leaf t is eliminated from matching as a unit.
+func (c *Comparer) unit(t *mtype.Type) bool {
+	u := unfold(t)
+	return c.rules.UnitElimination && u != nil && u.Kind() == mtype.KindUnit
+}
+
+// arena is the chunk a leaf-sized arena wants: the leaves the flattenings
+// so far held, or twice the node count before any, since a lowered graph
+// shares its primitive leaves among their uses.
+func (c *Comparer) arena() int { return max(c.uses, 2*c.n) }
+
+// paths returns the leaves of f, the flattening of t, with their index
+// paths, walking t again under the tags f was made under the first time.
+// A plan reads about one leaf in five, so the leaf arena's chunks are
+// sized for a fifth of the flattenings' leaves. Its caller holds mu.
+func (c *Comparer) paths(t *mtype.Type, f *flattening) []FlatLeaf {
+	if f.leaves == nil && len(f.nodes) > 0 {
+		f.leaves = carve(&c.leaves, len(f.nodes), c.uses/5)
+		c.place(f, t, 0, 0)
+	}
+	return f.leaves
+}
+
+// place fills f's leaves from index k with those of n, reached at depth
+// along c.path, and returns the index after them.
+func (c *Comparer) place(f *flattening, n *mtype.Type, depth, k int) int {
+	if un := unfold(n); c.dissolves(un, depth, f.tags) {
+		for i, fld := range un.Fields() {
+			c.path = append(c.path[:depth], i)
+			k = c.place(f, fld.Type, depth+1, k)
+		}
+		return k
+	}
+	l := &f.leaves[k]
+	l.Node, l.Unit = n, c.unit(n)
+	if depth > 0 {
+		l.Path = carve(&c.ints, depth, c.arena())
+		copy(l.Path, c.path[:depth])
+	}
+	return k + 1
 }
 
 // recordMatch matches two record-like nodes, whose flattenings refuse
@@ -756,7 +831,7 @@ func (c *Comparer) recordMatch(a, b *mtype.Type, mode Mode, st *pairState) (bool
 	liveA, nodesA, keysA := c.live(fa)
 	liveB, nodesB, keysB := c.live(fb)
 
-	perm := carve(&c.ints, len(fa.leaves), 2*c.n)
+	perm := carve(&c.ints, len(fa.nodes), c.arena())
 	for i := range perm {
 		perm[i] = -1
 	}
@@ -788,7 +863,7 @@ func (c *Comparer) recordMatch(a, b *mtype.Type, mode Mode, st *pairState) (bool
 		}
 	}
 
-	st.dec = c.decision(Decision{Kind: DecRecord, A: a, B: b, FlatA: fa.leaves, FlatB: fb.leaves, Perm: perm})
+	st.dec = c.decision(Decision{Kind: DecRecord, A: a, B: b, Perm: perm, fa: fa, fb: fb})
 	return true, self
 }
 
@@ -797,9 +872,9 @@ func (c *Comparer) recordMatch(a, b *mtype.Type, mode Mode, st *pairState) (bool
 func (c *Comparer) live(f *flattening) ([]int, []*mtype.Type, []primKey) {
 	idx, nodes, keys := push(&c.intStack, f.live), push(&c.nodeStack, f.live), push(&c.keyStack, f.live)
 	k := 0
-	for i, l := range f.leaves {
-		if !l.Unit {
-			idx[k], nodes[k], keys[k] = i, l.Node, c.key(l.Node)
+	for i, n := range f.nodes {
+		if !c.unit(n) {
+			idx[k], nodes[k], keys[k] = i, n, c.key(n)
 			k++
 		}
 	}
@@ -820,7 +895,7 @@ func (c *Comparer) choiceMatch(a, b *mtype.Type, mode Mode, st *pairState) (bool
 		return false, true
 	}
 
-	altMap := carve(&c.ints, len(altsA), 2*c.n)
+	altMap := carve(&c.ints, len(altsA), c.arena())
 	self := true
 
 	if !c.rules.Commutativity {
@@ -998,8 +1073,21 @@ func (c *Comparer) partition(a, b []*mtype.Type, ka, kb []primKey, out []int) (m
 
 // Explain renders a failure diagnosis for a root pair: the recorded
 // reasons reachable from the pair, indented by depth. It supports the
-// mismatch-isolation workflow of §6.
+// mismatch-isolation workflow of §6. A pair of two interned leaves is
+// named by where each is used, so it shows under the pair whose match
+// probed it, once for each pair of uses probed.
 func (c *Comparer) Explain(a, b *mtype.Type, mode Mode) string {
+	d := c // a comparer after a late registration, or one never run, has every entry
+	if !c.late && len(c.runs[mode-1]) > 0 {
+		d = c.explainer(mode)
+		a, b = d.copy(use{t: a}), d.copy(use{t: b})
+	}
+	diagnosed := func(key pairKey) *pairState {
+		if st := d.pairs[key]; st != nil && st.why != whyNone {
+			return st
+		}
+		return nil
+	}
 	var sb strings.Builder
 	seen := make(map[pairKey]bool)
 	var walk func(x, y *mtype.Type, depth int)
@@ -1010,7 +1098,7 @@ func (c *Comparer) Explain(a, b *mtype.Type, mode Mode) string {
 			return
 		}
 		seen[key] = true
-		if st := c.diagnosed(key); st != nil {
+		if st := diagnosed(key); st != nil {
 			fmt.Fprintf(&sb, "%s%s ~ %s: %s\n", strings.Repeat("  ", depth), describe(ux), describe(uy), key.describeFailure(st))
 			if st.why == whyNoPermutation || st.why == whyNoAltMapping { // x and y: which leaf, of what kind
 				fmt.Fprintf(&sb, "%s  A leaf %d (kind %s) has no partner\n", strings.Repeat("  ", depth), st.x, mtype.Kind(st.y))
@@ -1021,7 +1109,7 @@ func (c *Comparer) Explain(a, b *mtype.Type, mode Mode) string {
 		}
 		for _, cx := range ux.Children() {
 			for _, cy := range uy.Children() {
-				if c.diagnosed(pairKey{unfold(cx), unfold(cy), mode}) != nil {
+				if diagnosed(pairKey{unfold(cx), unfold(cy), mode}) != nil {
 					walk(cx, cy, depth+1)
 				}
 			}
@@ -1032,6 +1120,74 @@ func (c *Comparer) Explain(a, b *mtype.Type, mode Mode) string {
 		return "no mismatch recorded"
 	}
 	return sb.String()
+}
+
+// explainer brings Explain's replay of mode up to date with c's runs of
+// that mode and returns it, as diagnosis does its own, but made on copies
+// of the runs' graphs in which an interned leaf has a node for each place
+// it is used. On the graphs themselves, a pair of two leaves probed under
+// one record would show under every record whose fields hold both, and
+// once however many of its uses were probed.
+func (c *Comparer) explainer(mode Mode) *Comparer {
+	r := c.explain[mode-1]
+	if r == nil {
+		r = &Comparer{rules: c.rules, diag: true, flat: make(map[*mtype.Type]*flattening), copies: make(map[use]*mtype.Type)}
+		c.explain[mode-1] = r
+	}
+	r.semantic, r.semanticTags = c.semantic, c.semanticTags
+	for _, key := range c.runs[mode-1][len(r.runs[mode-1]):] {
+		r.run(r.copy(use{t: key.a}), r.copy(use{t: key.b}), mode)
+	}
+	return r
+}
+
+// use is where a node is reached: as child i of parent, or at the top.
+type use struct {
+	parent, t *mtype.Type
+	i         int
+}
+
+// copy returns the copy of the node u reaches: a node has one copy, but an
+// interned leaf has one for each use.
+func (c *Comparer) copy(u use) *mtype.Type {
+	t := u.t
+	if t == nil {
+		return nil // an unbound μ's body
+	}
+	if !t.Interned() {
+		u = use{t: t}
+	}
+	if n := c.copies[u]; n != nil {
+		return n
+	}
+	var n *mtype.Type
+	switch t.Kind() {
+	case mtype.KindInteger, mtype.KindCharacter, mtype.KindReal, mtype.KindUnit:
+		n = t.Fresh()
+	case mtype.KindRecursive:
+		n = mtype.NewRecursive()
+		c.copies[u] = n.SetTag(t.Tag()) // before the body, which may reach it
+		if body := t.Body(); body != nil {
+			n.SetBody(c.copy(use{t, body, 0}))
+		}
+		return n
+	case mtype.KindRecord:
+		fields := slices.Clone(t.Fields())
+		for i := range fields {
+			fields[i].Type = c.copy(use{t, fields[i].Type, i})
+		}
+		n = mtype.NewRecord(fields...)
+	case mtype.KindChoice:
+		alts := slices.Clone(t.Alts())
+		for i := range alts {
+			alts[i].Type = c.copy(use{t, alts[i].Type, i})
+		}
+		n = mtype.NewChoice(alts...)
+	default: // ports
+		n = mtype.NewPort(c.copy(use{t, t.Elem(), 0}))
+	}
+	c.copies[u] = n.SetTag(t.Tag())
+	return n
 }
 
 // kindOf is the kind t unfolds to, recursive for an unbound μ.

@@ -367,7 +367,7 @@ reason subtype 2~7: record leaf counts differ: 2 vs 4
 
 // TestExplainReplaysItsModeOnly: core explains every verdict of no
 // relation in equal mode, after the equivalence and both subtype runs
-// failed. The diagnosis replays the equivalence run alone.
+// failed. Explain's replay makes the equivalence run alone.
 func TestExplainReplaysItsModeOnly(t *testing.T) {
 	a := mtype.RecordOf(mtype.NewPort(i8()), f32())
 	b := mtype.RecordOf(i8(), i16())
@@ -380,11 +380,11 @@ func TestExplainReplaysItsModeOnly(t *testing.T) {
 		t.Fatal("a port matched a primitive")
 	}
 	c.Explain(a, b, ModeEqual)
-	if r := c.replay[ModeEqual-1]; r == nil || r.Steps() != equalSteps {
+	if r := c.explain[ModeEqual-1]; r == nil || r.Steps() != equalSteps {
 		t.Errorf("equal-mode replay: %v, want the equivalence run's %d steps", r, equalSteps)
 	}
-	if c.replay[ModeSubtype-1] != nil {
-		t.Error("an equal-mode diagnosis replayed the subtype runs")
+	if c.explain[ModeSubtype-1] != nil || c.replay != [2]*Comparer{} {
+		t.Error("an equal-mode Explain replayed the subtype runs, or the runs on the graphs")
 	}
 }
 
@@ -392,7 +392,9 @@ func TestExplainReplaysItsModeOnly(t *testing.T) {
 // matched does not undo the match while the cache is on, though the
 // registration keeps the tagged record from dissolving, so a fresh probe
 // would refuse the pair on its leaf counts. With the cache off the pair
-// is decided again, and refused.
+// is decided again, and refused. Either way the first match's decision,
+// read after the registration, still has the leaves it was matched with:
+// its paths are built under the tags in force when it was made.
 func TestVerdictsStandAcrossRegistrations(t *testing.T) {
 	noCache := DefaultRules()
 	noCache.Cache = false
@@ -407,13 +409,28 @@ func TestVerdictsStandAcrossRegistrations(t *testing.T) {
 		pair := mtype.RecordOf(f32(), f32()).SetTag("Pair")
 		a, b := mtype.RecordOf(i8(), pair), mtype.RecordOf(i8(), f32(), f32())
 		c := NewComparer(tc.rules)
-		_, before := c.Equivalent(a, b)
+		m, before := c.Equivalent(a, b)
 		c.RegisterSemantic("Pair", "Other", "pairToOther")
 		_, after := c.Equivalent(a, b)
 		_, sub := c.Subtype(a, b)
 		got := fmt.Sprintf("%v %v %v, %d steps\n%s%s", before, after, sub, c.Steps(), c.Explain(a, b, ModeEqual), c.Explain(a, b, ModeSubtype))
 		if got != tc.want {
 			t.Errorf("cache %v:\n got %s\nwant %s", tc.rules.Cache, got, tc.want)
+		}
+		d, err := m.Decision(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := func(flat []FlatLeaf) string {
+			var sb strings.Builder
+			for _, l := range flat {
+				fmt.Fprintf(&sb, " %v%s/%v", l.Path, l.Node.Kind(), l.Unit)
+			}
+			return sb.String()
+		}
+		const wantA, wantB = " [0]integer/false [1 0]real/false [1 1]real/false", " [0]integer/false [1]real/false [2]real/false"
+		if got := leaves(d.FlatA) + " |" + leaves(d.FlatB); got != wantA+" |"+wantB || fmt.Sprint(d.Perm) != "[0 1 2]" {
+			t.Errorf("cache %v: decision after the registration: leaves%s, perm %v; want%s |%s, perm [0 1 2]", tc.rules.Cache, got, d.Perm, wantA, wantB)
 		}
 	}
 }

@@ -328,6 +328,85 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// unshared copies t's graph as lowering built it before it interned its
+// leaves: μ, record, choice and port nodes keep their sharing and cycles,
+// and each use of an Integer, Character, Real or Unit leaf gets a node of
+// its own, of the same value and tag, not interned.
+func unshared(t *mtype.Type) *mtype.Type {
+	memo := map[*mtype.Type]*mtype.Type{}
+	var build func(n *mtype.Type) *mtype.Type
+	build = func(n *mtype.Type) *mtype.Type {
+		if m := memo[n]; m != nil {
+			return m
+		}
+		var out *mtype.Type
+		switch n.Kind() {
+		case mtype.KindInteger, mtype.KindCharacter, mtype.KindReal, mtype.KindUnit:
+			return n.Fresh()
+		case mtype.KindRecursive:
+			out = mtype.NewRecursive().SetTag(n.Tag())
+			memo[n] = out
+			out.SetBody(build(n.Body()))
+			return out
+		case mtype.KindRecord:
+			fields := append([]mtype.Field(nil), n.Fields()...)
+			for i := range fields {
+				fields[i].Type = build(fields[i].Type)
+			}
+			out = mtype.NewRecord(fields...)
+		case mtype.KindChoice:
+			alts := append([]mtype.Alt(nil), n.Alts()...)
+			for i := range alts {
+				alts[i].Type = build(alts[i].Type)
+			}
+			out = mtype.NewChoice(alts...)
+		default:
+			out = mtype.NewPort(build(n.Elem()))
+		}
+		memo[n] = out.SetTag(n.Tag())
+		return out
+	}
+	return build(t)
+}
+
+// TestExplainNamesLeavesByUse: lowering gives all the uses of a leaf value
+// one node, yet Explain of every failing pair of the miniature suite's
+// Java and IDL declarations reads as it does on copies of the graphs with
+// a leaf for each use, the graphs lowering built before it shared them:
+// a failed pair of two leaves shows under the record whose match probed
+// it, once for each pair of uses probed.
+func TestExplainNamesLeavesByUse(t *testing.T) {
+	suite := synth.Generate(synth.VisualAgeMiniature())
+	sess := suiteSession(t, suite)
+	all := append(append([]string(nil), suite.DataClassNames...), suite.ServiceClassNames...)
+	explain := func(a, b *mtype.Type) string {
+		c := compare.NewComparer(compare.DefaultRules())
+		if _, ok := c.Equivalent(a, b); ok {
+			return ""
+		}
+		c.Subtype(a, b)
+		c.Subtype(b, a)
+		return c.Explain(a, b, compare.ModeEqual) + c.Explain(a, b, compare.ModeSubtype)
+	}
+	failed := 0
+	for _, x := range all {
+		for _, y := range all {
+			a, b := mustMtype(t, sess, "java", x), mustMtype(t, sess, "idl", y)
+			got := explain(a, b)
+			if got == "" {
+				continue
+			}
+			failed++
+			if want := explain(unshared(a), unshared(b)); got != want {
+				t.Errorf("java %s ~ idl %s:\n got %s\nwant %s", x, y, got, want)
+			}
+		}
+	}
+	if failed < len(all) {
+		t.Errorf("only %d failing pairs explained", failed)
+	}
+}
+
 // TestReuseMatchesFresh: one comparer asks a pair the tool's three
 // questions in turn, as core.compareMtypes does — equivalence, then
 // subtyping each way — over the pair table, flattenings and scratch of the

@@ -266,3 +266,63 @@ func TestRecursivePresentations(t *testing.T) {
 	four.SetBody(mtype.RecordOf(f32, b, mtype.ChoiceOf(mtype.Unit(), mtype.RecordOf(f32, b, mtype.ChoiceOf(mtype.Unit(), deep)))))
 	pair(t, one, four, false, false)
 }
+
+// unshared copies t's graph as lowering built it before it interned its
+// leaves: μ, record, choice and port nodes keep their sharing and cycles,
+// and each use of an Integer, Character, Real or Unit leaf gets a node of
+// its own, of the same value and tag, not interned.
+func unshared(t *mtype.Type) *mtype.Type {
+	memo := map[*mtype.Type]*mtype.Type{}
+	var build func(n *mtype.Type) *mtype.Type
+	build = func(n *mtype.Type) *mtype.Type {
+		if m := memo[n]; m != nil {
+			return m
+		}
+		var out *mtype.Type
+		switch n.Kind() {
+		case mtype.KindInteger, mtype.KindCharacter, mtype.KindReal, mtype.KindUnit:
+			return n.Fresh()
+		case mtype.KindRecursive:
+			out = mtype.NewRecursive().SetTag(n.Tag())
+			memo[n] = out
+			out.SetBody(build(n.Body()))
+			return out
+		case mtype.KindRecord:
+			fields := append([]mtype.Field(nil), n.Fields()...)
+			for i := range fields {
+				fields[i].Type = build(fields[i].Type)
+			}
+			out = mtype.NewRecord(fields...)
+		case mtype.KindChoice:
+			alts := append([]mtype.Alt(nil), n.Alts()...)
+			for i := range alts {
+				alts[i].Type = build(alts[i].Type)
+			}
+			out = mtype.NewChoice(alts...)
+		default:
+			out = mtype.NewPort(build(n.Elem()))
+		}
+		memo[n] = out.SetTag(n.Tag())
+		return out
+	}
+	return build(t)
+}
+
+// TestSharedLeavesDigestAsCopies: lowering shares one node per leaf among
+// its uses, and a graph digests as its copy with a node for every use.
+func TestSharedLeavesDigestAsCopies(t *testing.T) {
+	for _, u := range lawUniverses {
+		copied := 0
+		for _, ty := range suiteTypes(t, u.cfg) {
+			cp := unshared(ty)
+			if got, want := Of(cp), Of(ty); got != want {
+				t.Fatalf("%s: unshared copy digests %v, lowered graph %v\n  t=%s", u.name, got, want, ty)
+			}
+			copied += len(mtype.Nodes(cp)) - len(mtype.Nodes(ty))
+		}
+		if copied == 0 {
+			t.Errorf("%s: no declaration shares a leaf; the row tested nothing", u.name)
+		}
+		t.Logf("%s: copies hold %d more nodes", u.name, copied)
+	}
+}

@@ -22,12 +22,15 @@
 // has the table from use to shape to each representation.
 //
 // Lowering is memoized per declaration variant, so a declaration used in
-// many places lowers to one shared (possibly cyclic) Mtype graph.
+// many places lowers to one shared (possibly cyclic) Mtype graph, and a
+// universe has one node per leaf: every use of an Integer, Character,
+// Real or Unit of one value and tag is the same node.
 package lower
 
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"unicode"
 	"unicode/utf8"
 
@@ -64,6 +67,21 @@ type Lowerer struct {
 	// them, as many as one source may hold tokens, so a hostile length
 	// is a budget error rather than an allocation that ends the process.
 	fixed int
+	// leaves holds the universe's one node per leaf value. Nothing tags or
+	// changes a leaf once built, so all its uses may share it. The table
+	// is the universe's own: shared across universes, a Java int and an
+	// IDL long would be one node, and their pair a same-node pair.
+	leaves map[leafKey]*mtype.Type
+}
+
+// leafKey is the value of a leaf Mtype: its kind, an integer's bounds as
+// machine words (as mtype.IntegerWords gives them), a character's
+// repertoire or a real's width in lo, and its tag.
+type leafKey struct {
+	kind   mtype.Kind
+	signed bool
+	lo, hi uint64
+	tag    string
 }
 
 type memoKey struct {
@@ -80,10 +98,54 @@ type memoEntry struct {
 // New returns a Lowerer for the universe.
 func New(u *stype.Universe) *Lowerer {
 	return &Lowerer{
-		u:     u,
-		memo:  make(map[memoKey]*memoEntry),
-		roots: make(map[string]*mtype.Type),
+		u:      u,
+		memo:   make(map[memoKey]*memoEntry),
+		roots:  make(map[string]*mtype.Type),
+		leaves: make(map[leafKey]*mtype.Type),
 	}
+}
+
+// leaf returns the universe's node for the leaf value k, which mk builds
+// the first time.
+func (l *Lowerer) leaf(k leafKey, mk func() *mtype.Type) *mtype.Type {
+	t := l.leaves[k]
+	if t == nil {
+		t = mtype.Intern(mk())
+		l.leaves[k] = t
+	}
+	return t
+}
+
+// unit returns the universe's Unit node.
+func (l *Lowerer) unit() *mtype.Type { return l.leaf(leafKey{kind: mtype.KindUnit}, mtype.Unit) }
+
+// integer returns the universe's node for the range [lo, hi]. A range
+// wider than a machine word gets a node of its own.
+func (l *Lowerer) integer(lo, hi *big.Int) *mtype.Type {
+	k := leafKey{kind: mtype.KindInteger, signed: lo.Sign() < 0}
+	fits := hi.IsUint64()
+	if k.signed {
+		k.lo, k.hi, fits = uint64(lo.Int64()), uint64(hi.Int64()), lo.IsInt64() && hi.IsInt64()
+	} else if fits {
+		k.lo, k.hi = lo.Uint64(), hi.Uint64()
+	}
+	if !fits {
+		return mtype.NewInteger(lo, hi)
+	}
+	return l.leaf(k, func() *mtype.Type { return mtype.NewInteger(lo, hi) })
+}
+
+// bits returns the universe's node for a binary integer of the width.
+func (l *Lowerer) bits(bits int, signed bool) *mtype.Type {
+	if bits > 64 {
+		return mtype.NewIntegerBits(bits, signed)
+	}
+	k := leafKey{kind: mtype.KindInteger, signed: signed, hi: ^uint64(0) >> (64 - bits)}
+	if signed {
+		k.hi >>= 1
+		k.lo = ^k.hi
+	}
+	return l.leaf(k, func() *mtype.Type { return mtype.NewIntegerBits(bits, signed) })
 }
 
 // Decl lowers the named declaration to its Mtype.
@@ -194,7 +256,7 @@ func (l *Lowerer) lowerObjectPort(d *stype.Decl) (*mtype.Type, error) {
 		var elem *mtype.Type
 		switch len(alts) {
 		case 0:
-			elem = mtype.Unit()
+			elem = l.unit()
 		case 1:
 			elem = alts[0].Type
 		default:
@@ -394,23 +456,24 @@ func (l *Lowerer) lowerValue(t *stype.Type) (*mtype.Type, error) {
 func (l *Lowerer) lowerShape(s *Shape) (*mtype.Type, error) {
 	switch s.Kind {
 	case Unit:
-		return mtype.Unit(), nil
+		return l.unit(), nil
 	case Bool:
-		return mtype.NewBool(), nil
+		return l.bits(1, false), nil
 	case Integer:
 		if s.Lo != nil {
-			return mtype.NewInteger(s.Lo, s.Hi), nil
+			return l.integer(s.Lo, s.Hi), nil
 		}
-		return mtype.NewIntegerBits(s.Bits, s.Signed), nil
+		return l.bits(s.Bits, s.Signed), nil
 	case Character:
-		return mtype.NewCharacter(s.Rep), nil
+		return l.leaf(leafKey{kind: mtype.KindCharacter, lo: uint64(s.Rep)}, func() *mtype.Type { return mtype.NewCharacter(s.Rep) }), nil
 	case Real:
 		if s.Bits == 32 {
-			return mtype.NewFloat32(), nil
+			return l.leaf(leafKey{kind: mtype.KindReal, lo: 32}, mtype.NewFloat32), nil
 		}
-		return mtype.NewFloat64(), nil
+		return l.leaf(leafKey{kind: mtype.KindReal, lo: 64}, mtype.NewFloat64), nil
 	case Enum:
-		return mtype.NewEnum(s.N).SetTag(s.Type.Name), nil
+		tag := s.Type.Name
+		return l.leaf(leafKey{kind: mtype.KindInteger, hi: uint64(s.N - 1), tag: tag}, func() *mtype.Type { return mtype.NewEnum(s.N).SetTag(tag) }), nil
 	case Record, Union:
 		if s.Decl != nil {
 			return l.memoized(memoKey{decl: s.Decl, byValue: true}, func() (*mtype.Type, error) { return l.lowerMembers(s) })
@@ -438,7 +501,10 @@ func (l *Lowerer) lowerShape(s *Shape) (*mtype.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		list := mtype.NewList(elem)
+		// mtype.NewList's encoding, over the universe's Unit node.
+		list := mtype.NewRecursive()
+		cons := mtype.NewRecord(mtype.Field{Name: "head", Type: elem}, mtype.Field{Name: "tail", Type: list})
+		list.SetBody(mtype.NewChoice(mtype.Alt{Name: "nil", Type: l.unit()}, mtype.Alt{Name: "cons", Type: cons}))
 		if s.Decl != nil {
 			list.SetTag(s.Decl.Name)
 		}
@@ -448,7 +514,8 @@ func (l *Lowerer) lowerShape(s *Shape) (*mtype.Type, error) {
 		if err != nil || s.Kind == Deref {
 			return inner, err
 		}
-		return mtype.NewOptional(inner), nil
+		// mtype.NewOptional's encoding, over the universe's Unit node.
+		return mtype.NewChoice(mtype.Alt{Name: "null", Type: l.unit()}, mtype.Alt{Name: "value", Type: inner}), nil
 	case Port:
 		return l.lowerObjectPort(s.Decl)
 	default: // Func

@@ -112,8 +112,10 @@ type Alt struct {
 // constructors or the convenience builders; a zero Type is invalid.
 type Type struct {
 	kind Kind
-	// size is the node count Validate recorded here, 0 before; it fills the
-	// padding after kind, so a node stays 128 bytes.
+	// interned is set by Intern; it and size fill the padding after kind,
+	// so a node stays 128 bytes.
+	interned bool
+	// size is the node count Validate recorded here, 0 before.
 	size atomic.Uint32
 
 	// Integer: inclusive range bounds. Always non-nil for KindInteger.
@@ -150,6 +152,29 @@ func (t *Type) Tag() string { return t.tag }
 func (t *Type) SetTag(tag string) *Type {
 	t.tag = tag
 	return t
+}
+
+// Intern marks the leaf t as its builder's one node for every use of its
+// value, and returns it: a lowered universe interns its Integer,
+// Character, Real and Unit leaves. Such a node is never changed after it
+// is published; diagnostics that name leaves by where they are used tell
+// its uses apart by their parents.
+func Intern(t *Type) *Type {
+	t.interned = true
+	return t
+}
+
+// Interned reports whether Intern marked t.
+func (t *Type) Interned() bool { return t.interned }
+
+// Fresh returns a new node of the leaf t's kind, parameters and tag, not
+// interned: one use of t given a node of its own. It shares t's integer
+// bounds, which no node hands out or changes.
+func (t *Type) Fresh() *Type {
+	if t.kind > KindUnit { // Integer, Character, Real and Unit are the first four kinds
+		panic(fmt.Sprintf("mtype: Fresh of a %s node", t.kind))
+	}
+	return &Type{kind: t.kind, lo: t.lo, hi: t.hi, rep: t.rep, precision: t.precision, exponent: t.exponent, tag: t.tag}
 }
 
 // NewInteger returns an Integer Mtype with the inclusive range [lo, hi].
@@ -276,8 +301,10 @@ func (t *Type) RealParams() (precision, exponent int) {
 
 // Unit returns a Unit Mtype, modelling void and null (§3.1).
 //
-// Each call returns a fresh node so callers may tag it independently; Unit
-// nodes are compared by kind, never by identity.
+// Each call returns a fresh node, but a lowered universe interns one Unit
+// node, as it does one node per primitive leaf value, shared by all their
+// uses, so a node lowering returned is never tagged. Unit nodes are
+// compared by kind, never by identity.
 func Unit() *Type { return &Type{kind: KindUnit} }
 
 // NewRecord returns a Record Mtype over the given fields, in order.

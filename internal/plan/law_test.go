@@ -2,6 +2,9 @@ package plan_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/compare"
@@ -247,4 +250,99 @@ func TestPlanLaws(t *testing.T) {
 		}
 		holdLaws(t, c.name, p)
 	}
+}
+
+// render prints everything a plan holds, nodes by address: plans over the
+// same graphs render alike exactly when they are equal.
+func render(p *plan.Plan) string {
+	var sb strings.Builder
+	id := func(n *plan.Node) int {
+		if n == nil {
+			return -1
+		}
+		return n.ID
+	}
+	for _, n := range p.Nodes {
+		fmt.Fprintf(&sb, "n%d %d %p~%p perm=%v alts=%v hook=%q inject=%d", n.ID, n.Kind, n.A, n.B, n.Perm, n.AltMap, n.Hook, id(n.InjectPlan))
+		for side, flat := range [][]compare.FlatLeaf{n.FlatA, n.FlatB} {
+			for _, l := range flat {
+				fmt.Fprintf(&sb, " %c%v/%p/%v", "ab"[side], l.Path, l.Node, l.Unit)
+			}
+		}
+		for _, c := range append(append([]*plan.Node(nil), n.LeafPlans...), n.AltPlans...) {
+			fmt.Fprintf(&sb, " ->%d", id(c))
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestConcurrentPlanBuild: goroutines building plans from one Match at
+// once — the whole pair, and the request records of each method, as a stub
+// builder does — each get the plans a sequential build from another
+// comparer's Match of the same pair gets, though the first of them to read
+// a record decision builds its leaves' paths. Run it under -race.
+func TestConcurrentPlanBuild(t *testing.T) {
+	suite := synth.Generate(synth.VisualAgeScaled(60))
+	sess := core.NewSession()
+	for _, l := range []struct{ lang, src, script string }{{"java", suite.JavaSource, suite.JavaScript}, {"idl", suite.IDLSource, ""}} {
+		if err := sess.LoadSource(l.lang, l.lang, "ilp32", l.src); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Annotate(l.lang, l.script); err != nil {
+			t.Fatal(err)
+		}
+	}
+	match := func() *compare.Match {
+		v, err := sess.Compare("java", "S0", "idl", "S0")
+		if err != nil || v.Relation != core.RelEquivalent {
+			t.Fatalf("S0: %v, %v", v, err)
+		}
+		return v.Match
+	}
+	seq := match()
+	pairs := [][2]*mtype.Type{{seq.A, seq.B}}
+	ea, eb := unfold(seq.A).Elem(), unfold(seq.B).Elem() // S0 is a port of a choice of invocation records
+	methods, err := seq.Decision(ea, eb)
+	if err != nil || methods.Kind != compare.DecChoice {
+		t.Fatalf("S0's methods: %+v, %v", methods, err)
+	}
+	for i, j := range methods.AltMap {
+		pairs = append(pairs, [2]*mtype.Type{methods.A.Alts()[i].Type, methods.B.Alts()[j].Type})
+	}
+	build := func(m *compare.Match, pair [2]*mtype.Type) string {
+		p, err := plan.BuildFor(m, pair[0], pair[1])
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		return render(p)
+	}
+	want := make([]string, len(pairs))
+	for i, pair := range pairs {
+		want[i] = build(seq, pair)
+	}
+
+	m := match()
+	const workers = 8
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		got[w] = make([]string, len(pairs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range pairs {
+				i := (w + k) % len(pairs) // each worker starts at a different pair
+				got[w][i] = build(m, pairs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if !slices.Equal(got[w], want) {
+			t.Errorf("worker %d built plans unlike the sequential ones", w)
+		}
+	}
+	t.Logf("%d workers built %d plans each", workers, len(pairs))
 }
